@@ -28,6 +28,7 @@ from .extension import (
 from .geometry import HolomorphicCylinder, QuadratureRule, unit_ball
 from .meanvalue import classify_psh
 from .witness import (
+    alpha_from_f,
     build_psi_s,
     build_witness_form,
     coarse_constant_growth,
@@ -35,11 +36,8 @@ from .witness import (
     estimate_functional_E,
     make_cutoff,
     scan_sharp_witness,
-    _alpha_s_values,
     _witness_grid,
 )
-
-SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -205,7 +203,9 @@ def criterion_witness(seed: int) -> CheckRecord:
         _, f = build_witness_form(cert.z0, cert.xi, cert.r, chi)
         fine = _witness_grid(cert.z0, cert.r, 2 * cert.grid_nodes)
         psi = build_psi_s(cert.z0, cert.r, cert.s)
-        alpha = _alpha_s_values(f, omega, cert.s, fine)
+        alpha = alpha_from_f(
+            f.evaluate(fine.points).T, omega(fine.points) + cert.s * np.eye(phi.n)
+        ).T
         e_fine = estimate_functional_E(alpha, phi, psi, omega, fine)
         values[f"{name}/E_doubled"] = e_fine
         ok &= cert.E < 0.0 and e_fine < 0.0 and cert.s <= 1e4
@@ -384,17 +384,9 @@ RUNTIME_LIMITS = {
 }
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def payload_bytes(records) -> bytes:
+    from .cli import _json_default  # cli imports this module
+
     return json.dumps(
         [r.payload() for r in records], sort_keys=True, default=_json_default
     ).encode()

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PoleInStencilError, WeightOverflowError
-from .fields import ScalarField
+from .errors import PoleInStencilError
+from .fields import ScalarField, unshift, weight_exp
 from .geometry import DomainBox, as_point, as_points
 
-EXP_OVERFLOW = 709.0  # largest safe argument of exp in float64
 FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
 
 
@@ -129,15 +128,15 @@ class GridDiscretization:
             mask[tuple(idx)] = False
         return mask.ravel()
 
-    def check_support_margin(self, support: DomainBox) -> None:
-        """The grid must contain the support with >= 2 FD stencil widths of margin."""
+    def check_support_margin(self, support: DomainBox, widths: int) -> None:
+        """The grid must contain the support with >= widths FD stencil widths of margin."""
         sb = support.real_bounds()
-        need = 2 * FD_STENCIL_WIDTH * self.spacing
+        need = widths * FD_STENCIL_WIDTH * self.spacing
         lo_ok = np.all(sb[:, 0] - self.bounds[:, 0] >= need - 1e-12)
         hi_ok = np.all(self.bounds[:, 1] - sb[:, 1] >= need - 1e-12)
         if not (lo_ok and hi_ok):
             raise ValueError(
-                "grid does not contain the form's support with a 2-stencil margin"
+                f"grid does not contain the form's support with a {widths}-stencil margin"
             )
 
 
@@ -145,14 +144,6 @@ def make_grid(box: DomainBox, nodes_per_axis: int, margin: float = 0.0) -> GridD
     bounds = box.real_bounds()
     bounds = np.stack([bounds[:, 0] - margin, bounds[:, 1] + margin], axis=1)
     return GridDiscretization(bounds, nodes_per_axis)
-
-
-def _weight_factor(weight: ScalarField, grid: GridDiscretization) -> np.ndarray:
-    wv = weight(grid.points)
-    expo = -wv
-    if np.any(expo > EXP_OVERFLOW):
-        raise WeightOverflowError("weight overflow")
-    return np.exp(expo)
 
 
 def weighted_pairing(
@@ -167,14 +158,14 @@ def weighted_pairing(
     bv = _as_node_values(b, grid)
     if av.ndim != bv.ndim:
         raise ValueError("cannot pair a form with a scalar")
-    e = _weight_factor(weight, grid)
+    e, shift = weight_exp(-weight(grid.points))
     integrand = np.sum(av * np.conj(bv), axis=0) if av.ndim == 2 else av * np.conj(bv)
-    return complex(np.dot(integrand, e * grid.weights))
+    return unshift(complex(np.dot(integrand, e * grid.weights)), shift)
 
 
 def _as_node_values(obj, grid: GridDiscretization) -> np.ndarray:
     if isinstance(obj, FormField01):
-        grid.check_support_margin(obj.support)
+        grid.check_support_margin(obj.support, 2)
         return obj.evaluate(grid.points)
     if isinstance(obj, ScalarField):
         return np.asarray(obj(grid.points), dtype=complex)
@@ -229,15 +220,47 @@ def scalar_dbar(values: np.ndarray, grid: GridDiscretization) -> np.ndarray:
     return np.stack([grid.d_dzbar(values, j) for j in range(grid.n)])
 
 
+def levi_on_grid(phi: ScalarField, grid: GridDiscretization) -> np.ndarray:
+    """(m, n, n) Levi forms at the nodes: the analytic Hessian as declared (no
+    copy), or d/dzbar_k d/dz_j phi by the 4th-order stencil, symmetrised."""
+    if phi.hess is not None:
+        return np.asarray(phi.hess(grid.points), dtype=complex)
+    n = grid.n
+    pv = phi(grid.points)
+    hess = np.empty((grid.points.shape[0], n, n), dtype=complex)
+    for j in range(n):
+        dj = grid.d_dz(pv, j)
+        for k in range(n):
+            hess[:, j, k] = grid.d_dzbar(dj, k)
+    return 0.5 * (hess + hess.conj().swapaxes(-1, -2))
+
+
+def gradient_energy(av: np.ndarray, grid: GridDiscretization) -> np.ndarray:
+    """Nodewise full gradient energy sum_{j,k} |d alpha_j / dzbar_k|^2 of (n, m) values."""
+    out = np.zeros(av.shape[1])
+    for j in range(grid.n):
+        for k in range(grid.n):
+            out += np.abs(grid.d_dzbar(av[j], k)) ** 2
+    return out
+
+
 @dataclass(frozen=True)
 class BochnerReport:
-    lhs: float
-    rhs: float
+    """The energy identity; terms kept times e^{-log_scale}, rescaled on access."""
+
     residual: float
-    curvature_term: float
-    gradient_term: float
-    dbar_term: float
-    adjoint_term: float
+    scaled_terms: tuple  # curvature, gradient, dbar, adjoint
+    log_scale: float
+
+    def _unscaled(self, *terms) -> float:
+        return unshift(sum(self.scaled_terms[i] for i in terms), self.log_scale)
+
+    lhs = property(lambda self: self._unscaled(0, 1))
+    rhs = property(lambda self: self._unscaled(2, 3))
+    curvature_term = property(lambda self: self._unscaled(0))
+    gradient_term = property(lambda self: self._unscaled(1))
+    dbar_term = property(lambda self: self._unscaled(2))
+    adjoint_term = property(lambda self: self._unscaled(3))
 
 
 def bochner_residual(
@@ -245,29 +268,14 @@ def bochner_residual(
 ) -> BochnerReport:
     """Evaluate both sides of the energy identity and their relative residual."""
     av = _as_node_values(alpha, grid)
-    n = grid.n
-    e = _weight_factor(phi, grid) * grid.weights
+    e, shift = weight_exp(-phi(grid.points))
+    e = e * grid.weights
 
     # curvature energy: sum_{j,k} phi_{j kbar} alpha_j conj(alpha_k)
-    if phi.hess is not None:
-        hess = np.asarray(phi.hess(grid.points), dtype=complex)
-    else:
-        pv = phi(grid.points)
-        hess = np.empty((grid.points.shape[0], n, n), dtype=complex)
-        for j in range(n):
-            dj = grid.d_dz(pv, j)
-            for k in range(n):
-                hess[:, j, k] = grid.d_dzbar(dj, k)
-        hess = 0.5 * (hess + hess.conj().swapaxes(-1, -2))
-    quad = np.einsum("mjk,jm,km->m", hess, av, np.conj(av))
+    quad = np.einsum("mjk,jm,km->m", levi_on_grid(phi, grid), av, np.conj(av))
     curvature = float(np.dot(np.real(quad), e))
 
-    # full gradient energy: sum_{j,k} |d alpha_j / dzbar_k|^2
-    grad_sq = np.zeros(av.shape[1])
-    for j in range(n):
-        for k in range(n):
-            grad_sq += np.abs(grid.d_dzbar(av[j], k)) ** 2
-    gradient = float(np.dot(grad_sq, e))
+    gradient = float(np.dot(gradient_energy(av, grid), e))
 
     # |dbar alpha|^2 over increasing pairs
     anti = dbar_01(alpha, grid)
@@ -281,7 +289,7 @@ def bochner_residual(
     lhs = curvature + gradient
     rhs = dbar_term + adjoint
     residual = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
-    return BochnerReport(lhs, rhs, residual, curvature, gradient, dbar_term, adjoint)
+    return BochnerReport(residual, (curvature, gradient, dbar_term, adjoint), shift)
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,10 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def write_report(path: Optional[str], command: str, config: dict, checks: list, t0: float):
+def write_report(
+    path: Optional[str], command: str, config: dict, checks: list, t0: float, **extra
+):
+    """Write the JSON report when path is set and return it; extra adds top-level sections."""
     config = {k: v for k, v in config.items() if k not in ("func_impl", "command")}
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -140,6 +143,7 @@ def write_report(path: Optional[str], command: str, config: dict, checks: list, 
         "command": command,
         "config": config,
         "checks": checks,
+        **extra,
         "wall_clock_seconds": time.perf_counter() - t0,
     }
     text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
@@ -388,12 +392,11 @@ def cmd_extend(args) -> int:
     if args.p == 2.0:
         f_star, value = best_extension_constant(phi, center, cyl, args.degree, rule)
         rep = optimal_extension_margin(phi, center, cyl, f_star, args.p, rule)
-        rhs = math.exp(-phi.value_at(center))
         checks.append(
             _check(
                 "best-extension-constant",
-                value <= rhs * (1.0 + 1e-9),
-                {"value": value, "threshold": rhs, "degree": args.degree,
+                value <= rep.rhs * (1.0 + 1e-9),
+                {"value": value, "threshold": rep.rhs, "degree": args.degree,
                  "scope": "cylinder-local"},
                 {"inequality": "value <= e^{-phi(z0)}"},
             )
@@ -495,20 +498,7 @@ def cmd_accept(args) -> int:
         for rec in records
     ]
     timings = {rec.name: rec.seconds for rec in records}
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "pshlab",
-        "version": __version__,
-        "command": "accept",
-        "config": {"seed": args.seed},
-        "checks": checks,
-        "timings": timings,
-        "wall_clock_seconds": time.perf_counter() - t0,
-    }
-    if args.out:
-        _atomic_write(
-            args.out, json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
-        )
+    write_report(args.out, "accept", {"seed": args.seed}, checks, t0, timings=timings)
     return 0 if all(c["passed"] for c in checks) else 1
 
 

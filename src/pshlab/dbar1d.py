@@ -17,21 +17,26 @@ from typing import Optional
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .bochner import FormField01, GridDiscretization
+from .bochner import FormField01, GridDiscretization, levi_on_grid
 from .extension import _monomial_values, _solve_gram, monomial_exponents
-from .fields import ScalarField
+from .fields import ScalarField, unshift, weight_exp
 from .geometry import DomainBox
 
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Solves and estimate ratio; the norms kept times e^{-log_scale}, rescaled on access."""
+
     u_particular: np.ndarray
     u_minimal: np.ndarray
     residual: float
-    minimal_norm_sq: float
-    comparison_integral: float
     ratio: float
     degree: int
+    scaled_norms: tuple  # minimal_norm_sq, comparison_integral
+    log_scale: float
+
+    minimal_norm_sq = property(lambda self: unshift(self.scaled_norms[0], self.log_scale))
+    comparison_integral = property(lambda self: unshift(self.scaled_norms[1], self.log_scale))
 
 
 def _square_grid_1d(grid: GridDiscretization) -> float:
@@ -80,6 +85,16 @@ def dbar_residual(
     return float(np.max(np.abs(du - np.asarray(f_values))[mask]))
 
 
+def _weights(eta: ScalarField, grid: GridDiscretization, domain: Optional[DomainBox]):
+    """Trapezoid weights times e^{-eta - shift}, zero off the sub-domain, and shift."""
+    pts = grid.points
+    expo = -eta(pts)
+    if domain is not None:
+        expo = np.where(domain.contains(pts), expo, -np.inf)
+    weight, shift = weight_exp(expo)
+    return grid.weights * weight, shift
+
+
 def weighted_bergman_projection(
     u_values: np.ndarray,
     eta: ScalarField,
@@ -95,12 +110,7 @@ def weighted_bergman_projection(
     every basis monomial (Gram normal equations).
     """
     pts = grid.points
-    mask = np.ones(pts.shape[0], dtype=bool)
-    if domain is not None:
-        mask = domain.contains(pts)
-    w = grid.weights * mask
-    eta_vals = eta(pts)
-    w = w * np.exp(-np.clip(eta_vals, -700.0, None))
+    w, _ = _weights(eta, grid, domain)
     z0 = np.zeros(1, dtype=complex) if center is None else np.asarray(center, complex)
     exps = monomial_exponents(1, degree)
     mono = _monomial_values(pts - z0, exps)
@@ -116,10 +126,7 @@ def projection_orthogonality(
 ) -> float:
     """Max relative pairing of (u - h) against the basis monomials."""
     pts = grid.points
-    mask = np.ones(pts.shape[0], dtype=bool)
-    if domain is not None:
-        mask = domain.contains(pts)
-    w = grid.weights * mask * np.exp(-np.clip(eta(pts), -700.0, None))
+    w, _ = _weights(eta, grid, domain)
     z0 = np.zeros(1, dtype=complex) if center is None else np.asarray(center, complex)
     mono = _monomial_values(pts - z0, monomial_exponents(1, degree))
     res = np.asarray(u_values) - np.asarray(h_values)
@@ -154,22 +161,19 @@ def hormander_ratio(
     u_min_vals, _ = weighted_bergman_projection(u_part, weight, degree, grid, domain)
     u_min = u_part - u_min_vals
 
-    mask = np.ones(pts.shape[0], dtype=bool)
-    if domain is not None:
-        mask = domain.contains(pts)
-    wq = grid.weights * mask * np.exp(-np.clip(weight(pts), -700.0, None))
+    wq, shift = _weights(weight, grid, domain)
     minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq * u_min)))
 
-    if psi.hess is not None:
-        psi_zz = np.real(psi.hess(pts)[:, 0, 0])
-    else:
-        psi_zz = np.real(grid.d_dzbar(grid.d_dz(psi(pts), 0), 0))
+    psi_zz = np.real(levi_on_grid(psi, grid)[:, 0, 0])
     on_support = np.abs(fv) > 0.0
-    if np.any(psi_zz[on_support & mask] < 1e-8):
+    checked = on_support if domain is None else on_support & domain.contains(pts)
+    if np.any(psi_zz[checked] < 1e-8):
         raise ValueError("psi is not strictly subharmonic on the support of f")
     comparison_nodes = np.zeros(pts.shape[0])
     comparison_nodes[on_support] = np.abs(fv[on_support]) ** 2 / psi_zz[on_support]
     comparison = float(np.dot(comparison_nodes, wq))
 
     ratio = minimal_norm_sq / comparison
-    return SolveResult(u_part, u_min, residual, minimal_norm_sq, comparison, ratio, degree)
+    return SolveResult(
+        u_part, u_min, residual, ratio, degree, (minimal_norm_sq, comparison), shift
+    )

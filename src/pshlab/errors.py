@@ -18,7 +18,7 @@ class CylinderOutsideDomainError(PshlabError):
 
 
 class WeightOverflowError(PshlabError):
-    """Raised when e^{-weight} overflows at a quadrature node."""
+    """Raised when e^{-weight} is +inf at a node or a weighted result overflows."""
 
 
 class MetricNotPositiveError(PshlabError):
@@ -35,3 +35,7 @@ class SingularGramError(PshlabError):
 
 class DegenerateWeightError(PshlabError):
     """Raised when a weight or candidate degenerates on a positive-measure node set."""
+
+
+class ConsistencyError(PshlabError):
+    """Raised when a computed result breaks a relation that holds in exact arithmetic."""

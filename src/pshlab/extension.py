@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateWeightError, SingularGramError
-from .fields import ScalarField
+from .errors import ConsistencyError, DegenerateWeightError, SingularGramError
+from .fields import ScalarField, unshift, weight_exp
 from .geometry import HolomorphicCylinder, QuadratureRule, as_point, as_points, sample_cylinder
 from .meanvalue import clipped_mean
 
@@ -49,15 +49,7 @@ class HolomorphicCandidate:
         z = as_points(pts, self.n)
         if self.kind == "exp":
             return np.exp(z @ self.a + self.b)
-        d = z - self.z0
-        out = np.zeros(z.shape[0], dtype=complex)
-        for expo, coef in zip(self.exponents, self.coefficients):
-            term = np.ones(z.shape[0], dtype=complex) * coef
-            for j, e in enumerate(expo):
-                if e:
-                    term = term * d[:, j] ** e
-            out += term
-        return out
+        return _monomial_values(z - self.z0, self.exponents) @ self.coefficients
 
     def check_normalization(self, tol: float = 1e-12) -> None:
         val = self.evaluate(self.z0[None, :])[0]
@@ -95,21 +87,30 @@ def polynomial(coeffs: dict, z0) -> HolomorphicCandidate:
 
 @dataclass(frozen=True)
 class ExtensionReport:
+    """Margin rhs - lhs and Jensen residuals; lhs kept times e^{-log_scale}, rhs as its log."""
+
     z0: np.ndarray
     cylinder: HolomorphicCylinder
     p: float
     candidate: str
-    lhs: float
-    rhs: float
-    margin: float
+    scaled_lhs: float
+    log_scale: float
+    log_rhs: float  # -phi(z0)
     jensen_residual: float
     log_mean_residual: float
     conclusion_margin: float
 
+    lhs = property(lambda self: unshift(self.scaled_lhs, self.log_scale))
+    rhs = property(lambda self: unshift(1.0, self.log_rhs))
+    margin = property(lambda self: self.rhs - self.lhs)
+
 
 def _cylinder_weight_values(phi, cyl, rule):
     sample = sample_cylinder(cyl, rule)
-    return sample, phi(sample.nodes)
+    weight_vals = phi(sample.nodes)
+    if np.dot(~np.isfinite(weight_vals), sample.weights) > VANISHING_FRACTION * cyl.volume:
+        raise DegenerateWeightError("degenerate weight: not finite on a positive-measure set")
+    return sample, weight_vals
 
 
 def optimal_extension_margin(
@@ -127,18 +128,13 @@ def optimal_extension_margin(
         raise ValueError("center lies on the pole set")
     candidate.check_normalization()
     sample, weight_vals = _cylinder_weight_values(phi, cyl, rule)
-    bad = ~np.isfinite(weight_vals)
-    if np.dot(bad, sample.weights) > VANISHING_FRACTION * cyl.volume:
-        raise DegenerateWeightError(
-            "degenerate weight: -inf on a positive-measure node set"
-        )
     fvals = candidate.evaluate(sample.nodes)
-    integrand = np.abs(fvals) ** p * np.exp(-np.clip(weight_vals, -700.0, None))
+    weight, shift = weight_exp(-weight_vals)
+    integrand = np.abs(fvals) ** p * weight
     lhs = float(np.dot(integrand, sample.weights) / cyl.volume)
-    rhs = math.exp(-center_val)
     res1, res2, concl = jensen_chain_check(phi, z0, cyl, candidate, p, rule)
     return ExtensionReport(
-        z0, cyl, p, candidate.kind, lhs, rhs, rhs - lhs, res1, res2, concl
+        z0, cyl, p, candidate.kind, lhs, shift, -center_val, res1, res2, concl
     )
 
 
@@ -170,10 +166,8 @@ def jensen_chain_check(
         log_f = np.log(fabs)
     x_vals = p * log_f - weight_vals  # log(|f|^p e^{-phi})
     mean_x = clipped_mean(x_vals, sample.weights, mu)
-    lin_mean = float(
-        np.dot(np.exp(np.clip(x_vals, None, 700.0)), sample.weights) / mu
-    )
-    residual_1 = -mean_x + math.log(max(lin_mean, 1e-300))
+    ex, shift = weight_exp(x_vals)
+    residual_1 = shift - mean_x + math.log(float(np.dot(ex, sample.weights) / mu))
     residual_2 = clipped_mean(p * log_f, sample.weights, mu)
     mean_phi = clipped_mean(weight_vals, sample.weights, mu)
     conclusion_margin = mean_phi - phi.value_at(z0)
@@ -201,18 +195,15 @@ def coarse_extension_bound(
     sample, weight_vals = _cylinder_weight_values(phi, cyl, rule)
     mu = cyl.volume
     fvals = candidate.evaluate(sample.nodes)
-    expo = p * np.log(np.maximum(np.abs(fvals), 1e-300)) - m * weight_vals
-    peak = float(np.max(expo))
-    if peak > 700.0:
-        raise OverflowError(
-            "integral overflow for this m; rescale the weight before sweeping"
-        )
-    integral = float(np.dot(np.exp(expo), sample.weights) / mu)
-    b_m = math.log(c_m) / m - math.log(mu) / m - math.log(max(integral, 1e-300)) / m
+    with np.errstate(divide="ignore"):
+        expo = p * np.log(np.abs(fvals)) - m * weight_vals
+    weight, shift = weight_exp(expo)
+    log_integral = shift + math.log(float(np.dot(weight, sample.weights) / mu))
+    b_m = math.log(c_m) / m - math.log(mu) / m - log_integral / m
     mean_phi = clipped_mean(weight_vals, sample.weights, mu)
     b_tilde = math.log(c_m) / m - math.log(mu) / m + mean_phi
     if not b_m <= b_tilde + 1e-9:
-        raise AssertionError(
+        raise ConsistencyError(
             f"Jensen relaxation violated: b_m = {b_m!r} > b~_m = {b_tilde!r}"
         )
     return b_m, b_tilde
@@ -274,20 +265,19 @@ def best_extension_constant(
     """
     z0 = as_point(z0)
     sample, weight_vals = _cylinder_weight_values(phi, cyl, rule)
-    bad = ~np.isfinite(weight_vals)
-    if np.dot(bad, sample.weights) > VANISHING_FRACTION * cyl.volume:
-        raise DegenerateWeightError("degenerate weight")
     mu = cyl.volume
     exponents = monomial_exponents(phi.n, degree)
     mono = _monomial_values(sample.nodes - z0, exponents)
-    wphi = sample.weights * np.exp(-np.clip(weight_vals, -700.0, None)) / mu
+    weight, shift = weight_exp(-weight_vals)
+    wphi = sample.weights * weight / mu
+    # gram carries the factor e^{-shift}, which leaves the minimizer unchanged
     gram = (mono.conj().T * wphi) @ mono  # gram[b, a] = int m_a conj(m_b) dW
     # minimize v^H G v... with v_0 = 1: stationarity sum_a gram[b, a] v_a = 0, b != 0
     sub = gram[1:, 1:]
     rhs = -gram[1:, 0]
     tail = _solve_gram(sub, rhs)
     v = np.concatenate([[1.0 + 0.0j], tail])
-    value = float(np.real(np.conj(v) @ gram @ v))
+    value = unshift(float(np.real(np.conj(v) @ gram @ v)), shift)
     coeffs = {expo: v[i] for i, expo in enumerate(exponents)}
     f_star = polynomial(coeffs, z0)
     return f_star, value

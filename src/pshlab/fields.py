@@ -14,7 +14,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContinuityRequiredError, PoleInStencilError
+from .errors import (
+    ConsistencyError, ContinuityRequiredError, PoleInStencilError, WeightOverflowError,
+)
 from .geometry import DomainBox, as_point, as_points
 
 DEFAULT_FD_STEP = 1e-3
@@ -116,6 +118,36 @@ def scaled_sq_omega(c: float, n: int) -> HermitianField:
         return sq[:, None, None] * np.eye(n)[None, :, :] * c
 
     return HermitianField(f"sq:{c}", n, ev)
+
+
+def weight_exp(expo) -> tuple:
+    """(exp(expo - shift), shift) with shift the largest finite exponent.
+
+    Sums of these factors carry e^{-shift}: their ratios are exact at any
+    scale, and unshift puts a sum back on the linear scale.  A +inf exponent
+    (a weight at -inf on its pole set) raises WeightOverflowError.
+    """
+    expo = np.asarray(expo, dtype=float)
+    if np.any(expo == np.inf):
+        raise WeightOverflowError("weight overflow: e^{-weight} is +inf at a node")
+    shift = float(np.max(expo, where=np.isfinite(expo), initial=-np.inf))
+    shift = shift if np.isfinite(shift) else 0.0
+    return np.exp(expo - shift), shift
+
+
+def unshift(total, shift: float):
+    """total * e^shift, or WeightOverflowError when that is not a finite double.
+
+    Two half factors keep a finite result finite where e^shift overflows.
+    """
+    if total == 0:
+        return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.exp(np.float64(shift) / 2.0)
+        out = total * half * half
+    if not np.isfinite(out):
+        raise WeightOverflowError("weight overflow: a weighted value exceeds the double range")
+    return type(total)(out)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +461,10 @@ def levi_form(
         for step in (he * eye[j], 1j * he * eye[j]):
             pts.append((z + step)[None, :])
             pts.append((z - step)[None, :])
-    pair_offsets = []
     for j in range(n):
         for k in range(j + 1, n):
             for a in (he * eye[j], 1j * he * eye[j]):
                 for b in (he * eye[k], 1j * he * eye[k]):
-                    pair_offsets.append((a, b))
                     pts.append((z + a + b)[None, :])
                     pts.append((z + a - b)[None, :])
                     pts.append((z - a + b)[None, :])
@@ -451,7 +481,6 @@ def levi_form(
         fyp, fym = vals[pos + 2], vals[pos + 3]
         pos += 4
         m[j, j] = (fxp + fxm + fyp + fym - 4.0 * f0) / (4.0 * he * he)
-    idx = 0
     for j in range(n):
         for k in range(j + 1, n):
             cross_d = np.empty(4, dtype=float)
@@ -459,7 +488,6 @@ def levi_form(
                 fpp, fpm, fmp, fmm = vals[pos : pos + 4]
                 pos += 4
                 cross_d[q] = (fpp - fpm - fmp + fmm) / (4.0 * he * he)
-            idx += 1
             # order of q: (x_j,x_k), (x_j,y_k), (y_j,x_k), (y_j,y_k)
             m[j, k] = (cross_d[0] + 1j * cross_d[1] - 1j * cross_d[2] + cross_d[3]) / 4.0
             m[k, j] = np.conj(m[j, k])
@@ -481,8 +509,18 @@ def min_levi_eigenvalue(
     xi = v[:, 0]
     residual = float(np.linalg.norm(m @ xi - lam * xi))
     if residual > 1e-8:
-        raise ArithmeticError(f"eigenpair residual {residual:.3e} exceeds 1e-8")
+        raise ConsistencyError(f"eigenpair residual {residual:.3e} exceeds 1e-8")
     return lam, xi
+
+
+def levi_on_points(
+    phi: ScalarField, pts: np.ndarray, h: float = DEFAULT_FD_STEP, use_analytic: bool = True
+) -> np.ndarray:
+    """(m, n, n) Levi forms at (m, n) points: the analytic Hessian symmetrised, or levi_form."""
+    if use_analytic and phi.hess is not None:
+        hs = np.asarray(phi.hess(pts), dtype=complex)
+        return 0.5 * (hs + hs.conj().swapaxes(-1, -2))
+    return np.stack([levi_form(phi, p, h=h, use_analytic=False) for p in pts])
 
 
 @dataclass(frozen=True)
@@ -515,12 +553,7 @@ def check_lower_bound(
     vals = phi(pts)
     if np.any(~np.isfinite(vals)) or np.any(phi.is_pole(pts)):
         raise PoleInStencilError("pole in region")
-    if use_analytic and phi.hess is not None:
-        hs = np.asarray(phi.hess(pts), dtype=complex)
-        hs = 0.5 * (hs + hs.conj().swapaxes(-1, -2))
-    else:
-        hs = np.stack([levi_form(phi, p, h=h, use_analytic=False) for p in pts])
-    diff = hs - omega(pts)
+    diff = levi_on_points(phi, pts, h, use_analytic) - omega(pts)
     eigs = np.linalg.eigvalsh(diff)[:, 0]
     worst = int(np.argmin(eigs))
     lam_min = float(eigs[worst])

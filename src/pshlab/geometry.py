@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -390,15 +390,6 @@ def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderS
 def integrate(values: np.ndarray, weights: np.ndarray) -> float:
     """Fixed-order weighted reduction of real node values."""
     return float(np.dot(np.asarray(values, dtype=float), weights))
-
-
-def integrate_field(
-    cyl: HolomorphicCylinder,
-    rule: QuadratureRule,
-    func: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    sample = sample_cylinder(cyl, rule)
-    return integrate(func(sample.nodes), sample.weights)
 
 
 def montecarlo_volume(cyl: HolomorphicCylinder, samples: int, seed: int):

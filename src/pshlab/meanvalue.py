@@ -27,8 +27,9 @@ from .geometry import (
     unitary_from_first_column,
 )
 
-# floors for upper semi-continuous integrands with value -inf
-CLIP_EXPONENTS = range(4, 21)
+# floors -M for upper semi-continuous integrands with value -inf; the mean is
+# taken once the two clipped means agree
+CLIP_FLOORS = (2.0**19, 2.0**20)
 CLIP_CONVERGENCE = 1e-8
 DEFAULT_MARGIN_TOL = 1e-6
 # a confirmed violation must exceed this multiple of the quadrature-error
@@ -57,22 +58,19 @@ class MeanValueReport:
 
 
 def clipped_mean(values: np.ndarray, weights: np.ndarray, measure: float) -> float:
-    """Mean of a usc integrand: clip at floors -2^k and take the stable limit.
+    """Mean of a usc integrand: clip at floors -M and take the stable limit.
 
-    Integrates max(phi, -M) for M = 2^4 .. 2^20 and returns the limit if the
-    last two clipped means agree to CLIP_CONVERGENCE, else -inf (the clipped
+    Integrates max(phi, -M) for M = 2^19 and 2^20 and returns the latter if
+    the two clipped means agree to CLIP_CONVERGENCE, else -inf (the clipped
     means diverge).
     """
-    finite = np.isfinite(values)
-    if np.all(finite):
+    if np.all(np.isfinite(values)):
         return float(np.dot(values, weights) / measure)
-    prev = None
-    means = []
-    for k in CLIP_EXPONENTS:
-        clipped = np.maximum(values, -float(2**k))
-        means.append(float(np.dot(clipped, weights) / measure))
-    if abs(means[-1] - means[-2]) < CLIP_CONVERGENCE:
-        return means[-1]
+    prev, last = (
+        float(np.dot(np.maximum(values, -m), weights) / measure) for m in CLIP_FLOORS
+    )
+    if abs(last - prev) < CLIP_CONVERGENCE:
+        return last
     return float("-inf")
 
 

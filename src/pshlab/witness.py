@@ -23,11 +23,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ContinuityRequiredError, MetricNotPositiveError
-from .fields import HermitianField, ScalarField, check_lower_bound
-from .bochner import FormField01, GridDiscretization, make_grid
+from .fields import (
+    HermitianField, ScalarField, check_lower_bound, levi_on_points, unshift, weight_exp,
+)
+from .bochner import FormField01, GridDiscretization, gradient_energy, levi_on_grid, make_grid
 from .geometry import DomainBox, as_point, as_points, ball_volume
-
-EXP_OVERFLOW = 709.0
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +131,20 @@ def build_psi_s(z0, r: float, s: float) -> ScalarField:
 
 
 def alpha_from_f(f_coeffs, metric) -> np.ndarray:
-    """Row-vector solve alpha = f B^{-1} for a Hermitian positive definite B.
+    """Row-vector solve alpha = f B^{-1} for Hermitian positive definite B.
 
-    Satisfies sum_{j,k} B_jk alpha_j conj(alpha_k) = sum (B^{-1})_jk f_j conj(f_k).
+    Batched over leading axes: f is (..., n) and B is (..., n, n).  Satisfies
+    sum_{j,k} B_jk alpha_j conj(alpha_k) = sum (B^{-1})_jk f_j conj(f_k).
     """
     f = np.asarray(f_coeffs, dtype=complex)
     b = np.asarray(metric, dtype=complex)
-    lam_min = float(np.linalg.eigvalsh(b)[0])
+    lam_min = float(np.min(np.linalg.eigvalsh(b)))
     if lam_min <= 1e-12:
         raise MetricNotPositiveError(
             f"metric not positive: smallest eigenvalue {lam_min:.3e}"
         )
     # alpha^T = f^T B^{-1}  <=>  B^T alpha = f
-    return np.linalg.solve(b.T, f)
+    return np.linalg.solve(np.swapaxes(b, -1, -2), f[..., None])[..., 0]
 
 
 def metric_quadratic(metric, vec) -> float:
@@ -156,15 +157,6 @@ def form_norm_sq(metric, f_coeffs) -> float:
     """|f|^2_B = sum_{j,k} (B^{-1})_jk f_j conj(f_k) via a linear solve."""
     f = np.asarray(f_coeffs, dtype=complex)
     return float(np.real(np.dot(f, np.linalg.solve(np.asarray(metric), np.conj(f)))))
-
-
-def _weight_exp(values: np.ndarray):
-    """exp(-values) with max-exponent scaling: returns (scaled, log_scale)."""
-    expo = -np.asarray(values, dtype=float)
-    m0 = float(np.max(expo))
-    if m0 <= EXP_OVERFLOW:
-        return np.exp(expo), 0.0
-    return np.exp(expo - m0), m0
 
 
 def estimate_functional_E(
@@ -182,39 +174,16 @@ def estimate_functional_E(
     """
     if isinstance(alpha, FormField01):
         # single first-derivative stencils only: one stencil width of margin
-        sb = alpha.support.real_bounds()
-        need = 2.0 * grid.spacing
-        if not (
-            np.all(sb[:, 0] - grid.bounds[:, 0] >= need - 1e-12)
-            and np.all(grid.bounds[:, 1] - sb[:, 1] >= need - 1e-12)
-        ):
-            raise ValueError("grid does not contain the form's support with a stencil margin")
+        grid.check_support_margin(alpha.support, 1)
         av = alpha.evaluate(grid.points)
     else:
         av = np.asarray(alpha, dtype=complex)
-    n = grid.n
     pts = grid.points
-    if phi.hess is not None:
-        hess = np.asarray(phi.hess(pts), dtype=complex)
-    else:
-        pv = phi(pts)
-        hess = np.empty((pts.shape[0], n, n), dtype=complex)
-        for j in range(n):
-            dj = grid.d_dz(pv, j)
-            for k in range(n):
-                hess[:, j, k] = grid.d_dzbar(dj, k)
-        hess = 0.5 * (hess + hess.conj().swapaxes(-1, -2))
-    gap = hess - omega(pts)
+    gap = levi_on_grid(phi, grid) - omega(pts)
     quad = np.real(np.einsum("mjk,jm,km->m", gap, av, np.conj(av)))
-    grad_sq = np.zeros(av.shape[1])
-    for j in range(n):
-        for k in range(n):
-            grad_sq += np.abs(grid.d_dzbar(av[j], k)) ** 2
-    weight, log_scale = _weight_exp(phi(pts) + psi(pts))
-    total = float(np.dot(quad + grad_sq, weight * grid.weights))
-    if log_scale:
-        total = total * math.exp(min(log_scale, EXP_OVERFLOW))
-    return total
+    grad_sq = gradient_energy(av, grid)
+    weight, shift = weight_exp(-(phi(pts) + psi(pts)))
+    return unshift(float(np.dot(quad + grad_sq, weight * grid.weights)), shift)
 
 
 @dataclass(frozen=True)
@@ -250,22 +219,6 @@ DEFAULT_S_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
 DEFAULT_E_GRID = {1: 96, 2: 16}
 
 
-def _alpha_s_values(
-    f: FormField01, omega: HermitianField, s: float, grid: GridDiscretization
-) -> np.ndarray:
-    """Nodewise alpha^s = f (sI + g)^{-1}; equals f/s when omega vanishes."""
-    fv = f.evaluate(grid.points)
-    n = grid.n
-    g = omega(grid.points)
-    b = g + s * np.eye(n)[None, :, :]
-    lam_min = float(np.min(np.linalg.eigvalsh(b)))
-    if lam_min <= 1e-12:
-        raise MetricNotPositiveError("metric not positive on the witness grid")
-    # batched solve of B^T alpha = f per node
-    bt = np.swapaxes(b, -1, -2)
-    return np.linalg.solve(bt, fv.T[..., None])[..., 0].T
-
-
 def scan_sharp_witness(
     phi: ScalarField,
     omega: HermitianField,
@@ -296,15 +249,17 @@ def scan_sharp_witness(
     _, f = build_witness_form(z0, xi, r, chi)
     grid = _witness_grid(z0, r, grid_nodes)
 
+    eye = np.eye(n)
     for s in s_schedule:
         psi = build_psi_s(z0, r, float(s))
-        alpha_vals = _alpha_s_values(f, omega, float(s), grid)
-        value = estimate_functional_E(alpha_vals, phi, psi, omega, grid)
+        # nodewise alpha^s = f (sI + g)^{-1}; equals f/s when omega vanishes
+        alpha = alpha_from_f(f.evaluate(grid.points).T, omega(grid.points) + s * eye).T
+        value = estimate_functional_E(alpha, phi, psi, omega, grid)
         if value < 0.0:
             if verify_doubling:
                 fine = _witness_grid(z0, r, 2 * grid_nodes)
-                alpha_fine = _alpha_s_values(f, omega, float(s), fine)
-                value_fine = estimate_functional_E(alpha_fine, phi, psi, omega, fine)
+                alpha = alpha_from_f(f.evaluate(fine.points).T, omega(fine.points) + s * eye).T
+                value_fine = estimate_functional_E(alpha, phi, psi, omega, fine)
                 if not value_fine < 0.0:
                     continue
             return WitnessCertificate(z0, xi, r, c, float(s), value, grid_nodes)
@@ -317,15 +272,8 @@ def _select_center(phi, omega, region, resolution, c_worst):
     Ties in the gap depth are common (constant-curvature weights); picking the
     node farthest from the region boundary leaves room for the witness ball.
     """
-    from .fields import levi_form
-
     pts = region.grid_points(resolution)
-    if phi.hess is not None:
-        hs = np.asarray(phi.hess(pts), dtype=complex)
-        hs = 0.5 * (hs + hs.conj().swapaxes(-1, -2))
-    else:
-        hs = np.stack([levi_form(phi, p) for p in pts])
-    gap = hs - omega(pts)
+    gap = levi_on_points(phi, pts) - omega(pts)
     eigs = np.linalg.eigvalsh(gap)[:, 0]
     near_worst = np.flatnonzero(eigs <= -0.95 * c_worst)
     depths = np.array([region.inradius_from(pts[i]) for i in near_worst])
@@ -342,8 +290,6 @@ def _witness_grid(z0, r: float, nodes: int) -> GridDiscretization:
 
 def _select_radius(phi, omega, z0, xi, c, region, ladder_steps: int = 6) -> float:
     """Largest dyadic radius with sampled Levi gap < -c/2 throughout the ball."""
-    from .fields import levi_form
-
     r_max = max(region.inradius_from(z0), 1e-3)
     if phi.domain is not None:
         r_max = min(r_max, phi.domain.inradius_from(z0))
@@ -351,12 +297,7 @@ def _select_radius(phi, omega, z0, xi, c, region, ladder_steps: int = 6) -> floa
         r = r_max / (2.0**k)
         ball = DomainBox("ball", z0, np.array([r]))
         pts = ball.grid_points(7)
-        if phi.hess is not None:
-            hs = np.asarray(phi.hess(pts), dtype=complex)
-            hs = 0.5 * (hs + hs.conj().swapaxes(-1, -2))
-        else:
-            hs = np.stack([levi_form(phi, p) for p in pts])
-        eigs = np.linalg.eigvalsh(hs - omega(pts))[:, 0]
+        eigs = np.linalg.eigvalsh(levi_on_points(phi, pts) - omega(pts))[:, 0]
         if np.max(eigs) < -c / 2.0:
             return r
     return r_max / (2.0 ** (ladder_steps - 1))
@@ -419,14 +360,22 @@ def build_psi_delta(w, delta: float, n: int) -> ScalarField:
         u = np.sum(np.abs(d) ** 2, axis=-1) + dd
         return np.conj(z) + n * np.conj(d) / u[:, None]
 
-    def hess(z):
-        d = z - w
-        u = np.sum(np.abs(d) ** 2, axis=-1) + dd
-        eye = np.eye(n)[None, :, :]
-        outer = np.conj(d)[:, :, None] * d[:, None, :]
-        return eye + n * (eye / u[:, None, None] - outer / (u**2)[:, None, None])
+    return ScalarField(
+        f"psi_delta:{delta:g}", n, ev, grad=grad,
+        hess=lambda z: _psi_delta_hess(z, w, delta, n),
+    )
 
-    return ScalarField(f"psi_delta:{delta:g}", n, ev, grad=grad, hess=hess)
+
+def _psi_delta_hess(z, w, delta: float, n: int) -> np.ndarray:
+    """Levi form of psi_delta: I + n (I/u - conj(d) d^T/u^2), d = z - w, u = |d|^2 + delta^2.
+
+    At delta = 0 this is the metric of the usc limit off its pole.
+    """
+    d = z - w
+    u = np.sum(np.abs(d) ** 2, axis=-1) + delta * delta
+    eye = np.eye(n)[None, :, :]
+    outer = np.conj(d)[:, :, None] * d[:, None, :]
+    return eye + n * (eye / u[:, None, None] - outer / (u**2)[:, None, None])
 
 
 @dataclass(frozen=True)
@@ -498,7 +447,7 @@ def coarse_rhs_bound(
     at_pole = psi.is_pole(pts)
     use = on_support & ~at_pole
 
-    metric = psi.hess(pts[use]) if psi.hess is not None else _psi0_hess(pts[use], w, n)
+    metric = _psi_delta_hess(pts[use], w, delta, n)
     fvals = av[:, use]
     norm_sq = np.einsum(
         "jm,mjk,km->m",
@@ -507,25 +456,14 @@ def coarse_rhs_bound(
         np.conj(fvals),
     ).real
     norm_sq = np.maximum(norm_sq, 0.0)
-    weight_vals = m * phi(pts[use]) + psi(pts[use])
-    weight, log_scale = _weight_exp(weight_vals)
+    weight, shift = weight_exp(-(m * phi(pts[use]) + psi(pts[use])))
     integrand = norm_sq ** (p / 2.0) * weight
-    rhs = c_m * float(np.dot(integrand, grid.weights[use]))
-    if log_scale:
-        rhs *= math.exp(min(log_scale, EXP_OVERFLOW))
+    rhs = unshift(c_m * float(np.dot(integrand, grid.weights[use])), shift)
 
     inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)
-    bound = envelope * c_m * math.exp(-m * inf_phi) / eps**p
+    bound = unshift(envelope * c_m / eps**p, -m * inf_phi)
     return CoarseChainReport(m, p, eps, delta, w, rhs, bound, envelope, inf_phi)
-
-
-def _psi0_hess(pts, w, n):
-    d = pts - w
-    u = np.sum(np.abs(d) ** 2, axis=-1)
-    eye = np.eye(n)[None, :, :]
-    outer = np.conj(d)[:, :, None] * d[:, None, :]
-    return eye + n * (eye / u[:, None, None] - outer / (u**2)[:, None, None])
 
 
 def _annulus_grid(w, eps: float, nodes: int) -> GridDiscretization:
@@ -564,7 +502,7 @@ def coarse_constant_growth(
     n: int = 1,
     region_radius: float = 1.0,
 ):
-    """C'_m = C'' C_m m^p e^{m O_{1/m}} and the diagnostic log C'_m / m.
+    """log C'_m, C'_m = C'' C_m m^p e^{m O_{1/m}}, and the diagnostic log C'_m / m.
 
     C'' is the explicit envelope 2^p (mu(B_1) + C' C) with
     C = 2^{p+2n} mu(B_1) and C' = sup e^{psi_0} over the region (bounded by
@@ -582,4 +520,4 @@ def coarse_constant_growth(
     o_vals = np.array([float(o_evaluator(1.0 / m)) for m in m_arr])
     log_cprime_m = math.log(c_dprime) + np.log(c_arr) + p * np.log(m_arr) + m_arr * o_vals
     diagnostics = log_cprime_m / m_arr
-    return np.exp(np.minimum(log_cprime_m, EXP_OVERFLOW)), diagnostics
+    return log_cprime_m, diagnostics

@@ -1,8 +1,15 @@
+import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pshlab
 from pshlab.cli import main, parse_cylinder, parse_point, parse_region, ConfigError
 
 
@@ -160,6 +167,38 @@ class TestSubcommands:
         code = main(["levi", "--func", "mystery"])
         assert code == 1
         assert "unknown field id" in capsys.readouterr().err
+
+
+class TestLogScaleWeights:
+    def test_coarse_extend_large_m(self, tmp_path):
+        # e^{-m phi} overflows a double at m = 1000; b_m is taken in log space
+        out = tmp_path / "ce.csv"
+        code = main(
+            ["coarse-extend", "--func", "neg_sq_norm", "--m", "1,1000",
+             "--cylinder", "r=5,s=1,seed=0", "--out", str(out)]
+        )
+        assert code == 0
+        with open(out, encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        last = rows[-1]
+        assert last["m"] == "1000"
+        b_m, b_tilde = float(last["b_m"]), float(last["b_tilde_m"])
+        assert math.isfinite(b_m)
+        assert b_m <= b_tilde
+
+    def test_extend_overflow_is_typed(self):
+        # (1/mu) int |f|^3 e^{|z|^2} over the disc of radius 30 is about e^893
+        env = dict(os.environ)
+        src = str(Path(pshlab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pshlab.cli", "extend", "--func", "neg_sq_norm",
+             "--cylinder", "r=30,seed=0", "--p", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: weight overflow")
 
 
 class TestDeterminism:

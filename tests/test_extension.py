@@ -103,6 +103,22 @@ class TestJensenChain:
                 polynomial({(1,): 1.0}, np.zeros(1)), 2.0, RULE,
             )
 
+    def test_large_radius_matches_logsumexp(self):
+        # at r = 30 the linear mean of |f|^p e^{-phi} is about e^893
+        from scipy.special import logsumexp
+
+        from pshlab.geometry import sample_cylinder
+
+        cyl = disc(30.0)
+        p = 3.0
+        res1, _, _ = jensen_chain_check(
+            fields.neg_sq_norm(1), np.zeros(1), cyl, constant_one(np.zeros(1)), p, RULE
+        )
+        sample = sample_cylinder(cyl, RULE)
+        x = np.abs(sample.nodes[:, 0]) ** 2  # log(|f|^p e^{-phi}) for f = 1
+        ref = -np.dot(x, sample.weights) / cyl.volume + logsumexp(x, b=sample.weights / cyl.volume)
+        assert res1 == pytest.approx(ref, rel=1e-12)
+
 
 class TestCoarseExtension:
     def test_unit_volume_flat(self):

@@ -224,12 +224,13 @@ class TestScanSharpWitness:
 
     def test_alpha_scaling_law(self):
         # with omega = 0, alpha^s = f/s exactly on the inner ball
-        from pshlab.witness import _alpha_s_values, _witness_grid
+        from pshlab.witness import _witness_grid
 
         z0 = np.zeros(1, dtype=complex)
         _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff("witness"))
         grid = _witness_grid(z0, 0.5, 48)
-        vals = _alpha_s_values(f, fields.zero_omega(1), 50.0, grid)
+        metric = fields.zero_omega(1)(grid.points) + 50.0 * np.eye(1)
+        vals = alpha_from_f(f.evaluate(grid.points).T, metric).T
         expected = f.evaluate(grid.points) / 50.0
         inner = np.abs(grid.points[:, 0]) < 0.25
         assert np.max(np.abs(vals - expected)[:, inner]) <= 1e-14
