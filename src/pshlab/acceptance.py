@@ -232,7 +232,7 @@ def criterion_coarse_chain(seed: int) -> CheckRecord:
         for eps in (0.5, 0.25):
             for delta in (0.25, 0.0625):
                 rep = coarse_rhs_bound(
-                    phi, m, 2.0, w, eps, delta, 1.0,
+                    phi, m, 2.0, w, eps, delta, 0.0,
                     grid_nodes=64 if eps == 0.5 else 128,
                 )
                 key = f"m{m}/eps{eps:g}/delta{delta:g}"
@@ -241,7 +241,7 @@ def criterion_coarse_chain(seed: int) -> CheckRecord:
                 ok &= rep.verified
     m_values = [10, 100, 10**4, 10**6]
     _, diag = coarse_constant_growth(
-        m_values, [1.0] * 4, 2.0, lambda e: 2.0 * e, n=1, region_radius=1.0
+        m_values, [0.0] * 4, 2.0, lambda e: 2.0 * e, n=1, region_radius=1.0
     )
     values["growth/log_cprime_over_m_at_1e6"] = float(diag[-1])
     ok &= diag[-1] < 1e-4
@@ -290,7 +290,7 @@ def criterion_extension_chains(seed: int) -> CheckRecord:
     mean_phi = r_unit**2 / 2.0
     for m in (1, 4, 32):
         _, b_tilde = coarse_extension_bound(
-            phi, np.zeros(1), disc_unit, constant_one(np.zeros(1)), 1.0, m, 2.0, rule
+            phi, np.zeros(1), disc_unit, constant_one(np.zeros(1)), 0.0, m, 2.0, rule
         )
         values[f"coarse/b_tilde_m{m}"] = b_tilde
     gap = abs(values["coarse/b_tilde_m32"] - mean_phi)

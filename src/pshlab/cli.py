@@ -317,7 +317,7 @@ def cmd_coarse_chain(args) -> int:
     m_values = [int(v) for v in args.m.split(",")]
     eps_values = [float(v) for v in args.eps.split(",")]
     delta_values = [float(v) for v in args.delta.split(",")]
-    c_m_rule = _parse_cm_rule(args.cm)
+    log_c_m = _parse_cm_rule(args.cm)
 
     # modulus of continuity at eps = 1/m and the resulting growth constants,
     # on the unit ball around w (skipped when the field is not continuous there)
@@ -329,7 +329,7 @@ def cmd_coarse_chain(args) -> int:
             for m in m_values
         }
         _, diag = coarse_constant_growth(
-            m_values, [c_m_rule(m) for m in m_values], args.p,
+            m_values, [log_c_m(m) for m in m_values], args.p,
             lambda e: o_by_m.get(int(round(1.0 / e)), 0.0), n=args.dim,
         )
         cprime_by_m = {m: float(d) * m for m, d in zip(m_values, diag)}
@@ -342,7 +342,7 @@ def cmd_coarse_chain(args) -> int:
         for eps in eps_values:
             for delta in delta_values:
                 rep = coarse_rhs_bound(
-                    phi, m, args.p, w, eps, delta, c_m_rule(m),
+                    phi, m, args.p, w, eps, delta, log_c_m(m),
                     grid_nodes=max(64, int(16 / eps) * 8),
                 )
                 rows.append(
@@ -363,23 +363,31 @@ def cmd_coarse_chain(args) -> int:
 
 
 def _parse_cm_rule(text: str):
+    """The rule m -> log(C_m); logs keep fast-growing rules such as exp_sqrt finite."""
     base, _, raw = text.partition(":")
-    if base == "const":
-        c = float(raw) if raw else 1.0
-        return lambda m: c
-    if base == "poly":
-        k = float(raw) if raw else 2.0
-        return lambda m: float(m) ** k
     if base == "exp_sqrt":
-        return lambda m: math.exp(math.sqrt(m))
+        return lambda m: math.sqrt(m)
     try:
-        c = float(text)  # bare number means a constant rule
-        return lambda m: c
+        if base == "poly":
+            k = float(raw or 2.0)
+            return lambda m: k * math.log(m)
+        c = float(raw or 1.0) if base == "const" else float(text)  # a bare number is a constant
     except ValueError:
-        pass
-    raise ConfigError(
-        f"invalid --cm rule {text!r} (a number, const:<c>, poly:<k>, or exp_sqrt)"
-    )
+        c = math.nan
+    if not c > 0.0:
+        raise ConfigError(
+            f"invalid --cm rule {text!r} (a positive number, const:<c>, poly:<k>, or exp_sqrt)"
+        )
+    log_c = math.log(c)
+    return lambda m: log_c
+
+
+def _exp_or_inf(x: float) -> float:
+    """e^x, or inf where that exceeds the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def cmd_extend(args) -> int:
@@ -425,13 +433,13 @@ def cmd_coarse_extend(args) -> int:
     center = parse_point(args.center, "center")
     cyl = parse_cylinder(args.cylinder, args.dim, center)
     rule = QuadratureRule("tensor-grid", args.budget, args.seed)
-    c_m_rule = _parse_cm_rule(args.cm_rule)
+    log_c_m = _parse_cm_rule(args.cm_rule)
     rows = []
     for m in [int(v) for v in args.m.split(",")]:
         b_m, b_tilde = coarse_extension_bound(
-            phi, center, cyl, constant_one(center), c_m_rule(m), m, args.p, rule
+            phi, center, cyl, constant_one(center), log_c_m(m), m, args.p, rule
         )
-        rows.append([m, args.p, c_m_rule(m), b_m, b_tilde])
+        rows.append([m, args.p, _exp_or_inf(log_c_m(m)), b_m, b_tilde])
     if args.out:
         write_csv(args.out, ["m", "p", "C_m", "b_m", "b_tilde_m"], rows)
     print(f"[PASS] coarse-extend: {len(rows)} bounds computed")

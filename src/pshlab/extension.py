@@ -132,7 +132,7 @@ def optimal_extension_margin(
     weight, shift = weight_exp(-weight_vals)
     integrand = np.abs(fvals) ** p * weight
     lhs = float(np.dot(integrand, sample.weights) / cyl.volume)
-    res1, res2, concl = jensen_chain_check(phi, z0, cyl, candidate, p, rule)
+    res1, res2, concl = _jensen_residuals(sample, cyl.volume, weight_vals, fvals, p, center_val)
     return ExtensionReport(
         z0, cyl, p, candidate.kind, lhs, shift, -center_val, res1, res2, concl
     )
@@ -156,8 +156,12 @@ def jensen_chain_check(
     z0 = as_point(z0)
     candidate.check_normalization()
     sample, weight_vals = _cylinder_weight_values(phi, cyl, rule)
-    mu = cyl.volume
     fvals = candidate.evaluate(sample.nodes)
+    return _jensen_residuals(sample, cyl.volume, weight_vals, fvals, p, phi.value_at(z0))
+
+
+def _jensen_residuals(sample, mu, weight_vals, fvals, p, center_val):
+    """The residuals of jensen_chain_check from phi and f at the rule's nodes."""
     fabs = np.abs(fvals)
     zero_mass = float(np.dot(fabs == 0.0, sample.weights))
     if zero_mass > VANISHING_FRACTION * mu:
@@ -170,7 +174,7 @@ def jensen_chain_check(
     residual_1 = shift - mean_x + math.log(float(np.dot(ex, sample.weights) / mu))
     residual_2 = clipped_mean(p * log_f, sample.weights, mu)
     mean_phi = clipped_mean(weight_vals, sample.weights, mu)
-    conclusion_margin = mean_phi - phi.value_at(z0)
+    conclusion_margin = mean_phi - center_val
     return residual_1, residual_2, conclusion_margin
 
 
@@ -179,12 +183,12 @@ def coarse_extension_bound(
     z0,
     cyl: HolomorphicCylinder,
     candidate: HolomorphicCandidate,
-    c_m: float,
+    log_c_m: float,
     m: int,
     p: float,
     rule: QuadratureRule,
 ):
-    """b_m and its Jensen relaxation b~_m for the m-th power weight.
+    """b_m and its Jensen relaxation b~_m for the m-th power weight, given log(C_m).
 
     b_m = log(C_m)/m - log(mu)/m - (1/m) log((1/mu) int |f_m|^p e^{-m phi});
     b~_m = log(C_m)/m - log(mu)/m + mean(phi).  Always b_m <= b~_m + 1e-9, and
@@ -199,9 +203,9 @@ def coarse_extension_bound(
         expo = p * np.log(np.abs(fvals)) - m * weight_vals
     weight, shift = weight_exp(expo)
     log_integral = shift + math.log(float(np.dot(weight, sample.weights) / mu))
-    b_m = math.log(c_m) / m - math.log(mu) / m - log_integral / m
+    b_m = log_c_m / m - math.log(mu) / m - log_integral / m
     mean_phi = clipped_mean(weight_vals, sample.weights, mu)
-    b_tilde = math.log(c_m) / m - math.log(mu) / m + mean_phi
+    b_tilde = log_c_m / m - math.log(mu) / m + mean_phi
     if not b_m <= b_tilde + 1e-9:
         raise ConsistencyError(
             f"Jensen relaxation violated: b_m = {b_m!r} > b~_m = {b_tilde!r}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -273,32 +274,35 @@ def unitary_from_first_column(xi) -> np.ndarray:
     return a
 
 
-def _vdc(indices: np.ndarray, base: int) -> np.ndarray:
-    """Van der Corput sequence values for the given indices."""
-    out = np.zeros(indices.shape, dtype=float)
-    denom = np.ones(indices.shape, dtype=float)
-    idx = indices.astype(np.int64).copy()
-    while np.any(idx > 0):
+def _halton_axis(cnt: int, base: int) -> np.ndarray:
+    """Van der Corput values of the indices 1..cnt in the given base, in O(cnt).
+
+    The values of 0..b^k - 1 grow one digit at a time, most significant digit
+    outermost: v <- (d / b^k + v) over the digits d; the last step keeps only
+    the digits that reach index cnt.  Each value sums the same digit terms in
+    the same order as the digit-by-digit loop, so the two agree bit for bit.
+    """
+    v = np.zeros(1)
+    denom = 1
+    while v.size <= cnt:
         denom *= base
-        out += (idx % base) / denom
-        idx //= base
-    return out
+        digits = np.arange(min(base, -(-(cnt + 1) // v.size)))
+        v = (digits[:, None] / denom + v[None, :]).ravel()
+    return v[1 : cnt + 1]
 
 
-def _disc_tensor(r: float, n_rad: int, n_ang: int):
-    """Gauss-Legendre in rho^2 tensored with the uniform angle rule on |w| < r."""
+def _disc_tensor(n_rad: int, n_ang: int):
+    """Gauss-Legendre in rho^2 tensored with the uniform angle rule on |w| < 1."""
     x, wx = np.polynomial.legendre.leggauss(n_rad)
-    t = 0.5 * (x + 1.0) * r * r  # rho^2 in (0, r^2)
-    wt = 0.5 * wx * r * r
+    rho = np.sqrt(0.5 * (x + 1.0))  # rho^2 in (0, 1)
     theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
-    rho = np.sqrt(t)
     nodes = (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    weights = np.repeat(wt, n_ang) * (math.pi / n_ang)
+    weights = np.repeat(0.5 * wx, n_ang) * (math.pi / n_ang)
     return nodes, weights
 
 
-def _disc_spiral(radius: float, shells: int):
-    """Golden-angle spiral disc rule with midpoint shells and 4-fold symmetry.
+def _disc_spiral(shells: int):
+    """Golden-angle spiral rule on |w| < 1 with midpoint shells and 4-fold symmetry.
 
     The symmetrization integrates every angular harmonic e^{ik theta} with
     k not divisible by 4 to exactly zero, and midpoint shells in rho^2 make
@@ -306,22 +310,28 @@ def _disc_spiral(radius: float, shells: int):
     integrated exactly.
     """
     k = np.arange(shells)
-    rho = radius * np.sqrt((k + 0.5) / shells)
+    rho = np.sqrt((k + 0.5) / shells)
     base = 2.0 * math.pi * ((k * _GOLDEN) % 1.0)
     offs = np.array([0.0, 0.5, 1.0, 1.5]) * math.pi
     ang = base[:, None] + offs[None, :]
     nodes = (rho[:, None] * np.exp(1j * ang)).ravel()
-    weights = np.full(nodes.size, math.pi * radius * radius / nodes.size)
+    weights = np.full(nodes.size, math.pi / nodes.size)
     return nodes, weights
 
 
-def _model_nodes_tensor(n: int, r: float, s: float, budget: int):
+@lru_cache(maxsize=64)
+def _unit_tensor(n: int, budget: int) -> tuple:
+    """1-D factors of the tensor rule on P_{1,1}: disc nodes and weights, then
+    (n = 2) shell nodes and weights.
+
+    Both factors are linear in their radius, so the rule on P_{r,s} is this
+    one under diag(r, s) with weights times r^2 s^2.
+    """
     if n == 1:
         n_rad = max(2, int(round(math.sqrt(budget) / 2.0)))
         n_ang = max(8, budget // n_rad)
-        nodes1, w1 = _disc_tensor(r, n_rad, n_ang)
-        return nodes1[:, None], w1
-    if n == 2:
+        factors = _disc_tensor(n_rad, n_ang)
+    elif n == 2:
         if budget < 64:
             raise InsufficientNodesError(
                 f"insufficient nodes: the n=2 tensor rule needs a budget >= 64, got {budget}"
@@ -331,22 +341,21 @@ def _model_nodes_tensor(n: int, r: float, s: float, budget: int):
         n_rad = max(2, int(round(math.sqrt(b_disc))))
         n_ang = max(4, b_disc // n_rad)
         shells = max(1, budget // (n_rad * n_ang * 4))
-        nodes1, w1 = _disc_tensor(r, n_rad, n_ang)
-        nodes2, w2 = _disc_spiral(s, shells)
-        z1 = np.repeat(nodes1, nodes2.size)
-        z2 = np.tile(nodes2, nodes1.size)
-        w = np.repeat(w1, nodes2.size) * np.tile(w2, nodes1.size)
-        return np.stack([z1, z2], axis=1), w
-    raise ValueError("tensor-grid cylinder rule supports n <= 2")
+        factors = _disc_tensor(n_rad, n_ang) + _disc_spiral(shells)
+    else:
+        raise ValueError("tensor-grid cylinder rule supports n <= 2")
+    for a in factors:
+        a.flags.writeable = False
+    return factors
 
 
-def _uniform_model(n: int, r: float, s: float, u: np.ndarray):
-    """Map uniform [0,1)^{2n} samples to P_{r,s} with the area-preserving polar map."""
+def _uniform_model(n: int, u: np.ndarray):
+    """Map uniform [0,1)^{2n} samples to P_{1,1} with the area-preserving polar map."""
     cnt = u.shape[0]
     z = np.empty((cnt, n), dtype=complex)
-    z[:, 0] = r * np.sqrt(u[:, 0]) * np.exp(2j * math.pi * u[:, 1])
+    z[:, 0] = np.sqrt(u[:, 0]) * np.exp(2j * math.pi * u[:, 1])
     if n == 2:
-        z[:, 1] = s * np.sqrt(u[:, 2]) * np.exp(2j * math.pi * u[:, 3])
+        z[:, 1] = np.sqrt(u[:, 2]) * np.exp(2j * math.pi * u[:, 3])
     elif n > 2:
         # radius via the norm CDF (|w|^{2(n-1)} law), direction via Gaussians
         g = np.asarray(u[:, 2 : 2 + 2 * (n - 1)])
@@ -357,34 +366,56 @@ def _uniform_model(n: int, r: float, s: float, u: np.ndarray):
         vec = gg[:, 0 : n - 1] + 1j * gg[:, n - 1 :]
         nv = np.linalg.norm(vec, axis=1, keepdims=True)
         nv[nv == 0.0] = 1.0
-        rad = s * u[:, -1] ** (1.0 / (2 * (n - 1)))
+        rad = u[:, -1] ** (1.0 / (2 * (n - 1)))
         z[:, 1:] = vec / nv * rad[:, None]
     return z
 
 
+# A scan's rechecks use one quasi-random rule at two budgets.  Entries are
+# N-sized, so the cache keeps that pair and no more.
+@lru_cache(maxsize=2)
+def _unit_uniform_model(kind: str, n: int, cnt: int, seed: int) -> np.ndarray:
+    """Nodes of the quasi-random (shifted Halton) or random rule on P_{1,1}."""
+    if kind == "quasi-random":
+        u = np.empty((cnt, 2 * n))
+        for d in range(2 * n):
+            u[:, d] = _halton_axis(cnt, _PRIMES[d])
+        u += np.random.default_rng(seed).uniform(size=2 * n)
+        np.subtract(u, 1.0, out=u, where=u >= 1.0)  # (u + shift) mod 1, exactly
+    else:
+        u = np.random.default_rng(seed).uniform(size=(cnt, 2 * n))
+    model = _uniform_model(n, u)
+    model.flags.writeable = False
+    return model
+
+
 def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderSample:
-    """Quadrature nodes and weights over the cylinder; weights sum to mu(P)."""
+    """Quadrature nodes and weights over the cylinder; weights sum to mu(P).
+
+    The rule is the image of a cached unit rule on P_{1,1} under
+    w -> z0 + A diag(r, s, ..., s) w.  Both returned arrays are new.
+    """
     if rule.budget < 16:
         raise InsufficientNodesError(
             f"insufficient nodes: budget {rule.budget} < 16"
         )
     n = cyl.n
-    mu = cyl.volume
+    a = cyl.frame
     if rule.kind == "tensor-grid":
-        model, weights = _model_nodes_tensor(n, cyl.r, cyl.s, rule.budget)
-    else:
-        cnt = rule.budget
-        if rule.kind == "quasi-random":
-            idx = np.arange(1, cnt + 1)
-            u = np.stack([_vdc(idx, _PRIMES[d]) for d in range(2 * n)], axis=1)
-            shift = np.random.default_rng(rule.seed).uniform(size=2 * n)
-            u = (u + shift) % 1.0
-        else:
-            u = np.random.default_rng(rule.seed).uniform(size=(cnt, 2 * n))
-        model = _uniform_model(n, cyl.r, cyl.s, u)
-        weights = np.full(cnt, mu / cnt)
-    nodes = cyl.center + model @ cyl.frame.T
-    return CylinderSample(nodes, weights)
+        d1, w1, *shell = _unit_tensor(n, rule.budget)
+        nodes = cyl.center + (cyl.r * d1)[:, None] * a[:, 0]
+        weights = cyl.r**2 * w1
+        if shell:
+            d2, w2 = shell
+            nodes = (nodes[:, None, :] + (cyl.s * d2)[:, None] * a[:, 1]).reshape(-1, n)
+            weights = np.outer(weights, cyl.s**2 * w2).ravel()
+        return CylinderSample(nodes, weights)
+    model = _unit_uniform_model(rule.kind, n, rule.budget, rule.seed)
+    radii = np.full(n, cyl.s)
+    radii[0] = cyl.r
+    nodes = model @ (a * radii).T
+    nodes += cyl.center
+    return CylinderSample(nodes, np.full(rule.budget, cyl.volume / rule.budget))
 
 
 def integrate(values: np.ndarray, weights: np.ndarray) -> float:

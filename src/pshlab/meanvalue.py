@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -203,17 +204,15 @@ def classify_psh(
     violations = []
     checked = 0
     chunk = 32
-    for start in range(0, len(jobs), chunk):
-        batch = jobs[start : start + chunk]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_job, batch))
-        else:
-            results = [run_job(j) for j in batch]
-        checked += len(batch)
-        violations.extend(r for r in results if r is not None)
-        if max_violations is not None and len(violations) >= max_violations:
-            break
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run_all = map if pool is None else pool.map
+        for start in range(0, len(jobs), chunk):
+            batch = jobs[start : start + chunk]
+            results = list(run_all(run_job, batch))
+            checked += len(batch)
+            violations.extend(r for r in results if r is not None)
+            if max_violations is not None and len(violations) >= max_violations:
+                break
 
     verdict = "violated" if violations else "no-violation-found"
     return PshScanResult(verdict, tuple(violations), checked)

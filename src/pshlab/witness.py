@@ -422,11 +422,11 @@ def coarse_rhs_bound(
     w,
     eps: float,
     delta: float,
-    c_m: float,
+    log_c_m: float,
     grid_nodes: int = 64,
 ) -> CoarseChainReport:
     """Numerically verify C_m int |alpha_eps|^p_{metric} e^{-(m phi + psi_delta)}
-    <= C C_m e^{-m inf phi} / eps^p with C = 2^{p+2n} mu(B_1).
+    <= C C_m e^{-m inf phi} / eps^p with C = 2^{p+2n} mu(B_1), given log(C_m).
     """
     w = as_point(w)
     n = w.size
@@ -458,11 +458,11 @@ def coarse_rhs_bound(
     norm_sq = np.maximum(norm_sq, 0.0)
     weight, shift = weight_exp(-(m * phi(pts[use]) + psi(pts[use])))
     integrand = norm_sq ** (p / 2.0) * weight
-    rhs = unshift(c_m * float(np.dot(integrand, grid.weights[use])), shift)
+    rhs = unshift(float(np.dot(integrand, grid.weights[use])), shift + log_c_m)
 
     inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)
-    bound = unshift(envelope * c_m / eps**p, -m * inf_phi)
+    bound = unshift(envelope / eps**p, log_c_m - m * inf_phi)
     return CoarseChainReport(m, p, eps, delta, w, rhs, bound, envelope, inf_phi)
 
 
@@ -496,13 +496,14 @@ def modulus_of_continuity(
 
 def coarse_constant_growth(
     m_values: Sequence[int],
-    c_m_values: Sequence[float],
+    log_c_m_values: Sequence[float],
     p: float,
     o_evaluator: Callable[[float], float],
     n: int = 1,
     region_radius: float = 1.0,
 ):
-    """log C'_m, C'_m = C'' C_m m^p e^{m O_{1/m}}, and the diagnostic log C'_m / m.
+    """log C'_m, C'_m = C'' C_m m^p e^{m O_{1/m}}, and the diagnostic log C'_m / m,
+    given log(C_m).
 
     C'' is the explicit envelope 2^p (mu(B_1) + C' C) with
     C = 2^{p+2n} mu(B_1) and C' = sup e^{psi_0} over the region (bounded by
@@ -510,14 +511,14 @@ def coarse_constant_growth(
     when log C_m / m -> 0 and the modulus O_{1/m} -> 0.
     """
     m_arr = np.asarray(list(m_values), dtype=float)
-    c_arr = np.asarray(list(c_m_values), dtype=float)
-    if np.any(c_arr < 1.0):
+    log_c_arr = np.asarray(list(log_c_m_values), dtype=float)
+    if np.any(log_c_arr < 0.0):
         raise ValueError("constants C_m must be >= 1")
     mu1 = ball_volume(n)
     c_env = 2.0 ** (p + 2 * n) * mu1
     c_prime = math.exp(region_radius**2) * (2.0 * region_radius) ** (2 * n)
     c_dprime = 2.0**p * (mu1 + c_prime * c_env)
     o_vals = np.array([float(o_evaluator(1.0 / m)) for m in m_arr])
-    log_cprime_m = math.log(c_dprime) + np.log(c_arr) + p * np.log(m_arr) + m_arr * o_vals
+    log_cprime_m = math.log(c_dprime) + log_c_arr + p * np.log(m_arr) + m_arr * o_vals
     diagnostics = log_cprime_m / m_arr
     return log_cprime_m, diagnostics

@@ -10,12 +10,23 @@ import numpy as np
 import pytest
 
 import pshlab
-from pshlab.cli import main, parse_cylinder, parse_point, parse_region, ConfigError
+from pshlab.cli import _parse_cm_rule, main, parse_cylinder, parse_point, parse_region, ConfigError
 
 
 def read_json(path):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def run_cli(argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ)
+    src = str(Path(pshlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "pshlab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 class TestParsers:
@@ -44,6 +55,15 @@ class TestParsers:
     def test_region_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_region('{"kind": "ball", "center": [[0,0]], "radius": 1, "frob": 3}')
+
+    def test_cm_rule_gives_log_constant(self):
+        assert _parse_cm_rule("const:1")(7) == 0.0
+        assert _parse_cm_rule("2")(7) == pytest.approx(math.log(2.0))
+        assert _parse_cm_rule("poly:2")(10) == pytest.approx(2.0 * math.log(10.0))
+        assert _parse_cm_rule("exp_sqrt")(10**6) == 1000.0
+        for bad in ("const:0", "poly:x", "cubic"):
+            with pytest.raises(ConfigError, match="--cm rule"):
+                _parse_cm_rule(bad)
 
 
 class TestSubcommands:
@@ -188,17 +208,30 @@ class TestLogScaleWeights:
 
     def test_extend_overflow_is_typed(self):
         # (1/mu) int |f|^3 e^{|z|^2} over the disc of radius 30 is about e^893
-        env = dict(os.environ)
-        src = str(Path(pshlab.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pshlab.cli", "extend", "--func", "neg_sq_norm",
-             "--cylinder", "r=30,seed=0", "--p", "3"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_cli(["extend", "--func", "neg_sq_norm", "--cylinder", "r=30,seed=0", "--p", "3"])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: weight overflow")
+
+    @pytest.mark.parametrize("argv, bounds", [
+        (["coarse-extend", "--func", "sq_norm", "--m", "1000000", "--cm-rule", "exp_sqrt"],
+         ("b_m", "b_tilde_m")),
+        (["coarse-chain", "--func", "re_linear", "--m", "1000000", "--p", "2", "--cm", "exp_sqrt"],
+         ("rhs_integral", "bound")),
+    ])
+    def test_exp_sqrt_constant_at_large_m(self, argv, bounds, tmp_path):
+        # C_m = e^{sqrt(m)} is not a double at m = 10^6; it reaches the bounds as log C_m
+        out = tmp_path / "out.csv"
+        proc = run_cli(argv + ["--out", str(out)])
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 1:
+            assert proc.stderr.startswith("error: ")
+            return
+        assert proc.returncode == 0
+        with open(out, encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows
+        assert all(math.isfinite(float(row[key])) for row in rows for key in bounds)
 
 
 class TestDeterminism:

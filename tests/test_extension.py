@@ -130,7 +130,7 @@ class TestCoarseExtension:
         )
         for m in (1, 4, 32):
             b_m, b_tilde = coarse_extension_bound(
-                zero, np.zeros(1), disc(r), constant_one(np.zeros(1)), 1.0, m, 2.0, RULE
+                zero, np.zeros(1), disc(r), constant_one(np.zeros(1)), 0.0, m, 2.0, RULE
             )
             assert b_m == pytest.approx(0.0, abs=1e-10)
             assert b_tilde == pytest.approx(0.0, abs=1e-10)
@@ -140,7 +140,7 @@ class TestCoarseExtension:
         for m in (1, 2, 8):
             f = exp_linear(np.array([float(m)]), np.zeros(1))  # 2mz/p at p=2
             b_m, b_tilde = coarse_extension_bound(
-                phi, np.zeros(1), disc(), f, 1.0, m, 2.0, RULE
+                phi, np.zeros(1), disc(), f, 0.0, m, 2.0, RULE
             )
             assert b_m == pytest.approx(-math.log(math.pi) / m, abs=1e-9)
         assert b_tilde == pytest.approx(-math.log(math.pi) / 8, abs=1e-8)
@@ -151,7 +151,7 @@ class TestCoarseExtension:
         for m in (4, 16, 64):
             _, b_tilde = coarse_extension_bound(
                 phi, np.zeros(1), disc(), constant_one(np.zeros(1)),
-                math.exp(math.sqrt(m)), m, 2.0, RULE,
+                math.sqrt(m), m, 2.0, RULE,
             )
             vals.append(b_tilde)
         mean_phi = 0.5

@@ -8,6 +8,7 @@ from pshlab.geometry import (
     DomainBox,
     HolomorphicCylinder,
     QuadratureRule,
+    _halton_axis,
     as_point,
     ball_volume,
     cylinder_volume,
@@ -195,6 +196,73 @@ class TestSampling:
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.weights, b.weights)
 
+
+
+def vdc_digit_loop(indices: np.ndarray, base: int) -> np.ndarray:
+    """Van der Corput values by the digit loop, least significant digit first (oracle)."""
+    out = np.zeros(indices.shape, dtype=float)
+    denom = np.ones(indices.shape, dtype=float)
+    idx = indices.astype(np.int64).copy()
+    while np.any(idx > 0):
+        denom *= base
+        out += (idx % base) / denom
+        idx //= base
+    return out
+
+
+KINDS = ["tensor-grid", "quasi-random", "random"]
+
+
+def cylinders(kind):
+    """(cylinder, budget) pairs in C^1, C^2 and (no tensor rule there) C^3."""
+    out = [
+        (HolomorphicCylinder(np.array([2.5 - 1.0j]), np.array([[1j]]), 0.7), 4096),
+        (HolomorphicCylinder(np.array([0.3 + 0.1j, -4.0j]), random_unitary(3, 2), 1.7, 0.4), 16384),
+        (HolomorphicCylinder(np.array([1e3, 1e3j]), random_unitary(5, 2), 1e-3, 2e-3), 4096),
+    ]
+    if kind != "tensor-grid":
+        out.append((HolomorphicCylinder(np.array([1.0, 2.0j, -3.0]), random_unitary(2, 3), 0.8, 0.5), 2048))
+    return out
+
+
+class TestUnitRule:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nodes_are_frame_image_of_unit_rule(self, kind):
+        for cyl, budget in cylinders(kind):
+            rule = QuadratureRule(kind, budget, seed=4)
+            n = cyl.n
+            unit = HolomorphicCylinder(np.zeros(n, dtype=complex), np.eye(n), 1.0, 1.0)
+            w = sample_cylinder(unit, rule).nodes
+            radii = np.array([cyl.r] + [cyl.s] * (n - 1))
+            expected = cyl.center + (w * radii) @ cyl.frame.T
+            got = sample_cylinder(cyl, rule).nodes
+            scale = np.max(np.abs(cyl.center)) + cyl.r + cyl.s
+            assert np.max(np.abs(got - expected)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_weights_sum_to_measure(self, kind):
+        for cyl, budget in cylinders(kind):
+            sample = sample_cylinder(cyl, QuadratureRule(kind, budget, seed=4))
+            assert abs(np.sum(sample.weights) - cyl.volume) <= 1e-13 * cyl.volume
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_returned_arrays_are_fresh(self, kind):
+        for cyl, budget in cylinders(kind):
+            rule = QuadratureRule(kind, budget, seed=4)
+            first = sample_cylinder(cyl, rule)
+            nodes, weights = first.nodes.copy(), first.weights.copy()
+            first.nodes[:] = 0.0
+            first.weights[:] = -1.0
+            again = sample_cylinder(cyl, rule)
+            assert np.array_equal(again.nodes, nodes)
+            assert np.array_equal(again.weights, weights)
+
+    @pytest.mark.parametrize("base", [2, 3, 5, 7])
+    def test_halton_matches_digit_loop(self, base):
+        for cnt in (1, base - 1, base, base**2, base**3 + 1, 1000, 262144):
+            got = _halton_axis(cnt, base)
+            expected = vdc_digit_loop(np.arange(1, cnt + 1), base)
+            np.testing.assert_array_max_ulp(got, expected, maxulp=1)
 
 class TestDomainBox:
     def test_ball_membership(self):

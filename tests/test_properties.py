@@ -1,9 +1,12 @@
-"""Exact invariances under a constant shift phi -> phi + c, |c| <= 2000.
+"""Exact invariances under a constant shift phi -> phi + c, |c| <= 2000, and
+of the sub-mean-value margin under translation and unitary change of frame.
 
 Scale-free outputs do not change, log-scale outputs shift by c, and outputs
 on the linear scale are multiplied by e^{-c} whenever that is a finite
 double; otherwise they raise WeightOverflowError and are never capped.
 Tolerances come from float64 rounding of phi + c: ulp(2000) is 2.3e-13.
+The cylinder z0 + A(P) carried by a translation or a unitary U is again a
+cylinder, so the margins agree up to the rounding of the mapped nodes.
 """
 
 import math
@@ -25,7 +28,7 @@ from pshlab.extension import (
     jensen_chain_check,
     optimal_extension_margin,
 )
-from pshlab.geometry import HolomorphicCylinder, QuadratureRule, unit_ball
+from pshlab.geometry import HolomorphicCylinder, QuadratureRule, random_unitary, unit_ball
 from pshlab.meanvalue import submean_test
 from pshlab.witness import (
     _witness_grid,
@@ -149,8 +152,8 @@ def test_bochner_residual_invariant(c):
 def test_coarse_bounds_shift_by_c(c, m):
     phi = fields.sq_norm(1)
     one = constant_one(Z0)
-    base = coarse_extension_bound(phi, Z0, DISC, one, 1.0, m, 2.0, RULE)
-    got = coarse_extension_bound(shifted(phi, c), Z0, DISC, one, 1.0, m, 2.0, RULE)
+    base = coarse_extension_bound(phi, Z0, DISC, one, 0.0, m, 2.0, RULE)
+    got = coarse_extension_bound(shifted(phi, c), Z0, DISC, one, 0.0, m, 2.0, RULE)
     for g, b in zip(got, base):
         assert g == pytest.approx(b + c, abs=1e-11 * (1.0 + abs(c)))
 
@@ -185,3 +188,50 @@ def test_extension_lhs_scales(c):
     log_lhs = math.log(optimal_extension_margin(phi, Z0, DISC, cand, 2.0, RULE).lhs)
     rep = optimal_extension_margin(shifted(phi, c), Z0, DISC, cand, 2.0, RULE)
     check_scaled(lambda: rep.lhs, log_lhs, c)
+
+
+FIELDS_C2 = {
+    "saddle": fields.saddle(2.0), "cross": fields.cross(),
+    "log1p_sq": fields.log1p_sq(2), "neg_gauss": fields.neg_gauss(2),
+}
+coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+points_c2 = st.tuples(coords, coords, coords, coords).map(
+    lambda x: np.array([x[0] + 1j * x[1], x[2] + 1j * x[3]])
+)
+radii = st.floats(min_value=0.05, max_value=2.0)
+frame_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+rule_kinds = st.sampled_from(["tensor-grid", "quasi-random"])
+
+
+def composed(phi: fields.ScalarField, inner) -> fields.ScalarField:
+    """phi after the point map inner, applied to (m, n) point arrays."""
+    return fields.ScalarField(f"{phi.name}*", phi.n, lambda z: phi.evaluate(inner(z)))
+
+
+def assert_same_margin(got, expected) -> None:
+    assert abs(got.margin - expected.margin) <= 1e-12 * abs(expected.margin) + 1e-12
+
+
+@property_settings
+@given(name=st.sampled_from(sorted(FIELDS_C2)), z0=points_c2, b=points_c2,
+       seed=frame_seeds, r=radii, s=radii, kind=rule_kinds)
+def test_submean_margin_translation_invariant(name, z0, b, seed, r, s, kind):
+    phi = FIELDS_C2[name]
+    frame = random_unitary(seed, 2)
+    rule = QuadratureRule(kind, 4096, seed=3)
+    got = submean_test(composed(phi, lambda z: z + b), HolomorphicCylinder(z0, frame, r, s), rule)
+    expected = submean_test(phi, HolomorphicCylinder(z0 + b, frame, r, s), rule)
+    assert_same_margin(got, expected)
+
+
+@property_settings
+@given(name=st.sampled_from(sorted(FIELDS_C2)), z0=points_c2, seed=frame_seeds,
+       u_seed=frame_seeds, r=radii, s=radii, kind=rule_kinds)
+def test_submean_margin_unitary_invariant(name, z0, seed, u_seed, r, s, kind):
+    phi = FIELDS_C2[name]
+    frame = random_unitary(seed, 2)
+    u = random_unitary(u_seed, 2)
+    rule = QuadratureRule(kind, 4096, seed=3)
+    got = submean_test(composed(phi, lambda z: z @ u.T), HolomorphicCylinder(z0, frame, r, s), rule)
+    expected = submean_test(phi, HolomorphicCylinder(u @ z0, u @ frame, r, s), rule)
+    assert_same_margin(got, expected)

@@ -316,7 +316,7 @@ class TestCoarseChain:
     def test_flat_weight_bound(self):
         rep = coarse_rhs_bound(
             fields.zero_field_like(1) if hasattr(fields, "zero_field_like") else _zero(1),
-            m=1, p=2.0, w=np.zeros(1), eps=0.5, delta=0.25, c_m=1.0,
+            m=1, p=2.0, w=np.zeros(1), eps=0.5, delta=0.25, log_c_m=0.0,
         )
         assert rep.verified
         assert rep.bound == pytest.approx(2.0**4 * math.pi * 1.0 * 4.0, rel=1e-12)
@@ -334,24 +334,24 @@ class TestCoarseChain:
             return alpha_sq / metric * weight * rho * 2.0 * math.pi
 
         oracle, _ = sint.quad(integrand, eps / 2.0, eps, epsabs=1e-12)
-        rep = coarse_rhs_bound(_zero(1), 1, 2.0, np.zeros(1), eps, delta, 1.0, grid_nodes=96)
+        rep = coarse_rhs_bound(_zero(1), 1, 2.0, np.zeros(1), eps, delta, 0.0, grid_nodes=96)
         assert rep.rhs_integral == pytest.approx(oracle, rel=2e-3)
 
     def test_eps_halving_scales_bound(self):
-        a = coarse_rhs_bound(_zero(1), 1, 2.0, np.zeros(1), 0.5, 0.25, 1.0)
-        b = coarse_rhs_bound(_zero(1), 1, 2.0, np.zeros(1), 0.25, 0.25, 1.0, grid_nodes=128)
+        a = coarse_rhs_bound(_zero(1), 1, 2.0, np.zeros(1), 0.5, 0.25, 0.0)
+        b = coarse_rhs_bound(_zero(1), 1, 2.0, np.zeros(1), 0.25, 0.25, 0.0, grid_nodes=128)
         assert b.bound == pytest.approx(4.0 * a.bound, rel=1e-12)
 
     def test_linear_weight_infimum(self):
         phi = fields.re_linear(np.array([1.0 + 0.0j]), 1)
         w = np.array([0.2 + 0.1j])
-        rep = coarse_rhs_bound(phi, 5, 2.0, w, 0.5, 0.25, 1.0)
+        rep = coarse_rhs_bound(phi, 5, 2.0, w, 0.5, 0.25, 0.0)
         # inf over the ball of Re z is phi(w) - eps
         assert rep.inf_phi == pytest.approx(phi.value_at(w) - 0.5, abs=2e-3)
         assert rep.verified
 
     def test_delta_zero_verified(self):
-        rep = coarse_rhs_bound(_zero(1), 2, 2.0, np.zeros(1), 0.5, 0.0, 1.0)
+        rep = coarse_rhs_bound(_zero(1), 2, 2.0, np.zeros(1), 0.5, 0.0, 0.0)
         assert rep.verified
 
 
@@ -381,23 +381,23 @@ class TestModulusOfContinuity:
 class TestConstantGrowth:
     def test_lipschitz_admissible(self):
         m = [10, 100, 10**4, 10**6]
-        cprime, diag = coarse_constant_growth(m, [1.0] * 4, 2.0, lambda e: 2.0 * e)
+        cprime, diag = coarse_constant_growth(m, [0.0] * 4, 2.0, lambda e: 2.0 * e)
         assert diag[-1] < 1e-4
         assert np.all(np.diff(diag) < 0)
 
     def test_exponential_flagged(self):
         m = [1, 10, 100, 500]
-        _, diag = coarse_constant_growth(m, [math.e**v for v in m], 2.0, lambda e: 0.0)
+        _, diag = coarse_constant_growth(m, [float(v) for v in m], 2.0, lambda e: 0.0)
         assert diag[-1] == pytest.approx(1.0, abs=0.1)
 
     def test_polynomial_admissible(self):
         m = [10, 100, 10**4, 10**6]
-        _, diag = coarse_constant_growth(m, [v**2 for v in m], 2.0, lambda e: 0.0)
+        _, diag = coarse_constant_growth(m, [2.0 * math.log(v) for v in m], 2.0, lambda e: 0.0)
         assert diag[-1] < 1e-3
 
     def test_rejects_small_constants(self):
         with pytest.raises(ValueError, match=">= 1"):
-            coarse_constant_growth([1], [0.5], 2.0, lambda e: 0.0)
+            coarse_constant_growth([1], [math.log(0.5)], 2.0, lambda e: 0.0)
 
 
 def _zero(n):
