@@ -379,7 +379,7 @@ def get_form(spec: str, n: int) -> FormField01:
 
         xi = np.zeros(n, dtype=complex)
         xi[0] = 1.0
-        _, f = build_witness_form(np.zeros(n, dtype=complex), xi, 1.0, make_cutoff("witness"))
+        _, f = build_witness_form(np.zeros(n, dtype=complex), xi, 1.0, make_cutoff())
         return f
     raise ValueError(
         f"unknown form id {base!r}; known ids: bump_const, bump_zbar2, dbar_nu"

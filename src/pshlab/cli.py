@@ -84,6 +84,21 @@ def parse_cylinder(text: str, n: int, center: np.ndarray, field_name: str = "cyl
     return HolomorphicCylinder(center, frame, r, s)
 
 
+def parse_list(text: str, field_name: str, kind, valid, expected: str) -> list:
+    """A comma list of option values, each converted by kind and accepted by valid."""
+    try:
+        values = [kind(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or not all(valid(v) for v in values):
+        raise ConfigError(f"invalid --{field_name} {text!r} (expected a comma list of {expected})")
+    return values
+
+
+def parse_m_values(text: str) -> list:
+    return parse_list(text, "m", int, lambda m: m > 0, "positive integers")
+
+
 def parse_region(text: str, field_name: str = "region") -> DomainBox:
     """Region JSON: {"kind": "ball"|"polydisc"|"box", "center": [[re,im],...],
     "radius": f} (ball) or {"extents": [...]} otherwise."""
@@ -314,9 +329,12 @@ def cmd_coarse_chain(args) -> int:
     t0 = time.perf_counter()
     phi = fields.get_field(args.func, args.dim)
     w = parse_point(args.w, "w")
-    m_values = [int(v) for v in args.m.split(",")]
-    eps_values = [float(v) for v in args.eps.split(",")]
-    delta_values = [float(v) for v in args.delta.split(",")]
+    m_values = parse_m_values(args.m)
+    # the ranges that build_alpha_eps and build_psi_delta accept
+    eps_values = parse_list(args.eps, "eps", float, lambda e: 0.0 < e <= 1.0, "values in (0, 1]")
+    delta_values = parse_list(
+        args.delta, "delta", float, lambda d: 0.0 <= d < math.inf, "finite values >= 0"
+    )
     log_c_m = _parse_cm_rule(args.cm)
 
     # modulus of continuity at eps = 1/m and the resulting growth constants,
@@ -435,7 +453,7 @@ def cmd_coarse_extend(args) -> int:
     rule = QuadratureRule("tensor-grid", args.budget, args.seed)
     log_c_m = _parse_cm_rule(args.cm_rule)
     rows = []
-    for m in [int(v) for v in args.m.split(",")]:
+    for m in parse_m_values(args.m):
         b_m, b_tilde = coarse_extension_bound(
             phi, center, cyl, constant_one(center), log_c_m(m), m, args.p, rule
         )

@@ -87,21 +87,17 @@ def cylinder_mean(
     phi: ScalarField, cyl: HolomorphicCylinder, rule: QuadratureRule
 ) -> float:
     """Quadrature approximation of (1/mu(P)) int_{z0+P} phi; may return -inf."""
-    mean, _ = cylinder_mean_with_error(phi, cyl, rule)
-    return mean
+    _check_inside_domain(phi, cyl)
+    sample = sample_cylinder(cyl, rule)
+    return clipped_mean(phi(sample.nodes), sample.weights, cyl.volume)
 
 
 def cylinder_mean_with_error(
     phi: ScalarField, cyl: HolomorphicCylinder, rule: QuadratureRule
 ):
     """Cylinder mean plus an error estimate from an embedded coarser rule."""
-    _check_inside_domain(phi, cyl)
-    mu = cyl.volume
-    sample = sample_cylinder(cyl, rule)
-    mean = clipped_mean(phi(sample.nodes), sample.weights, mu)
-    coarse_budget = max(16, rule.budget // 4)
-    coarse = sample_cylinder(cyl, rule.with_budget(coarse_budget))
-    mean_coarse = clipped_mean(phi(coarse.nodes), coarse.weights, mu)
+    mean = cylinder_mean(phi, cyl, rule)
+    mean_coarse = cylinder_mean(phi, cyl, rule.with_budget(max(16, rule.budget // 4)))
     if np.isfinite(mean) and np.isfinite(mean_coarse):
         err = abs(mean - mean_coarse)
     else:

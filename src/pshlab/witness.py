@@ -43,10 +43,8 @@ class CutoffProfile:
     [flat_top, support_end] is exactly 1.5 / (support_end - flat_top).
     """
 
-    kind: str
     flat_top: float
     support_end: float
-    slope_bound: float
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -63,15 +61,13 @@ class CutoffProfile:
         return out
 
 
-def make_cutoff(kind: str = "witness") -> CutoffProfile:
-    """Profiles with flat top at 1/4 and support ending at 1.
+def make_cutoff() -> CutoffProfile:
+    """The profile with flat top at 1/4 and support ending at 1.
 
-    "annulus" additionally certifies sup|chi'| <= 2 (the cubic smoothstep on
-    [1/4, 1] attains exactly (3/2)/(3/4) = 2); "witness" needs no slope bound.
+    Its slope satisfies sup|chi'| <= 2: the cubic smoothstep on [1/4, 1]
+    attains exactly (3/2)/(3/4) = 2.
     """
-    if kind not in ("witness", "annulus"):
-        raise ValueError(f"unknown cutoff kind {kind!r}")
-    return CutoffProfile(kind, 0.25, 1.0, 2.0)
+    return CutoffProfile(0.25, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +188,8 @@ class WitnessCertificate:
 
     c is the Levi-gap depth at the worst center; the selection radius r keeps
     the sampled gap below -c/2 throughout B(z0, r); E is the (negative) value
-    of the sign functional at scale s on the recorded grid.
+    of the sign functional at scale s on the recorded grid, and E_doubled its
+    value on the grid with twice as many nodes per axis.
     """
 
     z0: np.ndarray
@@ -201,6 +198,7 @@ class WitnessCertificate:
     c: float
     s: float
     E: float
+    E_doubled: float
     grid_nodes: int
 
     def as_dict(self) -> dict:
@@ -211,6 +209,7 @@ class WitnessCertificate:
             "c": self.c,
             "s": self.s,
             "E": self.E,
+            "E_doubled": self.E_doubled,
             "grid_nodes": self.grid_nodes,
         }
 
@@ -226,17 +225,16 @@ def scan_sharp_witness(
     s_schedule: Sequence[float] = DEFAULT_S_SCHEDULE,
     grid_nodes: Optional[int] = None,
     lb_resolution: int = 9,
-    lb_tol: float = 1e-9,
-    verify_doubling: bool = True,
 ) -> Optional[WitnessCertificate]:
     """Search for a sign-functional certificate against the sharp estimate.
 
     Runs the Levi lower-bound scan first; on a violation at (z0, xi, c) it
     picks the largest dyadic radius with sampled gap < -c/2 on B(z0, r),
-    builds the localized form, and sweeps the s-schedule until E < 0.  For
-    weights whose Levi form dominates omega on the region the result is None.
+    builds the localized form, and sweeps the s-schedule until E < 0 on the
+    grid and on the doubled grid.  For weights whose Levi form dominates omega
+    on the region the result is None.
     """
-    verdict = check_lower_bound(phi, omega, region, resolution=lb_resolution, tol=lb_tol)
+    verdict = check_lower_bound(phi, omega, region, resolution=lb_resolution)
     if verdict.holds:
         return None
     z0, xi, c = _select_center(phi, omega, region, lb_resolution, verdict.c)
@@ -245,24 +243,22 @@ def scan_sharp_witness(
         grid_nodes = DEFAULT_E_GRID.get(n, 16)
 
     r = _select_radius(phi, omega, z0, xi, c, region)
-    chi = make_cutoff("witness")
-    _, f = build_witness_form(z0, xi, r, chi)
-    grid = _witness_grid(z0, r, grid_nodes)
-
+    _, f = build_witness_form(z0, xi, r, make_cutoff())
     eye = np.eye(n)
-    for s in s_schedule:
-        psi = build_psi_s(z0, r, float(s))
+
+    def energy(grid, psi, s):
         # nodewise alpha^s = f (sI + g)^{-1}; equals f/s when omega vanishes
         alpha = alpha_from_f(f.evaluate(grid.points).T, omega(grid.points) + s * eye).T
-        value = estimate_functional_E(alpha, phi, psi, omega, grid)
+        return estimate_functional_E(alpha, phi, psi, omega, grid)
+
+    grid = _witness_grid(z0, r, grid_nodes)
+    for s in s_schedule:
+        psi = build_psi_s(z0, r, float(s))
+        value = energy(grid, psi, s)
         if value < 0.0:
-            if verify_doubling:
-                fine = _witness_grid(z0, r, 2 * grid_nodes)
-                alpha = alpha_from_f(f.evaluate(fine.points).T, omega(fine.points) + s * eye).T
-                value_fine = estimate_functional_E(alpha, phi, psi, omega, fine)
-                if not value_fine < 0.0:
-                    continue
-            return WitnessCertificate(z0, xi, r, c, float(s), value, grid_nodes)
+            value_doubled = energy(_witness_grid(z0, r, 2 * grid_nodes), psi, s)
+            if value_doubled < 0.0:
+                return WitnessCertificate(z0, xi, r, c, float(s), value, value_doubled, grid_nodes)
     return None
 
 
@@ -389,8 +385,6 @@ class CoarseChainReport:
     bound: float
     envelope_constant: float  # C = 2^{p+2n} mu(B_1)
     inf_phi: float
-    o_eps: Optional[float] = None
-    c_prime_m: Optional[float] = None
 
     @property
     def verified(self) -> bool:
@@ -430,8 +424,7 @@ def coarse_rhs_bound(
     """
     w = as_point(w)
     n = w.size
-    chi = make_cutoff("annulus")
-    alpha = build_alpha_eps(w, eps, chi)
+    alpha = build_alpha_eps(w, eps, make_cutoff())
     psi = build_psi_delta(w, delta, n)
 
     grid = _annulus_grid(w, eps, grid_nodes)

@@ -116,6 +116,7 @@ class TestSubcommands:
         rep = read_json(out)
         cert = rep["checks"][0]["values"]["certificate"]
         assert cert["E"] < 0.0
+        assert cert["E_doubled"] < 0.0
         assert cert["s"] <= 1e4
 
     def test_bochner(self, tmp_path):
@@ -187,6 +188,41 @@ class TestSubcommands:
         code = main(["levi", "--func", "mystery"])
         assert code == 1
         assert "unknown field id" in capsys.readouterr().err
+
+
+class TestListOptions:
+    @pytest.mark.parametrize("argv", [
+        ["coarse-chain", "--func", "re_linear", "--m", "0"],
+        ["coarse-chain", "--func", "re_linear", "--m", "x"],
+        ["coarse-chain", "--func", "re_linear", "--m", "-1"],
+        ["coarse-chain", "--func", "re_linear", "--m", "1.5"],
+        ["coarse-chain", "--func", "re_linear", "--m", "1,,2"],
+        ["coarse-chain", "--func", "re_linear", "--m", ""],
+        ["coarse-chain", "--func", "re_linear", "--eps", "0"],
+        ["coarse-chain", "--func", "re_linear", "--eps", "-0.5"],
+        ["coarse-chain", "--func", "re_linear", "--eps", "1.5"],
+        ["coarse-chain", "--func", "re_linear", "--eps", "nan"],
+        ["coarse-chain", "--func", "re_linear", "--eps", "0.5,y"],
+        ["coarse-chain", "--func", "re_linear", "--delta", "-0.25"],
+        ["coarse-chain", "--func", "re_linear", "--delta", "inf"],
+        ["coarse-chain", "--func", "re_linear", "--delta", "nan"],
+        ["coarse-chain", "--func", "re_linear", "--delta", "z"],
+        ["coarse-extend", "--func", "sq_norm", "--m", "0"],
+        ["coarse-extend", "--func", "sq_norm", "--m", "-1"],
+        ["coarse-extend", "--func", "sq_norm", "--m", "x"],
+        ["coarse-extend", "--func", "sq_norm", "--m", "2,0"],
+    ])
+    def test_malformed_value_is_config_error(self, argv, capsys):
+        option = argv[-2]
+        code = main(argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid {option} ")
+
+    def test_valid_m_list(self):
+        from pshlab.cli import parse_m_values
+
+        assert parse_m_values("1,2,4,8") == [1, 2, 4, 8]
+        assert parse_m_values("1000000") == [10**6]
 
 
 class TestLogScaleWeights:

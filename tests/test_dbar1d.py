@@ -187,7 +187,7 @@ class TestHormanderRatio:
         g = grid256()
         phi = fields.neg_sq_norm(1)
         z0 = np.zeros(1, dtype=complex)
-        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff("witness"))
+        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
         ratios = {}
         for s in (10.0, 100.0, 1000.0):
             psi = build_psi_s(z0, 0.5, s)

@@ -45,6 +45,23 @@ class TestCylinderMean:
         oracle = disc_mean_oracle(lambda w: abs(w) ** 2, 1.0, 0.0)
         assert oracle == pytest.approx(0.5, rel=1e-9)
 
+    def test_one_rule_per_mean(self, monkeypatch):
+        from pshlab import meanvalue
+
+        calls = []
+        sample = meanvalue.sample_cylinder
+
+        def counted(cyl, rule):
+            calls.append(rule)
+            return sample(cyl, rule)
+
+        monkeypatch.setattr(meanvalue, "sample_cylinder", counted)
+        cylinder_mean(fields.sq_norm(1), disc(), RULE)
+        assert calls == [RULE]
+        calls.clear()
+        submean_test(fields.sq_norm(1), disc(), RULE)
+        assert [rule.budget for rule in calls] == [RULE.budget, RULE.budget // 4]
+
     def test_constant(self):
         const = fields.ScalarField("c", 1, lambda z: np.full(z.shape[0], 3.25))
         assert cylinder_mean(const, disc(), RULE) == pytest.approx(3.25, rel=1e-14)

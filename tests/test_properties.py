@@ -82,7 +82,7 @@ def check_scaled(compute, log_value: float, c: float) -> None:
 def witness_setup():
     omega = fields.zero_omega(1)
     r, s = 0.5, 100.0
-    _, f = build_witness_form(Z0, np.array([1.0]), r, make_cutoff("witness"))
+    _, f = build_witness_form(Z0, np.array([1.0]), r, make_cutoff())
     grid = _witness_grid(Z0, r, 32)
     alpha = alpha_from_f(f.evaluate(grid.points).T, omega(grid.points) + s * np.eye(1)).T
     return alpha, build_psi_s(Z0, r, s), omega, grid
@@ -91,7 +91,7 @@ def witness_setup():
 @lru_cache(maxsize=None)
 def dbar_setup():
     grid = make_grid(unit_ball(1, radius=1.2), 64)
-    _, f = build_witness_form(Z0, np.array([1.0]), 0.5, make_cutoff("witness"))
+    _, f = build_witness_form(Z0, np.array([1.0]), 0.5, make_cutoff())
     return grid, f, build_psi_s(Z0, 0.5, 100.0)
 
 

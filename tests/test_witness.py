@@ -27,27 +27,27 @@ from pshlab.witness import (
 
 class TestCutoff:
     def test_flat_top(self):
-        chi = make_cutoff("annulus")
+        chi = make_cutoff()
         assert chi(0.1) == 1.0
         assert chi(0.25) == 1.0
 
     def test_support_end(self):
-        chi = make_cutoff("annulus")
+        chi = make_cutoff()
         assert chi(1.0) == 0.0
         assert chi(1.5) == 0.0
 
     def test_slope_bound_exactly_two(self):
-        chi = make_cutoff("annulus")
+        chi = make_cutoff()
         t = np.linspace(0.0, 1.2, 200001)
         assert np.max(np.abs(chi.deriv(t))) == pytest.approx(2.0, abs=1e-9)
 
     def test_monotone(self):
-        chi = make_cutoff("witness")
+        chi = make_cutoff()
         t = np.linspace(0.25, 1.0, 1001)
         assert np.all(np.diff(chi(t)) <= 1e-15)
 
     def test_deriv_matches_fd(self):
-        chi = make_cutoff("witness")
+        chi = make_cutoff()
         t = np.linspace(0.05, 1.1, 97)
         h = 1e-6
         fd = (chi(t + h) - chi(t - h)) / (2 * h)
@@ -58,7 +58,7 @@ class TestWitnessForm:
     def setup_method(self):
         self.z0 = np.array([0.1 + 0.2j, -0.3 + 0.0j])
         self.xi = np.array([0.6, 0.8j])
-        self.chi = make_cutoff("witness")
+        self.chi = make_cutoff()
         self.nu, self.f = build_witness_form(self.z0, self.xi, 0.5, self.chi)
 
     def test_equals_xi_at_center(self):
@@ -171,7 +171,7 @@ class TestEstimateFunctional:
 
     def test_nonnegative_for_psh(self):
         z0 = np.zeros(1, dtype=complex)
-        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff("witness"))
+        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
         grid = make_grid(DomainBox("ball", z0, np.array([0.7])), 64)
         for s in (10.0, 100.0):
             psi = build_psi_s(z0, 0.5, s)
@@ -182,7 +182,7 @@ class TestEstimateFunctional:
     def test_negative_for_concave_weight(self):
         # recipe value at s=100, r=1/2 goes negative for the -|z|^2 weight
         z0 = np.zeros(1, dtype=complex)
-        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff("witness"))
+        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
         grid = make_grid(DomainBox("ball", z0, np.array([0.7])), 96)
         psi = build_psi_s(z0, 0.5, 100.0)
         alpha = f.evaluate(grid.points) / 100.0
@@ -222,12 +222,30 @@ class TestScanSharpWitness:
         assert cert.E < 0.0
         assert cert.c == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("spec, n, grid_nodes", [("neg_sq_norm", 1, None), ("saddle:2", 2, 12)])
+    def test_certificate_carries_doubled_energy(self, spec, n, grid_nodes):
+        from pshlab.witness import _witness_grid
+
+        phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
+        cert = scan_sharp_witness(phi, omega, unit_ball(n), grid_nodes=grid_nodes)
+        assert cert is not None
+        # reference: the doubled-grid sign functional rebuilt from the certificate
+        _, f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
+        fine = _witness_grid(cert.z0, cert.r, 2 * cert.grid_nodes)
+        psi = build_psi_s(cert.z0, cert.r, cert.s)
+        alpha = alpha_from_f(
+            f.evaluate(fine.points).T, omega(fine.points) + cert.s * np.eye(phi.n)
+        ).T
+        assert cert.E_doubled == estimate_functional_E(alpha, phi, psi, omega, fine)
+        assert cert.E < 0.0 and cert.E_doubled < 0.0
+        assert cert.as_dict()["E_doubled"] == cert.E_doubled
+
     def test_alpha_scaling_law(self):
         # with omega = 0, alpha^s = f/s exactly on the inner ball
         from pshlab.witness import _witness_grid
 
         z0 = np.zeros(1, dtype=complex)
-        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff("witness"))
+        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
         grid = _witness_grid(z0, 0.5, 48)
         metric = fields.zero_omega(1)(grid.points) + 50.0 * np.eye(1)
         vals = alpha_from_f(f.evaluate(grid.points).T, metric).T
@@ -239,7 +257,7 @@ class TestScanSharpWitness:
 class TestAlphaEps:
     def test_annulus_support(self):
         w = np.array([0.1 + 0.1j])
-        alpha = build_alpha_eps(w, 0.5, make_cutoff("annulus"))
+        alpha = build_alpha_eps(w, 0.5, make_cutoff())
         inner = w + 0.2 * np.exp(1j * np.linspace(0, 6, 13))[:, None]
         outer = w + 0.6 * np.exp(1j * np.linspace(0, 6, 13))[:, None]
         assert np.max(np.abs(alpha.evaluate(inner))) == 0.0
@@ -249,7 +267,7 @@ class TestAlphaEps:
 
     def test_is_dbar_of_cutoff(self):
         w = np.zeros(1, dtype=complex)
-        chi = make_cutoff("annulus")
+        chi = make_cutoff()
         eps = 0.5
         alpha = build_alpha_eps(w, eps, chi)
         grid = make_grid(unit_ball(1, radius=0.8), 192)
@@ -266,7 +284,7 @@ class TestAlphaEps:
         # |alpha_eps|_{metric} <= |chi'| |z-w| / eps^2 since the metric >= euclidean
         w = np.zeros(1, dtype=complex)
         eps = 0.5
-        chi = make_cutoff("annulus")
+        chi = make_cutoff()
         alpha = build_alpha_eps(w, eps, chi)
         psi = build_psi_delta(w, 0.25, 1)
         pts = (0.25 + 0.24 * np.random.default_rng(3).uniform(size=64))[:, None] * np.exp(
@@ -324,7 +342,7 @@ class TestCoarseChain:
     def test_oracle_matches_grid_integral(self):
         # independent polar oracle for the rhs integral at n=1, delta=1/4
         eps, delta = 0.5, 0.25
-        chi = make_cutoff("annulus")
+        chi = make_cutoff()
 
         def integrand(rho):
             u = rho * rho + delta * delta
