@@ -95,18 +95,21 @@ class GridDiscretization:
     def partial(self, values: np.ndarray, axis: int) -> np.ndarray:
         """4th-order central difference along a real axis (flat in, flat out).
 
-        Uses periodic rolls; the wrap-around contamination is confined to the
-        outermost two node layers, which callers keep value-free (compactly
-        supported data with a support margin) or mask out.
+        The stencil needs two nodes on each side, so the outermost two node
+        layers along the axis are set to zero.
         """
         v = np.asarray(values).reshape(self.shape)
         h = self.spacing[axis]
-        d = (
-            -np.roll(v, -2, axis=axis)
-            + 8.0 * np.roll(v, -1, axis=axis)
-            - 8.0 * np.roll(v, 1, axis=axis)
-            + np.roll(v, 2, axis=axis)
-        ) / (12.0 * h)
+        w = FD_STENCIL_WIDTH
+
+        def at(k):
+            # the index v[i + k] over the interior nodes i along the axis
+            idx = [slice(None)] * v.ndim
+            idx[axis] = slice(w + k, v.shape[axis] - w + k)
+            return tuple(idx)
+
+        d = np.zeros(v.shape, dtype=np.result_type(v, 1.0))
+        d[at(0)] = (-v[at(2)] + 8.0 * v[at(1)] - 8.0 * v[at(-1)] + v[at(-2)]) / (12.0 * h)
         return d.ravel()
 
     def d_dz(self, values: np.ndarray, j: int) -> np.ndarray:
@@ -278,12 +281,12 @@ def bochner_residual(
     gradient = float(np.dot(gradient_energy(av, grid), e))
 
     # |dbar alpha|^2 over increasing pairs
-    anti = dbar_01(alpha, grid)
+    anti = dbar_01(av, grid)
     dbar_sq = np.sum(np.abs(anti) ** 2, axis=0) if anti.size else np.zeros(av.shape[1])
     dbar_term = float(np.dot(dbar_sq, e))
 
     # |dbar*_phi alpha|^2
-    adj = dbar_star(alpha, phi, grid)
+    adj = dbar_star(av, phi, grid)
     adjoint = float(np.dot(np.abs(adj) ** 2, e))
 
     lhs = curvature + gradient

@@ -129,7 +129,9 @@ def build_psi_s(z0, r: float, s: float) -> ScalarField:
 def alpha_from_f(f_coeffs, metric) -> np.ndarray:
     """Row-vector solve alpha = f B^{-1} for Hermitian positive definite B.
 
-    Batched over leading axes: f is (..., n) and B is (..., n, n).  Satisfies
+    Batched over leading axes: f is (..., n) and B is (..., n, n), or one
+    (n, n) metric B shared by every f, which takes a single solve with all f as
+    right-hand sides.  Satisfies
     sum_{j,k} B_jk alpha_j conj(alpha_k) = sum (B^{-1})_jk f_j conj(f_k).
     """
     f = np.asarray(f_coeffs, dtype=complex)
@@ -140,6 +142,9 @@ def alpha_from_f(f_coeffs, metric) -> np.ndarray:
             f"metric not positive: smallest eigenvalue {lam_min:.3e}"
         )
     # alpha^T = f^T B^{-1}  <=>  B^T alpha = f
+    if b.ndim == 2:
+        n = b.shape[0]
+        return np.linalg.solve(b.T, f.reshape(-1, n).T).T.reshape(f.shape)
     return np.linalg.solve(np.swapaxes(b, -1, -2), f[..., None])[..., 0]
 
 
@@ -175,8 +180,11 @@ def estimate_functional_E(
     else:
         av = np.asarray(alpha, dtype=complex)
     pts = grid.points
-    gap = levi_on_grid(phi, grid) - omega(pts)
-    quad = np.real(np.einsum("mjk,jm,km->m", gap, av, np.conj(av)))
+    # omega before the Levi forms, so that the temporaries of its Hermitian
+    # check are gone before those exist; the gap goes before the stencils run
+    g = omega(pts)
+    quad = np.real(np.einsum("mjk,jm,km->m", levi_on_grid(phi, grid) - g, av, np.conj(av)))
+    del g
     grad_sq = gradient_energy(av, grid)
     weight, shift = weight_exp(-(phi(pts) + psi(pts)))
     return unshift(float(np.dot(quad + grad_sq, weight * grid.weights)), shift)
@@ -231,8 +239,9 @@ def scan_sharp_witness(
     Runs the Levi lower-bound scan first; on a violation at (z0, xi, c) it
     picks the largest dyadic radius with sampled gap < -c/2 on B(z0, r),
     builds the localized form, and sweeps the s-schedule until E < 0 on the
-    grid and on the doubled grid.  For weights whose Levi form dominates omega
-    on the region the result is None.
+    grid and on the doubled grid.  The result is None for weights whose Levi
+    form dominates omega on the region, and also when no s of the schedule
+    certifies a violation.
     """
     verdict = check_lower_bound(phi, omega, region, resolution=lb_resolution)
     if verdict.holds:
@@ -244,11 +253,10 @@ def scan_sharp_witness(
 
     r = _select_radius(phi, omega, z0, xi, c, region)
     _, f = build_witness_form(z0, xi, r, make_cutoff())
-    eye = np.eye(n)
 
     def energy(grid, psi, s):
         # nodewise alpha^s = f (sI + g)^{-1}; equals f/s when omega vanishes
-        alpha = alpha_from_f(f.evaluate(grid.points).T, omega(grid.points) + s * eye).T
+        alpha = alpha_from_f(f.evaluate(grid.points).T, _plus_s(omega(grid.points), s)).T
         return estimate_functional_E(alpha, phi, psi, omega, grid)
 
     grid = _witness_grid(z0, r, grid_nodes)
@@ -260,6 +268,14 @@ def scan_sharp_witness(
             if value_doubled < 0.0:
                 return WitnessCertificate(z0, xi, r, c, float(s), value, value_doubled, grid_nodes)
     return None
+
+
+def _plus_s(g, s: float) -> np.ndarray:
+    """The metrics sI + g at the nodes: one (n, n) matrix when g is the same at
+    every node (a constant omega), so that alpha_from_f makes a single solve."""
+    if np.all(g == g[:1]):
+        g = g[0]
+    return g + s * np.eye(g.shape[-1])
 
 
 def _select_center(phi, omega, region, resolution, c_worst):
@@ -374,6 +390,27 @@ def _psi_delta_hess(z, w, delta: float, n: int) -> np.ndarray:
     return eye + n * (eye / u[:, None, None] - outer / (u**2)[:, None, None])
 
 
+def _psi_delta_norm_sq(f_values, z, w, delta: float, n: int) -> np.ndarray:
+    """|f|^2_H = sum_{j,k} (H^{-1})_jk f_j conj(f_k) for the Levi form H of psi_delta.
+
+    f_values is (n, m) at the m points z, none of them the pole.  H = a I -
+    b conj(d) d^T with a = 1 + n/u and b = n/u^2, so by Sherman-Morrison
+
+        |f|^2_H = |f|^2 / a + b |sum_j f_j conj(d_j)|^2 / (a (a - b |d|^2)),
+
+    where a - b |d|^2 = 1 + n delta^2 / u^2 >= 1: both terms are nonnegative.
+    """
+    d = z - w
+    u = np.sum(np.abs(d) ** 2, axis=-1) + delta * delta
+    a = 1.0 + n / u
+    b = n / u**2
+    along_d = np.abs(np.sum(f_values * np.conj(d).T, axis=0)) ** 2
+    return (
+        np.sum(np.abs(f_values) ** 2, axis=0) / a
+        + b * along_d / (a * (1.0 + n * delta * delta / u**2))
+    )
+
+
 @dataclass(frozen=True)
 class CoarseChainReport:
     m: int
@@ -440,15 +477,7 @@ def coarse_rhs_bound(
     at_pole = psi.is_pole(pts)
     use = on_support & ~at_pole
 
-    metric = _psi_delta_hess(pts[use], w, delta, n)
-    fvals = av[:, use]
-    norm_sq = np.einsum(
-        "jm,mjk,km->m",
-        fvals,
-        np.linalg.inv(metric),
-        np.conj(fvals),
-    ).real
-    norm_sq = np.maximum(norm_sq, 0.0)
+    norm_sq = _psi_delta_norm_sq(av[:, use], pts[use], w, delta, n)
     weight, shift = weight_exp(-(m * phi(pts[use]) + psi(pts[use])))
     integrand = norm_sq ** (p / 2.0) * weight
     rhs = unshift(float(np.dot(integrand, grid.weights[use])), shift + log_c_m)

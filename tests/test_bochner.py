@@ -31,6 +31,40 @@ def grid2(nodes=20, half=1.3):
     return make_grid(unit_ball(2, radius=half), nodes)
 
 
+def roll_partial(grid, values, axis):
+    """The periodic-roll 4th-order difference that the slice stencil replaced."""
+    v = np.asarray(values).reshape(grid.shape)
+    h = grid.spacing[axis]
+    d = (
+        -np.roll(v, -2, axis=axis)
+        + 8.0 * np.roll(v, -1, axis=axis)
+        - 8.0 * np.roll(v, 1, axis=axis)
+        + np.roll(v, 2, axis=axis)
+    ) / (12.0 * h)
+    return d.ravel()
+
+
+class TestPartialStencil:
+    @pytest.mark.parametrize("n, nodes", [(1, 11), (2, 9)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_roll_formula_inside_and_zero_outside(self, n, nodes, kind):
+        g = make_grid(DomainBox("ball", np.zeros(n, dtype=complex), np.array([1.3])), nodes)
+        rng = np.random.default_rng(17)
+        v = rng.standard_normal(g.points.shape[0])
+        if kind == "complex":
+            v = v + 1j * rng.standard_normal(g.points.shape[0])
+        inside = g.interior_mask(2)
+        for axis in range(2 * n):
+            d = g.partial(v, axis)
+            assert d.dtype == v.dtype
+            assert np.array_equal(d[inside], roll_partial(g, v, axis)[inside])
+            # along the axis: the roll formula on the interior layers, zero on the outer two
+            along = np.indices(g.shape)[axis].ravel()
+            edge = (along < 2) | (along >= nodes - 2)
+            assert np.array_equal(d[~edge], roll_partial(g, v, axis)[~edge])
+            assert not np.any(d[edge])
+
+
 class TestWeightedPairing:
     def test_hermitian_pairing_real(self):
         g = grid1()
@@ -199,6 +233,20 @@ class TestBochnerIdentity:
         rep = bochner_residual(alpha, phi, g)
         assert rep.curvature_term >= 0.0
         assert rep.gradient_term >= 0.0
+
+
+    def test_one_form_evaluation_per_residual(self, monkeypatch):
+        calls = []
+        evaluate = FormField01.evaluate
+
+        def counted(self, pts):
+            calls.append(len(pts))
+            return evaluate(self, pts)
+
+        monkeypatch.setattr(FormField01, "evaluate", counted)
+        g = grid2(nodes=20, half=1.9)
+        bochner_residual(bump_zbar_form(2), fields.sq_norm(2), g)
+        assert calls == [g.points.shape[0]]
 
 
 class TestFormRegistry:

@@ -225,6 +225,83 @@ class TestListOptions:
         assert parse_m_values("1000000") == [10**6]
 
 
+class TestWitnessVerdict:
+    def test_smax_below_first_s_is_config_error(self):
+        proc = run_cli(["witness", "--func", "neg_sq_norm", "--smax", "1"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: invalid --smax ")
+        assert "Traceback" not in proc.stderr
+        assert "[PASS]" not in proc.stdout
+
+    @pytest.mark.parametrize("smax", ["9.5", "inf", "nan"])
+    def test_smax_not_a_schedule(self, smax, capsys):
+        code = main(["witness", "--func", "neg_sq_norm", "--smax", smax])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid --smax ")
+
+    def test_violation_without_certificate_fails(self, tmp_path, capsys):
+        # Levi form 1 < omega = 1.1, but s = 10 alone does not make E negative
+        out = tmp_path / "w.json"
+        code = main(["witness", "--func", "sq_norm", "--omega", "const:1.1", "--smax", "10",
+                     "--out", str(out)])
+        assert code == 1
+        assert "[FAIL] sharp-witness" in capsys.readouterr().out
+        values = read_json(out)["checks"][0]["values"]
+        assert values == {"certificate": None, "levi_lower_bound_holds": False}
+
+    def test_dominating_levi_form_passes(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        code = main(["witness", "--func", "sq_norm", "--out", str(out)])
+        assert code == 0
+        assert "[PASS] sharp-witness" in capsys.readouterr().out
+        values = read_json(out)["checks"][0]["values"]
+        assert values == {"certificate": None, "levi_lower_bound_holds": True}
+
+
+class TestExponentOption:
+    def test_coarse_chain_negative_p(self):
+        proc = run_cli(["coarse-chain", "--func", "re_linear", "--p", "-1", "--m", "1",
+                        "--eps", "0.5", "--delta", "0.25"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: invalid --p ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("p", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["coarse-chain", "--func", "re_linear", "--m", "1", "--eps", "0.5", "--delta", "0.25"],
+        ["extend", "--func", "neg_sq_norm"],
+        ["coarse-extend", "--func", "sq_norm", "--m", "1"],
+    ])
+    def test_invalid_p_is_config_error(self, argv, p, capsys):
+        code = main(argv + ["--p", p])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid --p ")
+
+    def test_summary_counts_verified_tuples(self, monkeypatch, capsys):
+        import dataclasses
+
+        from pshlab import cli
+
+        bound = cli.coarse_rhs_bound
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            rep = bound(*args, **kwargs)
+            calls.append(rep)
+            if len(calls) == 1:
+                return dataclasses.replace(rep, rhs_integral=2.0 * rep.bound)
+            return rep
+
+        monkeypatch.setattr(cli, "coarse_rhs_bound", first_fails)
+        argv = ["coarse-chain", "--func", "re_linear", "--m", "1,2", "--eps", "0.5",
+                "--delta", "0.25"]
+        assert main(argv) == 1
+        assert "[FAIL] coarse-chain: 1/2 tuples verified" in capsys.readouterr().out
+        monkeypatch.setattr(cli, "coarse_rhs_bound", bound)
+        assert main(argv) == 0
+        assert "[PASS] coarse-chain: 2/2 tuples verified" in capsys.readouterr().out
+
+
 class TestLogScaleWeights:
     def test_coarse_extend_large_m(self, tmp_path):
         # e^{-m phi} overflows a double at m = 1000; b_m is taken in log space

@@ -9,6 +9,8 @@ from pshlab.bochner import dbar_01, make_grid, scalar_dbar
 from pshlab.errors import ContinuityRequiredError, MetricNotPositiveError
 from pshlab.geometry import DomainBox, ball_volume, unit_ball
 from pshlab.witness import (
+    _psi_delta_hess,
+    _psi_delta_norm_sq,
     alpha_from_f,
     build_alpha_eps,
     build_psi_delta,
@@ -158,6 +160,20 @@ class TestAlphaFromF:
         with pytest.raises(MetricNotPositiveError, match="metric not positive"):
             alpha_from_f(np.array([1.0]), np.array([[-1.0]]))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_metric_equals_batched(self, n):
+        rng = np.random.default_rng(11 + n)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = x @ x.conj().T + 0.5 * np.eye(n)
+        f = rng.standard_normal((257, n)) + 1j * rng.standard_normal((257, n))
+        batched = alpha_from_f(f, np.broadcast_to(b, (257, n, n)))
+        assert np.array_equal(alpha_from_f(f, b), batched)
+
+    def test_one_metric_not_positive(self):
+        f = np.ones((5, 2), dtype=complex)
+        with pytest.raises(MetricNotPositiveError, match="metric not positive"):
+            alpha_from_f(f, np.diag([1.0, -0.5]))
+
 
 class TestEstimateFunctional:
     def test_zero_form(self):
@@ -239,6 +255,26 @@ class TestScanSharpWitness:
         assert cert.E_doubled == estimate_functional_E(alpha, phi, psi, omega, fine)
         assert cert.E < 0.0 and cert.E_doubled < 0.0
         assert cert.as_dict()["E_doubled"] == cert.E_doubled
+
+    @pytest.mark.parametrize("omega, metric_ndim", [
+        (fields.zero_omega(1), 2),
+        (fields.constant_omega(-0.5 * np.eye(1)), 2),
+        (fields.scaled_sq_omega(-0.5, 1), 3),
+    ])
+    def test_constant_omega_takes_one_metric(self, omega, metric_ndim, monkeypatch):
+        import pshlab.witness as witness
+
+        shapes = []
+        solve = witness.alpha_from_f
+
+        def recorded(f_coeffs, metric):
+            shapes.append(np.shape(metric))
+            return solve(f_coeffs, metric)
+
+        monkeypatch.setattr(witness, "alpha_from_f", recorded)
+        cert = scan_sharp_witness(fields.neg_sq_norm(1), omega, unit_ball(1), grid_nodes=48)
+        assert cert is not None
+        assert shapes and all(len(shape) == metric_ndim for shape in shapes)
 
     def test_alpha_scaling_law(self):
         # with omega = 0, alpha^s = f/s exactly on the inner ball
@@ -367,6 +403,20 @@ class TestCoarseChain:
         # inf over the ball of Re z is phi(w) - eps
         assert rep.inf_phi == pytest.approx(phi.value_at(w) - 0.5, abs=2e-3)
         assert rep.verified
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("delta", [0.0, 0.25])
+    def test_closed_form_norm_matches_inverse(self, n, delta):
+        rng = np.random.default_rng(31)
+        w = rng.standard_normal(n) * 0.1 + 1j * rng.standard_normal(n) * 0.1
+        z = w + 0.6 * (rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n)))
+        f = rng.standard_normal((n, 400)) + 1j * rng.standard_normal((n, 400))
+        reference = np.einsum(
+            "jm,mjk,km->m", f, np.linalg.inv(_psi_delta_hess(z, w, delta, n)), np.conj(f)
+        ).real
+        closed = _psi_delta_norm_sq(f, z, w, delta, n)
+        assert np.all(closed >= 0.0)
+        assert np.allclose(closed, reference, rtol=1e-13, atol=0.0)
 
     def test_delta_zero_verified(self):
         rep = coarse_rhs_bound(_zero(1), 2, 2.0, np.zeros(1), 0.5, 0.0, 0.0)
