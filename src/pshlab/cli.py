@@ -1,9 +1,12 @@
-"""Command-line front end: corpus registry, subcommand dispatch, JSON/CSV reports.
+"""Command-line front end: one table of subcommands, one runner, JSON/CSV reports.
 
 Subcommands: levi, check-psh, bochner, witness, coarse-chain, extend,
-coarse-extend, dbar, accept.  Reports are schema-versioned JSON written
-atomically; sweep tables are CSV.  PSHLAB_THREADS caps scan parallelism.
-All emitted floats round-trip exactly (shortest repr of the double).
+coarse-extend, dbar, accept.  Each is a row of COMMANDS: its options, a
+compute function from the parsed arguments to check records (a JSON report)
+or a Table (a CSV sweep), and an exit policy.  The runner checks the option
+bounds, parses the specs, echoes effective defaults, writes the report and
+maps the outcome to an exit code.  Reports are schema-versioned JSON written
+atomically; all emitted floats round-trip exactly (shortest repr of the double).
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ import os
 import sys
 import tempfile
 import time
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__, fields
-from .acceptance import RUNTIME_LIMITS, render_lines, run_suite
+from .acceptance import RUNTIME_LIMITS, CheckRecord, render_lines, run_suite
 from .bochner import bochner_residual, get_form, make_grid
 from .dbar1d import hormander_ratio
 from .errors import PshlabError
@@ -106,10 +110,6 @@ def check_number(value: float, field_name: str, valid, expected: str) -> float:
     return value
 
 
-def check_p(p: float) -> float:
-    return check_number(p, "p", lambda v: v > 0.0, "a finite positive exponent")
-
-
 def parse_region(text: str, field_name: str = "region") -> DomainBox:
     """Region JSON: {"kind": "ball"|"polydisc"|"box", "center": [[re,im],...],
     "radius": f} (ball) or {"extents": [...]} otherwise."""
@@ -161,7 +161,6 @@ def write_report(
     path: Optional[str], command: str, config: dict, checks: list, t0: float, **extra
 ):
     """Write the JSON report when path is set and return it; extra adds top-level sections."""
-    config = {k: v for k, v in config.items() if k not in ("func_impl", "command")}
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": "pshlab",
@@ -187,59 +186,31 @@ def write_csv(path: str, header: list, rows: list) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def _check(name: str, passed: bool, values: dict, tolerances: dict) -> dict:
-    return {"name": name, "passed": bool(passed), "values": values, "tolerances": tolerances}
+class Table(NamedTuple):
+    """A CSV sweep and its one-line summary."""
 
-
-def _print_checks(checks: list) -> bool:
-    all_ok = True
-    for chk in checks:
-        status = "PASS" if chk["passed"] else "FAIL"
-        print(f"[{status}] {chk['name']}")
-        all_ok &= chk["passed"]
-    return all_ok
+    header: list
+    rows: list
+    passed: bool
+    summary: str
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# compute functions: (args, **specs) -> [CheckRecord] or Table.  They call the
+# toolkit through this module's names, which is where tracers and tests patch.
 # ---------------------------------------------------------------------------
 
 
-def _region_for(args) -> "DomainBox":
-    if args.region is None:
-        # echo the effective default so reports carry every knob
-        args.region = json.dumps(
-            {
-                "kind": "ball",
-                "center": [[0.0, 0.0]] * args.dim,
-                "radius": 1.0,
-            }
-        )
-        return unit_ball(args.dim)
-    return parse_region(args.region)
-
-
-def cmd_levi(args) -> int:
-    t0 = time.perf_counter()
-    phi = fields.get_field(args.func, args.dim)
-    omega = fields.get_omega(args.omega, args.dim)
-    region = _region_for(args)
+def _levi(args, phi, omega, region) -> list:
     verdict = fields.check_lower_bound(phi, omega, region, args.resolution, args.tol)
     values = {"holds": verdict.holds, "lambda_min": verdict.lambda_min, "c": verdict.c}
     if verdict.z0 is not None:
         values["z0"] = verdict.z0
         values["xi"] = verdict.xi
-    checks = [_check("levi-lower-bound", verdict.holds, values, {"tol": args.tol})]
-    write_report(args.out, "levi", vars(args), checks, t0)
-    return 0 if _print_checks(checks) else 1
+    return [CheckRecord("levi-lower-bound", verdict.holds, values, {"tol": args.tol})]
 
 
-def cmd_check_psh(args) -> int:
-    t0 = time.perf_counter()
-    phi = fields.get_field(args.func, args.dim)
-    region = _region_for(args)
-    if args.budget is None:
-        args.budget = DEFAULT_BUDGET.get(args.dim, 4096)
+def _check_psh(args, phi, region) -> list:
     res = classify_psh(
         phi, region, args.centers, args.cylinders, args.seed,
         tol=args.tol, budget=args.budget,
@@ -256,69 +227,43 @@ def cmd_check_psh(args) -> int:
         }
         for rep in res.violations
     ]
-    checks = [
-        _check(
-            "sub-mean-value-scan",
-            res.verdict == "no-violation-found",
-            {
-                "verdict": res.verdict,
-                "cylinders_checked": res.cylinders_checked,
-                "violations": violations,
-            },
+    values = {
+        "verdict": res.verdict,
+        "cylinders_checked": res.cylinders_checked,
+        "violations": violations,
+    }
+    return [
+        CheckRecord(
+            "sub-mean-value-scan", res.verdict == "no-violation-found", values,
             {"margin_tol": args.tol},
         )
     ]
-    write_report(args.out, "check-psh", vars(args), checks, t0)
-    _print_checks(checks)
-    # a found violation is a successful falsification, not a tool failure
-    return 0
 
 
-def cmd_bochner(args) -> int:
-    t0 = time.perf_counter()
-    phi = fields.get_field(args.func, args.dim)
+def _bochner(args, phi) -> list:
     alpha = get_form(args.form, args.dim)
-    if args.grid is None:
-        args.grid = 256 if args.dim == 1 else 24
-    nodes = args.grid
     # inflate the box until the support margin accommodates the FD stencil
     radius = float(alpha.support.extents[0])
-    pad = 10.0 * radius / max(nodes - 11, 1)
+    pad = 10.0 * radius / max(args.grid - 11, 1)
     grid = make_grid(
-        DomainBox("ball", alpha.support.center, np.array([radius + pad])), nodes
+        DomainBox("ball", alpha.support.center, np.array([radius + pad])), args.grid
     )
     rep = bochner_residual(alpha, phi, grid)
     tol = 1e-3 if args.dim == 1 else 5e-3
-    checks = [
-        _check(
-            "bochner-identity",
-            rep.residual <= tol,
-            {
-                "lhs": rep.lhs, "rhs": rep.rhs, "residual": rep.residual,
-                "curvature_term": rep.curvature_term, "gradient_term": rep.gradient_term,
-                "dbar_term": rep.dbar_term, "adjoint_term": rep.adjoint_term,
-            },
-            {"residual": tol},
-        )
-    ]
-    write_report(args.out, "bochner", vars(args), checks, t0)
-    return 0 if _print_checks(checks) else 1
+    values = {
+        "lhs": rep.lhs, "rhs": rep.rhs, "residual": rep.residual,
+        "curvature_term": rep.curvature_term, "gradient_term": rep.gradient_term,
+        "dbar_term": rep.dbar_term, "adjoint_term": rep.adjoint_term,
+    }
+    return [CheckRecord("bochner-identity", rep.residual <= tol, values, {"residual": tol})]
 
 
-def cmd_witness(args) -> int:
-    t0 = time.perf_counter()
-    phi = fields.get_field(args.func, args.dim)
-    omega = fields.get_omega(args.omega, args.dim)
-    region = _region_for(args)
-    # the s-schedule is 10, 100, ... up to smax, so it would be empty below 10
-    check_number(args.smax, "smax", lambda v: v >= 10.0, "a finite number >= 10")
+def _witness(args, phi, omega, region) -> list:
     schedule = []
     s = 10.0
     while s <= args.smax * (1.0 + 1e-12):
         schedule.append(s)
         s *= 10.0
-    if not args.grid:
-        args.grid = DEFAULT_E_GRID.get(args.dim, 16)
     cert = scan_sharp_witness(
         phi, omega, region, s_schedule=schedule, grid_nodes=args.grid
     )
@@ -326,28 +271,13 @@ def cmd_witness(args) -> int:
         # no certificate passes only when the Levi form dominates omega; when
         # it does not, no s of the schedule made the sign functional negative
         holds = fields.check_lower_bound(phi, omega, region).holds
-        checks = [
-            _check(
-                "sharp-witness", holds,
-                {"certificate": None, "levi_lower_bound_holds": holds}, {"smax": args.smax},
-            )
-        ]
+        passed, values = holds, {"certificate": None, "levi_lower_bound_holds": holds}
     else:
-        checks = [
-            _check(
-                "sharp-witness", cert.E < 0.0, {"certificate": cert.as_dict()},
-                {"smax": args.smax},
-            )
-        ]
-    write_report(args.out, "witness", vars(args), checks, t0)
-    return 0 if _print_checks(checks) else 1
+        passed, values = cert.E < 0.0, {"certificate": cert.as_dict()}
+    return [CheckRecord("sharp-witness", passed, values, {"smax": args.smax})]
 
 
-def cmd_coarse_chain(args) -> int:
-    t0 = time.perf_counter()
-    phi = fields.get_field(args.func, args.dim)
-    w = parse_point(args.w, "w")
-    check_p(args.p)
+def _coarse_chain(args, phi, w) -> Table:
     m_values = parse_m_values(args.m)
     # the ranges that build_alpha_eps and build_psi_delta accept
     eps_values = parse_list(args.eps, "eps", float, lambda e: 0.0 < e <= 1.0, "values in (0, 1]")
@@ -388,16 +318,9 @@ def cmd_coarse_chain(args) -> int:
                      o_by_m.get(m, ""), cprime_by_m.get(m, ""), rep.verified]
                 )
                 verified += rep.verified
-    if args.out:
-        write_csv(
-            args.out,
-            ["m", "p", "eps", "delta", "rhs_integral", "bound", "C", "inf_phi",
-             "o_eps_1_over_m", "log_cprime_m", "verified"],
-            rows,
-        )
-    all_ok = verified == len(rows)
-    print(f"[{'PASS' if all_ok else 'FAIL'}] coarse-chain: {verified}/{len(rows)} tuples verified")
-    return 0 if all_ok else 1
+    header = ["m", "p", "eps", "delta", "rhs_integral", "bound", "C", "inf_phi",
+              "o_eps_1_over_m", "log_cprime_m", "verified"]
+    return Table(header, rows, verified == len(rows), f"{verified}/{len(rows)} tuples verified")
 
 
 def _parse_cm_rule(text: str):
@@ -428,19 +351,14 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def cmd_extend(args) -> int:
-    t0 = time.perf_counter()
-    phi = fields.get_field(args.func, args.dim)
-    center = parse_point(args.center, "center")
-    cyl = parse_cylinder(args.cylinder, args.dim, center)
-    check_p(args.p)
+def _extend(args, phi, center, cyl) -> list:
     rule = QuadratureRule("tensor-grid", args.budget, args.seed)
     checks = []
     if args.p == 2.0:
         f_star, value = best_extension_constant(phi, center, cyl, args.degree, rule)
         rep = optimal_extension_margin(phi, center, cyl, f_star, args.p, rule)
         checks.append(
-            _check(
+            CheckRecord(
                 "best-extension-constant",
                 value <= rep.rhs * (1.0 + 1e-9),
                 {"value": value, "threshold": rep.rhs, "degree": args.degree,
@@ -451,7 +369,7 @@ def cmd_extend(args) -> int:
     else:
         rep = optimal_extension_margin(phi, center, cyl, constant_one(center), args.p, rule)
     checks.append(
-        _check(
+        CheckRecord(
             "optimal-extension-margin",
             rep.margin >= -1e-9,
             {"lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
@@ -461,17 +379,10 @@ def cmd_extend(args) -> int:
             {"margin": 0.0},
         )
     )
-    write_report(args.out, "extend", vars(args), checks, t0)
-    _print_checks(checks)
-    return 0
+    return checks
 
 
-def cmd_coarse_extend(args) -> int:
-    t0 = time.perf_counter()
-    phi = fields.get_field(args.func, args.dim)
-    center = parse_point(args.center, "center")
-    cyl = parse_cylinder(args.cylinder, args.dim, center)
-    check_p(args.p)
+def _coarse_extend(args, phi, center, cyl) -> Table:
     rule = QuadratureRule("tensor-grid", args.budget, args.seed)
     log_c_m = _parse_cm_rule(args.cm_rule)
     rows = []
@@ -480,35 +391,22 @@ def cmd_coarse_extend(args) -> int:
             phi, center, cyl, constant_one(center), log_c_m(m), m, args.p, rule
         )
         rows.append([m, args.p, _exp_or_inf(log_c_m(m)), b_m, b_tilde])
-    if args.out:
-        write_csv(args.out, ["m", "p", "C_m", "b_m", "b_tilde_m"], rows)
-    print(f"[PASS] coarse-extend: {len(rows)} bounds computed")
-    return 0
+    return Table(["m", "p", "C_m", "b_m", "b_tilde_m"], rows, True, f"{len(rows)} bounds computed")
 
 
-def cmd_dbar(args) -> int:
-    t0 = time.perf_counter()
-    phi = fields.get_field(args.weight, 1)
+def _dbar(args, phi) -> list:
     psi = _parse_psi(args.psi)
     rhs = _parse_rhs(args.rhs)
     grid = make_grid(unit_ball(1, radius=args.box), args.grid)
     result = hormander_ratio(phi, psi, rhs, args.degree, grid)
-    checks = [
-        _check(
-            "dbar-solve",
-            result.residual <= 5e-3,
-            {
-                "residual": result.residual,
-                "minimal_norm_sq": result.minimal_norm_sq,
-                "comparison_integral": result.comparison_integral,
-                "ratio": result.ratio,
-                "degree": result.degree,
-            },
-            {"residual": 5e-3},
-        )
-    ]
-    write_report(args.out, "dbar", vars(args), checks, t0)
-    return 0 if _print_checks(checks) else 1
+    values = {
+        "residual": result.residual,
+        "minimal_norm_sq": result.minimal_norm_sq,
+        "comparison_integral": result.comparison_integral,
+        "ratio": result.ratio,
+        "degree": result.degree,
+    }
+    return [CheckRecord("dbar-solve", result.residual <= 5e-3, values, {"residual": 5e-3})]
 
 
 def _parse_psi(text: str):
@@ -531,26 +429,189 @@ def _parse_rhs(text: str):
     return get_form(text, 1)
 
 
-def cmd_accept(args) -> int:
-    t0 = time.perf_counter()
+def _accept(args) -> list:
     records = run_suite(args.seed)
     for line in render_lines(records):
         print(line)
-    checks = [
-        {
-            "name": rec.name,
-            "passed": rec.passed and rec.seconds <= RUNTIME_LIMITS.get(rec.name, 1e9),
-            "values": rec.values,
-            "tolerances": rec.tolerances,
-        }
+    # a criterion over its runtime limit fails in the report
+    return [
+        CheckRecord(
+            rec.name, rec.passed and rec.seconds <= RUNTIME_LIMITS.get(rec.name, 1e9),
+            rec.values, rec.tolerances, rec.seconds,
+        )
         for rec in records
     ]
-    timings = {rec.name: rec.seconds for rec in records}
-    write_report(args.out, "accept", {"seed": args.seed}, checks, t0, timings=timings)
-    return 0 if all(c["passed"] for c in checks) else 1
 
 
 # ---------------------------------------------------------------------------
+# exit policies, report configurations and the table
+# ---------------------------------------------------------------------------
+
+
+def _print_checks(checks: list) -> bool:
+    all_ok = True
+    for chk in checks:
+        print(f"[{'PASS' if chk.passed else 'FAIL'}] {chk.name}")
+        all_ok &= chk.passed
+    return all_ok
+
+
+def _exit_on_failure(checks: list) -> int:
+    return 0 if _print_checks(checks) else 1
+
+
+def _exit_zero(checks: list) -> int:
+    """A found violation is a successful falsification, not a tool failure."""
+    _print_checks(checks)
+    return 0
+
+
+def _exit_on_suite_failure(checks: list) -> int:
+    """The suite printed its own lines."""
+    return 0 if all(chk.passed for chk in checks) else 1
+
+
+def _echo_options(args, checks: list) -> tuple:
+    """(config, extra report sections): every option with its effective value."""
+    return {k: v for k, v in vars(args).items() if k != "command"}, {}
+
+
+def _suite_report(args, checks: list) -> tuple:
+    return {"seed": args.seed}, {"timings": {chk.name: chk.seconds for chk in checks}}
+
+
+def _unit_ball_spec(args) -> str:
+    return json.dumps({"kind": "ball", "center": [[0.0, 0.0]] * args.dim, "radius": 1.0})
+
+
+# An option entry is (name, default) or (name, default, effective), where
+# effective(args) replaces a value equal to the default; a bare name is a
+# required option.  An option takes the type of its default unless OPTIONS
+# gives its add_argument keywords.
+OPTIONS = {
+    "func": {"required": True},
+    "weight": {"required": True},
+    "region": {"help": "region JSON; default: unit ball of C^dim"},
+    "budget": {"type": int},
+    "grid": {"type": int},
+}
+
+_COUNT = (lambda v: v >= 1, "an integer >= 1")
+
+# (valid, expected) of the numeric options; a value outside is a ConfigError
+BOUNDS = {
+    "dim": _COUNT,
+    "resolution": _COUNT,
+    "centers": _COUNT,
+    "cylinders": _COUNT,
+    "degree": (lambda v: v >= 0, "an integer >= 0"),
+    "tol": (lambda v: v >= 0.0, "a finite number >= 0"),
+    "p": (lambda v: v > 0.0, "a finite positive exponent"),
+    # the s-schedule is 10, 100, ... up to smax, so it would be empty below 10
+    "smax": (lambda v: v >= 10.0, "a finite number >= 10"),
+}
+
+FIELD = ("func", ("dim", 1))
+REGION = ("region", None, _unit_ball_spec)
+P = ("p", 2.0)
+CYLINDER = (("center", "[[0,0]]"), ("cylinder", "r=1.0,s=1.0,seed=0"))
+RULE = (("budget", 4096), ("seed", 0))
+
+
+@dataclass(frozen=True)
+class Command:
+    name: str
+    help: str
+    options: tuple
+    compute: Callable  # (args, **specs) -> [CheckRecord] for a JSON report, or a Table
+    exit: Callable = _exit_on_failure  # prints the checks, returns the exit code
+    report: Callable = _echo_options  # (args, checks) -> (config, extra sections)
+
+
+COMMANDS = {
+    cmd.name: cmd
+    for cmd in (
+        Command("levi", "Levi-form lower-bound scan over a region",
+                (*FIELD, ("omega", "zero"), REGION, ("resolution", 9), ("tol", 1e-9)), _levi),
+        Command("check-psh", "randomized cylinder sub-mean-value scan",
+                (*FIELD, REGION, ("centers", 100), ("cylinders", 10), ("seed", 0), ("tol", 1e-6),
+                 ("budget", None, lambda a: DEFAULT_BUDGET.get(a.dim, 4096))),
+                _check_psh, _exit_zero),
+        Command("bochner", "verify the weighted energy identity",
+                (*FIELD, ("form", "bump_const"),
+                 ("grid", None, lambda a: 256 if a.dim == 1 else 24)), _bochner),
+        Command("witness", "search a sharp-estimate falsification witness",
+                (*FIELD, ("omega", "zero"), REGION, ("smax", 1e4),
+                 ("grid", 0, lambda a: DEFAULT_E_GRID.get(a.dim, 16))), _witness),
+        Command("coarse-chain", "verify the coarse-estimate bound chain",
+                (*FIELD, ("m", "1,2,4,8"), P, ("cm", "const:1"), ("eps", "0.5,0.25"),
+                 ("delta", "0.25,0.0625"), ("w", "[[0,0]]")), _coarse_chain),
+        Command("extend", "optimal extension margin / best constant",
+                (*FIELD, *CYLINDER, P, ("degree", 8), *RULE), _extend, _exit_zero),
+        Command("coarse-extend", "coarse extension bound sweep",
+                (*FIELD, ("m", "1,2,4,8,16"), ("cm-rule", "const:1"), *CYLINDER, P, *RULE),
+                _coarse_extend),
+        Command("dbar", "minimal-norm dbar solve and estimate ratio (n=1)",
+                ("weight", ("psi", "sq_norm"), ("rhs", "dbar_bump"), ("grid", 256),
+                 ("degree", 10), ("box", 2.0)), _dbar),
+        Command("accept", "run the acceptance suite", (("seed", 2024),), _accept,
+                _exit_on_suite_failure, _suite_report),
+    )
+}
+
+
+def _entries(cmd: Command):
+    """(name, default, effective or None) of each option of a row."""
+    for entry in cmd.options:
+        if isinstance(entry, str):
+            entry = (entry, None)
+        yield (*entry, None)[:3]
+
+
+def _check_bounds(args, names) -> None:
+    for name in names:
+        if name in BOUNDS and name in args:
+            valid, expected = BOUNDS[name]
+            check_number(getattr(args, name), name, valid, expected)
+
+
+def _parse_specs(args) -> dict:
+    """The spec options, parsed in one fixed order, so that the first bad one is reported."""
+    specs = {}
+    if "func" in args:
+        specs["phi"] = fields.get_field(args.func, args.dim)
+    if "weight" in args:
+        specs["phi"] = fields.get_field(args.weight, 1)
+    if "omega" in args:
+        specs["omega"] = fields.get_omega(args.omega, args.dim)
+    if "region" in args:
+        specs["region"] = parse_region(args.region)
+    if "w" in args:
+        specs["w"] = parse_point(args.w, "w")
+    if "center" in args:
+        specs["center"] = parse_point(args.center, "center")
+        specs["cyl"] = parse_cylinder(args.cylinder, args.dim, specs["center"])
+    return specs
+
+
+def _run(cmd: Command, args) -> int:
+    t0 = time.perf_counter()
+    entries = list(_entries(cmd))
+    _check_bounds(args, ["dim"])  # the specs and the effective defaults read it
+    for name, default, effective in entries:
+        if effective is not None and getattr(args, name) == default:
+            setattr(args, name, effective(args))  # echoed, so reports carry every knob
+    specs = _parse_specs(args)
+    _check_bounds(args, [name for name, _, _ in entries if name != "dim"])
+    result = cmd.compute(args, **specs)
+    if isinstance(result, Table):
+        if args.out:
+            write_csv(args.out, result.header, result.rows)
+        print(f"[{'PASS' if result.passed else 'FAIL'}] {cmd.name}: {result.summary}")
+        return 0 if result.passed else 1
+    config, extra = cmd.report(args, result)
+    write_report(args.out, cmd.name, config, [chk.payload() for chk in result], t0, **extra)
+    return cmd.exit(result)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -562,114 +623,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pshlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("levi", help="Levi-form lower-bound scan over a region")
-    p.add_argument("--func", required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--omega", default="zero")
-    p.add_argument("--region", default=None, help="region JSON; default: unit ball of C^dim")
-    p.add_argument("--resolution", type=int, default=9)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out")
-    p.set_defaults(func_impl=cmd_levi)
-
-    p = sub.add_parser("check-psh", help="randomized cylinder sub-mean-value scan")
-    p.add_argument("--func", required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--region", default=None, help="region JSON; default: unit ball of C^dim")
-    p.add_argument("--centers", type=int, default=100)
-    p.add_argument("--cylinders", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func_impl=cmd_check_psh)
-
-    p = sub.add_parser("bochner", help="verify the weighted energy identity")
-    p.add_argument("--func", required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--form", default="bump_const")
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func_impl=cmd_bochner)
-
-    p = sub.add_parser("witness", help="search a sharp-estimate falsification witness")
-    p.add_argument("--func", required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--omega", default="zero")
-    p.add_argument("--region", default=None, help="region JSON; default: unit ball of C^dim")
-    p.add_argument("--smax", type=float, default=1e4)
-    p.add_argument("--grid", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func_impl=cmd_witness)
-
-    p = sub.add_parser("coarse-chain", help="verify the coarse-estimate bound chain")
-    p.add_argument("--func", required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--m", default="1,2,4,8")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--cm", default="const:1")
-    p.add_argument("--eps", default="0.5,0.25")
-    p.add_argument("--delta", default="0.25,0.0625")
-    p.add_argument("--w", default="[[0,0]]")
-    p.add_argument("--out")
-    p.set_defaults(func_impl=cmd_coarse_chain)
-
-    p = sub.add_parser("extend", help="optimal extension margin / best constant")
-    p.add_argument("--func", required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--center", default="[[0,0]]")
-    p.add_argument("--cylinder", default="r=1.0,s=1.0,seed=0")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--degree", type=int, default=8)
-    p.add_argument("--budget", type=int, default=4096)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func_impl=cmd_extend)
-
-    p = sub.add_parser("coarse-extend", help="coarse extension bound sweep")
-    p.add_argument("--func", required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--m", default="1,2,4,8,16")
-    p.add_argument("--cm-rule", dest="cm_rule", default="const:1")
-    p.add_argument("--center", default="[[0,0]]")
-    p.add_argument("--cylinder", default="r=1.0,s=1.0,seed=0")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--budget", type=int, default=4096)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func_impl=cmd_coarse_extend)
-
-    p = sub.add_parser("dbar", help="minimal-norm dbar solve and estimate ratio (n=1)")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--psi", default="sq_norm")
-    p.add_argument("--rhs", default="dbar_bump")
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--degree", type=int, default=10)
-    p.add_argument("--box", type=float, default=2.0)
-    p.add_argument("--out")
-    p.set_defaults(func_impl=cmd_dbar)
-
-    p = sub.add_parser("accept", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--out")
-    p.set_defaults(func_impl=cmd_accept)
-
+    for cmd in COMMANDS.values():
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for name, default, _ in _entries(cmd):
+            p.add_argument("--" + name, default=default, **OPTIONS.get(name, {"type": type(default)}))
+        p.add_argument("--out")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func_impl(args)
+        return _run(COMMANDS[args.command], args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PshlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (PshlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

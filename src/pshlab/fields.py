@@ -90,7 +90,12 @@ class HermitianField:
     def __call__(self, pts) -> np.ndarray:
         z = as_points(pts, self.n)
         g = np.asarray(self.evaluate(z), dtype=complex)
-        dev = np.max(np.abs(g - g.conj().swapaxes(-1, -2)))
+        # |g_jk - conj(g_kj)| is symmetric in (j, k): check j <= k, one (m,) pair at a time
+        n = g.shape[-1]
+        dev = max(
+            np.max(np.abs(g[..., j, k] - g[..., k, j].conj()))
+            for j in range(n) for k in range(j, n)
+        )
         if dev > HERMITIAN_TOL:
             raise ValueError(f"coefficient matrix not Hermitian: deviation {dev:.3e}")
         return g

@@ -418,11 +418,6 @@ def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderS
     return CylinderSample(nodes, np.full(rule.budget, cyl.volume / rule.budget))
 
 
-def integrate(values: np.ndarray, weights: np.ndarray) -> float:
-    """Fixed-order weighted reduction of real node values."""
-    return float(np.dot(np.asarray(values, dtype=float), weights))
-
-
 def montecarlo_volume(cyl: HolomorphicCylinder, samples: int, seed: int):
     """Hit-count volume of the cylinder and the 1-sigma binomial error."""
     rng = np.random.default_rng(seed)

@@ -356,3 +356,188 @@ class TestDeterminism:
         main(args + ["--out", str(out2)])
         a, b = read_json(out1), read_json(out2)
         assert a["checks"] == b["checks"]
+
+
+class TestBoundedOptions:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("argv", [
+        # saddle:2 is not psh: a nan tolerance used to let this scan print [PASS]
+        ["check-psh", "--func", "saddle:2", "--dim", "2", "--centers", "5"],
+        ["levi", "--func", "sq_norm"],
+    ])
+    def test_invalid_tol_is_config_error(self, argv, tol, capsys):
+        code = main(argv + ["--tol", tol])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: invalid --tol ")
+        assert "[PASS]" not in out.out
+
+    def test_zero_tol_is_valid(self):
+        assert main(["levi", "--func", "sq_norm", "--tol", "0"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["levi", "--func", "sq_norm", "--dim", "0"],
+        ["levi", "--func", "sq_norm", "--dim", "-1"],
+        ["check-psh", "--func", "sq_norm", "--dim", "0"],
+        ["bochner", "--func", "sq_norm", "--dim", "0"],
+        ["witness", "--func", "sq_norm", "--dim", "0"],
+        ["coarse-chain", "--func", "re_linear", "--dim", "0"],
+        ["extend", "--func", "sq_norm", "--dim", "0"],
+        ["coarse-extend", "--func", "sq_norm", "--dim", "0"],
+        ["levi", "--func", "sq_norm", "--resolution", "-1"],
+        ["check-psh", "--func", "sq_norm", "--centers", "0"],
+        ["check-psh", "--func", "sq_norm", "--centers", "-1"],
+        ["check-psh", "--func", "sq_norm", "--cylinders", "0"],
+        ["extend", "--func", "sq_norm", "--degree", "-1"],
+        ["dbar", "--weight", "sq_norm", "--degree", "-1"],
+    ])
+    def test_count_out_of_bounds_is_config_error(self, argv, capsys):
+        option = argv[-2]
+        code = main(argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid {option} ")
+
+    def test_count_error_has_no_traceback(self):
+        # --dim 0 used to end in an IndexError traceback here
+        proc = run_cli(["bochner", "--func", "sq_norm", "--dim", "0"])
+        assert proc.returncode == 2
+        assert proc.stderr == "error: invalid --dim 0 (expected an integer >= 1)\n"
+
+
+# {subcommand: {option: (dest, default, required)}} of the parser before it
+# was built from the subcommand table
+PARSER_SURFACE = {
+    "levi": {
+        "--func": ("func", None, True), "--dim": ("dim", 1, False),
+        "--omega": ("omega", "zero", False), "--region": ("region", None, False),
+        "--resolution": ("resolution", 9, False), "--tol": ("tol", 1e-09, False),
+        "--out": ("out", None, False),
+    },
+    "check-psh": {
+        "--func": ("func", None, True), "--dim": ("dim", 1, False),
+        "--region": ("region", None, False), "--centers": ("centers", 100, False),
+        "--cylinders": ("cylinders", 10, False), "--seed": ("seed", 0, False),
+        "--tol": ("tol", 1e-06, False), "--budget": ("budget", None, False),
+        "--out": ("out", None, False),
+    },
+    "bochner": {
+        "--func": ("func", None, True), "--dim": ("dim", 1, False),
+        "--form": ("form", "bump_const", False), "--grid": ("grid", None, False),
+        "--out": ("out", None, False),
+    },
+    "witness": {
+        "--func": ("func", None, True), "--dim": ("dim", 1, False),
+        "--omega": ("omega", "zero", False), "--region": ("region", None, False),
+        "--smax": ("smax", 10000.0, False), "--grid": ("grid", 0, False),
+        "--out": ("out", None, False),
+    },
+    "coarse-chain": {
+        "--func": ("func", None, True), "--dim": ("dim", 1, False),
+        "--m": ("m", "1,2,4,8", False), "--p": ("p", 2.0, False),
+        "--cm": ("cm", "const:1", False), "--eps": ("eps", "0.5,0.25", False),
+        "--delta": ("delta", "0.25,0.0625", False), "--w": ("w", "[[0,0]]", False),
+        "--out": ("out", None, False),
+    },
+    "extend": {
+        "--func": ("func", None, True), "--dim": ("dim", 1, False),
+        "--center": ("center", "[[0,0]]", False),
+        "--cylinder": ("cylinder", "r=1.0,s=1.0,seed=0", False), "--p": ("p", 2.0, False),
+        "--degree": ("degree", 8, False), "--budget": ("budget", 4096, False),
+        "--seed": ("seed", 0, False), "--out": ("out", None, False),
+    },
+    "coarse-extend": {
+        "--func": ("func", None, True), "--dim": ("dim", 1, False),
+        "--m": ("m", "1,2,4,8,16", False), "--cm-rule": ("cm_rule", "const:1", False),
+        "--center": ("center", "[[0,0]]", False),
+        "--cylinder": ("cylinder", "r=1.0,s=1.0,seed=0", False), "--p": ("p", 2.0, False),
+        "--budget": ("budget", 4096, False), "--seed": ("seed", 0, False),
+        "--out": ("out", None, False),
+    },
+    "dbar": {
+        "--weight": ("weight", None, True), "--psi": ("psi", "sq_norm", False),
+        "--rhs": ("rhs", "dbar_bump", False), "--grid": ("grid", 256, False),
+        "--degree": ("degree", 10, False), "--box": ("box", 2.0, False),
+        "--out": ("out", None, False),
+    },
+    "accept": {"--seed": ("seed", 2024, False), "--out": ("out", None, False)},
+}
+
+
+class TestParserSurface:
+    def test_options_dests_defaults(self):
+        import argparse
+
+        from pshlab.cli import build_parser
+
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            name: {
+                a.option_strings[0]: (a.dest, a.default, a.required)
+                for a in sp._actions if a.option_strings and a.dest != "help"
+            }
+            for name, sp in sub.choices.items()
+        }
+        assert surface == PARSER_SURFACE
+        assert list(surface) == list(PARSER_SURFACE)
+
+    @pytest.mark.parametrize("argv, echoed", [
+        (["levi", "--func", "sq_norm", "--dim", "2"],
+         {"region": json.dumps({"kind": "ball", "center": [[0.0, 0.0]] * 2, "radius": 1.0})}),
+        (["check-psh", "--func", "sq_norm", "--centers", "1", "--cylinders", "1"],
+         {"budget": 4096,
+          "region": json.dumps({"kind": "ball", "center": [[0.0, 0.0]], "radius": 1.0})}),
+        (["bochner", "--func", "sq_norm"], {"grid": 256}),
+        (["witness", "--func", "sq_norm"], {"grid": 96}),
+        (["witness", "--func", "sq_norm", "--grid", "0"], {"grid": 96}),
+        (["extend", "--func", "sq_norm", "--degree", "2"], {"budget": 4096}),
+        (["dbar", "--weight", "sq_norm"], {"grid": 256}),
+    ])
+    def test_config_echoes_effective_defaults(self, argv, echoed, tmp_path):
+        out = tmp_path / "r.json"
+        main(argv + ["--out", str(out)])
+        config = read_json(out)["config"]
+        for key, value in echoed.items():
+            assert config[key] == value
+        assert "func_impl" not in config
+        assert "command" not in config
+        assert config["out"] == str(out)
+
+
+class TestAcceptReport:
+    def test_report_is_payload_plus_runtime_limit(self, monkeypatch, tmp_path, capsys):
+        from pshlab import cli
+        from pshlab.acceptance import RUNTIME_LIMITS, CheckRecord
+
+        records = [
+            CheckRecord("levi-oracle-agreement", True, {"e": 1e-6}, {"rel_error": 1e-4}, 1.5),
+            CheckRecord("bochner-identity", True, {"r": 2e-4}, {"n1": 1e-3},
+                        RUNTIME_LIMITS["bochner-identity"] + 1.0),
+            CheckRecord("hormander-ratio", False, {"ratio": 1.5}, {"witness_ratio": 1.0}, 0.5),
+        ]
+        monkeypatch.setattr(cli, "run_suite", lambda seed: records)
+        out = tmp_path / "accept.json"
+        assert main(["accept", "--seed", "7", "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "[PASS] levi-oracle-agreement: 1.5s (limit 5s)",
+            "[PASS] bochner-identity: 61.0s (limit 60s)",
+            "[FAIL] hormander-ratio: 0.5s (limit 60s)",
+        ]
+        rep = read_json(out)
+        assert rep["command"] == "accept"
+        assert rep["config"] == {"seed": 7}
+        within = [True, False, False]
+        assert rep["checks"] == [
+            {**r.payload(), "passed": r.passed and ok} for r, ok in zip(records, within)
+        ]
+        assert rep["timings"] == {r.name: r.seconds for r in records}
+
+    def test_passing_suite_exits_zero(self, monkeypatch, tmp_path):
+        from pshlab import cli
+        from pshlab.acceptance import CheckRecord
+
+        records = [CheckRecord("determinism", True, {"byte_identical": True}, {}, 1.0)]
+        monkeypatch.setattr(cli, "run_suite", lambda seed: records)
+        out = tmp_path / "accept.json"
+        assert main(["accept", "--out", str(out)]) == 0
+        assert read_json(out)["checks"] == [records[0].payload()]

@@ -181,3 +181,19 @@ class TestRegistry:
         )
         with pytest.raises(ValueError, match="not Hermitian"):
             bad(np.zeros((1, 2)))
+
+    def test_hermitian_deviation_message(self):
+        # the deviation is max |g - g^H| over every entry, checked one (j, k) pair at a time
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(7, 3, 3)) + 1j * rng.normal(size=(7, 3, 3))
+        bad = HermitianField("bad", 3, lambda z: g)
+        dev = np.max(np.abs(g - g.conj().swapaxes(-1, -2)))
+        with pytest.raises(ValueError) as info:
+            bad(np.zeros((7, 3)))
+        assert str(info.value) == f"coefficient matrix not Hermitian: deviation {dev:.3e}"
+
+    def test_hermitian_deviation_on_diagonal(self):
+        g = np.zeros((4, 2, 2), dtype=complex)
+        g[2, 1, 1] = 3.0j  # |g_11 - conj(g_11)| = 6
+        with pytest.raises(ValueError, match="deviation 6.000e"):
+            HermitianField("bad", 2, lambda z: g)(np.zeros((4, 2)))
