@@ -143,10 +143,8 @@ class GridDiscretization:
             )
 
 
-def make_grid(box: DomainBox, nodes_per_axis: int, margin: float = 0.0) -> GridDiscretization:
-    bounds = box.real_bounds()
-    bounds = np.stack([bounds[:, 0] - margin, bounds[:, 1] + margin], axis=1)
-    return GridDiscretization(bounds, nodes_per_axis)
+def make_grid(box: DomainBox, nodes_per_axis: int) -> GridDiscretization:
+    return GridDiscretization(box.real_bounds(), nodes_per_axis)
 
 
 def weighted_pairing(

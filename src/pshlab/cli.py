@@ -131,16 +131,19 @@ def parse_region(text: str, field_name: str = "region") -> DomainBox:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    """Write through a temporary file in the target directory; an OSError names --out."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pshlab-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pshlab-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"invalid --out {path!r} ({exc.strerror or exc})") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _json_default(obj):
@@ -506,6 +509,8 @@ BOUNDS = {
     "cylinders": _COUNT,
     "degree": (lambda v: v >= 0, "an integer >= 0"),
     "tol": (lambda v: v >= 0.0, "a finite number >= 0"),
+    "seed": (lambda v: v >= 0, "an integer >= 0"),
+    "box": (lambda v: v > 0.0, "a finite number > 0"),
     "p": (lambda v: v > 0.0, "a finite positive exponent"),
     # the s-schedule is 10, 100, ... up to smax, so it would be empty below 10
     "smax": (lambda v: v >= 10.0, "a finite number >= 10"),

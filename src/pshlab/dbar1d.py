@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .bochner import FormField01, GridDiscretization, levi_on_grid
 from .extension import _monomial_values, _solve_gram, monomial_exponents
@@ -53,8 +52,9 @@ def cauchy_transform(f_values: np.ndarray, grid: GridDiscretization) -> np.ndarr
 
     The singular node cell is excised: its closed-form cell integral of the
     kernel vanishes by symmetry, so the diagonal kernel entry is zero and the
-    quadrature stays second-order accurate.  Implemented as an FFT
-    convolution over the uniform grid.
+    quadrature stays second-order accurate.  The nn x nn window of the linear
+    convolution centred on f is computed as a circular convolution of length
+    2 nn per axis, the shortest whose wrap-around leaves that window untouched.
     """
     h = _square_grid_1d(grid)
     nn = grid.nodes_per_axis
@@ -69,7 +69,9 @@ def cauchy_transform(f_values: np.ndarray, grid: GridDiscretization) -> np.ndarr
     dz = dx + 1j * dy
     nonzero = dz != 0.0
     kernel[nonzero] = 1.0 / dz[nonzero]
-    u = fftconvolve(f, kernel, mode="same") * (h * h / math.pi)
+    size = (2 * nn, 2 * nn)
+    full = np.fft.ifft2(np.fft.fft2(f, size) * np.fft.fft2(kernel, size))
+    u = full[nn - 1 : 2 * nn - 1, nn - 1 : 2 * nn - 1] * (h * h / math.pi)
     return u.ravel()
 
 
@@ -101,19 +103,16 @@ def weighted_bergman_projection(
     degree: int,
     grid: GridDiscretization,
     domain: Optional[DomainBox] = None,
-    center=None,
 ):
     """Best degree <= N holomorphic polynomial approximation of u in
-    L^2(e^{-eta}) over the grid box (or the given sub-domain).
+    L^2(e^{-eta}) over the grid box (or the given sub-domain), in powers of z.
 
     Returns (h_values, coefficients); the residual u - h is orthogonal to
     every basis monomial (Gram normal equations).
     """
     pts = grid.points
     w, _ = _weights(eta, grid, domain)
-    z0 = np.zeros(1, dtype=complex) if center is None else np.asarray(center, complex)
-    exps = monomial_exponents(1, degree)
-    mono = _monomial_values(pts - z0, exps)
+    mono = _monomial_values(pts, monomial_exponents(1, degree))
     gram = (mono.conj().T * w) @ mono
     rhs = mono.conj().T @ (w * np.asarray(u_values, dtype=complex))
     coeffs = _solve_gram(gram, rhs)
@@ -122,13 +121,12 @@ def weighted_bergman_projection(
 
 
 def projection_orthogonality(
-    u_values, h_values, eta: ScalarField, degree: int, grid, domain=None, center=None
+    u_values, h_values, eta: ScalarField, degree: int, grid, domain=None
 ) -> float:
     """Max relative pairing of (u - h) against the basis monomials."""
     pts = grid.points
     w, _ = _weights(eta, grid, domain)
-    z0 = np.zeros(1, dtype=complex) if center is None else np.asarray(center, complex)
-    mono = _monomial_values(pts - z0, monomial_exponents(1, degree))
+    mono = _monomial_values(pts, monomial_exponents(1, degree))
     res = np.asarray(u_values) - np.asarray(h_values)
     pair = mono.conj().T @ (w * res)
     res_norm = math.sqrt(max(float(np.real(np.dot(np.conj(res), w * res))), 1e-300))

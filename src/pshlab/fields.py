@@ -518,14 +518,12 @@ def min_levi_eigenvalue(
     return lam, xi
 
 
-def levi_on_points(
-    phi: ScalarField, pts: np.ndarray, h: float = DEFAULT_FD_STEP, use_analytic: bool = True
-) -> np.ndarray:
+def levi_on_points(phi: ScalarField, pts: np.ndarray) -> np.ndarray:
     """(m, n, n) Levi forms at (m, n) points: the analytic Hessian symmetrised, or levi_form."""
-    if use_analytic and phi.hess is not None:
+    if phi.hess is not None:
         hs = np.asarray(phi.hess(pts), dtype=complex)
         return 0.5 * (hs + hs.conj().swapaxes(-1, -2))
-    return np.stack([levi_form(phi, p, h=h, use_analytic=False) for p in pts])
+    return np.stack([levi_form(phi, p) for p in pts])
 
 
 @dataclass(frozen=True)
@@ -543,8 +541,6 @@ def check_lower_bound(
     region: DomainBox,
     resolution: int = 9,
     tol: float = 1e-9,
-    h: float = DEFAULT_FD_STEP,
-    use_analytic: bool = True,
 ) -> LowerBoundVerdict:
     """Grid scan of the smallest eigenvalue of levi_form(phi) - g over a region.
 
@@ -558,7 +554,7 @@ def check_lower_bound(
     vals = phi(pts)
     if np.any(~np.isfinite(vals)) or np.any(phi.is_pole(pts)):
         raise PoleInStencilError("pole in region")
-    diff = levi_on_points(phi, pts, h, use_analytic) - omega(pts)
+    diff = levi_on_points(phi, pts) - omega(pts)
     eigs = np.linalg.eigvalsh(diff)[:, 0]
     worst = int(np.argmin(eigs))
     lam_min = float(eigs[worst])

@@ -22,7 +22,7 @@ UNITARITY_TOL = 1e-12
 DEFAULT_BUDGET = {1: 4096, 2: 65536}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+_PRIMES = (2, 3, 5, 7)
 
 
 def as_point(coords) -> np.ndarray:
@@ -65,8 +65,8 @@ class DomainBox:
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
         ext = np.atleast_1d(np.asarray(self.extents, dtype=float))
-        if np.any(ext <= 0.0):
-            raise ValueError("extents must be positive")
+        if not np.all(np.isfinite(ext) & (ext > 0.0)):
+            raise ValueError("extents must be positive and finite")
         n = self.center.size
         expected = {"ball": 1, "polydisc": n, "box": 2 * n}
         if self.kind not in expected:
@@ -331,7 +331,7 @@ def _unit_tensor(n: int, budget: int) -> tuple:
         n_rad = max(2, int(round(math.sqrt(budget) / 2.0)))
         n_ang = max(8, budget // n_rad)
         factors = _disc_tensor(n_rad, n_ang)
-    elif n == 2:
+    else:
         if budget < 64:
             raise InsufficientNodesError(
                 f"insufficient nodes: the n=2 tensor rule needs a budget >= 64, got {budget}"
@@ -342,40 +342,20 @@ def _unit_tensor(n: int, budget: int) -> tuple:
         n_ang = max(4, b_disc // n_rad)
         shells = max(1, budget // (n_rad * n_ang * 4))
         factors = _disc_tensor(n_rad, n_ang) + _disc_spiral(shells)
-    else:
-        raise ValueError("tensor-grid cylinder rule supports n <= 2")
     for a in factors:
         a.flags.writeable = False
     return factors
-
-
-def _uniform_model(n: int, u: np.ndarray):
-    """Map uniform [0,1)^{2n} samples to P_{1,1} with the area-preserving polar map."""
-    cnt = u.shape[0]
-    z = np.empty((cnt, n), dtype=complex)
-    z[:, 0] = np.sqrt(u[:, 0]) * np.exp(2j * math.pi * u[:, 1])
-    if n == 2:
-        z[:, 1] = np.sqrt(u[:, 2]) * np.exp(2j * math.pi * u[:, 3])
-    elif n > 2:
-        # radius via the norm CDF (|w|^{2(n-1)} law), direction via Gaussians
-        g = np.asarray(u[:, 2 : 2 + 2 * (n - 1)])
-        # inverse transform needs unbounded normals; erfinv keeps it deterministic
-        from scipy.special import erfinv
-
-        gg = math.sqrt(2.0) * erfinv(2.0 * np.clip(g, 1e-12, 1 - 1e-12) - 1.0)
-        vec = gg[:, 0 : n - 1] + 1j * gg[:, n - 1 :]
-        nv = np.linalg.norm(vec, axis=1, keepdims=True)
-        nv[nv == 0.0] = 1.0
-        rad = u[:, -1] ** (1.0 / (2 * (n - 1)))
-        z[:, 1:] = vec / nv * rad[:, None]
-    return z
 
 
 # A scan's rechecks use one quasi-random rule at two budgets.  Entries are
 # N-sized, so the cache keeps that pair and no more.
 @lru_cache(maxsize=2)
 def _unit_uniform_model(kind: str, n: int, cnt: int, seed: int) -> np.ndarray:
-    """Nodes of the quasi-random (shifted Halton) or random rule on P_{1,1}."""
+    """Nodes of the quasi-random (shifted Halton) or random rule on P_{1,1}.
+
+    Uniform (u_re, u_im) pairs in [0,1)^2 map to sqrt(u_re) e^{2 pi i u_im},
+    an area-preserving map onto the unit disc, one disc per coordinate.
+    """
     if kind == "quasi-random":
         u = np.empty((cnt, 2 * n))
         for d in range(2 * n):
@@ -384,7 +364,7 @@ def _unit_uniform_model(kind: str, n: int, cnt: int, seed: int) -> np.ndarray:
         np.subtract(u, 1.0, out=u, where=u >= 1.0)  # (u + shift) mod 1, exactly
     else:
         u = np.random.default_rng(seed).uniform(size=(cnt, 2 * n))
-    model = _uniform_model(n, u)
+    model = np.sqrt(u[:, 0::2]) * np.exp(2j * math.pi * u[:, 1::2])
     model.flags.writeable = False
     return model
 
@@ -393,13 +373,16 @@ def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderS
     """Quadrature nodes and weights over the cylinder; weights sum to mu(P).
 
     The rule is the image of a cached unit rule on P_{1,1} under
-    w -> z0 + A diag(r, s, ..., s) w.  Both returned arrays are new.
+    w -> z0 + A diag(r, s) w.  Every kind supports n <= 2.  Both returned
+    arrays are new.
     """
     if rule.budget < 16:
         raise InsufficientNodesError(
             f"insufficient nodes: budget {rule.budget} < 16"
         )
     n = cyl.n
+    if n > 2:
+        raise ValueError(f"{rule.kind} cylinder rule supports n <= 2")
     a = cyl.frame
     if rule.kind == "tensor-grid":
         d1, w1, *shell = _unit_tensor(n, rule.budget)
@@ -411,9 +394,7 @@ def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderS
             weights = np.outer(weights, cyl.s**2 * w2).ravel()
         return CylinderSample(nodes, weights)
     model = _unit_uniform_model(rule.kind, n, rule.budget, rule.seed)
-    radii = np.full(n, cyl.s)
-    radii[0] = cyl.r
-    nodes = model @ (a * radii).T
+    nodes = model @ (a * [cyl.r, cyl.s][:n]).T
     nodes += cyl.center
     return CylinderSample(nodes, np.full(rule.budget, cyl.volume / rule.budget))
 

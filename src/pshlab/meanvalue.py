@@ -7,9 +7,6 @@ violation witness.  Thin cylinders degenerate to disc means on complex lines.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,13 +33,8 @@ DEFAULT_MARGIN_TOL = 1e-6
 # a confirmed violation must exceed this multiple of the quadrature-error
 # estimate; guards against kink-induced noise on merely continuous fields
 NOISE_FACTOR = 8.0
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PSHLAB_THREADS", "1")))
-    except ValueError:
-        return 1
+# scan radii r and s, as fractions of the region's smallest extent
+RADIUS_RANGE = (0.1, 0.5)
 
 
 @dataclass(frozen=True)
@@ -106,12 +98,9 @@ def cylinder_mean_with_error(
 
 
 def submean_test(
-    phi: ScalarField,
-    cyl: HolomorphicCylinder,
-    rule: QuadratureRule,
-    tol: float = DEFAULT_MARGIN_TOL,
+    phi: ScalarField, cyl: HolomorphicCylinder, rule: QuadratureRule
 ) -> MeanValueReport:
-    """Margin = mean - phi(z0); margin < -tol is a violation witness."""
+    """Margin = mean - phi(z0), with the embedded-rule quadrature-error estimate."""
     center_val = phi.value_at(cyl.center)
     if not np.isfinite(center_val):
         raise ValueError("submean_test needs a center off the pole set")
@@ -140,7 +129,6 @@ def classify_psh(
     tol: float = DEFAULT_MARGIN_TOL,
     budget: Optional[int] = None,
     rule_kind: str = "tensor-grid",
-    radius_range: tuple = (0.1, 0.5),
     max_violations: Optional[int] = None,
 ) -> PshScanResult:
     """Randomized sub-mean-value scan over a region, deterministic under seed.
@@ -151,12 +139,17 @@ def classify_psh(
     estimate with a cross-rule comparison (tensor versus quasi-random), whose
     errors are independent, so kink-induced bias on merely continuous fields
     cannot masquerade as a violation.  Cylinder centers are drawn uniformly in
-    the region, never on the pole set; radii come from radius_range scaled by
+    the region, never on the pole set; radii come from RADIUS_RANGE scaled by
     the region size.  max_violations stops the scan early (in job order) once
     that many confirmed witnesses exist.
     """
     if centers < 1 or cylinders_per_center < 1:
         raise ValueError("empty scan budget")
+    # glibc raises its mmap threshold, and its heap-trim threshold to twice that, to the
+    # largest mmap'd block freed so far.  Freeing one 8 MiB block keeps the per-cylinder
+    # arrays (0.5 MB at budget 16384) in the heap; otherwise a cold process trims and
+    # re-faults the heap top on every cylinder (44k page faults in 400 cylinders).
+    np.empty(1 << 20)
     n = phi.n
     if budget is None:
         budget = DEFAULT_BUDGET.get(n, 4096)
@@ -175,8 +168,8 @@ def classify_psh(
             raise ValueError("could not sample a center off the pole set")
         for _ in range(cylinders_per_center):
             frame_seed = int(rng.integers(0, 2**63 - 1))
-            r = float(rng.uniform(*radius_range)) * scale
-            s = float(rng.uniform(*radius_range)) * scale
+            r = float(rng.uniform(*RADIUS_RANGE)) * scale
+            s = float(rng.uniform(*RADIUS_RANGE)) * scale
             jobs.append((center, frame_seed, r, s))
 
     rule = QuadratureRule(rule_kind, budget, seed)
@@ -187,28 +180,24 @@ def classify_psh(
         center, frame_seed, r, s = job
         frame = random_unitary(frame_seed, n) if n > 1 else np.eye(1, dtype=complex)
         cyl = HolomorphicCylinder(center, frame, r, s)
-        report = submean_test(phi, cyl, rule, tol)
+        report = submean_test(phi, cyl, rule)
         if report.margin < -tol:
-            confirm = submean_test(phi, cyl, recheck, tol)
-            cross = submean_test(phi, cyl, cross_rule, tol)
+            confirm = submean_test(phi, cyl, recheck)
+            cross = submean_test(phi, cyl, cross_rule)
             err = max(confirm.quad_error, abs(confirm.margin - cross.margin))
             if confirm.margin < -max(tol / 2.0, NOISE_FACTOR * err):
                 return confirm
         return None
 
-    workers = thread_count()
     violations = []
     checked = 0
-    chunk = 32
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        run_all = map if pool is None else pool.map
-        for start in range(0, len(jobs), chunk):
-            batch = jobs[start : start + chunk]
-            results = list(run_all(run_job, batch))
-            checked += len(batch)
-            violations.extend(r for r in results if r is not None)
-            if max_violations is not None and len(violations) >= max_violations:
-                break
+    chunk = 32  # max_violations is checked after every chunk of cylinders
+    for start in range(0, len(jobs), chunk):
+        batch = jobs[start : start + chunk]
+        violations.extend(r for r in map(run_job, batch) if r is not None)
+        checked += len(batch)
+        if max_violations is not None and len(violations) >= max_violations:
+            break
 
     verdict = "violated" if violations else "no-violation-found"
     return PshScanResult(verdict, tuple(violations), checked)

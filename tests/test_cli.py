@@ -18,15 +18,18 @@ def read_json(path):
         return json.load(handle)
 
 
-def run_cli(argv):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def run_python(args):
+    """Run a fresh interpreter that imports this pshlab, as a user would."""
     env = dict(os.environ)
     src = str(Path(pshlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "pshlab.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_cli(argv):
+    return run_python(["-m", "pshlab.cli", *argv])
 
 
 class TestParsers:
@@ -390,6 +393,14 @@ class TestBoundedOptions:
         ["check-psh", "--func", "sq_norm", "--cylinders", "0"],
         ["extend", "--func", "sq_norm", "--degree", "-1"],
         ["dbar", "--weight", "sq_norm", "--degree", "-1"],
+        # a negative seed used to leak numpy's error with exit 1
+        ["check-psh", "--func", "sq_norm", "--seed", "-1"],
+        ["extend", "--func", "sq_norm", "--seed", "-1"],
+        ["accept", "--seed", "-1"],
+        # a nan box used to end in "increase regularization or lower degree"
+        ["dbar", "--weight", "sq_norm", "--box", "nan"],
+        ["dbar", "--weight", "sq_norm", "--box", "inf"],
+        ["dbar", "--weight", "sq_norm", "--box", "0"],
     ])
     def test_count_out_of_bounds_is_config_error(self, argv, capsys):
         option = argv[-2]
@@ -402,6 +413,40 @@ class TestBoundedOptions:
         proc = run_cli(["bochner", "--func", "sq_norm", "--dim", "0"])
         assert proc.returncode == 2
         assert proc.stderr == "error: invalid --dim 0 (expected an integer >= 1)\n"
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [
+        ["levi", "--func", "sq_norm"],  # a JSON report
+        ["coarse-chain", "--func", "re_linear", "--m", "1", "--eps", "0.5", "--delta", "0"],  # a CSV
+    ])
+    @pytest.mark.parametrize("target", ["missing/out", "existing-dir"])
+    def test_unwritable_out_is_config_error(self, argv, target, tmp_path, capsys):
+        # used to end in a FileNotFoundError traceback from the atomic write
+        (tmp_path / "existing-dir").mkdir()
+        out = tmp_path / target
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid --out {str(out)!r} (")
+        assert not list(tmp_path.glob("**/.pshlab-*"))
+
+
+def test_cli_imports_no_scipy(tmp_path):
+    # the Levi scan, the Cauchy transform and a scan whose candidates take the
+    # quasi-random cross rule all run on numpy alone
+    out = tmp_path / "scan.json"
+    script = f"""
+import json, sys
+from pshlab import cli
+assert cli.main(["levi", "--func", "saddle:2", "--dim", "2"]) == 1
+assert cli.main(["dbar", "--weight", "sq_norm", "--grid", "64"]) in (0, 1)
+assert cli.main(["check-psh", "--func", "saddle:2", "--dim", "2", "--centers", "2",
+                 "--cylinders", "2", "--budget", "256", "--tol", "1e-3", "--out", {str(out)!r}]) == 0
+with open({str(out)!r}, encoding="utf-8") as handle:
+    assert json.load(handle)["checks"][0]["values"]["verdict"] == "violated"
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
 
 
 # {subcommand: {option: (dest, default, required)}} of the parser before it

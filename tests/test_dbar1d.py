@@ -62,20 +62,22 @@ class TestCauchyTransform:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
     def test_direct_sum_oracle(self):
-        # the FFT convolution must match the literal excised double sum
-        g = make_grid(unit_ball(1, radius=1.5), 32)
-        value, dzbar = bump_profile(np.zeros(1), 0.9, 1)
-        f = dzbar(g.points, 0)
-        u_fft = cauchy_transform(f, g)
-        pts = g.points[:, 0]
-        h = g.spacing[0]
-        diff = pts[:, None] - pts[None, :]
-        kernel = np.zeros_like(diff)
-        np.fill_diagonal(diff, 1.0)
-        kernel = 1.0 / diff
-        np.fill_diagonal(kernel, 0.0)
-        u_direct = kernel @ f * (h * h / math.pi)
-        assert np.max(np.abs(u_fft - u_direct)) <= 1e-10
+        # the FFT convolution must match the literal excised double sum, at an
+        # even and an odd number of nodes per axis
+        for nodes in (32, 33):
+            g = make_grid(unit_ball(1, radius=1.5), nodes)
+            value, dzbar = bump_profile(np.zeros(1), 0.9, 1)
+            f = dzbar(g.points, 0)
+            u_fft = cauchy_transform(f, g)
+            pts = g.points[:, 0]
+            h = g.spacing[0]
+            diff = pts[:, None] - pts[None, :]
+            kernel = np.zeros_like(diff)
+            np.fill_diagonal(diff, 1.0)
+            kernel = 1.0 / diff
+            np.fill_diagonal(kernel, 0.0)
+            u_direct = kernel @ f * (h * h / math.pi)
+            assert np.max(np.abs(u_fft - u_direct)) <= 1e-10
 
     def test_interior_residual(self):
         g = grid256()

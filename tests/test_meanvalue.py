@@ -159,15 +159,6 @@ class TestClassifyPsh:
             rep = submean_test(phi, cyl, QuadratureRule("tensor-grid", 1024, 0))
             assert rep.margin >= -rep.quad_error - 1e-12
 
-    def test_thread_count_invariance(self, monkeypatch):
-        kw = dict(centers=6, cylinders_per_center=3, seed=9, tol=1e-3, budget=1024)
-        monkeypatch.setenv("PSHLAB_THREADS", "1")
-        a = classify_psh(fields.saddle(2.0), unit_ball(2), **kw)
-        monkeypatch.setenv("PSHLAB_THREADS", "4")
-        b = classify_psh(fields.saddle(2.0), unit_ball(2), **kw)
-        assert a.verdict == b.verdict
-        assert [v.margin for v in a.violations] == [v.margin for v in b.violations]
-
 
 class TestLineDiscMean:
     def test_field_constant_in_s_directions(self):
