@@ -54,7 +54,6 @@ from .bochner import (
     dbar_01,
     dbar_star,
     make_grid,
-    weighted_pairing,
 )
 from .witness import (
     CoarseChainReport,

@@ -14,6 +14,7 @@ their agreement is evidence rather than tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,15 +40,6 @@ class FormField01:
         z = as_points(pts, self.n)
         return np.stack([np.asarray(c(z), dtype=complex) for c in self.components])
 
-    def check_support(self, pts, tol: float = 1e-12) -> bool:
-        """Coefficients vanish outside the support region at the given nodes."""
-        z = as_points(pts, self.n)
-        outside = ~self.support.contains(z)
-        if not np.any(outside):
-            return True
-        vals = self.evaluate(z[outside])
-        return bool(np.max(np.abs(vals)) <= tol)
-
 
 @dataclass(frozen=True)
 class GridDiscretization:
@@ -57,7 +49,6 @@ class GridDiscretization:
     nodes_per_axis: int
     axes: tuple = field(init=False)
     spacing: np.ndarray = field(init=False)
-    points: np.ndarray = field(init=False)  # (m, n) complex
     weights: np.ndarray = field(init=False)  # (m,) trapezoid weights
     shape: tuple = field(init=False)
 
@@ -74,10 +65,6 @@ class GridDiscretization:
         object.__setattr__(self, "spacing", spacing)
         shape = (self.nodes_per_axis,) * bounds.shape[0]
         object.__setattr__(self, "shape", shape)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = np.stack([m.ravel() for m in mesh], axis=1)
-        pts = flat[:, 0::2] + 1j * flat[:, 1::2]
-        object.__setattr__(self, "points", pts)
         w = np.ones(shape)
         for ax_i in range(len(axes)):
             w1 = np.full(self.nodes_per_axis, spacing[ax_i])
@@ -91,6 +78,28 @@ class GridDiscretization:
     @property
     def n(self) -> int:
         return self.bounds.shape[0] // 2
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """(m, n) complex coordinates of every node, built on first use."""
+        return self.points_at(np.arange(self.weights.size))
+
+    def points_at(self, idx) -> np.ndarray:
+        """(k, n) complex coordinates of the nodes with flat indices idx."""
+        sub = np.unravel_index(idx, self.shape)
+        flat = np.stack([ax[i] for ax, i in zip(self.axes, sub)], axis=1)
+        return flat[:, 0::2] + 1j * flat[:, 1::2]
+
+    def support_nodes(self, support: DomainBox) -> np.ndarray:
+        """Sorted flat indices of the nodes in support (extents grown by 1e-9
+        relative), tested against it only inside its bounding box."""
+        grown = DomainBox(support.kind, support.center, support.extents * (1.0 + 1e-9))
+        ranges = [
+            np.flatnonzero((ax >= lo) & (ax <= hi))
+            for ax, (lo, hi) in zip(self.axes, grown.real_bounds())
+        ]
+        idx = np.ravel_multi_index(np.ix_(*ranges), self.shape).ravel()
+        return idx[grown.contains(self.points_at(idx))]
 
     def partial(self, values: np.ndarray, axis: int) -> np.ndarray:
         """4th-order central difference along a real axis (flat in, flat out).
@@ -147,29 +156,16 @@ def make_grid(box: DomainBox, nodes_per_axis: int) -> GridDiscretization:
     return GridDiscretization(box.real_bounds(), nodes_per_axis)
 
 
-def weighted_pairing(
-    a, b, weight: ScalarField, grid: GridDiscretization
-):
-    """Trapezoid approximation of int <a, b> e^{-weight} over the grid box.
-
-    Forms pair componentwise (sum_j a_j conj(b_j)); scalars pair as a conj(b).
-    Arguments may be FormField01 / ScalarField instances or node-value arrays.
-    """
-    av = _as_node_values(a, grid)
-    bv = _as_node_values(b, grid)
-    if av.ndim != bv.ndim:
-        raise ValueError("cannot pair a form with a scalar")
-    e, shift = weight_exp(-weight(grid.points))
-    integrand = np.sum(av * np.conj(bv), axis=0) if av.ndim == 2 else av * np.conj(bv)
-    return unshift(complex(np.dot(integrand, e * grid.weights)), shift)
-
-
-def _as_node_values(obj, grid: GridDiscretization) -> np.ndarray:
+def node_values(obj, grid: GridDiscretization, margin_widths: int = 2) -> np.ndarray:
+    """Node values as given, or a form's (n, m) coefficients: evaluated at its
+    support nodes only (kept margin_widths stencil widths inside the grid), zero
+    at the others."""
     if isinstance(obj, FormField01):
-        grid.check_support_margin(obj.support, 2)
-        return obj.evaluate(grid.points)
-    if isinstance(obj, ScalarField):
-        return np.asarray(obj(grid.points), dtype=complex)
+        grid.check_support_margin(obj.support, margin_widths)
+        idx = grid.support_nodes(obj.support)
+        out = np.zeros((obj.n, grid.weights.size), dtype=complex)
+        out[:, idx] = obj.evaluate(grid.points_at(idx))
+        return out
     arr = np.asarray(obj, dtype=complex)
     if arr.ndim not in (1, 2):
         raise ValueError("node values must be (m,) scalars or (n, m) form components")
@@ -182,7 +178,7 @@ def dbar_01(alpha, grid: GridDiscretization) -> np.ndarray:
     Returns an (n(n-1)/2, m) array in lexicographic (j, k) order; the array is
     empty when n = 1 (there are no (0,2)-forms on C).
     """
-    av = _as_node_values(alpha, grid)
+    av = node_values(alpha, grid)
     n = grid.n
     rows = []
     for j in range(n):
@@ -194,45 +190,45 @@ def dbar_01(alpha, grid: GridDiscretization) -> np.ndarray:
 
 
 def dbar_star(alpha, phi: ScalarField, grid: GridDiscretization) -> np.ndarray:
-    """Formal adjoint -sum_j (d alpha_j / dz_j - alpha_j dphi/dz_j), nodewise."""
-    av = _as_node_values(alpha, grid)
+    """Formal adjoint -sum_j (d alpha_j / dz_j - alpha_j dphi/dz_j), nodewise;
+    poles and grad phi are evaluated only where alpha is nonzero."""
+    av = node_values(alpha, grid)
     n = grid.n
-    on_support = np.sum(np.abs(av) ** 2, axis=0) > 0.0
-    if np.any(phi.is_pole(grid.points) & on_support):
-        raise PoleInStencilError("pole in the support of the form")
+    support = np.flatnonzero(np.any(av != 0.0, axis=0))
+    pts = grid.points_at(support)
     if phi.grad is not None:
         with np.errstate(divide="ignore", invalid="ignore"):
-            gphi = np.asarray(phi.grad(grid.points), dtype=complex)
-        if np.any(~np.isfinite(gphi[on_support])):
-            raise PoleInStencilError("pole in the support of the form")
+            gphi = np.asarray(phi.grad(pts), dtype=complex)
+        finite = np.isfinite(gphi)
     else:
         pv = phi(grid.points)
-        if np.any(~np.isfinite(pv[on_support])):
-            raise PoleInStencilError("pole in the support of the form")
-        gphi = np.stack([grid.d_dz(pv, j) for j in range(n)], axis=1)
+        finite = np.isfinite(pv[support])
+        gphi = np.stack([grid.d_dz(pv, j)[support] for j in range(n)], axis=1)
+    if np.any(phi.is_pole(pts)) or not np.all(finite):
+        raise PoleInStencilError("pole in the support of the form")
     out = np.zeros(av.shape[1], dtype=complex)
     for j in range(n):
-        out -= grid.d_dz(av[j], j) - av[j] * gphi[:, j]
+        term = grid.d_dz(av[j], j)
+        term[support] -= av[j, support] * gphi[:, j]
+        out -= term
     return out
 
 
-def scalar_dbar(values: np.ndarray, grid: GridDiscretization) -> np.ndarray:
-    """dbar of a scalar grid field: components (d v / dzbar_j)_j as (n, m)."""
-    return np.stack([grid.d_dzbar(values, j) for j in range(grid.n)])
-
-
-def levi_on_grid(phi: ScalarField, grid: GridDiscretization) -> np.ndarray:
-    """(m, n, n) Levi forms at the nodes: the analytic Hessian as declared (no
-    copy), or d/dzbar_k d/dz_j phi by the 4th-order stencil, symmetrised."""
+def levi_on_grid(phi: ScalarField, grid: GridDiscretization, nodes=None) -> np.ndarray:
+    """(k, n, n) Levi forms at the flat node indices nodes (every node when
+    None): the analytic Hessian as declared (no copy), or d/dzbar_k d/dz_j phi
+    by the 4th-order stencil on the whole grid, symmetrised."""
     if phi.hess is not None:
-        return np.asarray(phi.hess(grid.points), dtype=complex)
+        pts = grid.points if nodes is None else grid.points_at(nodes)
+        return np.asarray(phi.hess(pts), dtype=complex)
     n = grid.n
+    sel = slice(None) if nodes is None else nodes
     pv = phi(grid.points)
-    hess = np.empty((grid.points.shape[0], n, n), dtype=complex)
+    hess = np.empty((pv[sel].shape[0], n, n), dtype=complex)
     for j in range(n):
         dj = grid.d_dz(pv, j)
         for k in range(n):
-            hess[:, j, k] = grid.d_dzbar(dj, k)
+            hess[:, j, k] = grid.d_dzbar(dj, k)[sel]
     return 0.5 * (hess + hess.conj().swapaxes(-1, -2))
 
 
@@ -243,6 +239,31 @@ def gradient_energy(av: np.ndarray, grid: GridDiscretization) -> np.ndarray:
         for k in range(grid.n):
             out += np.abs(grid.d_dzbar(av[j], k)) ** 2
     return out
+
+
+def band_energy(av, phi: ScalarField, grid: GridDiscretization, psi=None, omega=None, extra=()):
+    """The band of (n, m) form values av: the nodes where av, its gradient
+    energy or an extra (m,) integrand is nonzero.  Returns the band, on it
+    Re sum_{j,k} (phi_{j kbar} - omega_jk) alpha_j conj(alpha_k), the gradient
+    energy and the trapezoid weights times e^{-(phi + psi) - shift}, and the
+    shift (the band's largest exponent).  Weight, Levi forms and omega are
+    evaluated on the band only."""
+    grad_sq = gradient_energy(av, grid)
+    on_band = np.any(av != 0.0, axis=0) | (grad_sq != 0.0)
+    for values in extra:
+        on_band |= values != 0.0
+    band = np.flatnonzero(on_band)
+    if band.size == 0:
+        empty = np.zeros(0)
+        return band, empty, empty, empty, 0.0
+    pts = grid.points_at(band)
+    e, shift = weight_exp(-phi(pts) if psi is None else -(phi(pts) + psi(pts)))
+    levi = levi_on_grid(phi, grid, band)
+    if omega is not None:
+        levi = levi - omega(pts)
+    a = av[:, band]
+    quad = np.real(np.einsum("mjk,jm,km->m", levi, a, np.conj(a)))
+    return band, quad, grad_sq[band], e * grid.weights[band], shift
 
 
 @dataclass(frozen=True)
@@ -267,30 +288,20 @@ class BochnerReport:
 def bochner_residual(
     alpha: FormField01, phi: ScalarField, grid: GridDiscretization
 ) -> BochnerReport:
-    """Evaluate both sides of the energy identity and their relative residual."""
-    av = _as_node_values(alpha, grid)
-    e, shift = weight_exp(-phi(grid.points))
-    e = e * grid.weights
-
-    # curvature energy: sum_{j,k} phi_{j kbar} alpha_j conj(alpha_k)
-    quad = np.einsum("mjk,jm,km->m", levi_on_grid(phi, grid), av, np.conj(av))
-    curvature = float(np.dot(np.real(quad), e))
-
-    gradient = float(np.dot(gradient_energy(av, grid), e))
-
-    # |dbar alpha|^2 over increasing pairs
-    anti = dbar_01(av, grid)
-    dbar_sq = np.sum(np.abs(anti) ** 2, axis=0) if anti.size else np.zeros(av.shape[1])
-    dbar_term = float(np.dot(dbar_sq, e))
-
-    # |dbar*_phi alpha|^2
-    adj = dbar_star(av, phi, grid)
-    adjoint = float(np.dot(np.abs(adj) ** 2, e))
-
-    lhs = curvature + gradient
-    rhs = dbar_term + adjoint
+    """Both sides of the energy identity, reduced over one band with one
+    weight, and their relative residual."""
+    av = node_values(alpha, grid)
+    # |dbar alpha|^2 over increasing pairs (none when n = 1) and |dbar*_phi alpha|^2
+    dbar_sq = np.sum(np.abs(dbar_01(av, grid)) ** 2, axis=0)
+    adjoint_sq = np.abs(dbar_star(av, phi, grid)) ** 2
+    # quad: the curvature integrand sum_{j,k} phi_{j kbar} alpha_j conj(alpha_k)
+    band, quad, grad_sq, e, shift = band_energy(av, phi, grid, extra=(dbar_sq, adjoint_sq))
+    terms = tuple(
+        float(np.dot(v, e)) for v in (quad, grad_sq, dbar_sq[band], adjoint_sq[band])
+    )
+    lhs, rhs = terms[0] + terms[1], terms[2] + terms[3]
     residual = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
-    return BochnerReport(residual, (curvature, gradient, dbar_term, adjoint), shift)
+    return BochnerReport(residual, terms, shift)
 
 
 # ---------------------------------------------------------------------------

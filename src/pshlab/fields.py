@@ -93,7 +93,7 @@ class HermitianField:
         # |g_jk - conj(g_kj)| is symmetric in (j, k): check j <= k, one (m,) pair at a time
         n = g.shape[-1]
         dev = max(
-            np.max(np.abs(g[..., j, k] - g[..., k, j].conj()))
+            np.max(np.abs(g[..., j, k] - g[..., k, j].conj()), initial=0.0)
             for j in range(n) for k in range(j, n)
         )
         if dev > HERMITIAN_TOL:

@@ -26,7 +26,7 @@ from .errors import ContinuityRequiredError, MetricNotPositiveError
 from .fields import (
     HermitianField, ScalarField, check_lower_bound, levi_on_points, unshift, weight_exp,
 )
-from .bochner import FormField01, GridDiscretization, gradient_energy, levi_on_grid, make_grid
+from .bochner import FormField01, GridDiscretization, band_energy, make_grid, node_values
 from .geometry import DomainBox, as_point, as_points, ball_volume
 
 
@@ -148,18 +148,6 @@ def alpha_from_f(f_coeffs, metric) -> np.ndarray:
     return np.linalg.solve(np.swapaxes(b, -1, -2), f[..., None])[..., 0]
 
 
-def metric_quadratic(metric, vec) -> float:
-    """sum_{j,k} B_jk v_j conj(v_k) (real for Hermitian B)."""
-    v = np.asarray(vec, dtype=complex)
-    return float(np.real(np.dot(v, np.asarray(metric) @ np.conj(v))))
-
-
-def form_norm_sq(metric, f_coeffs) -> float:
-    """|f|^2_B = sum_{j,k} (B^{-1})_jk f_j conj(f_k) via a linear solve."""
-    f = np.asarray(f_coeffs, dtype=complex)
-    return float(np.real(np.dot(f, np.linalg.solve(np.asarray(metric), np.conj(f)))))
-
-
 def estimate_functional_E(
     alpha,
     phi: ScalarField,
@@ -171,23 +159,12 @@ def estimate_functional_E(
 
     Nonnegative whenever levi(phi) - g is positive semidefinite on the support
     of alpha; a negative value falsifies the sharp estimate property for
-    (phi, omega).
+    (phi, omega).  Every field is evaluated on the band of alpha only.
     """
-    if isinstance(alpha, FormField01):
-        # single first-derivative stencils only: one stencil width of margin
-        grid.check_support_margin(alpha.support, 1)
-        av = alpha.evaluate(grid.points)
-    else:
-        av = np.asarray(alpha, dtype=complex)
-    pts = grid.points
-    # omega before the Levi forms, so that the temporaries of its Hermitian
-    # check are gone before those exist; the gap goes before the stencils run
-    g = omega(pts)
-    quad = np.real(np.einsum("mjk,jm,km->m", levi_on_grid(phi, grid) - g, av, np.conj(av)))
-    del g
-    grad_sq = gradient_energy(av, grid)
-    weight, shift = weight_exp(-(phi(pts) + psi(pts)))
-    return unshift(float(np.dot(quad + grad_sq, weight * grid.weights)), shift)
+    # single first-derivative stencils only: one stencil width of margin
+    av = node_values(alpha, grid, margin_widths=1)
+    _, quad, grad_sq, weight, shift = band_energy(av, phi, grid, psi, omega)
+    return unshift(float(np.dot(quad + grad_sq, weight)), shift)
 
 
 @dataclass(frozen=True)
@@ -255,8 +232,12 @@ def scan_sharp_witness(
     _, f = build_witness_form(z0, xi, r, make_cutoff())
 
     def energy(grid, psi, s):
-        # nodewise alpha^s = f (sI + g)^{-1}; equals f/s when omega vanishes
-        alpha = alpha_from_f(f.evaluate(grid.points).T, _plus_s(omega(grid.points), s)).T
+        # alpha^s = f (sI + g)^{-1} at the support nodes of f, zero elsewhere;
+        # equals f/s when omega vanishes
+        idx = grid.support_nodes(f.support)
+        pts = grid.points_at(idx)
+        alpha = np.zeros((n, grid.weights.size), dtype=complex)
+        alpha[:, idx] = alpha_from_f(f.evaluate(pts).T, _plus_s(omega(pts), s)).T
         return estimate_functional_E(alpha, phi, psi, omega, grid)
 
     grid = _witness_grid(z0, r, grid_nodes)
@@ -470,7 +451,8 @@ def coarse_rhs_bound(
         raise ValueError(
             f"grid does not resolve the annulus: spacing {spacing:.3e} > eps/16"
         )
-    pts = grid.points
+    idx = grid.support_nodes(alpha.support)
+    pts = grid.points_at(idx)
     av = alpha.evaluate(pts)
     on_support = np.sum(np.abs(av) ** 2, axis=0) > 0.0
     # exclude the pole node if it happens to sit on the grid (delta = 0)
@@ -480,7 +462,7 @@ def coarse_rhs_bound(
     norm_sq = _psi_delta_norm_sq(av[:, use], pts[use], w, delta, n)
     weight, shift = weight_exp(-(m * phi(pts[use]) + psi(pts[use])))
     integrand = norm_sq ** (p / 2.0) * weight
-    rhs = unshift(float(np.dot(integrand, grid.weights[use])), shift + log_c_m)
+    rhs = unshift(float(np.dot(integrand, grid.weights[idx[use]])), shift + log_c_m)
 
     inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)

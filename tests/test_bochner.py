@@ -15,12 +15,13 @@ from pshlab.bochner import (
     dbar_star,
     get_form,
     make_grid,
-    scalar_dbar,
-    weighted_pairing,
     zero_field,
 )
 from pshlab.errors import WeightOverflowError
 from pshlab.geometry import DomainBox, unit_ball
+from pshlab.witness import build_alpha_eps, build_witness_form, make_cutoff
+
+from grid_helpers import check_support, scalar_dbar, weighted_pairing
 
 
 def grid1(nodes=128, half=1.3):
@@ -245,8 +246,121 @@ class TestBochnerIdentity:
 
         monkeypatch.setattr(FormField01, "evaluate", counted)
         g = grid2(nodes=20, half=1.9)
-        bochner_residual(bump_zbar_form(2), fields.sq_norm(2), g)
-        assert calls == [g.points.shape[0]]
+        alpha = bump_zbar_form(2)
+        bochner_residual(alpha, fields.sq_norm(2), g)
+        # one evaluation, at the support nodes of the form only
+        assert calls == [g.support_nodes(alpha.support).size] == [3312]
+
+
+def dense_bochner_terms(alpha, phi, grid):
+    """The four terms of the energy identity summed over every node of the grid.
+
+    Needs a weight whose e^{-phi} neither overflows nor underflows on the grid.
+    """
+    pts = grid.points
+    av = alpha.evaluate(pts)
+    e = np.exp(-phi(pts)) * grid.weights
+    curvature = np.dot(np.einsum("mjk,jm,km->m", phi.hess(pts), av, np.conj(av)).real, e)
+    gradient = sum(
+        np.dot(np.abs(grid.d_dzbar(av[j], k)) ** 2, e) for j in range(grid.n) for k in range(grid.n)
+    )
+    dbar = np.dot(np.sum(np.abs(dbar_01(av, grid)) ** 2, axis=0), e)
+    gphi = phi.grad(pts)
+    adj = -sum(grid.d_dz(av[j], j) - av[j] * gphi[:, j] for j in range(grid.n))
+    adjoint = np.dot(np.abs(adj) ** 2, e)
+    return curvature, gradient, dbar, adjoint
+
+
+def criterion_2_cases():
+    """The eight (grid, weight, form) cases of acceptance criterion 2."""
+    for n, nodes, radius in ((1, 256, 0.9), (2, 24, 0.8)):
+        xi = np.array([1.0]) if n == 1 else np.array([0.8, 0.6j])
+        for phi in (zero_field(n), fields.sq_norm(n)):
+            for alpha in (bump_const_form(xi, radius=radius), bump_zbar_form(n, radius=radius)):
+                yield pytest.param(n, nodes, phi, alpha, id=f"n{n}-{phi.name}-{alpha.name}")
+
+
+class TestBand:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_support_nodes_cover_the_nonzero_set(self, n):
+        g = make_grid(unit_ball(n, radius=1.3, center=[0.1j] * n), 48 if n == 1 else 14)
+        xi = np.eye(n)[0]
+        center = np.full(n, 0.05 + 0.1j)
+        forms = (
+            bump_const_form(xi, center=center, radius=0.7),
+            bump_zbar_form(n, center=center, radius=0.9),
+            build_witness_form(center, xi, 0.8, make_cutoff())[1],
+            build_alpha_eps(center, 0.6, make_cutoff()),
+        )
+        for form in forms:
+            idx = g.support_nodes(form.support)
+            assert np.all(np.diff(idx) > 0)
+            assert 0 < idx.size < g.weights.size
+            off = np.ones(g.weights.size, dtype=bool)
+            off[idx] = False
+            assert not np.any(form.evaluate(g.points)[:, off]), form.name
+
+    @pytest.mark.parametrize("n, nodes", [(1, 33), (2, 9)])
+    def test_points_at_matches_points(self, n, nodes):
+        g = make_grid(unit_ball(n, radius=0.7, center=[0.2 - 0.3j] * n), nodes)
+        idx = np.random.default_rng(3).choice(g.weights.size, 50, replace=False)
+        assert np.array_equal(g.points_at(idx), g.points[idx])
+        assert np.array_equal(g.points_at(np.arange(g.weights.size)), g.points)
+
+    @pytest.mark.parametrize("n, nodes, phi, alpha", criterion_2_cases())
+    def test_dense_oracle_criterion_2(self, n, nodes, phi, alpha):
+        g = make_grid(unit_ball(n, radius=1.3), nodes)
+        rep = bochner_residual(alpha, phi, g)
+        dense = dense_bochner_terms(alpha, phi, g)
+        band = (rep.curvature_term, rep.gradient_term, rep.dbar_term, rep.adjoint_term)
+        for got, want in zip(band, dense):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        lhs, rhs = dense[0] + dense[1], dense[2] + dense[3]
+        # residuals are cancellation-limited (zero weights: roundoff-level), so absolute
+        assert abs(rep.residual - abs(lhs - rhs) / max(lhs, rhs)) <= 1e-14
+
+    def test_weight_shift_is_the_bands(self):
+        # e^{400|z|^2} peaks at the box corners, where the form vanishes: a
+        # shift taken there underflows every weight on the support
+        deep = fields.ScalarField(
+            "neg_400_sq", 1, lambda z: -400.0 * np.sum(np.abs(z) ** 2, axis=-1),
+            grad=lambda z: -400.0 * np.conj(z),
+            hess=lambda z: np.full((z.shape[0], 1, 1), -400.0, dtype=complex),
+        )
+        rep = bochner_residual(bump_const_form([1], radius=0.8), deep, grid1(nodes=128))
+        assert rep.curvature_term < 0.0 < rep.gradient_term
+        assert rep.adjoint_term > 0.0
+        assert rep.dbar_term == 0.0  # no (0,2)-forms on C
+        assert rep.residual <= 1e-3
+
+    def test_pole_off_the_band_is_not_an_error(self):
+        # log|z - a| is -inf at a grid node far from the form: no integrand sees it
+        g = grid1(nodes=64)
+        pole = g.points[np.argmin(np.abs(g.points[:, 0] - (1.2 + 1.2j)))]
+        phi = fields.log_abs(pole, 1)
+        rep = bochner_residual(bump_const_form([1], radius=0.9), phi, g)
+        assert np.isfinite(rep.residual) and rep.lhs > 0.0
+        with pytest.raises(WeightOverflowError):  # as a weight on the whole box
+            fields.weight_exp(-phi(g.points))
+
+    def test_zero_form_evaluates_no_node(self):
+        seen = []
+
+        def record(z):
+            seen.append(z.shape[0])
+            return np.zeros(z.shape[0])
+
+        phi = fields.ScalarField(
+            "recorded", 1, record,
+            grad=lambda z: record(z)[:, None].astype(complex),
+            hess=lambda z: record(z)[:, None, None].astype(complex),
+        )
+        zero = FormField01(
+            "0", 1, (lambda z: np.zeros(z.shape[0], dtype=complex),), unit_ball(1, radius=0.9)
+        )
+        rep = bochner_residual(zero, phi, grid1(nodes=48))
+        assert rep.residual == rep.lhs == rep.rhs == 0.0
+        assert not any(seen)
 
 
 class TestFormRegistry:
@@ -265,7 +379,7 @@ class TestFormRegistry:
         rng = np.random.default_rng(0)
         pts = rng.uniform(-1.5, 1.5, size=(64, 4))
         pts = pts[:, 0::2] + 1j * pts[:, 1::2]
-        assert a.check_support(pts)
+        assert check_support(a, pts)
 
     def test_support_margin_enforced(self):
         g = make_grid(unit_ball(1, radius=1.0), 64)  # no margin around the bump

@@ -197,3 +197,8 @@ class TestRegistry:
         g[2, 1, 1] = 3.0j  # |g_11 - conj(g_11)| = 6
         with pytest.raises(ValueError, match="deviation 6.000e"):
             HermitianField("bad", 2, lambda z: g)(np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("omega", [fields.zero_omega(2), fields.scaled_sq_omega(0.5, 2)])
+    def test_hermitian_field_on_zero_points(self, omega):
+        g = omega(np.zeros((0, 2)))
+        assert g.shape == (0, 2, 2)

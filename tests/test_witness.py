@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate as sint
 
 from pshlab import fields
-from pshlab.bochner import dbar_01, make_grid, scalar_dbar
+from pshlab.bochner import dbar_01, make_grid
 from pshlab.errors import ContinuityRequiredError, MetricNotPositiveError
 from pshlab.geometry import DomainBox, ball_volume, unit_ball
 from pshlab.witness import (
@@ -19,12 +19,12 @@ from pshlab.witness import (
     coarse_constant_growth,
     coarse_rhs_bound,
     estimate_functional_E,
-    form_norm_sq,
     make_cutoff,
-    metric_quadratic,
     modulus_of_continuity,
     scan_sharp_witness,
 )
+
+from grid_helpers import form_norm_sq, metric_quadratic, scalar_dbar
 
 
 class TestCutoff:
@@ -288,6 +288,58 @@ class TestScanSharpWitness:
         expected = f.evaluate(grid.points) / 50.0
         inner = np.abs(grid.points[:, 0]) < 0.25
         assert np.max(np.abs(vals - expected)[:, inner]) <= 1e-14
+
+
+def dense_functional_E(alpha, phi, psi, omega, grid):
+    """The sign functional summed over every node of the grid."""
+    pts = grid.points
+    gap = phi.hess(pts) - omega(pts)
+    quad = np.einsum("mjk,jm,km->m", gap, alpha, np.conj(alpha)).real
+    grad_sq = sum(
+        np.abs(grid.d_dzbar(alpha[j], k)) ** 2 for j in range(grid.n) for k in range(grid.n)
+    )
+    expo = -(phi(pts) + psi(pts))
+    shift = np.max(expo)
+    return float(np.dot(quad + grad_sq, np.exp(expo - shift) * grid.weights)) * math.exp(shift)
+
+
+class TestBandEnergy:
+    @pytest.mark.parametrize("spec, n", [("neg_sq_norm", 1), ("saddle:2", 2)])
+    def test_dense_oracle_criterion_4(self, spec, n):
+        from pshlab.witness import _witness_grid
+
+        phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
+        cert = scan_sharp_witness(phi, omega, unit_ball(n))
+        _, f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
+        psi = build_psi_s(cert.z0, cert.r, cert.s)
+        for nodes, value in ((cert.grid_nodes, cert.E), (2 * cert.grid_nodes, cert.E_doubled)):
+            grid = _witness_grid(cert.z0, cert.r, nodes)
+            alpha = alpha_from_f(
+                f.evaluate(grid.points).T, omega(grid.points) + cert.s * np.eye(n)
+            ).T
+            dense = dense_functional_E(alpha, phi, psi, omega, grid)
+            assert abs(value - dense) <= 1e-12 * abs(dense)
+
+    def test_zero_form_evaluates_no_field(self):
+        def unused(z):
+            raise AssertionError("a field was evaluated")
+
+        grid = make_grid(unit_ball(2, radius=0.6), 8)
+        alpha = np.zeros((2, grid.weights.size), dtype=complex)
+        phi = fields.ScalarField("unused", 2, unused, hess=unused)
+        omega = fields.HermitianField("unused", 2, unused)
+        assert estimate_functional_E(alpha, phi, phi, omega, grid) == 0.0
+
+    def test_form_argument_equals_node_values(self):
+        z0 = np.array([0.1 + 0.0j])
+        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        grid = make_grid(DomainBox("ball", z0, np.array([0.7])), 64)
+        phi, psi = fields.neg_sq_norm(1), build_psi_s(z0, 0.5, 100.0)
+        from_form = estimate_functional_E(f, phi, psi, fields.zero_omega(1), grid)
+        from_values = estimate_functional_E(
+            f.evaluate(grid.points), phi, psi, fields.zero_omega(1), grid
+        )
+        assert from_form == from_values
 
 
 class TestAlphaEps:
