@@ -44,7 +44,6 @@ from .meanvalue import (
     MeanValueReport,
     classify_psh,
     cylinder_mean,
-    line_disc_mean,
     submean_test,
 )
 from .bochner import (

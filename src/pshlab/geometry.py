@@ -248,32 +248,6 @@ def random_unitary(seed: int, n: int) -> np.ndarray:
     return q
 
 
-def unitary_from_first_column(xi) -> np.ndarray:
-    """Unitary frame whose first column is the given unit vector."""
-    xi = as_point(xi)
-    n = xi.size
-    nz = np.linalg.norm(xi)
-    if abs(nz - 1.0) > 1e-10:
-        raise ValueError("direction must be a unit vector")
-    xi = xi / nz
-    if n == 1:
-        return xi.reshape(1, 1)
-    basis = np.eye(n, dtype=complex)
-    cols = [xi]
-    for k in range(n):
-        v = basis[:, k]
-        for c in cols:
-            v = v - np.vdot(c, v) * c
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            cols.append(v / nv)
-        if len(cols) == n:
-            break
-    a = np.stack(cols, axis=1)
-    check_unitary(a)
-    return a
-
-
 def _halton_axis(cnt: int, base: int) -> np.ndarray:
     """Van der Corput values of the indices 1..cnt in the given base, in O(cnt).
 
@@ -347,9 +321,9 @@ def _unit_tensor(n: int, budget: int) -> tuple:
     return factors
 
 
-# A scan's rechecks use one quasi-random rule at two budgets.  Entries are
-# N-sized, so the cache keeps that pair and no more.
-@lru_cache(maxsize=2)
+# A scan's cross rule is one quasi-random rule at one budget, 4x the first
+# pass's.  Entries are N-sized, so the cache keeps that rule and no more.
+@lru_cache(maxsize=1)
 def _unit_uniform_model(kind: str, n: int, cnt: int, seed: int) -> np.ndarray:
     """Nodes of the quasi-random (shifted Halton) or random rule on P_{1,1}.
 
@@ -397,17 +371,3 @@ def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderS
     nodes = model @ (a * [cyl.r, cyl.s][:n]).T
     nodes += cyl.center
     return CylinderSample(nodes, np.full(rule.budget, cyl.volume / rule.budget))
-
-
-def montecarlo_volume(cyl: HolomorphicCylinder, samples: int, seed: int):
-    """Hit-count volume of the cylinder and the 1-sigma binomial error."""
-    rng = np.random.default_rng(seed)
-    half = cyl.bounding_radius
-    box = 2.0 * half
-    u = rng.uniform(-half, half, size=(samples, 2 * cyl.n))
-    pts = cyl.center + (u[:, 0::2] + 1j * u[:, 1::2])
-    p = float(np.mean(cyl.contains(pts)))
-    vol_box = box ** (2 * cyl.n)
-    est = p * vol_box
-    sigma = vol_box * math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
-    return est, sigma

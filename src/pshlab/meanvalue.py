@@ -2,7 +2,7 @@
 
 A function that is psh satisfies phi(z0) <= (1/mu(P)) int_{z0+P} phi for every
 holomorphic cylinder P; a single cylinder with a negative margin is a concrete
-violation witness.  Thin cylinders degenerate to disc means on complex lines.
+violation witness.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from .geometry import (
     DomainBox,
     HolomorphicCylinder,
     QuadratureRule,
-    as_point,
     random_unitary,
     sample_cylinder,
-    unitary_from_first_column,
 )
 
 # floors -M for upper semi-continuous integrands with value -inf; the mean is
@@ -43,7 +41,7 @@ class MeanValueReport:
     cylinder: HolomorphicCylinder
     mean: float
     margin: float
-    quad_error: float
+    quad_error: Optional[float]
 
     @property
     def violates(self) -> bool:
@@ -84,29 +82,27 @@ def cylinder_mean(
     return clipped_mean(phi(sample.nodes), sample.weights, cyl.volume)
 
 
-def cylinder_mean_with_error(
-    phi: ScalarField, cyl: HolomorphicCylinder, rule: QuadratureRule
-):
-    """Cylinder mean plus an error estimate from an embedded coarser rule."""
-    mean = cylinder_mean(phi, cyl, rule)
-    mean_coarse = cylinder_mean(phi, cyl, rule.with_budget(max(16, rule.budget // 4)))
-    if np.isfinite(mean) and np.isfinite(mean_coarse):
-        err = abs(mean - mean_coarse)
-    else:
-        err = float("inf")
-    return mean, err
-
-
 def submean_test(
-    phi: ScalarField, cyl: HolomorphicCylinder, rule: QuadratureRule
+    phi: ScalarField,
+    cyl: HolomorphicCylinder,
+    rule: QuadratureRule,
+    coarse_mean: Optional[float] = None,
 ) -> MeanValueReport:
-    """Margin = mean - phi(z0), with the embedded-rule quadrature-error estimate."""
+    """Margin = mean - phi(z0) under one rule.
+
+    quad_error is the embedded-rule estimate |mean - coarse_mean| from the mean
+    of a coarser rule that the caller has already taken, inf if either mean is
+    not finite, and None without a coarse mean.
+    """
     center_val = phi.value_at(cyl.center)
     if not np.isfinite(center_val):
         raise ValueError("submean_test needs a center off the pole set")
-    mean, err = cylinder_mean_with_error(phi, cyl, rule)
-    margin = mean - center_val
-    return MeanValueReport(cyl.center, cyl, mean, margin, err)
+    mean = cylinder_mean(phi, cyl, rule)
+    err = None
+    if coarse_mean is not None:
+        finite = np.isfinite(mean) and np.isfinite(coarse_mean)
+        err = abs(mean - coarse_mean) if finite else float("inf")
+    return MeanValueReport(cyl.center, cyl, mean, mean - center_val, err)
 
 
 @dataclass(frozen=True)
@@ -128,19 +124,20 @@ def classify_psh(
     seed: int,
     tol: float = DEFAULT_MARGIN_TOL,
     budget: Optional[int] = None,
-    rule_kind: str = "tensor-grid",
     max_violations: Optional[int] = None,
 ) -> PshScanResult:
     """Randomized sub-mean-value scan over a region, deterministic under seed.
 
-    Every candidate violation (margin < -tol) is re-checked at 4x node budget
-    and reported only if the margin stays below -tol/2 and clears the
-    quadrature noise floor.  The noise floor combines the embedded coarse-rule
-    estimate with a cross-rule comparison (tensor versus quasi-random), whose
-    errors are independent, so kink-induced bias on merely continuous fields
-    cannot masquerade as a violation.  Cylinder centers are drawn uniformly in
-    the region, never on the pole set; radii come from RADIUS_RANGE scaled by
-    the region size.  max_violations stops the scan early (in job order) once
+    Each cylinder takes one tensor rule at the node budget.  Every candidate
+    violation (margin < -tol) is re-checked by the tensor rule at 4x budget and
+    reported only if the margin stays below -tol/2 and clears the quadrature
+    noise floor.  The noise floor combines the recheck's embedded-rule estimate,
+    whose coarse rule is the first pass at a quarter of its budget, with a
+    cross-rule comparison against a quasi-random rule at 4x budget, whose errors
+    are independent, so kink-induced bias on merely continuous fields cannot
+    masquerade as a violation.  Cylinder centers are drawn uniformly in the
+    region, never on the pole set; radii come from RADIUS_RANGE scaled by the
+    region size.  max_violations stops the scan early (in job order) once
     that many confirmed witnesses exist.
     """
     if centers < 1 or cylinders_per_center < 1:
@@ -172,7 +169,7 @@ def classify_psh(
             s = float(rng.uniform(*RADIUS_RANGE)) * scale
             jobs.append((center, frame_seed, r, s))
 
-    rule = QuadratureRule(rule_kind, budget, seed)
+    rule = QuadratureRule("tensor-grid", budget, seed)
     recheck = rule.with_budget(4 * budget)
     cross_rule = QuadratureRule("quasi-random", 4 * budget, seed + 1)
 
@@ -182,7 +179,7 @@ def classify_psh(
         cyl = HolomorphicCylinder(center, frame, r, s)
         report = submean_test(phi, cyl, rule)
         if report.margin < -tol:
-            confirm = submean_test(phi, cyl, recheck)
+            confirm = submean_test(phi, cyl, recheck, coarse_mean=report.mean)
             cross = submean_test(phi, cyl, cross_rule)
             err = max(confirm.quad_error, abs(confirm.margin - cross.margin))
             if confirm.margin < -max(tol / 2.0, NOISE_FACTOR * err):
@@ -201,35 +198,3 @@ def classify_psh(
 
     verdict = "violated" if violations else "no-violation-found"
     return PshScanResult(verdict, tuple(violations), checked)
-
-
-def line_disc_mean(
-    phi: ScalarField,
-    z0,
-    xi,
-    r: float,
-    s_sequence,
-    rule: QuadratureRule,
-) -> list:
-    """Cylinder means along frames with first axis xi and shrinking s.
-
-    The returned list has one entry per s, followed by the direct disc mean
-    (1/(pi r^2)) int_{|w|<r} phi(z0 + w xi) as the degenerate limit.
-    """
-    z0 = as_point(z0)
-    xi = as_point(xi)
-    frame = unitary_from_first_column(xi)
-    means = []
-    for s in s_sequence:
-        cyl = HolomorphicCylinder(z0, frame, r, float(s))
-        means.append(cylinder_mean(phi, cyl, rule))
-    means.append(_direct_line_disc_mean(phi, z0, xi, r, rule))
-    return means
-
-
-def _direct_line_disc_mean(phi, z0, xi, r, rule: QuadratureRule):
-    disc = HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), r)
-    sample = sample_cylinder(disc, rule)
-    pts = z0[None, :] + sample.nodes[:, :1] * xi[None, :]
-    vals = phi(pts)
-    return clipped_mean(vals, sample.weights, disc.volume)

@@ -1,0 +1,88 @@
+"""Test-only helpers on cylinders: a frame with a given first axis, cylinder
+means along a complex line as the cylinders thin out, and a hit-count volume."""
+
+import math
+
+import numpy as np
+
+from pshlab.fields import ScalarField
+from pshlab.geometry import (
+    HolomorphicCylinder,
+    QuadratureRule,
+    as_point,
+    check_unitary,
+    sample_cylinder,
+)
+from pshlab.meanvalue import clipped_mean, cylinder_mean
+
+
+def unitary_from_first_column(xi) -> np.ndarray:
+    """Unitary frame whose first column is the given unit vector."""
+    xi = as_point(xi)
+    n = xi.size
+    nz = np.linalg.norm(xi)
+    if abs(nz - 1.0) > 1e-10:
+        raise ValueError("direction must be a unit vector")
+    xi = xi / nz
+    if n == 1:
+        return xi.reshape(1, 1)
+    basis = np.eye(n, dtype=complex)
+    cols = [xi]
+    for k in range(n):
+        v = basis[:, k]
+        for c in cols:
+            v = v - np.vdot(c, v) * c
+        nv = np.linalg.norm(v)
+        if nv > 1e-8:
+            cols.append(v / nv)
+        if len(cols) == n:
+            break
+    a = np.stack(cols, axis=1)
+    check_unitary(a)
+    return a
+
+
+def line_disc_mean(
+    phi: ScalarField,
+    z0,
+    xi,
+    r: float,
+    s_sequence,
+    rule: QuadratureRule,
+) -> list:
+    """Cylinder means along frames with first axis xi and shrinking s.
+
+    The returned list has one entry per s, followed by the direct disc mean
+    (1/(pi r^2)) int_{|w|<r} phi(z0 + w xi) as the degenerate limit.
+    """
+    z0 = as_point(z0)
+    xi = as_point(xi)
+    frame = unitary_from_first_column(xi)
+    means = []
+    for s in s_sequence:
+        cyl = HolomorphicCylinder(z0, frame, r, float(s))
+        means.append(cylinder_mean(phi, cyl, rule))
+    means.append(_direct_line_disc_mean(phi, z0, xi, r, rule))
+    return means
+
+
+def _direct_line_disc_mean(phi, z0, xi, r, rule: QuadratureRule):
+    disc = HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), r)
+    sample = sample_cylinder(disc, rule)
+    pts = z0[None, :] + sample.nodes[:, :1] * xi[None, :]
+    vals = phi(pts)
+    return clipped_mean(vals, sample.weights, disc.volume)
+
+
+def montecarlo_volume(cyl: HolomorphicCylinder, samples: int, seed: int):
+    """Hit-count volume of the cylinder and the 1-sigma binomial error."""
+    rng = np.random.default_rng(seed)
+    half = cyl.bounding_radius
+    box = 2.0 * half
+    u = rng.uniform(-half, half, size=(samples, 2 * cyl.n))
+    pts = cyl.center + (u[:, 0::2] + 1j * u[:, 1::2])
+    p = float(np.mean(cyl.contains(pts)))
+    vol_box = box ** (2 * cyl.n)
+    est = p * vol_box
+    sigma = vol_box * math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
+    return est, sigma

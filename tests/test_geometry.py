@@ -12,12 +12,12 @@ from pshlab.geometry import (
     as_point,
     ball_volume,
     cylinder_volume,
-    montecarlo_volume,
     random_unitary,
     sample_cylinder,
     unit_ball,
-    unitary_from_first_column,
 )
+
+from cylinder_helpers import montecarlo_volume, unitary_from_first_column
 
 
 def disc(r=1.0, center=0.0):

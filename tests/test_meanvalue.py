@@ -11,9 +11,10 @@ from pshlab.meanvalue import (
     classify_psh,
     clipped_mean,
     cylinder_mean,
-    line_disc_mean,
     submean_test,
 )
+
+from cylinder_helpers import line_disc_mean
 
 RULE = QuadratureRule("tensor-grid", 4096, seed=0)
 
@@ -32,6 +33,32 @@ def disc_mean_oracle(func, r, center):
     return val / (math.pi * r * r)
 
 
+def mean_with_embedded_error(phi, cyl, rule):
+    """Cylinder mean plus the error estimate of its own embedded quarter-budget rule."""
+    mean = cylinder_mean(phi, cyl, rule)
+    mean_coarse = cylinder_mean(phi, cyl, rule.with_budget(max(16, rule.budget // 4)))
+    if np.isfinite(mean) and np.isfinite(mean_coarse):
+        err = abs(mean - mean_coarse)
+    else:
+        err = float("inf")
+    return mean, err
+
+
+def sampled_rules(monkeypatch):
+    """The rules of every cylinder sample meanvalue draws from now on, in order."""
+    from pshlab import meanvalue
+
+    calls = []
+    sample = meanvalue.sample_cylinder
+
+    def counted(cyl, rule):
+        calls.append(rule)
+        return sample(cyl, rule)
+
+    monkeypatch.setattr(meanvalue, "sample_cylinder", counted)
+    return calls
+
+
 class TestCylinderMean:
     def test_log_abs_harmonic_mean(self):
         # mean-value equality of the harmonic function log|z| away from 0
@@ -46,21 +73,9 @@ class TestCylinderMean:
         assert oracle == pytest.approx(0.5, rel=1e-9)
 
     def test_one_rule_per_mean(self, monkeypatch):
-        from pshlab import meanvalue
-
-        calls = []
-        sample = meanvalue.sample_cylinder
-
-        def counted(cyl, rule):
-            calls.append(rule)
-            return sample(cyl, rule)
-
-        monkeypatch.setattr(meanvalue, "sample_cylinder", counted)
+        calls = sampled_rules(monkeypatch)
         cylinder_mean(fields.sq_norm(1), disc(), RULE)
         assert calls == [RULE]
-        calls.clear()
-        submean_test(fields.sq_norm(1), disc(), RULE)
-        assert [rule.budget for rule in calls] == [RULE.budget, RULE.budget // 4]
 
     def test_constant(self):
         const = fields.ScalarField("c", 1, lambda z: np.full(z.shape[0], 3.25))
@@ -106,6 +121,26 @@ class TestSubmeanTest:
         with pytest.raises(ValueError, match="pole"):
             submean_test(fields.log_abs(n=1), disc(0.5), RULE)
 
+    def test_quad_error_needs_coarse_mean(self, monkeypatch):
+        calls = sampled_rules(monkeypatch)
+        assert submean_test(fields.sq_norm(1), disc(), RULE).quad_error is None
+        rep = submean_test(fields.sq_norm(1), disc(), RULE, coarse_mean=0.25)
+        assert rep.quad_error == abs(rep.mean - 0.25)
+        assert calls == [RULE, RULE]
+
+    def test_quad_error_inf_for_infinite_mean(self):
+        rep = submean_test(fields.sq_norm(1), disc(), RULE, coarse_mean=float("-inf"))
+        assert np.isfinite(rep.mean)
+        assert rep.quad_error == float("inf")
+        # -inf off the disc of radius 1/2: the clipped means diverge
+        hole = fields.ScalarField(
+            "hole", 1, lambda z: np.where(np.abs(z[:, 0]) > 0.5, -np.inf, 0.0),
+            smoothness="usc",
+        )
+        rep = submean_test(hole, disc(), RULE, coarse_mean=0.0)
+        assert rep.mean == float("-inf")
+        assert rep.quad_error == float("inf")
+
 
 class TestClassifyPsh:
     def test_sq_norm_clean(self):
@@ -141,6 +176,48 @@ class TestClassifyPsh:
         assert a.verdict == b.verdict == "violated"
         assert [r.margin for r in a.violations] == [r.margin for r in b.violations]
 
+    def test_clean_cylinder_draws_one_rule(self, monkeypatch):
+        calls = sampled_rules(monkeypatch)
+        res = classify_psh(
+            fields.sq_norm(2), unit_ball(2), centers=2, cylinders_per_center=3,
+            seed=5, budget=1024,
+        )
+        assert res.verdict == "no-violation-found"
+        assert calls == [QuadratureRule("tensor-grid", 1024, 5)] * 6
+
+    def test_candidate_draws_recheck_then_cross_rule(self, monkeypatch):
+        calls = sampled_rules(monkeypatch)
+        res = classify_psh(
+            fields.neg_sq_norm(1), unit_ball(1), centers=1, cylinders_per_center=1,
+            seed=3, tol=1e-3, budget=1024,
+        )
+        assert res.violated
+        assert calls == [
+            QuadratureRule("tensor-grid", 1024, 3),
+            QuadratureRule("tensor-grid", 4096, 3),
+            QuadratureRule("quasi-random", 4096, 4),
+        ]
+
+    @pytest.mark.parametrize(
+        "phi, budget",
+        [(fields.neg_sq_norm(1), 1024), (fields.saddle(2.0), 4096)],
+        ids=["neg_sq_norm", "saddle"],
+    )
+    def test_violations_match_embedded_rule_oracle(self, phi, budget):
+        # the recheck's estimate is that of its own quarter-budget rule
+        seed = 7
+        res = classify_psh(
+            phi, unit_ball(phi.n), centers=10, cylinders_per_center=3,
+            seed=seed, tol=1e-3, budget=budget,
+        )
+        assert res.violated
+        recheck = QuadratureRule("tensor-grid", 4 * budget, seed)
+        for rep in res.violations:
+            mean, err = mean_with_embedded_error(phi, rep.cylinder, recheck)
+            assert rep.mean == mean
+            assert rep.margin == mean - phi.value_at(rep.center)
+            assert rep.quad_error == err
+
     def test_empty_budget_rejected(self):
         with pytest.raises(ValueError, match="empty scan"):
             classify_psh(fields.sq_norm(1), unit_ball(1), 0, 1, seed=0)
@@ -156,7 +233,10 @@ class TestClassifyPsh:
                 center, random_unitary(int(rng.integers(1 << 31)), 2),
                 float(rng.uniform(0.05, 0.4)), float(rng.uniform(0.05, 0.4)),
             )
-            rep = submean_test(phi, cyl, QuadratureRule("tensor-grid", 1024, 0))
+            coarse = cylinder_mean(phi, cyl, QuadratureRule("tensor-grid", 256, 0))
+            rep = submean_test(
+                phi, cyl, QuadratureRule("tensor-grid", 1024, 0), coarse_mean=coarse
+            )
             assert rep.margin >= -rep.quad_error - 1e-12
 
 
