@@ -36,8 +36,6 @@ from .fields import (
     get_field,
     get_omega,
     levi_form,
-    min_levi_eigenvalue,
-    wirtinger_grad,
     zero_omega,
 )
 from .meanvalue import (

@@ -80,10 +80,8 @@ LEVI_CORPUS = (
 
 
 def _hessian_rel_error(phi, z, h):
-    from .fields import levi_form
-
-    fd = levi_form(phi, z, h=h, use_analytic=False)
-    exact = levi_form(phi, z, use_analytic=True)
+    fd = fields.levi_form(phi, z, h=h, use_analytic=False)
+    exact = fields.levi_form(phi, z, use_analytic=True)
     return float(np.max(np.abs(fd - exact)) / max(np.max(np.abs(exact)), 1.0))
 
 
@@ -331,7 +329,7 @@ def criterion_hormander_ratio(seed: int) -> CheckRecord:
         ok &= result.ratio <= 1.02 and result.residual <= 5e-3
 
     z0 = np.zeros(1, dtype=complex)
-    _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+    f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
     best = 0.0
     for s in (10.0, 100.0, 1000.0, 10000.0):
         psi = build_psi_s(z0, 0.5, s)
@@ -372,11 +370,25 @@ RUNTIME_LIMITS = {
 }
 
 
-def payload_bytes(records) -> bytes:
-    from .cli import _json_default  # cli imports this module
+def json_default(obj):
+    """JSON form of the numpy and complex values in reports: complex arrays
+    as [re, im] pairs, numpy scalars as Python numbers."""
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return [[float(v.real), float(v.imag)] for v in obj]
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
+
+def payload_bytes(records) -> bytes:
     return json.dumps(
-        [r.payload() for r in records], sort_keys=True, default=_json_default
+        [r.payload() for r in records], sort_keys=True, default=json_default
     ).encode()
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PoleInStencilError
-from .fields import ScalarField, unshift, weight_exp
+from .fields import ScalarField, levi_form, unshift, weight_exp
 from .geometry import DomainBox, as_point, as_points
 
 FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
@@ -216,11 +216,10 @@ def dbar_star(alpha, phi: ScalarField, grid: GridDiscretization) -> np.ndarray:
 
 def levi_on_grid(phi: ScalarField, grid: GridDiscretization, nodes=None) -> np.ndarray:
     """(k, n, n) Levi forms at the flat node indices nodes (every node when
-    None): the analytic Hessian as declared (no copy), or d/dzbar_k d/dz_j phi
-    by the 4th-order stencil on the whole grid, symmetrised."""
+    None): levi_form of the declared Hessian, or d/dzbar_k d/dz_j phi by the
+    4th-order stencil on the whole grid, symmetrised."""
     if phi.hess is not None:
-        pts = grid.points if nodes is None else grid.points_at(nodes)
-        return np.asarray(phi.hess(pts), dtype=complex)
+        return levi_form(phi, grid.points if nodes is None else grid.points_at(nodes))
     n = grid.n
     sel = slice(None) if nodes is None else nodes
     pv = phi(grid.points)
@@ -391,8 +390,7 @@ def get_form(spec: str, n: int) -> FormField01:
 
         xi = np.zeros(n, dtype=complex)
         xi[0] = 1.0
-        _, f = build_witness_form(np.zeros(n, dtype=complex), xi, 1.0, make_cutoff())
-        return f
+        return build_witness_form(np.zeros(n, dtype=complex), xi, 1.0, make_cutoff())
     raise ValueError(
         f"unknown form id {base!r}; known ids: bump_const, bump_zbar2, dbar_nu"
     )

@@ -20,13 +20,13 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__, fields
-from .acceptance import RUNTIME_LIMITS, CheckRecord, render_lines, run_suite
+from .acceptance import RUNTIME_LIMITS, CheckRecord, json_default, render_lines, run_suite
 from .bochner import bochner_residual, get_form, make_grid
 from .dbar1d import hormander_ratio
 from .errors import PshlabError
@@ -146,20 +146,6 @@ def _atomic_write(path: str, data: str) -> None:
             os.unlink(tmp)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return [[float(v.real), float(v.imag)] for v in obj]
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def write_report(
     path: Optional[str], command: str, config: dict, checks: list, t0: float, **extra
 ):
@@ -174,7 +160,7 @@ def write_report(
         **extra,
         "wall_clock_seconds": time.perf_counter() - t0,
     }
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(report, indent=2, sort_keys=True, default=json_default)
     if path:
         _atomic_write(path, text + "\n")
     return report
@@ -276,7 +262,7 @@ def _witness(args, phi, omega, region) -> list:
         holds = fields.check_lower_bound(phi, omega, region).holds
         passed, values = holds, {"certificate": None, "levi_lower_bound_holds": holds}
     else:
-        passed, values = cert.E < 0.0, {"certificate": cert.as_dict()}
+        passed, values = cert.E < 0.0, {"certificate": asdict(cert)}
     return [CheckRecord("sharp-witness", passed, values, {"smax": args.smax})]
 
 

@@ -120,20 +120,6 @@ def weighted_bergman_projection(
     return h_values, coeffs
 
 
-def projection_orthogonality(
-    u_values, h_values, eta: ScalarField, degree: int, grid, domain=None
-) -> float:
-    """Max relative pairing of (u - h) against the basis monomials."""
-    pts = grid.points
-    w, _ = _weights(eta, grid, domain)
-    mono = _monomial_values(pts, monomial_exponents(1, degree))
-    res = np.asarray(u_values) - np.asarray(h_values)
-    pair = mono.conj().T @ (w * res)
-    res_norm = math.sqrt(max(float(np.real(np.dot(np.conj(res), w * res))), 1e-300))
-    mono_norms = np.sqrt(np.maximum(np.real(np.einsum("ma,m,ma->a", np.conj(mono), w, mono)), 1e-300))
-    return float(np.max(np.abs(pair) / (res_norm * mono_norms)))
-
-
 def hormander_ratio(
     phi: ScalarField,
     psi: ScalarField,

@@ -1,4 +1,4 @@
-"""Scalar weight fields, Wirtinger derivatives, Levi forms, Hermitian (1,1)-forms.
+"""Scalar weight fields, Levi forms, Hermitian (1,1)-forms.
 
 Evaluators are vectorized: they take an (m, n) complex array of points and
 return (m,) real values (gradients: (m, n) complex; Hessians: (m, n, n)
@@ -14,13 +14,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError, ContinuityRequiredError, PoleInStencilError, WeightOverflowError,
-)
+from .errors import ContinuityRequiredError, PoleInStencilError, WeightOverflowError
 from .geometry import DomainBox, as_point, as_points
 
 DEFAULT_FD_STEP = 1e-3
 HERMITIAN_TOL = 1e-12
+LEVI_TOL = 1e-9  # a Levi gap eigenvalue below -LEVI_TOL is a violation
 
 
 @dataclass(frozen=True)
@@ -412,118 +411,86 @@ def _require_c2(phi: ScalarField) -> None:
         )
 
 
-def wirtinger_grad(
-    phi: ScalarField, z, h: float = DEFAULT_FD_STEP, use_analytic: bool = True
-) -> np.ndarray:
-    """(d/dz_j) phi = (d/dx_j - i d/dy_j)/2 by central differences of step h."""
-    z = as_point(z)
-    n = phi.n
-    _require_c2(phi)
-    if use_analytic and phi.grad is not None:
-        return phi.grad(z[None, :])[0]
-    he = _effective_step(z, h)
-    eye = np.eye(n)
-    pts = np.concatenate(
-        [
-            z[None, :] + he * eye,
-            z[None, :] - he * eye,
-            z[None, :] + 1j * he * eye,
-            z[None, :] - 1j * he * eye,
-            z[None, :],
-        ]
-    )
-    vals = phi.evaluate(pts)
-    _check_stencil(phi, pts, vals)
-    dx = (vals[0:n] - vals[n : 2 * n]) / (2.0 * he)
-    dy = (vals[2 * n : 3 * n] - vals[3 * n : 4 * n]) / (2.0 * he)
-    return 0.5 * (dx - 1j * dy)
-
-
 def levi_form(
-    phi: ScalarField, z, h: float = DEFAULT_FD_STEP, use_analytic: bool = True
+    phi: ScalarField, pts, h: float = DEFAULT_FD_STEP, use_analytic: bool = True
 ) -> np.ndarray:
-    """Mixed Wirtinger Hessian (d^2 phi / dz_j dzbar_k), exactly Hermitian.
+    """(m, n, n) mixed Wirtinger Hessians (d^2 phi / dz_j dzbar_k) at (m, n) points.
 
-    Each mixed entry combines the four real cross-stencils in
-    (x_j, y_j, x_k, y_k); the result is symmetrized to (M + M^H)/2.
+    The analytic path is one call of the declared Hessian, which must be
+    Hermitian.  The finite-difference path evaluates every stencil point of
+    every node in one call: each node takes the step h (1 + |z|), and each
+    mixed entry combines the four real cross-stencils in (x_j, y_j, x_k, y_k).
+    Either result is symmetrized to (M + M^H)/2, so it is exactly Hermitian.
     """
-    z = as_point(z)
+    z = as_points(pts, phi.n)
     n = phi.n
     _require_c2(phi)
     if use_analytic and phi.hess is not None:
-        m = phi.hess(z[None, :])[0]
-        dev = np.max(np.abs(m - m.conj().T))
+        m = np.asarray(phi.hess(z), dtype=complex)
+        mh = m.conj().swapaxes(-1, -2)
+        dev = np.max(np.abs(m - mh), initial=0.0)
         if dev > HERMITIAN_TOL:
             raise ValueError(
                 f"declared Hessian of {phi.name!r} is not Hermitian: deviation {dev:.3e}"
             )
-        return 0.5 * (m + m.conj().T)
-    he = _effective_step(z, h)
+        return 0.5 * (m + mh)
+    # one point's norm per node, so that a batch equals its one-point calls bit for bit
+    he = np.array([_effective_step(p, h) for p in z])
     eye = np.eye(n)
+    # (m, 1, n) real and imaginary steps along each axis
+    steps = [(he[:, None, None] * eye[j], (1j * he)[:, None, None] * eye[j]) for j in range(n)]
+    zc = z[:, None, :]
 
-    pts = [z[None, :]]
+    parts = [zc]
     for j in range(n):
-        for step in (he * eye[j], 1j * he * eye[j]):
-            pts.append((z + step)[None, :])
-            pts.append((z - step)[None, :])
+        for step in steps[j]:
+            parts += [zc + step, zc - step]
     for j in range(n):
         for k in range(j + 1, n):
-            for a in (he * eye[j], 1j * he * eye[j]):
-                for b in (he * eye[k], 1j * he * eye[k]):
-                    pts.append((z + a + b)[None, :])
-                    pts.append((z + a - b)[None, :])
-                    pts.append((z - a + b)[None, :])
-                    pts.append((z - a - b)[None, :])
-    pts = np.concatenate(pts)
-    vals = phi.evaluate(pts)
-    _check_stencil(phi, pts, vals)
+            for a in steps[j]:
+                for b in steps[k]:
+                    parts += [zc + a + b, zc + a - b, zc - a + b, zc - a - b]
+    stencil = np.concatenate(parts, axis=1).reshape(-1, n)
+    flat = phi.evaluate(stencil)
+    _check_stencil(phi, stencil, flat)
+    vals = flat.reshape(z.shape[0], -1).T  # vals[p] is stencil point p of every node
 
     f0 = vals[0]
-    m = np.zeros((n, n), dtype=complex)
+    m = np.zeros((z.shape[0], n, n), dtype=complex)
     pos = 1
     for j in range(n):
-        fxp, fxm = vals[pos], vals[pos + 1]
-        fyp, fym = vals[pos + 2], vals[pos + 3]
+        fxp, fxm, fyp, fym = vals[pos : pos + 4]
         pos += 4
-        m[j, j] = (fxp + fxm + fyp + fym - 4.0 * f0) / (4.0 * he * he)
+        m[:, j, j] = (fxp + fxm + fyp + fym - 4.0 * f0) / (4.0 * he * he)
     for j in range(n):
         for k in range(j + 1, n):
-            cross_d = np.empty(4, dtype=float)
-            for q in range(4):
+            cross_d = []
+            for _ in range(4):
                 fpp, fpm, fmp, fmm = vals[pos : pos + 4]
                 pos += 4
-                cross_d[q] = (fpp - fpm - fmp + fmm) / (4.0 * he * he)
-            # order of q: (x_j,x_k), (x_j,y_k), (y_j,x_k), (y_j,y_k)
-            m[j, k] = (cross_d[0] + 1j * cross_d[1] - 1j * cross_d[2] + cross_d[3]) / 4.0
-            m[k, j] = np.conj(m[j, k])
-    return 0.5 * (m + m.conj().T)
+                cross_d.append((fpp - fpm - fmp + fmm) / (4.0 * he * he))
+            # order: (x_j,x_k), (x_j,y_k), (y_j,x_k), (y_j,y_k)
+            m[:, j, k] = (cross_d[0] + 1j * cross_d[1] - 1j * cross_d[2] + cross_d[3]) / 4.0
+            m[:, k, j] = np.conj(m[:, j, k])
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def min_levi_eigenvalue(
-    phi: ScalarField,
-    omega: HermitianField,
-    z,
-    h: float = DEFAULT_FD_STEP,
-    use_analytic: bool = True,
-):
-    """Smallest eigenvalue and unit eigenvector of levi_form(phi, z) - g(z)."""
-    z = as_point(z)
-    m = levi_form(phi, z, h=h, use_analytic=use_analytic) - omega(z[None, :])[0]
-    w, v = np.linalg.eigh(m)
-    lam = float(w[0])
-    xi = v[:, 0]
-    residual = float(np.linalg.norm(m @ xi - lam * xi))
-    if residual > 1e-8:
-        raise ConsistencyError(f"eigenpair residual {residual:.3e} exceeds 1e-8")
-    return lam, xi
+def _levi_gap(phi: ScalarField, omega: HermitianField, pts) -> tuple:
+    """The Levi gap levi_form(phi) - omega at (m, n) points and its (m,) smallest eigenvalues."""
+    gap = levi_form(phi, pts) - omega(pts)
+    return gap, np.linalg.eigvalsh(gap)[:, 0]
 
 
-def levi_on_points(phi: ScalarField, pts: np.ndarray) -> np.ndarray:
-    """(m, n, n) Levi forms at (m, n) points: the analytic Hessian symmetrised, or levi_form."""
-    if phi.hess is not None:
-        hs = np.asarray(phi.hess(pts), dtype=complex)
-        return 0.5 * (hs + hs.conj().swapaxes(-1, -2))
-    return np.stack([levi_form(phi, p) for p in pts])
+def _region_nodes(phi: ScalarField, region: DomainBox, resolution: int) -> np.ndarray:
+    """The grid points of a region scan; raises when there are none or phi has a pole at one."""
+    _require_c2(phi)
+    pts = region.grid_points(resolution)
+    if pts.shape[0] == 0:
+        raise ValueError("region grid is empty; increase resolution")
+    vals = phi(pts)
+    if np.any(~np.isfinite(vals)) or np.any(phi.is_pole(pts)):
+        raise PoleInStencilError("pole in region")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -540,25 +507,18 @@ def check_lower_bound(
     omega: HermitianField,
     region: DomainBox,
     resolution: int = 9,
-    tol: float = 1e-9,
+    tol: float = LEVI_TOL,
 ) -> LowerBoundVerdict:
     """Grid scan of the smallest eigenvalue of levi_form(phi) - g over a region.
 
     "holds" means lambda_min >= -tol at every node; otherwise the worst node,
     its eigenvector, and c = -lambda_min are returned.
     """
-    _require_c2(phi)
-    pts = region.grid_points(resolution)
-    if pts.shape[0] == 0:
-        raise ValueError("region grid is empty; increase resolution")
-    vals = phi(pts)
-    if np.any(~np.isfinite(vals)) or np.any(phi.is_pole(pts)):
-        raise PoleInStencilError("pole in region")
-    diff = levi_on_points(phi, pts) - omega(pts)
-    eigs = np.linalg.eigvalsh(diff)[:, 0]
+    pts = _region_nodes(phi, region, resolution)
+    gap, eigs = _levi_gap(phi, omega, pts)
     worst = int(np.argmin(eigs))
     lam_min = float(eigs[worst])
     if lam_min >= -tol:
         return LowerBoundVerdict(True, None, None, 0.0, lam_min)
-    _, v = np.linalg.eigh(diff[worst])
+    _, v = np.linalg.eigh(gap[worst])
     return LowerBoundVerdict(False, pts[worst], v[:, 0], -lam_min, lam_min)

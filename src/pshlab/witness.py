@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import ContinuityRequiredError, MetricNotPositiveError
 from .fields import (
-    HermitianField, ScalarField, check_lower_bound, levi_on_points, unshift, weight_exp,
+    LEVI_TOL, HermitianField, ScalarField, _levi_gap, _region_nodes, unshift, weight_exp,
 )
 from .bochner import FormField01, GridDiscretization, band_energy, make_grid, node_values
-from .geometry import DomainBox, as_point, as_points, ball_volume
+from .geometry import DomainBox, as_point, ball_volume
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +75,10 @@ def make_cutoff() -> CutoffProfile:
 # ---------------------------------------------------------------------------
 
 
-def build_witness_form(z0, xi, r: float, chi: CutoffProfile):
-    """nu(z) = <xi, conj(z - z0)> chi(|z-z0|^2/r^2) and its dbar in closed form.
+def build_witness_form(z0, xi, r: float, chi: CutoffProfile) -> FormField01:
+    """f = dbar(nu) in closed form, for nu(z) = <xi, conj(z - z0)> chi(|z-z0|^2/r^2).
 
-    f = dbar(nu) has f_j = xi_j chi + <xi, conj(z-z0)> chi'(t) (z_j - z0_j)/r^2,
+    f has f_j = xi_j chi + <xi, conj(z-z0)> chi'(t) (z_j - z0_j)/r^2,
     equals sum_j xi_j dzbar_j on B(z0, r/2), and is supported in B(z0, r).
     """
     z0 = as_point(z0)
@@ -91,13 +91,6 @@ def build_witness_form(z0, xi, r: float, chi: CutoffProfile):
     def pair(z):
         return (z - z0) @ np.conj(xi)  # = sum_j xi_j conj(z_j - z0_j), conjugated
 
-    # nu is complex-valued; expose it as a plain evaluator rather than a
-    # ScalarField (weight fields are real, nu is an amplitude)
-    def nu_values(z):
-        z = as_points(z, n)
-        t = np.sum(np.abs(z - z0) ** 2, axis=-1) / rr
-        return np.conj(pair(z)) * chi(t)
-
     def component(j):
         def comp(z):
             d = z - z0
@@ -107,8 +100,7 @@ def build_witness_form(z0, xi, r: float, chi: CutoffProfile):
         return comp
 
     support = DomainBox("ball", z0, np.array([r]))
-    f = FormField01("dbar_nu", n, tuple(component(j) for j in range(n)), support)
-    return nu_values, f
+    return FormField01("dbar_nu", n, tuple(component(j) for j in range(n)), support)
 
 
 def build_psi_s(z0, r: float, s: float) -> ScalarField:
@@ -171,10 +163,10 @@ def estimate_functional_E(
 class WitnessCertificate:
     """A concrete falsification of the sharp estimate property.
 
-    c is the Levi-gap depth at the worst center; the selection radius r keeps
-    the sampled gap below -c/2 throughout B(z0, r); E is the (negative) value
-    of the sign functional at scale s on the recorded grid, and E_doubled its
-    value on the grid with twice as many nodes per axis.
+    c is the Levi-gap depth at the selected center z0; the selection radius r
+    keeps the sampled gap below -c/2 throughout B(z0, r); E is the (negative)
+    value of the sign functional at scale s on the recorded grid, and E_doubled
+    its value on the grid with twice as many nodes per axis.
     """
 
     z0: np.ndarray
@@ -185,18 +177,6 @@ class WitnessCertificate:
     E: float
     E_doubled: float
     grid_nodes: int
-
-    def as_dict(self) -> dict:
-        return {
-            "z0": [[float(v.real), float(v.imag)] for v in self.z0],
-            "xi": [[float(v.real), float(v.imag)] for v in self.xi],
-            "r": self.r,
-            "c": self.c,
-            "s": self.s,
-            "E": self.E,
-            "E_doubled": self.E_doubled,
-            "grid_nodes": self.grid_nodes,
-        }
 
 
 DEFAULT_S_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
@@ -213,23 +193,28 @@ def scan_sharp_witness(
 ) -> Optional[WitnessCertificate]:
     """Search for a sign-functional certificate against the sharp estimate.
 
-    Runs the Levi lower-bound scan first; on a violation at (z0, xi, c) it
-    picks the largest dyadic radius with sampled gap < -c/2 on B(z0, r),
-    builds the localized form, and sweeps the s-schedule until E < 0 on the
-    grid and on the doubled grid.  The result is None for weights whose Levi
-    form dominates omega on the region, and also when no s of the schedule
-    certifies a violation.
+    Evaluates the Levi gap levi(phi) - omega on the region grid once.  Among
+    the nodes where it has an eigenvalue below -LEVI_TOL it picks the center
+    z0 with the largest c r_max^2, where c is the gap depth there and r_max
+    the radius of the largest ball about z0 in the region; then the largest
+    dyadic radius r <= r_max with sampled gap < -c/2 on B(z0, r).  It builds
+    the localized form and sweeps the s-schedule until E < 0 on the grid and
+    on the doubled grid.  The result is None for weights whose Levi form
+    dominates omega on the region, when no ladder radius keeps the gap below
+    -c/2, and when no s of the schedule certifies a violation.
     """
-    verdict = check_lower_bound(phi, omega, region, resolution=lb_resolution)
-    if verdict.holds:
+    pts = _region_nodes(phi, region, lb_resolution)
+    center = _select_center(phi, region, pts, *_levi_gap(phi, omega, pts))
+    if center is None:
         return None
-    z0, xi, c = _select_center(phi, omega, region, lb_resolution, verdict.c)
+    z0, xi, c, r_max = center
+    r = _select_radius(phi, omega, z0, c, r_max)
+    if r is None:
+        return None
     n = phi.n
     if grid_nodes is None:
         grid_nodes = DEFAULT_E_GRID.get(n, 16)
-
-    r = _select_radius(phi, omega, z0, xi, c, region)
-    _, f = build_witness_form(z0, xi, r, make_cutoff())
+    f = build_witness_form(z0, xi, r, make_cutoff())
 
     def energy(grid, psi, s):
         # alpha^s = f (sI + g)^{-1} at the support nodes of f, zero elsewhere;
@@ -259,20 +244,25 @@ def _plus_s(g, s: float) -> np.ndarray:
     return g + s * np.eye(g.shape[-1])
 
 
-def _select_center(phi, omega, region, resolution, c_worst):
-    """Most interior grid node whose Levi gap is within 5% of the worst one.
+def _select_center(phi, region, pts, gap, eigs):
+    """The node with a negative gap whose ball is the most certifiable.
 
-    Ties in the gap depth are common (constant-curvature weights); picking the
-    node farthest from the region boundary leaves room for the witness ball.
+    Scores each node with eigenvalue below -LEVI_TOL and room for a ball by
+    c r_max^2 (c the gap depth, r_max its ball's radius) and returns the best
+    node, its gap eigenvector, c and r_max; None when no node qualifies.
     """
-    pts = region.grid_points(resolution)
-    gap = levi_on_points(phi, pts) - omega(pts)
-    eigs = np.linalg.eigvalsh(gap)[:, 0]
-    near_worst = np.flatnonzero(eigs <= -0.95 * c_worst)
-    depths = np.array([region.inradius_from(pts[i]) for i in near_worst])
-    pick = near_worst[int(np.argmax(depths))]
+    negative = np.flatnonzero(eigs < -LEVI_TOL)
+    rooms = np.array([region.inradius_from(z) for z in pts[negative]])
+    if phi.domain is not None:
+        rooms = np.minimum(rooms, [phi.domain.inradius_from(z) for z in pts[negative]])
+    usable = rooms > 0.0
+    if not np.any(usable):
+        return None
+    negative, rooms = negative[usable], rooms[usable]
+    best = int(np.argmax(-eigs[negative] * rooms**2))
+    pick = negative[best]
     _, v = np.linalg.eigh(gap[pick])
-    return pts[pick], v[:, 0], float(-eigs[pick])
+    return pts[pick], v[:, 0], float(-eigs[pick]), float(rooms[best])
 
 
 def _witness_grid(z0, r: float, nodes: int) -> GridDiscretization:
@@ -281,19 +271,15 @@ def _witness_grid(z0, r: float, nodes: int) -> GridDiscretization:
     return make_grid(DomainBox("ball", z0, np.array([r + pad])), nodes)
 
 
-def _select_radius(phi, omega, z0, xi, c, region, ladder_steps: int = 6) -> float:
-    """Largest dyadic radius with sampled Levi gap < -c/2 throughout the ball."""
-    r_max = max(region.inradius_from(z0), 1e-3)
-    if phi.domain is not None:
-        r_max = min(r_max, phi.domain.inradius_from(z0))
+def _select_radius(phi, omega, z0, c, r_max, ladder_steps: int = 6) -> Optional[float]:
+    """Largest r_max / 2^k, k < ladder_steps, with sampled Levi gap < -c/2
+    throughout the ball; None when no radius of the ladder has it."""
     for k in range(ladder_steps):
         r = r_max / (2.0**k)
-        ball = DomainBox("ball", z0, np.array([r]))
-        pts = ball.grid_points(7)
-        eigs = np.linalg.eigvalsh(levi_on_points(phi, pts) - omega(pts))[:, 0]
+        _, eigs = _levi_gap(phi, omega, DomainBox("ball", z0, np.array([r])).grid_points(7))
         if np.max(eigs) < -c / 2.0:
             return r
-    return r_max / (2.0 ** (ladder_steps - 1))
+    return None
 
 
 # ---------------------------------------------------------------------------

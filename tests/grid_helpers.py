@@ -1,10 +1,14 @@
 """Test-only helpers on grids and forms: a full-grid weighted pairing, dbar of
-a scalar grid field, a support check, and the two sides of the metric energy
-identity behind alpha_from_f."""
+a scalar grid field, a support check, the two sides of the metric energy
+identity behind alpha_from_f, and the orthogonality of a Bergman residual."""
+
+import math
 
 import numpy as np
 
 from pshlab.bochner import node_values
+from pshlab.dbar1d import _weights
+from pshlab.extension import _monomial_values, monomial_exponents
 from pshlab.fields import unshift, weight_exp
 from pshlab.geometry import as_points
 
@@ -49,3 +53,17 @@ def form_norm_sq(metric, f_coeffs):
     """|f|^2_B = sum_{j,k} (B^{-1})_jk f_j conj(f_k) via a linear solve."""
     f = np.asarray(f_coeffs, dtype=complex)
     return float(np.real(np.dot(f, np.linalg.solve(np.asarray(metric), np.conj(f)))))
+
+
+def projection_orthogonality(
+    u_values, h_values, eta, degree: int, grid, domain=None
+) -> float:
+    """Max relative pairing of (u - h) against the basis monomials."""
+    pts = grid.points
+    w, _ = _weights(eta, grid, domain)
+    mono = _monomial_values(pts, monomial_exponents(1, degree))
+    res = np.asarray(u_values) - np.asarray(h_values)
+    pair = mono.conj().T @ (w * res)
+    res_norm = math.sqrt(max(float(np.real(np.dot(np.conj(res), w * res))), 1e-300))
+    mono_norms = np.sqrt(np.maximum(np.real(np.einsum("ma,m,ma->a", np.conj(mono), w, mono)), 1e-300))
+    return float(np.max(np.abs(pair) / (res_norm * mono_norms)))

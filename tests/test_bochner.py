@@ -289,7 +289,7 @@ class TestBand:
         forms = (
             bump_const_form(xi, center=center, radius=0.7),
             bump_zbar_form(n, center=center, radius=0.9),
-            build_witness_form(center, xi, 0.8, make_cutoff())[1],
+            build_witness_form(center, xi, 0.8, make_cutoff()),
             build_alpha_eps(center, 0.6, make_cutoff()),
         )
         for form in forms:

@@ -252,6 +252,18 @@ class TestWitnessVerdict:
         values = read_json(out)["checks"][0]["values"]
         assert values == {"certificate": None, "levi_lower_bound_holds": False}
 
+    def test_deepest_gap_on_the_boundary_certifies(self, tmp_path, capsys):
+        # the gap -1 - 0.5|z|^2 is deepest on the unit circle, where no ball
+        # fits; the center has the largest c r^2 and certifies at s = 10
+        out = tmp_path / "w.json"
+        code = main(["witness", "--func", "neg_sq_norm", "--omega", "sq:0.5", "--out", str(out)])
+        assert code == 0
+        assert "[PASS] sharp-witness" in capsys.readouterr().out
+        cert = read_json(out)["checks"][0]["values"]["certificate"]
+        assert cert["z0"] == [[0.0, 0.0]]
+        assert (cert["r"], cert["c"], cert["s"]) == (1.0, 1.0, 10.0)
+        assert cert["E"] < 0.0 and cert["E_doubled"] < 0.0
+
     def test_dominating_levi_form_passes(self, tmp_path, capsys):
         out = tmp_path / "w.json"
         code = main(["witness", "--func", "sq_norm", "--out", str(out)])

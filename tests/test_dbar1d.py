@@ -9,11 +9,12 @@ from pshlab.dbar1d import (
     cauchy_transform,
     dbar_residual,
     hormander_ratio,
-    projection_orthogonality,
     weighted_bergman_projection,
 )
 from pshlab.geometry import unit_ball
 from pshlab.witness import build_psi_s, build_witness_form, make_cutoff
+
+from grid_helpers import projection_orthogonality
 
 
 def grid256(half=2.0):
@@ -189,7 +190,7 @@ class TestHormanderRatio:
         g = grid256()
         phi = fields.neg_sq_norm(1)
         z0 = np.zeros(1, dtype=complex)
-        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
         ratios = {}
         for s in (10.0, 100.0, 1000.0):
             psi = build_psi_s(z0, 0.5, s)

@@ -10,9 +10,7 @@ from pshlab.fields import (
     get_field,
     get_omega,
     levi_form,
-    min_levi_eigenvalue,
     scaled_sq_omega,
-    wirtinger_grad,
     zero_omega,
 )
 from pshlab.geometry import unit_ball
@@ -39,43 +37,18 @@ def hessian_rel_error(phi, z, h):
     return np.max(np.abs(fd - exact)) / scale
 
 
-class TestWirtingerGrad:
-    def test_sq_norm_gives_conjugate(self):
-        z = np.array([0.3 + 0.4j, -0.2 + 0.1j])
-        g = wirtinger_grad(fields.sq_norm(2), z, use_analytic=False)
-        assert np.allclose(g, np.conj(z), atol=1e-9)
-
-    def test_linear_field(self):
-        g = wirtinger_grad(fields.re_linear(n=2), np.array([0.2j, 0.1]), use_analytic=False)
-        assert np.allclose(g, [0.5, 0.0], atol=1e-10)
-
-    def test_log_abs_at_one(self):
-        # oracle: log|z| = (log z + log zbar)/2, so d/dz = 1/(2z) -> 0.5 at z=1
-        g = wirtinger_grad(fields.log_abs(n=1), np.array([1.0 + 0.0j]), use_analytic=False)
-        assert g[0] == pytest.approx(0.5, abs=1e-5)
-
-    def test_pole_in_stencil(self):
-        with pytest.raises(PoleInStencilError, match="pole in stencil"):
-            wirtinger_grad(fields.log_abs(n=1), np.array([0.0 + 0.0j]), use_analytic=False)
-
-    def test_usc_rejected(self):
-        usc = ScalarField("usc", 1, lambda z: np.zeros(z.shape[0]), smoothness="usc")
-        with pytest.raises(ContinuityRequiredError):
-            wirtinger_grad(usc, np.array([0.0j]))
-
-
 class TestLeviForm:
     def test_sq_norm_identity(self):
-        m = levi_form(fields.sq_norm(2), np.array([0.1 + 0.2j, 0.3j]), use_analytic=False)
+        m = levi_form(fields.sq_norm(2), np.array([0.1 + 0.2j, 0.3j]), use_analytic=False)[0]
         assert np.allclose(m, np.eye(2), atol=1e-8)
 
     def test_saddle_diag(self):
-        m = levi_form(fields.saddle(2.0), np.array([0.2j, 0.1]), use_analytic=False)
+        m = levi_form(fields.saddle(2.0), np.array([0.2j, 0.1]), use_analytic=False)[0]
         assert np.allclose(m, np.diag([1.0, -2.0]), atol=1e-8)
 
     def test_log1p_sq_at_zero(self):
         # closed form d2/dz dzbar log(1+|z|^2) = 1/(1+|z|^2)^2 -> 1 at 0
-        m = levi_form(fields.log1p_sq(1), np.array([0.0j]), use_analytic=False)
+        m = levi_form(fields.log1p_sq(1), np.array([0.0j]), use_analytic=False)[0]
         assert m[0, 0] == pytest.approx(1.0, abs=1e-5)
 
     @pytest.mark.parametrize("phi,z,_smooth", CORPUS, ids=lambda c: getattr(c, "name", ""))
@@ -90,25 +63,62 @@ class TestLeviForm:
             assert 3.5 <= ratio <= 4.5, phi.name
 
     def test_exactly_hermitian(self):
-        m = levi_form(fields.neg_gauss(2), np.array([0.4 + 0.1j, -0.2j]), use_analytic=False)
+        m = levi_form(fields.neg_gauss(2), np.array([0.4 + 0.1j, -0.2j]), use_analytic=False)[0]
         assert np.array_equal(m, m.conj().T)
+
+    @pytest.mark.parametrize("use_analytic", [True, False])
+    @pytest.mark.parametrize("phi,z,_smooth", CORPUS, ids=lambda c: getattr(c, "name", ""))
+    def test_batch_equals_pointwise(self, phi, z, _smooth, use_analytic):
+        # nearby points keep max_log off its tie set and log_abs off its pole
+        rng = np.random.default_rng(17)
+        pts = z + 0.05 * (rng.standard_normal((6, phi.n)) + 1j * rng.standard_normal((6, phi.n)))
+        batch = levi_form(phi, pts, use_analytic=use_analytic)
+        single = np.concatenate([levi_form(phi, p, use_analytic=use_analytic) for p in pts])
+        assert batch.shape == (6, phi.n, phi.n)
+        assert np.array_equal(batch, single)
+
+    def test_pole_in_stencil(self):
+        # the second node's stencil meets the pole
+        pts = np.array([[0.5 + 0.0j], [0.0 + 0.0j]])
+        with pytest.raises(PoleInStencilError, match="pole in stencil"):
+            levi_form(fields.log_abs(n=1), pts, use_analytic=False)
+
+    def test_usc_rejected(self):
+        usc = ScalarField("usc", 1, lambda z: np.zeros(z.shape[0]), smoothness="usc")
+        with pytest.raises(ContinuityRequiredError):
+            levi_form(usc, np.array([0.0j]))
+
+    def test_declared_hessian_must_be_hermitian(self):
+        upper = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        bad = ScalarField(
+            "bad", 2, lambda z: np.zeros(z.shape[0]),
+            hess=lambda z: np.broadcast_to(upper, (z.shape[0], 2, 2)),
+        )
+        with pytest.raises(ValueError, match="declared Hessian of 'bad' is not Hermitian"):
+            levi_form(bad, np.zeros((3, 2)))
+
+
+def min_levi_eigenpair(phi, omega, z):
+    """Smallest eigenvalue and unit eigenvector of the Levi gap at one point."""
+    w, v = np.linalg.eigh(levi_form(phi, z)[0] - omega(z)[0])
+    return float(w[0]), v[:, 0]
 
 
 class TestMinLeviEigenvalue:
     def test_diagonal(self):
-        lam, xi = min_levi_eigenvalue(fields.saddle(2.0), zero_omega(2), np.array([0.1, 0.2j]))
+        lam, xi = min_levi_eigenpair(fields.saddle(2.0), zero_omega(2), np.array([0.1, 0.2j]))
         assert lam == pytest.approx(-2.0, abs=1e-10)
         assert abs(xi[1]) == pytest.approx(1.0, abs=1e-10)
 
     def test_identity(self):
-        lam, _ = min_levi_eigenvalue(fields.sq_norm(2), zero_omega(2), np.array([0.0j, 0.0j]))
+        lam, _ = min_levi_eigenpair(fields.sq_norm(2), zero_omega(2), np.array([0.0j, 0.0j]))
         assert lam == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_eigenpair(self):
         z = np.array([0.1 + 0.2j, 0.3j])
-        lam, xi = min_levi_eigenvalue(fields.cross(), zero_omega(2), z)
+        lam, xi = min_levi_eigenpair(fields.cross(), zero_omega(2), z)
         assert lam == pytest.approx(-0.5, abs=1e-12)
-        m = levi_form(fields.cross(), z)
+        m = levi_form(fields.cross(), z)[0]
         res = np.linalg.norm(m @ xi - lam * xi)
         assert res <= 1e-8
         assert abs(np.linalg.norm(xi) - 1.0) <= 1e-12

@@ -7,6 +7,8 @@ double; otherwise they raise WeightOverflowError and are never capped.
 Tolerances come from float64 rounding of phi + c: ulp(2000) is 2.3e-13.
 The cylinder z0 + A(P) carried by a translation or a unitary U is again a
 cylinder, so the margins agree up to the rounding of the mapped nodes.
+The sharp-estimate witness scan certifies every Levi gap of a family that
+is negative on the whole region, however its depth is spread.
 """
 
 import math
@@ -37,6 +39,7 @@ from pshlab.witness import (
     build_witness_form,
     estimate_functional_E,
     make_cutoff,
+    scan_sharp_witness,
 )
 
 LOG_MAX = math.log(np.finfo(float).max)
@@ -82,7 +85,7 @@ def check_scaled(compute, log_value: float, c: float) -> None:
 def witness_setup():
     omega = fields.zero_omega(1)
     r, s = 0.5, 100.0
-    _, f = build_witness_form(Z0, np.array([1.0]), r, make_cutoff())
+    f = build_witness_form(Z0, np.array([1.0]), r, make_cutoff())
     grid = _witness_grid(Z0, r, 32)
     alpha = alpha_from_f(f.evaluate(grid.points).T, omega(grid.points) + s * np.eye(1)).T
     return alpha, build_psi_s(Z0, r, s), omega, grid
@@ -91,7 +94,7 @@ def witness_setup():
 @lru_cache(maxsize=None)
 def dbar_setup():
     grid = make_grid(unit_ball(1, radius=1.2), 64)
-    _, f = build_witness_form(Z0, np.array([1.0]), 0.5, make_cutoff())
+    f = build_witness_form(Z0, np.array([1.0]), 0.5, make_cutoff())
     return grid, f, build_psi_s(Z0, 0.5, 100.0)
 
 
@@ -235,3 +238,16 @@ def test_submean_margin_unitary_invariant(name, z0, seed, u_seed, r, s, kind):
     got = submean_test(composed(phi, lambda z: z @ u.T), HolomorphicCylinder(z0, frame, r, s), rule)
     expected = submean_test(phi, HolomorphicCylinder(u @ z0, u @ frame, r, s), rule)
     assert_same_margin(got, expected)
+
+
+@property_settings
+@given(c=st.floats(min_value=0.0, max_value=2.0))
+@example(c=0.0)
+@example(c=0.5)
+@example(c=2.0)
+def test_neg_sq_norm_certified_against_scaled_form(c):
+    # the gap -1 - c|z|^2 is negative on the whole disc and deepest on its
+    # boundary circle, where no witness ball fits
+    cert = scan_sharp_witness(fields.neg_sq_norm(1), fields.scaled_sq_omega(c, 1), unit_ball(1))
+    assert cert is not None
+    assert cert.E < 0.0 and cert.E_doubled < 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,7 +62,7 @@ class TestWitnessForm:
         self.z0 = np.array([0.1 + 0.2j, -0.3 + 0.0j])
         self.xi = np.array([0.6, 0.8j])
         self.chi = make_cutoff()
-        self.nu, self.f = build_witness_form(self.z0, self.xi, 0.5, self.chi)
+        self.f = build_witness_form(self.z0, self.xi, 0.5, self.chi)
 
     def test_equals_xi_at_center(self):
         vals = self.f.evaluate(self.z0[None, :])
@@ -92,6 +93,11 @@ class TestWitnessForm:
         ring = (np.abs(d - 0.25) < 3 * h) | (np.abs(d - 0.5) < 3 * h)
         assert np.max(np.abs(out)[:, ~ring]) <= 1e-12
         assert float(np.dot(np.abs(out[0]), grid.weights)) <= 0.5
+
+    def nu(self, z):
+        """nu(z) = <xi, conj(z - z0)> chi(|z - z0|^2 / r^2) at r = 0.5, whose dbar is f."""
+        t = np.sum(np.abs(z - self.z0) ** 2, axis=-1) / 0.25
+        return np.conj((z - self.z0) @ np.conj(self.xi)) * self.chi(t)
 
     def test_matches_dbar_of_nu(self):
         grid = make_grid(DomainBox("ball", self.z0, np.array([0.75])), 28)
@@ -187,7 +193,7 @@ class TestEstimateFunctional:
 
     def test_nonnegative_for_psh(self):
         z0 = np.zeros(1, dtype=complex)
-        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
         grid = make_grid(DomainBox("ball", z0, np.array([0.7])), 64)
         for s in (10.0, 100.0):
             psi = build_psi_s(z0, 0.5, s)
@@ -198,7 +204,7 @@ class TestEstimateFunctional:
     def test_negative_for_concave_weight(self):
         # recipe value at s=100, r=1/2 goes negative for the -|z|^2 weight
         z0 = np.zeros(1, dtype=complex)
-        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
         grid = make_grid(DomainBox("ball", z0, np.array([0.7])), 96)
         psi = build_psi_s(z0, 0.5, 100.0)
         alpha = f.evaluate(grid.points) / 100.0
@@ -238,6 +244,44 @@ class TestScanSharpWitness:
         assert cert.E < 0.0
         assert cert.c == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("phi, omega", [
+        (fields.neg_sq_norm(1), fields.zero_omega(1)),
+        (fields.sq_norm(1), fields.zero_omega(1)),
+        (fields.ScalarField("neg_sq_fd", 1, lambda z: -np.sum(np.abs(z) ** 2, axis=-1)),
+         fields.scaled_sq_omega(0.5, 1)),
+    ])
+    def test_region_grid_evaluated_once(self, phi, omega, monkeypatch):
+        region = unit_ball(1)
+        nodes = region.grid_points(9)
+        region_calls = []
+        levi = fields.levi_form
+
+        def counted(field, pts, *args, **kwargs):
+            region_calls.append(np.array_equal(pts, nodes))
+            return levi(field, pts, *args, **kwargs)
+
+        monkeypatch.setattr(fields, "levi_form", counted)
+        scan_sharp_witness(phi, omega, region, s_schedule=(10.0,))
+        assert region_calls.count(True) == 1
+
+    @pytest.mark.parametrize("omega", [
+        # gap 1 - 1.2|z|^2 < 0 only at the grid nodes on the unit circle: no room for a ball
+        fields.scaled_sq_omega(1.2, 1),
+        # gap < 0 only within 1e-3 of the center: no radius of the ladder keeps it below -c/2
+        fields.HermitianField(
+            "spike", 1, lambda z: 2.0 * np.exp(-np.abs(z[:, 0]) ** 2 / 1e-6)[:, None, None] + 0j
+        ),
+    ])
+    def test_no_ball_no_certificate(self, omega, monkeypatch):
+        import pshlab.witness as witness
+
+        def unused(*args):
+            raise AssertionError("a witness form was built")
+
+        monkeypatch.setattr(witness, "build_witness_form", unused)
+        assert not fields.check_lower_bound(fields.sq_norm(1), omega, unit_ball(1)).holds
+        assert scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1)) is None
+
     @pytest.mark.parametrize("spec, n, grid_nodes", [("neg_sq_norm", 1, None), ("saddle:2", 2, 12)])
     def test_certificate_carries_doubled_energy(self, spec, n, grid_nodes):
         from pshlab.witness import _witness_grid
@@ -246,7 +290,7 @@ class TestScanSharpWitness:
         cert = scan_sharp_witness(phi, omega, unit_ball(n), grid_nodes=grid_nodes)
         assert cert is not None
         # reference: the doubled-grid sign functional rebuilt from the certificate
-        _, f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
+        f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
         fine = _witness_grid(cert.z0, cert.r, 2 * cert.grid_nodes)
         psi = build_psi_s(cert.z0, cert.r, cert.s)
         alpha = alpha_from_f(
@@ -254,7 +298,7 @@ class TestScanSharpWitness:
         ).T
         assert cert.E_doubled == estimate_functional_E(alpha, phi, psi, omega, fine)
         assert cert.E < 0.0 and cert.E_doubled < 0.0
-        assert cert.as_dict()["E_doubled"] == cert.E_doubled
+        assert dataclasses.asdict(cert)["E_doubled"] == cert.E_doubled
 
     @pytest.mark.parametrize("omega, metric_ndim", [
         (fields.zero_omega(1), 2),
@@ -281,7 +325,7 @@ class TestScanSharpWitness:
         from pshlab.witness import _witness_grid
 
         z0 = np.zeros(1, dtype=complex)
-        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
         grid = _witness_grid(z0, 0.5, 48)
         metric = fields.zero_omega(1)(grid.points) + 50.0 * np.eye(1)
         vals = alpha_from_f(f.evaluate(grid.points).T, metric).T
@@ -310,7 +354,7 @@ class TestBandEnergy:
 
         phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
         cert = scan_sharp_witness(phi, omega, unit_ball(n))
-        _, f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
+        f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
         psi = build_psi_s(cert.z0, cert.r, cert.s)
         for nodes, value in ((cert.grid_nodes, cert.E), (2 * cert.grid_nodes, cert.E_doubled)):
             grid = _witness_grid(cert.z0, cert.r, nodes)
@@ -319,6 +363,18 @@ class TestBandEnergy:
             ).T
             dense = dense_functional_E(alpha, phi, psi, omega, grid)
             assert abs(value - dense) <= 1e-12 * abs(dense)
+
+    def test_non_hermitian_hessian_raises(self):
+        z0 = np.zeros(1, dtype=complex)
+        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        grid = make_grid(DomainBox("ball", z0, np.array([0.7])), 32)
+        bad = fields.ScalarField(
+            "bad", 1, lambda z: -np.sum(np.abs(z) ** 2, axis=-1),
+            hess=lambda z: np.full((z.shape[0], 1, 1), -1.0 + 0.5j),
+        )
+        psi = build_psi_s(z0, 0.5, 100.0)
+        with pytest.raises(ValueError, match="declared Hessian of 'bad' is not Hermitian"):
+            estimate_functional_E(f, bad, psi, fields.zero_omega(1), grid)
 
     def test_zero_form_evaluates_no_field(self):
         def unused(z):
@@ -332,7 +388,7 @@ class TestBandEnergy:
 
     def test_form_argument_equals_node_values(self):
         z0 = np.array([0.1 + 0.0j])
-        _, f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
         grid = make_grid(DomainBox("ball", z0, np.array([0.7])), 64)
         phi, psi = fields.neg_sq_norm(1), build_psi_s(z0, 0.5, 100.0)
         from_form = estimate_functional_E(f, phi, psi, fields.zero_omega(1), grid)
