@@ -214,23 +214,6 @@ def dbar_star(alpha, phi: ScalarField, grid: GridDiscretization) -> np.ndarray:
     return out
 
 
-def levi_on_grid(phi: ScalarField, grid: GridDiscretization, nodes=None) -> np.ndarray:
-    """(k, n, n) Levi forms at the flat node indices nodes (every node when
-    None): levi_form of the declared Hessian, or d/dzbar_k d/dz_j phi by the
-    4th-order stencil on the whole grid, symmetrised."""
-    if phi.hess is not None:
-        return levi_form(phi, grid.points if nodes is None else grid.points_at(nodes))
-    n = grid.n
-    sel = slice(None) if nodes is None else nodes
-    pv = phi(grid.points)
-    hess = np.empty((pv[sel].shape[0], n, n), dtype=complex)
-    for j in range(n):
-        dj = grid.d_dz(pv, j)
-        for k in range(n):
-            hess[:, j, k] = grid.d_dzbar(dj, k)[sel]
-    return 0.5 * (hess + hess.conj().swapaxes(-1, -2))
-
-
 def gradient_energy(av: np.ndarray, grid: GridDiscretization) -> np.ndarray:
     """Nodewise full gradient energy sum_{j,k} |d alpha_j / dzbar_k|^2 of (n, m) values."""
     out = np.zeros(av.shape[1])
@@ -257,7 +240,7 @@ def band_energy(av, phi: ScalarField, grid: GridDiscretization, psi=None, omega=
         return band, empty, empty, empty, 0.0
     pts = grid.points_at(band)
     e, shift = weight_exp(-phi(pts) if psi is None else -(phi(pts) + psi(pts)))
-    levi = levi_on_grid(phi, grid, band)
+    levi = levi_form(phi, pts)
     if omega is not None:
         levi = levi - omega(pts)
     a = av[:, band]

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .bochner import FormField01, GridDiscretization, levi_on_grid
+from .bochner import FormField01, GridDiscretization
 from .extension import _monomial_values, _solve_gram, monomial_exponents
-from .fields import ScalarField, unshift, weight_exp
-from .geometry import DomainBox
+from .fields import ScalarField, levi_form, unshift, weight_exp
+
+RESIDUAL_MARGIN_CELLS = 4  # dbar_residual skips this many node layers at each edge
 
 
 @dataclass(frozen=True)
@@ -75,44 +75,32 @@ def cauchy_transform(f_values: np.ndarray, grid: GridDiscretization) -> np.ndarr
     return u.ravel()
 
 
-def dbar_residual(
-    u_values: np.ndarray,
-    f_values: np.ndarray,
-    grid: GridDiscretization,
-    margin_cells: int = 4,
-) -> float:
-    """Interior sup-norm of du/dzbar - f (4th-order differences inside)."""
+def dbar_residual(u_values: np.ndarray, f_values: np.ndarray, grid: GridDiscretization) -> float:
+    """Interior sup-norm of du/dzbar - f (4th-order differences inside), over
+    the nodes at least RESIDUAL_MARGIN_CELLS from every edge."""
     du = grid.d_dzbar(np.asarray(u_values, dtype=complex), 0)
-    mask = grid.interior_mask(margin_cells)
+    mask = grid.interior_mask(RESIDUAL_MARGIN_CELLS)
     return float(np.max(np.abs(du - np.asarray(f_values))[mask]))
 
 
-def _weights(eta: ScalarField, grid: GridDiscretization, domain: Optional[DomainBox]):
-    """Trapezoid weights times e^{-eta - shift}, zero off the sub-domain, and shift."""
-    pts = grid.points
-    expo = -eta(pts)
-    if domain is not None:
-        expo = np.where(domain.contains(pts), expo, -np.inf)
-    weight, shift = weight_exp(expo)
+def _weights(eta_values: np.ndarray, grid: GridDiscretization):
+    """Trapezoid weights times e^{-eta - shift} from the weight's node values, and shift."""
+    weight, shift = weight_exp(-np.asarray(eta_values, dtype=float))
     return grid.weights * weight, shift
 
 
 def weighted_bergman_projection(
-    u_values: np.ndarray,
-    eta: ScalarField,
-    degree: int,
-    grid: GridDiscretization,
-    domain: Optional[DomainBox] = None,
+    u_values: np.ndarray, eta_values: np.ndarray, degree: int, grid: GridDiscretization
 ):
     """Best degree <= N holomorphic polynomial approximation of u in
-    L^2(e^{-eta}) over the grid box (or the given sub-domain), in powers of z.
+    L^2(e^{-eta}) over the grid box, in powers of z, from the values of the
+    weight eta at every node (+inf where the weight vanishes).
 
     Returns (h_values, coefficients); the residual u - h is orthogonal to
     every basis monomial (Gram normal equations).
     """
-    pts = grid.points
-    w, _ = _weights(eta, grid, domain)
-    mono = _monomial_values(pts, monomial_exponents(1, degree))
+    w, _ = _weights(eta_values, grid)
+    mono = _monomial_values(grid.points, monomial_exponents(1, degree))
     gram = (mono.conj().T * w) @ mono
     rhs = mono.conj().T @ (w * np.asarray(u_values, dtype=complex))
     coeffs = _solve_gram(gram, rhs)
@@ -121,12 +109,7 @@ def weighted_bergman_projection(
 
 
 def hormander_ratio(
-    phi: ScalarField,
-    psi: ScalarField,
-    f: FormField01,
-    degree: int,
-    grid: GridDiscretization,
-    domain: Optional[DomainBox] = None,
+    phi: ScalarField, psi: ScalarField, f: FormField01, degree: int, grid: GridDiscretization
 ) -> SolveResult:
     """Minimal-norm solve of du/dzbar = f_1 and the weighted estimate ratio.
 
@@ -141,20 +124,19 @@ def hormander_ratio(
     u_part = cauchy_transform(fv, grid)
     residual = dbar_residual(u_part, fv, grid)
 
-    weight = phi + psi
-    u_min_vals, _ = weighted_bergman_projection(u_part, weight, degree, grid, domain)
+    weight = phi(pts) + psi(pts)
+    u_min_vals, _ = weighted_bergman_projection(u_part, weight, degree, grid)
     u_min = u_part - u_min_vals
 
-    wq, shift = _weights(weight, grid, domain)
+    wq, shift = _weights(weight, grid)
     minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq * u_min)))
 
-    psi_zz = np.real(levi_on_grid(psi, grid)[:, 0, 0])
-    on_support = np.abs(fv) > 0.0
-    checked = on_support if domain is None else on_support & domain.contains(pts)
-    if np.any(psi_zz[checked] < 1e-8):
+    support = np.flatnonzero(np.abs(fv) > 0.0)
+    psi_zz = np.real(levi_form(psi, pts[support])[:, 0, 0])
+    if np.any(psi_zz < 1e-8):
         raise ValueError("psi is not strictly subharmonic on the support of f")
     comparison_nodes = np.zeros(pts.shape[0])
-    comparison_nodes[on_support] = np.abs(fv[on_support]) ** 2 / psi_zz[on_support]
+    comparison_nodes[support] = np.abs(fv[support]) ** 2 / psi_zz
     comparison = float(np.dot(comparison_nodes, wq))
 
     ratio = minimal_norm_sq / comparison

@@ -30,7 +30,7 @@ class ContinuityRequiredError(PshlabError):
 
 
 class SingularGramError(PshlabError):
-    """Raised when a Gram system stays singular after ridge regularization."""
+    """Raised when a Gram system is singular or its solution is not finite."""
 
 
 class DegenerateWeightError(PshlabError):

@@ -239,18 +239,11 @@ def _monomial_values(d: np.ndarray, exponents) -> np.ndarray:
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         sol = np.linalg.solve(gram, rhs)
-        if np.all(np.isfinite(sol)):
-            return sol
-    except np.linalg.LinAlgError:
-        pass
-    ridge = 1e-12 * float(np.real(np.trace(gram))) / max(gram.shape[0], 1)
-    try:
-        sol = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
-        if np.all(np.isfinite(sol)):
-            return sol
-    except np.linalg.LinAlgError:
-        pass
-    raise SingularGramError("increase regularization or lower degree")
+    except np.linalg.LinAlgError as exc:
+        raise SingularGramError(f"singular Gram matrix: {exc}; lower the degree") from exc
+    if not np.all(np.isfinite(sol)):
+        raise SingularGramError("Gram solve is not finite; lower the degree")
+    return sol
 
 
 def best_extension_constant(

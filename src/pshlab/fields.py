@@ -56,27 +56,6 @@ class ScalarField:
             return np.asarray(self.pole(z), dtype=bool)
         return np.zeros(z.shape[0], dtype=bool)
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        if other.n != self.n:
-            raise ValueError("cannot add fields of different dimensions")
-        f, g = self, other
-        grad = None
-        if f.grad is not None and g.grad is not None:
-            grad = lambda z: f.grad(z) + g.grad(z)
-        hess = None
-        if f.hess is not None and g.hess is not None:
-            hess = lambda z: f.hess(z) + g.hess(z)
-        pole = None
-        if f.pole is not None or g.pole is not None:
-            pole = lambda z: f.is_pole(z) | g.is_pole(z)
-        order = {"usc": 0, "C0": 1, "C2": 2}
-        smooth = min((f.smoothness, g.smoothness), key=order.get)
-        domain = f.domain or g.domain
-        return ScalarField(
-            f"{f.name}+{g.name}", self.n,
-            lambda z: f.evaluate(z) + g.evaluate(z),
-            grad, hess, pole, smooth, domain,
-        )
 
 @dataclass(frozen=True)
 class HermitianField:
@@ -391,10 +370,6 @@ def parse_point(param, n: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _effective_step(z: np.ndarray, h: float) -> float:
-    return h * (1.0 + float(np.linalg.norm(z)))
-
-
 def _check_stencil(phi: ScalarField, pts: np.ndarray, vals: np.ndarray) -> None:
     bad = phi.is_pole(pts) | ~np.isfinite(vals)
     if np.any(bad):
@@ -434,8 +409,7 @@ def levi_form(
                 f"declared Hessian of {phi.name!r} is not Hermitian: deviation {dev:.3e}"
             )
         return 0.5 * (m + mh)
-    # one point's norm per node, so that a batch equals its one-point calls bit for bit
-    he = np.array([_effective_step(p, h) for p in z])
+    he = h * (1.0 + np.linalg.norm(z, axis=1))
     eye = np.eye(n)
     # (m, 1, n) real and imaginary steps along each axis
     steps = [(he[:, None, None] * eye[j], (1j * he)[:, None, None] * eye[j]) for j in range(n)]

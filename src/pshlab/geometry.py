@@ -215,8 +215,8 @@ class QuadratureRule:
     """Quadrature recipe over a cylinder: kind, node budget, and seed.
 
     Kinds: "tensor-grid" (Gauss-Legendre radius x uniform angle on the r-disc,
-    tensored with a symmetrized low-discrepancy shell rule on the s-ball),
-    "quasi-random" (rotated Halton), "random" (seeded Monte Carlo).
+    tensored with a symmetrized low-discrepancy shell rule on the s-ball) and
+    "quasi-random" (Halton, shifted by a seeded uniform draw).
     """
 
     kind: str = "tensor-grid"
@@ -224,7 +224,7 @@ class QuadratureRule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("tensor-grid", "quasi-random", "random"):
+        if self.kind not in ("tensor-grid", "quasi-random"):
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
 
     def with_budget(self, budget: int) -> "QuadratureRule":
@@ -324,20 +324,17 @@ def _unit_tensor(n: int, budget: int) -> tuple:
 # A scan's cross rule is one quasi-random rule at one budget, 4x the first
 # pass's.  Entries are N-sized, so the cache keeps that rule and no more.
 @lru_cache(maxsize=1)
-def _unit_uniform_model(kind: str, n: int, cnt: int, seed: int) -> np.ndarray:
-    """Nodes of the quasi-random (shifted Halton) or random rule on P_{1,1}.
+def _unit_uniform_model(n: int, cnt: int, seed: int) -> np.ndarray:
+    """Nodes of the quasi-random (shifted Halton) rule on P_{1,1}.
 
     Uniform (u_re, u_im) pairs in [0,1)^2 map to sqrt(u_re) e^{2 pi i u_im},
     an area-preserving map onto the unit disc, one disc per coordinate.
     """
-    if kind == "quasi-random":
-        u = np.empty((cnt, 2 * n))
-        for d in range(2 * n):
-            u[:, d] = _halton_axis(cnt, _PRIMES[d])
-        u += np.random.default_rng(seed).uniform(size=2 * n)
-        np.subtract(u, 1.0, out=u, where=u >= 1.0)  # (u + shift) mod 1, exactly
-    else:
-        u = np.random.default_rng(seed).uniform(size=(cnt, 2 * n))
+    u = np.empty((cnt, 2 * n))
+    for d in range(2 * n):
+        u[:, d] = _halton_axis(cnt, _PRIMES[d])
+    u += np.random.default_rng(seed).uniform(size=2 * n)
+    np.subtract(u, 1.0, out=u, where=u >= 1.0)  # (u + shift) mod 1, exactly
     model = np.sqrt(u[:, 0::2]) * np.exp(2j * math.pi * u[:, 1::2])
     model.flags.writeable = False
     return model
@@ -367,7 +364,7 @@ def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderS
             nodes = (nodes[:, None, :] + (cyl.s * d2)[:, None] * a[:, 1]).reshape(-1, n)
             weights = np.outer(weights, cyl.s**2 * w2).ravel()
         return CylinderSample(nodes, weights)
-    model = _unit_uniform_model(rule.kind, n, rule.budget, rule.seed)
+    model = _unit_uniform_model(n, rule.budget, rule.seed)
     nodes = model @ (a * [cyl.r, cyl.s][:n]).T
     nodes += cyl.center
     return CylinderSample(nodes, np.full(rule.budget, cyl.volume / rule.budget))

@@ -181,6 +181,8 @@ class WitnessCertificate:
 
 DEFAULT_S_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
 DEFAULT_E_GRID = {1: 96, 2: 16}
+RADIUS_LADDER_STEPS = 6  # _select_radius tries r_max / 2^k for k below this
+INFIMUM_SAMPLES = 20000  # interior sample points of ball_infimum
 
 
 def scan_sharp_witness(
@@ -271,10 +273,10 @@ def _witness_grid(z0, r: float, nodes: int) -> GridDiscretization:
     return make_grid(DomainBox("ball", z0, np.array([r + pad])), nodes)
 
 
-def _select_radius(phi, omega, z0, c, r_max, ladder_steps: int = 6) -> Optional[float]:
-    """Largest r_max / 2^k, k < ladder_steps, with sampled Levi gap < -c/2
+def _select_radius(phi, omega, z0, c, r_max) -> Optional[float]:
+    """Largest r_max / 2^k, k < RADIUS_LADDER_STEPS, with sampled Levi gap < -c/2
     throughout the ball; None when no radius of the ladder has it."""
-    for k in range(ladder_steps):
+    for k in range(RADIUS_LADDER_STEPS):
         r = r_max / (2.0**k)
         _, eigs = _levi_gap(phi, omega, DomainBox("ball", z0, np.array([r])).grid_points(7))
         if np.max(eigs) < -c / 2.0:
@@ -395,16 +397,17 @@ class CoarseChainReport:
         return self.rhs_integral <= (1.0 + 1e-9) * self.bound
 
 
-def ball_infimum(phi: ScalarField, w, eps: float, samples: int = 20000, seed: int = 0) -> float:
-    """Approximate inf over the closed ball B(w, eps) by dense deterministic sampling."""
+def ball_infimum(phi: ScalarField, w, eps: float) -> float:
+    """Approximate inf over the closed ball B(w, eps) by dense deterministic
+    sampling: INFIMUM_SAMPLES seeded points, a boundary shell and the center."""
     w = as_point(w)
     n = w.size
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((samples, 2 * n))
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((INFIMUM_SAMPLES, 2 * n))
     dirs = g[:, 0:n] + 1j * g[:, n:]
     nv = np.linalg.norm(dirs, axis=1, keepdims=True)
     nv[nv == 0.0] = 1.0
-    radii = eps * rng.uniform(0.0, 1.0, size=samples) ** (1.0 / (2 * n))
+    radii = eps * rng.uniform(0.0, 1.0, size=INFIMUM_SAMPLES) ** (1.0 / (2 * n))
     pts = w[None, :] + dirs / nv * radii[:, None]
     # include the center and a shell of boundary points
     shell = w[None, :] + dirs[:2048] / nv[:2048] * eps
@@ -490,14 +493,13 @@ def coarse_constant_growth(
     p: float,
     o_evaluator: Callable[[float], float],
     n: int = 1,
-    region_radius: float = 1.0,
 ):
     """log C'_m, C'_m = C'' C_m m^p e^{m O_{1/m}}, and the diagnostic log C'_m / m,
     given log(C_m).
 
     C'' is the explicit envelope 2^p (mu(B_1) + C' C) with
-    C = 2^{p+2n} mu(B_1) and C' = sup e^{psi_0} over the region (bounded by
-    e^{R^2} (2R)^{2n} for circumradius R); the diagnostic tends to 0 exactly
+    C = 2^{p+2n} mu(B_1) and C' = sup e^{psi_0} over the unit ball (bounded by
+    e^{R^2} (2R)^{2n} for its circumradius R = 1); the diagnostic tends to 0 exactly
     when log C_m / m -> 0 and the modulus O_{1/m} -> 0.
     """
     m_arr = np.asarray(list(m_values), dtype=float)
@@ -506,7 +508,7 @@ def coarse_constant_growth(
         raise ValueError("constants C_m must be >= 1")
     mu1 = ball_volume(n)
     c_env = 2.0 ** (p + 2 * n) * mu1
-    c_prime = math.exp(region_radius**2) * (2.0 * region_radius) ** (2 * n)
+    c_prime = math.exp(1.0) * 2.0 ** (2 * n)
     c_dprime = 2.0**p * (mu1 + c_prime * c_env)
     o_vals = np.array([float(o_evaluator(1.0 / m)) for m in m_arr])
     log_cprime_m = math.log(c_dprime) + log_c_arr + p * np.log(m_arr) + m_arr * o_vals

@@ -55,12 +55,10 @@ def form_norm_sq(metric, f_coeffs):
     return float(np.real(np.dot(f, np.linalg.solve(np.asarray(metric), np.conj(f)))))
 
 
-def projection_orthogonality(
-    u_values, h_values, eta, degree: int, grid, domain=None
-) -> float:
+def projection_orthogonality(u_values, h_values, eta_values, degree: int, grid) -> float:
     """Max relative pairing of (u - h) against the basis monomials."""
     pts = grid.points
-    w, _ = _weights(eta, grid, domain)
+    w, _ = _weights(eta_values, grid)
     mono = _monomial_values(pts, monomial_exponents(1, degree))
     res = np.asarray(u_values) - np.asarray(h_values)
     pair = mono.conj().T @ (w * res)

@@ -179,6 +179,50 @@ class TestDbarStar:
         assert abs(lhs - rhs) <= 1e-3 * scale
 
 
+# (n, nodes per axis, form support radius, xi): the grids and forms of criterion 2
+CRITERION_2_SETUPS = pytest.mark.parametrize(
+    "n, nodes, radius, xi",
+    [(1, 256, 0.9, np.array([1.0])), (2, 24, 0.8, np.array([0.8, 0.6j]))],
+    ids=["n1", "n2"],
+)
+
+
+class TestUndeclaredDerivatives:
+    """A weight with neither grad nor hess takes the finite-difference Levi form
+    (step 1e-3, error O(h^2)) and dbar_star's 4th-order grid-stencil gradient
+    (error O(spacing^4)); both must match the declared derivatives."""
+
+    @CRITERION_2_SETUPS
+    @pytest.mark.parametrize("form_name", ["bump_const", "bump_zbar2"])
+    def test_bochner_terms_match_declared(self, n, nodes, radius, xi, form_name):
+        grid = make_grid(unit_ball(n, radius=1.3), nodes)
+        declared = fields.log1p_sq(n)
+        bare = fields.ScalarField("log1p_sq_bare", n, declared.evaluate)
+        alpha = (
+            bump_const_form(xi, radius=radius)
+            if form_name == "bump_const"
+            else bump_zbar_form(n, radius=radius)
+        )
+        want = bochner_residual(alpha, declared, grid)
+        got = bochner_residual(alpha, bare, grid)
+        stencil_tol = 10.0 * np.max(grid.spacing) ** 4
+        assert got.curvature_term == pytest.approx(want.curvature_term, rel=10.0 * 1e-3**2)
+        assert got.adjoint_term == pytest.approx(want.adjoint_term, rel=stencil_tol)
+        assert got.gradient_term == want.gradient_term
+        assert got.dbar_term == want.dbar_term
+        assert got.residual <= (1e-3 if n == 1 else 5e-3)
+
+    @CRITERION_2_SETUPS
+    def test_dbar_star_matches_declared(self, n, nodes, radius, xi):
+        grid = make_grid(unit_ball(n, radius=1.3), nodes)
+        declared = fields.log1p_sq(n)
+        bare = fields.ScalarField("log1p_sq_bare", n, declared.evaluate)
+        alpha = bump_zbar_form(n, radius=radius)
+        want = dbar_star(alpha, declared, grid)
+        got = dbar_star(alpha, bare, grid)
+        assert np.max(np.abs(got - want)) <= 10.0 * np.max(grid.spacing) ** 4 * np.max(np.abs(want))
+
+
 class TestBochnerIdentity:
     def test_zero_form_trivial(self):
         g = grid1(nodes=48)

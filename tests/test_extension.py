@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from pshlab import fields
-from pshlab.errors import DegenerateWeightError
+from pshlab.errors import DegenerateWeightError, SingularGramError
 from pshlab.extension import (
+    _solve_gram,
     best_extension_constant,
     coarse_extension_bound,
     constant_one,
@@ -214,6 +215,12 @@ class TestBestExtensionConstant:
         )
         with pytest.raises(DegenerateWeightError):
             best_extension_constant(deep, np.zeros(1), disc(), 2, RULE)
+
+    @pytest.mark.parametrize("gram", [[[1.0, 1.0], [1.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_singular_gram_raises(self, gram):
+        # an exactly singular matrix and one whose solve is not finite: no ridge retry
+        with pytest.raises(SingularGramError, match="Gram"):
+            _solve_gram(np.array(gram), np.array([1.0, 0.0]))
 
 
 class TestMonomials:

@@ -179,12 +179,6 @@ class TestRegistry:
         g = get_omega("sq:2", 1)(np.array([[1.0 + 1.0j]]))
         assert g[0, 0, 0] == pytest.approx(4.0)
 
-    def test_field_addition(self):
-        both = fields.sq_norm(1) + fields.re_linear(n=1)
-        z = np.array([[0.5 + 0.5j]])
-        assert both.evaluate(z)[0] == pytest.approx(0.5 + 0.5)
-        assert both.hess(z)[0, 0, 0] == pytest.approx(1.0)
-
     def test_hermitian_field_validates(self):
         bad = HermitianField(
             "bad", 2, lambda z: np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]]), (z.shape[0], 2, 2))

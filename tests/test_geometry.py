@@ -97,18 +97,22 @@ class TestRandomUnitary:
 
 
 class TestSampling:
-    @pytest.mark.parametrize("kind", ["tensor-grid", "quasi-random", "random"])
+    @pytest.mark.parametrize("kind", ["tensor-grid", "quasi-random"])
     def test_weight_sums_to_volume(self, kind):
         for cyl in (disc(1.3), cyl2(0.9, 0.5, seed=2)):
             sample = sample_cylinder(cyl, QuadratureRule(kind, 4096, seed=1))
             assert np.sum(sample.weights) == pytest.approx(cyl.volume, rel=1e-8)
             assert np.all(sample.weights > 0)
 
-    @pytest.mark.parametrize("kind", ["tensor-grid", "quasi-random", "random"])
+    @pytest.mark.parametrize("kind", ["tensor-grid", "quasi-random"])
     def test_nodes_inside(self, kind):
         cyl = cyl2(0.9, 0.5, seed=4)
         sample = sample_cylinder(cyl, QuadratureRule(kind, 2048, seed=1))
         assert np.all(cyl.contains(sample.nodes))
+
+    def test_unknown_rule_kind(self):
+        with pytest.raises(ValueError, match="unknown quadrature kind 'random'"):
+            QuadratureRule("random", 4096, seed=1)
 
     def test_budget_too_small(self):
         with pytest.raises(InsufficientNodesError, match="insufficient nodes"):
@@ -177,14 +181,14 @@ class TestSampling:
         cyl = HolomorphicCylinder(
             np.zeros(3, dtype=complex), random_unitary(2, 3), 0.8, 0.5
         )
-        for kind in ("tensor-grid", "quasi-random", "random"):
+        for kind in ("tensor-grid", "quasi-random"):
             with pytest.raises(ValueError, match=f"{kind} cylinder rule supports n <= 2"):
                 sample_cylinder(cyl, QuadratureRule(kind, 4096, seed=1))
 
     def test_deterministic_sampling(self):
         cyl = cyl2(0.9, 0.5, seed=8)
-        a = sample_cylinder(cyl, QuadratureRule("random", 1024, seed=3))
-        b = sample_cylinder(cyl, QuadratureRule("random", 1024, seed=3))
+        a = sample_cylinder(cyl, QuadratureRule("quasi-random", 1024, seed=3))
+        b = sample_cylinder(cyl, QuadratureRule("quasi-random", 1024, seed=3))
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.weights, b.weights)
 
@@ -202,7 +206,7 @@ def vdc_digit_loop(indices: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-KINDS = ["tensor-grid", "quasi-random", "random"]
+KINDS = ["tensor-grid", "quasi-random"]
 
 
 def cylinders():

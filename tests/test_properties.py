@@ -11,6 +11,7 @@ The sharp-estimate witness scan certifies every Levi gap of a family that
 is negative on the whole region, however its depth is spread.
 """
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -52,14 +53,10 @@ property_settings = settings(max_examples=20, deadline=None)
 
 
 def shifted(phi: fields.ScalarField, c: float) -> fields.ScalarField:
-    n = phi.n
-    const = fields.ScalarField(
-        f"const:{c!r}", n,
-        lambda z: np.full(z.shape[0], c),
-        grad=lambda z: np.zeros((z.shape[0], n), dtype=complex),
-        hess=lambda z: np.zeros((z.shape[0], n, n), dtype=complex),
+    """phi + c, with phi's derivatives and pole set."""
+    return dataclasses.replace(
+        phi, name=f"{phi.name}+{c!r}", evaluate=lambda z: phi.evaluate(z) + c
     )
-    return phi + const
 
 
 def shift_tol(c: float) -> float:
