@@ -116,10 +116,7 @@ def criterion_bochner(seed: int) -> CheckRecord:
     ok = True
     for n, nodes, radius, tol in ((1, 256, 0.9, 1e-3), (2, 24, 0.8, 5e-3)):
         grid = make_grid(unit_ball(n, radius=1.3), nodes)
-        xi = np.zeros(n, dtype=complex)
-        xi[0] = 1.0
-        if n == 2:
-            xi = np.array([0.8, 0.6j])
+        xi = np.array([1.0 + 0.0j]) if n == 1 else np.array([0.8, 0.6j])
         forms = {
             "bump_const": bump_const_form(xi, radius=radius),
             "bump_zbar2": bump_zbar_form(n, radius=radius),
@@ -175,16 +172,16 @@ def criterion_meanvalue(seed: int) -> CheckRecord:
 @_timed
 def criterion_witness(seed: int) -> CheckRecord:
     values = {}
-    none_cert = scan_sharp_witness(fields.sq_norm(1), fields.zero_omega(1), unit_ball(1))
-    values["sq_norm/no_certificate"] = none_cert is None
-    ok = none_cert is None
+    psh_scan = scan_sharp_witness(fields.sq_norm(1), fields.zero_omega(1), unit_ball(1))
+    values["sq_norm/no_certificate"] = psh_scan.certificate is None
+    ok = psh_scan.certificate is None
 
     cases = (
         ("neg_sq_norm", fields.neg_sq_norm(1), fields.zero_omega(1), unit_ball(1)),
         ("saddle", fields.saddle(2.0), fields.zero_omega(2), unit_ball(2)),
     )
     for name, phi, omega, region in cases:
-        cert = scan_sharp_witness(phi, omega, region)
+        cert = scan_sharp_witness(phi, omega, region).certificate
         if cert is None:
             ok = False
             values[f"{name}/E"] = None

@@ -13,13 +13,14 @@ their agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import PoleInStencilError
-from .fields import ScalarField, levi_form, unshift, weight_exp
+from .fields import ScalarField, levi_form, parse_point, unshift, weight_exp
 from .geometry import DomainBox, as_point, as_points
 
 FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
@@ -65,14 +66,11 @@ class GridDiscretization:
         object.__setattr__(self, "spacing", spacing)
         shape = (self.nodes_per_axis,) * bounds.shape[0]
         object.__setattr__(self, "shape", shape)
-        w = np.ones(shape)
-        for ax_i in range(len(axes)):
-            w1 = np.full(self.nodes_per_axis, spacing[ax_i])
-            w1[0] *= 0.5
-            w1[-1] *= 0.5
-            sl = [None] * len(axes)
-            sl[ax_i] = slice(None)
-            w = w * w1[tuple(sl)]
+        w = np.ones(())
+        for h in spacing:
+            w1 = np.full(self.nodes_per_axis, h)
+            w1[[0, -1]] *= 0.5
+            w = np.multiply.outer(w, w1)
         object.__setattr__(self, "weights", w.ravel())
 
     @property
@@ -101,52 +99,41 @@ class GridDiscretization:
         idx = np.ravel_multi_index(np.ix_(*ranges), self.shape).ravel()
         return idx[grown.contains(self.points_at(idx))]
 
-    def partial(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """4th-order central difference along a real axis (flat in, flat out).
+    def partial(self, values: np.ndarray, axis: int, nodes: np.ndarray) -> np.ndarray:
+        """4th-order central difference along a real axis at the flat nodes, gathered
+        from flat values; 0 at nodes within FD_STENCIL_WIDTH of an edge along the axis."""
+        v, h, nn = np.asarray(values).ravel(), self.spacing[axis], self.nodes_per_axis
+        s = nn ** (len(self.shape) - 1 - axis)  # flat stride of the axis
+        along = nodes // s % nn
+        inner = (along >= FD_STENCIL_WIDTH) & (along < nn - FD_STENCIL_WIDTH)
+        i = nodes[inner]
+        d = np.zeros(nodes.size, dtype=np.result_type(v, 1.0))
+        d[inner] = (-v[i + 2 * s] + 8.0 * v[i + s] - 8.0 * v[i - s] + v[i - 2 * s]) / (12.0 * h)
+        return d
 
-        The stencil needs two nodes on each side, so the outermost two node
-        layers along the axis are set to zero.
-        """
-        v = np.asarray(values).reshape(self.shape)
-        h = self.spacing[axis]
-        w = FD_STENCIL_WIDTH
+    def wirtinger(self, values: np.ndarray, j: int, nodes: np.ndarray) -> tuple:
+        """(d/dz_j, d/dzbar_j) = ((d/dx_j - i d/dy_j)/2, (d/dx_j + i d/dy_j)/2)
+        at the flat nodes, from one partial along each of the two real axes."""
+        dx, dy = self.partial(values, 2 * j, nodes), self.partial(values, 2 * j + 1, nodes)
+        return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
-        def at(k):
-            # the index v[i + k] over the interior nodes i along the axis
-            idx = [slice(None)] * v.ndim
-            idx[axis] = slice(w + k, v.shape[axis] - w + k)
-            return tuple(idx)
-
-        d = np.zeros(v.shape, dtype=np.result_type(v, 1.0))
-        d[at(0)] = (-v[at(2)] + 8.0 * v[at(1)] - 8.0 * v[at(-1)] + v[at(-2)]) / (12.0 * h)
-        return d.ravel()
-
-    def d_dz(self, values: np.ndarray, j: int) -> np.ndarray:
-        """Wirtinger d/dz_j = (d/dx_j - i d/dy_j)/2 on grid data."""
-        return 0.5 * (self.partial(values, 2 * j) - 1j * self.partial(values, 2 * j + 1))
-
-    def d_dzbar(self, values: np.ndarray, j: int) -> np.ndarray:
-        """Wirtinger d/dzbar_j = (d/dx_j + i d/dy_j)/2 on grid data."""
-        return 0.5 * (self.partial(values, 2 * j) + 1j * self.partial(values, 2 * j + 1))
-
-    def interior_mask(self, margin_cells: int = FD_STENCIL_WIDTH) -> np.ndarray:
-        """Flat boolean mask selecting nodes at least margin_cells from every edge."""
-        mask = np.ones(self.shape, dtype=bool)
-        for ax_i in range(len(self.shape)):
-            idx = [slice(None)] * len(self.shape)
-            idx[ax_i] = slice(0, margin_cells)
-            mask[tuple(idx)] = False
-            idx[ax_i] = slice(self.shape[ax_i] - margin_cells, None)
-            mask[tuple(idx)] = False
-        return mask.ravel()
+    def stencil_band(self, support: np.ndarray) -> np.ndarray:
+        """Sorted flat indices of a support (flat boolean mask) and its neighbours up to
+        FD_STENCIL_WIDTH along each axis: where stencils of values zero off it can be nonzero."""
+        s = support.reshape(self.shape)
+        band = s.copy()
+        for axis in range(s.ndim):
+            src, dst = np.moveaxis(s, axis, 0), np.moveaxis(band, axis, 0)
+            for k in range(1, FD_STENCIL_WIDTH + 1):
+                dst[k:] |= src[:-k]
+                dst[:-k] |= src[k:]
+        return np.flatnonzero(band)
 
     def check_support_margin(self, support: DomainBox, widths: int) -> None:
         """The grid must contain the support with >= widths FD stencil widths of margin."""
         sb = support.real_bounds()
-        need = widths * FD_STENCIL_WIDTH * self.spacing
-        lo_ok = np.all(sb[:, 0] - self.bounds[:, 0] >= need - 1e-12)
-        hi_ok = np.all(self.bounds[:, 1] - sb[:, 1] >= need - 1e-12)
-        if not (lo_ok and hi_ok):
+        room = np.minimum(sb[:, 0] - self.bounds[:, 0], self.bounds[:, 1] - sb[:, 1])
+        if np.any(room < widths * FD_STENCIL_WIDTH * self.spacing - 1e-12):
             raise ValueError(
                 f"grid does not contain the form's support with a {widths}-stencil margin"
             )
@@ -172,80 +159,89 @@ def node_values(obj, grid: GridDiscretization, margin_widths: int = 2) -> np.nda
     return arr
 
 
-def dbar_01(alpha, grid: GridDiscretization) -> np.ndarray:
-    """(0,2)-coefficients (d alpha_k / dzbar_j - d alpha_j / dzbar_k), j < k.
+@dataclass(frozen=True)
+class FormGradient:
+    """A form's node values and its components' Wirtinger derivatives on its stencil band."""
 
-    Returns an (n(n-1)/2, m) array in lexicographic (j, k) order; the array is
-    empty when n = 1 (there are no (0,2)-forms on C).
-    """
-    av = node_values(alpha, grid)
-    n = grid.n
-    rows = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            rows.append(grid.d_dzbar(av[k], j) - grid.d_dzbar(av[j], k))
-    if not rows:
-        return np.zeros((0, av.shape[1]), dtype=complex)
-    return np.stack(rows)
+    values: np.ndarray  # (n, m) node values, zero off the support: the stencils' source
+    band: np.ndarray  # sorted flat indices: the support and its stencil neighbours
+    on_support: np.ndarray  # (k,) boolean: the band nodes where some component is nonzero
+    dz: np.ndarray  # (n, n, k): [j, l] = d alpha_j / dz_l at the band nodes
+    dzbar: np.ndarray  # (n, n, k): [j, l] = d alpha_j / dzbar_l at the band nodes
+
+
+def form_gradient(alpha, grid: GridDiscretization, margin_widths: int = 2) -> FormGradient:
+    """The FormGradient of a form or its node values (see node_values), or alpha itself."""
+    if isinstance(alpha, FormGradient):
+        return alpha
+    av = node_values(alpha, grid, margin_widths)
+    support = np.any(av != 0.0, axis=0)
+    band = grid.stencil_band(support)
+    # (n, n, 2, k): d/dz_k and d/dzbar_k of each component
+    w = np.array([[grid.wirtinger(c, k, band) for k in range(grid.n)] for c in av])
+    return FormGradient(av, band, support[band], w[:, :, 0], w[:, :, 1])
+
+
+def dbar_01(alpha, grid: GridDiscretization) -> np.ndarray:
+    """(0,2)-coefficients (d alpha_k / dzbar_j - d alpha_j / dzbar_k), j < k, on the
+    stencil band of alpha (as form_gradient takes it): an (n(n-1)/2, k) array in
+    lexicographic (j, k) order, empty when n = 1 (there are no (0,2)-forms on C)."""
+    d = form_gradient(alpha, grid).dzbar
+    rows = [d[k, j] - d[j, k] for j in range(grid.n) for k in range(j + 1, grid.n)]
+    return np.array(rows, dtype=complex).reshape(len(rows), d.shape[-1])
 
 
 def dbar_star(alpha, phi: ScalarField, grid: GridDiscretization) -> np.ndarray:
-    """Formal adjoint -sum_j (d alpha_j / dz_j - alpha_j dphi/dz_j), nodewise;
-    poles and grad phi are evaluated only where alpha is nonzero."""
-    av = node_values(alpha, grid)
-    n = grid.n
-    support = np.flatnonzero(np.any(av != 0.0, axis=0))
+    """Formal adjoint -sum_j (d alpha_j / dz_j - alpha_j dphi/dz_j) on the stencil band
+    of alpha (as form_gradient takes it); poles and grad phi are evaluated where alpha
+    is nonzero, and a weight without grad on the band, for its stencil gradient."""
+    g = form_gradient(alpha, grid)
+    av, n = g.values, grid.n
+    support = g.band[g.on_support]
     pts = grid.points_at(support)
     if phi.grad is not None:
         with np.errstate(divide="ignore", invalid="ignore"):
             gphi = np.asarray(phi.grad(pts), dtype=complex)
         finite = np.isfinite(gphi)
     else:
-        pv = phi(grid.points)
+        pv = np.zeros(av.shape[1])
+        pv[g.band] = phi(grid.points_at(g.band))
         finite = np.isfinite(pv[support])
-        gphi = np.stack([grid.d_dz(pv, j)[support] for j in range(n)], axis=1)
+        gphi = np.stack([grid.wirtinger(pv, j, support)[0] for j in range(n)], axis=1)
     if np.any(phi.is_pole(pts)) or not np.all(finite):
         raise PoleInStencilError("pole in the support of the form")
-    out = np.zeros(av.shape[1], dtype=complex)
+    out = np.zeros(g.band.size, dtype=complex)
     for j in range(n):
-        term = grid.d_dz(av[j], j)
-        term[support] -= av[j, support] * gphi[:, j]
+        term = g.dz[j, j].copy()
+        term[g.on_support] -= av[j, support] * gphi[:, j]
         out -= term
     return out
 
 
-def gradient_energy(av: np.ndarray, grid: GridDiscretization) -> np.ndarray:
-    """Nodewise full gradient energy sum_{j,k} |d alpha_j / dzbar_k|^2 of (n, m) values."""
-    out = np.zeros(av.shape[1])
-    for j in range(grid.n):
-        for k in range(grid.n):
-            out += np.abs(grid.d_dzbar(av[j], k)) ** 2
-    return out
-
-
-def band_energy(av, phi: ScalarField, grid: GridDiscretization, psi=None, omega=None, extra=()):
-    """The band of (n, m) form values av: the nodes where av, its gradient
-    energy or an extra (m,) integrand is nonzero.  Returns the band, on it
-    Re sum_{j,k} (phi_{j kbar} - omega_jk) alpha_j conj(alpha_k), the gradient
-    energy and the trapezoid weights times e^{-(phi + psi) - shift}, and the
-    shift (the band's largest exponent).  Weight, Levi forms and omega are
-    evaluated on the band only."""
-    grad_sq = gradient_energy(av, grid)
-    on_band = np.any(av != 0.0, axis=0) | (grad_sq != 0.0)
+def band_energy(g: FormGradient, phi: ScalarField, grid, psi=None, omega=None, extra=()):
+    """The energy band: the stencil-band nodes where alpha, its gradient energy or an
+    extra integrand (on the stencil band) is nonzero.  Returns it as a mask of the
+    stencil band, and on it Re sum_{j,k} (phi_{j kbar} - omega_jk) alpha_j conj(alpha_k),
+    the gradient energy, the trapezoid weights times e^{-(phi + psi) - shift} and the
+    shift (the band's largest exponent).  Weight, Levi forms and omega are evaluated
+    on the band only."""
+    # the gradient energy sum_{j,k} |d alpha_j / dzbar_k|^2, summed in (j, k) order
+    grad_sq = np.sum(np.abs(g.dzbar.reshape(grid.n**2, -1)) ** 2, axis=0)
+    keep = g.on_support | (grad_sq != 0.0)
     for values in extra:
-        on_band |= values != 0.0
-    band = np.flatnonzero(on_band)
+        keep |= values != 0.0
+    band = g.band[keep]
     if band.size == 0:
         empty = np.zeros(0)
-        return band, empty, empty, empty, 0.0
+        return keep, empty, empty, empty, 0.0
     pts = grid.points_at(band)
     e, shift = weight_exp(-phi(pts) if psi is None else -(phi(pts) + psi(pts)))
     levi = levi_form(phi, pts)
     if omega is not None:
         levi = levi - omega(pts)
-    a = av[:, band]
+    a = g.values[:, band]
     quad = np.real(np.einsum("mjk,jm,km->m", levi, a, np.conj(a)))
-    return band, quad, grad_sq[band], e * grid.weights[band], shift
+    return keep, quad, grad_sq[keep], e * grid.weights[band], shift
 
 
 @dataclass(frozen=True)
@@ -272,14 +268,14 @@ def bochner_residual(
 ) -> BochnerReport:
     """Both sides of the energy identity, reduced over one band with one
     weight, and their relative residual."""
-    av = node_values(alpha, grid)
+    g = form_gradient(alpha, grid)
     # |dbar alpha|^2 over increasing pairs (none when n = 1) and |dbar*_phi alpha|^2
-    dbar_sq = np.sum(np.abs(dbar_01(av, grid)) ** 2, axis=0)
-    adjoint_sq = np.abs(dbar_star(av, phi, grid)) ** 2
+    dbar_sq = np.sum(np.abs(dbar_01(g, grid)) ** 2, axis=0)
+    adjoint_sq = np.abs(dbar_star(g, phi, grid)) ** 2
     # quad: the curvature integrand sum_{j,k} phi_{j kbar} alpha_j conj(alpha_k)
-    band, quad, grad_sq, e, shift = band_energy(av, phi, grid, extra=(dbar_sq, adjoint_sq))
+    keep, quad, grad_sq, e, shift = band_energy(g, phi, grid, extra=(dbar_sq, adjoint_sq))
     terms = tuple(
-        float(np.dot(v, e)) for v in (quad, grad_sq, dbar_sq[band], adjoint_sq[band])
+        float(np.dot(v, e)) for v in (quad, grad_sq, dbar_sq[keep], adjoint_sq[keep])
     )
     lhs, rhs = terms[0] + terms[1], terms[2] + terms[3]
     residual = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
@@ -332,12 +328,11 @@ def bump_zbar_form(n: int, center=None, radius: float = 1.0) -> FormField01:
     if n == 1:
         comps = (lambda z: value(z) * (1.0 + np.conj(z[:, 0])),)
     else:
-        comps = [lambda z: value(z).astype(complex)]
-        comps += [
-            (lambda z, j=j: np.zeros(z.shape[0], dtype=complex)) for j in range(1, n - 1)
-        ]
-        comps.append(lambda z: value(z) * np.conj(z[:, n - 1]))
-        comps = tuple(comps)
+        comps = (
+            (lambda z: value(z).astype(complex),)
+            + (lambda z: np.zeros(z.shape[0], dtype=complex),) * (n - 2)
+            + (lambda z: value(z) * np.conj(z[:, n - 1]),)
+        )
     support = DomainBox("ball", c, np.array([radius]))
     return FormField01("bump_zbar2", n, comps, support)
 
@@ -353,27 +348,17 @@ def zero_field(n: int) -> ScalarField:
 
 def get_form(spec: str, n: int) -> FormField01:
     """Resolve a form id like "bump_const:[[1,0]]" or "bump_zbar2"."""
-    import json
-
     base, _, raw = spec.partition(":")
     param = json.loads(raw) if raw else None
+    e1 = np.eye(n, dtype=complex)[0]
     if base == "bump_const":
-        if param is None:
-            xi = np.zeros(n, dtype=complex)
-            xi[0] = 1.0
-        else:
-            from .fields import parse_point
-
-            xi = parse_point(param, n)
-        return bump_const_form(xi)
+        return bump_const_form(e1 if param is None else parse_point(param, n))
     if base == "bump_zbar2":
         return bump_zbar_form(n)
     if base == "dbar_nu":
         from .witness import build_witness_form, make_cutoff
 
-        xi = np.zeros(n, dtype=complex)
-        xi[0] = 1.0
-        return build_witness_form(np.zeros(n, dtype=complex), xi, 1.0, make_cutoff())
+        return build_witness_form(np.zeros(n, dtype=complex), e1, 1.0, make_cutoff())
     raise ValueError(
         f"unknown form id {base!r}; known ids: bump_const, bump_zbar2, dbar_nu"
     )

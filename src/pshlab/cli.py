@@ -253,16 +253,15 @@ def _witness(args, phi, omega, region) -> list:
     while s <= args.smax * (1.0 + 1e-12):
         schedule.append(s)
         s *= 10.0
-    cert = scan_sharp_witness(
-        phi, omega, region, s_schedule=schedule, grid_nodes=args.grid
-    )
-    if cert is None:
+    scan = scan_sharp_witness(phi, omega, region, s_schedule=schedule, grid_nodes=args.grid)
+    if scan.certificate is None:
         # no certificate passes only when the Levi form dominates omega; when
         # it does not, no s of the schedule made the sign functional negative
-        holds = fields.check_lower_bound(phi, omega, region).holds
+        holds = scan.levi_lower_bound_holds
         passed, values = holds, {"certificate": None, "levi_lower_bound_holds": holds}
     else:
-        passed, values = cert.E < 0.0, {"certificate": asdict(cert)}
+        passed = scan.certificate.E < 0.0
+        values = {"certificate": asdict(scan.certificate)}
     return [CheckRecord("sharp-witness", passed, values, {"smax": args.smax})]
 
 
@@ -626,12 +625,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(COMMANDS[args.command], args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PshlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ diagnostic log C'_m / m -> 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -26,7 +27,7 @@ from .errors import ContinuityRequiredError, MetricNotPositiveError
 from .fields import (
     LEVI_TOL, HermitianField, ScalarField, _levi_gap, _region_nodes, unshift, weight_exp,
 )
-from .bochner import FormField01, GridDiscretization, band_energy, make_grid, node_values
+from .bochner import FormField01, GridDiscretization, band_energy, form_gradient, make_grid
 from .geometry import DomainBox, as_point, ball_volume
 
 
@@ -154,8 +155,8 @@ def estimate_functional_E(
     (phi, omega).  Every field is evaluated on the band of alpha only.
     """
     # single first-derivative stencils only: one stencil width of margin
-    av = node_values(alpha, grid, margin_widths=1)
-    _, quad, grad_sq, weight, shift = band_energy(av, phi, grid, psi, omega)
+    g = form_gradient(alpha, grid, margin_widths=1)
+    _, quad, grad_sq, weight, shift = band_energy(g, phi, grid, psi, omega)
     return unshift(float(np.dot(quad + grad_sq, weight)), shift)
 
 
@@ -179,6 +180,16 @@ class WitnessCertificate:
     grid_nodes: int
 
 
+@dataclass(frozen=True)
+class WitnessScan:
+    """A witness scan's outcome: whether the Levi form of phi dominates omega at
+    every node of the region grid (no eigenvalue of the gap below -LEVI_TOL, the
+    test of check_lower_bound), and the certificate found, if any."""
+
+    levi_lower_bound_holds: bool
+    certificate: Optional[WitnessCertificate]
+
+
 DEFAULT_S_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
 DEFAULT_E_GRID = {1: 96, 2: 16}
 RADIUS_LADDER_STEPS = 6  # _select_radius tries r_max / 2^k for k below this
@@ -192,7 +203,7 @@ def scan_sharp_witness(
     s_schedule: Sequence[float] = DEFAULT_S_SCHEDULE,
     grid_nodes: Optional[int] = None,
     lb_resolution: int = 9,
-) -> Optional[WitnessCertificate]:
+) -> WitnessScan:
     """Search for a sign-functional certificate against the sharp estimate.
 
     Evaluates the Levi gap levi(phi) - omega on the region grid once.  Among
@@ -201,41 +212,48 @@ def scan_sharp_witness(
     the radius of the largest ball about z0 in the region; then the largest
     dyadic radius r <= r_max with sampled gap < -c/2 on B(z0, r).  It builds
     the localized form and sweeps the s-schedule until E < 0 on the grid and
-    on the doubled grid.  The result is None for weights whose Levi form
+    on the doubled grid.  There is no certificate for weights whose Levi form
     dominates omega on the region, when no ladder radius keeps the gap below
     -c/2, and when no s of the schedule certifies a violation.
     """
     pts = _region_nodes(phi, region, lb_resolution)
-    center = _select_center(phi, region, pts, *_levi_gap(phi, omega, pts))
-    if center is None:
-        return None
-    z0, xi, c, r_max = center
-    r = _select_radius(phi, omega, z0, c, r_max)
+    gap, eigs = _levi_gap(phi, omega, pts)
+    holds = not np.any(eigs < -LEVI_TOL)
+    center = _select_center(phi, region, pts, gap, eigs)
+    r = None if center is None else _select_radius(phi, omega, center)
     if r is None:
-        return None
+        return WitnessScan(holds, None)
+    z0, xi, c, _ = center
     n = phi.n
     if grid_nodes is None:
         grid_nodes = DEFAULT_E_GRID.get(n, 16)
     f = build_witness_form(z0, xi, r, make_cutoff())
 
-    def energy(grid, psi, s):
-        # alpha^s = f (sI + g)^{-1} at the support nodes of f, zero elsewhere;
-        # equals f/s when omega vanishes
+    @functools.cache
+    def on_grid(nodes):
+        # the grid, and f and omega at the support nodes of f: none depends on s
+        grid = _witness_grid(z0, r, nodes)
         idx = grid.support_nodes(f.support)
         pts = grid.points_at(idx)
+        return grid, idx, f.evaluate(pts).T, omega(pts)
+
+    def energy(nodes, psi, s):
+        # alpha^s = f (sI + g)^{-1} at the support nodes of f, zero elsewhere;
+        # equals f/s when omega vanishes
+        grid, idx, fv, g = on_grid(nodes)
         alpha = np.zeros((n, grid.weights.size), dtype=complex)
-        alpha[:, idx] = alpha_from_f(f.evaluate(pts).T, _plus_s(omega(pts), s)).T
+        alpha[:, idx] = alpha_from_f(fv, _plus_s(g, s)).T
         return estimate_functional_E(alpha, phi, psi, omega, grid)
 
-    grid = _witness_grid(z0, r, grid_nodes)
     for s in s_schedule:
         psi = build_psi_s(z0, r, float(s))
-        value = energy(grid, psi, s)
+        value = energy(grid_nodes, psi, s)
         if value < 0.0:
-            value_doubled = energy(_witness_grid(z0, r, 2 * grid_nodes), psi, s)
+            value_doubled = energy(2 * grid_nodes, psi, s)
             if value_doubled < 0.0:
-                return WitnessCertificate(z0, xi, r, c, float(s), value, value_doubled, grid_nodes)
-    return None
+                cert = WitnessCertificate(z0, xi, r, c, float(s), value, value_doubled, grid_nodes)
+                return WitnessScan(holds, cert)
+    return WitnessScan(holds, None)
 
 
 def _plus_s(g, s: float) -> np.ndarray:
@@ -273,9 +291,11 @@ def _witness_grid(z0, r: float, nodes: int) -> GridDiscretization:
     return make_grid(DomainBox("ball", z0, np.array([r + pad])), nodes)
 
 
-def _select_radius(phi, omega, z0, c, r_max) -> Optional[float]:
+def _select_radius(phi, omega, center) -> Optional[float]:
     """Largest r_max / 2^k, k < RADIUS_LADDER_STEPS, with sampled Levi gap < -c/2
-    throughout the ball; None when no radius of the ladder has it."""
+    throughout the ball about z0, for center = (z0, xi, c, r_max); None when no
+    radius of the ladder has it."""
+    z0, _, c, r_max = center
     for k in range(RADIUS_LADDER_STEPS):
         r = r_max / (2.0**k)
         _, eigs = _levi_gap(phi, omega, DomainBox("ball", z0, np.array([r])).grid_points(7))

@@ -1,16 +1,87 @@
-"""Test-only helpers on grids and forms: a full-grid weighted pairing, dbar of
-a scalar grid field, a support check, the two sides of the metric energy
-identity behind alpha_from_f, and the orthogonality of a Bergman residual."""
+"""Test-only helpers on grids and forms: the whole-grid slice stencil (the
+oracle of the gathered one) and its Wirtinger derivatives, an interior mask,
+band values on the whole grid, a full-grid weighted pairing, dbar of a scalar
+grid field, a support check, the two sides of the metric energy identity
+behind alpha_from_f, and the orthogonality of a Bergman residual."""
 
 import math
 
 import numpy as np
 
-from pshlab.bochner import node_values
+from pshlab.bochner import FD_STENCIL_WIDTH, dbar_01, dbar_star, form_gradient, node_values
 from pshlab.dbar1d import _weights
 from pshlab.extension import _monomial_values, monomial_exponents
 from pshlab.fields import unshift, weight_exp
 from pshlab.geometry import as_points
+
+
+def slice_partial(grid, values, axis):
+    """4th-order central difference along a real axis over the whole grid (flat
+    in, flat out), by slices; the outermost two node layers along the axis are 0."""
+    v = np.asarray(values).reshape(grid.shape)
+    h = grid.spacing[axis]
+    w = FD_STENCIL_WIDTH
+
+    def at(k):
+        # the index v[i + k] over the interior nodes i along the axis
+        idx = [slice(None)] * v.ndim
+        idx[axis] = slice(w + k, v.shape[axis] - w + k)
+        return tuple(idx)
+
+    d = np.zeros(v.shape, dtype=np.result_type(v, 1.0))
+    d[at(0)] = (-v[at(2)] + 8.0 * v[at(1)] - 8.0 * v[at(-1)] + v[at(-2)]) / (12.0 * h)
+    return d.ravel()
+
+
+def slice_d_dz(grid, values, j):
+    """Wirtinger d/dz_j = (d/dx_j - i d/dy_j)/2 over the whole grid, by slices."""
+    return 0.5 * (slice_partial(grid, values, 2 * j) - 1j * slice_partial(grid, values, 2 * j + 1))
+
+
+def slice_d_dzbar(grid, values, j):
+    """Wirtinger d/dzbar_j = (d/dx_j + i d/dy_j)/2 over the whole grid, by slices."""
+    return 0.5 * (slice_partial(grid, values, 2 * j) + 1j * slice_partial(grid, values, 2 * j + 1))
+
+
+def slice_dbar_01(grid, av):
+    """The (0,2)-coefficients of (n, m) form values over the whole grid, by slices."""
+    n = grid.n
+    rows = [
+        slice_d_dzbar(grid, av[k], j) - slice_d_dzbar(grid, av[j], k)
+        for j in range(n) for k in range(j + 1, n)
+    ]
+    return np.array(rows, dtype=complex).reshape(len(rows), grid.weights.size)
+
+
+def interior_mask(grid, margin_cells=FD_STENCIL_WIDTH):
+    """Flat boolean mask selecting nodes at least margin_cells from every edge."""
+    mask = np.ones(grid.shape, dtype=bool)
+    for ax_i in range(len(grid.shape)):
+        idx = [slice(None)] * len(grid.shape)
+        idx[ax_i] = slice(0, margin_cells)
+        mask[tuple(idx)] = False
+        idx[ax_i] = slice(grid.shape[ax_i] - margin_cells, None)
+        mask[tuple(idx)] = False
+    return mask.ravel()
+
+
+def on_grid(grid, band, values):
+    """Values on a band of flat node indices (last axis), zero-filled to the whole grid."""
+    out = np.zeros(values.shape[:-1] + (grid.weights.size,), dtype=values.dtype)
+    out[..., band] = values
+    return out
+
+
+def grid_dbar_01(alpha, grid):
+    """dbar_01 of a form or its node values, on the whole grid."""
+    g = form_gradient(alpha, grid)
+    return on_grid(grid, g.band, dbar_01(g, grid))
+
+
+def grid_dbar_star(alpha, phi, grid):
+    """dbar_star of a form or its node values, on the whole grid."""
+    g = form_gradient(alpha, grid)
+    return on_grid(grid, g.band, dbar_star(g, phi, grid))
 
 
 def weighted_pairing(a, b, weight, grid):
@@ -30,7 +101,7 @@ def weighted_pairing(a, b, weight, grid):
 
 def scalar_dbar(values, grid):
     """dbar of a scalar grid field: components (d v / dzbar_j)_j as (n, m)."""
-    return np.stack([grid.d_dzbar(values, j) for j in range(grid.n)])
+    return np.stack([slice_d_dzbar(grid, values, j) for j in range(grid.n)])
 
 
 def check_support(form, pts, tol=1e-12):

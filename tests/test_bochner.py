@@ -13,6 +13,7 @@ from pshlab.bochner import (
     bump_zbar_form,
     dbar_01,
     dbar_star,
+    form_gradient,
     get_form,
     make_grid,
     zero_field,
@@ -21,7 +22,18 @@ from pshlab.errors import WeightOverflowError
 from pshlab.geometry import DomainBox, unit_ball
 from pshlab.witness import build_alpha_eps, build_witness_form, make_cutoff
 
-from grid_helpers import check_support, scalar_dbar, weighted_pairing
+from grid_helpers import (
+    check_support,
+    grid_dbar_01,
+    grid_dbar_star,
+    interior_mask,
+    scalar_dbar,
+    slice_d_dz,
+    slice_d_dzbar,
+    slice_dbar_01,
+    slice_partial,
+    weighted_pairing,
+)
 
 
 def grid1(nodes=128, half=1.3):
@@ -54,9 +66,9 @@ class TestPartialStencil:
         v = rng.standard_normal(g.points.shape[0])
         if kind == "complex":
             v = v + 1j * rng.standard_normal(g.points.shape[0])
-        inside = g.interior_mask(2)
+        inside = interior_mask(g, 2)
         for axis in range(2 * n):
-            d = g.partial(v, axis)
+            d = g.partial(v, axis, np.arange(g.weights.size))
             assert d.dtype == v.dtype
             assert np.array_equal(d[inside], roll_partial(g, v, axis)[inside])
             # along the axis: the roll formula on the interior layers, zero on the outer two
@@ -64,6 +76,27 @@ class TestPartialStencil:
             edge = (along < 2) | (along >= nodes - 2)
             assert np.array_equal(d[~edge], roll_partial(g, v, axis)[~edge])
             assert not np.any(d[edge])
+
+    @pytest.mark.parametrize("n, nodes", [(1, 11), (2, 9)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_gathered_equals_slice_stencil(self, n, nodes, kind):
+        # random nodes plus nodes on both edge layers (0, 1 and nodes-2, nodes-1) of
+        # every axis, in random order
+        g = make_grid(DomainBox("ball", np.full(n, 0.1 - 0.2j), np.array([0.9])), nodes)
+        rng = np.random.default_rng(23 + n)
+        v = rng.standard_normal(g.weights.size)
+        if kind == "complex":
+            v = v + 1j * rng.standard_normal(g.weights.size)
+        along = np.indices(g.shape).reshape(2 * n, -1)
+        layers = [
+            rng.choice(np.flatnonzero(along[axis] == layer), 3, replace=False)
+            for axis in range(2 * n) for layer in (0, 1, nodes - 2, nodes - 1)
+        ]
+        idx = rng.permutation(np.concatenate([rng.choice(g.weights.size, 40), *layers]))
+        for axis in range(2 * n):
+            d = g.partial(v, axis, idx)
+            assert d.dtype == v.dtype
+            assert np.array_equal(d, slice_partial(g, v, axis)[idx])
 
 
 class TestWeightedPairing:
@@ -102,7 +135,7 @@ class TestDbar01:
     def test_n1_empty(self):
         g = grid1(nodes=48)
         a = bump_const_form(np.array([1.0]), radius=0.9)
-        out = dbar_01(a, g)
+        out = grid_dbar_01(a, g)
         assert out.shape[0] == 0
 
     def test_dbar_squared_is_zero(self):
@@ -111,7 +144,7 @@ class TestDbar01:
         value, dzbar = bump_profile(np.zeros(2), 1.0, 2)
         nu_vals = value(g.points) * (g.points[:, 0].real + 0.3)
         alpha_vals = scalar_dbar(nu_vals, g)
-        out = dbar_01(alpha_vals, g)
+        out = grid_dbar_01(alpha_vals, g)
         assert np.max(np.abs(out)) <= 5e-3
 
     def test_product_rule_closed_form(self):
@@ -126,19 +159,19 @@ class TestDbar01:
              lambda z: np.zeros(z.shape[0], dtype=complex)),
             unit_ball(2, radius=0.8),
         )
-        out = dbar_01(alpha, g)
+        out = grid_dbar_01(alpha, g)
         expected = value(g.points) + np.conj(g.points[:, 1]) * dzbar(g.points, 1)
-        mask = g.interior_mask(3)
+        mask = interior_mask(g, 3)
         err = np.max(np.abs(np.abs(out[0]) - np.abs(expected))[mask])
         assert err <= 2e-2
         # and the finite-difference error shrinks under refinement
         g_fine = grid2(nodes=32)
-        out_fine = dbar_01(alpha, g_fine)
+        out_fine = grid_dbar_01(alpha, g_fine)
         expected_fine = value(g_fine.points) + np.conj(g_fine.points[:, 1]) * dzbar(
             g_fine.points, 1
         )
         err_fine = np.max(
-            np.abs(np.abs(out_fine[0]) - np.abs(expected_fine))[g_fine.interior_mask(3)]
+            np.abs(np.abs(out_fine[0]) - np.abs(expected_fine))[interior_mask(g_fine, 3)]
         )
         assert err_fine <= err / 2.0
 
@@ -147,11 +180,11 @@ class TestDbarStar:
     def test_unweighted_formula(self):
         g = grid1(nodes=160)
         a = bump_const_form(np.array([1.0]))
-        out = dbar_star(a, zero_field(1), g)
+        out = grid_dbar_star(a, zero_field(1), g)
         # -d g / dz for the radial bump: -(4)(1-t)^3 * zbar ... via conjugate symmetry
         z = g.points
         expected = 4.0 * np.maximum(1.0 - np.abs(z[:, 0]) ** 2, 0.0) ** 3 * np.conj(z[:, 0])
-        mask = g.interior_mask(3)
+        mask = interior_mask(g, 3)
         assert np.max(np.abs(out - expected)[mask]) <= 5e-3
 
     def test_zero_form(self):
@@ -159,7 +192,7 @@ class TestDbarStar:
         zero = FormField01(
             "0", 1, (lambda z: np.zeros(z.shape[0], dtype=complex),), unit_ball(1, radius=0.9)
         )
-        assert np.max(np.abs(dbar_star(zero, fields.sq_norm(1), g))) == 0.0
+        assert np.max(np.abs(grid_dbar_star(zero, fields.sq_norm(1), g))) == 0.0
 
     def test_adjointness(self):
         # (dbar u, alpha)_phi = (u, dbar*_phi alpha)_phi by parts on the grid
@@ -171,7 +204,7 @@ class TestDbarStar:
         alpha = bump_zbar_form(1)
         av = alpha.evaluate(g.points)
         lhs = weighted_pairing(du, av, phi, g)
-        rhs = weighted_pairing(u_vals, dbar_star(alpha, phi, g), phi, g)
+        rhs = weighted_pairing(u_vals, grid_dbar_star(alpha, phi, g), phi, g)
         scale = np.sqrt(
             abs(weighted_pairing(du, du, phi, g)) * abs(weighted_pairing(av, av, phi, g))
         )
@@ -211,6 +244,22 @@ class TestUndeclaredDerivatives:
         assert got.gradient_term == want.gradient_term
         assert got.dbar_term == want.dbar_term
         assert got.residual <= (1e-3 if n == 1 else 5e-3)
+
+    @CRITERION_2_SETUPS
+    def test_weight_evaluated_on_the_stencil_band_only(self, n, nodes, radius, xi):
+        grid = make_grid(unit_ball(n, radius=1.3), nodes)
+        declared = fields.log1p_sq(n)
+        sizes = []
+
+        def recorded(z):
+            sizes.append(z.shape[0])
+            return declared.evaluate(z)
+
+        alpha = bump_const_form(xi, radius=radius)
+        bochner_residual(alpha, fields.ScalarField("log1p_sq_bare", n, recorded), grid)
+        # first on the stencil band, for dbar_star's gradient; never on the whole grid
+        assert sizes[0] == form_gradient(alpha, grid).band.size
+        assert grid.weights.size not in sizes
 
     @CRITERION_2_SETUPS
     def test_dbar_star_matches_declared(self, n, nodes, radius, xi):
@@ -306,11 +355,12 @@ def dense_bochner_terms(alpha, phi, grid):
     e = np.exp(-phi(pts)) * grid.weights
     curvature = np.dot(np.einsum("mjk,jm,km->m", phi.hess(pts), av, np.conj(av)).real, e)
     gradient = sum(
-        np.dot(np.abs(grid.d_dzbar(av[j], k)) ** 2, e) for j in range(grid.n) for k in range(grid.n)
+        np.dot(np.abs(slice_d_dzbar(grid, av[j], k)) ** 2, e)
+        for j in range(grid.n) for k in range(grid.n)
     )
-    dbar = np.dot(np.sum(np.abs(dbar_01(av, grid)) ** 2, axis=0), e)
+    dbar = np.dot(np.sum(np.abs(slice_dbar_01(grid, av)) ** 2, axis=0), e)
     gphi = phi.grad(pts)
-    adj = -sum(grid.d_dz(av[j], j) - av[j] * gphi[:, j] for j in range(grid.n))
+    adj = -sum(slice_d_dz(grid, av[j], j) - av[j] * gphi[:, j] for j in range(grid.n))
     adjoint = np.dot(np.abs(adj) ** 2, e)
     return curvature, gradient, dbar, adjoint
 
@@ -362,6 +412,25 @@ class TestBand:
         lhs, rhs = dense[0] + dense[1], dense[2] + dense[3]
         # residuals are cancellation-limited (zero weights: roundoff-level), so absolute
         assert abs(rep.residual - abs(lhs - rhs) / max(lhs, rhs)) <= 1e-14
+
+    @pytest.mark.parametrize("n, nodes, phi, alpha", criterion_2_cases())
+    def test_stencil_band_covers_dense_terms_criterion_2(self, n, nodes, phi, alpha):
+        # every node where a whole-grid (slice stencil) integrand is nonzero
+        g = make_grid(unit_ball(n, radius=1.3), nodes)
+        av = alpha.evaluate(g.points)
+        gphi = phi.grad(g.points)
+        terms = (
+            np.einsum("mjk,jm,km->m", phi.hess(g.points), av, np.conj(av)),
+            sum(np.abs(slice_d_dzbar(g, av[j], k)) ** 2 for j in range(n) for k in range(n)),
+            np.sum(np.abs(slice_dbar_01(g, av)) ** 2, axis=0),
+            sum(slice_d_dz(g, av[j], j) - av[j] * gphi[:, j] for j in range(n)),
+        )
+        band = form_gradient(alpha, g).band
+        on_band = np.zeros(g.weights.size, dtype=bool)
+        on_band[band] = True
+        assert band.size < g.weights.size
+        for term in terms:
+            assert not np.any((term != 0.0) & ~on_band)
 
     def test_weight_shift_is_the_bands(self):
         # e^{400|z|^2} peaks at the box corners, where the form vanishes: a

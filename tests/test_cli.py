@@ -264,6 +264,23 @@ class TestWitnessVerdict:
         assert (cert["r"], cert["c"], cert["s"]) == (1.0, 1.0, 10.0)
         assert cert["E"] < 0.0 and cert["E_doubled"] < 0.0
 
+    def test_region_grid_evaluated_once(self, tmp_path, monkeypatch):
+        from pshlab import fields
+
+        sizes = []
+        levi = fields.levi_form
+
+        def counted(phi, pts, *args, **kwargs):
+            sizes.append(len(pts))
+            return levi(phi, pts, *args, **kwargs)
+
+        monkeypatch.setattr(fields, "levi_form", counted)
+        out = tmp_path / "w.json"
+        assert main(["witness", "--func", "sq_norm", "--dim", "2", "--out", str(out)]) == 0
+        assert sizes == [1281]
+        values = read_json(out)["checks"][0]["values"]
+        assert values == {"certificate": None, "levi_lower_bound_holds": True}
+
     def test_dominating_levi_form_passes(self, tmp_path, capsys):
         out = tmp_path / "w.json"
         code = main(["witness", "--func", "sq_norm", "--out", str(out)])

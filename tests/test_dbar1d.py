@@ -6,6 +6,7 @@ import pytest
 from pshlab import fields
 from pshlab.bochner import FormField01, bump_profile, make_grid
 from pshlab.dbar1d import (
+    RESIDUAL_MARGIN_CELLS,
     cauchy_transform,
     dbar_residual,
     hormander_ratio,
@@ -14,7 +15,7 @@ from pshlab.dbar1d import (
 from pshlab.geometry import unit_ball
 from pshlab.witness import build_psi_s, build_witness_form, make_cutoff
 
-from grid_helpers import projection_orthogonality
+from grid_helpers import interior_mask, projection_orthogonality, slice_d_dzbar
 
 
 def grid256(half=2.0):
@@ -87,6 +88,20 @@ class TestCauchyTransform:
         u = cauchy_transform(fv, g)
         res = dbar_residual(u, fv, g)
         assert res <= 5e-3 * np.max(np.abs(fv))
+
+    def test_residual_equals_slice_stencil_inside_the_margin(self):
+        g = make_grid(unit_ball(1, radius=1.0), 40)
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal(g.weights.size) + 1j * rng.standard_normal(g.weights.size)
+        f = rng.standard_normal(g.weights.size) + 0j
+        inside = interior_mask(g, RESIDUAL_MARGIN_CELLS)
+        want = float(np.max(np.abs(slice_d_dzbar(g, u, 0) - f)[inside]))
+        assert dbar_residual(u, f, g) == want
+        # a spike one layer outside the margin is not seen; one on its first layer is
+        for layer, seen in ((RESIDUAL_MARGIN_CELLS - 1, False), (RESIDUAL_MARGIN_CELLS, True)):
+            spiked = f.copy()
+            spiked[layer * 40 + 20] = 1e6
+            assert (dbar_residual(u, spiked, g) > 1e5) is seen
 
     def test_residual_improves_with_resolution(self):
         f_form = dbar_bump_form()

@@ -245,6 +245,8 @@ def test_submean_margin_unitary_invariant(name, z0, seed, u_seed, r, s, kind):
 def test_neg_sq_norm_certified_against_scaled_form(c):
     # the gap -1 - c|z|^2 is negative on the whole disc and deepest on its
     # boundary circle, where no witness ball fits
-    cert = scan_sharp_witness(fields.neg_sq_norm(1), fields.scaled_sq_omega(c, 1), unit_ball(1))
+    cert = scan_sharp_witness(
+        fields.neg_sq_norm(1), fields.scaled_sq_omega(c, 1), unit_ball(1)
+    ).certificate
     assert cert is not None
     assert cert.E < 0.0 and cert.E_doubled < 0.0

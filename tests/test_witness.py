@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate as sint
 
 from pshlab import fields
-from pshlab.bochner import dbar_01, make_grid
+from pshlab.bochner import form_gradient, make_grid
 from pshlab.errors import ContinuityRequiredError, MetricNotPositiveError
 from pshlab.geometry import DomainBox, ball_volume, unit_ball
 from pshlab.witness import (
@@ -22,10 +22,18 @@ from pshlab.witness import (
     estimate_functional_E,
     make_cutoff,
     modulus_of_continuity,
+    _witness_grid,
     scan_sharp_witness,
 )
 
-from grid_helpers import form_norm_sq, metric_quadratic, scalar_dbar
+from grid_helpers import (
+    form_norm_sq,
+    grid_dbar_01,
+    interior_mask,
+    metric_quadratic,
+    scalar_dbar,
+    slice_d_dzbar,
+)
 
 
 class TestCutoff:
@@ -87,7 +95,7 @@ class TestWitnessForm:
         # rings t = 1/4 and t = 1, so closedness is asserted off the rings
         # pointwise and integrally overall
         grid = make_grid(DomainBox("ball", self.z0, np.array([0.75])), 28)
-        out = dbar_01(self.f, grid)
+        out = grid_dbar_01(self.f, grid)
         d = np.linalg.norm(grid.points - self.z0, axis=1)
         h = float(np.max(grid.spacing))
         ring = (np.abs(d - 0.25) < 3 * h) | (np.abs(d - 0.5) < 3 * h)
@@ -107,7 +115,7 @@ class TestWitnessForm:
         d = np.linalg.norm(grid.points - self.z0, axis=1)
         h = float(np.max(grid.spacing))
         ring = (np.abs(d - 0.25) < 3 * h) | (np.abs(d - 0.5) < 3 * h)
-        mask = grid.interior_mask(3) & ~ring
+        mask = interior_mask(grid, 3) & ~ring
         assert np.max(np.abs(fd - direct)[:, mask]) <= 1e-12
 
 
@@ -214,18 +222,22 @@ class TestEstimateFunctional:
 
 class TestScanSharpWitness:
     def test_psh_weight_gives_none(self):
-        cert = scan_sharp_witness(fields.sq_norm(1), fields.zero_omega(1), unit_ball(1))
+        cert = scan_sharp_witness(fields.sq_norm(1), fields.zero_omega(1), unit_ball(1)).certificate
         assert cert is None
 
     def test_neg_sq_norm_certificate(self):
-        cert = scan_sharp_witness(fields.neg_sq_norm(1), fields.zero_omega(1), unit_ball(1))
+        cert = scan_sharp_witness(
+            fields.neg_sq_norm(1), fields.zero_omega(1), unit_ball(1)
+        ).certificate
         assert cert is not None
         assert cert.E < 0.0
         assert cert.s <= 1e4
         assert cert.c == pytest.approx(1.0, abs=1e-3)
 
     def test_saddle_certificate_direction(self):
-        cert = scan_sharp_witness(fields.saddle(2.0), fields.zero_omega(2), unit_ball(2))
+        cert = scan_sharp_witness(
+            fields.saddle(2.0), fields.zero_omega(2), unit_ball(2)
+        ).certificate
         assert cert is not None
         assert cert.E < 0.0
         assert abs(cert.xi[1]) > 0.99
@@ -239,7 +251,7 @@ class TestScanSharpWitness:
         cert = scan_sharp_witness(
             stripped, fields.zero_omega(1), unit_ball(1),
             s_schedule=(100.0,), lb_resolution=7,
-        )
+        ).certificate
         assert cert is not None
         assert cert.E < 0.0
         assert cert.c == pytest.approx(1.0, abs=1e-5)
@@ -264,6 +276,39 @@ class TestScanSharpWitness:
         scan_sharp_witness(phi, omega, region, s_schedule=(10.0,))
         assert region_calls.count(True) == 1
 
+    @pytest.mark.parametrize("phi, omega", [
+        (fields.sq_norm(1), fields.zero_omega(1)),
+        (fields.sq_norm(1), fields.get_omega("const:1", 1)),  # gap 0: within LEVI_TOL
+        (fields.sq_norm(1), fields.get_omega("const:1.1", 1)),
+        (fields.sq_norm(1), fields.scaled_sq_omega(1.2, 1)),  # no ball fits
+        (fields.neg_sq_norm(1), fields.zero_omega(1)),
+        (fields.saddle(2.0), fields.zero_omega(2)),
+    ])
+    def test_lower_bound_verdict_is_check_lower_bound(self, phi, omega):
+        region = unit_ball(phi.n)
+        scan = scan_sharp_witness(phi, omega, region, s_schedule=(10.0,))
+        assert scan.levi_lower_bound_holds == fields.check_lower_bound(phi, omega, region).holds
+
+    def test_form_evaluated_once_per_grid(self, monkeypatch):
+        # sq_norm against omega = 1.1 certifies at s = 100, after s = 10 failed on
+        # the grid: two energies on the grid, one on the doubled grid
+        from pshlab.bochner import FormField01
+
+        sizes = []
+        evaluate = FormField01.evaluate
+
+        def counted(form, pts):
+            sizes.append(len(pts))
+            return evaluate(form, pts)
+
+        monkeypatch.setattr(FormField01, "evaluate", counted)
+        omega = fields.get_omega("const:1.1", 1)
+        cert = scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1)).certificate
+        assert cert.s == 100.0
+        f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
+        grids = [_witness_grid(cert.z0, cert.r, k * cert.grid_nodes) for k in (1, 2)]
+        assert sizes == [g.support_nodes(f.support).size for g in grids]
+
     @pytest.mark.parametrize("omega", [
         # gap 1 - 1.2|z|^2 < 0 only at the grid nodes on the unit circle: no room for a ball
         fields.scaled_sq_omega(1.2, 1),
@@ -280,14 +325,14 @@ class TestScanSharpWitness:
 
         monkeypatch.setattr(witness, "build_witness_form", unused)
         assert not fields.check_lower_bound(fields.sq_norm(1), omega, unit_ball(1)).holds
-        assert scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1)) is None
+        assert scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1)).certificate is None
 
     @pytest.mark.parametrize("spec, n, grid_nodes", [("neg_sq_norm", 1, None), ("saddle:2", 2, 12)])
     def test_certificate_carries_doubled_energy(self, spec, n, grid_nodes):
         from pshlab.witness import _witness_grid
 
         phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
-        cert = scan_sharp_witness(phi, omega, unit_ball(n), grid_nodes=grid_nodes)
+        cert = scan_sharp_witness(phi, omega, unit_ball(n), grid_nodes=grid_nodes).certificate
         assert cert is not None
         # reference: the doubled-grid sign functional rebuilt from the certificate
         f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
@@ -316,7 +361,9 @@ class TestScanSharpWitness:
             return solve(f_coeffs, metric)
 
         monkeypatch.setattr(witness, "alpha_from_f", recorded)
-        cert = scan_sharp_witness(fields.neg_sq_norm(1), omega, unit_ball(1), grid_nodes=48)
+        cert = scan_sharp_witness(
+            fields.neg_sq_norm(1), omega, unit_ball(1), grid_nodes=48
+        ).certificate
         assert cert is not None
         assert shapes and all(len(shape) == metric_ndim for shape in shapes)
 
@@ -340,7 +387,7 @@ def dense_functional_E(alpha, phi, psi, omega, grid):
     gap = phi.hess(pts) - omega(pts)
     quad = np.einsum("mjk,jm,km->m", gap, alpha, np.conj(alpha)).real
     grad_sq = sum(
-        np.abs(grid.d_dzbar(alpha[j], k)) ** 2 for j in range(grid.n) for k in range(grid.n)
+        np.abs(slice_d_dzbar(grid, alpha[j], k)) ** 2 for j in range(grid.n) for k in range(grid.n)
     )
     expo = -(phi(pts) + psi(pts))
     shift = np.max(expo)
@@ -349,11 +396,31 @@ def dense_functional_E(alpha, phi, psi, omega, grid):
 
 class TestBandEnergy:
     @pytest.mark.parametrize("spec, n", [("neg_sq_norm", 1), ("saddle:2", 2)])
+    def test_stencil_band_covers_dense_terms_criterion_4(self, spec, n):
+        # every node where a whole-grid (slice stencil) integrand of E is nonzero
+        phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
+        cert = scan_sharp_witness(phi, omega, unit_ball(n)).certificate
+        f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
+        for nodes in (cert.grid_nodes, 2 * cert.grid_nodes):
+            grid = _witness_grid(cert.z0, cert.r, nodes)
+            alpha = alpha_from_f(
+                f.evaluate(grid.points).T, omega(grid.points) + cert.s * np.eye(n)
+            ).T
+            grad_sq = sum(
+                np.abs(slice_d_dzbar(grid, alpha[j], k)) ** 2 for j in range(n) for k in range(n)
+            )
+            band = form_gradient(alpha, grid, margin_widths=1).band
+            on_band = np.zeros(grid.weights.size, dtype=bool)
+            on_band[band] = True
+            assert band.size < grid.weights.size
+            assert not np.any((np.any(alpha != 0.0, axis=0) | (grad_sq != 0.0)) & ~on_band)
+
+    @pytest.mark.parametrize("spec, n", [("neg_sq_norm", 1), ("saddle:2", 2)])
     def test_dense_oracle_criterion_4(self, spec, n):
         from pshlab.witness import _witness_grid
 
         phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
-        cert = scan_sharp_witness(phi, omega, unit_ball(n))
+        cert = scan_sharp_witness(phi, omega, unit_ball(n)).certificate
         f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
         psi = build_psi_s(cert.z0, cert.r, cert.s)
         for nodes, value in ((cert.grid_nodes, cert.E), (2 * cert.grid_nodes, cert.E_doubled)):
@@ -421,7 +488,7 @@ class TestAlphaEps:
         d = np.abs(grid.points[:, 0])
         h = float(np.max(grid.spacing))
         ring = (np.abs(d - eps / 2) < 3 * h) | (np.abs(d - eps) < 3 * h)
-        mask = grid.interior_mask(3) & ~ring
+        mask = interior_mask(grid, 3) & ~ring
         assert np.max(np.abs(fd - direct)[:, mask]) <= 5e-5
 
     def test_pointwise_metric_bound(self):
