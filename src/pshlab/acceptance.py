@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fields
 from .bochner import bochner_residual, bump_const_form, bump_zbar_form, make_grid, zero_field
-from .dbar1d import hormander_ratio
+from .dbar1d import dbar_bump, hormander_ratio
 from .extension import (
     best_extension_constant,
     coarse_extension_bound,
@@ -211,14 +211,13 @@ def criterion_coarse_chain(seed: int) -> CheckRecord:
     ok = True
     phi = fields.re_linear(np.array([1.0 + 0.0j]), 1)
     w = np.array([0.2 + 0.1j])
-    for m in (1, 2, 4, 8):
-        for eps in (0.5, 0.25):
-            for delta in (0.25, 0.0625):
-                rep = coarse_rhs_bound(
-                    phi, m, 2.0, w, eps, delta, 0.0,
-                    grid_nodes=64 if eps == 0.5 else 128,
-                )
-                key = f"m{m}/eps{eps:g}/delta{delta:g}"
+    m_log_c = [(m, 0.0) for m in (1, 2, 4, 8)]
+    blocks = {eps: coarse_rhs_bound(phi, 2.0, w, eps, (0.25, 0.0625), m_log_c, nodes)
+              for eps, nodes in ((0.5, 64), (0.25, 128))}
+    for i, (m, _) in enumerate(m_log_c):
+        for eps, block in blocks.items():
+            for rep in block[i]:
+                key = f"m{m}/eps{eps:g}/delta{rep.delta:g}"
                 values[key + "/rhs"] = rep.rhs_integral
                 values[key + "/bound"] = rep.bound
                 ok &= rep.verified
@@ -312,27 +311,24 @@ def criterion_best_constant(seed: int) -> CheckRecord:
 
 @_timed
 def criterion_hormander_ratio(seed: int) -> CheckRecord:
-    from .bochner import FormField01, bump_profile
-
     values = {}
     ok = True
     grid = make_grid(unit_ball(1, radius=2.0), 256)
-    _, dzbar = bump_profile(np.zeros(1), 1.0, 1)
-    rhs = FormField01("dbar_bump", 1, (lambda z: dzbar(z, 0),), unit_ball(1))
-    for name, phi in (("zero", zero_field(1)), ("sq_norm", fields.sq_norm(1))):
-        result = hormander_ratio(phi, fields.sq_norm(1), rhs, 10, grid)
+    phis = (("zero", zero_field(1)), ("sq_norm", fields.sq_norm(1)))
+    results = hormander_ratio([(phi, fields.sq_norm(1)) for _, phi in phis], dbar_bump(), 10, grid)
+    for (name, _), result in zip(phis, results):
         values[f"{name}/ratio"] = result.ratio
         values[f"{name}/residual"] = result.residual
         ok &= result.ratio <= 1.02 and result.residual <= 5e-3
 
     z0 = np.zeros(1, dtype=complex)
     f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+    schedule = (10.0, 100.0, 1000.0, 10000.0)
+    weights = [(fields.neg_sq_norm(1), build_psi_s(z0, 0.5, s)) for s in schedule]
     best = 0.0
-    for s in (10.0, 100.0, 1000.0, 10000.0):
-        psi = build_psi_s(z0, 0.5, s)
-        ratio = hormander_ratio(fields.neg_sq_norm(1), psi, f, 10, grid).ratio
-        values[f"witness/ratio_s{s:g}"] = ratio
-        best = max(best, ratio)
+    for s, result in zip(schedule, hormander_ratio(weights, f, 10, grid)):
+        values[f"witness/ratio_s{s:g}"] = result.ratio
+        best = max(best, result.ratio)
     values["witness/max_ratio"] = best
     ok &= best > 1.0
     return CheckRecord(

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, fields
 from .acceptance import RUNTIME_LIMITS, CheckRecord, json_default, render_lines, run_suite
 from .bochner import bochner_residual, get_form, make_grid
-from .dbar1d import hormander_ratio
+from .dbar1d import dbar_bump, hormander_ratio
 from .errors import PshlabError
 from .extension import (
     best_extension_constant,
@@ -291,17 +291,16 @@ def _coarse_chain(args, phi, w) -> Table:
     except PshlabError:
         pass
 
+    m_log_c = [(m, log_c_m(m)) for m in m_values]
+    blocks = [coarse_rhs_bound(phi, args.p, w, e, delta_values, m_log_c, max(64, int(16 / e) * 8))
+              for e in eps_values]
     rows = []
     verified = 0
-    for m in m_values:
-        for eps in eps_values:
-            for delta in delta_values:
-                rep = coarse_rhs_bound(
-                    phi, m, args.p, w, eps, delta, log_c_m(m),
-                    grid_nodes=max(64, int(16 / eps) * 8),
-                )
+    for i, m in enumerate(m_values):
+        for block in blocks:
+            for rep in block[i]:
                 rows.append(
-                    [m, args.p, eps, delta, rep.rhs_integral, rep.bound,
+                    [m, args.p, rep.eps, rep.delta, rep.rhs_integral, rep.bound,
                      rep.envelope_constant, rep.inf_phi,
                      o_by_m.get(m, ""), cprime_by_m.get(m, ""), rep.verified]
                 )
@@ -386,7 +385,7 @@ def _dbar(args, phi) -> list:
     psi = _parse_psi(args.psi)
     rhs = _parse_rhs(args.rhs)
     grid = make_grid(unit_ball(1, radius=args.box), args.grid)
-    result = hormander_ratio(phi, psi, rhs, args.degree, grid)
+    [result] = hormander_ratio([(phi, psi)], rhs, args.degree, grid)
     values = {
         "residual": result.residual,
         "minimal_norm_sq": result.minimal_norm_sq,
@@ -410,10 +409,7 @@ def _parse_psi(text: str):
 
 def _parse_rhs(text: str):
     if text == "dbar_bump":
-        from .bochner import FormField01, bump_profile
-
-        _, dzbar = bump_profile(np.zeros(1), 1.0, 1)
-        return FormField01("dbar_bump", 1, (lambda z: dzbar(z, 0),), unit_ball(1))
+        return dbar_bump()
     return get_form(text, 1)
 
 
@@ -475,13 +471,17 @@ def _unit_ball_spec(args) -> str:
 # An option entry is (name, default) or (name, default, effective), where
 # effective(args) replaces a value equal to the default; a bare name is a
 # required option.  An option takes the type of its default unless OPTIONS
-# gives its add_argument keywords.
+# gives its add_argument keywords, by (subcommand, name) or else by name.
+_RULE_SEED = {"type": int, "help": "no effect (the tensor-grid rule ignores its seed; the frame "
+              "seed is seed= of --cylinder); kept because existing command lines pass it"}
 OPTIONS = {
     "func": {"required": True},
     "weight": {"required": True},
     "region": {"help": "region JSON; default: unit ball of C^dim"},
     "budget": {"type": int},
     "grid": {"type": int},
+    ("extend", "seed"): _RULE_SEED,
+    ("coarse-extend", "seed"): _RULE_SEED,
 }
 
 _COUNT = (lambda v: v >= 1, "an integer >= 1")
@@ -616,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd in COMMANDS.values():
         p = sub.add_parser(cmd.name, help=cmd.help)
         for name, default, _ in _entries(cmd):
-            p.add_argument("--" + name, default=default, **OPTIONS.get(name, {"type": type(default)}))
+            kwargs = OPTIONS.get((cmd.name, name)) or OPTIONS.get(name, {"type": type(default)})
+            p.add_argument("--" + name, default=default, **kwargs)
         p.add_argument("--out")
     return parser
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bochner import FormField01, GridDiscretization
+from .bochner import FormField01, GridDiscretization, bump_profile
 from .extension import _monomial_values, _solve_gram, monomial_exponents
-from .fields import ScalarField, levi_form, unshift, weight_exp
+from .fields import levi_form, unshift, weight_exp
+from .geometry import unit_ball
 
 RESIDUAL_MARGIN_CELLS = 4  # dbar_residual skips this many node layers at each edge
 
@@ -36,6 +37,12 @@ class SolveResult:
 
     minimal_norm_sq = property(lambda self: unshift(self.scaled_norms[0], self.log_scale))
     comparison_integral = property(lambda self: unshift(self.scaled_norms[1], self.log_scale))
+
+
+def dbar_bump() -> FormField01:
+    """dbar of the radial quartic bump on the unit disc: a smooth right-hand side."""
+    _, dzbar = bump_profile(np.zeros(1), 1.0, 1)
+    return FormField01("dbar_bump", 1, (lambda z: dzbar(z, 0),), unit_ball(1))
 
 
 def _square_grid_1d(grid: GridDiscretization) -> float:
@@ -90,18 +97,14 @@ def _weights(eta_values: np.ndarray, grid: GridDiscretization):
     return grid.weights * weight, shift
 
 
-def weighted_bergman_projection(
-    u_values: np.ndarray, eta_values: np.ndarray, degree: int, grid: GridDiscretization
-):
+def weighted_bergman_projection(u_values: np.ndarray, w: np.ndarray, mono: np.ndarray):
     """Best degree <= N holomorphic polynomial approximation of u in
-    L^2(e^{-eta}) over the grid box, in powers of z, from the values of the
-    weight eta at every node (+inf where the weight vanishes).
+    L^2(e^{-eta}) over the grid box, from the trapezoid weights w times e^{-eta}
+    (see _weights) and the (m, K) basis monomials mono (powers of z) at the nodes.
 
     Returns (h_values, coefficients); the residual u - h is orthogonal to
     every basis monomial (Gram normal equations).
     """
-    w, _ = _weights(eta_values, grid)
-    mono = _monomial_values(grid.points, monomial_exponents(1, degree))
     gram = (mono.conj().T * w) @ mono
     rhs = mono.conj().T @ (w * np.asarray(u_values, dtype=complex))
     coeffs = _solve_gram(gram, rhs)
@@ -110,9 +113,11 @@ def weighted_bergman_projection(
 
 
 def hormander_ratio(
-    phi: ScalarField, psi: ScalarField, f: FormField01, degree: int, grid: GridDiscretization
-) -> SolveResult:
-    """Minimal-norm solve of du/dzbar = f_1 and the weighted estimate ratio.
+    weights: list[tuple], f: FormField01, degree: int, grid: GridDiscretization
+) -> list:
+    """Minimal-norm solves of du/dzbar = f_1 and the weighted estimate ratio,
+    one SolveResult for each (phi, psi) pair of weights; the transform of f,
+    its residual and the monomial matrix are computed once for all pairs.
 
     ratio = ||u_min||^2_{phi+psi} / int (|f|^2 / psi_zz) e^{-(phi+psi)}.
     The minimal norm is taken over u_particular minus polynomials of degree
@@ -124,23 +129,22 @@ def hormander_ratio(
     fv = f.evaluate(pts)[0]
     u_part = cauchy_transform(fv, grid)
     residual = dbar_residual(u_part, fv, grid)
-
-    weight = phi(pts) + psi(pts)
-    u_min_vals, _ = weighted_bergman_projection(u_part, weight, degree, grid)
-    u_min = u_part - u_min_vals
-
-    wq, shift = _weights(weight, grid)
-    minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq * u_min)))
-
     support = np.flatnonzero(np.abs(fv) > 0.0)
-    psi_zz = np.real(levi_form(psi, pts[support])[:, 0, 0])
-    if np.any(psi_zz < 1e-8):
-        raise ValueError("psi is not strictly subharmonic on the support of f")
-    comparison_nodes = np.zeros(pts.shape[0])
-    comparison_nodes[support] = np.abs(fv[support]) ** 2 / psi_zz
-    comparison = float(np.dot(comparison_nodes, wq))
+    mono = _monomial_values(pts, monomial_exponents(1, degree))
 
-    ratio = minimal_norm_sq / comparison
-    return SolveResult(
-        u_part, u_min, residual, ratio, degree, (minimal_norm_sq, comparison), shift
-    )
+    results = []
+    for phi, psi in weights:
+        wq, shift = _weights(phi(pts) + psi(pts), grid)
+        u_min_vals, _ = weighted_bergman_projection(u_part, wq, mono)
+        u_min = u_part - u_min_vals
+        minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq * u_min)))
+        psi_zz = np.real(levi_form(psi, pts[support])[:, 0, 0])
+        if np.any(psi_zz < 1e-8):
+            raise ValueError("psi is not strictly subharmonic on the support of f")
+        comparison_nodes = np.zeros(pts.shape[0])
+        comparison_nodes[support] = np.abs(fv[support]) ** 2 / psi_zz
+        comparison = float(np.dot(comparison_nodes, wq))
+        ratio = minimal_norm_sq / comparison
+        norms = (minimal_norm_sq, comparison)
+        results.append(SolveResult(u_part, u_min, residual, ratio, degree, norms, shift))
+    return results

@@ -94,18 +94,18 @@ class DomainBox:
         ok_y = np.abs(d.imag) <= hw[:, 1]
         return np.all(ok_x & ok_y, axis=-1)
 
-    def inradius_from(self, z) -> float:
-        """Largest t such that the Euclidean ball B(z, t) stays inside the region."""
-        z = as_point(z)
-        d = z - self.center
+    def inradius_from(self, z):
+        """Largest t such that the Euclidean ball B(z, t) stays inside the region:
+        a float for one point, an (m,) array for (m, n) points."""
+        z = np.asarray(z, dtype=complex)
+        d = (as_point(z) if z.ndim < 2 else as_points(z, self.n)) - self.center
         if self.kind == "ball":
-            return float(self.extents[0] - np.linalg.norm(d))
-        if self.kind == "polydisc":
-            return float(np.min(self.extents - np.abs(d)))
-        hw = self.extents.reshape(self.n, 2)
-        gx = hw[:, 0] - np.abs(d.real)
-        gy = hw[:, 1] - np.abs(d.imag)
-        return float(min(gx.min(), gy.min()))
+            # the sums of squares of np.linalg.norm on each row, bit for bit
+            t = self.extents[0] - np.sqrt(np.vecdot(d.real, d.real) + np.vecdot(d.imag, d.imag))
+        else:  # a box's extents bound |re z_1|, |im z_1|, |re z_2|, ...: d as interleaved reals
+            gaps = self.extents - np.abs(d if self.kind == "polydisc" else d.view(float))
+            t = np.min(gaps, axis=-1)
+        return float(t) if t.ndim == 0 else t
 
     def real_bounds(self) -> np.ndarray:
         """Bounding real box as a (2n, 2) array of (lo, hi) per real axis."""

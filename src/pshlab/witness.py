@@ -272,9 +272,9 @@ def _select_center(phi, region, pts, gap, eigs):
     node, its gap eigenvector, c and r_max; None when no node qualifies.
     """
     negative = np.flatnonzero(eigs < -LEVI_TOL)
-    rooms = np.array([region.inradius_from(z) for z in pts[negative]])
+    rooms = region.inradius_from(pts[negative])
     if phi.domain is not None:
-        rooms = np.minimum(rooms, [phi.domain.inradius_from(z) for z in pts[negative]])
+        rooms = np.minimum(rooms, phi.domain.inradius_from(pts[negative]))
     usable = rooms > 0.0
     if not np.any(usable):
         return None
@@ -437,23 +437,17 @@ def ball_infimum(phi: ScalarField, w, eps: float) -> float:
 
 
 def coarse_rhs_bound(
-    phi: ScalarField,
-    m: int,
-    p: float,
-    w,
-    eps: float,
-    delta: float,
-    log_c_m: float,
-    grid_nodes: int = 64,
-) -> CoarseChainReport:
+    phi: ScalarField, p: float, w, eps: float, deltas: Sequence[float],
+    m_log_c: Sequence[tuple], grid_nodes: int,
+) -> list:
     """Numerically verify C_m int |alpha_eps|^p_{metric} e^{-(m phi + psi_delta)}
-    <= C C_m e^{-m inf phi} / eps^p with C = 2^{p+2n} mu(B_1), given log(C_m).
+    <= C C_m e^{-m inf phi} / eps^p with C = 2^{p+2n} mu(B_1), given log(C_m),
+    as reports[i][k] for the i-th (m, log C_m) of m_log_c and the k-th delta.
+    The grid, alpha and inf phi are computed once, psi and its norm once per delta.
     """
     w = as_point(w)
     n = w.size
     alpha = build_alpha_eps(w, eps, make_cutoff())
-    psi = build_psi_delta(w, delta, n)
-
     grid = _annulus_grid(w, eps, grid_nodes)
     spacing = float(np.max(grid.spacing))
     if spacing > eps / 16.0 + 1e-15:
@@ -464,19 +458,23 @@ def coarse_rhs_bound(
     pts = grid.points_at(idx)
     av = alpha.evaluate(pts)
     on_support = np.sum(np.abs(av) ** 2, axis=0) > 0.0
-    # exclude the pole node if it happens to sit on the grid (delta = 0)
-    at_pole = psi.is_pole(pts)
-    use = on_support & ~at_pole
-
-    norm_sq = _psi_delta_norm_sq(av[:, use], pts[use], w, delta, n)
-    weight, shift = weight_exp(-(m * phi(pts[use]) + psi(pts[use])))
-    integrand = norm_sq ** (p / 2.0) * weight
-    rhs = unshift(float(np.dot(integrand, grid.weights[idx[use]])), shift + log_c_m)
-
     inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)
-    bound = unshift(envelope / eps**p, log_c_m - m * inf_phi)
-    return CoarseChainReport(m, p, eps, delta, w, rhs, bound, envelope, inf_phi)
+
+    reports = [[] for _ in m_log_c]
+    for delta in deltas:
+        psi = build_psi_delta(w, delta, n)
+        # exclude the pole node if it happens to sit on the grid (delta = 0)
+        use = on_support & ~psi.is_pole(pts)
+        norm_p = _psi_delta_norm_sq(av[:, use], pts[use], w, delta, n) ** (p / 2.0)
+        phi_use, psi_use = phi(pts[use]), psi(pts[use])
+        quad = grid.weights[idx[use]]
+        for row, (m, log_c_m) in zip(reports, m_log_c):
+            weight, shift = weight_exp(-(m * phi_use + psi_use))
+            rhs = unshift(float(np.dot(norm_p * weight, quad)), shift + log_c_m)
+            bound = unshift(envelope / eps**p, log_c_m - m * inf_phi)
+            row.append(CoarseChainReport(m, p, eps, delta, w, rhs, bound, envelope, inf_phi))
+    return reports
 
 
 def _annulus_grid(w, eps: float, nodes: int) -> GridDiscretization:

@@ -2,17 +2,25 @@
 oracle of the gathered one) and its Wirtinger derivatives, an interior mask,
 band values on the whole grid, a full-grid weighted pairing, dbar of a scalar
 grid field, a support check, the two sides of the metric energy identity
-behind alpha_from_f, and the orthogonality of a Bergman residual."""
+behind alpha_from_f, the orthogonality of a Bergman residual, and the
+one-tuple solves (the oracles of the hormander_ratio and coarse_rhs_bound
+sweeps)."""
 
 import math
 
 import numpy as np
 
 from pshlab.bochner import FD_STENCIL_WIDTH, dbar_01, dbar_star, form_gradient, node_values
-from pshlab.dbar1d import _weights
+from pshlab.dbar1d import (
+    SolveResult, _weights, cauchy_transform, dbar_residual, weighted_bergman_projection,
+)
 from pshlab.extension import _monomial_values, monomial_exponents
-from pshlab.fields import unshift, weight_exp
-from pshlab.geometry import as_points
+from pshlab.fields import levi_form, unshift, weight_exp
+from pshlab.geometry import as_point, as_points, ball_volume
+from pshlab.witness import (
+    CoarseChainReport, _annulus_grid, _psi_delta_norm_sq, ball_infimum, build_alpha_eps,
+    build_psi_delta, make_cutoff,
+)
 
 
 def slice_partial(grid, values, axis):
@@ -136,3 +144,72 @@ def projection_orthogonality(u_values, h_values, eta_values, degree: int, grid) 
     res_norm = math.sqrt(max(float(np.real(np.dot(np.conj(res), w * res))), 1e-300))
     mono_norms = np.sqrt(np.maximum(np.real(np.einsum("ma,m,ma->a", np.conj(mono), w, mono)), 1e-300))
     return float(np.max(np.abs(pair) / (res_norm * mono_norms)))
+
+
+def bergman_project(u_values, eta_values, degree: int, grid):
+    """weighted_bergman_projection from the weight eta at every node and a degree."""
+    w, _ = _weights(eta_values, grid)
+    mono = _monomial_values(grid.points, monomial_exponents(1, degree))
+    return weighted_bergman_projection(u_values, w, mono)
+
+
+def hormander_ratio_one(phi, psi, f, degree: int, grid) -> SolveResult:
+    """One (phi, psi) pair's solve and ratio, every input computed for it alone."""
+    if f.n != 1:
+        raise ValueError("the constructive solve is one-dimensional")
+    pts = grid.points
+    fv = f.evaluate(pts)[0]
+    u_part = cauchy_transform(fv, grid)
+    residual = dbar_residual(u_part, fv, grid)
+
+    weight = phi(pts) + psi(pts)
+    u_min_vals, _ = bergman_project(u_part, weight, degree, grid)
+    u_min = u_part - u_min_vals
+
+    wq, shift = _weights(weight, grid)
+    minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq * u_min)))
+
+    support = np.flatnonzero(np.abs(fv) > 0.0)
+    psi_zz = np.real(levi_form(psi, pts[support])[:, 0, 0])
+    if np.any(psi_zz < 1e-8):
+        raise ValueError("psi is not strictly subharmonic on the support of f")
+    comparison_nodes = np.zeros(pts.shape[0])
+    comparison_nodes[support] = np.abs(fv[support]) ** 2 / psi_zz
+    comparison = float(np.dot(comparison_nodes, wq))
+
+    ratio = minimal_norm_sq / comparison
+    return SolveResult(
+        u_part, u_min, residual, ratio, degree, (minimal_norm_sq, comparison), shift
+    )
+
+
+def coarse_rhs_bound_one(phi, m, p, w, eps, delta, log_c_m, grid_nodes=64) -> CoarseChainReport:
+    """One (m, eps, delta) tuple's coarse chain report, every input computed for it alone."""
+    w = as_point(w)
+    n = w.size
+    alpha = build_alpha_eps(w, eps, make_cutoff())
+    psi = build_psi_delta(w, delta, n)
+
+    grid = _annulus_grid(w, eps, grid_nodes)
+    spacing = float(np.max(grid.spacing))
+    if spacing > eps / 16.0 + 1e-15:
+        raise ValueError(
+            f"grid does not resolve the annulus: spacing {spacing:.3e} > eps/16"
+        )
+    idx = grid.support_nodes(alpha.support)
+    pts = grid.points_at(idx)
+    av = alpha.evaluate(pts)
+    on_support = np.sum(np.abs(av) ** 2, axis=0) > 0.0
+    # exclude the pole node if it happens to sit on the grid (delta = 0)
+    at_pole = psi.is_pole(pts)
+    use = on_support & ~at_pole
+
+    norm_sq = _psi_delta_norm_sq(av[:, use], pts[use], w, delta, n)
+    weight, shift = weight_exp(-(m * phi(pts[use]) + psi(pts[use])))
+    integrand = norm_sq ** (p / 2.0) * weight
+    rhs = unshift(float(np.dot(integrand, grid.weights[idx[use]])), shift + log_c_m)
+
+    inf_phi = ball_infimum(phi, w, eps)
+    envelope = 2.0 ** (p + 2 * n) * ball_volume(n)
+    bound = unshift(envelope / eps**p, log_c_m - m * inf_phi)
+    return CoarseChainReport(m, p, eps, delta, w, rhs, bound, envelope, inf_phi)

@@ -318,11 +318,12 @@ class TestExponentOption:
         calls = []
 
         def first_fails(*args, **kwargs):
-            rep = bound(*args, **kwargs)
-            calls.append(rep)
+            reps = bound(*args, **kwargs)
+            calls.append(reps)
             if len(calls) == 1:
-                return dataclasses.replace(rep, rhs_integral=2.0 * rep.bound)
-            return rep
+                rep = reps[0][0]
+                reps[0][0] = dataclasses.replace(rep, rhs_integral=2.0 * rep.bound)
+            return reps
 
         monkeypatch.setattr(cli, "coarse_rhs_bound", first_fails)
         argv = ["coarse-chain", "--func", "re_linear", "--m", "1,2", "--eps", "0.5",
@@ -332,6 +333,29 @@ class TestExponentOption:
         monkeypatch.setattr(cli, "coarse_rhs_bound", bound)
         assert main(argv) == 0
         assert "[PASS] coarse-chain: 2/2 tuples verified" in capsys.readouterr().out
+
+
+    def test_readme_configuration_rows_equal_the_one_tuple_oracle(self, tmp_path):
+        """Rows in (m, eps, delta) order, each equal to its tuple's own solve."""
+        from pshlab import fields
+
+        from grid_helpers import coarse_rhs_bound_one
+
+        out = tmp_path / "chain.csv"
+        argv = ["coarse-chain", "--func", "re_linear", "--m", "1,2,4,8", "--p", "2", "--cm", "1",
+                "--out", str(out)]
+        assert main(argv) == 0
+        with open(out, newline="") as handle:
+            rows = [[float(c) for c in row[:8]] for row in list(csv.reader(handle))[1:]]
+        phi, w = fields.get_field("re_linear", 1), np.zeros(1, dtype=complex)
+        want = []
+        for m in (1, 2, 4, 8):
+            for eps in (0.5, 0.25):
+                for delta in (0.25, 0.0625):
+                    rep = coarse_rhs_bound_one(phi, m, 2.0, w, eps, delta, 0.0, int(16 / eps) * 8)
+                    want.append([m, 2.0, eps, delta, rep.rhs_integral, rep.bound,
+                                 rep.envelope_constant, rep.inf_phi])
+        assert rows == want
 
 
 class TestLogScaleWeights:

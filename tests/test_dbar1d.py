@@ -10,12 +10,13 @@ from pshlab.dbar1d import (
     cauchy_transform,
     dbar_residual,
     hormander_ratio,
-    weighted_bergman_projection,
 )
 from pshlab.geometry import unit_ball
 from pshlab.witness import build_psi_s, build_witness_form, make_cutoff
 
-from grid_helpers import interior_mask, projection_orthogonality, slice_d_dzbar
+from grid_helpers import (
+    bergman_project, hormander_ratio_one, interior_mask, projection_orthogonality, slice_d_dzbar,
+)
 
 
 def grid256(half=2.0):
@@ -124,14 +125,14 @@ class TestBergmanProjection:
         # the weight is 1 on the unit disc and 0 (eta = +inf) off it
         eta = np.where(unit_ball(1).contains(g.points), 0.0, np.inf)
         u = np.conj(g.points[:, 0])
-        h_vals, coeffs = weighted_bergman_projection(u, eta, 6, g)
+        h_vals, coeffs = bergman_project(u, eta, 6, g)
         assert np.max(np.abs(coeffs)) <= 1e-2
 
     def test_polynomial_fixed(self):
         g = make_grid(unit_ball(1, radius=1.2), 96)
         eta = fields.sq_norm(1)(g.points)
         u = 0.3 + 0.5 * g.points[:, 0] - 0.2j * g.points[:, 0] ** 2
-        h_vals, _ = weighted_bergman_projection(u, eta, 4, g)
+        h_vals, _ = bergman_project(u, eta, 4, g)
         assert np.max(np.abs(h_vals - u)) <= 1e-10
 
     def test_norm_monotonicity(self):
@@ -139,7 +140,7 @@ class TestBergmanProjection:
         eta = fields.sq_norm(1)(g.points)
         u = np.conj(g.points[:, 0]) * flat_top_indicator(g, radius=1.2)
         w = g.weights * np.exp(-eta)
-        h_vals, _ = weighted_bergman_projection(u, eta, 8, g)
+        h_vals, _ = bergman_project(u, eta, 8, g)
         before = float(np.real(np.dot(np.conj(u), w * u)))
         after = float(np.real(np.dot(np.conj(u - h_vals), w * (u - h_vals))))
         assert after <= before + 1e-12
@@ -148,7 +149,7 @@ class TestBergmanProjection:
         g = grid256(half=1.5)
         eta = fields.sq_norm(1)(g.points)
         u = np.conj(g.points[:, 0]) * flat_top_indicator(g, radius=1.2)
-        h_vals, _ = weighted_bergman_projection(u, eta, 8, g)
+        h_vals, _ = bergman_project(u, eta, 8, g)
         rel = projection_orthogonality(u, h_vals, eta, 8, g)
         assert rel <= 1e-8
 
@@ -156,7 +157,7 @@ class TestBergmanProjection:
         g = make_grid(unit_ball(1, radius=1.5), 128)
         eta = fields.sq_norm(1)(g.points)
         u = np.conj(g.points[:, 0]) * flat_top_indicator(g, radius=1.2)
-        h_vals, coeffs = weighted_bergman_projection(u, eta, 4, g)
+        h_vals, coeffs = bergman_project(u, eta, 4, g)
         w = g.weights * np.exp(-eta)
 
         def objective(h):
@@ -185,7 +186,7 @@ class TestHormanderRatio:
             if phi_name == "zero"
             else fields.sq_norm(1)
         )
-        result = hormander_ratio(phi, fields.sq_norm(1), dbar_bump_form(), 10, g)
+        [result] = hormander_ratio([(phi, fields.sq_norm(1))], dbar_bump_form(), 10, g)
         assert result.residual <= 5e-3
         assert result.ratio <= 1.02
 
@@ -193,7 +194,7 @@ class TestHormanderRatio:
         g = grid256()
         phi = fields.sq_norm(1)
         ratios = [
-            hormander_ratio(phi, fields.sq_norm(1), dbar_bump_form(), d, g).ratio
+            hormander_ratio([(phi, fields.sq_norm(1))], dbar_bump_form(), d, g)[0].ratio
             for d in (2, 6, 10)
         ]
         assert ratios[0] >= ratios[1] >= ratios[2] - 1e-12
@@ -208,7 +209,7 @@ class TestHormanderRatio:
         ratios = {}
         for s in (10.0, 100.0, 1000.0):
             psi = build_psi_s(z0, 0.5, s)
-            ratios[s] = hormander_ratio(phi, psi, f, 10, g).ratio
+            ratios[s] = hormander_ratio([(phi, psi)], f, 10, g)[0].ratio
         assert max(ratios.values()) > 1.0
 
     def test_flat_psi_rejected(self):
@@ -219,4 +220,61 @@ class TestHormanderRatio:
             hess=lambda z: np.zeros((z.shape[0], 1, 1), complex),
         )
         with pytest.raises(ValueError, match="strictly subharmonic"):
-            hormander_ratio(flat, flat, dbar_bump_form(), 4, g)
+            hormander_ratio([(flat, flat)], dbar_bump_form(), 4, g)
+
+    def test_concave_weight_ratio_tends_to_s_over_s_minus_1(self):
+        """For phi = -|z|^2 and psi_s the ratio tends to s/(s - 1) on a grid that
+        resolves the weight's Gaussian width s^(-1/2).  The 256^2 grid of the
+        radius-2 box does at s = 1000 (3e-15 relative) but not at s = 10^4,
+        where its spacing 0.0157 exceeds the width 0.01 and the ratio reads
+        0.9462 (criterion 8's witness/ratio_s10000); the 512^2 grid gives
+        1.0001063654 there (6.4e-6 relative)."""
+        z0 = np.zeros(1, dtype=complex)
+        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        for nodes, s, rel in ((256, 1000.0, 1e-12), (512, 1e4, 2e-5)):
+            g = make_grid(unit_ball(1, radius=2.0), nodes)
+            [result] = hormander_ratio([(fields.neg_sq_norm(1), build_psi_s(z0, 0.5, s))], f, 10, g)
+            assert result.ratio == pytest.approx(s / (s - 1.0), rel=rel)
+
+
+def criterion_8_cases():
+    """Criterion 8's right-hand sides, each with its (phi, psi) pairs."""
+    z0 = np.zeros(1, dtype=complex)
+    witness = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+    zero = fields.ScalarField(
+        "zero", 1, lambda z: np.zeros(z.shape[0]),
+        grad=lambda z: np.zeros((z.shape[0], 1), complex),
+        hess=lambda z: np.zeros((z.shape[0], 1, 1), complex),
+    )
+    return (
+        (dbar_bump_form(), [(phi, fields.sq_norm(1)) for phi in (zero, fields.sq_norm(1))]),
+        (witness, [(fields.neg_sq_norm(1), build_psi_s(z0, 0.5, s))
+                   for s in (10.0, 100.0, 1000.0, 10000.0)]),
+    )
+
+
+class TestSweep:
+    def test_criterion_8_cases_equal_the_one_pair_oracle(self):
+        g = grid256()
+        for f, weights in criterion_8_cases():
+            for got, (phi, psi) in zip(hormander_ratio(weights, f, 10, g), weights, strict=True):
+                want = hormander_ratio_one(phi, psi, f, 10, g)
+                assert (got.ratio, got.residual, got.scaled_norms, got.log_scale) == (
+                    want.ratio, want.residual, want.scaled_norms, want.log_scale
+                )
+                assert np.array_equal(got.u_particular, want.u_particular)
+                assert np.array_equal(got.u_minimal, want.u_minimal)
+
+    def test_criterion_8_makes_one_transform_per_right_hand_side(self, monkeypatch):
+        from pshlab import acceptance, dbar1d
+
+        transform = dbar1d.cauchy_transform
+        calls = []
+
+        def counted(f_values, grid):
+            calls.append(grid.shape)
+            return transform(f_values, grid)
+
+        monkeypatch.setattr(dbar1d, "cauchy_transform", counted)
+        assert acceptance.criterion_hormander_ratio(0).passed
+        assert calls == [(256, 256)] * 2

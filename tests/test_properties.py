@@ -127,8 +127,8 @@ def test_jensen_residuals_invariant(c):
 def test_hormander_ratio_invariant(c):
     grid, f, psi = dbar_setup()
     phi = fields.neg_sq_norm(1)
-    base = hormander_ratio(phi, psi, f, 4, grid).ratio
-    got = hormander_ratio(shifted(phi, c), psi, f, 4, grid).ratio
+    base = hormander_ratio([(phi, psi)], f, 4, grid)[0].ratio
+    got = hormander_ratio([(shifted(phi, c), psi)], f, 4, grid)[0].ratio
     assert got == pytest.approx(base, rel=1e-9)
 
 

@@ -53,3 +53,42 @@ def test_criterion_2_case_reaches_the_traced_grid_names(monkeypatch):
     # the 4 real partials of each of the 2 components, once; one call of each operator
     assert seen["partial"] == [grid.weights.size] * 8
     assert len(seen["dbar_01"]) == len(seen["dbar_star"]) == 1
+
+
+def count_where_the_tracer_wraps(monkeypatch, modname, attr, seen):
+    """Replace every pshlab module's binding of pshlab.<modname>.<attr> by a
+    counter, as the tracer's install does."""
+    import sys
+
+    original = getattr(importlib.import_module("pshlab." + modname), attr)
+
+    def counted(*args, **kwargs):
+        seen[attr] += 1
+        return original(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key == "pshlab" or key.startswith("pshlab."):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+
+
+def test_criteria_5_and_8_reach_the_traced_solve_names(monkeypatch):
+    """Criterion 8 reaches dbar1d.hormander_ratio, cauchy_transform and
+    weighted_bergman_projection, and criterion 5 witness.coarse_rhs_bound,
+    through the bindings that the tracer replaces, so none of the spans that a
+    traced certificates run requires to be non-zero reads zero."""
+    from collections import Counter
+
+    from pshlab import acceptance
+
+    seen = Counter()
+    for modname, attr in (("dbar1d", "hormander_ratio"), ("dbar1d", "cauchy_transform"),
+                          ("dbar1d", "weighted_bergman_projection"),
+                          ("witness", "coarse_rhs_bound")):
+        count_where_the_tracer_wraps(monkeypatch, modname, attr, seen)
+    acceptance.criterion_hormander_ratio(0)
+    acceptance.criterion_coarse_chain(0)
+    # one solve per right-hand side, one projection per weight, one block per eps
+    assert seen == {"hormander_ratio": 2, "cauchy_transform": 2,
+                    "weighted_bergman_projection": 6, "coarse_rhs_bound": 2}

@@ -27,6 +27,7 @@ from pshlab.witness import (
 )
 
 from grid_helpers import (
+    coarse_rhs_bound_one,
     form_norm_sq,
     grid_dbar_01,
     interior_mask,
@@ -543,9 +544,9 @@ class TestPsiDelta:
 
 class TestCoarseChain:
     def test_flat_weight_bound(self):
-        rep = coarse_rhs_bound(
+        [[rep]] = coarse_rhs_bound(
             fields.zero_field_like(1) if hasattr(fields, "zero_field_like") else _zero(1),
-            m=1, p=2.0, w=np.zeros(1), eps=0.5, delta=0.25, log_c_m=0.0,
+            p=2.0, w=np.zeros(1), eps=0.5, deltas=[0.25], m_log_c=[(1, 0.0)], grid_nodes=64,
         )
         assert rep.verified
         assert rep.bound == pytest.approx(2.0**4 * math.pi * 1.0 * 4.0, rel=1e-12)
@@ -563,18 +564,18 @@ class TestCoarseChain:
             return alpha_sq / metric * weight * rho * 2.0 * math.pi
 
         oracle, _ = sint.quad(integrand, eps / 2.0, eps, epsabs=1e-12)
-        rep = coarse_rhs_bound(_zero(1), 1, 2.0, np.zeros(1), eps, delta, 0.0, grid_nodes=96)
+        [[rep]] = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), eps, [delta], [(1, 0.0)], 96)
         assert rep.rhs_integral == pytest.approx(oracle, rel=2e-3)
 
     def test_eps_halving_scales_bound(self):
-        a = coarse_rhs_bound(_zero(1), 1, 2.0, np.zeros(1), 0.5, 0.25, 0.0)
-        b = coarse_rhs_bound(_zero(1), 1, 2.0, np.zeros(1), 0.25, 0.25, 0.0, grid_nodes=128)
+        [[a]] = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), 0.5, [0.25], [(1, 0.0)], 64)
+        [[b]] = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), 0.25, [0.25], [(1, 0.0)], 128)
         assert b.bound == pytest.approx(4.0 * a.bound, rel=1e-12)
 
     def test_linear_weight_infimum(self):
         phi = fields.re_linear(np.array([1.0 + 0.0j]), 1)
         w = np.array([0.2 + 0.1j])
-        rep = coarse_rhs_bound(phi, 5, 2.0, w, 0.5, 0.25, 0.0)
+        [[rep]] = coarse_rhs_bound(phi, 2.0, w, 0.5, [0.25], [(5, 0.0)], 64)
         # inf over the ball of Re z is phi(w) - eps
         assert rep.inf_phi == pytest.approx(phi.value_at(w) - 0.5, abs=2e-3)
         assert rep.verified
@@ -594,8 +595,39 @@ class TestCoarseChain:
         assert np.allclose(closed, reference, rtol=1e-13, atol=0.0)
 
     def test_delta_zero_verified(self):
-        rep = coarse_rhs_bound(_zero(1), 2, 2.0, np.zeros(1), 0.5, 0.0, 0.0)
+        [[rep]] = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), 0.5, [0.0], [(2, 0.0)], 64)
         assert rep.verified
+
+    @pytest.mark.parametrize("eps, nodes", [(0.5, 64), (0.25, 128)])
+    def test_criterion_5_block_equals_the_one_tuple_oracle(self, eps, nodes):
+        phi, w = fields.re_linear(np.array([1.0 + 0.0j]), 1), np.array([0.2 + 0.1j])
+        deltas, m_log_c = (0.25, 0.0625), [(m, 0.0) for m in (1, 2, 4, 8)]
+        block = coarse_rhs_bound(phi, 2.0, w, eps, deltas, m_log_c, nodes)
+        want = [
+            [report_values(coarse_rhs_bound_one(phi, m, 2.0, w, eps, d, c, nodes)) for d in deltas]
+            for m, c in m_log_c
+        ]
+        assert [[report_values(rep) for rep in row] for row in block] == want
+
+    def test_criterion_5_builds_one_grid_per_eps(self, monkeypatch):
+        from pshlab import acceptance, witness
+        from pshlab.bochner import GridDiscretization
+
+        calls = {"support_nodes": [], "ball_infimum": []}
+        support_nodes, infimum = GridDiscretization.support_nodes, witness.ball_infimum
+
+        def counted_support(grid, support):
+            calls["support_nodes"].append(float(support.extents[0]))
+            return support_nodes(grid, support)
+
+        def counted_infimum(phi, w, eps):
+            calls["ball_infimum"].append(eps)
+            return infimum(phi, w, eps)
+
+        monkeypatch.setattr(GridDiscretization, "support_nodes", counted_support)
+        monkeypatch.setattr(witness, "ball_infimum", counted_infimum)
+        assert acceptance.criterion_coarse_chain(0).passed
+        assert calls == {"support_nodes": [0.5, 0.25], "ball_infimum": [0.5, 0.25]}
 
 
 class TestModulusOfContinuity:
@@ -647,3 +679,9 @@ def _zero(n):
     from pshlab.bochner import zero_field
 
     return zero_field(n)
+
+
+def report_values(rep):
+    """A coarse chain report's numbers (its w is an array, so reports do not compare by ==)."""
+    return (rep.m, rep.p, rep.eps, rep.delta, rep.rhs_integral, rep.bound,
+            rep.envelope_constant, rep.inf_phi)
