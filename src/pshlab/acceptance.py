@@ -223,7 +223,7 @@ def criterion_coarse_chain(seed: int) -> CheckRecord:
                 ok &= rep.verified
     m_values = [10, 100, 10**4, 10**6]
     _, diag = coarse_constant_growth(
-        m_values, [0.0] * 4, 2.0, lambda e: 2.0 * e, n=1
+        m_values, [0.0] * 4, 2.0, [2.0 * (1.0 / m) for m in m_values], n=1
     )
     values["growth/log_cprime_over_m_at_1e6"] = float(diag[-1])
     ok &= diag[-1] < 1e-4

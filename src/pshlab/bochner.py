@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -28,18 +29,16 @@ FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
 
 @dataclass(frozen=True)
 class FormField01:
-    """A (0,1)-form as n coefficient evaluators with a support region."""
+    """A (0,1)-form: one evaluator of its n coefficients, and a support region."""
 
     name: str
     n: int
-    components: tuple
+    coefficients: Callable[[np.ndarray], np.ndarray]  # (m, n) points -> (n, m) values
     support: DomainBox
-    smoothness: str = "C2"
 
     def evaluate(self, pts) -> np.ndarray:
         """Coefficient values as an (n, m) complex array."""
-        z = as_points(pts, self.n)
-        return np.stack([np.asarray(c(z), dtype=complex) for c in self.components])
+        return np.asarray(self.coefficients(as_points(pts, self.n)), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -101,15 +100,15 @@ class GridDiscretization:
 
     def partial(self, values: np.ndarray, axis: int, nodes: np.ndarray) -> np.ndarray:
         """4th-order central difference along a real axis at the flat nodes, gathered
-        from flat values; 0 at nodes within FD_STENCIL_WIDTH of an edge along the axis."""
+        from flat values; a node within FD_STENCIL_WIDTH of an edge along the axis,
+        where the stencil would leave the grid, raises ValueError."""
         v, h, nn = np.asarray(values).ravel(), self.spacing[axis], self.nodes_per_axis
         s = nn ** (len(self.shape) - 1 - axis)  # flat stride of the axis
         along = nodes // s % nn
-        inner = (along >= FD_STENCIL_WIDTH) & (along < nn - FD_STENCIL_WIDTH)
-        i = nodes[inner]
-        d = np.zeros(nodes.size, dtype=np.result_type(v, 1.0))
-        d[inner] = (-v[i + 2 * s] + 8.0 * v[i + s] - 8.0 * v[i - s] + v[i - 2 * s]) / (12.0 * h)
-        return d
+        if np.any((along < FD_STENCIL_WIDTH) | (along >= nn - FD_STENCIL_WIDTH)):
+            raise ValueError("grid does not contain the form's support with a stencil margin")
+        return (-v[nodes + 2 * s] + 8.0 * v[nodes + s] - 8.0 * v[nodes - s]
+                + v[nodes - 2 * s]) / (12.0 * h)
 
     def wirtinger(self, values: np.ndarray, j: int, nodes: np.ndarray) -> tuple:
         """(d/dz_j, d/dzbar_j) = ((d/dx_j - i d/dy_j)/2, (d/dx_j + i d/dy_j)/2)
@@ -129,34 +128,26 @@ class GridDiscretization:
                 dst[:-k] |= src[k:]
         return np.flatnonzero(band)
 
-    def check_support_margin(self, support: DomainBox, widths: int) -> None:
-        """The grid must contain the support with >= widths FD stencil widths of margin."""
-        sb = support.real_bounds()
-        room = np.minimum(sb[:, 0] - self.bounds[:, 0], self.bounds[:, 1] - sb[:, 1])
-        if np.any(room < widths * FD_STENCIL_WIDTH * self.spacing - 1e-12):
-            raise ValueError(
-                f"grid does not contain the form's support with a {widths}-stencil margin"
-            )
-
 
 def make_grid(box: DomainBox, nodes_per_axis: int) -> GridDiscretization:
     return GridDiscretization(box.real_bounds(), nodes_per_axis)
 
 
-def node_values(obj, grid: GridDiscretization, margin_widths: int = 2) -> np.ndarray:
-    """Node values as given, or a form's (n, m) coefficients: evaluated at its
-    support nodes only (kept margin_widths stencil widths inside the grid), zero
-    at the others."""
-    if isinstance(obj, FormField01):
-        grid.check_support_margin(obj.support, margin_widths)
-        idx = grid.support_nodes(obj.support)
-        out = np.zeros((obj.n, grid.weights.size), dtype=complex)
-        out[:, idx] = obj.evaluate(grid.points_at(idx))
-        return out
-    arr = np.asarray(obj, dtype=complex)
-    if arr.ndim not in (1, 2):
-        raise ValueError("node values must be (m,) scalars or (n, m) form components")
-    return arr
+def support_values(form: FormField01, grid: GridDiscretization) -> tuple:
+    """A form at its support nodes: their sorted flat indices, their (k, n) points
+    and the (n, k) coefficients there."""
+    idx = grid.support_nodes(form.support)
+    pts = grid.points_at(idx)
+    return idx, pts, form.evaluate(pts)
+
+
+def node_values(form: FormField01, grid: GridDiscretization) -> np.ndarray:
+    """A form's (n, m) coefficients at every node: evaluated at its support nodes
+    only, zero at the others."""
+    idx, _, values = support_values(form, grid)
+    out = np.zeros((form.n, grid.weights.size), dtype=complex)
+    out[:, idx] = values
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,11 +161,11 @@ class FormGradient:
     dzbar: np.ndarray  # (n, n, k): [j, l] = d alpha_j / dzbar_l at the band nodes
 
 
-def form_gradient(alpha, grid: GridDiscretization, margin_widths: int = 2) -> FormGradient:
-    """The FormGradient of a form or its node values (see node_values), or alpha itself."""
-    if isinstance(alpha, FormGradient):
-        return alpha
-    av = node_values(alpha, grid, margin_widths)
+def form_gradient(values: np.ndarray, grid: GridDiscretization) -> FormGradient:
+    """The FormGradient of (n, m) form node values; the stencils raise ValueError
+    unless every node where some component is nonzero lies at least
+    2 FD_STENCIL_WIDTH layers inside every edge."""
+    av = np.asarray(values, dtype=complex)
     support = np.any(av != 0.0, axis=0)
     band = grid.stencil_band(support)
     # (n, n, 2, k): d/dz_k and d/dzbar_k of each component
@@ -182,20 +173,19 @@ def form_gradient(alpha, grid: GridDiscretization, margin_widths: int = 2) -> Fo
     return FormGradient(av, band, support[band], w[:, :, 0], w[:, :, 1])
 
 
-def dbar_01(alpha, grid: GridDiscretization) -> np.ndarray:
+def dbar_01(g: FormGradient, grid: GridDiscretization) -> np.ndarray:
     """(0,2)-coefficients (d alpha_k / dzbar_j - d alpha_j / dzbar_k), j < k, on the
-    stencil band of alpha (as form_gradient takes it): an (n(n-1)/2, k) array in
+    stencil band of alpha, from its gradient g: an (n(n-1)/2, k) array in
     lexicographic (j, k) order, empty when n = 1 (there are no (0,2)-forms on C)."""
-    d = form_gradient(alpha, grid).dzbar
+    d = g.dzbar
     rows = [d[k, j] - d[j, k] for j in range(grid.n) for k in range(j + 1, grid.n)]
     return np.array(rows, dtype=complex).reshape(len(rows), d.shape[-1])
 
 
-def dbar_star(alpha, phi: ScalarField, grid: GridDiscretization) -> np.ndarray:
+def dbar_star(g: FormGradient, phi: ScalarField, grid: GridDiscretization) -> np.ndarray:
     """Formal adjoint -sum_j (d alpha_j / dz_j - alpha_j dphi/dz_j) on the stencil band
-    of alpha (as form_gradient takes it); poles and grad phi are evaluated where alpha
-    is nonzero, and a weight without grad on the band, for its stencil gradient."""
-    g = form_gradient(alpha, grid)
+    of alpha, from its gradient g; poles and grad phi are evaluated where alpha is
+    nonzero, and a weight without grad on the band, for its stencil gradient."""
     av, n = g.values, grid.n
     support = g.band[g.on_support]
     pts = grid.points_at(support)
@@ -268,7 +258,7 @@ def bochner_residual(
 ) -> BochnerReport:
     """Both sides of the energy identity, reduced over one band with one
     weight, and their relative residual."""
-    g = form_gradient(alpha, grid)
+    g = form_gradient(node_values(alpha, grid), grid)
     # |dbar alpha|^2 over increasing pairs (none when n = 1) and |dbar*_phi alpha|^2
     dbar_sq = np.sum(np.abs(dbar_01(g, grid)) ** 2, axis=0)
     adjoint_sq = np.abs(dbar_star(g, phi, grid)) ** 2
@@ -314,27 +304,26 @@ def bump_const_form(xi, center=None, radius: float = 1.0) -> FormField01:
     n = xi.size
     c = np.zeros(n, dtype=complex) if center is None else as_point(center)
     value, _ = bump_profile(c, radius, n)
-    comps = tuple(
-        (lambda z, coef=xi[j]: coef * value(z)) for j in range(n)
-    )
     support = DomainBox("ball", c, np.array([radius]))
-    return FormField01("bump_const", n, comps, support)
+    return FormField01("bump_const", n, lambda z: xi[:, None] * value(z), support)
 
 
 def bump_zbar_form(n: int, center=None, radius: float = 1.0) -> FormField01:
     """alpha = b dzbar_1 + zbar_n b dzbar_n (n >= 2); b (1 + zbar) dzbar for n = 1."""
     c = np.zeros(n, dtype=complex) if center is None else as_point(center)
     value, _ = bump_profile(c, radius, n)
-    if n == 1:
-        comps = (lambda z: value(z) * (1.0 + np.conj(z[:, 0])),)
-    else:
-        comps = (
-            (lambda z: value(z).astype(complex),)
-            + (lambda z: np.zeros(z.shape[0], dtype=complex),) * (n - 2)
-            + (lambda z: value(z) * np.conj(z[:, n - 1]),)
-        )
+
+    def coefficients(z):
+        b = value(z)
+        if n == 1:
+            return (b * (1.0 + np.conj(z[:, 0])))[None, :]
+        out = np.zeros((n, z.shape[0]), dtype=complex)
+        out[0] = b
+        out[n - 1] = b * np.conj(z[:, n - 1])
+        return out
+
     support = DomainBox("ball", c, np.array([radius]))
-    return FormField01("bump_zbar2", n, comps, support)
+    return FormField01("bump_zbar2", n, coefficients, support)
 
 
 def zero_field(n: int) -> ScalarField:

@@ -283,11 +283,11 @@ def _coarse_chain(args, phi, w) -> Table:
             m: modulus_of_continuity(phi, region, 1.0 / m, resolution=17)
             for m in m_values
         }
-        _, diag = coarse_constant_growth(
+        log_cprime, _ = coarse_constant_growth(
             m_values, [log_c_m(m) for m in m_values], args.p,
-            lambda e: o_by_m.get(int(round(1.0 / e)), 0.0), n=args.dim,
+            [o_by_m[m] for m in m_values], n=args.dim,
         )
-        cprime_by_m = {m: float(d) * m for m, d in zip(m_values, diag)}
+        cprime_by_m = {m: float(c) for m, c in zip(m_values, log_cprime)}
     except PshlabError:
         pass
 

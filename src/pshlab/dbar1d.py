@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bochner import FormField01, GridDiscretization, bump_profile
+from .bochner import FormField01, GridDiscretization, bump_profile, node_values
 from .extension import _monomial_values, _solve_gram, monomial_exponents
 from .fields import levi_form, unshift, weight_exp
 from .geometry import unit_ball
@@ -42,7 +42,7 @@ class SolveResult:
 def dbar_bump() -> FormField01:
     """dbar of the radial quartic bump on the unit disc: a smooth right-hand side."""
     _, dzbar = bump_profile(np.zeros(1), 1.0, 1)
-    return FormField01("dbar_bump", 1, (lambda z: dzbar(z, 0),), unit_ball(1))
+    return FormField01("dbar_bump", 1, lambda z: dzbar(z, 0)[None, :], unit_ball(1))
 
 
 def _square_grid_1d(grid: GridDiscretization) -> float:
@@ -126,7 +126,7 @@ def hormander_ratio(
     if f.n != 1:
         raise ValueError("the constructive solve is one-dimensional")
     pts = grid.points
-    fv = f.evaluate(pts)[0]
+    fv = node_values(f, grid)[0]
     u_part = cauchy_transform(fv, grid)
     residual = dbar_residual(u_part, fv, grid)
     support = np.flatnonzero(np.abs(fv) > 0.0)

@@ -13,10 +13,6 @@ class PoleInStencilError(PshlabError):
     """Raised when a finite-difference stencil touches the pole set of a field."""
 
 
-class CylinderOutsideDomainError(PshlabError):
-    """Raised when a translated cylinder is not contained in a field's domain."""
-
-
 class WeightOverflowError(PshlabError):
     """Raised when e^{-weight} is +inf at a node or a weighted result overflows."""
 

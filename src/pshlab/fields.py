@@ -24,7 +24,7 @@ LEVI_TOL = 1e-9  # a Levi gap eigenvalue below -LEVI_TOL is a violation
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A weight function on (a domain of) C^n.
+    """A weight function on C^n.
 
     smoothness is one of "usc", "C0", "C2"; differential operators require
     "C2".  Analytic gradient/Hessian, when present, take precedence over
@@ -38,7 +38,6 @@ class ScalarField:
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     pole: Optional[Callable[[np.ndarray], np.ndarray]] = None
     smoothness: str = "C2"
-    domain: Optional[DomainBox] = None
 
     def __post_init__(self):
         if self.smoothness not in ("usc", "C0", "C2"):
@@ -374,8 +373,6 @@ def _check_stencil(phi: ScalarField, pts: np.ndarray, vals: np.ndarray) -> None:
     bad = phi.is_pole(pts) | ~np.isfinite(vals)
     if np.any(bad):
         raise PoleInStencilError("pole in stencil")
-    if phi.domain is not None and not np.all(phi.domain.contains(pts)):
-        raise PoleInStencilError("stencil escapes the field's domain")
 
 
 def _require_c2(phi: ScalarField) -> None:

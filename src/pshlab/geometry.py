@@ -95,17 +95,15 @@ class DomainBox:
         return np.all(ok_x & ok_y, axis=-1)
 
     def inradius_from(self, z):
-        """Largest t such that the Euclidean ball B(z, t) stays inside the region:
-        a float for one point, an (m,) array for (m, n) points."""
-        z = np.asarray(z, dtype=complex)
-        d = (as_point(z) if z.ndim < 2 else as_points(z, self.n)) - self.center
+        """Largest t such that the Euclidean ball B(z, t) stays inside the region,
+        as an (m,) array for (m, n) points z."""
+        d = as_points(z, self.n) - self.center
         if self.kind == "ball":
             # the sums of squares of np.linalg.norm on each row, bit for bit
-            t = self.extents[0] - np.sqrt(np.vecdot(d.real, d.real) + np.vecdot(d.imag, d.imag))
-        else:  # a box's extents bound |re z_1|, |im z_1|, |re z_2|, ...: d as interleaved reals
-            gaps = self.extents - np.abs(d if self.kind == "polydisc" else d.view(float))
-            t = np.min(gaps, axis=-1)
-        return float(t) if t.ndim == 0 else t
+            return self.extents[0] - np.sqrt(np.vecdot(d.real, d.real) + np.vecdot(d.imag, d.imag))
+        # a box's extents bound |re z_1|, |im z_1|, |re z_2|, ...: d as interleaved reals
+        gaps = self.extents - np.abs(d if self.kind == "polydisc" else d.view(float))
+        return np.min(gaps, axis=-1)
 
     def real_bounds(self) -> np.ndarray:
         """Bounding real box as a (2n, 2) array of (lo, hi) per real axis."""

@@ -12,7 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CylinderOutsideDomainError
 from .fields import ScalarField
 from .geometry import (
     DEFAULT_BUDGET,
@@ -65,19 +64,10 @@ def clipped_mean(values: np.ndarray, weights: np.ndarray, measure: float) -> flo
     return float("-inf")
 
 
-def _check_inside_domain(phi: ScalarField, cyl: HolomorphicCylinder) -> None:
-    if phi.domain is None:
-        return
-    # conservative: the bounding ball of the cylinder must fit in the domain
-    if phi.domain.inradius_from(cyl.center) < cyl.bounding_radius:
-        raise CylinderOutsideDomainError("cylinder outside domain")
-
-
 def cylinder_mean(
     phi: ScalarField, cyl: HolomorphicCylinder, rule: QuadratureRule
 ) -> float:
     """Quadrature approximation of (1/mu(P)) int_{z0+P} phi; may return -inf."""
-    _check_inside_domain(phi, cyl)
     sample = sample_cylinder(cyl, rule)
     return clipped_mean(phi(sample.nodes), sample.weights, cyl.volume)
 

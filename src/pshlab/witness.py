@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from .errors import ContinuityRequiredError, MetricNotPositiveError
 from .fields import (
     LEVI_TOL, HermitianField, ScalarField, _levi_gap, _region_nodes, unshift, weight_exp,
 )
-from .bochner import FormField01, GridDiscretization, band_energy, form_gradient, make_grid
+from .bochner import (
+    FormField01, GridDiscretization, band_energy, form_gradient, make_grid, support_values,
+)
 from .geometry import DomainBox, as_point, ball_volume
 
 
@@ -89,19 +91,14 @@ def build_witness_form(z0, xi, r: float, chi: CutoffProfile) -> FormField01:
     n = z0.size
     rr = r * r
 
-    def pair(z):
-        return (z - z0) @ np.conj(xi)  # = sum_j xi_j conj(z_j - z0_j), conjugated
-
-    def component(j):
-        def comp(z):
-            d = z - z0
-            t = np.sum(np.abs(d) ** 2, axis=-1) / rr
-            return xi[j] * chi(t) + np.conj(pair(z)) * chi.deriv(t) * d[:, j] / rr
-
-        return comp
+    def coefficients(z):
+        d = z - z0
+        t = np.sum(np.abs(d) ** 2, axis=-1) / rr
+        pair = d @ np.conj(xi)  # = sum_j xi_j conj(z_j - z0_j), conjugated
+        return xi[:, None] * chi(t) + np.conj(pair) * chi.deriv(t) * d.T / rr
 
     support = DomainBox("ball", z0, np.array([r]))
-    return FormField01("dbar_nu", n, tuple(component(j) for j in range(n)), support)
+    return FormField01("dbar_nu", n, coefficients, support)
 
 
 def build_psi_s(z0, r: float, s: float) -> ScalarField:
@@ -142,7 +139,7 @@ def alpha_from_f(f_coeffs, metric) -> np.ndarray:
 
 
 def estimate_functional_E(
-    alpha,
+    alpha_values: np.ndarray,
     phi: ScalarField,
     psi: ScalarField,
     omega: HermitianField,
@@ -152,10 +149,10 @@ def estimate_functional_E(
 
     Nonnegative whenever levi(phi) - g is positive semidefinite on the support
     of alpha; a negative value falsifies the sharp estimate property for
-    (phi, omega).  Every field is evaluated on the band of alpha only.
+    (phi, omega).  alpha_values are the (n, m) node values of alpha; every field
+    is evaluated on the band of alpha only.
     """
-    # single first-derivative stencils only: one stencil width of margin
-    g = form_gradient(alpha, grid, margin_widths=1)
+    g = form_gradient(alpha_values, grid)
     _, quad, grad_sq, weight, shift = band_energy(g, phi, grid, psi, omega)
     return unshift(float(np.dot(quad + grad_sq, weight)), shift)
 
@@ -219,7 +216,7 @@ def scan_sharp_witness(
     pts = _region_nodes(phi, region, lb_resolution)
     gap, eigs = _levi_gap(phi, omega, pts)
     holds = not np.any(eigs < -LEVI_TOL)
-    center = _select_center(phi, region, pts, gap, eigs)
+    center = _select_center(region, pts, gap, eigs)
     r = None if center is None else _select_radius(phi, omega, center)
     if r is None:
         return WitnessScan(holds, None)
@@ -233,9 +230,8 @@ def scan_sharp_witness(
     def on_grid(nodes):
         # the grid, and f and omega at the support nodes of f: none depends on s
         grid = _witness_grid(z0, r, nodes)
-        idx = grid.support_nodes(f.support)
-        pts = grid.points_at(idx)
-        return grid, idx, f.evaluate(pts).T, omega(pts)
+        idx, pts, fv = support_values(f, grid)
+        return grid, idx, fv.T, omega(pts)
 
     def energy(nodes, psi, s):
         # alpha^s = f (sI + g)^{-1} at the support nodes of f, zero elsewhere;
@@ -264,7 +260,7 @@ def _plus_s(g, s: float) -> np.ndarray:
     return g + s * np.eye(g.shape[-1])
 
 
-def _select_center(phi, region, pts, gap, eigs):
+def _select_center(region, pts, gap, eigs):
     """The node with a negative gap whose ball is the most certifiable.
 
     Scores each node with eigenvalue below -LEVI_TOL and room for a ball by
@@ -273,8 +269,6 @@ def _select_center(phi, region, pts, gap, eigs):
     """
     negative = np.flatnonzero(eigs < -LEVI_TOL)
     rooms = region.inradius_from(pts[negative])
-    if phi.domain is not None:
-        rooms = np.minimum(rooms, phi.domain.inradius_from(pts[negative]))
     usable = rooms > 0.0
     if not np.any(usable):
         return None
@@ -321,16 +315,13 @@ def build_alpha_eps(w, eps: float, chi: CutoffProfile) -> FormField01:
     n = w.size
     ee = eps * eps
 
-    def component(j):
-        def comp(z):
-            d = z - w
-            t = np.sum(np.abs(d) ** 2, axis=-1) / ee
-            return chi.deriv(t) * d[:, j] / ee
-
-        return comp
+    def coefficients(z):
+        d = z - w
+        t = np.sum(np.abs(d) ** 2, axis=-1) / ee
+        return chi.deriv(t) * d.T / ee
 
     support = DomainBox("ball", w, np.array([eps]))
-    return FormField01("alpha_eps", n, tuple(component(j) for j in range(n)), support)
+    return FormField01("alpha_eps", n, coefficients, support)
 
 
 def build_psi_delta(w, delta: float, n: int) -> ScalarField:
@@ -454,9 +445,7 @@ def coarse_rhs_bound(
         raise ValueError(
             f"grid does not resolve the annulus: spacing {spacing:.3e} > eps/16"
         )
-    idx = grid.support_nodes(alpha.support)
-    pts = grid.points_at(idx)
-    av = alpha.evaluate(pts)
+    idx, pts, av = support_values(alpha, grid)
     on_support = np.sum(np.abs(av) ** 2, axis=0) > 0.0
     inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)
@@ -509,11 +498,11 @@ def coarse_constant_growth(
     m_values: Sequence[int],
     log_c_m_values: Sequence[float],
     p: float,
-    o_evaluator: Callable[[float], float],
+    o_values: Sequence[float],
     n: int = 1,
 ):
     """log C'_m, C'_m = C'' C_m m^p e^{m O_{1/m}}, and the diagnostic log C'_m / m,
-    given log(C_m).
+    given log(C_m) and the moduli O_{1/m}, one per m.
 
     C'' is the explicit envelope 2^p (mu(B_1) + C' C) with
     C = 2^{p+2n} mu(B_1) and C' = sup e^{psi_0} over the unit ball (bounded by
@@ -528,7 +517,7 @@ def coarse_constant_growth(
     c_env = 2.0 ** (p + 2 * n) * mu1
     c_prime = math.exp(1.0) * 2.0 ** (2 * n)
     c_dprime = 2.0**p * (mu1 + c_prime * c_env)
-    o_vals = np.array([float(o_evaluator(1.0 / m)) for m in m_arr])
+    o_vals = np.asarray(list(o_values), dtype=float)
     log_cprime_m = math.log(c_dprime) + log_c_arr + p * np.log(m_arr) + m_arr * o_vals
     diagnostics = log_cprime_m / m_arr
     return log_cprime_m, diagnostics

@@ -1,7 +1,8 @@
 """Test-only helpers on grids and forms: the whole-grid slice stencil (the
 oracle of the gathered one) and its Wirtinger derivatives, an interior mask,
 band values on the whole grid, a full-grid weighted pairing, dbar of a scalar
-grid field, a support check, the two sides of the metric energy identity
+grid field, the per-component closures that forms were built from (the oracles
+of their evaluators), a support check, the two sides of the metric energy identity
 behind alpha_from_f, the orthogonality of a Bergman residual, and the
 one-tuple solves (the oracles of the hormander_ratio and coarse_rhs_bound
 sweeps)."""
@@ -10,7 +11,9 @@ import math
 
 import numpy as np
 
-from pshlab.bochner import FD_STENCIL_WIDTH, dbar_01, dbar_star, form_gradient, node_values
+from pshlab.bochner import (
+    FD_STENCIL_WIDTH, FormField01, bump_profile, dbar_01, dbar_star, form_gradient, node_values,
+)
 from pshlab.dbar1d import (
     SolveResult, _weights, cauchy_transform, dbar_residual, weighted_bergman_projection,
 )
@@ -80,15 +83,22 @@ def on_grid(grid, band, values):
     return out
 
 
+def values_of(obj, grid):
+    """A form's node values (node_values), or node values as a complex array."""
+    if isinstance(obj, FormField01):
+        return node_values(obj, grid)
+    return np.asarray(obj, dtype=complex)
+
+
 def grid_dbar_01(alpha, grid):
     """dbar_01 of a form or its node values, on the whole grid."""
-    g = form_gradient(alpha, grid)
+    g = form_gradient(values_of(alpha, grid), grid)
     return on_grid(grid, g.band, dbar_01(g, grid))
 
 
 def grid_dbar_star(alpha, phi, grid):
     """dbar_star of a form or its node values, on the whole grid."""
-    g = form_gradient(alpha, grid)
+    g = form_gradient(values_of(alpha, grid), grid)
     return on_grid(grid, g.band, dbar_star(g, phi, grid))
 
 
@@ -98,13 +108,80 @@ def weighted_pairing(a, b, weight, grid):
     Forms pair componentwise (sum_j a_j conj(b_j)); scalars pair as a conj(b).
     Arguments may be FormField01 instances or node-value arrays.
     """
-    av = node_values(a, grid)
-    bv = node_values(b, grid)
+    av = values_of(a, grid)
+    bv = values_of(b, grid)
     if av.ndim != bv.ndim:
         raise ValueError("cannot pair a form with a scalar")
     e, shift = weight_exp(-weight(grid.points))
     integrand = np.sum(av * np.conj(bv), axis=0) if av.ndim == 2 else av * np.conj(bv)
     return unshift(complex(np.dot(integrand, e * grid.weights)), shift)
+
+
+def stacked(components, pts):
+    """Per-component coefficient closures evaluated and stacked to (n, m), as a form
+    was evaluated when it held one closure per component."""
+    z = as_points(pts, len(components))
+    return np.stack([np.asarray(c(z), dtype=complex) for c in components])
+
+
+def bump_const_components(xi, center, radius):
+    """The per-component closures of bump_const_form (the oracle of its evaluator)."""
+    xi, c = as_point(xi), as_point(center)
+    value, _ = bump_profile(c, radius, xi.size)
+    return tuple((lambda z, coef=xi[j]: coef * value(z)) for j in range(xi.size))
+
+
+def bump_zbar_components(n, center, radius):
+    """The per-component closures of bump_zbar_form."""
+    value, _ = bump_profile(as_point(center), radius, n)
+    if n == 1:
+        return (lambda z: value(z) * (1.0 + np.conj(z[:, 0])),)
+    return (
+        (lambda z: value(z).astype(complex),)
+        + (lambda z: np.zeros(z.shape[0], dtype=complex),) * (n - 2)
+        + (lambda z: value(z) * np.conj(z[:, n - 1]),)
+    )
+
+
+def witness_form_components(z0, xi, r, chi):
+    """The per-component closures of build_witness_form."""
+    z0, xi = as_point(z0), as_point(xi)
+    rr = r * r
+
+    def pair(z):
+        return (z - z0) @ np.conj(xi)
+
+    def component(j):
+        def comp(z):
+            d = z - z0
+            t = np.sum(np.abs(d) ** 2, axis=-1) / rr
+            return xi[j] * chi(t) + np.conj(pair(z)) * chi.deriv(t) * d[:, j] / rr
+
+        return comp
+
+    return tuple(component(j) for j in range(z0.size))
+
+
+def alpha_eps_components(w, eps, chi):
+    """The per-component closures of build_alpha_eps."""
+    w = as_point(w)
+    ee = eps * eps
+
+    def component(j):
+        def comp(z):
+            d = z - w
+            t = np.sum(np.abs(d) ** 2, axis=-1) / ee
+            return chi.deriv(t) * d[:, j] / ee
+
+        return comp
+
+    return tuple(component(j) for j in range(w.size))
+
+
+def dbar_bump_components():
+    """The one closure of dbar1d.dbar_bump."""
+    _, dzbar = bump_profile(np.zeros(1), 1.0, 1)
+    return (lambda z: dzbar(z, 0),)
 
 
 def scalar_dbar(values, grid):

@@ -16,14 +16,22 @@ from pshlab.bochner import (
     form_gradient,
     get_form,
     make_grid,
+    node_values,
     zero_field,
 )
 from pshlab.errors import WeightOverflowError
 from pshlab.geometry import DomainBox, unit_ball
-from pshlab.witness import build_alpha_eps, build_witness_form, make_cutoff
+from pshlab.dbar1d import dbar_bump
+from pshlab.witness import (
+    build_alpha_eps, build_psi_s, build_witness_form, estimate_functional_E, make_cutoff,
+)
 
 from grid_helpers import (
+    alpha_eps_components,
+    bump_const_components,
+    bump_zbar_components,
     check_support,
+    dbar_bump_components,
     grid_dbar_01,
     grid_dbar_star,
     interior_mask,
@@ -32,7 +40,9 @@ from grid_helpers import (
     slice_d_dzbar,
     slice_dbar_01,
     slice_partial,
+    stacked,
     weighted_pairing,
+    witness_form_components,
 )
 
 
@@ -68,35 +78,54 @@ class TestPartialStencil:
             v = v + 1j * rng.standard_normal(g.points.shape[0])
         inside = interior_mask(g, 2)
         for axis in range(2 * n):
-            d = g.partial(v, axis, np.arange(g.weights.size))
+            d = g.partial(v, axis, np.flatnonzero(inside))
             assert d.dtype == v.dtype
-            assert np.array_equal(d[inside], roll_partial(g, v, axis)[inside])
-            # along the axis: the roll formula on the interior layers, zero on the outer two
+            assert np.array_equal(d, roll_partial(g, v, axis)[inside])
+            # along the axis: the roll formula on the interior layers (the outer two
+            # raise, see test_raises_within_two_layers_of_an_edge)
             along = np.indices(g.shape)[axis].ravel()
             edge = (along < 2) | (along >= nodes - 2)
-            assert np.array_equal(d[~edge], roll_partial(g, v, axis)[~edge])
-            assert not np.any(d[edge])
+            d = g.partial(v, axis, np.flatnonzero(~edge))
+            assert np.array_equal(d, roll_partial(g, v, axis)[~edge])
 
     @pytest.mark.parametrize("n, nodes", [(1, 11), (2, 9)])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_gathered_equals_slice_stencil(self, n, nodes, kind):
-        # random nodes plus nodes on both edge layers (0, 1 and nodes-2, nodes-1) of
-        # every axis, in random order
+        # random interior nodes plus nodes on the outermost layers where the stencil
+        # fits (2 and nodes-3) of every axis, in random order
         g = make_grid(DomainBox("ball", np.full(n, 0.1 - 0.2j), np.array([0.9])), nodes)
         rng = np.random.default_rng(23 + n)
         v = rng.standard_normal(g.weights.size)
         if kind == "complex":
             v = v + 1j * rng.standard_normal(g.weights.size)
         along = np.indices(g.shape).reshape(2 * n, -1)
+        inside = interior_mask(g, 2)
         layers = [
-            rng.choice(np.flatnonzero(along[axis] == layer), 3, replace=False)
-            for axis in range(2 * n) for layer in (0, 1, nodes - 2, nodes - 1)
+            rng.choice(np.flatnonzero((along[axis] == layer) & inside), 3, replace=False)
+            for axis in range(2 * n) for layer in (2, nodes - 3)
         ]
-        idx = rng.permutation(np.concatenate([rng.choice(g.weights.size, 40), *layers]))
+        idx = rng.permutation(
+            np.concatenate([rng.choice(np.flatnonzero(inside), 40), *layers])
+        )
         for axis in range(2 * n):
             d = g.partial(v, axis, idx)
             assert d.dtype == v.dtype
             assert np.array_equal(d, slice_partial(g, v, axis)[idx])
+
+    @pytest.mark.parametrize("n, nodes", [(1, 11), (2, 9)])
+    def test_raises_within_two_layers_of_an_edge(self, n, nodes):
+        # a node on an edge layer (0, 1, nodes-2, nodes-1) of the axis, interior
+        # along every other axis, raises; the same node one layer further in does not
+        g = make_grid(DomainBox("ball", np.zeros(n, dtype=complex), np.array([1.0])), nodes)
+        v = np.arange(g.weights.size, dtype=float)
+        middle = nodes // 2
+        center = np.ravel_multi_index((middle,) * (2 * n), g.shape)
+        for axis in range(2 * n):
+            stride = nodes ** (2 * n - 1 - axis)
+            for layer, inner in ((0, 2), (1, 2), (nodes - 2, nodes - 3), (nodes - 1, nodes - 3)):
+                with pytest.raises(ValueError, match="margin"):
+                    g.partial(v, axis, np.array([center, center + (layer - middle) * stride]))
+                g.partial(v, axis, np.array([center + (inner - middle) * stride]))
 
 
 class TestWeightedPairing:
@@ -139,8 +168,9 @@ class TestDbar01:
         assert out.shape[0] == 0
 
     def test_dbar_squared_is_zero(self):
-        # alpha = dbar(nu) for a scalar nu has dbar(alpha) = 0
-        g = grid2(nodes=24)
+        # alpha = dbar(nu) for a scalar nu has dbar(alpha) = 0; the box leaves room for
+        # nu's support, the two layers its stencil adds and the 4-layer stencil margin
+        g = grid2(nodes=24, half=1.8)
         value, dzbar = bump_profile(np.zeros(2), 1.0, 2)
         nu_vals = value(g.points) * (g.points[:, 0].real + 0.3)
         alpha_vals = scalar_dbar(nu_vals, g)
@@ -155,8 +185,7 @@ class TestDbar01:
 
         alpha = FormField01(
             "test", 2,
-            (lambda z: np.conj(z[:, 1]) * value(z),
-             lambda z: np.zeros(z.shape[0], dtype=complex)),
+            lambda z: np.stack([np.conj(z[:, 1]) * value(z), np.zeros(z.shape[0], dtype=complex)]),
             unit_ball(2, radius=0.8),
         )
         out = grid_dbar_01(alpha, g)
@@ -190,7 +219,7 @@ class TestDbarStar:
     def test_zero_form(self):
         g = grid1(nodes=48)
         zero = FormField01(
-            "0", 1, (lambda z: np.zeros(z.shape[0], dtype=complex),), unit_ball(1, radius=0.9)
+            "0", 1, lambda z: np.zeros((1, z.shape[0]), dtype=complex), unit_ball(1, radius=0.9)
         )
         assert np.max(np.abs(grid_dbar_star(zero, fields.sq_norm(1), g))) == 0.0
 
@@ -258,7 +287,7 @@ class TestUndeclaredDerivatives:
         alpha = bump_const_form(xi, radius=radius)
         bochner_residual(alpha, fields.ScalarField("log1p_sq_bare", n, recorded), grid)
         # first on the stencil band, for dbar_star's gradient; never on the whole grid
-        assert sizes[0] == form_gradient(alpha, grid).band.size
+        assert sizes[0] == form_gradient(node_values(alpha, grid), grid).band.size
         assert grid.weights.size not in sizes
 
     @CRITERION_2_SETUPS
@@ -267,8 +296,9 @@ class TestUndeclaredDerivatives:
         declared = fields.log1p_sq(n)
         bare = fields.ScalarField("log1p_sq_bare", n, declared.evaluate)
         alpha = bump_zbar_form(n, radius=radius)
-        want = dbar_star(alpha, declared, grid)
-        got = dbar_star(alpha, bare, grid)
+        g = form_gradient(node_values(alpha, grid), grid)
+        want = dbar_star(g, declared, grid)
+        got = dbar_star(g, bare, grid)
         assert np.max(np.abs(got - want)) <= 10.0 * np.max(grid.spacing) ** 4 * np.max(np.abs(want))
 
 
@@ -276,7 +306,7 @@ class TestBochnerIdentity:
     def test_zero_form_trivial(self):
         g = grid1(nodes=48)
         zero = FormField01(
-            "0", 1, (lambda z: np.zeros(z.shape[0], dtype=complex),), unit_ball(1, radius=0.9)
+            "0", 1, lambda z: np.zeros((1, z.shape[0]), dtype=complex), unit_ball(1, radius=0.9)
         )
         rep = bochner_residual(zero, fields.sq_norm(1), g)
         assert rep.lhs == rep.rhs == 0.0
@@ -425,7 +455,7 @@ class TestBand:
             np.sum(np.abs(slice_dbar_01(g, av)) ** 2, axis=0),
             sum(slice_d_dz(g, av[j], j) - av[j] * gphi[:, j] for j in range(n)),
         )
-        band = form_gradient(alpha, g).band
+        band = form_gradient(node_values(alpha, g), g).band
         on_band = np.zeros(g.weights.size, dtype=bool)
         on_band[band] = True
         assert band.size < g.weights.size
@@ -469,7 +499,7 @@ class TestBand:
             hess=lambda z: record(z)[:, None, None].astype(complex),
         )
         zero = FormField01(
-            "0", 1, (lambda z: np.zeros(z.shape[0], dtype=complex),), unit_ball(1, radius=0.9)
+            "0", 1, lambda z: np.zeros((1, z.shape[0]), dtype=complex), unit_ball(1, radius=0.9)
         )
         rep = bochner_residual(zero, phi, grid1(nodes=48))
         assert rep.residual == rep.lhs == rep.rhs == 0.0
@@ -498,4 +528,59 @@ class TestFormRegistry:
         g = make_grid(unit_ball(1, radius=1.0), 64)  # no margin around the bump
         a = bump_const_form(np.array([1.0]), radius=1.0)
         with pytest.raises(ValueError, match="margin"):
-            weighted_pairing(a, a, zero_field(1), g)
+            bochner_residual(a, zero_field(1), g)
+
+
+class TestStencilMargin:
+    """The one margin check: the stencils refuse a node within two layers of an
+    edge, and the band is the nonzero nodes +-2 along each axis, so every node
+    where a form is nonzero must lie at least four layers inside every edge; for a
+    form (bochner_residual) and for node values (estimate_functional_E) alike."""
+
+    @pytest.mark.parametrize("n, nodes, radius, layers", [
+        (1, 21, 0.65, 4), (1, 21, 0.75, 3), (2, 11, 0.3, 4), (2, 11, 0.5, 3),
+    ])
+    def test_four_layers_inside_every_edge(self, n, nodes, radius, layers):
+        g = make_grid(unit_ball(n, radius=1.0), nodes)
+        alpha = bump_const_form(np.eye(n)[0], radius=radius)
+        av = node_values(alpha, g)
+        along = np.indices(g.shape).reshape(2 * n, -1)[:, np.any(av != 0.0, axis=0)]
+        assert min(along.min(), nodes - 1 - along.max()) == layers
+        phi, psi = fields.sq_norm(n), build_psi_s(np.zeros(n), radius, 10.0)
+        energies = (
+            lambda: bochner_residual(alpha, phi, g),
+            lambda: estimate_functional_E(av, phi, psi, fields.zero_omega(n), g),
+        )
+        for energy in energies:
+            if layers >= 4:
+                energy()
+            else:
+                with pytest.raises(ValueError, match="margin"):
+                    energy()
+
+
+class TestFormEvaluator:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_per_component_closures(self, n):
+        # one vectorised evaluator per form, bit for bit the old per-component closures,
+        # at points inside, on the rings of and outside the supports
+        rng = np.random.default_rng(40 + n)
+        pts = rng.uniform(-1.2, 1.2, (600, 2 * n)).view(complex)
+        center = np.full(n, 0.1 - 0.05j)
+        xi = np.linspace(1.0, 2.0, n) * np.exp(1j * np.arange(n))
+        xi /= np.linalg.norm(xi)
+        chi = make_cutoff()
+        pairs = [
+            (bump_const_form(xi, center, 0.9), bump_const_components(xi, center, 0.9)),
+            (bump_zbar_form(n, center, 0.9), bump_zbar_components(n, center, 0.9)),
+            (build_witness_form(center, xi, 0.8, chi), witness_form_components(center, xi, 0.8, chi)),
+            (build_alpha_eps(center, 0.7, chi), alpha_eps_components(center, 0.7, chi)),
+        ]
+        if n == 1:
+            pairs.append((dbar_bump(), dbar_bump_components()))
+        for form, components in pairs:
+            got, want = form.evaluate(pts), stacked(components, pts)
+            assert got.shape == want.shape == (n, pts.shape[0])
+            # equal bit patterns, signed zeros included
+            bits = [np.ascontiguousarray(v).view(np.uint64) for v in (got, want)]
+            assert np.array_equal(*bits), form.name

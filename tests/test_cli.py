@@ -242,6 +242,16 @@ class TestWitnessVerdict:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid --smax ")
 
+    def test_grid_without_stencil_margin_fails(self, tmp_path, capsys):
+        # below 16 nodes per axis the form's support is too close to the grid's edge
+        out = tmp_path / "w.json"
+        code = main(["witness", "--func", "saddle:2", "--dim", "2", "--grid", "12",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: grid does not contain the form's support with a stencil margin\n"
+        assert not out.exists()
+
     def test_violation_without_certificate_fails(self, tmp_path, capsys):
         # Levi form 1 < omega = 1.1, but s = 10 alone does not make E negative
         out = tmp_path / "w.json"

@@ -34,7 +34,7 @@ def dbar_bump_form(radius=1.0):
     """f = dbar of the radial quartic bump, in closed form."""
     value, dzbar = bump_profile(np.zeros(1), radius, 1)
     return FormField01(
-        "dbar_bump", 1, (lambda z: dzbar(z, 0),), unit_ball(1, radius=radius)
+        "dbar_bump", 1, lambda z: dzbar(z, 0)[None, :], unit_ball(1, radius=radius)
     )
 
 

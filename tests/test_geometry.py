@@ -265,7 +265,7 @@ class TestDomainBox:
 
     def test_inradius(self):
         ball = unit_ball(1, radius=2.0)
-        assert ball.inradius_from(np.array([1.0 + 0.0j])) == pytest.approx(1.0)
+        assert ball.inradius_from(np.array([[1.0 + 0.0j]])) == pytest.approx([1.0])
 
     def test_box_membership(self):
         box = DomainBox("box", np.zeros(1, dtype=complex), np.array([1.0, 2.0]))
@@ -276,7 +276,7 @@ class TestDomainBox:
         pd = DomainBox("polydisc", np.zeros(2, dtype=complex), np.array([1.0, 0.5]))
         assert pd.contains(np.array([[0.9 + 0.3j, 0.2 - 0.4j]]))[0]
         assert not pd.contains(np.array([[0.9 + 0.3j, 0.6 + 0.0j]]))[0]
-        assert pd.inradius_from(np.array([0.5, 0.0j])) == pytest.approx(0.5)
+        assert pd.inradius_from(np.array([[0.5, 0.0j]])) == pytest.approx([0.5])
 
     def test_region_extent_validation(self):
         with pytest.raises(ValueError, match="extents"):

@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate as sint
 
 from pshlab import fields
-from pshlab.errors import CylinderOutsideDomainError
 from pshlab.geometry import HolomorphicCylinder, QuadratureRule, random_unitary, unit_ball
 from pshlab.meanvalue import (
     classify_psh,
@@ -86,13 +85,6 @@ class TestCylinderMean:
         # superharmonic defect value log r - (1 - d^2/r^2)/2 ... here d=0:
         val = cylinder_mean(fields.log_abs(n=1), disc(1.0), RULE)
         assert val == pytest.approx(-0.5, abs=2e-3)
-
-    def test_outside_domain(self):
-        phi = fields.ScalarField(
-            "bounded", 1, lambda z: np.zeros(z.shape[0]), domain=unit_ball(1)
-        )
-        with pytest.raises(CylinderOutsideDomainError):
-            cylinder_mean(phi, disc(0.5, center=0.9), RULE)
 
     def test_clipped_mean_diverges(self):
         vals = np.array([-np.inf, 0.0])

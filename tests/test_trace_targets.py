@@ -92,3 +92,37 @@ def test_criteria_5_and_8_reach_the_traced_solve_names(monkeypatch):
     # one solve per right-hand side, one projection per weight, one block per eps
     assert seen == {"hormander_ratio": 2, "cauchy_transform": 2,
                     "weighted_bergman_projection": 6, "coarse_rhs_bound": 2}
+
+
+def test_grid_criteria_reach_the_traced_form_evaluator(monkeypatch):
+    """The tracer wraps the class attribute FormField01.evaluate (the span
+    bochner.form_evaluate); criteria 2, 4, 5 and 8 evaluate every form through it,
+    once per grid, so the span that a traced certificates run requires to be
+    non-zero does not read zero.  It would if evaluate stopped being a method."""
+    from collections import Counter
+
+    from pshlab import acceptance
+    from pshlab.bochner import FormField01
+
+    calls = Counter()
+    evaluate = FormField01.evaluate
+
+    def counted(self, pts):
+        calls[self.name] += 1
+        return evaluate(self, pts)
+
+    monkeypatch.setattr(FormField01, "evaluate", counted)
+    seen = {}
+    for crit in ("criterion_bochner", "criterion_witness", "criterion_coarse_chain",
+                 "criterion_hormander_ratio"):
+        calls.clear()
+        getattr(acceptance, crit)(0)
+        seen[crit] = dict(calls)
+    # one per Bochner residual; the two certificates' grids and doubled grids; one
+    # per eps; one per right-hand side
+    assert seen == {
+        "criterion_bochner": {"bump_const": 4, "bump_zbar2": 4},
+        "criterion_witness": {"dbar_nu": 4},
+        "criterion_coarse_chain": {"alpha_eps": 2},
+        "criterion_hormander_ratio": {"dbar_bump": 1, "dbar_nu": 1},
+    }
