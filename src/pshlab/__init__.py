@@ -69,7 +69,6 @@ from .witness import (
 )
 from .extension import (
     ExtensionReport,
-    HolomorphicCandidate,
     best_extension_constant,
     coarse_extension_bound,
     constant_one,

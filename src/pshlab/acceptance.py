@@ -252,7 +252,7 @@ def criterion_extension_chains(seed: int) -> CheckRecord:
     )
     worst_res1 = 0.0
     for name, phi, cand, p in sweep:
-        res1, res2, concl = jensen_chain_check(phi, np.zeros(1), disc, cand, p, rule)
+        res1, res2, concl = jensen_chain_check(phi, disc, cand, p, rule)
         values[f"jensen/{name}/residual1"] = res1
         worst_res1 = min(worst_res1, res1)
     ok &= worst_res1 >= -1e-10
@@ -260,7 +260,7 @@ def criterion_extension_chains(seed: int) -> CheckRecord:
 
     phi_h = fields.re_linear(np.array([2.0 + 0.0j]), 1)
     rep = optimal_extension_margin(
-        phi_h, np.zeros(1), disc, exp_linear(np.array([1.0 + 0.0j]), np.zeros(1)), 2.0, rule
+        phi_h, disc, exp_linear(np.array([1.0 + 0.0j]), np.zeros(1)), 2.0, rule
     )
     values["pluriharmonic/margin"] = rep.margin
     ok &= abs(rep.margin) <= 1e-6
@@ -272,7 +272,7 @@ def criterion_extension_chains(seed: int) -> CheckRecord:
     mean_phi = r_unit**2 / 2.0
     for m in (1, 4, 32):
         _, b_tilde = coarse_extension_bound(
-            phi, np.zeros(1), disc_unit, constant_one(np.zeros(1)), 0.0, m, 2.0, rule
+            phi, disc_unit, constant_one(np.zeros(1)), 0.0, m, 2.0, rule
         )
         values[f"coarse/b_tilde_m{m}"] = b_tilde
     gap = abs(values["coarse/b_tilde_m32"] - mean_phi)
@@ -293,9 +293,9 @@ def criterion_best_constant(seed: int) -> CheckRecord:
     rule = QuadratureRule("tensor-grid", 4096, seed)
     disc = HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), 1.0)
     flat = zero_field(1)
-    _, value_flat = best_extension_constant(flat, np.zeros(1), disc, 8, rule)
+    _, value_flat = best_extension_constant(flat, disc, 8, rule)
     values["flat/value"] = value_flat
-    _, value_neg = best_extension_constant(fields.neg_sq_norm(1), np.zeros(1), disc, 8, rule)
+    _, value_neg = best_extension_constant(fields.neg_sq_norm(1), disc, 8, rule)
     values["neg_sq_norm/value"] = value_neg
     values["neg_sq_norm/target"] = math.e - 1.0
     ok = abs(value_flat - 1.0) <= 1e-10 and abs(value_neg - (math.e - 1.0)) <= 1e-6

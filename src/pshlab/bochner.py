@@ -135,8 +135,10 @@ def make_grid(box: DomainBox, nodes_per_axis: int) -> GridDiscretization:
 
 def support_values(form: FormField01, grid: GridDiscretization) -> tuple:
     """A form at its support nodes: their sorted flat indices, their (k, n) points
-    and the (n, k) coefficients there."""
+    and the (n, k) coefficients there; ValueError if no node lies in the support."""
     idx = grid.support_nodes(form.support)
+    if idx.size == 0:
+        raise ValueError(f"grid has no node in the support of the form {form.name!r}")
     pts = grid.points_at(idx)
     return idx, pts, form.evaluate(pts)
 

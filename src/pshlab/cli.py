@@ -244,7 +244,9 @@ def _bochner(args, phi) -> list:
         "curvature_term": rep.curvature_term, "gradient_term": rep.gradient_term,
         "dbar_term": rep.dbar_term, "adjoint_term": rep.adjoint_term,
     }
-    return [CheckRecord("bochner-identity", rep.residual <= tol, values, {"residual": tol})]
+    # lhs = 0 means every support node sits where the form vanishes: nothing was tested
+    passed = rep.lhs > 0.0 and rep.residual <= tol
+    return [CheckRecord("bochner-identity", passed, values, {"residual": tol})]
 
 
 def _witness(args, phi, omega, region) -> list:
@@ -338,12 +340,12 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _extend(args, phi, center, cyl) -> list:
+def _extend(args, phi, cyl) -> list:
     rule = QuadratureRule("tensor-grid", args.budget, args.seed)
     checks = []
     if args.p == 2.0:
-        f_star, value = best_extension_constant(phi, center, cyl, args.degree, rule)
-        rep = optimal_extension_margin(phi, center, cyl, f_star, args.p, rule)
+        f_star, value = best_extension_constant(phi, cyl, args.degree, rule)
+        rep = optimal_extension_margin(phi, cyl, f_star, args.p, rule)
         checks.append(
             CheckRecord(
                 "best-extension-constant",
@@ -354,7 +356,7 @@ def _extend(args, phi, center, cyl) -> list:
             )
         )
     else:
-        rep = optimal_extension_margin(phi, center, cyl, constant_one(center), args.p, rule)
+        rep = optimal_extension_margin(phi, cyl, constant_one(cyl.center), args.p, rule)
     checks.append(
         CheckRecord(
             "optimal-extension-margin",
@@ -369,13 +371,13 @@ def _extend(args, phi, center, cyl) -> list:
     return checks
 
 
-def _coarse_extend(args, phi, center, cyl) -> Table:
+def _coarse_extend(args, phi, cyl) -> Table:
     rule = QuadratureRule("tensor-grid", args.budget, args.seed)
     log_c_m = _parse_cm_rule(args.cm_rule)
     rows = []
     for m in parse_m_values(args.m):
         b_m, b_tilde = coarse_extension_bound(
-            phi, center, cyl, constant_one(center), log_c_m(m), m, args.p, rule
+            phi, cyl, constant_one(cyl.center), log_c_m(m), m, args.p, rule
         )
         rows.append([m, args.p, _exp_or_inf(log_c_m(m)), b_m, b_tilde])
     return Table(["m", "p", "C_m", "b_m", "b_tilde_m"], rows, True, f"{len(rows)} bounds computed")
@@ -579,8 +581,7 @@ def _parse_specs(args) -> dict:
     if "w" in args:
         specs["w"] = parse_point(args.w, "w")
     if "center" in args:
-        specs["center"] = parse_point(args.center, "center")
-        specs["cyl"] = parse_cylinder(args.cylinder, args.dim, specs["center"])
+        specs["cyl"] = parse_cylinder(args.cylinder, args.dim, parse_point(args.center, "center"))
     return specs
 
 

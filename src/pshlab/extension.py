@@ -1,14 +1,15 @@
 """Evaluators for the optimal and multiple-coarse L^p-extension inequalities.
 
-For a weight phi, a center z0 off the pole set, and a holomorphic cylinder P,
-the optimal inequality asks for a holomorphic f with f(z0) = 1 and
+For a weight phi and a holomorphic cylinder z0 + P whose center z0 is off the
+pole set, the optimal inequality asks for a holomorphic f with f(z0) = 1 and
 
     (1/mu(P)) int_{z0+P} |f|^p e^{-phi} <= e^{-phi(z0)};
 
 the Jensen/Fubini chain turns any such witness into the sub-mean-value
 inequality for phi, and the coarse variant does the same in the m-th power
 limit.  For p = 2 a best-constant witness over a polynomial subspace comes
-from a weighted Gram system.
+from a weighted Gram system.  z0 is always the cylinder's center, and a
+candidate f is one evaluator from (m, n) points to (m,) values.
 """
 
 from __future__ import annotations
@@ -16,83 +17,44 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateWeightError, SingularGramError
 from .fields import ScalarField, unshift, weight_exp
-from .geometry import HolomorphicCylinder, QuadratureRule, as_point, as_points, sample_cylinder
+from .geometry import HolomorphicCylinder, QuadratureRule, as_point, sample_cylinder
 from .meanvalue import clipped_mean
 
 VANISHING_FRACTION = 1e-3  # of quadrature mass; more means a degenerate candidate
 
-
-@dataclass(frozen=True)
-class HolomorphicCandidate:
-    """A holomorphic extension candidate normalized to f(z0) = 1.
-
-    kind "exp": f(z) = exp(<a, z> + b) with b chosen so f(z0) = 1;
-    kind "poly": a polynomial in (z - z0) with unit constant coefficient,
-    coefficients keyed by exponent multi-indices.
-    """
-
-    kind: str
-    n: int
-    z0: np.ndarray
-    a: Optional[np.ndarray] = None
-    b: complex = 0.0
-    exponents: Optional[tuple] = None
-    coefficients: Optional[np.ndarray] = None
-
-    def evaluate(self, pts) -> np.ndarray:
-        z = as_points(pts, self.n)
-        if self.kind == "exp":
-            return np.exp(z @ self.a + self.b)
-        return _monomial_values(z - self.z0, self.exponents) @ self.coefficients
-
-    def check_normalization(self, tol: float = 1e-12) -> None:
-        val = self.evaluate(self.z0[None, :])[0]
-        if abs(val - 1.0) > tol:
-            raise ValueError(f"candidate violates f(z0) = 1 by {abs(val - 1.0):.3e}")
+Candidate = Callable[[np.ndarray], np.ndarray]  # holomorphic f: (m, n) points -> (m,) values
 
 
-def exp_linear(a, z0) -> HolomorphicCandidate:
-    """f(z) = e^{<a, z> + b} normalized to 1 at z0."""
+def exp_linear(a, z0) -> Candidate:
+    """f(z) = e^{<a, z> + b} with b chosen so that f(z0) = 1."""
     a = as_point(a)
-    z0 = as_point(z0)
-    b = -complex(z0 @ a)
-    cand = HolomorphicCandidate("exp", z0.size, z0, a=a, b=b)
-    cand.check_normalization()
-    return cand
+    b = -complex(as_point(z0) @ a)
+    return lambda z: np.exp(z @ a + b)
 
 
-def constant_one(z0) -> HolomorphicCandidate:
+def constant_one(z0) -> Candidate:
     z0 = as_point(z0)
     return polynomial({(0,) * z0.size: 1.0}, z0)
 
 
-def polynomial(coeffs: dict, z0) -> HolomorphicCandidate:
-    """Polynomial in (z - z0) from {multi-index: coefficient}; constant term 1."""
+def polynomial(coeffs: dict, z0) -> Candidate:
+    """Polynomial in (z - z0) from {multi-index: coefficient}."""
     z0 = as_point(z0)
-    n = z0.size
     exponents = tuple(sorted(coeffs.keys()))
     arr = np.array([coeffs[e] for e in exponents], dtype=complex)
-    cand = HolomorphicCandidate(
-        "poly", n, z0, exponents=exponents, coefficients=arr
-    )
-    cand.check_normalization()
-    return cand
+    return lambda z: _monomial_values(z - z0, exponents) @ arr
 
 
 @dataclass(frozen=True)
 class ExtensionReport:
     """Margin rhs - lhs and Jensen residuals; lhs kept times e^{-log_scale}, rhs as its log."""
 
-    z0: np.ndarray
-    cylinder: HolomorphicCylinder
-    p: float
-    candidate: str
     scaled_lhs: float
     log_scale: float
     log_rhs: float  # -phi(z0)
@@ -105,6 +67,14 @@ class ExtensionReport:
     margin = property(lambda self: self.rhs - self.lhs)
 
 
+def _center_value(phi, cyl) -> float:
+    """phi(z0) at the cylinder's center z0, which must be off the pole set."""
+    center_val = phi.value_at(cyl.center)
+    if not np.isfinite(center_val):
+        raise ValueError("center lies on the pole set")
+    return center_val
+
+
 def _cylinder_weight_values(phi, cyl, rule):
     sample = sample_cylinder(cyl, rule)
     weight_vals = phi(sample.nodes)
@@ -113,38 +83,31 @@ def _cylinder_weight_values(phi, cyl, rule):
     return sample, weight_vals
 
 
+def _candidate_values(phi, cyl, candidate, rule):
+    """The rule's sample of cyl with phi and f at its nodes; ValueError unless f = 1
+    at the center z0, the one place where a candidate's normalization is checked."""
+    val = candidate(cyl.center[None, :])[0]
+    if abs(val - 1.0) > 1e-12:
+        raise ValueError(f"candidate violates f(z0) = 1 by {abs(val - 1.0):.3e}")
+    sample, weight_vals = _cylinder_weight_values(phi, cyl, rule)
+    return sample, weight_vals, candidate(sample.nodes)
+
+
 def optimal_extension_margin(
-    phi: ScalarField,
-    z0,
-    cyl: HolomorphicCylinder,
-    candidate: HolomorphicCandidate,
-    p: float,
-    rule: QuadratureRule,
+    phi: ScalarField, cyl: HolomorphicCylinder, candidate: Candidate, p: float, rule: QuadratureRule
 ) -> ExtensionReport:
     """margin = e^{-phi(z0)} - (1/mu) int |f|^p e^{-phi}; >= 0 means f witnesses."""
-    z0 = as_point(z0)
-    center_val = phi.value_at(z0)
-    if not np.isfinite(center_val):
-        raise ValueError("center lies on the pole set")
-    candidate.check_normalization()
-    sample, weight_vals = _cylinder_weight_values(phi, cyl, rule)
-    fvals = candidate.evaluate(sample.nodes)
+    center_val = _center_value(phi, cyl)
+    sample, weight_vals, fvals = _candidate_values(phi, cyl, candidate, rule)
     weight, shift = weight_exp(-weight_vals)
     integrand = np.abs(fvals) ** p * weight
     lhs = float(np.dot(integrand, sample.weights) / cyl.volume)
     res1, res2, concl = _jensen_residuals(sample, cyl.volume, weight_vals, fvals, p, center_val)
-    return ExtensionReport(
-        z0, cyl, p, candidate.kind, lhs, shift, -center_val, res1, res2, concl
-    )
+    return ExtensionReport(lhs, shift, -center_val, res1, res2, concl)
 
 
 def jensen_chain_check(
-    phi: ScalarField,
-    z0,
-    cyl: HolomorphicCylinder,
-    candidate: HolomorphicCandidate,
-    p: float,
-    rule: QuadratureRule,
+    phi: ScalarField, cyl: HolomorphicCylinder, candidate: Candidate, p: float, rule: QuadratureRule
 ):
     """Residuals of the two inequality steps linking extension to sub-mean-value.
 
@@ -153,11 +116,9 @@ def jensen_chain_check(
     sub-mean-value (holomorphic f with f(z0) = 1); conclusion margin is
     mean(phi) - phi(z0), bounded below by -(residuals + extension margin).
     """
-    z0 = as_point(z0)
-    candidate.check_normalization()
-    sample, weight_vals = _cylinder_weight_values(phi, cyl, rule)
-    fvals = candidate.evaluate(sample.nodes)
-    return _jensen_residuals(sample, cyl.volume, weight_vals, fvals, p, phi.value_at(z0))
+    center_val = _center_value(phi, cyl)
+    sample, weight_vals, fvals = _candidate_values(phi, cyl, candidate, rule)
+    return _jensen_residuals(sample, cyl.volume, weight_vals, fvals, p, center_val)
 
 
 def _jensen_residuals(sample, mu, weight_vals, fvals, p, center_val):
@@ -180,9 +141,8 @@ def _jensen_residuals(sample, mu, weight_vals, fvals, p, center_val):
 
 def coarse_extension_bound(
     phi: ScalarField,
-    z0,
     cyl: HolomorphicCylinder,
-    candidate: HolomorphicCandidate,
+    candidate: Candidate,
     log_c_m: float,
     m: int,
     p: float,
@@ -194,11 +154,8 @@ def coarse_extension_bound(
     b~_m = log(C_m)/m - log(mu)/m + mean(phi).  Always b_m <= b~_m + 1e-9, and
     b~_m -> mean(phi) whenever log(C_m)/m -> 0.
     """
-    z0 = as_point(z0)
-    candidate.check_normalization()
-    sample, weight_vals = _cylinder_weight_values(phi, cyl, rule)
+    sample, weight_vals, fvals = _candidate_values(phi, cyl, candidate, rule)
     mu = cyl.volume
-    fvals = candidate.evaluate(sample.nodes)
     with np.errstate(divide="ignore"):
         expo = p * np.log(np.abs(fvals)) - m * weight_vals
     weight, shift = weight_exp(expo)
@@ -246,13 +203,8 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def best_extension_constant(
-    phi: ScalarField,
-    z0,
-    cyl: HolomorphicCylinder,
-    degree: int,
-    rule: QuadratureRule,
-):
+def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: int,
+                            rule: QuadratureRule):
     """Minimize (1/mu) int |f|^2 e^{-phi} over degree <= N polys with f(z0) = 1.
 
     The Gram matrix of the monomials centered at z0 makes the constraint a
@@ -260,11 +212,10 @@ def best_extension_constant(
     normal equations.  Comparing the value against e^{-phi(z0)} tests the
     optimal L^2-extension inequality within the polynomial class.
     """
-    z0 = as_point(z0)
     sample, weight_vals = _cylinder_weight_values(phi, cyl, rule)
     mu = cyl.volume
     exponents = monomial_exponents(phi.n, degree)
-    mono = _monomial_values(sample.nodes - z0, exponents)
+    mono = _monomial_values(sample.nodes - cyl.center, exponents)
     weight, shift = weight_exp(-weight_vals)
     wphi = sample.weights * weight / mu
     # gram carries the factor e^{-shift}, which leaves the minimizer unchanged
@@ -276,5 +227,5 @@ def best_extension_constant(
     v = np.concatenate([[1.0 + 0.0j], tail])
     value = unshift(float(np.real(np.conj(v) @ gram @ v)), shift)
     coeffs = {expo: v[i] for i, expo in enumerate(exponents)}
-    f_star = polynomial(coeffs, z0)
+    f_star = polynomial(coeffs, cyl.center)
     return f_star, value

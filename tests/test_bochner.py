@@ -486,6 +486,14 @@ class TestBand:
         with pytest.raises(WeightOverflowError):  # as a weight on the whole box
             fields.weight_exp(-phi(g.points))
 
+    def test_support_without_a_node_raises(self):
+        # 16 nodes on [-1.3, 1.3]: the nodes nearest 0 are 0.12 from it
+        tiny = FormField01("tiny", 1, lambda z: np.ones((1, z.shape[0]), dtype=complex),
+                           unit_ball(1, radius=0.05))
+        with pytest.raises(ValueError, match="^grid has no node in the support of the form 'tiny'$"):
+            node_values(tiny, grid1(nodes=16))
+        assert np.count_nonzero(node_values(tiny, grid1(nodes=15))) == 1
+
     def test_zero_form_evaluates_no_node(self):
         seen = []
 

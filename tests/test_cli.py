@@ -193,6 +193,41 @@ class TestSubcommands:
         assert "unknown field id" in capsys.readouterr().err
 
 
+class TestFormSupportWithoutNodes:
+    """A grid with no node in a form's support fails with a typed message, not with
+    a traceback, a numpy reduction error or a vacuous [PASS]."""
+
+    @pytest.mark.parametrize("argv, form", [
+        (["witness", "--func", "saddle:2", "--dim", "2", "--grid", "6"], "dbar_nu"),
+        (["bochner", "--func", "sq_norm", "--dim", "1", "--grid", "6"], "bump_const"),
+        (["bochner", "--func", "sq_norm", "--dim", "1", "--grid", "8"], "bump_const"),
+        (["bochner", "--func", "sq_norm", "--dim", "1", "--grid", "10"], "bump_const"),
+        (["bochner", "--func", "sq_norm", "--dim", "1", "--grid", "12"], "bump_const"),
+        (["dbar", "--weight", "sq_norm", "--grid", "6", "--box", "100"], "dbar_bump"),
+    ], ids=["witness-6", "bochner-6", "bochner-8", "bochner-10", "bochner-12", "dbar-6"])
+    def test_exits_1_without_a_report(self, argv, form, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: grid has no node in the support of the form {form!r}\n"
+        assert not out.exists()
+
+    def test_vacuous_bochner_identity_fails(self, tmp_path, monkeypatch, capsys):
+        # support nodes exist, but the form is 0 at each: lhs = rhs = 0 tests nothing
+        from pshlab import cli
+        from pshlab.bochner import FormField01
+        from pshlab.geometry import unit_ball
+
+        zero = FormField01("0", 1, lambda z: np.zeros((1, z.shape[0]), dtype=complex),
+                           unit_ball(1, radius=0.9))
+        monkeypatch.setattr(cli, "get_form", lambda name, n: zero)
+        out = tmp_path / "b.json"
+        assert main(["bochner", "--func", "sq_norm", "--grid", "48", "--out", str(out)]) == 1
+        assert capsys.readouterr().out.startswith("[FAIL] bochner-identity")
+        values = read_json(out)["checks"][0]["values"]
+        assert values["lhs"] == values["rhs"] == values["residual"] == 0.0
+
+
 class TestListOptions:
     @pytest.mark.parametrize("argv", [
         ["coarse-chain", "--func", "re_linear", "--m", "0"],

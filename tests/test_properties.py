@@ -114,8 +114,8 @@ def test_submean_margin_invariant(c):
 def test_jensen_residuals_invariant(c):
     phi = fields.sq_norm(1)
     cand = exp_linear(np.array([0.5 + 0.5j]), Z0)
-    base = jensen_chain_check(phi, Z0, DISC, cand, 4.0, RULE)
-    got = jensen_chain_check(shifted(phi, c), Z0, DISC, cand, 4.0, RULE)
+    base = jensen_chain_check(phi, DISC, cand, 4.0, RULE)
+    got = jensen_chain_check(shifted(phi, c), DISC, cand, 4.0, RULE)
     for g, b in zip(got, base):
         assert g == pytest.approx(b, abs=shift_tol(c))
 
@@ -152,8 +152,8 @@ def test_bochner_residual_invariant(c):
 def test_coarse_bounds_shift_by_c(c, m):
     phi = fields.sq_norm(1)
     one = constant_one(Z0)
-    base = coarse_extension_bound(phi, Z0, DISC, one, 0.0, m, 2.0, RULE)
-    got = coarse_extension_bound(shifted(phi, c), Z0, DISC, one, 0.0, m, 2.0, RULE)
+    base = coarse_extension_bound(phi, DISC, one, 0.0, m, 2.0, RULE)
+    got = coarse_extension_bound(shifted(phi, c), DISC, one, 0.0, m, 2.0, RULE)
     for g, b in zip(got, base):
         assert g == pytest.approx(b + c, abs=1e-11 * (1.0 + abs(c)))
 
@@ -185,8 +185,8 @@ def test_functional_E_scales(c):
 def test_extension_lhs_scales(c):
     phi = fields.neg_sq_norm(1)
     cand = constant_one(Z0)
-    log_lhs = math.log(optimal_extension_margin(phi, Z0, DISC, cand, 2.0, RULE).lhs)
-    rep = optimal_extension_margin(shifted(phi, c), Z0, DISC, cand, 2.0, RULE)
+    log_lhs = math.log(optimal_extension_margin(phi, DISC, cand, 2.0, RULE).lhs)
+    rep = optimal_extension_margin(shifted(phi, c), DISC, cand, 2.0, RULE)
     check_scaled(lambda: rep.lhs, log_lhs, c)
 
 

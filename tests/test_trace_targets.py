@@ -126,3 +126,42 @@ def test_grid_criteria_reach_the_traced_form_evaluator(monkeypatch):
         "criterion_coarse_chain": {"alpha_eps": 2},
         "criterion_hormander_ratio": {"dbar_bump": 1, "dbar_nu": 1},
     }
+
+
+def test_extension_paths_reach_the_traced_extension_names(monkeypatch, tmp_path):
+    """Criteria 6 and 7 and the extend and coarse-extend subcommands (at the
+    certificates jobs' command lines) reach the four extension functions through
+    the bindings that the tracer replaces, so none of the extension.* spans that a
+    traced certificates run requires to be non-zero reads zero."""
+    from collections import Counter
+
+    from pshlab import acceptance, cli
+
+    seen = Counter()
+    for attr in ("best_extension_constant", "optimal_extension_margin", "jensen_chain_check",
+                 "coarse_extension_bound"):
+        count_where_the_tracer_wraps(monkeypatch, "extension", attr, seen)
+    cyl = ["--cylinder", "r=1.0,s=1.0,seed=0", "--seed", "0"]
+    paths = {
+        "criterion_extension_chains": lambda: acceptance.criterion_extension_chains(0),
+        "criterion_best_constant": lambda: acceptance.criterion_best_constant(0),
+        "extend": lambda: cli.main(["extend", "--func", "neg_sq_norm", "--center", "[[0,0]]",
+                                    "--p", "2", "--degree", "8", "--out",
+                                    str(tmp_path / "e.json"), *cyl]),
+        "coarse-extend": lambda: cli.main(["coarse-extend", "--func", "sq_norm", "--m",
+                                           "1,2,4,8,16", "--out", str(tmp_path / "c.csv"), *cyl]),
+    }
+    counts = {}
+    for name, run in paths.items():
+        seen.clear()
+        run()
+        counts[name] = dict(seen)
+    # four Jensen chains, one margin and three coarse bounds; two Gram searches;
+    # the best constant and its margin at p = 2; one bound per m
+    assert counts == {
+        "criterion_extension_chains": {"jensen_chain_check": 4, "optimal_extension_margin": 1,
+                                       "coarse_extension_bound": 3},
+        "criterion_best_constant": {"best_extension_constant": 2},
+        "extend": {"best_extension_constant": 1, "optimal_extension_margin": 1},
+        "coarse-extend": {"coarse_extension_bound": 5},
+    }
