@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -89,14 +89,32 @@ class GridDiscretization:
 
     def support_nodes(self, support: DomainBox) -> np.ndarray:
         """Sorted flat indices of the nodes in support (extents grown by 1e-9
-        relative), tested against it only inside its bounding box."""
+        relative), tested only inside its bounding box and separably, without
+        building points: each coordinate's offsets z_j - c_j form one (x_j, y_j)
+        block, and the blocks' tests (a ball's squared moduli, summed) combine
+        by outer products.  Each block repeats DomainBox.contains' arithmetic on
+        the same values, so a node is in exactly when contains says so."""
         grown = DomainBox(support.kind, support.center, support.extents * (1.0 + 1e-9))
         ranges = [
             np.flatnonzero((ax >= lo) & (ax <= hi))
             for ax, (lo, hi) in zip(self.axes, grown.real_bounds())
         ]
-        idx = np.ravel_multi_index(np.ix_(*ranges), self.shape).ravel()
-        return idx[grown.contains(self.points_at(idx))]
+        coords = [ax[r] for ax, r in zip(self.axes, ranges)]  # (x1, y1, x2, y2, ...) in range
+        d = [x[:, None] + 1j * y - c for x, y, c in zip(coords[0::2], coords[1::2], grown.center)]
+        if grown.kind == "ball":
+            # |z - c|^2 as np.linalg.norm forms it, (d conj(d)).real summed over j in
+            # order: dx * dx + dy * dy can differ from it in the last bit
+            sq = reduce(np.add.outer, [(dj.conj() * dj).real for dj in d])
+            inside = np.sqrt(sq) <= grown.extents[0]
+        elif grown.kind == "polydisc":
+            inside = reduce(
+                np.logical_and.outer, [np.abs(dj) <= r for dj, r in zip(d, grown.extents)])
+        else:
+            hw = grown.extents.reshape(-1, 2)
+            inside = reduce(np.logical_and.outer, [
+                (np.abs(dj.real) <= hx) & (np.abs(dj.imag) <= hy) for dj, (hx, hy) in zip(d, hw)])
+        sub = np.nonzero(inside)
+        return np.ravel_multi_index(tuple(r[s] for r, s in zip(ranges, sub)), self.shape)
 
     def partial(self, values: np.ndarray, axis: int, nodes: np.ndarray) -> np.ndarray:
         """4th-order central difference along a real axis at the flat nodes, gathered

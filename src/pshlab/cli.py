@@ -69,7 +69,7 @@ def parse_point(text: str, field_name: str) -> np.ndarray:
         raise ConfigError(f"invalid --{field_name}: {exc}") from exc
 
 
-def parse_cylinder(text: str, n: int, center: np.ndarray, field_name: str = "cylinder"):
+def parse_cylinder(text: str, n: int, center: np.ndarray):
     """Cylinder spec string: "r=<f>,s=<f>,seed=<u64>"."""
     parts = {}
     try:
@@ -83,7 +83,7 @@ def parse_cylinder(text: str, n: int, center: np.ndarray, field_name: str = "cyl
         s = float(parts.get("s", "1.0"))
         seed = int(parts.get("seed", "0"))
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"invalid --{field_name} (expected r=<f>,s=<f>,seed=<u64>): {exc}") from exc
+        raise ConfigError(f"invalid --cylinder (expected r=<f>,s=<f>,seed=<u64>): {exc}") from exc
     frame = random_unitary(seed, n) if n > 1 else np.eye(1, dtype=complex)
     return HolomorphicCylinder(center, frame, r, s)
 
@@ -110,7 +110,7 @@ def check_number(value: float, field_name: str, valid, expected: str) -> float:
     return value
 
 
-def parse_region(text: str, field_name: str = "region") -> DomainBox:
+def parse_region(text: str) -> DomainBox:
     """Region JSON: {"kind": "ball"|"polydisc"|"box", "center": [[re,im],...],
     "radius": f} (ball) or {"extents": [...]} otherwise."""
     try:
@@ -127,7 +127,7 @@ def parse_region(text: str, field_name: str = "region") -> DomainBox:
             raise ValueError(f"unknown keys {sorted(unknown)}")
         return DomainBox(kind, center, extents)
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid --{field_name}: {exc}") from exc
+        raise ConfigError(f"invalid --region: {exc}") from exc
 
 
 def _atomic_write(path: str, data: str) -> None:

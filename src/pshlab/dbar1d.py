@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +63,8 @@ def cauchy_transform(f_values: np.ndarray, grid: GridDiscretization) -> np.ndarr
     quadrature stays second-order accurate.  The nn x nn window of the linear
     convolution centred on f is computed as a circular convolution of length
     2 nn per axis, the shortest whose wrap-around leaves that window untouched.
+    The kernel's spectrum depends on the grid's nodes per axis and spacing
+    only, and the last one is cached (_kernel_spectrum).
     """
     h = _square_grid_1d(grid)
     nn = grid.nodes_per_axis
@@ -70,16 +73,24 @@ def cauchy_transform(f_values: np.ndarray, grid: GridDiscretization) -> np.ndarr
         np.abs(f[:, 0])
     ) > 1e-12 or np.max(np.abs(f[:, -1])) > 1e-12:
         raise ValueError("support touches the grid boundary")
+    full = np.fft.ifft2(np.fft.fft2(f, (2 * nn, 2 * nn)) * _kernel_spectrum(nn, h))
+    u = full[nn - 1 : 2 * nn - 1, nn - 1 : 2 * nn - 1] * (h * h / math.pi)
+    return u.ravel()
+
+
+@lru_cache(maxsize=1)
+def _kernel_spectrum(nn: int, h: float) -> np.ndarray:
+    """The (2 nn, 2 nn) FFT of the kernel 1/(z - zeta) at the (2 nn - 1)^2 node
+    offsets of an nn x nn grid with spacing h, 0 at offset 0; read-only."""
     offsets = np.arange(-(nn - 1), nn) * h
     dx, dy = np.meshgrid(offsets, offsets, indexing="ij")
     kernel = np.zeros((2 * nn - 1, 2 * nn - 1), dtype=complex)
     dz = dx + 1j * dy
     nonzero = dz != 0.0
     kernel[nonzero] = 1.0 / dz[nonzero]
-    size = (2 * nn, 2 * nn)
-    full = np.fft.ifft2(np.fft.fft2(f, size) * np.fft.fft2(kernel, size))
-    u = full[nn - 1 : 2 * nn - 1, nn - 1 : 2 * nn - 1] * (h * h / math.pi)
-    return u.ravel()
+    spectrum = np.fft.fft2(kernel, (2 * nn, 2 * nn))
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def dbar_residual(u_values: np.ndarray, f_values: np.ndarray, grid: GridDiscretization) -> float:
@@ -116,8 +127,10 @@ def hormander_ratio(
     weights: list[tuple], f: FormField01, degree: int, grid: GridDiscretization
 ) -> list:
     """Minimal-norm solves of du/dzbar = f_1 and the weighted estimate ratio,
-    one SolveResult for each (phi, psi) pair of weights; the transform of f,
-    its residual and the monomial matrix are computed once for all pairs.
+    one SolveResult for each (phi, psi) pair of weights; the transform of f
+    and its residual are computed once for all pairs, and the monomial matrix
+    once for the grid's bounds, nodes per axis and the degree: the last one is
+    cached (_grid_monomials).
 
     ratio = ||u_min||^2_{phi+psi} / int (|f|^2 / psi_zz) e^{-(phi+psi)}.
     The minimal norm is taken over u_particular minus polynomials of degree
@@ -130,7 +143,7 @@ def hormander_ratio(
     u_part = cauchy_transform(fv, grid)
     residual = dbar_residual(u_part, fv, grid)
     support = np.flatnonzero(np.abs(fv) > 0.0)
-    mono = _monomial_values(pts, monomial_exponents(1, degree))
+    mono = _grid_monomials(tuple(map(tuple, grid.bounds.tolist())), grid.nodes_per_axis, degree)
 
     results = []
     for phi, psi in weights:
@@ -148,3 +161,13 @@ def hormander_ratio(
         norms = (minimal_norm_sq, comparison)
         results.append(SolveResult(u_part, u_min, residual, ratio, degree, norms, shift))
     return results
+
+
+@lru_cache(maxsize=1)
+def _grid_monomials(bounds: tuple, nodes_per_axis: int, degree: int) -> np.ndarray:
+    """The (m, degree + 1) powers of z at the nodes of the n = 1 grid with these
+    bounds and nodes per axis, constant first; read-only."""
+    pts = GridDiscretization(np.array(bounds), nodes_per_axis).points
+    mono = _monomial_values(pts, monomial_exponents(1, degree))
+    mono.flags.writeable = False
+    return mono

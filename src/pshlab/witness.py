@@ -228,16 +228,16 @@ def scan_sharp_witness(
 
     @functools.cache
     def on_grid(nodes):
-        # the grid, and f and omega at the support nodes of f: none depends on s
+        # the grid, f and omega at the support nodes of f, and the (n, m) node
+        # values of alpha, zero off those nodes: none depends on s
         grid = _witness_grid(z0, r, nodes)
         idx, pts, fv = support_values(f, grid)
-        return grid, idx, fv.T, omega(pts)
+        return grid, idx, fv.T, omega(pts), np.zeros((n, grid.weights.size), dtype=complex)
 
     def energy(nodes, psi, s):
-        # alpha^s = f (sI + g)^{-1} at the support nodes of f, zero elsewhere;
-        # equals f/s when omega vanishes
-        grid, idx, fv, g = on_grid(nodes)
-        alpha = np.zeros((n, grid.weights.size), dtype=complex)
+        # alpha^s = f (sI + g)^{-1} at the support nodes of f, written over the
+        # last s's values there; equals f/s when omega vanishes
+        grid, idx, fv, g, alpha = on_grid(nodes)
         alpha[:, idx] = alpha_from_f(fv, _plus_s(g, s)).T
         return estimate_functional_E(alpha, phi, psi, omega, grid)
 

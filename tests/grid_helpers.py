@@ -2,7 +2,8 @@
 oracle of the gathered one) and its Wirtinger derivatives, an interior mask,
 band values on the whole grid, a full-grid weighted pairing, dbar of a scalar
 grid field, the per-component closures that forms were built from (the oracles
-of their evaluators), a support check, the two sides of the metric energy identity
+of their evaluators), a support check, the point-by-point support test (the
+oracle of the separable one), the two sides of the metric energy identity
 behind alpha_from_f, the orthogonality of a Bergman residual, and the
 one-tuple solves (the oracles of the hormander_ratio and coarse_rhs_bound
 sweeps)."""
@@ -19,7 +20,7 @@ from pshlab.dbar1d import (
 )
 from pshlab.extension import _monomial_values, monomial_exponents
 from pshlab.fields import levi_form, unshift, weight_exp
-from pshlab.geometry import as_point, as_points, ball_volume
+from pshlab.geometry import DomainBox, as_point, as_points, ball_volume
 from pshlab.witness import (
     CoarseChainReport, _annulus_grid, _psi_delta_norm_sq, ball_infimum, build_alpha_eps,
     build_psi_delta, make_cutoff,
@@ -197,6 +198,18 @@ def check_support(form, pts, tol=1e-12):
         return True
     vals = form.evaluate(z[outside])
     return bool(np.max(np.abs(vals)) <= tol)
+
+
+def contains_support_nodes(grid, support):
+    """GridDiscretization.support_nodes by points: every node of the grown
+    support's bounding box as a point of C^n, tested by DomainBox.contains."""
+    grown = DomainBox(support.kind, support.center, support.extents * (1.0 + 1e-9))
+    ranges = [
+        np.flatnonzero((ax >= lo) & (ax <= hi))
+        for ax, (lo, hi) in zip(grid.axes, grown.real_bounds())
+    ]
+    idx = np.ravel_multi_index(np.ix_(*ranges), grid.shape).ravel()
+    return idx[grown.contains(grid.points_at(idx))]
 
 
 def metric_quadratic(metric, vec):

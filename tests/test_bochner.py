@@ -7,6 +7,7 @@ from scipy import integrate as sint
 from pshlab import fields
 from pshlab.bochner import (
     FormField01,
+    GridDiscretization,
     bochner_residual,
     bump_const_form,
     bump_profile,
@@ -31,6 +32,7 @@ from grid_helpers import (
     bump_const_components,
     bump_zbar_components,
     check_support,
+    contains_support_nodes,
     dbar_bump_components,
     grid_dbar_01,
     grid_dbar_star,
@@ -512,6 +514,81 @@ class TestBand:
         rep = bochner_residual(zero, phi, grid1(nodes=48))
         assert rep.residual == rep.lhs == rep.rhs == 0.0
         assert not any(seen)
+
+
+def separable_support_cases():
+    """(grid, support) pairs for the separable support test: balls at n = 1, 2,
+    polydiscs and boxes centered off the grid, 10^3 spacings from the origin; and
+    regions of radius 5 h about a node of a grid with a binary spacing h, which
+    put nodes exactly on the sphere (offsets (3h, 4h), (h, 2h, 2h, 4h), ...); and
+    a ball whose grown radius is a node's distance to its center."""
+    for n, nodes in ((1, 64), (2, 14)):
+        h = 2.6 / (nodes - 1)
+        middle = np.full(n, 1000.0 * h * (1.0 - 0.5j))
+        grid = make_grid(unit_ball(n, radius=1.3, center=middle), nodes)
+        center = middle + (0.37 - 0.21j) * h
+        regions = (
+            ("ball", [0.9]),
+            ("polydisc", [0.5, 0.8][:n]),
+            ("box", [0.3, 0.5, 0.7, 0.2][: 2 * n]),
+        )
+        for kind, extents in regions:
+            yield pytest.param(grid, DomainBox(kind, center, np.array(extents)),
+                               id=f"n{n}-{kind}-off-grid")
+    for n, nodes in ((1, 33), (2, 17)):
+        grid = GridDiscretization(np.tile([-1.0, 1.0], (2 * n, 1)), nodes)
+        h = 2.0 / (nodes - 1)
+        center = np.array([0.25 - 0.5j, -0.125 + 0.25j][:n])
+        for kind in ("ball", "polydisc"):
+            extents = np.full(1 if kind == "ball" else n, 5.0 * h)
+            yield pytest.param(grid, DomainBox(kind, center, extents),
+                               id=f"n{n}-{kind}-5h-on-a-node")
+    # the node (x_1, y_12) lies on the grown sphere by np.linalg.norm's arithmetic,
+    # and outside it by dx * dx + dy * dy where the complex multiply rounds otherwise
+    grid = GridDiscretization(np.tile([-1.0, 1.0], (2, 1)), 33)
+    ball = DomainBox("ball", np.array([0.1 + 0.05j]), np.array([1.0800028924346394]))
+    yield pytest.param(grid, ball, id="n1-ball-node-on-the-grown-sphere")
+
+
+class TestSeparableSupport:
+    @pytest.mark.parametrize("grid, support", separable_support_cases())
+    def test_equals_the_point_test(self, grid, support):
+        idx = grid.support_nodes(support)
+        want = contains_support_nodes(grid, support)
+        assert idx.dtype == want.dtype and np.array_equal(idx, want)
+        assert 0 < idx.size < np.prod([r.size for r in grid.axes])
+
+    @pytest.mark.parametrize("n, nodes, offsets", [
+        (1, 33, [(5, 0), (0, -5), (3, 4), (-4, 3)]),
+        (2, 17, [(5, 0, 0, 0), (0, 0, 0, -5), (1, 2, 2, 4), (-2, 4, -1, 2)]),
+    ])
+    def test_nodes_on_the_sphere_are_in(self, n, nodes, offsets):
+        # on [-1, 1] with a binary spacing h the node coordinates and their offsets
+        # from a node are exact, so |offset| = 5 h exactly
+        grid = GridDiscretization(np.tile([-1.0, 1.0], (2 * n, 1)), nodes)
+        h = 2.0 / (nodes - 1)
+        at = np.array([0.25, -0.5, -0.125, 0.25][: 2 * n])
+        node = np.rint((at + 1.0) / h).astype(int)
+        center = at[0::2] + 1j * at[1::2]
+        idx = grid.support_nodes(DomainBox("ball", center, np.array([5.0 * h])))
+        for offset in offsets:
+            k = np.ravel_multi_index(tuple(node + offset), grid.shape)
+            assert np.linalg.norm(grid.points_at([k])[0] - center) == 5.0 * h
+            assert k in idx
+        beyond = node + np.array(offsets[0]) * 6 // 5
+        assert np.ravel_multi_index(tuple(beyond), grid.shape) not in idx
+
+    def test_grid_criteria_payloads_equal_the_point_test_and_uncached_set_up(self, monkeypatch):
+        # criteria 2, 4, 5 and 8 at seed 0, byte for byte
+        from pshlab import acceptance, dbar1d
+
+        criteria = (acceptance.criterion_bochner, acceptance.criterion_witness,
+                    acceptance.criterion_coarse_chain, acceptance.criterion_hormander_ratio)
+        separable = acceptance.payload_bytes([criterion(0) for criterion in criteria])
+        monkeypatch.setattr(GridDiscretization, "support_nodes", contains_support_nodes)
+        for name in ("_kernel_spectrum", "_grid_monomials"):
+            monkeypatch.setattr(dbar1d, name, getattr(dbar1d, name).__wrapped__)
+        assert acceptance.payload_bytes([criterion(0) for criterion in criteria]) == separable
 
 
 class TestFormRegistry:

@@ -59,6 +59,16 @@ class TestParsers:
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_region('{"kind": "ball", "center": [[0,0]], "radius": 1, "frob": 3}')
 
+    @pytest.mark.parametrize("parse, text, prefix", [
+        (lambda t: parse_cylinder(t, 1, np.zeros(1, dtype=complex)), "r=x",
+         "invalid --cylinder (expected r=<f>,s=<f>,seed=<u64>): "),
+        (parse_region, "{", "invalid --region: "),
+    ])
+    def test_error_names_the_option(self, parse, text, prefix):
+        with pytest.raises(ConfigError) as info:
+            parse(text)
+        assert str(info.value).startswith(prefix)
+
     def test_cm_rule_gives_log_constant(self):
         assert _parse_cm_rule("const:1")(7) == 0.0
         assert _parse_cm_rule("2")(7) == pytest.approx(math.log(2.0))

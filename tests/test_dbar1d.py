@@ -7,10 +7,13 @@ from pshlab import fields
 from pshlab.bochner import FormField01, bump_profile, make_grid
 from pshlab.dbar1d import (
     RESIDUAL_MARGIN_CELLS,
+    _grid_monomials,
+    _kernel_spectrum,
     cauchy_transform,
     dbar_residual,
     hormander_ratio,
 )
+from pshlab.extension import _monomial_values, monomial_exponents
 from pshlab.geometry import unit_ball
 from pshlab.witness import build_psi_s, build_witness_form, make_cutoff
 
@@ -278,3 +281,56 @@ class TestSweep:
         monkeypatch.setattr(dbar1d, "cauchy_transform", counted)
         assert acceptance.criterion_hormander_ratio(0).passed
         assert calls == [(256, 256)] * 2
+
+
+def fresh_spectrum(nn, h):
+    """The kernel spectrum of cauchy_transform, computed for this call alone."""
+    offsets = np.arange(-(nn - 1), nn) * h
+    dz = offsets[:, None] + 1j * offsets[None, :]
+    kernel = np.zeros(dz.shape, dtype=complex)
+    kernel[dz != 0.0] = 1.0 / dz[dz != 0.0]
+    return np.fft.fft2(kernel, (2 * nn, 2 * nn))
+
+
+def grid_key(grid):
+    """The key of _grid_monomials: bounds as nested tuples, nodes per axis."""
+    return tuple(map(tuple, grid.bounds.tolist())), grid.nodes_per_axis
+
+
+class TestSetUpCaches:
+    """The kernel spectrum and the monomial matrix are kept for the last grid."""
+
+    def test_cached_arrays_equal_fresh_ones_and_are_read_only(self):
+        g = grid256()
+        h = float(g.spacing[0])
+        spectrum = _kernel_spectrum(256, h)
+        mono = _grid_monomials(*grid_key(g), 10)
+        assert np.array_equal(spectrum, fresh_spectrum(256, h))
+        assert np.array_equal(mono, _monomial_values(g.points, monomial_exponents(1, 10)))
+        for cached in (spectrum, mono):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 0.0
+        assert _kernel_spectrum(256, h) is spectrum
+        assert _grid_monomials(*grid_key(g), 10) is mono
+
+    def test_each_grid_gets_its_own_entry(self):
+        # the same nodes per axis at another spacing, other nodes per axis, and back
+        grids = [make_grid(unit_ball(1, radius=half), nodes)
+                 for half, nodes in ((1.5, 32), (1.2, 32), (1.5, 33), (1.5, 32))]
+        f = dbar_bump_form(radius=0.9)
+        pair = (fields.neg_sq_norm(1), fields.sq_norm(1))
+        for g in grids:
+            nn, h = g.nodes_per_axis, float(g.spacing[0])
+            assert np.array_equal(_kernel_spectrum(nn, h), fresh_spectrum(nn, h))
+            assert np.array_equal(_grid_monomials(*grid_key(g), 4),
+                                  _monomial_values(g.points, monomial_exponents(1, 4)))
+            fv = f.evaluate(g.points)[0]
+            full = np.fft.ifft2(np.fft.fft2(fv.reshape(nn, nn), (2 * nn, 2 * nn))
+                                * fresh_spectrum(nn, h))
+            want = (full[nn - 1 : 2 * nn - 1, nn - 1 : 2 * nn - 1] * (h * h / math.pi)).ravel()
+            assert np.array_equal(cauchy_transform(fv, g), want)
+            [got] = hormander_ratio([pair], f, 4, g)
+            oracle = hormander_ratio_one(*pair, f, 4, g)
+            assert (got.ratio, got.scaled_norms) == (oracle.ratio, oracle.scaled_norms)
+            assert np.array_equal(got.u_minimal, oracle.u_minimal)
+        assert _kernel_spectrum.cache_info().currsize == _grid_monomials.cache_info().currsize == 1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pshlab import fields
-from pshlab.errors import DegenerateWeightError, SingularGramError
+from pshlab.bochner import zero_field
+from pshlab.errors import ConsistencyError, DegenerateWeightError, SingularGramError
 from pshlab.extension import (
     _monomial_values,
     _solve_gram,
@@ -237,6 +238,20 @@ class TestCoarseExtension:
         gaps = [abs(v - mean_phi) for v in vals]
         assert gaps[-1] < gaps[0]
         assert gaps[-1] <= (1.0 / math.sqrt(64)) + math.log(math.pi) / 64 + 1e-9
+
+    def test_zero_at_a_coarse_node_breaks_the_relaxation(self):
+        # b_m <= b~_m is Jensen plus mean(p log|f|) >= 0, the sub-mean value of
+        # log|f| with f(z0) = 1, which a rule keeps only up to its error.  On the
+        # 16-node rule f = 1 - z/a with a at a node has the discrete mean -inf, and
+        # at p = 0.1 the mean of |f|^p is below 1: b_m > b~_m for phi = 0.  No node
+        # of the 4096-node rule is a zero of f.
+        coarse = QuadratureRule("tensor-grid", 16)
+        a = sample_cylinder(disc(), coarse).nodes[0, 0]
+        f = polynomial({(0,): 1.0, (1,): -1.0 / a}, np.zeros(1))
+        with pytest.raises(ConsistencyError, match="^Jensen relaxation violated: b_m = "):
+            coarse_extension_bound(zero_field(1), disc(), f, 0.0, 1, 0.1, coarse)
+        b_m, b_tilde = coarse_extension_bound(zero_field(1), disc(), f, 0.0, 1, 0.1, RULE)
+        assert b_m <= b_tilde
 
 
 class TestBestExtensionConstant:

@@ -310,6 +310,33 @@ class TestScanSharpWitness:
         grids = [_witness_grid(cert.z0, cert.r, k * cert.grid_nodes) for k in (1, 2)]
         assert sizes == [g.support_nodes(f.support).size for g in grids]
 
+    def test_alpha_buffer_reused_across_s_equals_a_fresh_one(self, monkeypatch):
+        # sq_norm against omega = 1.1 fails at s = 10 and certifies at s = 100 on
+        # the same grid: both energies read one buffer, written over the support
+        # nodes, and it holds what a zero-filled alpha of that s would
+        import pshlab.witness as witness
+        from pshlab.bochner import support_values
+        from pshlab.witness import _plus_s
+
+        seen = []
+        estimate = witness.estimate_functional_E
+
+        def recorded(alpha, phi, psi, omega, grid):
+            seen.append((alpha, alpha.copy(), grid))
+            return estimate(alpha, phi, psi, omega, grid)
+
+        monkeypatch.setattr(witness, "estimate_functional_E", recorded)
+        omega = fields.get_omega("const:1.1", 1)
+        cert = scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1)).certificate
+        assert cert.s == 100.0 and len(seen) == 3
+        assert seen[0][0] is seen[1][0] and seen[1][2] is seen[0][2]
+        f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
+        for (_, alpha, grid), s in zip(seen, (10.0, 100.0, 100.0)):
+            idx, pts, fv = support_values(f, grid)
+            fresh = np.zeros((1, grid.weights.size), dtype=complex)
+            fresh[:, idx] = alpha_from_f(fv.T, _plus_s(omega(pts), s)).T
+            assert np.array_equal(alpha, fresh)
+
     @pytest.mark.parametrize("omega", [
         # gap 1 - 1.2|z|^2 < 0 only at the grid nodes on the unit circle: no room for a ball
         fields.scaled_sq_omega(1.2, 1),
