@@ -53,7 +53,6 @@ from .bochner import (
 )
 from .witness import (
     CoarseChainReport,
-    CutoffProfile,
     WitnessCertificate,
     alpha_from_f,
     build_alpha_eps,
@@ -62,8 +61,9 @@ from .witness import (
     build_witness_form,
     coarse_constant_growth,
     coarse_rhs_bound,
+    cutoff,
+    cutoff_deriv,
     estimate_functional_E,
-    make_cutoff,
     modulus_of_continuity,
     scan_sharp_witness,
 )

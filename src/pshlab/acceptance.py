@@ -32,7 +32,6 @@ from .witness import (
     build_witness_form,
     coarse_constant_growth,
     coarse_rhs_bound,
-    make_cutoff,
     scan_sharp_witness,
 )
 
@@ -322,7 +321,7 @@ def criterion_hormander_ratio(seed: int) -> CheckRecord:
         ok &= result.ratio <= 1.02 and result.residual <= 5e-3
 
     z0 = np.zeros(1, dtype=complex)
-    f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+    f = build_witness_form(z0, np.array([1.0]), 0.5)
     schedule = (10.0, 100.0, 1000.0, 10000.0)
     weights = [(fields.neg_sq_norm(1), build_psi_s(z0, 0.5, s)) for s in schedule]
     best = 0.0
@@ -390,9 +389,8 @@ def run_criteria(seed: int) -> list:
 
 
 @_timed
-def criterion_determinism(seed: int, first: bytes = None) -> CheckRecord:
-    if first is None:
-        first = payload_bytes(run_criteria(seed))
+def criterion_determinism(seed: int, first: bytes) -> CheckRecord:
+    """Re-runs the other criteria and compares with their first payload bytes."""
     second = payload_bytes(run_criteria(seed))
     same = first == second
     return CheckRecord(
@@ -402,10 +400,9 @@ def criterion_determinism(seed: int, first: bytes = None) -> CheckRecord:
     )
 
 
-def run_suite(seed: int = 2024, with_determinism: bool = True) -> list:
+def run_suite(seed: int = 2024) -> list:
     records = run_criteria(seed)
-    if with_determinism:
-        records.append(criterion_determinism(seed, payload_bytes(records)))
+    records.append(criterion_determinism(seed, payload_bytes(records)))
     return records
 
 

@@ -228,22 +228,20 @@ def dbar_star(g: FormGradient, phi: ScalarField, grid: GridDiscretization) -> np
     return out
 
 
-def band_energy(g: FormGradient, phi: ScalarField, grid, psi=None, omega=None, extra=()):
-    """The energy band: the stencil-band nodes where alpha, its gradient energy or an
-    extra integrand (on the stencil band) is nonzero.  Returns it as a mask of the
-    stencil band, and on it Re sum_{j,k} (phi_{j kbar} - omega_jk) alpha_j conj(alpha_k),
-    the gradient energy, the trapezoid weights times e^{-(phi + psi) - shift} and the
-    shift (the band's largest exponent).  Weight, Levi forms and omega are evaluated
-    on the band only."""
-    # the gradient energy sum_{j,k} |d alpha_j / dzbar_k|^2, summed in (j, k) order
-    grad_sq = np.sum(np.abs(g.dzbar.reshape(grid.n**2, -1)) ** 2, axis=0)
-    keep = g.on_support | (grad_sq != 0.0)
-    for values in extra:
-        keep |= values != 0.0
-    band = g.band[keep]
+def band_energy(g: FormGradient, phi: ScalarField, grid, psi=None, omega=None):
+    """On the stencil band of alpha: Re sum_{j,k} (phi_{j kbar} - omega_jk) alpha_j
+    conj(alpha_k), the gradient energy, the trapezoid weights times
+    e^{-(phi + psi) - shift} and the shift (the band's largest exponent).  A band
+    node off the support lies within FD_STENCIL_WIDTH steps along an axis of a node
+    where alpha is nonzero, so its stencil gradient is nonzero unless the stencil's
+    terms cancel exactly: the band is where the integrands live.  Weight, Levi forms
+    and omega are evaluated on the band only, and not at all when it is empty."""
+    band = g.band
     if band.size == 0:
         empty = np.zeros(0)
-        return keep, empty, empty, empty, 0.0
+        return empty, empty, empty, 0.0
+    # the gradient energy sum_{j,k} |d alpha_j / dzbar_k|^2, summed in (j, k) order
+    grad_sq = np.sum(np.abs(g.dzbar.reshape(grid.n**2, -1)) ** 2, axis=0)
     pts = grid.points_at(band)
     e, shift = weight_exp(-phi(pts) if psi is None else -(phi(pts) + psi(pts)))
     levi = levi_form(phi, pts)
@@ -251,7 +249,7 @@ def band_energy(g: FormGradient, phi: ScalarField, grid, psi=None, omega=None, e
         levi = levi - omega(pts)
     a = g.values[:, band]
     quad = np.real(np.einsum("mjk,jm,km->m", levi, a, np.conj(a)))
-    return keep, quad, grad_sq[keep], e * grid.weights[band], shift
+    return quad, grad_sq, e * grid.weights[band], shift
 
 
 @dataclass(frozen=True)
@@ -283,10 +281,8 @@ def bochner_residual(
     dbar_sq = np.sum(np.abs(dbar_01(g, grid)) ** 2, axis=0)
     adjoint_sq = np.abs(dbar_star(g, phi, grid)) ** 2
     # quad: the curvature integrand sum_{j,k} phi_{j kbar} alpha_j conj(alpha_k)
-    keep, quad, grad_sq, e, shift = band_energy(g, phi, grid, extra=(dbar_sq, adjoint_sq))
-    terms = tuple(
-        float(np.dot(v, e)) for v in (quad, grad_sq, dbar_sq[keep], adjoint_sq[keep])
-    )
+    quad, grad_sq, e, shift = band_energy(g, phi, grid)
+    terms = tuple(float(np.dot(v, e)) for v in (quad, grad_sq, dbar_sq, adjoint_sq))
     lhs, rhs = terms[0] + terms[1], terms[2] + terms[3]
     residual = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
     return BochnerReport(residual, terms, shift)
@@ -365,9 +361,9 @@ def get_form(spec: str, n: int) -> FormField01:
     if base == "bump_zbar2":
         return bump_zbar_form(n)
     if base == "dbar_nu":
-        from .witness import build_witness_form, make_cutoff
+        from .witness import build_witness_form
 
-        return build_witness_form(np.zeros(n, dtype=complex), e1, 1.0, make_cutoff())
+        return build_witness_form(np.zeros(n, dtype=complex), e1, 1.0)
     raise ValueError(
         f"unknown form id {base!r}; known ids: bump_const, bump_zbar2, dbar_nu"
     )

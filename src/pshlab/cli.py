@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, fields
 from .acceptance import RUNTIME_LIMITS, CheckRecord, json_default, render_lines, run_suite
-from .bochner import bochner_residual, get_form, make_grid
+from .bochner import FD_STENCIL_WIDTH, bochner_residual, get_form, make_grid
 from .dbar1d import dbar_bump, hormander_ratio
 from .errors import PshlabError
 from .extension import (
@@ -61,10 +61,10 @@ class ConfigError(PshlabError):
     """A CLI value failed to parse; the message names the offending field."""
 
 
-def parse_point(text: str, field_name: str) -> np.ndarray:
-    """Points are JSON arrays of [re, im] pairs."""
+def parse_point(text: str, field_name: str, n: int) -> np.ndarray:
+    """Points of C^n are JSON arrays of n [re, im] pairs."""
     try:
-        return fields.parse_point(json.loads(text), 0)
+        return fields.parse_point(json.loads(text), n)
     except (json.JSONDecodeError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid --{field_name}: {exc}") from exc
 
@@ -110,13 +110,13 @@ def check_number(value: float, field_name: str, valid, expected: str) -> float:
     return value
 
 
-def parse_region(text: str) -> DomainBox:
+def parse_region(text: str, n: int) -> DomainBox:
     """Region JSON: {"kind": "ball"|"polydisc"|"box", "center": [[re,im],...],
-    "radius": f} (ball) or {"extents": [...]} otherwise."""
+    "radius": f} (ball) or {"extents": [...]} otherwise, centered in C^n."""
     try:
         obj = json.loads(text)
         kind = obj["kind"]
-        center = fields.parse_point(obj["center"], 0)
+        center = fields.parse_point(obj["center"], n)
         if kind == "ball":
             extents = np.array([float(obj["radius"])])
         else:
@@ -206,7 +206,7 @@ def _check_psh(args, phi, region) -> list:
     )
     violations = [
         {
-            "center": rep.center,
+            "center": rep.cylinder.center,
             "frame": rep.cylinder.frame.ravel(),
             "r": rep.cylinder.r,
             "s": rep.cylinder.s,
@@ -498,6 +498,9 @@ BOUNDS = {
     "tol": (lambda v: v >= 0.0, "a finite number >= 0"),
     "seed": (lambda v: v >= 0, "an integer >= 0"),
     "box": (lambda v: v > 0.0, "a finite number > 0"),
+    # the fewest grid nodes per axis that GridDiscretization takes, and cylinder rule nodes
+    "grid": (lambda v: v >= 2 * FD_STENCIL_WIDTH + 2, f"an integer >= {2 * FD_STENCIL_WIDTH + 2}"),
+    "budget": (lambda v: v >= 16, "an integer >= 16"),
     "p": (lambda v: v > 0.0, "a finite positive exponent"),
     # the s-schedule is 10, 100, ... up to smax, so it would be empty below 10
     "smax": (lambda v: v >= 10.0, "a finite number >= 10"),
@@ -577,11 +580,12 @@ def _parse_specs(args) -> dict:
     if "omega" in args:
         specs["omega"] = fields.get_omega(args.omega, args.dim)
     if "region" in args:
-        specs["region"] = parse_region(args.region)
+        specs["region"] = parse_region(args.region, args.dim)
     if "w" in args:
-        specs["w"] = parse_point(args.w, "w")
+        specs["w"] = parse_point(args.w, "w", args.dim)
     if "center" in args:
-        specs["cyl"] = parse_cylinder(args.cylinder, args.dim, parse_point(args.center, "center"))
+        specs["cyl"] = parse_cylinder(
+            args.cylinder, args.dim, parse_point(args.center, "center", args.dim))
     return specs
 
 

@@ -97,6 +97,9 @@ def dbar_residual(u_values: np.ndarray, f_values: np.ndarray, grid: GridDiscreti
     """Interior sup-norm of du/dzbar - f (4th-order differences inside), over
     the nodes at least RESIDUAL_MARGIN_CELLS from every edge."""
     keep = np.arange(RESIDUAL_MARGIN_CELLS, grid.nodes_per_axis - RESIDUAL_MARGIN_CELLS)
+    if keep.size == 0:
+        raise ValueError(
+            f"grid has no node {RESIDUAL_MARGIN_CELLS} layers inside its edges for the residual")
     nodes = np.ravel_multi_index(np.ix_(keep, keep), grid.shape).ravel()
     _, du = grid.wirtinger(np.asarray(u_values, dtype=complex), 0, nodes)
     return float(np.max(np.abs(du - np.asarray(f_values)[nodes])))

@@ -147,11 +147,12 @@ def unit_ball(n: int, radius: float = 1.0, center=None) -> DomainBox:
     return DomainBox("ball", c, np.array([radius]))
 
 
-def check_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> float:
-    """Return the max-entry deviation of A^H A from the identity."""
+def check_unitary(a: np.ndarray) -> float:
+    """Return the max-entry deviation of A^H A from the identity; ValueError
+    above UNITARITY_TOL."""
     a = np.asarray(a, dtype=complex)
     dev = np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0])))
-    if dev > tol:
+    if dev > UNITARITY_TOL:
         raise ValueError(f"frame is not unitary: max |A^H A - I| = {dev:.3e}")
     return float(dev)
 
@@ -190,12 +191,13 @@ class HolomorphicCylinder:
             return self.r
         return math.sqrt(self.r**2 + self.s**2)
 
-    def contains(self, pts, rtol: float = 1e-12) -> np.ndarray:
+    def contains(self, pts) -> np.ndarray:
+        """Membership of each point, with the radii grown by 1e-12 relative."""
         z = as_points(pts, self.n)
         w = (z - self.center) @ self.frame.conj()
-        ok = np.abs(w[:, 0]) <= self.r * (1.0 + rtol)
+        ok = np.abs(w[:, 0]) <= self.r * (1.0 + 1e-12)
         if self.n > 1:
-            ok &= np.linalg.norm(w[:, 1:], axis=1) <= self.s * (1.0 + rtol)
+            ok &= np.linalg.norm(w[:, 1:], axis=1) <= self.s * (1.0 + 1e-12)
         return ok
 
 

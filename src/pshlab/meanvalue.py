@@ -14,7 +14,6 @@ import numpy as np
 
 from .fields import ScalarField
 from .geometry import (
-    DEFAULT_BUDGET,
     DomainBox,
     HolomorphicCylinder,
     QuadratureRule,
@@ -36,7 +35,6 @@ RADIUS_RANGE = (0.1, 0.5)
 
 @dataclass(frozen=True)
 class MeanValueReport:
-    center: np.ndarray
     cylinder: HolomorphicCylinder
     mean: float
     margin: float
@@ -92,7 +90,7 @@ def submean_test(
     if coarse_mean is not None:
         finite = np.isfinite(mean) and np.isfinite(coarse_mean)
         err = abs(mean - coarse_mean) if finite else float("inf")
-    return MeanValueReport(cyl.center, cyl, mean, mean - center_val, err)
+    return MeanValueReport(cyl, mean, mean - center_val, err)
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,8 @@ def classify_psh(
     cylinders_per_center: int,
     seed: int,
     tol: float = DEFAULT_MARGIN_TOL,
-    budget: Optional[int] = None,
+    *,
+    budget: int,
     max_violations: Optional[int] = None,
 ) -> PshScanResult:
     """Randomized sub-mean-value scan over a region, deterministic under seed.
@@ -127,8 +126,9 @@ def classify_psh(
     are independent, so kink-induced bias on merely continuous fields cannot
     masquerade as a violation.  Cylinder centers are drawn uniformly in the
     region, never on the pole set; radii come from RADIUS_RANGE scaled by the
-    region size.  max_violations stops the scan early (in job order) once
-    that many confirmed witnesses exist.
+    region size.  max_violations stops the scan right after the cylinder that
+    confirms that many violations; cylinders_checked counts the cylinders that
+    ran.
     """
     if centers < 1 or cylinders_per_center < 1:
         raise ValueError("empty scan budget")
@@ -138,8 +138,6 @@ def classify_psh(
     # re-faults the heap top on every cylinder (44k page faults in 400 cylinders).
     np.empty(1 << 20)
     n = phi.n
-    if budget is None:
-        budget = DEFAULT_BUDGET.get(n, 4096)
     scale = float(np.min(region.extents))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
@@ -163,8 +161,10 @@ def classify_psh(
     recheck = rule.with_budget(4 * budget)
     cross_rule = QuadratureRule("quasi-random", 4 * budget, seed + 1)
 
-    def run_job(job):
-        center, frame_seed, r, s = job
+    violations = []
+    checked = 0
+    for center, frame_seed, r, s in jobs:
+        checked += 1
         frame = random_unitary(frame_seed, n) if n > 1 else np.eye(1, dtype=complex)
         cyl = HolomorphicCylinder(center, frame, r, s)
         report = submean_test(phi, cyl, rule)
@@ -173,18 +173,9 @@ def classify_psh(
             cross = submean_test(phi, cyl, cross_rule)
             err = max(confirm.quad_error, abs(confirm.margin - cross.margin))
             if confirm.margin < -max(tol / 2.0, NOISE_FACTOR * err):
-                return confirm
-        return None
-
-    violations = []
-    checked = 0
-    chunk = 32  # max_violations is checked after every chunk of cylinders
-    for start in range(0, len(jobs), chunk):
-        batch = jobs[start : start + chunk]
-        violations.extend(r for r in map(run_job, batch) if r is not None)
-        checked += len(batch)
-        if max_violations is not None and len(violations) >= max_violations:
-            break
+                violations.append(confirm)
+                if len(violations) == max_violations:
+                    break
 
     verdict = "violated" if violations else "no-violation-found"
     return PshScanResult(verdict, tuple(violations), checked)

@@ -34,43 +34,33 @@ from .geometry import DomainBox, as_point, ball_volume
 
 
 # ---------------------------------------------------------------------------
-# cutoff profiles
+# the cutoff
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class CutoffProfile:
-    """Monotone C^1 profile: 1 below flat_top, 0 above support_end.
-
-    The transition is the cubic smoothstep, whose maximal slope on
-    [flat_top, support_end] is exactly 1.5 / (support_end - flat_top).
-    """
-
-    flat_top: float
-    support_end: float
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        u = np.clip((t - self.flat_top) / (self.support_end - self.flat_top), 0.0, 1.0)
-        return 1.0 - (3.0 * u * u - 2.0 * u * u * u)
-
-    def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        width = self.support_end - self.flat_top
-        u = (t - self.flat_top) / width
-        inside = (u > 0.0) & (u < 1.0)
-        out = np.zeros_like(u)
-        out[inside] = -(6.0 * u[inside] - 6.0 * u[inside] ** 2) / width
-        return out
+FLAT_TOP = 0.25  # the cutoff is 1 up to here and 0 from t = 1 on
 
 
-def make_cutoff() -> CutoffProfile:
-    """The profile with flat top at 1/4 and support ending at 1.
+def cutoff(t):
+    """The monotone C^1 cutoff chi of the witness and annulus forms: 1 on
+    [0, FLAT_TOP], 0 from 1 on, and the cubic smoothstep between.
 
     Its slope satisfies sup|chi'| <= 2: the cubic smoothstep on [1/4, 1]
     attains exactly (3/2)/(3/4) = 2.
     """
-    return CutoffProfile(0.25, 1.0)
+    t = np.asarray(t, dtype=float)
+    u = np.clip((t - FLAT_TOP) / (1.0 - FLAT_TOP), 0.0, 1.0)
+    return 1.0 - (3.0 * u * u - 2.0 * u * u * u)
+
+
+def cutoff_deriv(t):
+    """chi'(t): nonzero only strictly between FLAT_TOP and 1."""
+    t = np.asarray(t, dtype=float)
+    width = 1.0 - FLAT_TOP
+    u = (t - FLAT_TOP) / width
+    inside = (u > 0.0) & (u < 1.0)
+    out = np.zeros_like(u)
+    out[inside] = -(6.0 * u[inside] - 6.0 * u[inside] ** 2) / width
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +68,7 @@ def make_cutoff() -> CutoffProfile:
 # ---------------------------------------------------------------------------
 
 
-def build_witness_form(z0, xi, r: float, chi: CutoffProfile) -> FormField01:
+def build_witness_form(z0, xi, r: float) -> FormField01:
     """f = dbar(nu) in closed form, for nu(z) = <xi, conj(z - z0)> chi(|z-z0|^2/r^2).
 
     f has f_j = xi_j chi + <xi, conj(z-z0)> chi'(t) (z_j - z0_j)/r^2,
@@ -95,7 +85,7 @@ def build_witness_form(z0, xi, r: float, chi: CutoffProfile) -> FormField01:
         d = z - z0
         t = np.sum(np.abs(d) ** 2, axis=-1) / rr
         pair = d @ np.conj(xi)  # = sum_j xi_j conj(z_j - z0_j), conjugated
-        return xi[:, None] * chi(t) + np.conj(pair) * chi.deriv(t) * d.T / rr
+        return xi[:, None] * cutoff(t) + np.conj(pair) * cutoff_deriv(t) * d.T / rr
 
     support = DomainBox("ball", z0, np.array([r]))
     return FormField01("dbar_nu", n, coefficients, support)
@@ -153,7 +143,7 @@ def estimate_functional_E(
     is evaluated on the band of alpha only.
     """
     g = form_gradient(alpha_values, grid)
-    _, quad, grad_sq, weight, shift = band_energy(g, phi, grid, psi, omega)
+    quad, grad_sq, weight, shift = band_energy(g, phi, grid, psi, omega)
     return unshift(float(np.dot(quad + grad_sq, weight)), shift)
 
 
@@ -190,6 +180,7 @@ class WitnessScan:
 DEFAULT_S_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
 DEFAULT_E_GRID = {1: 96, 2: 16}
 RADIUS_LADDER_STEPS = 6  # _select_radius tries r_max / 2^k for k below this
+REGION_RESOLUTION = 9  # nodes per real axis of the region grid the Levi gap is scanned on
 INFIMUM_SAMPLES = 20000  # interior sample points of ball_infimum
 
 
@@ -199,11 +190,11 @@ def scan_sharp_witness(
     region: DomainBox,
     s_schedule: Sequence[float] = DEFAULT_S_SCHEDULE,
     grid_nodes: Optional[int] = None,
-    lb_resolution: int = 9,
 ) -> WitnessScan:
     """Search for a sign-functional certificate against the sharp estimate.
 
-    Evaluates the Levi gap levi(phi) - omega on the region grid once.  Among
+    Evaluates the Levi gap levi(phi) - omega once on the region grid, at
+    REGION_RESOLUTION nodes per real axis.  Among
     the nodes where it has an eigenvalue below -LEVI_TOL it picks the center
     z0 with the largest c r_max^2, where c is the gap depth there and r_max
     the radius of the largest ball about z0 in the region; then the largest
@@ -213,7 +204,7 @@ def scan_sharp_witness(
     dominates omega on the region, when no ladder radius keeps the gap below
     -c/2, and when no s of the schedule certifies a violation.
     """
-    pts = _region_nodes(phi, region, lb_resolution)
+    pts = _region_nodes(phi, region, REGION_RESOLUTION)
     gap, eigs = _levi_gap(phi, omega, pts)
     holds = not np.any(eigs < -LEVI_TOL)
     center = _select_center(region, pts, gap, eigs)
@@ -224,7 +215,7 @@ def scan_sharp_witness(
     n = phi.n
     if grid_nodes is None:
         grid_nodes = DEFAULT_E_GRID.get(n, 16)
-    f = build_witness_form(z0, xi, r, make_cutoff())
+    f = build_witness_form(z0, xi, r)
 
     @functools.cache
     def on_grid(nodes):
@@ -303,7 +294,7 @@ def _select_radius(phi, omega, center) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def build_alpha_eps(w, eps: float, chi: CutoffProfile) -> FormField01:
+def build_alpha_eps(w, eps: float) -> FormField01:
     """alpha_eps = chi'(|z-w|^2/eps^2) sum_j ((z_j - w_j)/eps^2) dzbar_j.
 
     Supported in the annulus eps/2 <= |z - w| <= eps; equals
@@ -318,7 +309,7 @@ def build_alpha_eps(w, eps: float, chi: CutoffProfile) -> FormField01:
     def coefficients(z):
         d = z - w
         t = np.sum(np.abs(d) ** 2, axis=-1) / ee
-        return chi.deriv(t) * d.T / ee
+        return cutoff_deriv(t) * d.T / ee
 
     support = DomainBox("ball", w, np.array([eps]))
     return FormField01("alpha_eps", n, coefficients, support)
@@ -397,7 +388,6 @@ class CoarseChainReport:
     p: float
     eps: float
     delta: float
-    w: np.ndarray
     rhs_integral: float
     bound: float
     envelope_constant: float  # C = 2^{p+2n} mu(B_1)
@@ -434,11 +424,11 @@ def coarse_rhs_bound(
     """Numerically verify C_m int |alpha_eps|^p_{metric} e^{-(m phi + psi_delta)}
     <= C C_m e^{-m inf phi} / eps^p with C = 2^{p+2n} mu(B_1), given log(C_m),
     as reports[i][k] for the i-th (m, log C_m) of m_log_c and the k-th delta.
-    The grid, alpha and inf phi are computed once, psi and its norm once per delta.
+    The grid, alpha, phi and inf phi are computed once, psi and its norm once per delta.
     """
     w = as_point(w)
     n = w.size
-    alpha = build_alpha_eps(w, eps, make_cutoff())
+    alpha = build_alpha_eps(w, eps)
     grid = _annulus_grid(w, eps, grid_nodes)
     spacing = float(np.max(grid.spacing))
     if spacing > eps / 16.0 + 1e-15:
@@ -446,23 +436,23 @@ def coarse_rhs_bound(
             f"grid does not resolve the annulus: spacing {spacing:.3e} > eps/16"
         )
     idx, pts, av = support_values(alpha, grid)
-    on_support = np.sum(np.abs(av) ** 2, axis=0) > 0.0
+    # the nodes where alpha_eps is nonzero; it vanishes on |z - w| < eps/2, where
+    # chi' = 0, so the pole of psi_0 at w is never among them
+    use = np.sum(np.abs(av) ** 2, axis=0) > 0.0
+    pts, av, quad = pts[use], av[:, use], grid.weights[idx[use]]
+    phi_use = phi(pts)
     inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)
 
     reports = [[] for _ in m_log_c]
     for delta in deltas:
-        psi = build_psi_delta(w, delta, n)
-        # exclude the pole node if it happens to sit on the grid (delta = 0)
-        use = on_support & ~psi.is_pole(pts)
-        norm_p = _psi_delta_norm_sq(av[:, use], pts[use], w, delta, n) ** (p / 2.0)
-        phi_use, psi_use = phi(pts[use]), psi(pts[use])
-        quad = grid.weights[idx[use]]
+        psi_use = build_psi_delta(w, delta, n)(pts)
+        norm_p = _psi_delta_norm_sq(av, pts, w, delta, n) ** (p / 2.0)
         for row, (m, log_c_m) in zip(reports, m_log_c):
             weight, shift = weight_exp(-(m * phi_use + psi_use))
             rhs = unshift(float(np.dot(norm_p * weight, quad)), shift + log_c_m)
             bound = unshift(envelope / eps**p, log_c_m - m * inf_phi)
-            row.append(CoarseChainReport(m, p, eps, delta, w, rhs, bound, envelope, inf_phi))
+            row.append(CoarseChainReport(m, p, eps, delta, rhs, bound, envelope, inf_phi))
     return reports
 
 

@@ -23,7 +23,7 @@ from pshlab.fields import levi_form, unshift, weight_exp
 from pshlab.geometry import DomainBox, as_point, as_points, ball_volume
 from pshlab.witness import (
     CoarseChainReport, _annulus_grid, _psi_delta_norm_sq, ball_infimum, build_alpha_eps,
-    build_psi_delta, make_cutoff,
+    build_psi_delta, cutoff, cutoff_deriv,
 )
 
 
@@ -144,7 +144,7 @@ def bump_zbar_components(n, center, radius):
     )
 
 
-def witness_form_components(z0, xi, r, chi):
+def witness_form_components(z0, xi, r):
     """The per-component closures of build_witness_form."""
     z0, xi = as_point(z0), as_point(xi)
     rr = r * r
@@ -156,14 +156,14 @@ def witness_form_components(z0, xi, r, chi):
         def comp(z):
             d = z - z0
             t = np.sum(np.abs(d) ** 2, axis=-1) / rr
-            return xi[j] * chi(t) + np.conj(pair(z)) * chi.deriv(t) * d[:, j] / rr
+            return xi[j] * cutoff(t) + np.conj(pair(z)) * cutoff_deriv(t) * d[:, j] / rr
 
         return comp
 
     return tuple(component(j) for j in range(z0.size))
 
 
-def alpha_eps_components(w, eps, chi):
+def alpha_eps_components(w, eps):
     """The per-component closures of build_alpha_eps."""
     w = as_point(w)
     ee = eps * eps
@@ -172,7 +172,7 @@ def alpha_eps_components(w, eps, chi):
         def comp(z):
             d = z - w
             t = np.sum(np.abs(d) ** 2, axis=-1) / ee
-            return chi.deriv(t) * d[:, j] / ee
+            return cutoff_deriv(t) * d[:, j] / ee
 
         return comp
 
@@ -277,7 +277,7 @@ def coarse_rhs_bound_one(phi, m, p, w, eps, delta, log_c_m, grid_nodes=64) -> Co
     """One (m, eps, delta) tuple's coarse chain report, every input computed for it alone."""
     w = as_point(w)
     n = w.size
-    alpha = build_alpha_eps(w, eps, make_cutoff())
+    alpha = build_alpha_eps(w, eps)
     psi = build_psi_delta(w, delta, n)
 
     grid = _annulus_grid(w, eps, grid_nodes)
@@ -302,4 +302,4 @@ def coarse_rhs_bound_one(phi, m, p, w, eps, delta, log_c_m, grid_nodes=64) -> Co
     inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)
     bound = unshift(envelope / eps**p, log_c_m - m * inf_phi)
-    return CoarseChainReport(m, p, eps, delta, w, rhs, bound, envelope, inf_phi)
+    return CoarseChainReport(m, p, eps, delta, rhs, bound, envelope, inf_phi)

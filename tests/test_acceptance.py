@@ -20,6 +20,8 @@ from pshlab.acceptance import (
     criterion_levi,
     criterion_meanvalue,
     criterion_witness,
+    payload_bytes,
+    run_criteria,
 )
 
 SEED = 2024
@@ -107,5 +109,5 @@ def test_criterion_8_hormander_ratio(report):
 
 
 def test_criterion_9_determinism(report):
-    record = report(criterion_determinism(SEED))
+    record = report(criterion_determinism(SEED, payload_bytes(run_criteria(SEED))))
     assert record.values["byte_identical"]

@@ -24,7 +24,8 @@ from pshlab.errors import WeightOverflowError
 from pshlab.geometry import DomainBox, unit_ball
 from pshlab.dbar1d import dbar_bump
 from pshlab.witness import (
-    build_alpha_eps, build_psi_s, build_witness_form, estimate_functional_E, make_cutoff,
+    _witness_grid, build_alpha_eps, build_psi_s, build_witness_form, estimate_functional_E,
+    scan_sharp_witness,
 )
 
 from grid_helpers import (
@@ -406,6 +407,14 @@ def criterion_2_cases():
                 yield pytest.param(n, nodes, phi, alpha, id=f"n{n}-{phi.name}-{alpha.name}")
 
 
+def band_nodes_without_integrand(values, grid):
+    """The stencil-band nodes of (n, m) form node values where the form and its
+    gradient energy are both zero."""
+    g = form_gradient(values, grid)
+    grad_sq = np.sum(np.abs(g.dzbar.reshape(grid.n**2, -1)) ** 2, axis=0)
+    return g.band[~g.on_support & (grad_sq == 0.0)]
+
+
 class TestBand:
     @pytest.mark.parametrize("n", [1, 2])
     def test_support_nodes_cover_the_nonzero_set(self, n):
@@ -415,8 +424,8 @@ class TestBand:
         forms = (
             bump_const_form(xi, center=center, radius=0.7),
             bump_zbar_form(n, center=center, radius=0.9),
-            build_witness_form(center, xi, 0.8, make_cutoff()),
-            build_alpha_eps(center, 0.6, make_cutoff()),
+            build_witness_form(center, xi, 0.8),
+            build_alpha_eps(center, 0.6),
         )
         for form in forms:
             idx = g.support_nodes(form.support)
@@ -463,6 +472,23 @@ class TestBand:
         assert band.size < g.weights.size
         for term in terms:
             assert not np.any((term != 0.0) & ~on_band)
+
+    @pytest.mark.parametrize("n, nodes, phi, alpha", criterion_2_cases())
+    def test_every_band_node_carries_an_integrand_criterion_2(self, n, nodes, phi, alpha):
+        # the converse of the test above: band_energy reduces over the whole stencil band
+        g = make_grid(unit_ball(n, radius=1.3), nodes)
+        assert band_nodes_without_integrand(node_values(alpha, g), g).size == 0
+
+    @pytest.mark.parametrize("phi, region", [
+        (fields.neg_sq_norm(1), unit_ball(1)), (fields.saddle(2.0), unit_ball(2)),
+    ], ids=["neg_sq_norm", "saddle"])
+    def test_every_band_node_carries_an_integrand_criterion_4(self, phi, region):
+        # the certificates' grid and doubled grid; alpha^s = f / s for omega = 0
+        cert = scan_sharp_witness(phi, fields.zero_omega(phi.n), region).certificate
+        f = build_witness_form(cert.z0, cert.xi, cert.r)
+        for nodes in (cert.grid_nodes, 2 * cert.grid_nodes):
+            g = _witness_grid(cert.z0, cert.r, nodes)
+            assert band_nodes_without_integrand(node_values(f, g) / cert.s, g).size == 0
 
     def test_weight_shift_is_the_bands(self):
         # e^{400|z|^2} peaks at the box corners, where the form vanishes: a
@@ -654,12 +680,11 @@ class TestFormEvaluator:
         center = np.full(n, 0.1 - 0.05j)
         xi = np.linspace(1.0, 2.0, n) * np.exp(1j * np.arange(n))
         xi /= np.linalg.norm(xi)
-        chi = make_cutoff()
         pairs = [
             (bump_const_form(xi, center, 0.9), bump_const_components(xi, center, 0.9)),
             (bump_zbar_form(n, center, 0.9), bump_zbar_components(n, center, 0.9)),
-            (build_witness_form(center, xi, 0.8, chi), witness_form_components(center, xi, 0.8, chi)),
-            (build_alpha_eps(center, 0.7, chi), alpha_eps_components(center, 0.7, chi)),
+            (build_witness_form(center, xi, 0.8), witness_form_components(center, xi, 0.8)),
+            (build_alpha_eps(center, 0.7), alpha_eps_components(center, 0.7)),
         ]
         if n == 1:
             pairs.append((dbar_bump(), dbar_bump_components()))

@@ -34,12 +34,12 @@ def run_cli(argv):
 
 class TestParsers:
     def test_point(self):
-        z = parse_point("[[0.5, -0.25], [0, 1]]", "center")
+        z = parse_point("[[0.5, -0.25], [0, 1]]", "center", 2)
         assert np.allclose(z, [0.5 - 0.25j, 1j])
 
     def test_point_invalid(self):
         with pytest.raises(ConfigError, match="--center"):
-            parse_point("[1, 2, 3]", "center")
+            parse_point("[1, 2, 3]", "center", 1)
 
     def test_cylinder(self):
         cyl = parse_cylinder("r=0.5,s=0.25,seed=7", 2, np.zeros(2, dtype=complex))
@@ -51,22 +51,22 @@ class TestParsers:
             parse_cylinder("r=1,q=2", 1, np.zeros(1, dtype=complex))
 
     def test_region(self):
-        box = parse_region('{"kind": "ball", "center": [[0,0]], "radius": 2.0}')
+        box = parse_region('{"kind": "ball", "center": [[0,0]], "radius": 2.0}', 1)
         assert box.kind == "ball"
         assert box.extents[0] == 2.0
 
     def test_region_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown keys"):
-            parse_region('{"kind": "ball", "center": [[0,0]], "radius": 1, "frob": 3}')
+            parse_region('{"kind": "ball", "center": [[0,0]], "radius": 1, "frob": 3}', 1)
 
     @pytest.mark.parametrize("parse, text, prefix", [
-        (lambda t: parse_cylinder(t, 1, np.zeros(1, dtype=complex)), "r=x",
+        (lambda t, n: parse_cylinder(t, n, np.zeros(n, dtype=complex)), "r=x",
          "invalid --cylinder (expected r=<f>,s=<f>,seed=<u64>): "),
         (parse_region, "{", "invalid --region: "),
     ])
     def test_error_names_the_option(self, parse, text, prefix):
         with pytest.raises(ConfigError) as info:
-            parse(text)
+            parse(text, 1)
         assert str(info.value).startswith(prefix)
 
     def test_cm_rule_gives_log_constant(self):
@@ -509,12 +509,47 @@ class TestBoundedOptions:
         ["dbar", "--weight", "sq_norm", "--box", "nan"],
         ["dbar", "--weight", "sq_norm", "--box", "inf"],
         ["dbar", "--weight", "sq_norm", "--box", "0"],
+        # grids without room for the stencil and budgets below any rule's fewest
+        # nodes used to fail inside the computation with exit 1
+        ["bochner", "--func", "sq_norm", "--grid", "-4"],
+        ["dbar", "--weight", "sq_norm", "--grid", "2"],
+        ["witness", "--func", "neg_sq_norm", "--grid", "5"],
+        ["check-psh", "--func", "sq_norm", "--budget", "-5"],
+        ["extend", "--func", "sq_norm", "--budget", "15"],
     ])
     def test_count_out_of_bounds_is_config_error(self, argv, capsys):
         option = argv[-2]
         code = main(argv)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: invalid {option} ")
+
+    @pytest.mark.parametrize("argv", [
+        ["extend", "--func", "sq_norm", "--center", "[[0,0],[1,1]]"],
+        ["levi", "--func", "sq_norm", "--region",
+         '{"kind": "ball", "center": [[0,0],[0,0]], "radius": 1}'],
+        ["coarse-chain", "--func", "re_linear", "--dim", "2", "--w", "[[0,0]]"],
+    ], ids=["extend-center", "levi-region", "coarse-chain-w"])
+    def test_point_outside_dim_is_config_error(self, argv, capsys):
+        # points used to reach the computation and fail there with exit 1
+        option = argv[-2]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid {option}: ")
+        assert "expected " + ("2" if "--dim" in argv else "1") in err
+
+    def test_witness_grid_zero_is_the_default(self, tmp_path):
+        out = tmp_path / "w.json"
+        assert main(["witness", "--func", "sq_norm", "--grid", "0", "--out", str(out)]) == 0
+        assert read_json(out)["config"]["grid"] == 96
+
+    def test_dbar_grid_without_residual_nodes_fails(self, tmp_path, capsys):
+        # at 8 nodes no node lies RESIDUAL_MARGIN_CELLS = 4 layers inside every edge;
+        # this used to end in numpy's "zero-size array to reduction operation maximum"
+        out = tmp_path / "d.json"
+        assert main(["dbar", "--weight", "sq_norm", "--grid", "8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: grid has no node 4 layers inside its edges for the residual\n"
+        assert not out.exists()
 
     def test_count_error_has_no_traceback(self):
         # --dim 0 used to end in an IndexError traceback here

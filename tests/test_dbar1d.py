@@ -15,7 +15,7 @@ from pshlab.dbar1d import (
 )
 from pshlab.extension import _monomial_values, monomial_exponents
 from pshlab.geometry import unit_ball
-from pshlab.witness import build_psi_s, build_witness_form, make_cutoff
+from pshlab.witness import build_psi_s, build_witness_form
 
 from grid_helpers import (
     bergman_project, hormander_ratio_one, interior_mask, projection_orthogonality, slice_d_dzbar,
@@ -208,7 +208,7 @@ class TestHormanderRatio:
         g = grid256()
         phi = fields.neg_sq_norm(1)
         z0 = np.zeros(1, dtype=complex)
-        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        f = build_witness_form(z0, np.array([1.0]), 0.5)
         ratios = {}
         for s in (10.0, 100.0, 1000.0):
             psi = build_psi_s(z0, 0.5, s)
@@ -233,7 +233,7 @@ class TestHormanderRatio:
         0.9462 (criterion 8's witness/ratio_s10000); the 512^2 grid gives
         1.0001063654 there (6.4e-6 relative)."""
         z0 = np.zeros(1, dtype=complex)
-        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        f = build_witness_form(z0, np.array([1.0]), 0.5)
         for nodes, s, rel in ((256, 1000.0, 1e-12), (512, 1e4, 2e-5)):
             g = make_grid(unit_ball(1, radius=2.0), nodes)
             [result] = hormander_ratio([(fields.neg_sq_norm(1), build_psi_s(z0, 0.5, s))], f, 10, g)
@@ -243,7 +243,7 @@ class TestHormanderRatio:
 def criterion_8_cases():
     """Criterion 8's right-hand sides, each with its (phi, psi) pairs."""
     z0 = np.zeros(1, dtype=complex)
-    witness = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+    witness = build_witness_form(z0, np.array([1.0]), 0.5)
     zero = fields.ScalarField(
         "zero", 1, lambda z: np.zeros(z.shape[0]),
         grad=lambda z: np.zeros((z.shape[0], 1), complex),

@@ -207,12 +207,26 @@ class TestClassifyPsh:
         for rep in res.violations:
             mean, err = mean_with_embedded_error(phi, rep.cylinder, recheck)
             assert rep.mean == mean
-            assert rep.margin == mean - phi.value_at(rep.center)
+            assert rep.margin == mean - phi.value_at(rep.cylinder.center)
             assert rep.quad_error == err
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_max_violations_stops_at_the_kth(self, k):
+        # one cylinder per center, so a scan of p centers runs the first p cylinders
+        # of a longer one; the k-th violation sits at position p exactly when p - 1
+        # cylinders hold k - 1 violations and p hold k
+        kw = dict(cylinders_per_center=1, seed=0, tol=1e-3, budget=1024)
+        phi = fields.saddle(2.0)
+        res = classify_psh(phi, unit_ball(2), 40, max_violations=k, **kw)
+        assert len(res.violations) == k
+        p = res.cylinders_checked
+        head = classify_psh(phi, unit_ball(2), p, **kw)
+        assert [v.margin for v in head.violations] == [v.margin for v in res.violations]
+        assert len(classify_psh(phi, unit_ball(2), p - 1, **kw).violations) == k - 1
 
     def test_empty_budget_rejected(self):
         with pytest.raises(ValueError, match="empty scan"):
-            classify_psh(fields.sq_norm(1), unit_ball(1), 0, 1, seed=0)
+            classify_psh(fields.sq_norm(1), unit_ball(1), 0, 1, seed=0, budget=4096)
 
     def test_margins_bounded_by_quadrature_error(self):
         # sub-mean-value margins of a psh field stay above -(error estimate)

@@ -8,7 +8,9 @@ Tolerances come from float64 rounding of phi + c: ulp(2000) is 2.3e-13.
 The cylinder z0 + A(P) carried by a translation or a unitary U is again a
 cylinder, so the margins agree up to the rounding of the mapped nodes.
 The sharp-estimate witness scan certifies every Levi gap of a family that
-is negative on the whole region, however its depth is spread.
+is negative on the whole region, however its depth is spread.  Translating
+the grid box, the form and the weight together by whole grid spacings leaves
+the Bochner residual and its four terms unchanged up to rounding.
 """
 
 import dataclasses
@@ -21,7 +23,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pshlab import fields
-from pshlab.bochner import bochner_residual, bump_zbar_form, make_grid
+from pshlab.bochner import (
+    FormField01,
+    bochner_residual,
+    bump_const_form,
+    bump_zbar_form,
+    make_grid,
+    zero_field,
+)
 from pshlab.dbar1d import hormander_ratio
 from pshlab.errors import WeightOverflowError
 from pshlab.extension import (
@@ -31,7 +40,13 @@ from pshlab.extension import (
     jensen_chain_check,
     optimal_extension_margin,
 )
-from pshlab.geometry import HolomorphicCylinder, QuadratureRule, random_unitary, unit_ball
+from pshlab.geometry import (
+    DomainBox,
+    HolomorphicCylinder,
+    QuadratureRule,
+    random_unitary,
+    unit_ball,
+)
 from pshlab.meanvalue import submean_test
 from pshlab.witness import (
     _witness_grid,
@@ -39,7 +54,6 @@ from pshlab.witness import (
     build_psi_s,
     build_witness_form,
     estimate_functional_E,
-    make_cutoff,
     scan_sharp_witness,
 )
 
@@ -82,7 +96,7 @@ def check_scaled(compute, log_value: float, c: float) -> None:
 def witness_setup():
     omega = fields.zero_omega(1)
     r, s = 0.5, 100.0
-    f = build_witness_form(Z0, np.array([1.0]), r, make_cutoff())
+    f = build_witness_form(Z0, np.array([1.0]), r)
     grid = _witness_grid(Z0, r, 32)
     alpha = alpha_from_f(f.evaluate(grid.points).T, omega(grid.points) + s * np.eye(1)).T
     return alpha, build_psi_s(Z0, r, s), omega, grid
@@ -91,7 +105,7 @@ def witness_setup():
 @lru_cache(maxsize=None)
 def dbar_setup():
     grid = make_grid(unit_ball(1, radius=1.2), 64)
-    f = build_witness_form(Z0, np.array([1.0]), 0.5, make_cutoff())
+    f = build_witness_form(Z0, np.array([1.0]), 0.5)
     return grid, f, build_psi_s(Z0, 0.5, 100.0)
 
 
@@ -250,3 +264,48 @@ def test_neg_sq_norm_certified_against_scaled_form(c):
     ).certificate
     assert cert is not None
     assert cert.E < 0.0 and cert.E_doubled < 0.0
+
+
+def translated_field(phi: fields.ScalarField, a) -> fields.ScalarField:
+    """z -> phi(z - a), with its gradient and Hessian translated alike."""
+    return dataclasses.replace(
+        phi, name=f"{phi.name}@{a!r}", evaluate=lambda z: phi.evaluate(z - a),
+        grad=lambda z: phi.grad(z - a), hess=lambda z: phi.hess(z - a),
+    )
+
+
+def translated_form(alpha: FormField01, a) -> FormField01:
+    """z -> alpha(z - a), supported on the translated support."""
+    support = DomainBox(alpha.support.kind, alpha.support.center + a, alpha.support.extents)
+    return FormField01(alpha.name, alpha.n, lambda z: alpha.coefficients(z - a), support)
+
+
+TRANSLATION_WEIGHTS = {
+    "sq_norm": fields.sq_norm, "log1p_sq": fields.log1p_sq,
+    "neg_gauss": fields.neg_gauss, "zero": zero_field,
+}
+
+
+@pytest.mark.parametrize("steps", [3, 1000])
+@pytest.mark.parametrize("weight", sorted(TRANSLATION_WEIGHTS))
+@pytest.mark.parametrize("form", ["bump_const", "bump_zbar2"])
+@pytest.mark.parametrize("n, nodes, radius", [(1, 256, 0.9), (2, 24, 0.8)], ids=["n1", "n2"])
+def test_bochner_residual_translation_invariant(n, nodes, radius, form, weight, steps):
+    # criterion 2's box, forms and node counts, moved by whole spacings along every axis
+    box = unit_ball(n, radius=1.3)
+    grid = make_grid(box, nodes)
+    h = grid.spacing[0]
+    a = np.full(n, steps * h * (1.0 + 1.0j))
+    xi = np.array([1.0]) if n == 1 else np.array([0.8, 0.6j])
+    alpha = (bump_const_form(xi, radius=radius) if form == "bump_const"
+             else bump_zbar_form(n, radius=radius))
+    phi = TRANSLATION_WEIGHTS[weight](n)
+    moved_grid = make_grid(unit_ball(n, radius=1.3, center=a), nodes)
+    assert np.all(np.abs(moved_grid.spacing - grid.spacing) <= 1e-12 * h)
+    base = bochner_residual(alpha, phi, grid)
+    moved = bochner_residual(translated_form(alpha, a), translated_field(phi, a), moved_grid)
+    pairs = ((moved.curvature_term, base.curvature_term), (moved.gradient_term, base.gradient_term),
+             (moved.dbar_term, base.dbar_term), (moved.adjoint_term, base.adjoint_term))
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert abs(moved.residual - base.residual) <= 1e-13

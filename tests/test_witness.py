@@ -19,8 +19,9 @@ from pshlab.witness import (
     build_witness_form,
     coarse_constant_growth,
     coarse_rhs_bound,
+    cutoff,
+    cutoff_deriv,
     estimate_functional_E,
-    make_cutoff,
     modulus_of_continuity,
     _witness_grid,
     scan_sharp_witness,
@@ -39,39 +40,56 @@ from grid_helpers import (
 
 class TestCutoff:
     def test_flat_top(self):
-        chi = make_cutoff()
-        assert chi(0.1) == 1.0
-        assert chi(0.25) == 1.0
+        assert cutoff(0.1) == 1.0
+        assert cutoff(0.25) == 1.0
 
     def test_support_end(self):
-        chi = make_cutoff()
-        assert chi(1.0) == 0.0
-        assert chi(1.5) == 0.0
+        assert cutoff(1.0) == 0.0
+        assert cutoff(1.5) == 0.0
 
     def test_slope_bound_exactly_two(self):
-        chi = make_cutoff()
         t = np.linspace(0.0, 1.2, 200001)
-        assert np.max(np.abs(chi.deriv(t))) == pytest.approx(2.0, abs=1e-9)
+        assert np.max(np.abs(cutoff_deriv(t))) == pytest.approx(2.0, abs=1e-9)
 
     def test_monotone(self):
-        chi = make_cutoff()
         t = np.linspace(0.25, 1.0, 1001)
-        assert np.all(np.diff(chi(t)) <= 1e-15)
+        assert np.all(np.diff(cutoff(t)) <= 1e-15)
+
+    def test_equals_the_old_profile_bit_for_bit(self):
+        # the cutoff was CutoffProfile(flat_top=0.25, support_end=1.0); this is its
+        # arithmetic, so every form built on the cutoff keeps its values
+        flat_top, support_end = 0.25, 1.0
+
+        def old(t):
+            u = np.clip((t - flat_top) / (support_end - flat_top), 0.0, 1.0)
+            return 1.0 - (3.0 * u * u - 2.0 * u * u * u)
+
+        def old_deriv(t):
+            width = support_end - flat_top
+            u = (t - flat_top) / width
+            inside = (u > 0.0) & (u < 1.0)
+            out = np.zeros_like(u)
+            out[inside] = -(6.0 * u[inside] - 6.0 * u[inside] ** 2) / width
+            return out
+
+        t = np.concatenate([np.linspace(-0.5, 1.5, 200001), [0.25, 1.0], np.nextafter(
+            [0.25, 0.25, 1.0, 1.0], [0.0, 1.0, 0.0, 2.0])])
+        assert np.sum(t == 0.25) >= 1 and np.sum(t == 1.0) >= 1
+        assert np.array_equal(cutoff(t), old(t))
+        assert np.array_equal(cutoff_deriv(t), old_deriv(t))
 
     def test_deriv_matches_fd(self):
-        chi = make_cutoff()
         t = np.linspace(0.05, 1.1, 97)
         h = 1e-6
-        fd = (chi(t + h) - chi(t - h)) / (2 * h)
-        assert np.allclose(chi.deriv(t), fd, atol=1e-5)
+        fd = (cutoff(t + h) - cutoff(t - h)) / (2 * h)
+        assert np.allclose(cutoff_deriv(t), fd, atol=1e-5)
 
 
 class TestWitnessForm:
     def setup_method(self):
         self.z0 = np.array([0.1 + 0.2j, -0.3 + 0.0j])
         self.xi = np.array([0.6, 0.8j])
-        self.chi = make_cutoff()
-        self.f = build_witness_form(self.z0, self.xi, 0.5, self.chi)
+        self.f = build_witness_form(self.z0, self.xi, 0.5)
 
     def test_equals_xi_at_center(self):
         vals = self.f.evaluate(self.z0[None, :])
@@ -106,7 +124,7 @@ class TestWitnessForm:
     def nu(self, z):
         """nu(z) = <xi, conj(z - z0)> chi(|z - z0|^2 / r^2) at r = 0.5, whose dbar is f."""
         t = np.sum(np.abs(z - self.z0) ** 2, axis=-1) / 0.25
-        return np.conj((z - self.z0) @ np.conj(self.xi)) * self.chi(t)
+        return np.conj((z - self.z0) @ np.conj(self.xi)) * cutoff(t)
 
     def test_matches_dbar_of_nu(self):
         grid = make_grid(DomainBox("ball", self.z0, np.array([0.75])), 28)
@@ -202,7 +220,7 @@ class TestEstimateFunctional:
 
     def test_nonnegative_for_psh(self):
         z0 = np.zeros(1, dtype=complex)
-        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        f = build_witness_form(z0, np.array([1.0]), 0.5)
         grid = make_grid(DomainBox("ball", z0, np.array([0.7])), 64)
         for s in (10.0, 100.0):
             psi = build_psi_s(z0, 0.5, s)
@@ -213,7 +231,7 @@ class TestEstimateFunctional:
     def test_negative_for_concave_weight(self):
         # recipe value at s=100, r=1/2 goes negative for the -|z|^2 weight
         z0 = np.zeros(1, dtype=complex)
-        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        f = build_witness_form(z0, np.array([1.0]), 0.5)
         grid = make_grid(DomainBox("ball", z0, np.array([0.7])), 96)
         psi = build_psi_s(z0, 0.5, 100.0)
         alpha = f.evaluate(grid.points) / 100.0
@@ -251,7 +269,7 @@ class TestScanSharpWitness:
         )
         cert = scan_sharp_witness(
             stripped, fields.zero_omega(1), unit_ball(1),
-            s_schedule=(100.0,), lb_resolution=7,
+            s_schedule=(100.0,),
         ).certificate
         assert cert is not None
         assert cert.E < 0.0
@@ -306,7 +324,7 @@ class TestScanSharpWitness:
         omega = fields.get_omega("const:1.1", 1)
         cert = scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1)).certificate
         assert cert.s == 100.0
-        f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
+        f = build_witness_form(cert.z0, cert.xi, cert.r)
         grids = [_witness_grid(cert.z0, cert.r, k * cert.grid_nodes) for k in (1, 2)]
         assert sizes == [g.support_nodes(f.support).size for g in grids]
 
@@ -330,7 +348,7 @@ class TestScanSharpWitness:
         cert = scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1)).certificate
         assert cert.s == 100.0 and len(seen) == 3
         assert seen[0][0] is seen[1][0] and seen[1][2] is seen[0][2]
-        f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
+        f = build_witness_form(cert.z0, cert.xi, cert.r)
         for (_, alpha, grid), s in zip(seen, (10.0, 100.0, 100.0)):
             idx, pts, fv = support_values(f, grid)
             fresh = np.zeros((1, grid.weights.size), dtype=complex)
@@ -376,7 +394,7 @@ class TestScanSharpWitness:
         cert = scan_sharp_witness(phi, omega, unit_ball(n), grid_nodes=grid_nodes).certificate
         assert cert is not None
         # reference: the doubled-grid sign functional rebuilt from the certificate
-        f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
+        f = build_witness_form(cert.z0, cert.xi, cert.r)
         fine = _witness_grid(cert.z0, cert.r, 2 * cert.grid_nodes)
         psi = build_psi_s(cert.z0, cert.r, cert.s)
         alpha = alpha_from_f(
@@ -413,7 +431,7 @@ class TestScanSharpWitness:
         from pshlab.witness import _witness_grid
 
         z0 = np.zeros(1, dtype=complex)
-        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        f = build_witness_form(z0, np.array([1.0]), 0.5)
         grid = _witness_grid(z0, 0.5, 48)
         metric = fields.zero_omega(1)(grid.points) + 50.0 * np.eye(1)
         vals = alpha_from_f(f.evaluate(grid.points).T, metric).T
@@ -441,7 +459,7 @@ class TestBandEnergy:
         # every node where a whole-grid (slice stencil) integrand of E is nonzero
         phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
         cert = scan_sharp_witness(phi, omega, unit_ball(n)).certificate
-        f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
+        f = build_witness_form(cert.z0, cert.xi, cert.r)
         for nodes in (cert.grid_nodes, 2 * cert.grid_nodes):
             grid = _witness_grid(cert.z0, cert.r, nodes)
             alpha = alpha_from_f(
@@ -462,7 +480,7 @@ class TestBandEnergy:
 
         phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
         cert = scan_sharp_witness(phi, omega, unit_ball(n)).certificate
-        f = build_witness_form(cert.z0, cert.xi, cert.r, make_cutoff())
+        f = build_witness_form(cert.z0, cert.xi, cert.r)
         psi = build_psi_s(cert.z0, cert.r, cert.s)
         for nodes, value in ((cert.grid_nodes, cert.E), (2 * cert.grid_nodes, cert.E_doubled)):
             grid = _witness_grid(cert.z0, cert.r, nodes)
@@ -474,7 +492,7 @@ class TestBandEnergy:
 
     def test_non_hermitian_hessian_raises(self):
         z0 = np.zeros(1, dtype=complex)
-        f = build_witness_form(z0, np.array([1.0]), 0.5, make_cutoff())
+        f = build_witness_form(z0, np.array([1.0]), 0.5)
         grid = make_grid(DomainBox("ball", z0, np.array([0.7])), 32)
         bad = fields.ScalarField(
             "bad", 1, lambda z: -np.sum(np.abs(z) ** 2, axis=-1),
@@ -498,7 +516,7 @@ class TestBandEnergy:
 class TestAlphaEps:
     def test_annulus_support(self):
         w = np.array([0.1 + 0.1j])
-        alpha = build_alpha_eps(w, 0.5, make_cutoff())
+        alpha = build_alpha_eps(w, 0.5)
         inner = w + 0.2 * np.exp(1j * np.linspace(0, 6, 13))[:, None]
         outer = w + 0.6 * np.exp(1j * np.linspace(0, 6, 13))[:, None]
         assert np.max(np.abs(alpha.evaluate(inner))) == 0.0
@@ -508,11 +526,10 @@ class TestAlphaEps:
 
     def test_is_dbar_of_cutoff(self):
         w = np.zeros(1, dtype=complex)
-        chi = make_cutoff()
         eps = 0.5
-        alpha = build_alpha_eps(w, eps, chi)
+        alpha = build_alpha_eps(w, eps)
         grid = make_grid(unit_ball(1, radius=0.8), 192)
-        chi_vals = chi(np.abs(grid.points[:, 0]) ** 2 / eps**2)
+        chi_vals = cutoff(np.abs(grid.points[:, 0]) ** 2 / eps**2)
         fd = scalar_dbar(chi_vals, grid)
         direct = alpha.evaluate(grid.points)
         d = np.abs(grid.points[:, 0])
@@ -525,8 +542,7 @@ class TestAlphaEps:
         # |alpha_eps|_{metric} <= |chi'| |z-w| / eps^2 since the metric >= euclidean
         w = np.zeros(1, dtype=complex)
         eps = 0.5
-        chi = make_cutoff()
-        alpha = build_alpha_eps(w, eps, chi)
+        alpha = build_alpha_eps(w, eps)
         psi = build_psi_delta(w, 0.25, 1)
         pts = (0.25 + 0.24 * np.random.default_rng(3).uniform(size=64))[:, None] * np.exp(
             2j * math.pi * np.random.default_rng(4).uniform(size=64)
@@ -537,7 +553,7 @@ class TestAlphaEps:
             np.einsum("jm,mjk,km->m", av, np.linalg.inv(metric), np.conj(av)).real
         )
         rho = np.abs(pts[:, 0])
-        bound = np.abs(chi.deriv(rho**2 / eps**2)) * rho / eps**2
+        bound = np.abs(cutoff_deriv(rho**2 / eps**2)) * rho / eps**2
         assert np.all(norm <= bound + 1e-12)
 
 
@@ -583,12 +599,11 @@ class TestCoarseChain:
     def test_oracle_matches_grid_integral(self):
         # independent polar oracle for the rhs integral at n=1, delta=1/4
         eps, delta = 0.5, 0.25
-        chi = make_cutoff()
 
         def integrand(rho):
             u = rho * rho + delta * delta
             metric = 1.0 + delta * delta / u**2
-            alpha_sq = (chi.deriv(rho * rho / eps**2) * rho / eps**2) ** 2
+            alpha_sq = (cutoff_deriv(rho * rho / eps**2) * rho / eps**2) ** 2
             weight = math.exp(-(rho * rho)) / u
             return alpha_sq / metric * weight * rho * 2.0 * math.pi
 
