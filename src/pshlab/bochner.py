@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import PoleInStencilError
 from .fields import ScalarField, levi_form, parse_point, unshift, weight_exp
-from .geometry import DomainBox, as_point, as_points
+from .geometry import DomainBox, as_point, as_points, row_sum
 
 FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
 
@@ -302,7 +302,7 @@ def bump_profile(center, radius: float, n: int):
     rr = radius * radius
 
     def t_of(z):
-        return np.sum(np.abs(z - c) ** 2, axis=-1) / rr
+        return row_sum(np.abs(z - c) ** 2) / rr
 
     def value(z):
         return np.maximum(1.0 - t_of(z), 0.0) ** 4

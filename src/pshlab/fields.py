@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContinuityRequiredError, PoleInStencilError, WeightOverflowError
-from .geometry import DomainBox, as_point, as_points
+from .geometry import DomainBox, as_point, as_points, row_norm, row_sum
 
 DEFAULT_FD_STEP = 1e-3
 HERMITIAN_TOL = 1e-12
@@ -96,7 +96,7 @@ def scaled_sq_omega(c: float, n: int) -> HermitianField:
     """g(z) = c |z|^2 I, the coefficient field of c|z|^2 times the Euclidean form."""
 
     def ev(z):
-        sq = np.sum(np.abs(z) ** 2, axis=-1)
+        sq = row_sum(np.abs(z) ** 2)
         return sq[:, None, None] * np.eye(n)[None, :, :] * c
 
     return HermitianField(f"sq:{c}", n, ev)
@@ -140,7 +140,7 @@ def unshift(total, shift: float):
 def sq_norm(n: int) -> ScalarField:
     return ScalarField(
         "sq_norm", n,
-        lambda z: np.sum(np.abs(z) ** 2, axis=-1),
+        lambda z: row_sum(np.abs(z) ** 2),
         grad=lambda z: np.conj(z),
         hess=lambda z: np.broadcast_to(np.eye(n), (z.shape[0], n, n)).astype(complex),
     )
@@ -149,7 +149,7 @@ def sq_norm(n: int) -> ScalarField:
 def neg_sq_norm(n: int) -> ScalarField:
     return ScalarField(
         "neg_sq_norm", n,
-        lambda z: -np.sum(np.abs(z) ** 2, axis=-1),
+        lambda z: -row_sum(np.abs(z) ** 2),
         grad=lambda z: -np.conj(z),
         hess=lambda z: -np.broadcast_to(np.eye(n), (z.shape[0], n, n)).astype(complex),
     )
@@ -180,23 +180,23 @@ def log_abs(a=None, n: int = 1) -> ScalarField:
 
     def ev(z):
         with np.errstate(divide="ignore"):
-            return np.log(np.linalg.norm(z - av, axis=-1))
+            return np.log(row_norm(z - av))
 
     def grad(z):
         d = z - av
-        u = np.sum(np.abs(d) ** 2, axis=-1)
+        u = row_sum(np.abs(d) ** 2)
         return 0.5 * np.conj(d) / u[:, None]
 
     def hess(z):
         d = z - av
-        u = np.sum(np.abs(d) ** 2, axis=-1)
+        u = row_sum(np.abs(d) ** 2)
         eye = np.eye(n)[None, :, :]
         outer = np.conj(d)[:, :, None] * d[:, None, :]
         return 0.5 * (eye / u[:, None, None] - outer / (u**2)[:, None, None])
 
     return ScalarField(
         f"log_abs:{av.tolist()}", n, ev, grad=grad, hess=hess,
-        pole=lambda z: np.linalg.norm(z - av, axis=-1) == 0.0,
+        pole=lambda z: row_norm(z - av) == 0.0,
     )
 
 
@@ -222,18 +222,18 @@ def log1p_sq(n: int = 1) -> ScalarField:
     """log(1 + |z|^2), strictly psh with bounded Levi form."""
 
     def grad(z):
-        u = 1.0 + np.sum(np.abs(z) ** 2, axis=-1)
+        u = 1.0 + row_sum(np.abs(z) ** 2)
         return np.conj(z) / u[:, None]
 
     def hess(z):
-        u = 1.0 + np.sum(np.abs(z) ** 2, axis=-1)
+        u = 1.0 + row_sum(np.abs(z) ** 2)
         eye = np.eye(n)[None, :, :]
         outer = np.conj(z)[:, :, None] * z[:, None, :]
         return eye / u[:, None, None] - outer / (u**2)[:, None, None]
 
     return ScalarField(
         "log1p_sq", n,
-        lambda z: np.log1p(np.sum(np.abs(z) ** 2, axis=-1)),
+        lambda z: np.log1p(row_sum(np.abs(z) ** 2)),
         grad=grad, hess=hess,
     )
 
@@ -286,14 +286,14 @@ def neg_gauss(n: int = 1) -> ScalarField:
     """-exp(-|z|^2); Levi form e^{-|z|^2}(I - conj(z) z^T), indefinite for |z| > 1."""
 
     def ev(z):
-        return -np.exp(-np.sum(np.abs(z) ** 2, axis=-1))
+        return -np.exp(-row_sum(np.abs(z) ** 2))
 
     def grad(z):
-        e = np.exp(-np.sum(np.abs(z) ** 2, axis=-1))
+        e = np.exp(-row_sum(np.abs(z) ** 2))
         return e[:, None] * np.conj(z)
 
     def hess(z):
-        e = np.exp(-np.sum(np.abs(z) ** 2, axis=-1))
+        e = np.exp(-row_sum(np.abs(z) ** 2))
         eye = np.eye(n)[None, :, :]
         outer = np.conj(z)[:, :, None] * z[:, None, :]
         return e[:, None, None] * (eye - outer)
@@ -406,7 +406,7 @@ def levi_form(
                 f"declared Hessian of {phi.name!r} is not Hermitian: deviation {dev:.3e}"
             )
         return 0.5 * (m + mh)
-    he = h * (1.0 + np.linalg.norm(z, axis=1))
+    he = h * (1.0 + row_norm(z))
     eye = np.eye(n)
     # (m, 1, n) real and imaginary steps along each axis
     steps = [(he[:, None, None] * eye[j], (1j * he)[:, None, None] * eye[j]) for j in range(n)]

@@ -30,7 +30,7 @@ from .fields import (
 from .bochner import (
     FormField01, GridDiscretization, band_energy, form_gradient, make_grid, support_values,
 )
-from .geometry import DomainBox, as_point, ball_volume
+from .geometry import DomainBox, as_point, ball_volume, row_norm, row_sum
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def build_witness_form(z0, xi, r: float) -> FormField01:
 
     def coefficients(z):
         d = z - z0
-        t = np.sum(np.abs(d) ** 2, axis=-1) / rr
+        t = row_sum(np.abs(d) ** 2) / rr
         pair = d @ np.conj(xi)  # = sum_j xi_j conj(z_j - z0_j), conjugated
         return xi[:, None] * cutoff(t) + np.conj(pair) * cutoff_deriv(t) * d.T / rr
 
@@ -100,7 +100,7 @@ def build_psi_s(z0, r: float, s: float) -> ScalarField:
 
     return ScalarField(
         f"psi_s:{s:g}", n,
-        lambda z: s * (np.sum(np.abs(z - z0) ** 2, axis=-1) - r * r / 4.0),
+        lambda z: s * (row_sum(np.abs(z - z0) ** 2) - r * r / 4.0),
         grad=lambda z: s * np.conj(z - z0),
         hess=lambda z: s * np.broadcast_to(np.eye(n), (z.shape[0], n, n)).astype(complex),
     )
@@ -308,7 +308,7 @@ def build_alpha_eps(w, eps: float) -> FormField01:
 
     def coefficients(z):
         d = z - w
-        t = np.sum(np.abs(d) ** 2, axis=-1) / ee
+        t = row_sum(np.abs(d) ** 2) / ee
         return cutoff_deriv(t) * d.T / ee
 
     support = DomainBox("ball", w, np.array([eps]))
@@ -327,20 +327,20 @@ def build_psi_delta(w, delta: float, n: int) -> ScalarField:
     dd = delta * delta
 
     def ev(z):
-        u = np.sum(np.abs(z - w) ** 2, axis=-1) + dd
+        u = row_sum(np.abs(z - w) ** 2) + dd
         with np.errstate(divide="ignore"):
-            return np.sum(np.abs(z) ** 2, axis=-1) + n * np.log(u)
+            return row_sum(np.abs(z) ** 2) + n * np.log(u)
 
     if delta == 0.0:
         return ScalarField(
             "psi_delta:0", n, ev,
-            pole=lambda z: np.linalg.norm(z - w, axis=-1) == 0.0,
+            pole=lambda z: row_norm(z - w) == 0.0,
             smoothness="usc",
         )
 
     def grad(z):
         d = z - w
-        u = np.sum(np.abs(d) ** 2, axis=-1) + dd
+        u = row_sum(np.abs(d) ** 2) + dd
         return np.conj(z) + n * np.conj(d) / u[:, None]
 
     return ScalarField(
@@ -355,7 +355,7 @@ def _psi_delta_hess(z, w, delta: float, n: int) -> np.ndarray:
     At delta = 0 this is the metric of the usc limit off its pole.
     """
     d = z - w
-    u = np.sum(np.abs(d) ** 2, axis=-1) + delta * delta
+    u = row_sum(np.abs(d) ** 2) + delta * delta
     eye = np.eye(n)[None, :, :]
     outer = np.conj(d)[:, :, None] * d[:, None, :]
     return eye + n * (eye / u[:, None, None] - outer / (u**2)[:, None, None])
@@ -372,7 +372,7 @@ def _psi_delta_norm_sq(f_values, z, w, delta: float, n: int) -> np.ndarray:
     where a - b |d|^2 = 1 + n delta^2 / u^2 >= 1: both terms are nonnegative.
     """
     d = z - w
-    u = np.sum(np.abs(d) ** 2, axis=-1) + delta * delta
+    u = row_sum(np.abs(d) ** 2) + delta * delta
     a = 1.0 + n / u
     b = n / u**2
     along_d = np.abs(np.sum(f_values * np.conj(d).T, axis=0)) ** 2
@@ -406,7 +406,7 @@ def ball_infimum(phi: ScalarField, w, eps: float) -> float:
     rng = np.random.default_rng(0)
     g = rng.standard_normal((INFIMUM_SAMPLES, 2 * n))
     dirs = g[:, 0:n] + 1j * g[:, n:]
-    nv = np.linalg.norm(dirs, axis=1, keepdims=True)
+    nv = row_norm(dirs)[:, None]
     nv[nv == 0.0] = 1.0
     radii = eps * rng.uniform(0.0, 1.0, size=INFIMUM_SAMPLES) ** (1.0 / (2 * n))
     pts = w[None, :] + dirs / nv * radii[:, None]
@@ -476,7 +476,7 @@ def modulus_of_continuity(
     for start in range(0, pts.shape[0], chunk):
         zs = pts[start : start + chunk]
         vz = vals[start : start + chunk]
-        dist = np.linalg.norm(zs[:, None, :] - pts[None, :, :], axis=-1)
+        dist = row_norm(zs[:, None, :] - pts[None, :, :])
         close = dist <= eps
         diff = np.abs(vz[:, None] - vals[None, :])
         diff[~close] = 0.0
