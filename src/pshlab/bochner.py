@@ -13,7 +13,6 @@ their agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable
@@ -21,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PoleInStencilError
-from .fields import ScalarField, levi_form, parse_point, unshift, weight_exp
+from .fields import ScalarField, levi_form, parse_point, spec_param, split_spec, unshift, weight_exp
 from .geometry import DomainBox, as_point, as_points, row_sum
 
 FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
@@ -88,32 +87,25 @@ class GridDiscretization:
         return flat[:, 0::2] + 1j * flat[:, 1::2]
 
     def support_nodes(self, support: DomainBox) -> np.ndarray:
-        """Sorted flat indices of the nodes in support (extents grown by 1e-9
-        relative), tested only inside its bounding box and separably, without
+        """Sorted flat indices of the nodes in a ball support (its radius grown by
+        1e-9 relative), tested only inside its bounding box and separably, without
         building points: each coordinate's offsets z_j - c_j form one (x_j, y_j)
-        block, and the blocks' tests (a ball's squared moduli, summed) combine
-        by outer products.  Each block repeats DomainBox.contains' arithmetic on
-        the same values, so a node is in exactly when contains says so."""
-        grown = DomainBox(support.kind, support.center, support.extents * (1.0 + 1e-9))
+        block, and the blocks' squared moduli sum by outer additions.  This repeats
+        DomainBox.contains' arithmetic on the same values, so a node is in exactly
+        when contains says so.  A support that is not a ball raises ValueError."""
+        if support.kind != "ball":
+            raise ValueError(f"a form's support must be a ball, not a {support.kind}")
+        grown = DomainBox("ball", support.center, support.extents * (1.0 + 1e-9))
         ranges = [
             np.flatnonzero((ax >= lo) & (ax <= hi))
             for ax, (lo, hi) in zip(self.axes, grown.real_bounds())
         ]
         coords = [ax[r] for ax, r in zip(self.axes, ranges)]  # (x1, y1, x2, y2, ...) in range
         d = [x[:, None] + 1j * y - c for x, y, c in zip(coords[0::2], coords[1::2], grown.center)]
-        if grown.kind == "ball":
-            # |z - c|^2 as np.linalg.norm forms it, (d conj(d)).real summed over j in
-            # order: dx * dx + dy * dy can differ from it in the last bit
-            sq = reduce(np.add.outer, [(dj.conj() * dj).real for dj in d])
-            inside = np.sqrt(sq) <= grown.extents[0]
-        elif grown.kind == "polydisc":
-            inside = reduce(
-                np.logical_and.outer, [np.abs(dj) <= r for dj, r in zip(d, grown.extents)])
-        else:
-            hw = grown.extents.reshape(-1, 2)
-            inside = reduce(np.logical_and.outer, [
-                (np.abs(dj.real) <= hx) & (np.abs(dj.imag) <= hy) for dj, (hx, hy) in zip(d, hw)])
-        sub = np.nonzero(inside)
+        # |z - c|^2 as np.linalg.norm forms it, (d conj(d)).real summed over j in
+        # order: dx * dx + dy * dy can differ from it in the last bit
+        sq = reduce(np.add.outer, [(dj.conj() * dj).real for dj in d])
+        sub = np.nonzero(np.sqrt(sq) <= grown.extents[0])
         return np.ravel_multi_index(tuple(r[s] for r, s in zip(ranges, sub)), self.shape)
 
     def partial(self, values: np.ndarray, axis: int, nodes: np.ndarray) -> np.ndarray:
@@ -134,10 +126,11 @@ class GridDiscretization:
         dx, dy = self.partial(values, 2 * j, nodes), self.partial(values, 2 * j + 1, nodes)
         return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
-    def stencil_band(self, support: np.ndarray) -> np.ndarray:
-        """Sorted flat indices of a support (flat boolean mask) and its neighbours up to
-        FD_STENCIL_WIDTH along each axis: where stencils of values zero off it can be nonzero."""
-        s = support.reshape(self.shape)
+    def stencil_band(self, idx: np.ndarray) -> np.ndarray:
+        """Sorted flat indices of the nodes idx and their neighbours up to
+        FD_STENCIL_WIDTH along each axis: where stencils of values zero off idx can be nonzero."""
+        s = np.zeros(self.shape, dtype=bool)
+        s.flat[idx] = True
         band = s.copy()
         for axis in range(s.ndim):
             src, dst = np.moveaxis(s, axis, 0), np.moveaxis(band, axis, 0)
@@ -152,45 +145,41 @@ def make_grid(box: DomainBox, nodes_per_axis: int) -> GridDiscretization:
 
 
 def support_values(form: FormField01, grid: GridDiscretization) -> tuple:
-    """A form at its support nodes: their sorted flat indices, their (k, n) points
-    and the (n, k) coefficients there; ValueError if no node lies in the support."""
+    """Where a form lives on a grid: the sorted flat indices of the nodes of its
+    support where some component is nonzero, their (k, n) points and the (n, k)
+    coefficients there; ValueError if no node lies in the support."""
     idx = grid.support_nodes(form.support)
     if idx.size == 0:
         raise ValueError(f"grid has no node in the support of the form {form.name!r}")
     pts = grid.points_at(idx)
-    return idx, pts, form.evaluate(pts)
-
-
-def node_values(form: FormField01, grid: GridDiscretization) -> np.ndarray:
-    """A form's (n, m) coefficients at every node: evaluated at its support nodes
-    only, zero at the others."""
-    idx, _, values = support_values(form, grid)
-    out = np.zeros((form.n, grid.weights.size), dtype=complex)
-    out[:, idx] = values
-    return out
+    values = form.evaluate(pts)
+    nonzero = np.any(values != 0.0, axis=0)
+    return idx[nonzero], pts[nonzero], values[:, nonzero]
 
 
 @dataclass(frozen=True)
 class FormGradient:
-    """A form's node values and its components' Wirtinger derivatives on its stencil band."""
+    """A form's values and its components' Wirtinger derivatives on its stencil band."""
 
-    values: np.ndarray  # (n, m) node values, zero off the support: the stencils' source
+    values: np.ndarray  # (n, k) values at the band nodes
     band: np.ndarray  # sorted flat indices: the support and its stencil neighbours
     on_support: np.ndarray  # (k,) boolean: the band nodes where some component is nonzero
     dz: np.ndarray  # (n, n, k): [j, l] = d alpha_j / dz_l at the band nodes
     dzbar: np.ndarray  # (n, n, k): [j, l] = d alpha_j / dzbar_l at the band nodes
 
 
-def form_gradient(values: np.ndarray, grid: GridDiscretization) -> FormGradient:
-    """The FormGradient of (n, m) form node values; the stencils raise ValueError
-    unless every node where some component is nonzero lies at least
+def form_gradient(idx: np.ndarray, values: np.ndarray, grid: GridDiscretization) -> FormGradient:
+    """The FormGradient of a form given by the sorted flat indices idx of the nodes
+    where it is nonzero and its (n, k) values there (as support_values returns
+    them).  The values are scattered once onto the whole grid, the stencils'
+    source; the stencils raise ValueError unless every node of idx lies at least
     2 FD_STENCIL_WIDTH layers inside every edge."""
-    av = np.asarray(values, dtype=complex)
-    support = np.any(av != 0.0, axis=0)
-    band = grid.stencil_band(support)
+    source = np.zeros((len(values), grid.weights.size), dtype=complex)
+    source[:, idx] = values
+    band = grid.stencil_band(idx)
     # (n, n, 2, k): d/dz_k and d/dzbar_k of each component
-    w = np.array([[grid.wirtinger(c, k, band) for k in range(grid.n)] for c in av])
-    return FormGradient(av, band, support[band], w[:, :, 0], w[:, :, 1])
+    w = np.array([[grid.wirtinger(c, k, band) for k in range(grid.n)] for c in source])
+    return FormGradient(source[:, band], band, np.isin(band, idx), w[:, :, 0], w[:, :, 1])
 
 
 def dbar_01(g: FormGradient, grid: GridDiscretization) -> np.ndarray:
@@ -206,7 +195,6 @@ def dbar_star(g: FormGradient, phi: ScalarField, grid: GridDiscretization) -> np
     """Formal adjoint -sum_j (d alpha_j / dz_j - alpha_j dphi/dz_j) on the stencil band
     of alpha, from its gradient g; poles and grad phi are evaluated where alpha is
     nonzero, and a weight without grad on the band, for its stencil gradient."""
-    av, n = g.values, grid.n
     support = g.band[g.on_support]
     pts = grid.points_at(support)
     if phi.grad is not None:
@@ -214,16 +202,16 @@ def dbar_star(g: FormGradient, phi: ScalarField, grid: GridDiscretization) -> np
             gphi = np.asarray(phi.grad(pts), dtype=complex)
         finite = np.isfinite(gphi)
     else:
-        pv = np.zeros(av.shape[1])
+        pv = np.zeros(grid.weights.size)
         pv[g.band] = phi(grid.points_at(g.band))
         finite = np.isfinite(pv[support])
-        gphi = np.stack([grid.wirtinger(pv, j, support)[0] for j in range(n)], axis=1)
+        gphi = np.stack([grid.wirtinger(pv, j, support)[0] for j in range(grid.n)], axis=1)
     if np.any(phi.is_pole(pts)) or not np.all(finite):
         raise PoleInStencilError("pole in the support of the form")
     out = np.zeros(g.band.size, dtype=complex)
-    for j in range(n):
+    for j in range(grid.n):
         term = g.dz[j, j].copy()
-        term[g.on_support] -= av[j, support] * gphi[:, j]
+        term[g.on_support] -= g.values[j, g.on_support] * gphi[:, j]
         out -= term
     return out
 
@@ -247,8 +235,7 @@ def band_energy(g: FormGradient, phi: ScalarField, grid, psi=None, omega=None):
     levi = levi_form(phi, pts)
     if omega is not None:
         levi = levi - omega(pts)
-    a = g.values[:, band]
-    quad = np.real(np.einsum("mjk,jm,km->m", levi, a, np.conj(a)))
+    quad = np.real(np.einsum("mjk,jm,km->m", levi, g.values, np.conj(g.values)))
     return quad, grad_sq, e * grid.weights[band], shift
 
 
@@ -276,7 +263,8 @@ def bochner_residual(
 ) -> BochnerReport:
     """Both sides of the energy identity, reduced over one band with one
     weight, and their relative residual."""
-    g = form_gradient(node_values(alpha, grid), grid)
+    idx, _, values = support_values(alpha, grid)
+    g = form_gradient(idx, values, grid)
     # |dbar alpha|^2 over increasing pairs (none when n = 1) and |dbar*_phi alpha|^2
     dbar_sq = np.sum(np.abs(dbar_01(g, grid)) ** 2, axis=0)
     adjoint_sq = np.abs(dbar_star(g, phi, grid)) ** 2
@@ -353,17 +341,12 @@ def zero_field(n: int) -> ScalarField:
 
 def get_form(spec: str, n: int) -> FormField01:
     """Resolve a form id like "bump_const:[[1,0]]" or "bump_zbar2"."""
-    base, _, raw = spec.partition(":")
-    param = json.loads(raw) if raw else None
+    base, param = split_spec(spec, "form", ("bump_const", "bump_zbar2", "dbar_nu"))
     e1 = np.eye(n, dtype=complex)[0]
     if base == "bump_const":
-        return bump_const_form(e1 if param is None else parse_point(param, n))
+        return bump_const_form(spec_param(param, lambda p: parse_point(p, n), e1))
     if base == "bump_zbar2":
         return bump_zbar_form(n)
-    if base == "dbar_nu":
-        from .witness import build_witness_form
+    from .witness import build_witness_form
 
-        return build_witness_form(np.zeros(n, dtype=complex), e1, 1.0)
-    raise ValueError(
-        f"unknown form id {base!r}; known ids: bump_const, bump_zbar2, dbar_nu"
-    )
+    return build_witness_form(np.zeros(n, dtype=complex), e1, 1.0)

@@ -29,7 +29,7 @@ from . import __version__, fields
 from .acceptance import RUNTIME_LIMITS, CheckRecord, json_default, render_lines, run_suite
 from .bochner import FD_STENCIL_WIDTH, bochner_residual, get_form, make_grid
 from .dbar1d import dbar_bump, hormander_ratio
-from .errors import PshlabError
+from .errors import PshlabError, SpecError
 from .extension import (
     best_extension_constant,
     coarse_extension_bound,
@@ -67,6 +67,15 @@ def parse_point(text: str, field_name: str, n: int) -> np.ndarray:
         return fields.parse_point(json.loads(text), n)
     except (json.JSONDecodeError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid --{field_name}: {exc}") from exc
+
+
+def resolve_spec(resolve, field_name: str, text: str, n: int):
+    """A spec option "id" or "id:<JSON>" resolved for dimension n; a parameter that
+    is not JSON, or not of the type its id takes, is a ConfigError naming it."""
+    try:
+        return resolve(text, n)
+    except SpecError as exc:
+        raise ConfigError(f"invalid --{field_name} {text!r}: {exc}") from exc
 
 
 def parse_cylinder(text: str, n: int, center: np.ndarray):
@@ -230,7 +239,7 @@ def _check_psh(args, phi, region) -> list:
 
 
 def _bochner(args, phi) -> list:
-    alpha = get_form(args.form, args.dim)
+    alpha = resolve_spec(get_form, "form", args.form, args.dim)
     # inflate the box until the support margin accommodates the FD stencil
     radius = float(alpha.support.extents[0])
     pad = 10.0 * radius / max(args.grid - 11, 1)
@@ -406,13 +415,13 @@ def _parse_psi(text: str):
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid --psi (expected psi_s:[s,r]): {exc}") from exc
         return build_psi_s(np.zeros(1, dtype=complex), r, s)
-    return fields.get_field(text, 1)
+    return resolve_spec(fields.get_field, "psi", text, 1)
 
 
 def _parse_rhs(text: str):
     if text == "dbar_bump":
         return dbar_bump()
-    return get_form(text, 1)
+    return resolve_spec(get_form, "rhs", text, 1)
 
 
 def _accept(args) -> list:
@@ -574,11 +583,11 @@ def _parse_specs(args) -> dict:
     """The spec options, parsed in one fixed order, so that the first bad one is reported."""
     specs = {}
     if "func" in args:
-        specs["phi"] = fields.get_field(args.func, args.dim)
+        specs["phi"] = resolve_spec(fields.get_field, "func", args.func, args.dim)
     if "weight" in args:
-        specs["phi"] = fields.get_field(args.weight, 1)
+        specs["phi"] = resolve_spec(fields.get_field, "weight", args.weight, 1)
     if "omega" in args:
-        specs["omega"] = fields.get_omega(args.omega, args.dim)
+        specs["omega"] = resolve_spec(fields.get_omega, "omega", args.omega, args.dim)
     if "region" in args:
         specs["region"] = parse_region(args.region, args.dim)
     if "w" in args:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bochner import FormField01, GridDiscretization, bump_profile, node_values
+from .bochner import FormField01, GridDiscretization, bump_profile, support_values
 from .extension import _monomial_values, _solve_gram, monomial_exponents
 from .fields import levi_form, unshift, weight_exp
 from .geometry import unit_ball
@@ -69,9 +69,7 @@ def cauchy_transform(f_values: np.ndarray, grid: GridDiscretization) -> np.ndarr
     h = _square_grid_1d(grid)
     nn = grid.nodes_per_axis
     f = np.asarray(f_values, dtype=complex).reshape(nn, nn)
-    if np.max(np.abs(f[0, :])) > 1e-12 or np.max(np.abs(f[-1, :])) > 1e-12 or np.max(
-        np.abs(f[:, 0])
-    ) > 1e-12 or np.max(np.abs(f[:, -1])) > 1e-12:
+    if np.max(np.abs(np.concatenate([f[0], f[-1], f[:, 0], f[:, -1]]))) > 1e-12:
         raise ValueError("support touches the grid boundary")
     full = np.fft.ifft2(np.fft.fft2(f, (2 * nn, 2 * nn)) * _kernel_spectrum(nn, h))
     u = full[nn - 1 : 2 * nn - 1, nn - 1 : 2 * nn - 1] * (h * h / math.pi)
@@ -142,10 +140,11 @@ def hormander_ratio(
     if f.n != 1:
         raise ValueError("the constructive solve is one-dimensional")
     pts = grid.points
-    fv = node_values(f, grid)[0]
+    idx, f_pts, f_values = support_values(f, grid)
+    fv = np.zeros(pts.shape[0], dtype=complex)
+    fv[idx] = f_values[0]
     u_part = cauchy_transform(fv, grid)
     residual = dbar_residual(u_part, fv, grid)
-    support = np.flatnonzero(np.abs(fv) > 0.0)
     mono = _grid_monomials(tuple(map(tuple, grid.bounds.tolist())), grid.nodes_per_axis, degree)
 
     results = []
@@ -154,11 +153,11 @@ def hormander_ratio(
         u_min_vals, _ = weighted_bergman_projection(u_part, wq, mono)
         u_min = u_part - u_min_vals
         minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq * u_min)))
-        psi_zz = np.real(levi_form(psi, pts[support])[:, 0, 0])
+        psi_zz = np.real(levi_form(psi, f_pts)[:, 0, 0])
         if np.any(psi_zz < 1e-8):
             raise ValueError("psi is not strictly subharmonic on the support of f")
         comparison_nodes = np.zeros(pts.shape[0])
-        comparison_nodes[support] = np.abs(fv[support]) ** 2 / psi_zz
+        comparison_nodes[idx] = np.abs(f_values[0]) ** 2 / psi_zz
         comparison = float(np.dot(comparison_nodes, wq))
         ratio = minimal_norm_sq / comparison
         norms = (minimal_norm_sq, comparison)

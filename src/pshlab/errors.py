@@ -33,5 +33,9 @@ class DegenerateWeightError(PshlabError):
     """Raised when a weight or candidate degenerates on a positive-measure node set."""
 
 
+class SpecError(PshlabError, ValueError):
+    """Raised when a spec's parameter is not JSON or not of the type its id takes."""
+
+
 class ConsistencyError(PshlabError):
     """Raised when a computed result breaks a relation that holds in exact arithmetic."""

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContinuityRequiredError, PoleInStencilError, WeightOverflowError
+from .errors import ContinuityRequiredError, PoleInStencilError, SpecError, WeightOverflowError
 from .geometry import DomainBox, as_point, as_points, row_norm, row_sum
 
 DEFAULT_FD_STEP = 1e-3
@@ -307,48 +307,58 @@ FIELD_IDS = (
 )
 
 
+def spec_param(param, convert, default):
+    """A spec's parameter converted by convert, default when it has none; SpecError
+    when convert refuses it (TypeError or ValueError)."""
+    if param is None:
+        return default
+    try:
+        return convert(param)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"bad parameter {json.dumps(param)} ({exc})") from exc
+
+
+def split_spec(spec: str, kind: str, ids) -> tuple:
+    """(id, parameter) of a spec "id" or "id:<JSON>", the parameter None without a
+    colon; ValueError for an id not in ids, SpecError for a parameter that is not JSON."""
+    base, _, raw = spec.partition(":")
+    if base not in ids:
+        raise ValueError(f"unknown {kind} id {base!r}; known ids: {', '.join(ids)}")
+    return base, spec_param(raw or None, json.loads, None)
+
+
 def get_field(spec: str, n: int) -> ScalarField:
     """Resolve a corpus id like "saddle:2" or "log_abs:[[1,0]]" to a field."""
-    base, _, raw = spec.partition(":")
-    param = json.loads(raw) if raw else None
+    base, param = split_spec(spec, "field", FIELD_IDS)
+    if base in ("saddle", "max_log", "cross") and n != 2:
+        raise ValueError(f"{base} is a C^2 corpus entry; use --dim 2")
     if base == "sq_norm":
         return sq_norm(n)
     if base == "neg_sq_norm":
         return neg_sq_norm(n)
     if base == "saddle":
-        if n != 2:
-            raise ValueError("saddle is a C^2 corpus entry; use --dim 2")
-        return saddle(2.0 if param is None else float(param))
+        return saddle(spec_param(param, float, 2.0))
     if base == "log_abs":
-        return log_abs(None if param is None else parse_point(param, n), n)
+        return log_abs(spec_param(param, lambda p: parse_point(p, n), None), n)
     if base == "re_linear":
-        return re_linear(None if param is None else parse_point(param, n), n)
+        return re_linear(spec_param(param, lambda p: parse_point(p, n), None), n)
     if base == "log1p_sq":
         return log1p_sq(n)
     if base == "max_log":
-        if n != 2:
-            raise ValueError("max_log is a C^2 corpus entry; use --dim 2")
         return max_log()
     if base == "cross":
-        if n != 2:
-            raise ValueError("cross is a C^2 corpus entry; use --dim 2")
         return cross()
-    if base == "neg_gauss":
-        return neg_gauss(n)
-    raise ValueError(f"unknown field id {base!r}; known ids: {', '.join(FIELD_IDS)}")
+    return neg_gauss(n)
 
 
 def get_omega(spec: str, n: int) -> HermitianField:
-    base, _, raw = spec.partition(":")
-    param = json.loads(raw) if raw else None
+    base, param = split_spec(spec, "omega", ("zero", "const", "sq"))
     if base == "zero":
         return zero_omega(n)
     if base == "const":
-        c = 1.0 if param is None else float(param)
+        c = spec_param(param, float, 1.0)
         return constant_omega(c * np.eye(n), name=f"const:{c:g}")
-    if base == "sq":
-        return scaled_sq_omega(1.0 if param is None else float(param), n)
-    raise ValueError(f"unknown omega id {base!r}; known ids: zero, const, sq")
+    return scaled_sq_omega(spec_param(param, float, 1.0), n)
 
 
 def parse_point(param, n: int = 0) -> np.ndarray:
@@ -477,8 +487,8 @@ def check_lower_bound(
     phi: ScalarField,
     omega: HermitianField,
     region: DomainBox,
-    resolution: int = 9,
-    tol: float = LEVI_TOL,
+    resolution: int,
+    tol: float,
 ) -> LowerBoundVerdict:
     """Grid scan of the smallest eigenvalue of levi_form(phi) - g over a region.
 

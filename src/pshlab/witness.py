@@ -116,7 +116,7 @@ def alpha_from_f(f_coeffs, metric) -> np.ndarray:
     """
     f = np.asarray(f_coeffs, dtype=complex)
     b = np.asarray(metric, dtype=complex)
-    lam_min = float(np.min(np.linalg.eigvalsh(b)))
+    lam_min = float(np.min(np.linalg.eigvalsh(b), initial=np.inf))
     if lam_min <= 1e-12:
         raise MetricNotPositiveError(
             f"metric not positive: smallest eigenvalue {lam_min:.3e}"
@@ -129,20 +129,18 @@ def alpha_from_f(f_coeffs, metric) -> np.ndarray:
 
 
 def estimate_functional_E(
-    alpha_values: np.ndarray,
-    phi: ScalarField,
-    psi: ScalarField,
-    omega: HermitianField,
+    alpha: tuple, phi: ScalarField, psi: ScalarField, omega: HermitianField,
     grid: GridDiscretization,
 ) -> float:
     """The sign functional: curvature-gap energy plus gradient energy of alpha.
 
     Nonnegative whenever levi(phi) - g is positive semidefinite on the support
     of alpha; a negative value falsifies the sharp estimate property for
-    (phi, omega).  alpha_values are the (n, m) node values of alpha; every field
+    (phi, omega).  alpha is the pair of the sorted flat indices of the nodes where
+    alpha is nonzero and its (n, k) values there (see form_gradient); every field
     is evaluated on the band of alpha only.
     """
-    g = form_gradient(alpha_values, grid)
+    g = form_gradient(*alpha, grid)
     quad, grad_sq, weight, shift = band_energy(g, phi, grid, psi, omega)
     return unshift(float(np.dot(quad + grad_sq, weight)), shift)
 
@@ -212,25 +210,22 @@ def scan_sharp_witness(
     if r is None:
         return WitnessScan(holds, None)
     z0, xi, c, _ = center
-    n = phi.n
     if grid_nodes is None:
-        grid_nodes = DEFAULT_E_GRID.get(n, 16)
+        grid_nodes = DEFAULT_E_GRID.get(phi.n, 16)
     f = build_witness_form(z0, xi, r)
 
     @functools.cache
     def on_grid(nodes):
-        # the grid, f and omega at the support nodes of f, and the (n, m) node
-        # values of alpha, zero off those nodes: none depends on s
+        # the grid, and f and omega at the nodes where f is nonzero: none depends on s
         grid = _witness_grid(z0, r, nodes)
         idx, pts, fv = support_values(f, grid)
-        return grid, idx, fv.T, omega(pts), np.zeros((n, grid.weights.size), dtype=complex)
+        return grid, idx, fv.T, omega(pts)
 
     def energy(nodes, psi, s):
-        # alpha^s = f (sI + g)^{-1} at the support nodes of f, written over the
-        # last s's values there; equals f/s when omega vanishes
-        grid, idx, fv, g, alpha = on_grid(nodes)
-        alpha[:, idx] = alpha_from_f(fv, _plus_s(g, s)).T
-        return estimate_functional_E(alpha, phi, psi, omega, grid)
+        # alpha^s = f (sI + g)^{-1} where f is nonzero; equals f/s when omega vanishes
+        grid, idx, fv, g = on_grid(nodes)
+        alpha = alpha_from_f(fv, _plus_s(g, s)).T
+        return estimate_functional_E((idx, alpha), phi, psi, omega, grid)
 
     for s in s_schedule:
         psi = build_psi_s(z0, r, float(s))
@@ -246,7 +241,7 @@ def scan_sharp_witness(
 def _plus_s(g, s: float) -> np.ndarray:
     """The metrics sI + g at the nodes: one (n, n) matrix when g is the same at
     every node (a constant omega), so that alpha_from_f makes a single solve."""
-    if np.all(g == g[:1]):
+    if len(g) and np.all(g == g[:1]):
         g = g[0]
     return g + s * np.eye(g.shape[-1])
 
@@ -435,11 +430,10 @@ def coarse_rhs_bound(
         raise ValueError(
             f"grid does not resolve the annulus: spacing {spacing:.3e} > eps/16"
         )
+    # alpha_eps vanishes on |z - w| < eps/2, where chi' = 0, so the pole of psi_0
+    # at w is never among the nodes where it is nonzero
     idx, pts, av = support_values(alpha, grid)
-    # the nodes where alpha_eps is nonzero; it vanishes on |z - w| < eps/2, where
-    # chi' = 0, so the pole of psi_0 at w is never among them
-    use = np.sum(np.abs(av) ** 2, axis=0) > 0.0
-    pts, av, quad = pts[use], av[:, use], grid.weights[idx[use]]
+    quad = grid.weights[idx]
     phi_use = phi(pts)
     inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)
@@ -462,7 +456,7 @@ def _annulus_grid(w, eps: float, nodes: int) -> GridDiscretization:
 
 
 def modulus_of_continuity(
-    phi: ScalarField, region: DomainBox, eps: float, resolution: int = 33
+    phi: ScalarField, region: DomainBox, eps: float, resolution: int
 ) -> float:
     """Grid approximation of sup{|phi(z) - phi(w)| : z, w in region, |z-w| <= eps}."""
     if phi.smoothness == "usc":
@@ -476,10 +470,8 @@ def modulus_of_continuity(
     for start in range(0, pts.shape[0], chunk):
         zs = pts[start : start + chunk]
         vz = vals[start : start + chunk]
-        dist = row_norm(zs[:, None, :] - pts[None, :, :])
-        close = dist <= eps
-        diff = np.abs(vz[:, None] - vals[None, :])
-        diff[~close] = 0.0
+        close = row_norm(zs[:, None, :] - pts[None, :, :]) <= eps
+        diff = np.where(close, np.abs(vz[:, None] - vals[None, :]), 0.0)
         best = max(best, float(diff.max()))
     return best
 
@@ -489,7 +481,7 @@ def coarse_constant_growth(
     log_c_m_values: Sequence[float],
     p: float,
     o_values: Sequence[float],
-    n: int = 1,
+    n: int,
 ):
     """log C'_m, C'_m = C'' C_m m^p e^{m O_{1/m}}, and the diagnostic log C'_m / m,
     given log(C_m) and the moduli O_{1/m}, one per m.

@@ -1,6 +1,7 @@
 """Test-only helpers on grids and forms: the whole-grid slice stencil (the
 oracle of the gathered one) and its Wirtinger derivatives, an interior mask,
-band values on the whole grid, a full-grid weighted pairing, dbar of a scalar
+band values on the whole grid, the dense support and gradient (the oracles of
+support_values and form_gradient), a full-grid weighted pairing, dbar of a scalar
 grid field, the per-component closures that forms were built from (the oracles
 of their evaluators), a support check, the point-by-point support test (the
 oracle of the separable one), the two sides of the metric energy identity
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from pshlab.bochner import (
-    FD_STENCIL_WIDTH, FormField01, bump_profile, dbar_01, dbar_star, form_gradient, node_values,
+    FD_STENCIL_WIDTH, FormField01, FormGradient, bump_profile, dbar_01, dbar_star, form_gradient,
 )
 from pshlab.dbar1d import (
     SolveResult, _weights, cauchy_transform, dbar_residual, weighted_bergman_projection,
@@ -85,21 +86,51 @@ def on_grid(grid, band, values):
 
 
 def values_of(obj, grid):
-    """A form's node values (node_values), or node values as a complex array."""
+    """A form evaluated at every node of the grid, or node values as a complex array."""
     if isinstance(obj, FormField01):
-        return node_values(obj, grid)
+        return obj.evaluate(grid.points)
     return np.asarray(obj, dtype=complex)
+
+
+def nonzero_nodes(values):
+    """The dense reference of support_values: the sorted flat indices of the nodes
+    where some component of (n, m) node values is nonzero, by np.any over the
+    whole grid, and the (n, k) values there."""
+    av = np.asarray(values, dtype=complex)
+    idx = np.flatnonzero(np.any(av != 0.0, axis=0))
+    return idx, av[:, idx]
+
+
+def gradient_of(obj, grid):
+    """form_gradient of a form or its (n, m) node values, at their nonzero_nodes."""
+    return form_gradient(*nonzero_nodes(values_of(obj, grid)), grid)
+
+
+def dense_form_gradient(values, grid):
+    """The dense reference of form_gradient, from (n, m) node values: the nonzero
+    nodes by np.any, the band by rolling that mask over the whole grid, and the
+    derivatives by the whole-grid slice stencils, read at the band nodes."""
+    av = np.asarray(values, dtype=complex)
+    support = np.any(av != 0.0, axis=0).reshape(grid.shape)
+    mask = support.copy()
+    for axis in range(support.ndim):
+        for k in range(1, FD_STENCIL_WIDTH + 1):
+            mask |= np.roll(support, k, axis) | np.roll(support, -k, axis)
+    band = np.flatnonzero(mask)
+    dz, dzbar = ([[d(grid, a, k)[band] for k in range(grid.n)] for a in av]
+                 for d in (slice_d_dz, slice_d_dzbar))
+    return FormGradient(av[:, band], band, support.ravel()[band], np.array(dz), np.array(dzbar))
 
 
 def grid_dbar_01(alpha, grid):
     """dbar_01 of a form or its node values, on the whole grid."""
-    g = form_gradient(values_of(alpha, grid), grid)
+    g = gradient_of(alpha, grid)
     return on_grid(grid, g.band, dbar_01(g, grid))
 
 
 def grid_dbar_star(alpha, phi, grid):
     """dbar_star of a form or its node values, on the whole grid."""
-    g = form_gradient(values_of(alpha, grid), grid)
+    g = gradient_of(alpha, grid)
     return on_grid(grid, g.band, dbar_star(g, phi, grid))
 
 

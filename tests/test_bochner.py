@@ -17,7 +17,7 @@ from pshlab.bochner import (
     form_gradient,
     get_form,
     make_grid,
-    node_values,
+    support_values,
     zero_field,
 )
 from pshlab.errors import WeightOverflowError
@@ -35,9 +35,13 @@ from grid_helpers import (
     check_support,
     contains_support_nodes,
     dbar_bump_components,
+    dense_form_gradient,
+    gradient_of,
     grid_dbar_01,
     grid_dbar_star,
     interior_mask,
+    nonzero_nodes,
+    on_grid,
     scalar_dbar,
     slice_d_dz,
     slice_d_dzbar,
@@ -290,7 +294,7 @@ class TestUndeclaredDerivatives:
         alpha = bump_const_form(xi, radius=radius)
         bochner_residual(alpha, fields.ScalarField("log1p_sq_bare", n, recorded), grid)
         # first on the stencil band, for dbar_star's gradient; never on the whole grid
-        assert sizes[0] == form_gradient(node_values(alpha, grid), grid).band.size
+        assert sizes[0] == gradient_of(alpha, grid).band.size
         assert grid.weights.size not in sizes
 
     @CRITERION_2_SETUPS
@@ -299,7 +303,7 @@ class TestUndeclaredDerivatives:
         declared = fields.log1p_sq(n)
         bare = fields.ScalarField("log1p_sq_bare", n, declared.evaluate)
         alpha = bump_zbar_form(n, radius=radius)
-        g = form_gradient(node_values(alpha, grid), grid)
+        g = gradient_of(alpha, grid)
         want = dbar_star(g, declared, grid)
         got = dbar_star(g, bare, grid)
         assert np.max(np.abs(got - want)) <= 10.0 * np.max(grid.spacing) ** 4 * np.max(np.abs(want))
@@ -408,9 +412,9 @@ def criterion_2_cases():
 
 
 def band_nodes_without_integrand(values, grid):
-    """The stencil-band nodes of (n, m) form node values where the form and its
-    gradient energy are both zero."""
-    g = form_gradient(values, grid)
+    """The stencil-band nodes of a form or its (n, m) node values where the form and
+    its gradient energy are both zero."""
+    g = gradient_of(values, grid)
     grad_sq = np.sum(np.abs(g.dzbar.reshape(grid.n**2, -1)) ** 2, axis=0)
     return g.band[~g.on_support & (grad_sq == 0.0)]
 
@@ -466,7 +470,7 @@ class TestBand:
             np.sum(np.abs(slice_dbar_01(g, av)) ** 2, axis=0),
             sum(slice_d_dz(g, av[j], j) - av[j] * gphi[:, j] for j in range(n)),
         )
-        band = form_gradient(node_values(alpha, g), g).band
+        band = gradient_of(alpha, g).band
         on_band = np.zeros(g.weights.size, dtype=bool)
         on_band[band] = True
         assert band.size < g.weights.size
@@ -477,7 +481,7 @@ class TestBand:
     def test_every_band_node_carries_an_integrand_criterion_2(self, n, nodes, phi, alpha):
         # the converse of the test above: band_energy reduces over the whole stencil band
         g = make_grid(unit_ball(n, radius=1.3), nodes)
-        assert band_nodes_without_integrand(node_values(alpha, g), g).size == 0
+        assert band_nodes_without_integrand(alpha, g).size == 0
 
     @pytest.mark.parametrize("phi, region", [
         (fields.neg_sq_norm(1), unit_ball(1)), (fields.saddle(2.0), unit_ball(2)),
@@ -488,7 +492,7 @@ class TestBand:
         f = build_witness_form(cert.z0, cert.xi, cert.r)
         for nodes in (cert.grid_nodes, 2 * cert.grid_nodes):
             g = _witness_grid(cert.z0, cert.r, nodes)
-            assert band_nodes_without_integrand(node_values(f, g) / cert.s, g).size == 0
+            assert band_nodes_without_integrand(f.evaluate(g.points) / cert.s, g).size == 0
 
     def test_weight_shift_is_the_bands(self):
         # e^{400|z|^2} peaks at the box corners, where the form vanishes: a
@@ -519,8 +523,8 @@ class TestBand:
         tiny = FormField01("tiny", 1, lambda z: np.ones((1, z.shape[0]), dtype=complex),
                            unit_ball(1, radius=0.05))
         with pytest.raises(ValueError, match="^grid has no node in the support of the form 'tiny'$"):
-            node_values(tiny, grid1(nodes=16))
-        assert np.count_nonzero(node_values(tiny, grid1(nodes=15))) == 1
+            support_values(tiny, grid1(nodes=16))
+        assert support_values(tiny, grid1(nodes=15))[0].size == 1
 
     def test_zero_form_evaluates_no_node(self):
         seen = []
@@ -543,32 +547,24 @@ class TestBand:
 
 
 def separable_support_cases():
-    """(grid, support) pairs for the separable support test: balls at n = 1, 2,
-    polydiscs and boxes centered off the grid, 10^3 spacings from the origin; and
-    regions of radius 5 h about a node of a grid with a binary spacing h, which
-    put nodes exactly on the sphere (offsets (3h, 4h), (h, 2h, 2h, 4h), ...); and
-    a ball whose grown radius is a node's distance to its center."""
+    """(grid, ball) pairs for the separable support test: balls at n = 1, 2
+    centered off the grid, 10^3 spacings from the origin; balls of radius 5 h about
+    a node of a grid with a binary spacing h, which put nodes exactly on the
+    sphere (offsets (3h, 4h), (h, 2h, 2h, 4h), ...); and a ball whose grown radius
+    is a node's distance to its center."""
     for n, nodes in ((1, 64), (2, 14)):
         h = 2.6 / (nodes - 1)
         middle = np.full(n, 1000.0 * h * (1.0 - 0.5j))
         grid = make_grid(unit_ball(n, radius=1.3, center=middle), nodes)
         center = middle + (0.37 - 0.21j) * h
-        regions = (
-            ("ball", [0.9]),
-            ("polydisc", [0.5, 0.8][:n]),
-            ("box", [0.3, 0.5, 0.7, 0.2][: 2 * n]),
-        )
-        for kind, extents in regions:
-            yield pytest.param(grid, DomainBox(kind, center, np.array(extents)),
-                               id=f"n{n}-{kind}-off-grid")
+        yield pytest.param(grid, DomainBox("ball", center, np.array([0.9])),
+                           id=f"n{n}-ball-off-grid")
     for n, nodes in ((1, 33), (2, 17)):
         grid = GridDiscretization(np.tile([-1.0, 1.0], (2 * n, 1)), nodes)
         h = 2.0 / (nodes - 1)
         center = np.array([0.25 - 0.5j, -0.125 + 0.25j][:n])
-        for kind in ("ball", "polydisc"):
-            extents = np.full(1 if kind == "ball" else n, 5.0 * h)
-            yield pytest.param(grid, DomainBox(kind, center, extents),
-                               id=f"n{n}-{kind}-5h-on-a-node")
+        yield pytest.param(grid, DomainBox("ball", center, np.array([5.0 * h])),
+                           id=f"n{n}-ball-5h-on-a-node")
     # the node (x_1, y_12) lies on the grown sphere by np.linalg.norm's arithmetic,
     # and outside it by dx * dx + dy * dy where the complex multiply rounds otherwise
     grid = GridDiscretization(np.tile([-1.0, 1.0], (2, 1)), 33)
@@ -583,6 +579,13 @@ class TestSeparableSupport:
         want = contains_support_nodes(grid, support)
         assert idx.dtype == want.dtype and np.array_equal(idx, want)
         assert 0 < idx.size < np.prod([r.size for r in grid.axes])
+
+    @pytest.mark.parametrize("kind, extents", [("polydisc", [0.5, 0.8]), ("box", [0.3] * 4)])
+    def test_support_that_is_not_a_ball_raises(self, kind, extents):
+        # every form support of pshlab is a ball
+        support = DomainBox(kind, np.zeros(2, dtype=complex), np.array(extents))
+        with pytest.raises(ValueError, match=f"must be a ball, not a {kind}$"):
+            grid2().support_nodes(support)
 
     @pytest.mark.parametrize("n, nodes, offsets", [
         (1, 33, [(5, 0), (0, -5), (3, 4), (-4, 3)]),
@@ -654,13 +657,13 @@ class TestStencilMargin:
     def test_four_layers_inside_every_edge(self, n, nodes, radius, layers):
         g = make_grid(unit_ball(n, radius=1.0), nodes)
         alpha = bump_const_form(np.eye(n)[0], radius=radius)
-        av = node_values(alpha, g)
-        along = np.indices(g.shape).reshape(2 * n, -1)[:, np.any(av != 0.0, axis=0)]
+        idx, _, av = support_values(alpha, g)
+        along = np.indices(g.shape).reshape(2 * n, -1)[:, idx]
         assert min(along.min(), nodes - 1 - along.max()) == layers
         phi, psi = fields.sq_norm(n), build_psi_s(np.zeros(n), radius, 10.0)
         energies = (
             lambda: bochner_residual(alpha, phi, g),
-            lambda: estimate_functional_E(av, phi, psi, fields.zero_omega(n), g),
+            lambda: estimate_functional_E((idx, av), phi, psi, fields.zero_omega(n), g),
         )
         for energy in energies:
             if layers >= 4:
@@ -694,3 +697,117 @@ class TestFormEvaluator:
             # equal bit patterns, signed zeros included
             bits = [np.ascontiguousarray(v).view(np.uint64) for v in (got, want)]
             assert np.array_equal(*bits), form.name
+
+
+# the README examples of the subcommands that put a form on a grid
+README_GRID_COMMANDS = (
+    ["bochner", "--func", "sq_norm", "--dim", "2", "--form", "bump_zbar2", "--grid", "24"],
+    ["witness", "--func", "neg_sq_norm", "--dim", "1", "--smax", "1e4"],
+    ["dbar", "--weight", "neg_sq_norm", "--psi", "psi_s:[1000, 0.5]", "--rhs", "dbar_nu",
+     "--grid", "256", "--degree", "10"],
+)
+
+
+def record_where_bound(monkeypatch, modname, attr, calls):
+    """Replace every pshlab module's binding of pshlab.<modname>.<attr> by a
+    wrapper that appends each call's positional arguments to calls."""
+    import importlib
+    import sys
+
+    original = getattr(importlib.import_module("pshlab." + modname), attr)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    for key, module in list(sys.modules.items()):
+        if key == "pshlab" or key.startswith("pshlab."):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, recorded)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
+                          np.ascontiguousarray(want).view(np.uint8))
+
+
+def assert_gradient_is_dense(idx, values, grid):
+    """form_gradient of a form at its nonzero nodes equals the dense reference of
+    its values scattered onto the whole grid, bit for bit."""
+    dense = on_grid(grid, idx, values)
+    got, want = form_gradient(idx, values, grid), dense_form_gradient(dense, grid)
+    for name in ("band", "on_support", "values", "dz", "dzbar"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+class TestSparseSupportPath:
+    """support_values and form_gradient against their dense references, on every
+    grid of criteria 2, 4 (the grids and the doubled grids), 5 and 8 and of the
+    README bochner, witness and dbar examples: the form evaluated at every node,
+    its nonzero nodes found by np.any over the whole grid, and its gradient by
+    whole-grid slice stencils."""
+
+    def test_equals_the_dense_reference(self, monkeypatch, tmp_path):
+        from pshlab import acceptance, cli
+
+        supports, energies = [], []
+        record_where_bound(monkeypatch, "bochner", "support_values", supports)
+        record_where_bound(monkeypatch, "witness", "estimate_functional_E", energies)
+        for criterion in (acceptance.criterion_bochner, acceptance.criterion_witness,
+                          acceptance.criterion_coarse_chain, acceptance.criterion_hormander_ratio):
+            criterion(0)
+        for k, argv in enumerate(README_GRID_COMMANDS):
+            cli.main(argv + ["--out", str(tmp_path / f"{k}.json")])
+        # criterion 2's 8 residuals, the grids and doubled grids of criterion 4's two
+        # certificates, 2 annulus grids, 2 right-hand sides, and the README examples'
+        # 1 + 2 + 1; the energies are those of the three witness scans
+        assert len(supports) == 8 + 4 + 2 + 2 + 4 and len(energies) == 7
+        for form, grid in supports:
+            idx, pts, values = support_values(form, grid)
+            want_idx, want = nonzero_nodes(form.evaluate(grid.points))
+            assert_same_bits(idx, want_idx)
+            assert_same_bits(values, want)
+            assert_same_bits(pts, grid.points[idx])
+            assert_gradient_is_dense(idx, values, grid)
+        for (idx, alpha), _, _, _, grid in energies:
+            assert np.all(np.any(alpha != 0.0, axis=0))  # alpha^s is nonzero where f is
+            assert_gradient_is_dense(idx, alpha, grid)
+
+
+def zero_form(n, radius=0.9, center=None):
+    """A form that is zero at every node of its ball support."""
+    return FormField01("0", n, lambda z: np.zeros((n, z.shape[0]), dtype=complex),
+                       unit_ball(n, radius=radius, center=center))
+
+
+class TestZeroForm:
+    """A form that is zero at every support node has no nonzero node: its Bochner
+    terms are all 0 and its witness energy is 0, so no certificate."""
+
+    @pytest.mark.parametrize("n, nodes", [(1, 48), (2, 14)])
+    def test_bochner_terms_are_zero(self, n, nodes):
+        grid = make_grid(unit_ball(n, radius=1.3), nodes)
+        idx, pts, values = support_values(zero_form(n), grid)
+        assert idx.size == pts.shape[0] == values.shape[1] == 0 and values.shape[0] == n
+        rep = bochner_residual(zero_form(n), fields.sq_norm(n), grid)
+        assert rep.scaled_terms == (0.0, 0.0, 0.0, 0.0) and rep.residual == 0.0
+
+    @pytest.mark.parametrize("omega", [fields.zero_omega(1), fields.scaled_sq_omega(-0.5, 1)])
+    def test_witness_energy_is_zero(self, omega, monkeypatch):
+        import pshlab.witness as witness
+
+        energies = []
+        estimate = witness.estimate_functional_E
+
+        def recorded(*args):
+            energies.append(estimate(*args))
+            return energies[-1]
+
+        monkeypatch.setattr(witness, "build_witness_form",
+                            lambda z0, xi, r: zero_form(1, radius=r, center=z0))
+        monkeypatch.setattr(witness, "estimate_functional_E", recorded)
+        scan = scan_sharp_witness(fields.neg_sq_norm(1), omega, unit_ball(1))
+        assert scan.certificate is None and not scan.levi_lower_bound_holds
+        assert energies == [0.0] * len(witness.DEFAULT_S_SCHEDULE)

@@ -202,6 +202,27 @@ class TestSubcommands:
         assert code == 1
         assert "unknown field id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        # these used to print a TypeError traceback
+        ["levi", "--func", "saddle:[1]", "--dim", "2"],
+        ["levi", "--func", "sq_norm", "--omega", "const:[1,2]"],
+        ["levi", "--func", "sq_norm", "--omega", "sq:{}"],
+        ["bochner", "--func", "sq_norm", "--form", "bump_const:{}"],
+        # and these a bare JSON error that named no option
+        ["levi", "--func", "saddle:x", "--dim", "2"],
+        ["bochner", "--func", "sq_norm", "--form", "bump_const:[[1"],
+        ["dbar", "--weight", "sq_norm:x"],
+        ["dbar", "--weight", "sq_norm", "--rhs", "bump_const:{}"],
+        ["dbar", "--weight", "sq_norm", "--rhs", "bump_const:[[1,0],[0,1]]"],
+        ["levi", "--func", "log_abs:[1,2,3]"],
+    ])
+    def test_malformed_spec_parameter_is_config_error(self, argv):
+        option, spec = next((a, v) for a, v in zip(argv, argv[1:]) if ":" in v)
+        proc = run_cli(argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: invalid {option} {spec!r}: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestFormSupportWithoutNodes:
     """A grid with no node in a form's support fails with a typed message, not with

@@ -126,11 +126,12 @@ class TestMinLeviEigenvalue:
 
 class TestCheckLowerBound:
     def test_sq_norm_holds(self):
-        v = check_lower_bound(fields.sq_norm(2), zero_omega(2), unit_ball(2), resolution=5)
+        v = check_lower_bound(fields.sq_norm(2), zero_omega(2), unit_ball(2), 5, fields.LEVI_TOL)
         assert v.holds
 
     def test_neg_sq_norm_violated(self):
-        v = check_lower_bound(fields.neg_sq_norm(1), zero_omega(1), unit_ball(1), resolution=9)
+        v = check_lower_bound(
+            fields.neg_sq_norm(1), zero_omega(1), unit_ball(1), 9, fields.LEVI_TOL)
         assert not v.holds
         assert v.c == pytest.approx(1.0, abs=1e-4)
 
@@ -141,12 +142,12 @@ class TestCheckLowerBound:
             lambda z: np.sum(np.abs(z) ** 2, axis=-1) ** 2,
             hess=lambda z: (4.0 * np.sum(np.abs(z) ** 2, axis=-1))[:, None, None].astype(complex),
         )
-        v = check_lower_bound(quartic, scaled_sq_omega(2.0, 1), unit_ball(1), resolution=9)
+        v = check_lower_bound(quartic, scaled_sq_omega(2.0, 1), unit_ball(1), 9, fields.LEVI_TOL)
         assert v.holds
 
     def test_pole_in_region(self):
         with pytest.raises(PoleInStencilError):
-            check_lower_bound(fields.log_abs(n=1), zero_omega(1), unit_ball(1), resolution=9)
+            check_lower_bound(fields.log_abs(n=1), zero_omega(1), unit_ball(1), 9, fields.LEVI_TOL)
 
 
 class TestRegistry:

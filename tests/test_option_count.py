@@ -15,7 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pshlab"
 
-PARAMETERS_WITH_DEFAULT = 30
+PARAMETERS_WITH_DEFAULT = 26
 DATACLASS_INIT_FIELDS = 88
 
 HOW_TO_UPDATE = (

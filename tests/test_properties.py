@@ -11,7 +11,7 @@ The sharp-estimate witness scan certifies every Levi gap of a family that
 is negative on the whole region, however its depth is spread.  Translating
 the grid box, the form and the weight together by whole grid spacings leaves
 the Bochner residual and its four terms unchanged up to rounding, and so
-does swapping z1 and z2 at n = 2.
+do swapping z1 and z2 at n = 2 and the quarter turn z1 -> i z1 of a centered box.
 """
 
 import dataclasses
@@ -58,6 +58,8 @@ from pshlab.witness import (
     scan_sharp_witness,
 )
 
+from grid_helpers import nonzero_nodes
+
 LOG_MAX = math.log(np.finfo(float).max)
 RULE = QuadratureRule("tensor-grid", 1024, seed=0)
 DISC = HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), 1.0)
@@ -100,7 +102,7 @@ def witness_setup():
     f = build_witness_form(Z0, np.array([1.0]), r)
     grid = _witness_grid(Z0, r, 32)
     alpha = alpha_from_f(f.evaluate(grid.points).T, omega(grid.points) + s * np.eye(1)).T
-    return alpha, build_psi_s(Z0, r, s), omega, grid
+    return nonzero_nodes(alpha), build_psi_s(Z0, r, s), omega, grid
 
 
 @lru_cache(maxsize=None)
@@ -328,9 +330,10 @@ def swapped_form(alpha: FormField01) -> FormField01:
 
 
 # the swap only reorders the grid sums: the largest gaps measured were 3.2e-15
-# relative (terms) and 4.1e-16 absolute (residual)
-SWAP_RTOL = 1e-12
-SWAP_ATOL = 1e-13
+# relative (terms) and 4.1e-16 absolute (residual).  The quarter turn also moves
+# the nodes by the rounding of their coordinates: 1.5e-15 and 5.6e-16
+SYMMETRY_RTOL = 1e-12
+SYMMETRY_ATOL = 1e-13
 
 
 @pytest.mark.parametrize("weight", sorted(TRANSLATION_WEIGHTS))
@@ -348,5 +351,53 @@ def test_bochner_residual_swap_invariant(form, weight):
              (swapped.gradient_term, base.gradient_term),
              (swapped.dbar_term, base.dbar_term), (swapped.adjoint_term, base.adjoint_term))
     for got, want in pairs:
-        assert abs(got - want) <= SWAP_RTOL * abs(want)
-    assert abs(swapped.residual - base.residual) <= SWAP_ATOL
+        assert abs(got - want) <= SYMMETRY_RTOL * abs(want)
+    assert abs(swapped.residual - base.residual) <= SYMMETRY_ATOL
+
+
+def quarter_turn(n: int) -> np.ndarray:
+    """The diagonal of the unitary map z1 -> i z1 of C^n, a quarter turn of (x1, y1)."""
+    u = np.ones(n, dtype=complex)
+    u[0] = 1j
+    return u
+
+
+def turned_field(phi: fields.ScalarField) -> fields.ScalarField:
+    """z -> phi(u z) for the quarter turn u, with its gradient and Hessian pulled back alike."""
+    u = quarter_turn(phi.n)
+    return dataclasses.replace(
+        phi, name=f"{phi.name}@turn", evaluate=lambda z: phi.evaluate(z * u),
+        grad=lambda z: phi.grad(z * u) * u,
+        hess=lambda z: phi.hess(z * u) * (u[:, None] * np.conj(u)),
+    )
+
+
+def turned_form(alpha: FormField01) -> FormField01:
+    """The pull-back of alpha by the quarter turn u: sum_j conj(u_j) alpha_j(u z) dzbar_j."""
+    u = quarter_turn(alpha.n)
+    support = DomainBox(alpha.support.kind, alpha.support.center * np.conj(u),
+                        alpha.support.extents)
+    return FormField01(alpha.name, alpha.n,
+                       lambda z: alpha.coefficients(z * u) * np.conj(u)[:, None], support)
+
+
+@pytest.mark.parametrize("weight", sorted(TRANSLATION_WEIGHTS))
+@pytest.mark.parametrize("form", ["bump_const", "bump_zbar2"])
+@pytest.mark.parametrize("n, nodes, radius", [(1, 256, 0.9), (2, 24, 0.8)], ids=["n1", "n2"])
+def test_bochner_residual_quarter_turn_invariant(n, nodes, radius, form, weight):
+    # criterion 2's centered boxes, forms and node counts: the turn maps each box
+    # onto itself, and its nodes onto nodes up to the rounding of their coordinates
+    grid = make_grid(unit_ball(n, radius=1.3), nodes)
+    assert np.array_equal(grid.bounds[[1, 0]], grid.bounds[[0, 1]])
+    xi = np.array([1.0]) if n == 1 else np.array([0.8, 0.6j])
+    alpha = (bump_const_form(xi, radius=radius) if form == "bump_const"
+             else bump_zbar_form(n, radius=radius))
+    phi = TRANSLATION_WEIGHTS[weight](n)
+    base = bochner_residual(alpha, phi, grid)
+    turned = bochner_residual(turned_form(alpha), turned_field(phi), grid)
+    pairs = ((turned.curvature_term, base.curvature_term),
+             (turned.gradient_term, base.gradient_term),
+             (turned.dbar_term, base.dbar_term), (turned.adjoint_term, base.adjoint_term))
+    for got, want in pairs:
+        assert abs(got - want) <= SYMMETRY_RTOL * abs(want)
+    assert abs(turned.residual - base.residual) <= SYMMETRY_ATOL

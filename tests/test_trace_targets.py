@@ -165,3 +165,29 @@ def test_extension_paths_reach_the_traced_extension_names(monkeypatch, tmp_path)
         "extend": {"best_extension_constant": 1, "optimal_extension_margin": 1},
         "coarse-extend": {"coarse_extension_bound": 5},
     }
+
+
+def test_witness_energy_counter_reads_the_grid(monkeypatch):
+    """The tracer counts witness.estimate_functional_E's points from its fifth
+    argument, which the form's (nonzero nodes, values) pair leaves in place: on a
+    criterion-4 run it is each energy's GridDiscretization, and the count is the
+    sum of their node counts."""
+    from collections import Counter
+
+    from pshlab import acceptance, witness
+    from pshlab.bochner import GridDiscretization
+
+    [(_, _, name, count)] = [t for t in load_tracing().TARGETS if t[1] == "estimate_functional_E"]
+    grids, stats = [], Counter()
+    estimate = witness.estimate_functional_E
+
+    def counted(*args, **kwargs):
+        result = estimate(*args, **kwargs)
+        grids.append(args[4])
+        count(stats, name, result, args, kwargs)
+        return result
+
+    monkeypatch.setattr(witness, "estimate_functional_E", counted)
+    acceptance.criterion_witness(0)
+    assert grids and all(isinstance(g, GridDiscretization) for g in grids)
+    assert stats[name + ".points"] == sum(g.weights.size for g in grids)

@@ -6,10 +6,11 @@ import pytest
 from scipy import integrate as sint
 
 from pshlab import fields
-from pshlab.bochner import form_gradient, make_grid, node_values
+from pshlab.bochner import make_grid, support_values
 from pshlab.errors import ContinuityRequiredError, MetricNotPositiveError
 from pshlab.geometry import DomainBox, ball_volume, unit_ball
 from pshlab.witness import (
+    REGION_RESOLUTION,
     _psi_delta_hess,
     _psi_delta_norm_sq,
     alpha_from_f,
@@ -30,9 +31,11 @@ from pshlab.witness import (
 from grid_helpers import (
     coarse_rhs_bound_one,
     form_norm_sq,
+    gradient_of,
     grid_dbar_01,
     interior_mask,
     metric_quadratic,
+    nonzero_nodes,
     scalar_dbar,
     slice_d_dzbar,
 )
@@ -211,7 +214,7 @@ class TestAlphaFromF:
 class TestEstimateFunctional:
     def test_zero_form(self):
         grid = make_grid(unit_ball(1, radius=0.6), 24)
-        alpha = np.zeros((1, grid.points.shape[0]), dtype=complex)
+        alpha = nonzero_nodes(np.zeros((1, grid.points.shape[0]), dtype=complex))
         val = estimate_functional_E(
             alpha, fields.sq_norm(1), build_psi_s(np.zeros(1), 0.5, 1.0),
             fields.zero_omega(1), grid,
@@ -224,7 +227,7 @@ class TestEstimateFunctional:
         grid = make_grid(DomainBox("ball", z0, np.array([0.7])), 64)
         for s in (10.0, 100.0):
             psi = build_psi_s(z0, 0.5, s)
-            alpha = f.evaluate(grid.points) / s
+            alpha = nonzero_nodes(f.evaluate(grid.points) / s)
             val = estimate_functional_E(alpha, fields.sq_norm(1), psi, fields.zero_omega(1), grid)
             assert val >= -1e-12
 
@@ -234,7 +237,7 @@ class TestEstimateFunctional:
         f = build_witness_form(z0, np.array([1.0]), 0.5)
         grid = make_grid(DomainBox("ball", z0, np.array([0.7])), 96)
         psi = build_psi_s(z0, 0.5, 100.0)
-        alpha = f.evaluate(grid.points) / 100.0
+        alpha = nonzero_nodes(f.evaluate(grid.points) / 100.0)
         val = estimate_functional_E(alpha, fields.neg_sq_norm(1), psi, fields.zero_omega(1), grid)
         assert val < 0.0
 
@@ -306,7 +309,8 @@ class TestScanSharpWitness:
     def test_lower_bound_verdict_is_check_lower_bound(self, phi, omega):
         region = unit_ball(phi.n)
         scan = scan_sharp_witness(phi, omega, region, s_schedule=(10.0,))
-        assert scan.levi_lower_bound_holds == fields.check_lower_bound(phi, omega, region).holds
+        verdict = fields.check_lower_bound(phi, omega, region, REGION_RESOLUTION, fields.LEVI_TOL)
+        assert scan.levi_lower_bound_holds == verdict.holds
 
     def test_form_evaluated_once_per_grid(self, monkeypatch):
         # sq_norm against omega = 1.1 certifies at s = 100, after s = 10 failed on
@@ -328,32 +332,29 @@ class TestScanSharpWitness:
         grids = [_witness_grid(cert.z0, cert.r, k * cert.grid_nodes) for k in (1, 2)]
         assert sizes == [g.support_nodes(f.support).size for g in grids]
 
-    def test_alpha_buffer_reused_across_s_equals_a_fresh_one(self, monkeypatch):
+    def test_each_s_passes_alpha_at_the_nonzero_nodes_of_f(self, monkeypatch):
         # sq_norm against omega = 1.1 fails at s = 10 and certifies at s = 100 on
-        # the same grid: both energies read one buffer, written over the support
-        # nodes, and it holds what a zero-filled alpha of that s would
+        # the same grid: each energy gets the nodes where f is nonzero and alpha^s
+        # there, equal to alpha^s solved at every node and cut to its nonzero nodes
         import pshlab.witness as witness
-        from pshlab.bochner import support_values
-        from pshlab.witness import _plus_s
 
         seen = []
         estimate = witness.estimate_functional_E
 
         def recorded(alpha, phi, psi, omega, grid):
-            seen.append((alpha, alpha.copy(), grid))
+            seen.append((alpha, grid))
             return estimate(alpha, phi, psi, omega, grid)
 
         monkeypatch.setattr(witness, "estimate_functional_E", recorded)
         omega = fields.get_omega("const:1.1", 1)
         cert = scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1)).certificate
         assert cert.s == 100.0 and len(seen) == 3
-        assert seen[0][0] is seen[1][0] and seen[1][2] is seen[0][2]
+        assert seen[1][1] is seen[0][1] and seen[2][1] is not seen[0][1]
         f = build_witness_form(cert.z0, cert.xi, cert.r)
-        for (_, alpha, grid), s in zip(seen, (10.0, 100.0, 100.0)):
-            idx, pts, fv = support_values(f, grid)
-            fresh = np.zeros((1, grid.weights.size), dtype=complex)
-            fresh[:, idx] = alpha_from_f(fv.T, _plus_s(omega(pts), s)).T
-            assert np.array_equal(alpha, fresh)
+        for ((idx, alpha), grid), s in zip(seen, (10.0, 100.0, 100.0)):
+            dense = alpha_from_f(f.evaluate(grid.points).T, omega(grid.points) + s * np.eye(1)).T
+            want_idx, want = nonzero_nodes(dense)
+            assert np.array_equal(idx, want_idx) and np.array_equal(alpha, want)
 
     @pytest.mark.parametrize("omega", [
         # gap 1 - 1.2|z|^2 < 0 only at the grid nodes on the unit circle: no room for a ball
@@ -370,7 +371,9 @@ class TestScanSharpWitness:
             raise AssertionError("a witness form was built")
 
         monkeypatch.setattr(witness, "build_witness_form", unused)
-        assert not fields.check_lower_bound(fields.sq_norm(1), omega, unit_ball(1)).holds
+        verdict = fields.check_lower_bound(
+            fields.sq_norm(1), omega, unit_ball(1), REGION_RESOLUTION, fields.LEVI_TOL)
+        assert not verdict.holds
         assert scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1)).certificate is None
 
     @pytest.mark.parametrize("grid_nodes", [12, 14])
@@ -400,7 +403,7 @@ class TestScanSharpWitness:
         alpha = alpha_from_f(
             f.evaluate(fine.points).T, omega(fine.points) + cert.s * np.eye(phi.n)
         ).T
-        assert cert.E_doubled == estimate_functional_E(alpha, phi, psi, omega, fine)
+        assert cert.E_doubled == estimate_functional_E(nonzero_nodes(alpha), phi, psi, omega, fine)
         assert cert.E < 0.0 and cert.E_doubled < 0.0
         assert dataclasses.asdict(cert)["E_doubled"] == cert.E_doubled
 
@@ -468,7 +471,7 @@ class TestBandEnergy:
             grad_sq = sum(
                 np.abs(slice_d_dzbar(grid, alpha[j], k)) ** 2 for j in range(n) for k in range(n)
             )
-            band = form_gradient(alpha, grid).band
+            band = gradient_of(alpha, grid).band
             on_band = np.zeros(grid.weights.size, dtype=bool)
             on_band[band] = True
             assert band.size < grid.weights.size
@@ -499,15 +502,16 @@ class TestBandEnergy:
             hess=lambda z: np.full((z.shape[0], 1, 1), -1.0 + 0.5j),
         )
         psi = build_psi_s(z0, 0.5, 100.0)
+        alpha = support_values(f, grid)[::2]
         with pytest.raises(ValueError, match="declared Hessian of 'bad' is not Hermitian"):
-            estimate_functional_E(node_values(f, grid), bad, psi, fields.zero_omega(1), grid)
+            estimate_functional_E(alpha, bad, psi, fields.zero_omega(1), grid)
 
     def test_zero_form_evaluates_no_field(self):
         def unused(z):
             raise AssertionError("a field was evaluated")
 
         grid = make_grid(unit_ball(2, radius=0.6), 8)
-        alpha = np.zeros((2, grid.weights.size), dtype=complex)
+        alpha = nonzero_nodes(np.zeros((2, grid.weights.size), dtype=complex))
         phi = fields.ScalarField("unused", 2, unused, hess=unused)
         omega = fields.HermitianField("unused", 2, unused)
         assert estimate_functional_E(alpha, phi, phi, omega, grid) == 0.0
@@ -677,7 +681,7 @@ class TestCoarseChain:
 class TestModulusOfContinuity:
     def test_constant(self):
         const = fields.ScalarField("c", 1, lambda z: np.full(z.shape[0], 2.0), smoothness="C0")
-        assert modulus_of_continuity(const, unit_ball(1), 0.3) == 0.0
+        assert modulus_of_continuity(const, unit_ball(1), 0.3, resolution=33) == 0.0
 
     def test_linear(self):
         phi = fields.re_linear(np.array([1.0 + 0.0j]), 1)
@@ -694,29 +698,30 @@ class TestModulusOfContinuity:
     def test_usc_rejected(self):
         usc = fields.ScalarField("u", 1, lambda z: np.zeros(z.shape[0]), smoothness="usc")
         with pytest.raises(ContinuityRequiredError, match="requires continuity"):
-            modulus_of_continuity(usc, unit_ball(1), 0.1)
+            modulus_of_continuity(usc, unit_ball(1), 0.1, resolution=33)
 
 
 class TestConstantGrowth:
     def test_lipschitz_admissible(self):
         m = [10, 100, 10**4, 10**6]
-        cprime, diag = coarse_constant_growth(m, [0.0] * 4, 2.0, [2.0 * (1.0 / v) for v in m])
+        cprime, diag = coarse_constant_growth(
+            m, [0.0] * 4, 2.0, [2.0 * (1.0 / v) for v in m], n=1)
         assert diag[-1] < 1e-4
         assert np.all(np.diff(diag) < 0)
 
     def test_exponential_flagged(self):
         m = [1, 10, 100, 500]
-        _, diag = coarse_constant_growth(m, [float(v) for v in m], 2.0, [0.0] * 4)
+        _, diag = coarse_constant_growth(m, [float(v) for v in m], 2.0, [0.0] * 4, n=1)
         assert diag[-1] == pytest.approx(1.0, abs=0.1)
 
     def test_polynomial_admissible(self):
         m = [10, 100, 10**4, 10**6]
-        _, diag = coarse_constant_growth(m, [2.0 * math.log(v) for v in m], 2.0, [0.0] * 4)
+        _, diag = coarse_constant_growth(m, [2.0 * math.log(v) for v in m], 2.0, [0.0] * 4, n=1)
         assert diag[-1] < 1e-3
 
     def test_rejects_small_constants(self):
         with pytest.raises(ValueError, match=">= 1"):
-            coarse_constant_growth([1], [math.log(0.5)], 2.0, [0.0])
+            coarse_constant_growth([1], [math.log(0.5)], 2.0, [0.0], n=1)
 
 
 def _zero(n):
