@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PoleInStencilError
-from .fields import ScalarField, levi_form, parse_point, spec_param, split_spec, unshift, weight_exp
+from .fields import ScalarField, first_axis, levi_form, point, resolve, unshift, weight_exp
 from .geometry import DomainBox, as_point, as_points, row_sum
 
 FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
@@ -193,20 +193,20 @@ def dbar_01(g: FormGradient, grid: GridDiscretization) -> np.ndarray:
 
 def dbar_star(g: FormGradient, phi: ScalarField, grid: GridDiscretization) -> np.ndarray:
     """Formal adjoint -sum_j (d alpha_j / dz_j - alpha_j dphi/dz_j) on the stencil band
-    of alpha, from its gradient g; poles and grad phi are evaluated where alpha is
-    nonzero, and a weight without grad on the band, for its stencil gradient."""
+    of alpha, from its gradient g; grad phi is evaluated where alpha is nonzero, and
+    a weight without grad on the band, for its stencil gradient.  A pole (a value or
+    gradient that is not finite) there raises PoleInStencilError."""
     support = g.band[g.on_support]
-    pts = grid.points_at(support)
     if phi.grad is not None:
         with np.errstate(divide="ignore", invalid="ignore"):
-            gphi = np.asarray(phi.grad(pts), dtype=complex)
-        finite = np.isfinite(gphi)
+            gphi = np.asarray(phi.grad(grid.points_at(support)), dtype=complex)
     else:
         pv = np.zeros(grid.weights.size)
         pv[g.band] = phi(grid.points_at(g.band))
-        finite = np.isfinite(pv[support])
+        if not np.all(np.isfinite(pv[g.band])):  # every value the stencils at the support read
+            raise PoleInStencilError("pole in the stencil band of the form")
         gphi = np.stack([grid.wirtinger(pv, j, support)[0] for j in range(grid.n)], axis=1)
-    if np.any(phi.is_pole(pts)) or not np.all(finite):
+    if not np.all(np.isfinite(gphi)):
         raise PoleInStencilError("pole in the support of the form")
     out = np.zeros(g.band.size, dtype=complex)
     for j in range(grid.n):
@@ -339,14 +339,21 @@ def zero_field(n: int) -> ScalarField:
     )
 
 
-def get_form(spec: str, n: int) -> FormField01:
-    """Resolve a form id like "bump_const:[[1,0]]" or "bump_zbar2"."""
-    base, param = split_spec(spec, "form", ("bump_const", "bump_zbar2", "dbar_nu"))
-    e1 = np.eye(n, dtype=complex)[0]
-    if base == "bump_const":
-        return bump_const_form(spec_param(param, lambda p: parse_point(p, n), e1))
-    if base == "bump_zbar2":
-        return bump_zbar_form(n)
+def dbar_nu_form(n: int) -> FormField01:
+    """The witness form at the origin with direction e_1 and radius 1."""
     from .witness import build_witness_form
 
-    return build_witness_form(np.zeros(n, dtype=complex), e1, 1.0)
+    return build_witness_form(np.zeros(n, dtype=complex), first_axis(n), 1.0)
+
+
+# id -> (parameter parser, builder), as fields.FIELDS
+FORMS = {
+    "bump_const": (point(first_axis), lambda xi, n: bump_const_form(xi)),
+    "bump_zbar2": (None, bump_zbar_form),
+    "dbar_nu": (None, dbar_nu_form),
+}
+
+
+def get_form(spec: str, n: int) -> FormField01:
+    """Resolve a form id like "bump_const:[[1,0]]" or "bump_zbar2"."""
+    return resolve(FORMS, "form", spec, n)

@@ -21,13 +21,14 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__, fields
 from .acceptance import RUNTIME_LIMITS, CheckRecord, json_default, render_lines, run_suite
-from .bochner import FD_STENCIL_WIDTH, bochner_residual, get_form, make_grid
+from .bochner import FD_STENCIL_WIDTH, FORMS, bochner_residual, get_form, make_grid
 from .dbar1d import dbar_bump, hormander_ratio
 from .errors import PshlabError, SpecError
 from .extension import (
@@ -69,13 +70,62 @@ def parse_point(text: str, field_name: str, n: int) -> np.ndarray:
         raise ConfigError(f"invalid --{field_name}: {exc}") from exc
 
 
-def resolve_spec(resolve, field_name: str, text: str, n: int):
-    """A spec option "id" or "id:<JSON>" resolved for dimension n; a parameter that
-    is not JSON, or not of the type its id takes, is a ConfigError naming it."""
+def _const_rule(c: float):
+    """The C_m rule m -> log(c), for c > 0."""
+    if not c > 0.0:
+        raise ValueError("C_m must be positive")
+    log_c = math.log(c)
+    return lambda m: log_c
+
+
+def _psi_s_param(param, n) -> tuple:
+    """(r, s) of psi_s's parameter [s, r], which it must have."""
+    if param is None:
+        raise ValueError("psi_s takes the parameter [s, r]")
+    s, r = map(float, param)
+    return r, s
+
+
+# C_m rules m -> log(C_m); logs keep fast-growing rules such as exp_sqrt finite
+CM_RULES = {
+    "const": (fields.number(1.0), lambda c, n: _const_rule(c)),
+    "poly": (fields.number(2.0), lambda k, n: lambda m: k * math.log(m)),
+    "exp_sqrt": (None, lambda n: math.sqrt),
+}
+PSI = {**fields.FIELDS, "psi_s": (_psi_s_param, lambda rs, n: build_psi_s(fields.origin(n), *rs))}
+RHS = {**FORMS, "dbar_bump": (None, lambda n: dbar_bump())}
+
+
+def resolve_cm_rule(spec: str, n):
+    """The rule m -> log(C_m) of a C_m spec, which has no dimension n; a bare number c
+    is shorthand for const:c."""
     try:
-        return resolve(text, n)
+        spec = f"const:{float(spec)!r}"
+    except ValueError:
+        pass
+    return fields.resolve(CM_RULES, "C_m rule", spec, None)
+
+
+# spec option -> (keyword of the compute functions, resolver (spec, n) -> object)
+SPECS = {
+    "func": ("phi", fields.get_field),
+    "weight": ("phi", fields.get_field),
+    "psi": ("psi", partial(fields.resolve, PSI, "field")),
+    "omega": ("omega", fields.get_omega),
+    "form": ("alpha", get_form),
+    "rhs": ("rhs", partial(fields.resolve, RHS, "form")),
+    "cm": ("log_c_m", resolve_cm_rule),
+    "cm-rule": ("log_c_m", resolve_cm_rule),
+}
+
+
+def resolve_spec(option: str, text: str, n):
+    """A spec option "id" or "id:<JSON>" resolved for dimension n; any SpecError
+    becomes a ConfigError naming the option and the spec."""
+    try:
+        return SPECS[option][1](text, n)
     except SpecError as exc:
-        raise ConfigError(f"invalid --{field_name} {text!r}: {exc}") from exc
+        raise ConfigError(f"invalid --{option} {text!r}: {exc}") from exc
 
 
 def parse_cylinder(text: str, n: int, center: np.ndarray):
@@ -238,8 +288,7 @@ def _check_psh(args, phi, region) -> list:
     ]
 
 
-def _bochner(args, phi) -> list:
-    alpha = resolve_spec(get_form, "form", args.form, args.dim)
+def _bochner(args, phi, alpha) -> list:
     # inflate the box until the support margin accommodates the FD stencil
     radius = float(alpha.support.extents[0])
     pad = 10.0 * radius / max(args.grid - 11, 1)
@@ -276,14 +325,13 @@ def _witness(args, phi, omega, region) -> list:
     return [CheckRecord("sharp-witness", passed, values, {"smax": args.smax})]
 
 
-def _coarse_chain(args, phi, w) -> Table:
+def _coarse_chain(args, phi, w, log_c_m) -> Table:
     m_values = parse_m_values(args.m)
     # the ranges that build_alpha_eps and build_psi_delta accept
     eps_values = parse_list(args.eps, "eps", float, lambda e: 0.0 < e <= 1.0, "values in (0, 1]")
     delta_values = parse_list(
         args.delta, "delta", float, lambda d: 0.0 <= d < math.inf, "finite values >= 0"
     )
-    log_c_m = _parse_cm_rule(args.cm)
 
     # modulus of continuity at eps = 1/m and the resulting growth constants,
     # on the unit ball around w (skipped when the field is not continuous there)
@@ -319,26 +367,6 @@ def _coarse_chain(args, phi, w) -> Table:
     header = ["m", "p", "eps", "delta", "rhs_integral", "bound", "C", "inf_phi",
               "o_eps_1_over_m", "log_cprime_m", "verified"]
     return Table(header, rows, verified == len(rows), f"{verified}/{len(rows)} tuples verified")
-
-
-def _parse_cm_rule(text: str):
-    """The rule m -> log(C_m); logs keep fast-growing rules such as exp_sqrt finite."""
-    base, _, raw = text.partition(":")
-    if base == "exp_sqrt":
-        return lambda m: math.sqrt(m)
-    try:
-        if base == "poly":
-            k = float(raw or 2.0)
-            return lambda m: k * math.log(m)
-        c = float(raw or 1.0) if base == "const" else float(text)  # a bare number is a constant
-    except ValueError:
-        c = math.nan
-    if not c > 0.0:
-        raise ConfigError(
-            f"invalid --cm rule {text!r} (a positive number, const:<c>, poly:<k>, or exp_sqrt)"
-        )
-    log_c = math.log(c)
-    return lambda m: log_c
 
 
 def _exp_or_inf(x: float) -> float:
@@ -380,9 +408,8 @@ def _extend(args, phi, cyl) -> list:
     return checks
 
 
-def _coarse_extend(args, phi, cyl) -> Table:
+def _coarse_extend(args, phi, cyl, log_c_m) -> Table:
     rule = QuadratureRule("tensor-grid", args.budget, args.seed)
-    log_c_m = _parse_cm_rule(args.cm_rule)
     rows = []
     for m in parse_m_values(args.m):
         b_m, b_tilde = coarse_extension_bound(
@@ -392,9 +419,7 @@ def _coarse_extend(args, phi, cyl) -> Table:
     return Table(["m", "p", "C_m", "b_m", "b_tilde_m"], rows, True, f"{len(rows)} bounds computed")
 
 
-def _dbar(args, phi) -> list:
-    psi = _parse_psi(args.psi)
-    rhs = _parse_rhs(args.rhs)
+def _dbar(args, phi, psi, rhs) -> list:
     grid = make_grid(unit_ball(1, radius=args.box), args.grid)
     [result] = hormander_ratio([(phi, psi)], rhs, args.degree, grid)
     values = {
@@ -405,23 +430,6 @@ def _dbar(args, phi) -> list:
         "degree": result.degree,
     }
     return [CheckRecord("dbar-solve", result.residual <= 5e-3, values, {"residual": 5e-3})]
-
-
-def _parse_psi(text: str):
-    base, _, raw = text.partition(":")
-    if base == "psi_s":
-        try:
-            s, r = (float(v) for v in json.loads(raw))
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid --psi (expected psi_s:[s,r]): {exc}") from exc
-        return build_psi_s(np.zeros(1, dtype=complex), r, s)
-    return resolve_spec(fields.get_field, "psi", text, 1)
-
-
-def _parse_rhs(text: str):
-    if text == "dbar_bump":
-        return dbar_bump()
-    return resolve_spec(get_form, "rhs", text, 1)
 
 
 def _accept(args) -> list:
@@ -580,14 +588,11 @@ def _check_bounds(args, names) -> None:
 
 
 def _parse_specs(args) -> dict:
-    """The spec options, parsed in one fixed order, so that the first bad one is reported."""
-    specs = {}
-    if "func" in args:
-        specs["phi"] = resolve_spec(fields.get_field, "func", args.func, args.dim)
-    if "weight" in args:
-        specs["phi"] = resolve_spec(fields.get_field, "weight", args.weight, 1)
-    if "omega" in args:
-        specs["omega"] = resolve_spec(fields.get_omega, "omega", args.omega, args.dim)
+    """The spec options, parsed in one fixed order, so that the first bad one is reported.
+    They take the dimension --dim, or 1 in a subcommand without it (dbar is n = 1)."""
+    n = getattr(args, "dim", 1)
+    specs = {key: resolve_spec(option, getattr(args, option.replace("-", "_")), n)
+             for option, (key, _) in SPECS.items() if option.replace("-", "_") in args}
     if "region" in args:
         specs["region"] = parse_region(args.region, args.dim)
     if "w" in args:

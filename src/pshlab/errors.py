@@ -34,7 +34,8 @@ class DegenerateWeightError(PshlabError):
 
 
 class SpecError(PshlabError, ValueError):
-    """Raised when a spec's parameter is not JSON or not of the type its id takes."""
+    """Raised when a spec names nothing: an unknown id, a parameter its id refuses, or
+    an object of another dimension."""
 
 
 class ConsistencyError(PshlabError):

@@ -36,7 +36,6 @@ class ScalarField:
     evaluate: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    pole: Optional[Callable[[np.ndarray], np.ndarray]] = None
     smoothness: str = "C2"
 
     def __post_init__(self):
@@ -48,12 +47,6 @@ class ScalarField:
 
     def value_at(self, z) -> float:
         return float(self.evaluate(as_points(z, self.n))[0])
-
-    def is_pole(self, pts) -> np.ndarray:
-        z = as_points(pts, self.n)
-        if self.pole is not None:
-            return np.asarray(self.pole(z), dtype=bool)
-        return np.zeros(z.shape[0], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -84,11 +77,11 @@ def zero_omega(n: int) -> HermitianField:
     )
 
 
-def constant_omega(matrix, name: str = "const") -> HermitianField:
-    m = np.asarray(matrix, dtype=complex)
-    n = m.shape[0]
+def constant_omega(c: float, n: int) -> HermitianField:
+    """g(z) = c I, the coefficient field of c times the Euclidean form."""
+    m = np.asarray(c * np.eye(n), dtype=complex)
     return HermitianField(
-        name, n, lambda z: np.broadcast_to(m, (z.shape[0], n, n)).copy()
+        f"const:{c:g}", n, lambda z: np.broadcast_to(m, (z.shape[0], n, n)).copy()
     )
 
 
@@ -155,7 +148,7 @@ def neg_sq_norm(n: int) -> ScalarField:
     )
 
 
-def saddle(lam: float = 2.0) -> ScalarField:
+def saddle(lam: float) -> ScalarField:
     """|z1|^2 - lam |z2|^2 on C^2."""
     h = np.diag([1.0, -lam]).astype(complex)
 
@@ -172,9 +165,9 @@ def saddle(lam: float = 2.0) -> ScalarField:
     )
 
 
-def log_abs(a=None, n: int = 1) -> ScalarField:
+def log_abs(a, n: int) -> ScalarField:
     """log |z - a| (Euclidean norm); pole at a, harmonic when n = 1."""
-    av = np.zeros(n, dtype=complex) if a is None else as_point(a)
+    av = as_point(a)
     if av.size != n:
         raise ValueError(f"pole location has dimension {av.size}, expected {n}")
 
@@ -194,22 +187,12 @@ def log_abs(a=None, n: int = 1) -> ScalarField:
         outer = np.conj(d)[:, :, None] * d[:, None, :]
         return 0.5 * (eye / u[:, None, None] - outer / (u**2)[:, None, None])
 
-    return ScalarField(
-        f"log_abs:{av.tolist()}", n, ev, grad=grad, hess=hess,
-        pole=lambda z: row_norm(z - av) == 0.0,
-    )
+    return ScalarField(f"log_abs:{av.tolist()}", n, ev, grad=grad, hess=hess)
 
 
-def re_linear(a=None, n: int = 1) -> ScalarField:
+def re_linear(a, n: int) -> ScalarField:
     """Re(sum_j a_j z_j); pluriharmonic."""
-    av = None
-    if a is not None:
-        av = as_point(a)
-        n = av.size
-    if av is None:
-        av = np.zeros(n, dtype=complex)
-        av[0] = 1.0
-
+    av = as_point(a)
     return ScalarField(
         f"re_linear:{av.tolist()}", n,
         lambda z: np.real(z @ av),
@@ -218,7 +201,7 @@ def re_linear(a=None, n: int = 1) -> ScalarField:
     )
 
 
-def log1p_sq(n: int = 1) -> ScalarField:
+def log1p_sq(n: int) -> ScalarField:
     """log(1 + |z|^2), strictly psh with bounded Levi form."""
 
     def grad(z):
@@ -260,7 +243,6 @@ def max_log() -> ScalarField:
     return ScalarField(
         "max_log", 2, ev, grad=grad,
         hess=lambda z: np.zeros((z.shape[0], 2, 2), dtype=complex),
-        pole=lambda z: np.all(z == 0.0, axis=-1),
     )
 
 
@@ -282,7 +264,7 @@ def cross() -> ScalarField:
     )
 
 
-def neg_gauss(n: int = 1) -> ScalarField:
+def neg_gauss(n: int) -> ScalarField:
     """-exp(-|z|^2); Levi form e^{-|z|^2}(I - conj(z) z^T), indefinite for |z| > 1."""
 
     def ev(z):
@@ -301,64 +283,75 @@ def neg_gauss(n: int = 1) -> ScalarField:
     return ScalarField("neg_gauss", n, ev, grad=grad, hess=hess)
 
 
-FIELD_IDS = (
-    "sq_norm", "neg_sq_norm", "saddle", "log_abs", "re_linear",
-    "log1p_sq", "max_log", "cross", "neg_gauss",
-)
+def number(default):
+    """Parameter parser of an id that takes a number: default when it has none."""
+    return lambda param, n: default if param is None else float(param)
 
 
-def spec_param(param, convert, default):
-    """A spec's parameter converted by convert, default when it has none; SpecError
-    when convert refuses it (TypeError or ValueError)."""
-    if param is None:
-        return default
-    try:
-        return convert(param)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad parameter {json.dumps(param)} ({exc})") from exc
+def point(default):
+    """Parameter parser of an id that takes a point of C^n: default(n) when it has none."""
+    return lambda param, n: default(n) if param is None else parse_point(param, n)
 
 
-def split_spec(spec: str, kind: str, ids) -> tuple:
-    """(id, parameter) of a spec "id" or "id:<JSON>", the parameter None without a
-    colon; ValueError for an id not in ids, SpecError for a parameter that is not JSON."""
-    base, _, raw = spec.partition(":")
-    if base not in ids:
-        raise ValueError(f"unknown {kind} id {base!r}; known ids: {', '.join(ids)}")
-    return base, spec_param(raw or None, json.loads, None)
+def origin(n: int) -> np.ndarray:
+    return np.zeros(n, dtype=complex)
+
+
+def first_axis(n: int) -> np.ndarray:
+    return np.eye(n, dtype=complex)[0]
+
+
+# id -> (parameter parser, builder).  A parser maps the JSON parameter (None
+# without one) and n to the builder's parameter; an id whose parser is None
+# takes no parameter and its builder takes n alone, else (parameter, n).
+FIELDS = {
+    "sq_norm": (None, sq_norm),
+    "neg_sq_norm": (None, neg_sq_norm),
+    "saddle": (number(2.0), lambda lam, n: saddle(lam)),
+    "log_abs": (point(origin), log_abs),
+    "re_linear": (point(first_axis), re_linear),
+    "log1p_sq": (None, log1p_sq),
+    "max_log": (None, lambda n: max_log()),
+    "cross": (None, lambda n: cross()),
+    "neg_gauss": (None, neg_gauss),
+}
+OMEGAS = {
+    "zero": (None, zero_omega),
+    "const": (number(1.0), constant_omega),
+    "sq": (number(1.0), scaled_sq_omega),
+}
+
+
+def resolve(table, kind: str, spec: str, n):
+    """The object a spec "id" or "id:<JSON>" names in a table, for dimension n (None:
+    a spec without one).  Every failure is a SpecError: an unknown id, a parameter
+    for an id that takes none, a parameter that is not JSON or that the id's parser
+    or builder refuses (TypeError or ValueError), and an object of another dimension."""
+    base, colon, raw = spec.partition(":")
+    if base not in table:
+        raise SpecError(f"unknown {kind} id {base!r}; known ids: {', '.join(table)}")
+    parse, build = table[base]
+    if parse is None:
+        if colon:
+            raise SpecError(f"{kind} id {base!r} takes no parameter")
+        out = build(n)
+    else:
+        try:
+            out = build(parse(json.loads(raw) if colon else None, n), n)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"bad parameter {raw!r} ({exc})") from exc
+    if n is not None and out.n != n:
+        raise SpecError(f"{kind} id {base!r} lives in dim {out.n}, not dim {n}")
+    return out
 
 
 def get_field(spec: str, n: int) -> ScalarField:
     """Resolve a corpus id like "saddle:2" or "log_abs:[[1,0]]" to a field."""
-    base, param = split_spec(spec, "field", FIELD_IDS)
-    if base in ("saddle", "max_log", "cross") and n != 2:
-        raise ValueError(f"{base} is a C^2 corpus entry; use --dim 2")
-    if base == "sq_norm":
-        return sq_norm(n)
-    if base == "neg_sq_norm":
-        return neg_sq_norm(n)
-    if base == "saddle":
-        return saddle(spec_param(param, float, 2.0))
-    if base == "log_abs":
-        return log_abs(spec_param(param, lambda p: parse_point(p, n), None), n)
-    if base == "re_linear":
-        return re_linear(spec_param(param, lambda p: parse_point(p, n), None), n)
-    if base == "log1p_sq":
-        return log1p_sq(n)
-    if base == "max_log":
-        return max_log()
-    if base == "cross":
-        return cross()
-    return neg_gauss(n)
+    return resolve(FIELDS, "field", spec, n)
 
 
 def get_omega(spec: str, n: int) -> HermitianField:
-    base, param = split_spec(spec, "omega", ("zero", "const", "sq"))
-    if base == "zero":
-        return zero_omega(n)
-    if base == "const":
-        c = spec_param(param, float, 1.0)
-        return constant_omega(c * np.eye(n), name=f"const:{c:g}")
-    return scaled_sq_omega(spec_param(param, float, 1.0), n)
+    return resolve(OMEGAS, "omega", spec, n)
 
 
 def parse_point(param, n: int = 0) -> np.ndarray:
@@ -377,12 +370,6 @@ def parse_point(param, n: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Wirtinger calculus by central differences
 # ---------------------------------------------------------------------------
-
-
-def _check_stencil(phi: ScalarField, pts: np.ndarray, vals: np.ndarray) -> None:
-    bad = phi.is_pole(pts) | ~np.isfinite(vals)
-    if np.any(bad):
-        raise PoleInStencilError("pole in stencil")
 
 
 def _require_c2(phi: ScalarField) -> None:
@@ -433,7 +420,8 @@ def levi_form(
                     parts += [zc + a + b, zc + a - b, zc - a + b, zc - a - b]
     stencil = np.concatenate(parts, axis=1).reshape(-1, n)
     flat = phi.evaluate(stencil)
-    _check_stencil(phi, stencil, flat)
+    if not np.all(np.isfinite(flat)):
+        raise PoleInStencilError("pole in stencil")
     vals = flat.reshape(z.shape[0], -1).T  # vals[p] is stencil point p of every node
 
     f0 = vals[0]
@@ -469,7 +457,7 @@ def _region_nodes(phi: ScalarField, region: DomainBox, resolution: int) -> np.nd
     if pts.shape[0] == 0:
         raise ValueError("region grid is empty; increase resolution")
     vals = phi(pts)
-    if np.any(~np.isfinite(vals)) or np.any(phi.is_pole(pts)):
+    if not np.all(np.isfinite(vals)):
         raise PoleInStencilError("pole in region")
     return pts
 

@@ -203,13 +203,6 @@ class HolomorphicCylinder:
     def volume(self) -> float:
         return cylinder_volume(self)
 
-    @property
-    def bounding_radius(self) -> float:
-        """Radius of the smallest ball around the center containing the cylinder."""
-        if self.n == 1:
-            return self.r
-        return math.sqrt(self.r**2 + self.s**2)
-
     def contains(self, pts) -> np.ndarray:
         """Membership of each point, with the radii grown by 1e-12 relative."""
         z = as_points(pts, self.n)

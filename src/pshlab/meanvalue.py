@@ -146,7 +146,7 @@ def classify_psh(
         center = None
         for _ in range(256):
             cand = region.sample_uniform(rng, 1)[0]
-            if np.isfinite(phi.value_at(cand)) and not phi.is_pole(cand[None, :])[0]:
+            if np.isfinite(phi.value_at(cand)):
                 center = cand
                 break
         if center is None:

@@ -327,11 +327,7 @@ def build_psi_delta(w, delta: float, n: int) -> ScalarField:
             return row_sum(np.abs(z) ** 2) + n * np.log(u)
 
     if delta == 0.0:
-        return ScalarField(
-            "psi_delta:0", n, ev,
-            pole=lambda z: row_norm(z - w) == 0.0,
-            smoothness="usc",
-        )
+        return ScalarField("psi_delta:0", n, ev, smoothness="usc")
 
     def grad(z):
         d = z - w

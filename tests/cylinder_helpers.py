@@ -74,10 +74,15 @@ def _direct_line_disc_mean(phi, z0, xi, r, rule: QuadratureRule):
     return clipped_mean(vals, sample.weights, disc.volume)
 
 
+def bounding_radius(cyl: HolomorphicCylinder) -> float:
+    """Radius of the smallest ball around the center containing the cylinder."""
+    return cyl.r if cyl.n == 1 else math.sqrt(cyl.r**2 + cyl.s**2)
+
+
 def montecarlo_volume(cyl: HolomorphicCylinder, samples: int, seed: int):
     """Hit-count volume of the cylinder and the 1-sigma binomial error."""
     rng = np.random.default_rng(seed)
-    half = cyl.bounding_radius
+    half = bounding_radius(cyl)
     box = 2.0 * half
     u = rng.uniform(-half, half, size=(samples, 2 * cyl.n))
     pts = cyl.center + (u[:, 0::2] + 1j * u[:, 1::2])

@@ -322,7 +322,7 @@ def coarse_rhs_bound_one(phi, m, p, w, eps, delta, log_c_m, grid_nodes=64) -> Co
     av = alpha.evaluate(pts)
     on_support = np.sum(np.abs(av) ** 2, axis=0) > 0.0
     # exclude the pole node if it happens to sit on the grid (delta = 0)
-    at_pole = psi.is_pole(pts)
+    at_pole = psi(pts) == -np.inf
     use = on_support & ~at_pole
 
     norm_sq = _psi_delta_norm_sq(av[:, use], pts[use], w, delta, n)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pshlab
-from pshlab.cli import _parse_cm_rule, main, parse_cylinder, parse_point, parse_region, ConfigError
+from pshlab.cli import main, parse_cylinder, parse_point, parse_region, resolve_spec, ConfigError
 
 
 def read_json(path):
@@ -70,13 +70,16 @@ class TestParsers:
         assert str(info.value).startswith(prefix)
 
     def test_cm_rule_gives_log_constant(self):
-        assert _parse_cm_rule("const:1")(7) == 0.0
-        assert _parse_cm_rule("2")(7) == pytest.approx(math.log(2.0))
-        assert _parse_cm_rule("poly:2")(10) == pytest.approx(2.0 * math.log(10.0))
-        assert _parse_cm_rule("exp_sqrt")(10**6) == 1000.0
-        for bad in ("const:0", "poly:x", "cubic"):
-            with pytest.raises(ConfigError, match="--cm rule"):
-                _parse_cm_rule(bad)
+        def rule(text):
+            return resolve_spec("cm", text, None)
+
+        assert rule("const:1")(7) == 0.0
+        assert rule("2")(7) == pytest.approx(math.log(2.0))
+        assert rule("poly:2")(10) == pytest.approx(2.0 * math.log(10.0))
+        assert rule("exp_sqrt")(10**6) == 1000.0
+        for bad in ("const:0", "0", "poly:x", "cubic"):
+            with pytest.raises(ConfigError, match=f"^invalid --cm {bad!r}: "):
+                rule(bad)
 
 
 class TestSubcommands:
@@ -199,8 +202,9 @@ class TestSubcommands:
 
     def test_unknown_func(self, capsys):
         code = main(["levi", "--func", "mystery"])
-        assert code == 1
-        assert "unknown field id" in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid --func 'mystery': unknown field id 'mystery'")
 
     @pytest.mark.parametrize("argv", [
         # these used to print a TypeError traceback
@@ -251,7 +255,7 @@ class TestFormSupportWithoutNodes:
 
         zero = FormField01("0", 1, lambda z: np.zeros((1, z.shape[0]), dtype=complex),
                            unit_ball(1, radius=0.9))
-        monkeypatch.setattr(cli, "get_form", lambda name, n: zero)
+        monkeypatch.setitem(cli.FORMS, "bump_const", (None, lambda n: zero))
         out = tmp_path / "b.json"
         assert main(["bochner", "--func", "sq_norm", "--grid", "48", "--out", str(out)]) == 1
         assert capsys.readouterr().out.startswith("[FAIL] bochner-identity")

@@ -175,7 +175,7 @@ class TestJensenChain:
     def test_pole_at_the_center_raises(self):
         # phi(z0) = -inf: the conclusion margin mean(phi) - phi(z0) would be +inf
         with pytest.raises(ValueError, match="center lies on the pole set"):
-            jensen_chain_check(fields.log_abs(n=1), disc(), constant_one(np.zeros(1)), 2.0, RULE)
+            jensen_chain_check(fields.log_abs(np.zeros(1), 1), disc(), constant_one(np.zeros(1)), 2.0, RULE)
 
     def test_vanishing_candidate_rejected(self):
         # f = z vanishes at the center: normalization fails before integration

@@ -21,8 +21,8 @@ CORPUS = [
     (fields.sq_norm(2), np.array([0.3 + 0.2j, -0.1 + 0.4j]), False),
     (fields.neg_sq_norm(2), np.array([0.5 + 0.1j, 0.2 - 0.3j]), False),
     (fields.saddle(2.0), np.array([0.4 - 0.2j, 0.3 + 0.1j]), False),
-    (fields.log_abs(n=1), np.array([0.8 + 0.3j]), True),
-    (fields.re_linear(n=2), np.array([0.1 + 0.7j, -0.4 + 0.2j]), False),
+    (fields.log_abs(np.zeros(1), 1), np.array([0.8 + 0.3j]), True),
+    (fields.re_linear([1.0, 0.0], 2), np.array([0.1 + 0.7j, -0.4 + 0.2j]), False),
     (fields.log1p_sq(1), np.array([0.5 + 0.25j]), True),
     (fields.max_log(), np.array([0.9 + 0.1j, 0.3 - 0.2j]), False),
     (fields.cross(), np.array([0.2 + 0.3j, -0.5 + 0.1j]), False),
@@ -81,7 +81,7 @@ class TestLeviForm:
         # the second node's stencil meets the pole
         pts = np.array([[0.5 + 0.0j], [0.0 + 0.0j]])
         with pytest.raises(PoleInStencilError, match="pole in stencil"):
-            levi_form(fields.log_abs(n=1), pts, use_analytic=False)
+            levi_form(fields.log_abs(np.zeros(1), 1), pts, use_analytic=False)
 
     def test_usc_rejected(self):
         usc = ScalarField("usc", 1, lambda z: np.zeros(z.shape[0]), smoothness="usc")
@@ -147,7 +147,7 @@ class TestCheckLowerBound:
 
     def test_pole_in_region(self):
         with pytest.raises(PoleInStencilError):
-            check_lower_bound(fields.log_abs(n=1), zero_omega(1), unit_ball(1), 9, fields.LEVI_TOL)
+            check_lower_bound(fields.log_abs(np.zeros(1), 1), zero_omega(1), unit_ball(1), 9, fields.LEVI_TOL)
 
 
 class TestRegistry:

@@ -61,7 +61,7 @@ def sampled_rules(monkeypatch):
 class TestCylinderMean:
     def test_log_abs_harmonic_mean(self):
         # mean-value equality of the harmonic function log|z| away from 0
-        val = cylinder_mean(fields.log_abs(n=1), disc(0.5, center=1.0), RULE)
+        val = cylinder_mean(fields.log_abs(np.zeros(1), 1), disc(0.5, center=1.0), RULE)
         assert val == pytest.approx(0.0, abs=1e-6)
 
     def test_sq_norm_disc(self):
@@ -83,7 +83,7 @@ class TestCylinderMean:
     def test_pole_inside_body_is_integrable(self):
         # pole strictly inside the disc: clipped means converge to the
         # superharmonic defect value log r - (1 - d^2/r^2)/2 ... here d=0:
-        val = cylinder_mean(fields.log_abs(n=1), disc(1.0), RULE)
+        val = cylinder_mean(fields.log_abs(np.zeros(1), 1), disc(1.0), RULE)
         assert val == pytest.approx(-0.5, abs=2e-3)
 
     def test_clipped_mean_diverges(self):
@@ -106,12 +106,12 @@ class TestSubmeanTest:
     def test_harmonic_zero_margin(self):
         z0 = np.array([0.3 + 0.1j, -0.2j])
         cyl = HolomorphicCylinder(z0, random_unitary(3, 2), 0.4, 0.3)
-        rep = submean_test(fields.re_linear(n=2), cyl, QuadratureRule("tensor-grid", 16384, 0))
+        rep = submean_test(fields.re_linear([1.0, 0.0], 2), cyl, QuadratureRule("tensor-grid", 16384, 0))
         assert abs(rep.margin) <= 1e-10
 
     def test_center_on_pole_rejected(self):
         with pytest.raises(ValueError, match="pole"):
-            submean_test(fields.log_abs(n=1), disc(0.5), RULE)
+            submean_test(fields.log_abs(np.zeros(1), 1), disc(0.5), RULE)
 
     def test_quad_error_needs_coarse_mean(self, monkeypatch):
         calls = sampled_rules(monkeypatch)
@@ -269,7 +269,7 @@ class TestLineDiscMean:
 
     def test_log_abs_line_limit(self):
         means = line_disc_mean(
-            fields.log_abs(n=2), np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+            fields.log_abs(np.zeros(2), 2), np.array([1.0, 0.0]), np.array([1.0, 0.0]),
             0.5, [0.5**k for k in range(1, 6)], RULE,
         )
         assert means[-1] == pytest.approx(0.0, abs=1e-6)

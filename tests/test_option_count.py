@@ -15,8 +15,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pshlab"
 
-PARAMETERS_WITH_DEFAULT = 26
-DATACLASS_INIT_FIELDS = 88
+PARAMETERS_WITH_DEFAULT = 18
+DATACLASS_INIT_FIELDS = 87
 
 HOW_TO_UPDATE = (
     "A change that alters this count updates the pin here and justifies the change in "

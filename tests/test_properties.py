@@ -70,7 +70,7 @@ property_settings = settings(max_examples=20, deadline=None)
 
 
 def shifted(phi: fields.ScalarField, c: float) -> fields.ScalarField:
-    """phi + c, with phi's derivatives and pole set."""
+    """phi + c, with phi's derivatives."""
     return dataclasses.replace(
         phi, name=f"{phi.name}+{c!r}", evaluate=lambda z: phi.evaluate(z) + c
     )

@@ -111,8 +111,7 @@ def old_log_abs(av, n):
         outer = np.conj(d)[:, :, None] * d[:, None, :]
         return 0.5 * (np.eye(n)[None] / u[:, None, None] - outer / (u**2)[:, None, None])
 
-    return {"evaluate": lambda z: np.log(old_norm(z - av)), "grad": grad, "hess": hess,
-            "pole": lambda z: old_norm(z - av) == 0.0}
+    return {"evaluate": lambda z: np.log(old_norm(z - av)), "grad": grad, "hess": hess}
 
 
 def old_log1p_sq(n):
@@ -166,8 +165,7 @@ def field_cases(n):
                   {"evaluate": lambda z: 30.0 * (old_sq(z - a) - 0.7 * 0.7 / 4.0)}, None),
         "psi_delta": (build_psi_delta(w, 0.25, n), old_psi_delta(w, 0.25, n), None),
         "psi_delta:0": (build_psi_delta(w, 0.0, n), {
-            "evaluate": lambda z: old_sq(z) + n * np.log(old_sq(z - w)),
-            "pole": lambda z: old_norm(z - w) == 0.0}, w),
+            "evaluate": lambda z: old_sq(z) + n * np.log(old_sq(z - w))}, w),
     }
 
 

@@ -409,7 +409,7 @@ class TestScanSharpWitness:
 
     @pytest.mark.parametrize("omega, metric_ndim", [
         (fields.zero_omega(1), 2),
-        (fields.constant_omega(-0.5 * np.eye(1)), 2),
+        (fields.constant_omega(-0.5, 1), 2),
         (fields.scaled_sq_omega(-0.5, 1), 3),
     ])
     def test_constant_omega_takes_one_metric(self, omega, metric_ndim, monkeypatch):
@@ -587,7 +587,6 @@ class TestPsiDelta:
         w = np.array([0.0j])
         psi = build_psi_delta(w, 0.0, 1)
         assert psi.value_at(w) == -np.inf
-        assert psi.is_pole(w[None, :])[0]
         assert psi.smoothness == "usc"
 
 
