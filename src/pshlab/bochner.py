@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PoleInStencilError
-from .fields import ScalarField, first_axis, levi_form, point, resolve, unshift, weight_exp
+from .fields import ScalarField, levi_form, unshift, weight_exp
 from .geometry import DomainBox, as_point, as_points, row_sum
 
 FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
@@ -337,23 +337,3 @@ def zero_field(n: int) -> ScalarField:
         grad=lambda z: np.zeros((z.shape[0], n), dtype=complex),
         hess=lambda z: np.zeros((z.shape[0], n, n), dtype=complex),
     )
-
-
-def dbar_nu_form(n: int) -> FormField01:
-    """The witness form at the origin with direction e_1 and radius 1."""
-    from .witness import build_witness_form
-
-    return build_witness_form(np.zeros(n, dtype=complex), first_axis(n), 1.0)
-
-
-# id -> (parameter parser, builder), as fields.FIELDS
-FORMS = {
-    "bump_const": (point(first_axis), lambda xi, n: bump_const_form(xi)),
-    "bump_zbar2": (None, bump_zbar_form),
-    "dbar_nu": (None, dbar_nu_form),
-}
-
-
-def get_form(spec: str, n: int) -> FormField01:
-    """Resolve a form id like "bump_const:[[1,0]]" or "bump_zbar2"."""
-    return resolve(FORMS, "form", spec, n)

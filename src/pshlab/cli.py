@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, fields
 from .acceptance import RUNTIME_LIMITS, CheckRecord, json_default, render_lines, run_suite
-from .bochner import FD_STENCIL_WIDTH, FORMS, bochner_residual, get_form, make_grid
+from .bochner import FD_STENCIL_WIDTH, bochner_residual, bump_const_form, bump_zbar_form, make_grid
 from .dbar1d import dbar_bump, hormander_ratio
 from .errors import PshlabError, SpecError
 from .extension import (
@@ -49,6 +49,7 @@ from .meanvalue import classify_psh
 from .witness import (
     DEFAULT_E_GRID,
     build_psi_s,
+    build_witness_form,
     coarse_constant_growth,
     coarse_rhs_bound,
     modulus_of_continuity,
@@ -82,7 +83,7 @@ def _psi_s_param(param, n) -> tuple:
     """(r, s) of psi_s's parameter [s, r], which it must have."""
     if param is None:
         raise ValueError("psi_s takes the parameter [s, r]")
-    s, r = map(float, param)
+    s, r = map(fields.finite, param)
     return r, s
 
 
@@ -92,6 +93,12 @@ CM_RULES = {
     "poly": (fields.number(2.0), lambda k, n: lambda m: k * math.log(m)),
     "exp_sqrt": (None, lambda n: math.sqrt),
 }
+# id -> (parameter parser, builder), as fields.FIELDS
+FORMS = {
+    "bump_const": (fields.point(fields.first_axis), lambda xi, n: bump_const_form(xi)),
+    "bump_zbar2": (None, bump_zbar_form),
+    "dbar_nu": (None, lambda n: build_witness_form(fields.origin(n), fields.first_axis(n), 1.0)),
+}
 PSI = {**fields.FIELDS, "psi_s": (_psi_s_param, lambda rs, n: build_psi_s(fields.origin(n), *rs))}
 RHS = {**FORMS, "dbar_bump": (None, lambda n: dbar_bump())}
 
@@ -100,7 +107,7 @@ def resolve_cm_rule(spec: str, n):
     """The rule m -> log(C_m) of a C_m spec, which has no dimension n; a bare number c
     is shorthand for const:c."""
     try:
-        spec = f"const:{float(spec)!r}"
+        spec = f"const:{json.dumps(float(spec))}"
     except ValueError:
         pass
     return fields.resolve(CM_RULES, "C_m rule", spec, None)
@@ -112,7 +119,7 @@ SPECS = {
     "weight": ("phi", fields.get_field),
     "psi": ("psi", partial(fields.resolve, PSI, "field")),
     "omega": ("omega", fields.get_omega),
-    "form": ("alpha", get_form),
+    "form": ("alpha", partial(fields.resolve, FORMS, "form")),
     "rhs": ("rhs", partial(fields.resolve, RHS, "form")),
     "cm": ("log_c_m", resolve_cm_rule),
     "cm-rule": ("log_c_m", resolve_cm_rule),

@@ -283,9 +283,18 @@ def neg_gauss(n: int) -> ScalarField:
     return ScalarField("neg_gauss", n, ev, grad=grad, hess=hess)
 
 
+def finite(param) -> float:
+    """A numeric spec parameter as a float, which must be finite: JSON NaN and Infinity
+    are refused."""
+    x = float(param)
+    if not np.isfinite(x):
+        raise ValueError(f"{param!r} is not a finite number")
+    return x
+
+
 def number(default):
-    """Parameter parser of an id that takes a number: default when it has none."""
-    return lambda param, n: default if param is None else float(param)
+    """Parameter parser of an id that takes a finite number: default when it has none."""
+    return lambda param, n: default if param is None else finite(param)
 
 
 def point(default):

@@ -15,11 +15,11 @@ from pshlab.bochner import (
     dbar_01,
     dbar_star,
     form_gradient,
-    get_form,
     make_grid,
     support_values,
     zero_field,
 )
+from pshlab.cli import ConfigError, resolve_spec
 from pshlab.errors import WeightOverflowError
 from pshlab.geometry import DomainBox, unit_ball
 from pshlab.dbar1d import dbar_bump
@@ -622,14 +622,14 @@ class TestSeparableSupport:
 
 class TestFormRegistry:
     def test_get_forms(self):
-        assert get_form("bump_const", 1).n == 1
-        assert get_form("bump_zbar2", 2).n == 2
-        f = get_form("dbar_nu", 1)
+        assert resolve_spec("form", "bump_const", 1).n == 1
+        assert resolve_spec("form", "bump_zbar2", 2).n == 2
+        f = resolve_spec("form", "dbar_nu", 1)
         assert f.n == 1
 
     def test_unknown(self):
-        with pytest.raises(ValueError, match="unknown form id"):
-            get_form("mystery", 1)
+        with pytest.raises(ConfigError, match="unknown form id"):
+            resolve_spec("form", "mystery", 1)
 
     def test_support_vanishing(self):
         a = bump_const_form(np.array([1.0, 0.0]), radius=0.7)

@@ -1,10 +1,10 @@
 """Every function, class and method defined in src/pshlab is used in src/pshlab.
 
-A definition counts as used when its name occurs as a word in some module of
-src/pshlab other than __init__.py (which only re-exports) more often than the
-name is defined there.  Dunder methods are called by the language and do not
-count.  A docstring or comment that names a definition hides it from this test,
-so the test finds dead code; it cannot prove that code is alive.
+A definition counts as used when its name occurs as a word in the modules of
+src/pshlab more often than the name is defined there.  Dunder methods are
+called by the language and do not count.  A docstring or comment that names a
+definition hides it from this test, so the test finds dead code; it cannot
+prove that code is alive.
 """
 
 import ast
@@ -16,8 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "pshlab"
 
 
 def _modules() -> dict:
-    return {path.name: path.read_text(encoding="utf-8")
-            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
 
 
 def definitions(text: str):

@@ -1,9 +1,9 @@
 """One spec table per kind of spec and one resolver, fields.resolve.
 
 Every id of every table gives, bare, the object that its builder gave before
-the tables; an id that takes no parameter refuses one; every spec failure
-exits 2 and names the option; and no other code in src/pshlab splits a spec
-at ':' or JSON-parses a spec parameter.
+the tables; an id that takes no parameter refuses one; a numeric parameter
+must be finite; every spec failure exits 2 and names the option; and no other
+code in src/pshlab splits a spec at ':' or JSON-parses a spec parameter.
 """
 
 import ast
@@ -76,9 +76,9 @@ def test_bare_omega_id_is_its_old_builder_call(spec, n):
     assert np.array_equal(got(points(n)), want(points(n)))
 
 
-@pytest.mark.parametrize("spec, n", cases(bochner.FORMS, FORM_CALLS))
+@pytest.mark.parametrize("spec, n", cases(cli.FORMS, FORM_CALLS))
 def test_bare_form_id_is_its_old_builder_call(spec, n):
-    got, want = bochner.get_form(spec, n), FORM_CALLS[spec][1](n)
+    got, want = cli.resolve_spec("form", spec, n), FORM_CALLS[spec][1](n)
     assert got.name == want.name
     assert got.support.kind == want.support.kind
     assert np.array_equal(got.support.center, want.support.center)
@@ -130,7 +130,7 @@ OPTIONS = {
     "weight": (["dbar"], fields.FIELDS),
     "psi": (["dbar", "--weight", "sq_norm"], cli.PSI),
     "omega": (["levi", "--func", "sq_norm"], fields.OMEGAS),
-    "form": (["bochner", "--func", "sq_norm"], bochner.FORMS),
+    "form": (["bochner", "--func", "sq_norm"], cli.FORMS),
     "rhs": (["dbar", "--weight", "sq_norm"], cli.RHS),
     "cm": (["coarse-chain", "--func", "re_linear"], cli.CM_RULES),
     "cm-rule": (["coarse-extend", "--func", "sq_norm"], cli.CM_RULES),
@@ -192,6 +192,30 @@ def test_spec_failure_exits_2_naming_the_option(option, spec, extra, capsys):
 
 
 @pytest.mark.parametrize("argv, option, spec", [
+    # each of these used to pass, give a nan or fail without naming the option
+    (["witness", "--func", "neg_sq_norm", "--omega", "const:NaN"], "omega", "const:NaN"),
+    (["levi", "--func", "sq_norm", "--omega", "const:NaN"], "omega", "const:NaN"),
+    (["levi", "--func", "sq_norm", "--omega", "sq:-Infinity"], "omega", "sq:-Infinity"),
+    (["levi", "--func", "saddle:NaN", "--dim", "2"], "func", "saddle:NaN"),
+    (["dbar", "--weight", "sq_norm", "--psi", "psi_s:[NaN, 0.5]"], "psi", "psi_s:[NaN, 0.5]"),
+    (["dbar", "--weight", "sq_norm", "--psi", "psi_s:[1000, Infinity]"], "psi",
+     "psi_s:[1000, Infinity]"),
+    (["coarse-extend", "--func", "sq_norm", "--cm-rule", "poly:NaN"], "cm-rule", "poly:NaN"),
+    (["coarse-extend", "--func", "sq_norm", "--cm-rule", "const:Infinity"], "cm-rule",
+     "const:Infinity"),
+    # the bare-number shorthand writes its const: parameter as JSON
+    (["coarse-chain", "--func", "re_linear", "--cm", "nan"], "cm", "nan"),
+    (["coarse-chain", "--func", "re_linear", "--cm", "inf"], "cm", "inf"),
+    (["coarse-extend", "--func", "sq_norm", "--cm-rule=-inf"], "cm-rule", "-inf"),
+])
+def test_non_finite_parameter_exits_2(argv, option, spec, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid --{option} {spec!r}: ")
+    assert "is not a finite number" in err
+
+
+@pytest.mark.parametrize("argv, option, spec", [
     # each of these used to ignore its parameter, or to fail without naming the option
     (["levi", "--func", "sq_norm:[1]", "--omega", "zero:7"], "func", "sq_norm:[1]"),
     (["levi", "--func", "sq_norm", "--omega", "zero:7"], "omega", "zero:7"),
@@ -246,5 +270,6 @@ def test_only_resolve_parses_a_spec():
     # points (--center, --w) and regions are JSON options, not specs
     assert spec_parsing_sites() == {"fields.resolve", "cli.parse_point", "cli.parse_region"}
     for module, name in [(fields, "split_spec"), (fields, "spec_param"), (fields, "FIELD_IDS"),
-                         (cli, "_parse_psi"), (cli, "_parse_rhs"), (cli, "_parse_cm_rule")]:
+                         (cli, "_parse_psi"), (cli, "_parse_rhs"), (cli, "_parse_cm_rule"),
+                         (bochner, "FORMS"), (bochner, "get_form"), (bochner, "dbar_nu_form")]:
         assert not hasattr(module, name)
