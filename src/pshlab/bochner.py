@@ -258,6 +258,15 @@ class BochnerReport:
     adjoint_term = property(lambda self: self._unscaled(3))
 
 
+RESIDUAL_GATE_N1 = 1e-3  # the largest residual of a verified identity at n = 1
+RESIDUAL_GATE = 5e-3  # and at every n >= 2
+
+
+def residual_gate(n: int) -> float:
+    """The largest bochner_residual residual that verifies the identity in C^n."""
+    return RESIDUAL_GATE_N1 if n == 1 else RESIDUAL_GATE
+
+
 def bochner_residual(
     alpha: FormField01, phi: ScalarField, grid: GridDiscretization
 ) -> BochnerReport:

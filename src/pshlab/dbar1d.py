@@ -22,6 +22,7 @@ from .fields import levi_form, unshift, weight_exp
 from .geometry import unit_ball
 
 RESIDUAL_MARGIN_CELLS = 4  # dbar_residual skips this many node layers at each edge
+RESIDUAL_GATE = 5e-3  # the largest dbar_residual of a solve that counts as solved
 
 
 @dataclass(frozen=True)

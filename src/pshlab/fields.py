@@ -20,6 +20,7 @@ from .geometry import DomainBox, as_point, as_points, row_norm, row_sum
 DEFAULT_FD_STEP = 1e-3
 HERMITIAN_TOL = 1e-12
 LEVI_TOL = 1e-9  # a Levi gap eigenvalue below -LEVI_TOL is a violation
+REGION_RESOLUTION = 9  # nodes per real axis of the region grid a Levi gap is scanned on
 
 
 @dataclass(frozen=True)
@@ -363,15 +364,17 @@ def get_omega(spec: str, n: int) -> HermitianField:
     return resolve(OMEGAS, "omega", spec, n)
 
 
-def parse_point(param, n: int = 0) -> np.ndarray:
-    """Points are JSON arrays of [re, im] pairs; n > 0 pins the dimension."""
+def parse_point(param, n: int) -> np.ndarray:
+    """A point of C^n from JSON: an array of n [re, im] pairs, all finite."""
     arr = np.asarray(param, dtype=float)
     if arr.ndim == 1 and arr.size == 2:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("point JSON must be an array of [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("point has non-finite components")
     out = arr[:, 0] + 1j * arr[:, 1]
-    if n and out.size != n:
+    if out.size != n:
         raise ValueError(f"parameter has dimension {out.size}, expected {n}")
     return out
 

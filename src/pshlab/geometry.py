@@ -192,8 +192,9 @@ class HolomorphicCylinder:
             raise ValueError(f"frame must be {self.n}x{self.n}, got {a.shape}")
         check_unitary(a)
         object.__setattr__(self, "frame", a)
-        if not (self.r > 0.0 and self.s > 0.0):
-            raise ValueError("cylinder radii must be positive")
+        if not (0.0 < self.r < math.inf and 0.0 < self.s < math.inf):
+            raise ValueError(
+                f"cylinder radii must be finite and positive, got r={self.r}, s={self.s}")
 
     @property
     def n(self) -> int:
@@ -202,15 +203,6 @@ class HolomorphicCylinder:
     @property
     def volume(self) -> float:
         return cylinder_volume(self)
-
-    def contains(self, pts) -> np.ndarray:
-        """Membership of each point, with the radii grown by 1e-12 relative."""
-        z = as_points(pts, self.n)
-        w = (z - self.center) @ self.frame.conj()
-        ok = np.abs(w[:, 0]) <= self.r * (1.0 + 1e-12)
-        if self.n > 1:
-            ok &= row_norm(w[:, 1:]) <= self.s * (1.0 + 1e-12)
-        return ok
 
 
 def cylinder_volume(cyl: HolomorphicCylinder) -> float:
@@ -258,6 +250,12 @@ def random_unitary(seed: int, n: int) -> np.ndarray:
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return q
+
+
+def seeded_frame(seed: int, n: int) -> np.ndarray:
+    """The frame of a cylinder drawn by seed: random_unitary(seed, n), and the
+    identity at n = 1, where a frame only turns the disc."""
+    return random_unitary(seed, n) if n > 1 else np.eye(1, dtype=complex)
 
 
 def _halton_axis(cnt: int, base: int) -> np.ndarray:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import ContinuityRequiredError, MetricNotPositiveError
 from .fields import (
-    LEVI_TOL, HermitianField, ScalarField, _levi_gap, _region_nodes, unshift, weight_exp,
+    LEVI_TOL, REGION_RESOLUTION, HermitianField, ScalarField, _levi_gap, _region_nodes, unshift,
+    weight_exp,
 )
 from .bochner import (
     FormField01, GridDiscretization, band_energy, form_gradient, make_grid, support_values,
@@ -175,18 +176,24 @@ class WitnessScan:
     certificate: Optional[WitnessCertificate]
 
 
-DEFAULT_S_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
-DEFAULT_E_GRID = {1: 96, 2: 16}
+# the s-schedule is S_FIRST, 10 S_FIRST, 100 S_FIRST, ... up to an smax;
+# S_MAX is the smax of criterion 4 and of witness --smax by default
+S_FIRST = 10.0
+S_MAX = 1e4
 RADIUS_LADDER_STEPS = 6  # _select_radius tries r_max / 2^k for k below this
-REGION_RESOLUTION = 9  # nodes per real axis of the region grid the Levi gap is scanned on
 INFIMUM_SAMPLES = 20000  # interior sample points of ball_infimum
+
+
+def default_grid_nodes(n: int) -> int:
+    """Nodes per axis of the witness grid in C^n when the caller names none."""
+    return 96 if n == 1 else 16
 
 
 def scan_sharp_witness(
     phi: ScalarField,
     omega: HermitianField,
     region: DomainBox,
-    s_schedule: Sequence[float] = DEFAULT_S_SCHEDULE,
+    smax: float,
     grid_nodes: Optional[int] = None,
 ) -> WitnessScan:
     """Search for a sign-functional certificate against the sharp estimate.
@@ -197,10 +204,12 @@ def scan_sharp_witness(
     z0 with the largest c r_max^2, where c is the gap depth there and r_max
     the radius of the largest ball about z0 in the region; then the largest
     dyadic radius r <= r_max with sampled gap < -c/2 on B(z0, r).  It builds
-    the localized form and sweeps the s-schedule until E < 0 on the grid and
-    on the doubled grid.  There is no certificate for weights whose Levi form
-    dominates omega on the region, when no ladder radius keeps the gap below
-    -c/2, and when no s of the schedule certifies a violation.
+    the localized form and sweeps the s-schedule S_FIRST, 10 S_FIRST, ... up to
+    smax (1e-12 relative slack) until E < 0 on the grid and on the doubled
+    grid, of default_grid_nodes(n) nodes per axis unless grid_nodes is given.
+    There is no certificate for weights whose Levi form dominates omega on the
+    region, when no ladder radius keeps the gap below -c/2, and when no s of
+    the schedule certifies a violation.
     """
     pts = _region_nodes(phi, region, REGION_RESOLUTION)
     gap, eigs = _levi_gap(phi, omega, pts)
@@ -211,7 +220,7 @@ def scan_sharp_witness(
         return WitnessScan(holds, None)
     z0, xi, c, _ = center
     if grid_nodes is None:
-        grid_nodes = DEFAULT_E_GRID.get(phi.n, 16)
+        grid_nodes = default_grid_nodes(phi.n)
     f = build_witness_form(z0, xi, r)
 
     @functools.cache
@@ -227,14 +236,16 @@ def scan_sharp_witness(
         alpha = alpha_from_f(fv, _plus_s(g, s)).T
         return estimate_functional_E((idx, alpha), phi, psi, omega, grid)
 
-    for s in s_schedule:
-        psi = build_psi_s(z0, r, float(s))
+    s = S_FIRST
+    while s <= smax * (1.0 + 1e-12):
+        psi = build_psi_s(z0, r, s)
         value = energy(grid_nodes, psi, s)
         if value < 0.0:
             value_doubled = energy(2 * grid_nodes, psi, s)
             if value_doubled < 0.0:
-                cert = WitnessCertificate(z0, xi, r, c, float(s), value, value_doubled, grid_nodes)
+                cert = WitnessCertificate(z0, xi, r, c, s, value, value_doubled, grid_nodes)
                 return WitnessScan(holds, cert)
+        s *= 10.0
     return WitnessScan(holds, None)
 
 

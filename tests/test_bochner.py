@@ -24,8 +24,8 @@ from pshlab.errors import WeightOverflowError
 from pshlab.geometry import DomainBox, unit_ball
 from pshlab.dbar1d import dbar_bump
 from pshlab.witness import (
-    _witness_grid, build_alpha_eps, build_psi_s, build_witness_form, estimate_functional_E,
-    scan_sharp_witness,
+    S_MAX, _witness_grid, build_alpha_eps, build_psi_s, build_witness_form,
+    estimate_functional_E, scan_sharp_witness,
 )
 
 from grid_helpers import (
@@ -488,7 +488,7 @@ class TestBand:
     ], ids=["neg_sq_norm", "saddle"])
     def test_every_band_node_carries_an_integrand_criterion_4(self, phi, region):
         # the certificates' grid and doubled grid; alpha^s = f / s for omega = 0
-        cert = scan_sharp_witness(phi, fields.zero_omega(phi.n), region).certificate
+        cert = scan_sharp_witness(phi, fields.zero_omega(phi.n), region, S_MAX).certificate
         f = build_witness_form(cert.z0, cert.xi, cert.r)
         for nodes in (cert.grid_nodes, 2 * cert.grid_nodes):
             g = _witness_grid(cert.z0, cert.r, nodes)
@@ -808,6 +808,6 @@ class TestZeroForm:
         monkeypatch.setattr(witness, "build_witness_form",
                             lambda z0, xi, r: zero_form(1, radius=r, center=z0))
         monkeypatch.setattr(witness, "estimate_functional_E", recorded)
-        scan = scan_sharp_witness(fields.neg_sq_norm(1), omega, unit_ball(1))
+        scan = scan_sharp_witness(fields.neg_sq_norm(1), omega, unit_ball(1), S_MAX)
         assert scan.certificate is None and not scan.levi_lower_bound_holds
-        assert energies == [0.0] * len(witness.DEFAULT_S_SCHEDULE)
+        assert energies == [0.0] * 4  # s = 10, 100, 1000, 10000

@@ -562,6 +562,32 @@ class TestBoundedOptions:
         assert err.startswith(f"error: invalid {option}: ")
         assert "expected " + ("2" if "--dim" in argv else "1") in err
 
+    @pytest.mark.parametrize("argv, option, message", [
+        # each used to exit 1 without naming the option, or (s=inf) to pass
+        (["coarse-chain", "--func", "re_linear", "--w", "[[NaN,0]]"], "--w",
+         "point has non-finite components"),
+        (["extend", "--func", "neg_sq_norm", "--center", "[[NaN,0]]"], "--center",
+         "point has non-finite components"),
+        (["extend", "--func", "sq_norm", "--center", "[[0,Infinity]]"], "--center",
+         "point has non-finite components"),
+        (["extend", "--func", "neg_sq_norm", "--cylinder", "r=nan"], "--cylinder",
+         "cylinder radii must be finite and positive"),
+        (["extend", "--func", "neg_sq_norm", "--cylinder", "r=-1"], "--cylinder",
+         "cylinder radii must be finite and positive"),
+        (["coarse-extend", "--func", "sq_norm", "--cylinder", "r=inf"], "--cylinder",
+         "cylinder radii must be finite and positive"),
+        (["extend", "--func", "neg_sq_norm", "--cylinder", "r=1,s=inf"], "--cylinder",
+         "cylinder radii must be finite and positive"),
+        # a frame seed that random_unitary refuses used to exit 1
+        (["extend", "--func", "sq_norm", "--dim", "2", "--center", "[[0,0],[0,0]]",
+          "--cylinder", "r=1,seed=-1"], "--cylinder", "expected non-negative integer"),
+    ])
+    def test_bad_point_or_cylinder_is_config_error(self, argv, option, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid {option}")
+        assert message in err
+
     def test_witness_grid_zero_is_the_default(self, tmp_path):
         out = tmp_path / "w.json"
         assert main(["witness", "--func", "sq_norm", "--grid", "0", "--out", str(out)]) == 0
@@ -717,40 +743,56 @@ class TestParserSurface:
         assert config["out"] == str(out)
 
 
+def fake_suite(monkeypatch, criteria, determinism):
+    """run_suite over the given criterion records and determinism record, as run_suite
+    applies the runtime limits to them; returns the payloads determinism compared."""
+    from pshlab import acceptance
+
+    compared = []
+    monkeypatch.setattr(acceptance, "run_criteria", lambda seed: list(criteria))
+    monkeypatch.setattr(acceptance, "criterion_determinism",
+                        lambda seed, first: compared.append(first) or determinism)
+    return compared
+
+
 class TestAcceptReport:
     def test_report_is_payload_plus_runtime_limit(self, monkeypatch, tmp_path, capsys):
-        from pshlab import cli
-        from pshlab.acceptance import RUNTIME_LIMITS, CheckRecord
+        from pshlab.acceptance import RUNTIME_LIMITS, CheckRecord, payload_bytes
 
-        records = [
+        criteria = [
             CheckRecord("levi-oracle-agreement", True, {"e": 1e-6}, {"rel_error": 1e-4}, 1.5),
             CheckRecord("bochner-identity", True, {"r": 2e-4}, {"n1": 1e-3},
                         RUNTIME_LIMITS["bochner-identity"] + 1.0),
             CheckRecord("hormander-ratio", False, {"ratio": 1.5}, {"witness_ratio": 1.0}, 0.5),
         ]
-        monkeypatch.setattr(cli, "run_suite", lambda seed: records)
+        determinism = CheckRecord("determinism", True, {"byte_identical": True}, {}, 2.0)
+        compared = fake_suite(monkeypatch, criteria, determinism)
         out = tmp_path / "accept.json"
         assert main(["accept", "--seed", "7", "--out", str(out)]) == 1
+        # the printed line carries the verdict that the report records
         assert capsys.readouterr().out.splitlines() == [
             "[PASS] levi-oracle-agreement: 1.5s (limit 5s)",
-            "[PASS] bochner-identity: 61.0s (limit 60s)",
+            "[FAIL] bochner-identity: 61.0s (limit 60s)",
             "[FAIL] hormander-ratio: 0.5s (limit 60s)",
+            "[PASS] determinism: 2.0s (limit 300s)",
         ]
+        # determinism compared the payloads from before the limits applied
+        assert compared == [payload_bytes(criteria)]
         rep = read_json(out)
         assert rep["command"] == "accept"
         assert rep["config"] == {"seed": 7}
-        within = [True, False, False]
+        records = criteria + [determinism]
+        within = [True, False, True, True]
         assert rep["checks"] == [
             {**r.payload(), "passed": r.passed and ok} for r, ok in zip(records, within)
         ]
         assert rep["timings"] == {r.name: r.seconds for r in records}
 
     def test_passing_suite_exits_zero(self, monkeypatch, tmp_path):
-        from pshlab import cli
         from pshlab.acceptance import CheckRecord
 
         records = [CheckRecord("determinism", True, {"byte_identical": True}, {}, 1.0)]
-        monkeypatch.setattr(cli, "run_suite", lambda seed: records)
+        fake_suite(monkeypatch, [], records[0])
         out = tmp_path / "accept.json"
         assert main(["accept", "--out", str(out)]) == 0
         assert read_json(out)["checks"] == [records[0].payload()]

@@ -17,7 +17,7 @@ from pshlab.geometry import (
     unit_ball,
 )
 
-from cylinder_helpers import bounding_radius, montecarlo_volume, unitary_from_first_column
+from cylinder_helpers import bounding_radius, contains, montecarlo_volume, unitary_from_first_column
 
 
 def disc(r=1.0, center=0.0):
@@ -95,6 +95,24 @@ class TestRandomUnitary:
         assert np.linalg.norm(a[:, 0] - xi) <= 1e-12
         assert np.max(np.abs(a.conj().T @ a - np.eye(2))) <= 1e-12
 
+    def test_seeded_frame_draws_only_above_n_1(self, monkeypatch):
+        import pshlab.geometry as geometry
+
+        draws = []
+        draw = geometry.random_unitary
+        monkeypatch.setattr(geometry, "random_unitary",
+                            lambda seed, n: draws.append(n) or draw(seed, n))
+        assert np.array_equal(geometry.seeded_frame(7, 1), np.eye(1, dtype=complex))
+        assert np.array_equal(geometry.seeded_frame(7, 2), draw(7, 2))
+        assert draws == [2]
+
+
+@pytest.mark.parametrize("r, s", [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                  (1.0, 0.0), (1.0, math.nan), (1.0, math.inf)])
+def test_cylinder_radii_must_be_finite_and_positive(r, s):
+    with pytest.raises(ValueError, match="cylinder radii must be finite and positive"):
+        HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), r, s)
+
 
 class TestSampling:
     @pytest.mark.parametrize("kind", ["tensor-grid", "quasi-random"])
@@ -108,7 +126,7 @@ class TestSampling:
     def test_nodes_inside(self, kind):
         cyl = cyl2(0.9, 0.5, seed=4)
         sample = sample_cylinder(cyl, QuadratureRule(kind, 2048, seed=1))
-        assert np.all(cyl.contains(sample.nodes))
+        assert np.all(contains(cyl, sample.nodes))
 
     def test_unknown_rule_kind(self):
         with pytest.raises(ValueError, match="unknown quadrature kind 'random'"):

@@ -1,0 +1,84 @@
+"""One home per decision: the CLI and the acceptance suite read the toolkit's
+gates and defaults instead of restating them.
+
+A gate that both front ends apply is patched at its one definition, and both
+the subcommand (through cli.main) and the criterion must follow it.  A CLI
+default must be the toolkit's constant itself.
+"""
+
+import json
+
+import pytest
+
+from pshlab import acceptance, bochner, cli, dbar1d, fields, meanvalue, witness
+from pshlab.meanvalue import PshScanResult
+
+
+def report(tmp_path, argv) -> tuple:
+    """(exit code, the one check of the JSON report) of a subcommand."""
+    out = tmp_path / "r.json"
+    code = cli.main(argv + ["--out", str(out)])
+    [check] = json.loads(out.read_text())["checks"]
+    return code, check
+
+
+def test_bochner_gate(monkeypatch, tmp_path):
+    args = ["bochner", "--func", "sq_norm"]
+    assert report(tmp_path, args)[0] == 0
+    assert acceptance.criterion_bochner(0).passed
+    monkeypatch.setattr(bochner, "RESIDUAL_GATE_N1", 1e-300)
+    monkeypatch.setattr(bochner, "RESIDUAL_GATE", 2e-300)
+    code, check = report(tmp_path, args)
+    assert (code, check["passed"], check["tolerances"]) == (1, False, {"residual": 1e-300})
+    code, check = report(tmp_path, args + ["--dim", "2"])
+    assert (code, check["tolerances"]) == (1, {"residual": 2e-300})
+    record = acceptance.criterion_bochner(0)
+    assert not record.passed and record.tolerances == {"n1": 1e-300, "n2": 2e-300}
+
+
+def test_dbar_gate(monkeypatch, tmp_path):
+    args = ["dbar", "--weight", "sq_norm"]
+    assert report(tmp_path, args)[0] == 0
+    assert acceptance.criterion_hormander_ratio(0).passed
+    monkeypatch.setattr(dbar1d, "RESIDUAL_GATE", 1e-300)
+    code, check = report(tmp_path, args)
+    assert (code, check["passed"], check["tolerances"]) == (1, False, {"residual": 1e-300})
+    assert not acceptance.criterion_hormander_ratio(0).passed
+
+
+def test_s_max(monkeypatch):
+    assert cli.build_parser().parse_args(["witness", "--func", "sq_norm"]).smax is witness.S_MAX
+    monkeypatch.setattr(witness, "S_MAX", 10.0)
+    record = acceptance.criterion_witness(0)
+    assert record.tolerances["s_max"] == 10.0
+    # the saddle's certificate takes s = 100
+    assert not record.passed and record.values["saddle/E"] is None
+
+
+def test_margin_tolerance(monkeypatch):
+    args = cli.build_parser().parse_args(["check-psh", "--func", "sq_norm"])
+    assert args.tol is meanvalue.DEFAULT_MARGIN_TOL
+    monkeypatch.setattr(meanvalue, "DEFAULT_MARGIN_TOL", 3e-7)
+    tols = []
+
+    def scan(phi, region, centers, cylinders, seed, tol, budget, max_violations=None):
+        tols.append(tol)
+        return PshScanResult("violated", (), 0)
+
+    monkeypatch.setattr(acceptance, "classify_psh", scan)
+    record = acceptance.criterion_meanvalue(0)
+    assert tols[:3] == [3e-7] * 3
+    assert record.tolerances["psh_margin"] == -3e-7
+
+
+def test_levi_defaults():
+    args = cli.build_parser().parse_args(["levi", "--func", "sq_norm"])
+    assert args.tol is fields.LEVI_TOL
+    assert args.resolution is fields.REGION_RESOLUTION
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_witness_grid_default(n, tmp_path):
+    code, _ = report(tmp_path, ["witness", "--func", "sq_norm", "--dim", str(n)])
+    config = json.loads((tmp_path / "r.json").read_text())["config"]
+    assert config["grid"] == witness.default_grid_nodes(n)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pshlab"
 
-PARAMETERS_WITH_DEFAULT = 18
+PARAMETERS_WITH_DEFAULT = 15
 DATACLASS_INIT_FIELDS = 87
 
 HOW_TO_UPDATE = (

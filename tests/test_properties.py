@@ -50,6 +50,7 @@ from pshlab.geometry import (
 )
 from pshlab.meanvalue import submean_test
 from pshlab.witness import (
+    S_MAX,
     _witness_grid,
     alpha_from_f,
     build_psi_s,
@@ -263,7 +264,7 @@ def test_neg_sq_norm_certified_against_scaled_form(c):
     # the gap -1 - c|z|^2 is negative on the whole disc and deepest on its
     # boundary circle, where no witness ball fits
     cert = scan_sharp_witness(
-        fields.neg_sq_norm(1), fields.scaled_sq_omega(c, 1), unit_ball(1)
+        fields.neg_sq_norm(1), fields.scaled_sq_omega(c, 1), unit_ball(1), S_MAX
     ).certificate
     assert cert is not None
     assert cert.E < 0.0 and cert.E_doubled < 0.0

@@ -7,10 +7,11 @@ from scipy import integrate as sint
 
 from pshlab import fields
 from pshlab.bochner import make_grid, support_values
+from pshlab.fields import REGION_RESOLUTION
 from pshlab.errors import ContinuityRequiredError, MetricNotPositiveError
 from pshlab.geometry import DomainBox, ball_volume, unit_ball
 from pshlab.witness import (
-    REGION_RESOLUTION,
+    S_MAX,
     _psi_delta_hess,
     _psi_delta_norm_sq,
     alpha_from_f,
@@ -244,12 +245,13 @@ class TestEstimateFunctional:
 
 class TestScanSharpWitness:
     def test_psh_weight_gives_none(self):
-        cert = scan_sharp_witness(fields.sq_norm(1), fields.zero_omega(1), unit_ball(1)).certificate
+        scan = scan_sharp_witness(fields.sq_norm(1), fields.zero_omega(1), unit_ball(1), S_MAX)
+        cert = scan.certificate
         assert cert is None
 
     def test_neg_sq_norm_certificate(self):
         cert = scan_sharp_witness(
-            fields.neg_sq_norm(1), fields.zero_omega(1), unit_ball(1)
+            fields.neg_sq_norm(1), fields.zero_omega(1), unit_ball(1), S_MAX
         ).certificate
         assert cert is not None
         assert cert.E < 0.0
@@ -258,7 +260,7 @@ class TestScanSharpWitness:
 
     def test_saddle_certificate_direction(self):
         cert = scan_sharp_witness(
-            fields.saddle(2.0), fields.zero_omega(2), unit_ball(2)
+            fields.saddle(2.0), fields.zero_omega(2), unit_ball(2), S_MAX
         ).certificate
         assert cert is not None
         assert cert.E < 0.0
@@ -271,8 +273,7 @@ class TestScanSharpWitness:
             "neg_sq_fd", 1, lambda z: -np.sum(np.abs(z) ** 2, axis=-1)
         )
         cert = scan_sharp_witness(
-            stripped, fields.zero_omega(1), unit_ball(1),
-            s_schedule=(100.0,),
+            stripped, fields.zero_omega(1), unit_ball(1), smax=100,
         ).certificate
         assert cert is not None
         assert cert.E < 0.0
@@ -295,7 +296,7 @@ class TestScanSharpWitness:
             return levi(field, pts, *args, **kwargs)
 
         monkeypatch.setattr(fields, "levi_form", counted)
-        scan_sharp_witness(phi, omega, region, s_schedule=(10.0,))
+        scan_sharp_witness(phi, omega, region, smax=10)
         assert region_calls.count(True) == 1
 
     @pytest.mark.parametrize("phi, omega", [
@@ -308,7 +309,7 @@ class TestScanSharpWitness:
     ])
     def test_lower_bound_verdict_is_check_lower_bound(self, phi, omega):
         region = unit_ball(phi.n)
-        scan = scan_sharp_witness(phi, omega, region, s_schedule=(10.0,))
+        scan = scan_sharp_witness(phi, omega, region, smax=10)
         verdict = fields.check_lower_bound(phi, omega, region, REGION_RESOLUTION, fields.LEVI_TOL)
         assert scan.levi_lower_bound_holds == verdict.holds
 
@@ -326,7 +327,7 @@ class TestScanSharpWitness:
 
         monkeypatch.setattr(FormField01, "evaluate", counted)
         omega = fields.get_omega("const:1.1", 1)
-        cert = scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1)).certificate
+        cert = scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1), S_MAX).certificate
         assert cert.s == 100.0
         f = build_witness_form(cert.z0, cert.xi, cert.r)
         grids = [_witness_grid(cert.z0, cert.r, k * cert.grid_nodes) for k in (1, 2)]
@@ -347,7 +348,7 @@ class TestScanSharpWitness:
 
         monkeypatch.setattr(witness, "estimate_functional_E", recorded)
         omega = fields.get_omega("const:1.1", 1)
-        cert = scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1)).certificate
+        cert = scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1), S_MAX).certificate
         assert cert.s == 100.0 and len(seen) == 3
         assert seen[1][1] is seen[0][1] and seen[2][1] is not seen[0][1]
         f = build_witness_form(cert.z0, cert.xi, cert.r)
@@ -374,7 +375,7 @@ class TestScanSharpWitness:
         verdict = fields.check_lower_bound(
             fields.sq_norm(1), omega, unit_ball(1), REGION_RESOLUTION, fields.LEVI_TOL)
         assert not verdict.holds
-        assert scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1)).certificate is None
+        assert scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1), S_MAX).certificate is None
 
     @pytest.mark.parametrize("grid_nodes", [12, 14])
     def test_grid_without_stencil_margin_raises(self, grid_nodes):
@@ -386,7 +387,7 @@ class TestScanSharpWitness:
         # -764.7265553923093.  Now the energy refuses such a grid.
         with pytest.raises(ValueError, match="stencil margin"):
             scan_sharp_witness(
-                fields.saddle(2.0), fields.zero_omega(2), unit_ball(2), grid_nodes=grid_nodes
+                fields.saddle(2.0), fields.zero_omega(2), unit_ball(2), S_MAX, grid_nodes=grid_nodes
             )
 
     @pytest.mark.parametrize("spec, n, grid_nodes", [("neg_sq_norm", 1, None), ("saddle:2", 2, 16)])
@@ -394,7 +395,8 @@ class TestScanSharpWitness:
         from pshlab.witness import _witness_grid
 
         phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
-        cert = scan_sharp_witness(phi, omega, unit_ball(n), grid_nodes=grid_nodes).certificate
+        scan = scan_sharp_witness(phi, omega, unit_ball(n), S_MAX, grid_nodes=grid_nodes)
+        cert = scan.certificate
         assert cert is not None
         # reference: the doubled-grid sign functional rebuilt from the certificate
         f = build_witness_form(cert.z0, cert.xi, cert.r)
@@ -424,7 +426,7 @@ class TestScanSharpWitness:
 
         monkeypatch.setattr(witness, "alpha_from_f", recorded)
         cert = scan_sharp_witness(
-            fields.neg_sq_norm(1), omega, unit_ball(1), grid_nodes=48
+            fields.neg_sq_norm(1), omega, unit_ball(1), S_MAX, grid_nodes=48
         ).certificate
         assert cert is not None
         assert shapes and all(len(shape) == metric_ndim for shape in shapes)
@@ -461,7 +463,7 @@ class TestBandEnergy:
     def test_stencil_band_covers_dense_terms_criterion_4(self, spec, n):
         # every node where a whole-grid (slice stencil) integrand of E is nonzero
         phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
-        cert = scan_sharp_witness(phi, omega, unit_ball(n)).certificate
+        cert = scan_sharp_witness(phi, omega, unit_ball(n), S_MAX).certificate
         f = build_witness_form(cert.z0, cert.xi, cert.r)
         for nodes in (cert.grid_nodes, 2 * cert.grid_nodes):
             grid = _witness_grid(cert.z0, cert.r, nodes)
@@ -482,7 +484,7 @@ class TestBandEnergy:
         from pshlab.witness import _witness_grid
 
         phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
-        cert = scan_sharp_witness(phi, omega, unit_ball(n)).certificate
+        cert = scan_sharp_witness(phi, omega, unit_ball(n), S_MAX).certificate
         f = build_witness_form(cert.z0, cert.xi, cert.r)
         psi = build_psi_s(cert.z0, cert.r, cert.s)
         for nodes, value in ((cert.grid_nodes, cert.E), (2 * cert.grid_nodes, cert.E_doubled)):
