@@ -14,26 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bochner, dbar1d, fields, meanvalue, witness
-from .bochner import bochner_residual, bump_const_form, bump_zbar_form, make_grid, zero_field
-from .dbar1d import dbar_bump, hormander_ratio
-from .extension import (
-    best_extension_constant,
-    coarse_extension_bound,
-    constant_one,
-    exp_linear,
-    jensen_chain_check,
-    optimal_extension_margin,
-)
-from .geometry import HolomorphicCylinder, QuadratureRule, unit_ball
-from .meanvalue import classify_psh
-from .witness import (
-    build_psi_s,
-    build_witness_form,
-    coarse_constant_growth,
-    coarse_rhs_bound,
-    scan_sharp_witness,
-)
+from . import bochner, dbar1d, extension, fields, geometry, meanvalue, witness
 
 
 @dataclass
@@ -114,15 +95,15 @@ def criterion_bochner(seed: int) -> CheckRecord:
     residuals = {}
     ok = True
     for n, nodes, radius in ((1, 256, 0.9), (2, 24, 0.8)):
-        grid = make_grid(unit_ball(n, radius=1.3), nodes)
+        grid = bochner.make_grid(geometry.unit_ball(n, radius=1.3), nodes)
         xi = np.array([1.0 + 0.0j]) if n == 1 else np.array([0.8, 0.6j])
         forms = {
-            "bump_const": bump_const_form(xi, radius=radius),
-            "bump_zbar2": bump_zbar_form(n, radius=radius),
+            "bump_const": bochner.bump_const_form(xi, radius=radius),
+            "bump_zbar2": bochner.bump_zbar_form(n, radius=radius),
         }
-        for phi_name, phi in (("zero", zero_field(n)), ("sq_norm", fields.sq_norm(n))):
+        for phi_name, phi in (("zero", bochner.zero_field(n)), ("sq_norm", fields.sq_norm(n))):
             for form_name, alpha in forms.items():
-                rep = bochner_residual(alpha, phi, grid)
+                rep = bochner.bochner_residual(alpha, phi, grid)
                 residuals[f"n{n}/{phi_name}/{form_name}"] = rep.residual
                 ok &= rep.residual <= bochner.residual_gate(n)
     return CheckRecord(
@@ -139,22 +120,22 @@ def criterion_meanvalue(seed: int) -> CheckRecord:
     values = {}
     ok = True
     psh_cases = (
-        ("sq_norm", fields.sq_norm(2), unit_ball(2), 16384),
-        ("log_abs", fields.log_abs(np.array([1.5 + 0.0j]), 1), unit_ball(1), 4096),
-        ("max_log", fields.max_log(), unit_ball(2, radius=0.8, center=[0.9, 0.6j]), 16384),
+        ("sq_norm", fields.sq_norm(2), geometry.unit_ball(2), 16384),
+        ("log_abs", fields.log_abs(np.array([1.5 + 0.0j]), 1), geometry.unit_ball(1), 4096),
+        ("max_log", fields.max_log(), geometry.unit_ball(2, radius=0.8, center=[0.9, 0.6j]), 16384),
     )
     tol = meanvalue.DEFAULT_MARGIN_TOL
     for name, phi, region, budget in psh_cases:
-        res = classify_psh(phi, region, 100, 10, seed=seed, tol=tol, budget=budget)
+        res = meanvalue.classify_psh(phi, region, 100, 10, seed=seed, tol=tol, budget=budget)
         values[f"psh/{name}/violations"] = len(res.violations)
         values[f"psh/{name}/cylinders"] = res.cylinders_checked
         ok &= res.verdict == "no-violation-found" and res.cylinders_checked == 1000
     witness_cases = (
-        ("saddle", fields.saddle(2.0), unit_ball(2), 16384),
-        ("neg_sq_norm", fields.neg_sq_norm(1), unit_ball(1), 4096),
+        ("saddle", fields.saddle(2.0), geometry.unit_ball(2), 16384),
+        ("neg_sq_norm", fields.neg_sq_norm(1), geometry.unit_ball(1), 4096),
     )
     for name, phi, region, budget in witness_cases:
-        res = classify_psh(
+        res = meanvalue.classify_psh(
             phi, region, 20, 5, seed=seed, tol=1e-3, budget=budget, max_violations=3
         )
         worst = min((v.margin for v in res.violations), default=0.0)
@@ -173,16 +154,17 @@ def criterion_meanvalue(seed: int) -> CheckRecord:
 def criterion_witness(seed: int) -> CheckRecord:
     values = {}
     s_max = witness.S_MAX
-    psh_scan = scan_sharp_witness(fields.sq_norm(1), fields.zero_omega(1), unit_ball(1), s_max)
+    psh_scan = witness.scan_sharp_witness(
+        fields.sq_norm(1), fields.zero_omega(1), geometry.unit_ball(1), s_max)
     values["sq_norm/no_certificate"] = psh_scan.certificate is None
     ok = psh_scan.certificate is None
 
     cases = (
-        ("neg_sq_norm", fields.neg_sq_norm(1), fields.zero_omega(1), unit_ball(1)),
-        ("saddle", fields.saddle(2.0), fields.zero_omega(2), unit_ball(2)),
+        ("neg_sq_norm", fields.neg_sq_norm(1), fields.zero_omega(1), geometry.unit_ball(1)),
+        ("saddle", fields.saddle(2.0), fields.zero_omega(2), geometry.unit_ball(2)),
     )
     for name, phi, omega, region in cases:
-        cert = scan_sharp_witness(phi, omega, region, s_max).certificate
+        cert = witness.scan_sharp_witness(phi, omega, region, s_max).certificate
         if cert is None:
             ok = False
             values[f"{name}/E"] = None
@@ -213,7 +195,7 @@ def criterion_coarse_chain(seed: int) -> CheckRecord:
     phi = fields.re_linear(np.array([1.0 + 0.0j]), 1)
     w = np.array([0.2 + 0.1j])
     m_log_c = [(m, 0.0) for m in (1, 2, 4, 8)]
-    blocks = {eps: coarse_rhs_bound(phi, 2.0, w, eps, (0.25, 0.0625), m_log_c, nodes)
+    blocks = {eps: witness.coarse_rhs_bound(phi, 2.0, w, eps, (0.25, 0.0625), m_log_c, nodes)
               for eps, nodes in ((0.5, 64), (0.25, 128))}
     for i, (m, _) in enumerate(m_log_c):
         for eps, block in blocks.items():
@@ -223,7 +205,7 @@ def criterion_coarse_chain(seed: int) -> CheckRecord:
                 values[key + "/bound"] = rep.bound
                 ok &= rep.verified
     m_values = [10, 100, 10**4, 10**6]
-    _, diag = coarse_constant_growth(
+    _, diag = witness.coarse_constant_growth(
         m_values, [0.0] * 4, 2.0, [2.0 * (1.0 / m) for m in m_values], n=1
     )
     values["growth/log_cprime_over_m_at_1e6"] = float(diag[-1])
@@ -241,39 +223,40 @@ def criterion_coarse_chain(seed: int) -> CheckRecord:
 def criterion_extension_chains(seed: int) -> CheckRecord:
     values = {}
     ok = True
-    rule = QuadratureRule("tensor-grid", 4096, seed)
-    disc = HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), 1.0)
+    rule = geometry.QuadratureRule("tensor-grid", 4096, seed)
+    disc = geometry.HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), 1.0)
 
     sweep = (
-        ("sq_norm/one", fields.sq_norm(1), constant_one(np.zeros(1)), 2.0),
-        ("neg_sq_norm/one", fields.neg_sq_norm(1), constant_one(np.zeros(1)), 2.0),
+        ("sq_norm/one", fields.sq_norm(1), extension.constant_one(np.zeros(1)), 2.0),
+        ("neg_sq_norm/one", fields.neg_sq_norm(1), extension.constant_one(np.zeros(1)), 2.0),
         ("two_re_z/exp", fields.re_linear(np.array([2.0 + 0.0j]), 1),
-         exp_linear(np.array([1.0 + 0.0j]), np.zeros(1)), 2.0),
-        ("sq_norm/exp", fields.sq_norm(1), exp_linear(np.array([0.5 + 0.5j]), np.zeros(1)), 4.0),
+         extension.exp_linear(np.array([1.0 + 0.0j]), np.zeros(1)), 2.0),
+        ("sq_norm/exp", fields.sq_norm(1),
+         extension.exp_linear(np.array([0.5 + 0.5j]), np.zeros(1)), 4.0),
     )
     worst_res1 = 0.0
     for name, phi, cand, p in sweep:
-        res1, res2, concl = jensen_chain_check(phi, disc, cand, p, rule)
+        res1, res2, concl = extension.jensen_chain_check(phi, disc, cand, p, rule)
         values[f"jensen/{name}/residual1"] = res1
         worst_res1 = min(worst_res1, res1)
     ok &= worst_res1 >= -1e-10
     values["jensen/worst_residual1"] = worst_res1
 
     phi_h = fields.re_linear(np.array([2.0 + 0.0j]), 1)
-    rep = optimal_extension_margin(
-        phi_h, disc, exp_linear(np.array([1.0 + 0.0j]), np.zeros(1)), 2.0, rule
+    rep = extension.optimal_extension_margin(
+        phi_h, disc, extension.exp_linear(np.array([1.0 + 0.0j]), np.zeros(1)), 2.0, rule
     )
     values["pluriharmonic/margin"] = rep.margin
     ok &= abs(rep.margin) <= 1e-6
 
     # unit-volume cylinder so log(mu)/m vanishes from the coarse bound
     r_unit = 1.0 / math.sqrt(math.pi)
-    disc_unit = HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), r_unit)
+    disc_unit = geometry.HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), r_unit)
     phi = fields.sq_norm(1)
     mean_phi = r_unit**2 / 2.0
     for m in (1, 4, 32):
-        _, b_tilde = coarse_extension_bound(
-            phi, disc_unit, constant_one(np.zeros(1)), 0.0, m, 2.0, rule
+        _, b_tilde = extension.coarse_extension_bound(
+            phi, disc_unit, extension.constant_one(np.zeros(1)), 0.0, m, 2.0, rule
         )
         values[f"coarse/b_tilde_m{m}"] = b_tilde
     gap = abs(values["coarse/b_tilde_m32"] - mean_phi)
@@ -291,12 +274,12 @@ def criterion_extension_chains(seed: int) -> CheckRecord:
 @_timed
 def criterion_best_constant(seed: int) -> CheckRecord:
     values = {}
-    rule = QuadratureRule("tensor-grid", 4096, seed)
-    disc = HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), 1.0)
-    flat = zero_field(1)
-    _, value_flat = best_extension_constant(flat, disc, 8, rule)
+    rule = geometry.QuadratureRule("tensor-grid", 4096, seed)
+    disc = geometry.HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), 1.0)
+    flat = bochner.zero_field(1)
+    _, value_flat = extension.best_extension_constant(flat, disc, 8, rule)
     values["flat/value"] = value_flat
-    _, value_neg = best_extension_constant(fields.neg_sq_norm(1), disc, 8, rule)
+    _, value_neg = extension.best_extension_constant(fields.neg_sq_norm(1), disc, 8, rule)
     values["neg_sq_norm/value"] = value_neg
     values["neg_sq_norm/target"] = math.e - 1.0
     ok = abs(value_flat - 1.0) <= 1e-10 and abs(value_neg - (math.e - 1.0)) <= 1e-6
@@ -314,20 +297,21 @@ def criterion_best_constant(seed: int) -> CheckRecord:
 def criterion_hormander_ratio(seed: int) -> CheckRecord:
     values = {}
     ok = True
-    grid = make_grid(unit_ball(1, radius=2.0), 256)
-    phis = (("zero", zero_field(1)), ("sq_norm", fields.sq_norm(1)))
-    results = hormander_ratio([(phi, fields.sq_norm(1)) for _, phi in phis], dbar_bump(), 10, grid)
+    grid = bochner.make_grid(geometry.unit_ball(1, radius=2.0), 256)
+    phis = (("zero", bochner.zero_field(1)), ("sq_norm", fields.sq_norm(1)))
+    results = dbar1d.hormander_ratio(
+        [(phi, fields.sq_norm(1)) for _, phi in phis], dbar1d.dbar_bump(), 10, grid)
     for (name, _), result in zip(phis, results):
         values[f"{name}/ratio"] = result.ratio
         values[f"{name}/residual"] = result.residual
         ok &= result.ratio <= 1.02 and result.residual <= dbar1d.RESIDUAL_GATE
 
     z0 = np.zeros(1, dtype=complex)
-    f = build_witness_form(z0, np.array([1.0]), 0.5)
-    schedule = (10.0, 100.0, 1000.0, 10000.0)
-    weights = [(fields.neg_sq_norm(1), build_psi_s(z0, 0.5, s)) for s in schedule]
+    f = witness.build_witness_form(z0, np.array([1.0]), 0.5)
+    schedule = witness.s_schedule(witness.S_MAX)
+    weights = [(fields.neg_sq_norm(1), witness.build_psi_s(z0, 0.5, s)) for s in schedule]
     best = 0.0
-    for s, result in zip(schedule, hormander_ratio(weights, f, 10, grid)):
+    for s, result in zip(schedule, dbar1d.hormander_ratio(weights, f, 10, grid)):
         values[f"witness/ratio_s{s:g}"] = result.ratio
         best = max(best, result.ratio)
     values["witness/max_ratio"] = best

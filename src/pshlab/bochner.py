@@ -20,20 +20,22 @@ from typing import Callable
 import numpy as np
 
 from .errors import PoleInStencilError
-from .fields import ScalarField, levi_form, unshift, weight_exp
+from .fields import ScalarField, levi_form, unshift, weight_exp, zero_omega
 from .geometry import DomainBox, as_point, as_points, row_sum
 
 FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
+MIN_GRID_NODES = 2 * FD_STENCIL_WIDTH + 2  # the fewest nodes per axis that a grid takes
 
 
 @dataclass(frozen=True)
 class FormField01:
-    """A (0,1)-form: one evaluator of its n coefficients, and a support region."""
+    """A (0,1)-form: one evaluator of its n coefficients, and a support region in C^n."""
 
     name: str
-    n: int
     coefficients: Callable[[np.ndarray], np.ndarray]  # (m, n) points -> (n, m) values
     support: DomainBox
+
+    n = property(lambda self: self.support.n)
 
     def evaluate(self, pts) -> np.ndarray:
         """Coefficient values as an (n, m) complex array."""
@@ -55,7 +57,7 @@ class GridDiscretization:
         bounds = np.asarray(self.bounds, dtype=float)
         if bounds.ndim != 2 or bounds.shape[1] != 2 or bounds.shape[0] % 2 != 0:
             raise ValueError("bounds must be a (2n, 2) array")
-        if self.nodes_per_axis < 2 * FD_STENCIL_WIDTH + 2:
+        if self.nodes_per_axis < MIN_GRID_NODES:
             raise ValueError("grid too coarse for the interior FD stencil")
         object.__setattr__(self, "bounds", bounds)
         axes = tuple(np.linspace(lo, hi, self.nodes_per_axis) for lo, hi in bounds)
@@ -216,7 +218,7 @@ def dbar_star(g: FormGradient, phi: ScalarField, grid: GridDiscretization) -> np
     return out
 
 
-def band_energy(g: FormGradient, phi: ScalarField, grid, psi=None, omega=None):
+def band_energy(g: FormGradient, phi: ScalarField, grid, psi, omega):
     """On the stencil band of alpha: Re sum_{j,k} (phi_{j kbar} - omega_jk) alpha_j
     conj(alpha_k), the gradient energy, the trapezoid weights times
     e^{-(phi + psi) - shift} and the shift (the band's largest exponent).  A band
@@ -231,10 +233,8 @@ def band_energy(g: FormGradient, phi: ScalarField, grid, psi=None, omega=None):
     # the gradient energy sum_{j,k} |d alpha_j / dzbar_k|^2, summed in (j, k) order
     grad_sq = np.sum(np.abs(g.dzbar.reshape(grid.n**2, -1)) ** 2, axis=0)
     pts = grid.points_at(band)
-    e, shift = weight_exp(-phi(pts) if psi is None else -(phi(pts) + psi(pts)))
-    levi = levi_form(phi, pts)
-    if omega is not None:
-        levi = levi - omega(pts)
+    e, shift = weight_exp(-(phi(pts) + psi(pts)))
+    levi = levi_form(phi, pts) - omega(pts)
     quad = np.real(np.einsum("mjk,jm,km->m", levi, g.values, np.conj(g.values)))
     return quad, grad_sq, e * grid.weights[band], shift
 
@@ -243,9 +243,14 @@ def band_energy(g: FormGradient, phi: ScalarField, grid, psi=None, omega=None):
 class BochnerReport:
     """The energy identity; terms kept times e^{-log_scale}, rescaled on access."""
 
-    residual: float
     scaled_terms: tuple  # curvature, gradient, dbar, adjoint
     log_scale: float
+
+    @property
+    def residual(self) -> float:  # of the scaled sides
+        curvature, gradient, dbar, adjoint = self.scaled_terms
+        lhs, rhs = curvature + gradient, dbar + adjoint
+        return abs(lhs - rhs) / max(lhs, rhs, 1e-300)
 
     def _unscaled(self, *terms) -> float:
         return unshift(sum(self.scaled_terms[i] for i in terms), self.log_scale)
@@ -278,11 +283,9 @@ def bochner_residual(
     dbar_sq = np.sum(np.abs(dbar_01(g, grid)) ** 2, axis=0)
     adjoint_sq = np.abs(dbar_star(g, phi, grid)) ** 2
     # quad: the curvature integrand sum_{j,k} phi_{j kbar} alpha_j conj(alpha_k)
-    quad, grad_sq, e, shift = band_energy(g, phi, grid)
+    quad, grad_sq, e, shift = band_energy(g, phi, grid, zero_field(grid.n), zero_omega(grid.n))
     terms = tuple(float(np.dot(v, e)) for v in (quad, grad_sq, dbar_sq, adjoint_sq))
-    lhs, rhs = terms[0] + terms[1], terms[2] + terms[3]
-    residual = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
-    return BochnerReport(residual, terms, shift)
+    return BochnerReport(terms, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +321,7 @@ def bump_const_form(xi, center=None, radius: float = 1.0) -> FormField01:
     c = np.zeros(n, dtype=complex) if center is None else as_point(center)
     value, _ = bump_profile(c, radius, n)
     support = DomainBox("ball", c, np.array([radius]))
-    return FormField01("bump_const", n, lambda z: xi[:, None] * value(z), support)
+    return FormField01("bump_const", lambda z: xi[:, None] * value(z), support)
 
 
 def bump_zbar_form(n: int, center=None, radius: float = 1.0) -> FormField01:
@@ -336,7 +339,7 @@ def bump_zbar_form(n: int, center=None, radius: float = 1.0) -> FormField01:
         return out
 
     support = DomainBox("ball", c, np.array([radius]))
-    return FormField01("bump_zbar2", n, coefficients, support)
+    return FormField01("bump_zbar2", coefficients, support)
 
 
 def zero_field(n: int) -> ScalarField:

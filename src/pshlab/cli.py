@@ -7,6 +7,8 @@ or a Table (a CSV sweep), and an exit policy.  The runner checks the option
 bounds, parses the specs, echoes effective defaults, writes the report and
 maps the outcome to an exit code.  Reports are schema-versioned JSON written
 atomically; all emitted floats round-trip exactly (shortest repr of the double).
+The toolkit is reached through its modules (bochner.make_grid, not make_grid);
+only the errors classes and __version__ are imported by name.
 """
 
 from __future__ import annotations
@@ -26,34 +28,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import __version__, bochner, dbar1d, fields, meanvalue, witness
-from .acceptance import CheckRecord, json_default, render_lines, run_suite
-from .bochner import FD_STENCIL_WIDTH, bochner_residual, bump_const_form, bump_zbar_form, make_grid
-from .dbar1d import dbar_bump, hormander_ratio
+from . import __version__
+from . import acceptance, bochner, dbar1d, extension, fields, geometry, meanvalue, witness
 from .errors import PshlabError, SpecError
-from .extension import (
-    best_extension_constant,
-    coarse_extension_bound,
-    constant_one,
-    optimal_extension_margin,
-)
-from .geometry import (
-    DEFAULT_BUDGET,
-    DomainBox,
-    HolomorphicCylinder,
-    QuadratureRule,
-    seeded_frame,
-    unit_ball,
-)
-from .meanvalue import classify_psh
-from .witness import (
-    build_psi_s,
-    build_witness_form,
-    coarse_constant_growth,
-    coarse_rhs_bound,
-    modulus_of_continuity,
-    scan_sharp_witness,
-)
 
 SCHEMA_VERSION = 1
 
@@ -94,12 +71,14 @@ CM_RULES = {
 }
 # id -> (parameter parser, builder), as fields.FIELDS
 FORMS = {
-    "bump_const": (fields.point(fields.first_axis), lambda xi, n: bump_const_form(xi)),
-    "bump_zbar2": (None, bump_zbar_form),
-    "dbar_nu": (None, lambda n: build_witness_form(fields.origin(n), fields.first_axis(n), 1.0)),
+    "bump_const": (fields.point(fields.first_axis), lambda xi, n: bochner.bump_const_form(xi)),
+    "bump_zbar2": (None, bochner.bump_zbar_form),
+    "dbar_nu": (None, lambda n: witness.build_witness_form(
+        fields.origin(n), fields.first_axis(n), 1.0)),
 }
-PSI = {**fields.FIELDS, "psi_s": (_psi_s_param, lambda rs, n: build_psi_s(fields.origin(n), *rs))}
-RHS = {**FORMS, "dbar_bump": (None, lambda n: dbar_bump())}
+PSI = {**fields.FIELDS,
+       "psi_s": (_psi_s_param, lambda rs, n: witness.build_psi_s(fields.origin(n), *rs))}
+RHS = {**FORMS, "dbar_bump": (None, lambda n: dbar1d.dbar_bump())}
 
 
 def resolve_cm_rule(spec: str, n):
@@ -145,8 +124,8 @@ def parse_cylinder(text: str, n: int, center: np.ndarray):
                 raise ValueError(f"unknown key {key!r}")
             parts[key] = raw.strip()
         seed = int(parts.get("seed", "0"))
-        return HolomorphicCylinder(
-            center, seeded_frame(seed, n), float(parts["r"]), float(parts.get("s", "1.0")))
+        return geometry.HolomorphicCylinder(
+            center, geometry.seeded_frame(seed, n), float(parts["r"]), float(parts.get("s", "1.0")))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid --cylinder (expected r=<f>,s=<f>,seed=<u64>): {exc}") from exc
 
@@ -173,7 +152,7 @@ def check_number(value: float, field_name: str, valid, expected: str) -> float:
     return value
 
 
-def parse_region(text: str, n: int) -> DomainBox:
+def parse_region(text: str, n: int) -> geometry.DomainBox:
     """Region JSON: {"kind": "ball"|"polydisc"|"box", "center": [[re,im],...],
     "radius": f} (ball) or {"extents": [...]} otherwise, centered in C^n."""
     try:
@@ -188,7 +167,7 @@ def parse_region(text: str, n: int) -> DomainBox:
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
-        return DomainBox(kind, center, extents)
+        return geometry.DomainBox(kind, center, extents)
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid --region: {exc}") from exc
 
@@ -223,7 +202,7 @@ def write_report(
         **extra,
         "wall_clock_seconds": time.perf_counter() - t0,
     }
-    text = json.dumps(report, indent=2, sort_keys=True, default=json_default)
+    text = json.dumps(report, indent=2, sort_keys=True, default=acceptance.json_default)
     if path:
         _atomic_write(path, text + "\n")
     return report
@@ -248,8 +227,9 @@ class Table(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# compute functions: (args, **specs) -> [CheckRecord] or Table.  They call the
-# toolkit through this module's names, which is where tracers and tests patch.
+# compute functions: (args, **specs) -> [CheckRecord] or Table.  They reach the
+# toolkit through its modules (witness.scan_sharp_witness, ...), so a function has
+# one binding, its module's, which is where tracers and tests patch.
 # ---------------------------------------------------------------------------
 
 
@@ -259,11 +239,11 @@ def _levi(args, phi, omega, region) -> list:
     if verdict.z0 is not None:
         values["z0"] = verdict.z0
         values["xi"] = verdict.xi
-    return [CheckRecord("levi-lower-bound", verdict.holds, values, {"tol": args.tol})]
+    return [acceptance.CheckRecord("levi-lower-bound", verdict.holds, values, {"tol": args.tol})]
 
 
 def _check_psh(args, phi, region) -> list:
-    res = classify_psh(
+    res = meanvalue.classify_psh(
         phi, region, args.centers, args.cylinders, args.seed,
         tol=args.tol, budget=args.budget,
     )
@@ -285,7 +265,7 @@ def _check_psh(args, phi, region) -> list:
         "violations": violations,
     }
     return [
-        CheckRecord(
+        acceptance.CheckRecord(
             "sub-mean-value-scan", res.verdict == "no-violation-found", values,
             {"margin_tol": args.tol},
         )
@@ -296,10 +276,10 @@ def _bochner(args, phi, alpha) -> list:
     # inflate the box until the support margin accommodates the FD stencil
     radius = float(alpha.support.extents[0])
     pad = 10.0 * radius / max(args.grid - 11, 1)
-    grid = make_grid(
-        DomainBox("ball", alpha.support.center, np.array([radius + pad])), args.grid
+    grid = bochner.make_grid(
+        geometry.DomainBox("ball", alpha.support.center, np.array([radius + pad])), args.grid
     )
-    rep = bochner_residual(alpha, phi, grid)
+    rep = bochner.bochner_residual(alpha, phi, grid)
     tol = bochner.residual_gate(args.dim)
     values = {
         "lhs": rep.lhs, "rhs": rep.rhs, "residual": rep.residual,
@@ -308,11 +288,11 @@ def _bochner(args, phi, alpha) -> list:
     }
     # lhs = 0 means every support node sits where the form vanishes: nothing was tested
     passed = rep.lhs > 0.0 and rep.residual <= tol
-    return [CheckRecord("bochner-identity", passed, values, {"residual": tol})]
+    return [acceptance.CheckRecord("bochner-identity", passed, values, {"residual": tol})]
 
 
 def _witness(args, phi, omega, region) -> list:
-    scan = scan_sharp_witness(phi, omega, region, args.smax, args.grid)
+    scan = witness.scan_sharp_witness(phi, omega, region, args.smax, args.grid)
     if scan.certificate is None:
         # no certificate passes only when the Levi form dominates omega; when
         # it does not, no s of the schedule made the sign functional negative
@@ -321,7 +301,7 @@ def _witness(args, phi, omega, region) -> list:
     else:
         passed = scan.certificate.E < 0.0
         values = {"certificate": asdict(scan.certificate)}
-    return [CheckRecord("sharp-witness", passed, values, {"smax": args.smax})]
+    return [acceptance.CheckRecord("sharp-witness", passed, values, {"smax": args.smax})]
 
 
 def _coarse_chain(args, phi, w, log_c_m) -> Table:
@@ -331,17 +311,18 @@ def _coarse_chain(args, phi, w, log_c_m) -> Table:
     delta_values = parse_list(
         args.delta, "delta", float, lambda d: 0.0 <= d < math.inf, "finite values >= 0"
     )
+    nodes = witness.annulus_grid_nodes(args.dim)  # before the modulus scans the region
 
     # modulus of continuity at eps = 1/m and the resulting growth constants,
     # on the unit ball around w (skipped when the field is not continuous there)
     o_by_m, cprime_by_m = {}, {}
     try:
-        region = DomainBox("ball", w, np.array([1.0]))
+        region = geometry.DomainBox("ball", w, np.array([1.0]))
         o_by_m = {
-            m: modulus_of_continuity(phi, region, 1.0 / m, resolution=17)
+            m: witness.modulus_of_continuity(phi, region, 1.0 / m, resolution=17)
             for m in m_values
         }
-        log_cprime, _ = coarse_constant_growth(
+        log_cprime, _ = witness.coarse_constant_growth(
             m_values, [log_c_m(m) for m in m_values], args.p,
             [o_by_m[m] for m in m_values], n=args.dim,
         )
@@ -350,7 +331,7 @@ def _coarse_chain(args, phi, w, log_c_m) -> Table:
         pass
 
     m_log_c = [(m, log_c_m(m)) for m in m_values]
-    blocks = [coarse_rhs_bound(phi, args.p, w, e, delta_values, m_log_c, max(64, int(16 / e) * 8))
+    blocks = [witness.coarse_rhs_bound(phi, args.p, w, e, delta_values, m_log_c, nodes)
               for e in eps_values]
     rows = []
     verified = 0
@@ -377,13 +358,13 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _extend(args, phi, cyl) -> list:
-    rule = QuadratureRule("tensor-grid", args.budget, args.seed)
+    rule = geometry.QuadratureRule("tensor-grid", args.budget, args.seed)
     checks = []
     if args.p == 2.0:
-        f_star, value = best_extension_constant(phi, cyl, args.degree, rule)
-        rep = optimal_extension_margin(phi, cyl, f_star, args.p, rule)
+        f_star, value = extension.best_extension_constant(phi, cyl, args.degree, rule)
+        rep = extension.optimal_extension_margin(phi, cyl, f_star, args.p, rule)
         checks.append(
-            CheckRecord(
+            acceptance.CheckRecord(
                 "best-extension-constant",
                 value <= rep.rhs * (1.0 + 1e-9),
                 {"value": value, "threshold": rep.rhs, "degree": args.degree,
@@ -392,9 +373,10 @@ def _extend(args, phi, cyl) -> list:
             )
         )
     else:
-        rep = optimal_extension_margin(phi, cyl, constant_one(cyl.center), args.p, rule)
+        rep = extension.optimal_extension_margin(
+            phi, cyl, extension.constant_one(cyl.center), args.p, rule)
     checks.append(
-        CheckRecord(
+        acceptance.CheckRecord(
             "optimal-extension-margin",
             rep.margin >= -1e-9,
             {"lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
@@ -408,19 +390,19 @@ def _extend(args, phi, cyl) -> list:
 
 
 def _coarse_extend(args, phi, cyl, log_c_m) -> Table:
-    rule = QuadratureRule("tensor-grid", args.budget, args.seed)
+    rule = geometry.QuadratureRule("tensor-grid", args.budget, args.seed)
     rows = []
     for m in parse_m_values(args.m):
-        b_m, b_tilde = coarse_extension_bound(
-            phi, cyl, constant_one(cyl.center), log_c_m(m), m, args.p, rule
+        b_m, b_tilde = extension.coarse_extension_bound(
+            phi, cyl, extension.constant_one(cyl.center), log_c_m(m), m, args.p, rule
         )
         rows.append([m, args.p, _exp_or_inf(log_c_m(m)), b_m, b_tilde])
     return Table(["m", "p", "C_m", "b_m", "b_tilde_m"], rows, True, f"{len(rows)} bounds computed")
 
 
 def _dbar(args, phi, psi, rhs) -> list:
-    grid = make_grid(unit_ball(1, radius=args.box), args.grid)
-    [result] = hormander_ratio([(phi, psi)], rhs, args.degree, grid)
+    grid = bochner.make_grid(geometry.unit_ball(1, radius=args.box), args.grid)
+    [result] = dbar1d.hormander_ratio([(phi, psi)], rhs, args.degree, grid)
     values = {
         "residual": result.residual,
         "minimal_norm_sq": result.minimal_norm_sq,
@@ -429,12 +411,13 @@ def _dbar(args, phi, psi, rhs) -> list:
         "degree": result.degree,
     }
     gate = dbar1d.RESIDUAL_GATE
-    return [CheckRecord("dbar-solve", result.residual <= gate, values, {"residual": gate})]
+    return [acceptance.CheckRecord(
+        "dbar-solve", result.residual <= gate, values, {"residual": gate})]
 
 
 def _accept(args) -> list:
-    records = run_suite(args.seed)
-    for line in render_lines(records):
+    records = acceptance.run_suite(args.seed)
+    for line in acceptance.render_lines(records):
         print(line)
     return records
 
@@ -509,7 +492,7 @@ BOUNDS = {
     "seed": (lambda v: v >= 0, "an integer >= 0"),
     "box": (lambda v: v > 0.0, "a finite number > 0"),
     # the fewest grid nodes per axis that GridDiscretization takes, and cylinder rule nodes
-    "grid": (lambda v: v >= 2 * FD_STENCIL_WIDTH + 2, f"an integer >= {2 * FD_STENCIL_WIDTH + 2}"),
+    "grid": (lambda v: v >= bochner.MIN_GRID_NODES, f"an integer >= {bochner.MIN_GRID_NODES}"),
     "budget": (lambda v: v >= 16, "an integer >= 16"),
     "p": (lambda v: v > 0.0, "a finite positive exponent"),
     # the s-schedule runs from S_FIRST up to smax, so it would be empty for a smaller smax
@@ -542,7 +525,7 @@ COMMANDS = {
         Command("check-psh", "randomized cylinder sub-mean-value scan",
                 (*FIELD, REGION, ("centers", 100), ("cylinders", 10), ("seed", 0),
                  ("tol", meanvalue.DEFAULT_MARGIN_TOL),
-                 ("budget", None, lambda a: DEFAULT_BUDGET.get(a.dim, 4096))),
+                 ("budget", None, lambda a: geometry.DEFAULT_BUDGET.get(a.dim, 4096))),
                 _check_psh, _exit_zero),
         Command("bochner", "verify the weighted energy identity",
                 (*FIELD, ("form", "bump_const"),

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bochner import FormField01, GridDiscretization, bump_profile, support_values
-from .extension import _monomial_values, _solve_gram, monomial_exponents
+from .extension import _solve_gram
 from .fields import levi_form, unshift, weight_exp
 from .geometry import unit_ball
 
@@ -29,14 +29,12 @@ RESIDUAL_GATE = 5e-3  # the largest dbar_residual of a solve that counts as solv
 class SolveResult:
     """Solves and estimate ratio; the norms kept times e^{-log_scale}, rescaled on access."""
 
-    u_particular: np.ndarray
-    u_minimal: np.ndarray
     residual: float
-    ratio: float
     degree: int
     scaled_norms: tuple  # minimal_norm_sq, comparison_integral
     log_scale: float
 
+    ratio = property(lambda self: self.scaled_norms[0] / self.scaled_norms[1])
     minimal_norm_sq = property(lambda self: unshift(self.scaled_norms[0], self.log_scale))
     comparison_integral = property(lambda self: unshift(self.scaled_norms[1], self.log_scale))
 
@@ -44,7 +42,7 @@ class SolveResult:
 def dbar_bump() -> FormField01:
     """dbar of the radial quartic bump on the unit disc: a smooth right-hand side."""
     _, dzbar = bump_profile(np.zeros(1), 1.0, 1)
-    return FormField01("dbar_bump", 1, lambda z: dzbar(z, 0)[None, :], unit_ball(1))
+    return FormField01("dbar_bump", lambda z: dzbar(z, 0)[None, :], unit_ball(1))
 
 
 def _square_grid_1d(grid: GridDiscretization) -> float:
@@ -113,7 +111,7 @@ def _weights(eta_values: np.ndarray, grid: GridDiscretization):
 def weighted_bergman_projection(u_values: np.ndarray, w: np.ndarray, mono: np.ndarray):
     """Best degree <= N holomorphic polynomial approximation of u in
     L^2(e^{-eta}) over the grid box, from the trapezoid weights w times e^{-eta}
-    (see _weights) and the (m, K) basis monomials mono (powers of z) at the nodes.
+    (see _weights) and the (m, K) basis monomials mono (powers of a + b z) at the nodes.
 
     Returns (h_values, coefficients); the residual u - h is orthogonal to
     every basis monomial (Gram normal equations).
@@ -130,9 +128,8 @@ def hormander_ratio(
 ) -> list:
     """Minimal-norm solves of du/dzbar = f_1 and the weighted estimate ratio,
     one SolveResult for each (phi, psi) pair of weights; the transform of f
-    and its residual are computed once for all pairs, and the monomial matrix
-    once for the grid's bounds, nodes per axis and the degree: the last one is
-    cached (_grid_monomials).
+    and its residual are computed once for all pairs, and the polynomial basis
+    for each pair where its weight lives (_centered_powers).
 
     ratio = ||u_min||^2_{phi+psi} / int (|f|^2 / psi_zz) e^{-(phi+psi)}.
     The minimal norm is taken over u_particular minus polynomials of degree
@@ -146,11 +143,11 @@ def hormander_ratio(
     fv[idx] = f_values[0]
     u_part = cauchy_transform(fv, grid)
     residual = dbar_residual(u_part, fv, grid)
-    mono = _grid_monomials(tuple(map(tuple, grid.bounds.tolist())), grid.nodes_per_axis, degree)
 
     results = []
     for phi, psi in weights:
         wq, shift = _weights(phi(pts) + psi(pts), grid)
+        mono = _centered_powers(pts[:, 0], wq, degree)
         u_min_vals, _ = weighted_bergman_projection(u_part, wq, mono)
         u_min = u_part - u_min_vals
         minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq * u_min)))
@@ -160,17 +157,19 @@ def hormander_ratio(
         comparison_nodes = np.zeros(pts.shape[0])
         comparison_nodes[idx] = np.abs(f_values[0]) ** 2 / psi_zz
         comparison = float(np.dot(comparison_nodes, wq))
-        ratio = minimal_norm_sq / comparison
         norms = (minimal_norm_sq, comparison)
-        results.append(SolveResult(u_part, u_min, residual, ratio, degree, norms, shift))
+        results.append(SolveResult(residual, degree, norms, shift))
     return results
 
 
-@lru_cache(maxsize=1)
-def _grid_monomials(bounds: tuple, nodes_per_axis: int, degree: int) -> np.ndarray:
-    """The (m, degree + 1) powers of z at the nodes of the n = 1 grid with these
-    bounds and nodes per axis, constant first; read-only."""
-    pts = GridDiscretization(np.array(bounds), nodes_per_axis).points
-    mono = _monomial_values(pts, monomial_exponents(1, degree))
-    mono.flags.writeable = False
-    return mono
+def _centered_powers(z: np.ndarray, w: np.ndarray, degree: int) -> np.ndarray:
+    """The (m, degree + 1) powers of t = (z - c) / rho at the nodes z, for the w-weighted
+    mean c of z and root-mean-square distance rho from it: the polynomials of degree <=
+    degree, in a basis that stays far from collinear where e^{-eta} concentrates."""
+    total = np.sum(w)
+    c = np.dot(w, z) / total
+    t = (z - c) / math.sqrt(np.dot(w, np.abs(z - c) ** 2) / total)
+    powers = np.ones((degree + 1, z.size), dtype=complex)  # a row per power: contiguous
+    for k in range(1, degree + 1):
+        powers[k] = powers[k - 1] * t
+    return powers.T

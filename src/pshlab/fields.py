@@ -479,8 +479,9 @@ class LowerBoundVerdict:
     holds: bool
     z0: Optional[np.ndarray]
     xi: Optional[np.ndarray]
-    c: float
     lambda_min: float
+
+    c = property(lambda self: 0.0 if self.holds else -self.lambda_min)  # the violation depth
 
 
 def check_lower_bound(
@@ -500,6 +501,6 @@ def check_lower_bound(
     worst = int(np.argmin(eigs))
     lam_min = float(eigs[worst])
     if lam_min >= -tol:
-        return LowerBoundVerdict(True, None, None, 0.0, lam_min)
+        return LowerBoundVerdict(True, None, None, lam_min)
     _, v = np.linalg.eigh(gap[worst])
-    return LowerBoundVerdict(False, pts[worst], v[:, 0], -lam_min, lam_min)
+    return LowerBoundVerdict(False, pts[worst], v[:, 0], lam_min)

@@ -79,9 +79,10 @@ def submean_test(
 
 @dataclass(frozen=True)
 class PshScanResult:
-    verdict: str  # "no-violation-found" | "violated"
     violations: tuple
     cylinders_checked: int
+
+    verdict = property(lambda self: "violated" if self.violations else "no-violation-found")
 
     @property
     def violated(self) -> bool:
@@ -160,5 +161,4 @@ def classify_psh(
                 if len(violations) == max_violations:
                     break
 
-    verdict = "violated" if violations else "no-violation-found"
-    return PshScanResult(verdict, tuple(violations), checked)
+    return PshScanResult(tuple(violations), checked)

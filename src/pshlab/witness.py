@@ -79,7 +79,6 @@ def build_witness_form(z0, xi, r: float) -> FormField01:
     xi = as_point(xi)
     if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
         raise ValueError("direction xi must be a unit vector")
-    n = z0.size
     rr = r * r
 
     def coefficients(z):
@@ -89,7 +88,7 @@ def build_witness_form(z0, xi, r: float) -> FormField01:
         return xi[:, None] * cutoff(t) + np.conj(pair) * cutoff_deriv(t) * d.T / rr
 
     support = DomainBox("ball", z0, np.array([r]))
-    return FormField01("dbar_nu", n, coefficients, support)
+    return FormField01("dbar_nu", coefficients, support)
 
 
 def build_psi_s(z0, r: float, s: float) -> ScalarField:
@@ -176,17 +175,39 @@ class WitnessScan:
     certificate: Optional[WitnessCertificate]
 
 
-# the s-schedule is S_FIRST, 10 S_FIRST, 100 S_FIRST, ... up to an smax;
-# S_MAX is the smax of criterion 4 and of witness --smax by default
+# the s-schedule is S_FIRST, 10 S_FIRST, 100 S_FIRST, ... up to an smax (s_schedule);
+# S_MAX is the smax of criteria 4 and 8 and of witness --smax by default
 S_FIRST = 10.0
 S_MAX = 1e4
 RADIUS_LADDER_STEPS = 6  # _select_radius tries r_max / 2^k for k below this
 INFIMUM_SAMPLES = 20000  # interior sample points of ball_infimum
+MODULUS_BLOCK_PAIRS = 1 << 18  # node pairs that modulus_of_continuity compares at once
+
+
+def s_schedule(smax: float) -> list:
+    """The s values that a witness scan tries: S_FIRST, 10 S_FIRST, 100 S_FIRST, ...
+    up to smax (1e-12 relative slack)."""
+    schedule = []
+    s = S_FIRST
+    while s <= smax * (1.0 + 1e-12):
+        schedule.append(s)
+        s *= 10.0
+    return schedule
 
 
 def default_grid_nodes(n: int) -> int:
     """Nodes per axis of the witness grid in C^n when the caller names none."""
     return 96 if n == 1 else 16
+
+
+def annulus_grid_nodes(n: int) -> int:
+    """Nodes per axis of the coarse chain's annulus grid in C^n at every eps: its box
+    is 2.5 eps wide, so 41, the fewest that n = 2 takes, meet coarse_rhs_bound's
+    spacing check eps/16.  From n = 3 on, 41 per axis are too many nodes."""
+    if n > 2:
+        raise ValueError(f"the coarse chain has no grid in C^{n}: 41 nodes per axis, the "
+                         f"fewest that resolve the annulus, make {41.0 ** (2 * n):.2e} nodes")
+    return 256 if n == 1 else 41
 
 
 def scan_sharp_witness(
@@ -204,9 +225,9 @@ def scan_sharp_witness(
     z0 with the largest c r_max^2, where c is the gap depth there and r_max
     the radius of the largest ball about z0 in the region; then the largest
     dyadic radius r <= r_max with sampled gap < -c/2 on B(z0, r).  It builds
-    the localized form and sweeps the s-schedule S_FIRST, 10 S_FIRST, ... up to
-    smax (1e-12 relative slack) until E < 0 on the grid and on the doubled
-    grid, of default_grid_nodes(n) nodes per axis unless grid_nodes is given.
+    the localized form and sweeps s_schedule(smax) until E < 0 on the grid and
+    on the doubled grid, of default_grid_nodes(n) nodes per axis unless
+    grid_nodes is given.
     There is no certificate for weights whose Levi form dominates omega on the
     region, when no ladder radius keeps the gap below -c/2, and when no s of
     the schedule certifies a violation.
@@ -236,8 +257,7 @@ def scan_sharp_witness(
         alpha = alpha_from_f(fv, _plus_s(g, s)).T
         return estimate_functional_E((idx, alpha), phi, psi, omega, grid)
 
-    s = S_FIRST
-    while s <= smax * (1.0 + 1e-12):
+    for s in s_schedule(smax):
         psi = build_psi_s(z0, r, s)
         value = energy(grid_nodes, psi, s)
         if value < 0.0:
@@ -245,7 +265,6 @@ def scan_sharp_witness(
             if value_doubled < 0.0:
                 cert = WitnessCertificate(z0, xi, r, c, s, value, value_doubled, grid_nodes)
                 return WitnessScan(holds, cert)
-        s *= 10.0
     return WitnessScan(holds, None)
 
 
@@ -309,7 +328,6 @@ def build_alpha_eps(w, eps: float) -> FormField01:
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     w = as_point(w)
-    n = w.size
     ee = eps * eps
 
     def coefficients(z):
@@ -318,7 +336,7 @@ def build_alpha_eps(w, eps: float) -> FormField01:
         return cutoff_deriv(t) * d.T / ee
 
     support = DomainBox("ball", w, np.array([eps]))
-    return FormField01("alpha_eps", n, coefficients, support)
+    return FormField01("alpha_eps", coefficients, support)
 
 
 def build_psi_delta(w, delta: float, n: int) -> ScalarField:
@@ -465,21 +483,29 @@ def _annulus_grid(w, eps: float, nodes: int) -> GridDiscretization:
 def modulus_of_continuity(
     phi: ScalarField, region: DomainBox, eps: float, resolution: int
 ) -> float:
-    """Grid approximation of sup{|phi(z) - phi(w)| : z, w in region, |z-w| <= eps}."""
+    """Grid approximation of sup{|phi(z) - phi(w)| : z, w in region, |z-w| <= eps}.
+
+    With the nodes sorted by value, a block of them is paired only with the nodes
+    whose values exceed the block's first by more than the best difference so far,
+    the only pairs that can raise it; a block makes MODULUS_BLOCK_PAIRS pairs at most.
+    """
     if phi.smoothness == "usc":
         raise ContinuityRequiredError("requires continuity")
     pts = region.grid_points(resolution)
     vals = phi(pts)
     if np.any(~np.isfinite(vals)):
         raise ContinuityRequiredError("requires continuity: -inf inside the region")
+    order = np.argsort(vals, kind="stable")
+    pts, vals = pts[order], vals[order]
     best = 0.0
-    chunk = 2048
-    for start in range(0, pts.shape[0], chunk):
-        zs = pts[start : start + chunk]
-        vz = vals[start : start + chunk]
-        close = row_norm(zs[:, None, :] - pts[None, :, :]) <= eps
-        diff = np.where(close, np.abs(vz[:, None] - vals[None, :]), 0.0)
-        best = max(best, float(diff.max()))
+    rows = max(1, MODULUS_BLOCK_PAIRS // vals.size)
+    for start in range(0, vals.size, rows):
+        lo = int(np.searchsorted(vals, vals[start] + best, side="right"))
+        if lo == vals.size:
+            break  # the values only grow from here, and best with them
+        zs, vz = pts[start : start + rows], vals[start : start + rows]
+        close = row_norm(zs[:, None, :] - pts[None, lo:, :]) <= eps
+        best = max(best, float(np.where(close, vals[lo:] - vz[:, None], 0.0).max()))
     return best
 
 

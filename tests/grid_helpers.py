@@ -17,7 +17,8 @@ from pshlab.bochner import (
     FD_STENCIL_WIDTH, FormField01, FormGradient, bump_profile, dbar_01, dbar_star, form_gradient,
 )
 from pshlab.dbar1d import (
-    SolveResult, _weights, cauchy_transform, dbar_residual, weighted_bergman_projection,
+    SolveResult, _centered_powers, _weights, cauchy_transform, dbar_residual,
+    weighted_bergman_projection,
 )
 from pshlab.extension import _monomial_values, monomial_exponents
 from pshlab.fields import levi_form, unshift, weight_exp
@@ -283,11 +284,9 @@ def hormander_ratio_one(phi, psi, f, degree: int, grid) -> SolveResult:
     u_part = cauchy_transform(fv, grid)
     residual = dbar_residual(u_part, fv, grid)
 
-    weight = phi(pts) + psi(pts)
-    u_min_vals, _ = bergman_project(u_part, weight, degree, grid)
-    u_min = u_part - u_min_vals
-
-    wq, shift = _weights(weight, grid)
+    wq, shift = _weights(phi(pts) + psi(pts), grid)
+    mono = _centered_powers(pts[:, 0], wq, degree)
+    u_min = u_part - weighted_bergman_projection(u_part, wq, mono)[0]
     minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq * u_min)))
 
     support = np.flatnonzero(np.abs(fv) > 0.0)
@@ -298,10 +297,7 @@ def hormander_ratio_one(phi, psi, f, degree: int, grid) -> SolveResult:
     comparison_nodes[support] = np.abs(fv[support]) ** 2 / psi_zz
     comparison = float(np.dot(comparison_nodes, wq))
 
-    ratio = minimal_norm_sq / comparison
-    return SolveResult(
-        u_part, u_min, residual, ratio, degree, (minimal_norm_sq, comparison), shift
-    )
+    return SolveResult(residual, degree, (minimal_norm_sq, comparison), shift)
 
 
 def coarse_rhs_bound_one(phi, m, p, w, eps, delta, log_c_m, grid_nodes=64) -> CoarseChainReport:

@@ -253,7 +253,7 @@ class TestFormSupportWithoutNodes:
         from pshlab.bochner import FormField01
         from pshlab.geometry import unit_ball
 
-        zero = FormField01("0", 1, lambda z: np.zeros((1, z.shape[0]), dtype=complex),
+        zero = FormField01("0", lambda z: np.zeros((1, z.shape[0]), dtype=complex),
                            unit_ball(1, radius=0.9))
         monkeypatch.setitem(cli.FORMS, "bump_const", (None, lambda n: zero))
         out = tmp_path / "b.json"
@@ -392,9 +392,9 @@ class TestExponentOption:
     def test_summary_counts_verified_tuples(self, monkeypatch, capsys):
         import dataclasses
 
-        from pshlab import cli
+        from pshlab import witness
 
-        bound = cli.coarse_rhs_bound
+        bound = witness.coarse_rhs_bound
         calls = []
 
         def first_fails(*args, **kwargs):
@@ -405,12 +405,12 @@ class TestExponentOption:
                 reps[0][0] = dataclasses.replace(rep, rhs_integral=2.0 * rep.bound)
             return reps
 
-        monkeypatch.setattr(cli, "coarse_rhs_bound", first_fails)
+        monkeypatch.setattr(witness, "coarse_rhs_bound", first_fails)
         argv = ["coarse-chain", "--func", "re_linear", "--m", "1,2", "--eps", "0.5",
                 "--delta", "0.25"]
         assert main(argv) == 1
         assert "[FAIL] coarse-chain: 1/2 tuples verified" in capsys.readouterr().out
-        monkeypatch.setattr(cli, "coarse_rhs_bound", bound)
+        monkeypatch.setattr(witness, "coarse_rhs_bound", bound)
         assert main(argv) == 0
         assert "[PASS] coarse-chain: 2/2 tuples verified" in capsys.readouterr().out
 
@@ -418,6 +418,7 @@ class TestExponentOption:
     def test_readme_configuration_rows_equal_the_one_tuple_oracle(self, tmp_path):
         """Rows in (m, eps, delta) order, each equal to its tuple's own solve."""
         from pshlab import fields
+        from pshlab.witness import annulus_grid_nodes
 
         from grid_helpers import coarse_rhs_bound_one
 
@@ -428,14 +429,40 @@ class TestExponentOption:
         with open(out, newline="") as handle:
             rows = [[float(c) for c in row[:8]] for row in list(csv.reader(handle))[1:]]
         phi, w = fields.get_field("re_linear", 1), np.zeros(1, dtype=complex)
+        nodes = annulus_grid_nodes(1)
         want = []
         for m in (1, 2, 4, 8):
             for eps in (0.5, 0.25):
                 for delta in (0.25, 0.0625):
-                    rep = coarse_rhs_bound_one(phi, m, 2.0, w, eps, delta, 0.0, int(16 / eps) * 8)
+                    rep = coarse_rhs_bound_one(phi, m, 2.0, w, eps, delta, 0.0, nodes)
                     want.append([m, 2.0, eps, delta, rep.rhs_integral, rep.bound,
                                  rep.envelope_constant, rep.inf_phi])
         assert rows == want
+
+
+class TestAnnulusGrid:
+    """The coarse chain's annulus grid has annulus_grid_nodes(n) nodes per axis at
+    every eps, so a small eps or n = 2 finishes; n = 3, which has no grid, is a typed
+    error.  Each run is capped at 2 GiB of address space, so that a grid that
+    grows with 1/eps fails at once instead of filling the machine."""
+
+    CAP = ("import os, resource, sys; os.environ['OPENBLAS_NUM_THREADS'] = '1'; "
+           "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+           "from pshlab.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--eps", "1e-3", "--m", "1"], 0),
+        (["--dim", "2", "--w", "[[0,0],[0,0]]", "--m", "1", "--eps", "0.5", "--delta", "0.25"], 0),
+        (["--dim", "3", "--w", "[[0,0],[0,0],[0,0]]"], 1),
+    ])
+    def test_small_eps_and_n_2_finish(self, argv, code):
+        proc = run_python(["-c", self.CAP, "coarse-chain", "--func", "re_linear", *argv])
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == code
+        if code == 0:
+            assert "[PASS] coarse-chain" in proc.stdout
+        else:
+            assert proc.stderr.startswith("error: the coarse chain has no grid in C^3")
 
 
 class TestLogScaleWeights:

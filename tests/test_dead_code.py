@@ -1,10 +1,14 @@
-"""Every function, class and method defined in src/pshlab is used in src/pshlab.
+"""Every function, class and method defined in src/pshlab is used in src/pshlab,
+and every dataclass field is read there.
 
 A definition counts as used when its name occurs as a NAME token of the
 modules of src/pshlab more often than the name is defined there, so a name in
 a docstring, a comment or a string does not count.  Dunder methods are called
-by the language and do not count.  Two definitions with one name share their
-uses, so the test finds dead code; it cannot prove that code is alive.
+by the language and do not count.  A dataclass init field counts as read when
+its name is loaded as an attribute (x.name) somewhere in src/pshlab, or when its
+class is serialised whole: dataclasses.asdict takes an attribute whose
+annotation names the class.  Two definitions with one name share their uses,
+so the test finds dead code; it cannot prove that code is alive.
 """
 
 import ast
@@ -13,6 +17,8 @@ import re
 import tokenize
 from collections import Counter
 from pathlib import Path
+
+from test_option_count import dataclass_init_fields
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pshlab"
 
@@ -46,6 +52,25 @@ def test_every_definition_is_used_in_src():
     names = sum((name_tokens(text) for text in modules.values()), Counter())
     unused = [f"{mod}: {qual}" for mod, qual, name in defs if names[name] <= defined[name]]
     assert unused == []
+
+
+def test_every_dataclass_field_is_read_in_src():
+    trees = [ast.parse(text) for text in _modules().values()]
+    fields = [f for tree in trees for f in dataclass_init_fields(tree)]
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    annotations = {name: annotation for _, name, annotation in fields}
+    serialised = {
+        node.id
+        for tree in trees for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id == "asdict" and isinstance(call.args[0], ast.Attribute)
+        and call.args[0].attr in annotations
+        for node in ast.walk(annotations[call.args[0].attr]) if isinstance(node, ast.Name)
+    }
+    unread = [f"{cls}.{name}" for cls, name, _ in fields
+              if name not in loaded and cls not in serialised]
+    assert unread == []
 
 
 def test_a_name_in_a_string_or_comment_is_no_use():

@@ -3,7 +3,10 @@
 `pshlab/__init__` binds `__version__` and nothing else; each module of
 src/pshlab, imported in a fresh interpreter, loads exactly the pshlab modules
 that its import statements reach, transitively; and no import statement sits in
-a function body, so the module-level imports are the whole import graph.
+a function body, so the module-level imports are the whole import graph.  The
+two front ends, `cli` and `acceptance`, bind toolkit modules, not the names in
+them, so that each toolkit function has one binding for a tracer or a test to
+patch.
 """
 
 import ast
@@ -94,3 +97,24 @@ def test_no_import_in_a_function_body():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+def names_bound(module: str) -> set:
+    """(source module or None for the package, name) of each name that a module's
+    relative imports bind, other than a pshlab module."""
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(parse(module))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if node.module or alias.name not in MODULES
+    }
+
+
+@pytest.mark.parametrize("module", ["cli", "acceptance"])
+def test_front_ends_bind_toolkit_modules_not_names(module):
+    from pshlab import errors
+
+    error_classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    allowed = {(None, "__version__"), *(("errors", name) for name in error_classes)}
+    assert names_bound(module) <= allowed

@@ -55,6 +55,15 @@ def test_s_max(monkeypatch):
     assert not record.passed and record.values["saddle/E"] is None
 
 
+def test_criterion_8_reads_the_s_schedule(monkeypatch):
+    keys = [k for k in acceptance.criterion_hormander_ratio(0).values if "ratio_s" in k]
+    assert keys == ["witness/ratio_s10", "witness/ratio_s100", "witness/ratio_s1000",
+                    "witness/ratio_s10000"]
+    monkeypatch.setattr(witness, "S_MAX", 100.0)
+    keys = [k for k in acceptance.criterion_hormander_ratio(0).values if "ratio_s" in k]
+    assert keys == ["witness/ratio_s10", "witness/ratio_s100"]
+
+
 def test_margin_tolerance(monkeypatch):
     args = cli.build_parser().parse_args(["check-psh", "--func", "sq_norm"])
     assert args.tol is meanvalue.DEFAULT_MARGIN_TOL
@@ -63,9 +72,9 @@ def test_margin_tolerance(monkeypatch):
 
     def scan(phi, region, centers, cylinders, seed, tol, budget, max_violations=None):
         tols.append(tol)
-        return PshScanResult("violated", (), 0)
+        return PshScanResult((), 0)
 
-    monkeypatch.setattr(acceptance, "classify_psh", scan)
+    monkeypatch.setattr(meanvalue, "classify_psh", scan)
     record = acceptance.criterion_meanvalue(0)
     assert tols[:3] == [3e-7] * 3
     assert record.tolerances["psh_margin"] == -3e-7

@@ -12,6 +12,7 @@ is negative on the whole region, however its depth is spread.  Translating
 the grid box, the form and the weight together by whole grid spacings leaves
 the Bochner residual and its four terms unchanged up to rounding, and so
 do swapping z1 and z2 at n = 2 and the quarter turn z1 -> i z1 of a centered box.
+The quarter turn also leaves the n = 1 estimate ratio unchanged up to rounding.
 """
 
 import dataclasses
@@ -52,6 +53,7 @@ from pshlab.meanvalue import submean_test
 from pshlab.witness import (
     S_MAX,
     _witness_grid,
+    s_schedule,
     alpha_from_f,
     build_psi_s,
     build_witness_form,
@@ -281,7 +283,7 @@ def translated_field(phi: fields.ScalarField, a) -> fields.ScalarField:
 def translated_form(alpha: FormField01, a) -> FormField01:
     """z -> alpha(z - a), supported on the translated support."""
     support = DomainBox(alpha.support.kind, alpha.support.center + a, alpha.support.extents)
-    return FormField01(alpha.name, alpha.n, lambda z: alpha.coefficients(z - a), support)
+    return FormField01(alpha.name, lambda z: alpha.coefficients(z - a), support)
 
 
 TRANSLATION_WEIGHTS = {
@@ -327,7 +329,7 @@ def swapped_field(phi: fields.ScalarField) -> fields.ScalarField:
 def swapped_form(alpha: FormField01) -> FormField01:
     """The pull-back of alpha by the swap: alpha_2(z2, z1) dzbar_1 + alpha_1(z2, z1) dzbar_2."""
     support = DomainBox(alpha.support.kind, alpha.support.center[::-1], alpha.support.extents)
-    return FormField01(alpha.name, alpha.n, lambda z: alpha.coefficients(z[:, ::-1])[::-1], support)
+    return FormField01(alpha.name, lambda z: alpha.coefficients(z[:, ::-1])[::-1], support)
 
 
 # the swap only reorders the grid sums: the largest gaps measured were 3.2e-15
@@ -378,7 +380,7 @@ def turned_form(alpha: FormField01) -> FormField01:
     u = quarter_turn(alpha.n)
     support = DomainBox(alpha.support.kind, alpha.support.center * np.conj(u),
                         alpha.support.extents)
-    return FormField01(alpha.name, alpha.n,
+    return FormField01(alpha.name,
                        lambda z: alpha.coefficients(z * u) * np.conj(u)[:, None], support)
 
 
@@ -402,3 +404,21 @@ def test_bochner_residual_quarter_turn_invariant(n, nodes, radius, form, weight)
     for got, want in pairs:
         assert abs(got - want) <= SYMMETRY_RTOL * abs(want)
     assert abs(turned.residual - base.residual) <= SYMMETRY_ATOL
+
+
+@pytest.mark.parametrize("psi_center", [0.1j, 0.3 - 0.2j])
+def test_hormander_ratio_quarter_turn_invariant(psi_center):
+    # criterion 8's centered grid, witness form and weights, with psi_s moved off the
+    # origin so that the turn moves it: z -> i z maps the nodes onto nodes up to the
+    # rounding of their coordinates, the trapezoid weights onto themselves and the
+    # polynomials onto polynomials.  The largest gap measured, over six centres of
+    # psi_s, was 1.9e-14
+    grid = make_grid(unit_ball(1, radius=2.0), 256)
+    f = build_witness_form(Z0, np.array([1.0]), 0.5)
+    weights = [(fields.neg_sq_norm(1), build_psi_s(np.array([psi_center]), 0.5, s))
+               for s in s_schedule(S_MAX)]
+    base = hormander_ratio(weights, f, 10, grid)
+    turned = hormander_ratio([(turned_field(phi), turned_field(psi)) for phi, psi in weights],
+                             turned_form(f), 10, grid)
+    for got, want in zip(turned, base, strict=True):
+        assert abs(got.ratio - want.ratio) <= SYMMETRY_RTOL * want.ratio

@@ -696,6 +696,26 @@ class TestModulusOfContinuity:
         val = modulus_of_continuity(phi, unit_ball(1), eps, resolution=41)
         assert val == pytest.approx(2 * eps - eps * eps, abs=0.06)
 
+    @pytest.mark.parametrize("spec, n, resolution", [
+        ("re_linear", 1, 33), ("sq_norm", 1, 17), ("neg_gauss", 1, 33), ("log1p_sq", 1, 17),
+        ("re_linear", 2, 9), ("saddle:2", 2, 9), ("cross", 2, 9), ("neg_gauss", 2, 9),
+    ])
+    def test_equals_the_all_pairs_maximum(self, spec, n, resolution):
+        """Skipping the pairs that cannot raise the maximum changes no bit of it."""
+        from pshlab.geometry import row_norm
+
+        phi = fields.get_field(spec, n)
+        for center in (0.0, 0.3 - 0.2j):
+            region = unit_ball(n, center=[center] * n)
+            pts = region.grid_points(resolution)
+            vals = phi(pts)
+            for m in (1, 2, 3, 4, 8):
+                want = max(
+                    float(np.where(row_norm(z - pts) <= 1.0 / m, np.abs(v - vals), 0.0).max())
+                    for z, v in zip(pts, vals)
+                )
+                assert modulus_of_continuity(phi, region, 1.0 / m, resolution) == want
+
     def test_usc_rejected(self):
         usc = fields.ScalarField("u", 1, lambda z: np.zeros(z.shape[0]), smoothness="usc")
         with pytest.raises(ContinuityRequiredError, match="requires continuity"):
