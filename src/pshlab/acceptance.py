@@ -140,7 +140,7 @@ def criterion_meanvalue(seed: int) -> CheckRecord:
         )
         worst = min((v.margin for v in res.violations), default=0.0)
         values[f"witness/{name}/worst_margin"] = worst
-        ok &= res.violated and worst < -1e-3
+        ok &= res.verdict == "violated" and worst < -1e-3
     return CheckRecord(
         "mean-value-characterization", ok, values,
         {"psh_margin": -tol, "witness_margin": -1e-3},
@@ -195,15 +195,12 @@ def criterion_coarse_chain(seed: int) -> CheckRecord:
     phi = fields.re_linear(np.array([1.0 + 0.0j]), 1)
     w = np.array([0.2 + 0.1j])
     m_log_c = [(m, 0.0) for m in (1, 2, 4, 8)]
-    blocks = {eps: witness.coarse_rhs_bound(phi, 2.0, w, eps, (0.25, 0.0625), m_log_c, nodes)
-              for eps, nodes in ((0.5, 64), (0.25, 128))}
-    for i, (m, _) in enumerate(m_log_c):
-        for eps, block in blocks.items():
-            for rep in block[i]:
-                key = f"m{m}/eps{eps:g}/delta{rep.delta:g}"
-                values[key + "/rhs"] = rep.rhs_integral
-                values[key + "/bound"] = rep.bound
-                ok &= rep.verified
+    for rep in witness.coarse_rhs_bound(
+            phi, 2.0, w, ((0.5, 64), (0.25, 128)), (0.25, 0.0625), m_log_c):
+        key = f"m{rep.m}/eps{rep.eps:g}/delta{rep.delta:g}"
+        values[key + "/rhs"] = rep.rhs_integral
+        values[key + "/bound"] = rep.bound
+        ok &= rep.verified
     m_values = [10, 100, 10**4, 10**6]
     _, diag = witness.coarse_constant_growth(
         m_values, [0.0] * 4, 2.0, [2.0 * (1.0 / m) for m in m_values], n=1
@@ -223,7 +220,7 @@ def criterion_coarse_chain(seed: int) -> CheckRecord:
 def criterion_extension_chains(seed: int) -> CheckRecord:
     values = {}
     ok = True
-    rule = geometry.QuadratureRule("tensor-grid", 4096, seed)
+    rule = geometry.QuadratureRule("tensor-grid", 4096)
     disc = geometry.HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), 1.0)
 
     sweep = (
@@ -274,7 +271,7 @@ def criterion_extension_chains(seed: int) -> CheckRecord:
 @_timed
 def criterion_best_constant(seed: int) -> CheckRecord:
     values = {}
-    rule = geometry.QuadratureRule("tensor-grid", 4096, seed)
+    rule = geometry.QuadratureRule("tensor-grid", 4096)
     disc = geometry.HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), 1.0)
     flat = bochner.zero_field(1)
     _, value_flat = extension.best_extension_constant(flat, disc, 8, rule)

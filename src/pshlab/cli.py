@@ -313,37 +313,31 @@ def _coarse_chain(args, phi, w, log_c_m) -> Table:
     )
     nodes = witness.annulus_grid_nodes(args.dim)  # before the modulus scans the region
 
-    # modulus of continuity at eps = 1/m and the resulting growth constants,
-    # on the unit ball around w (skipped when the field is not continuous there)
-    o_by_m, cprime_by_m = {}, {}
-    try:
-        region = geometry.DomainBox("ball", w, np.array([1.0]))
-        o_by_m = {
-            m: witness.modulus_of_continuity(phi, region, 1.0 / m, resolution=17)
-            for m in m_values
-        }
-        log_cprime, _ = witness.coarse_constant_growth(
-            m_values, [log_c_m(m) for m in m_values], args.p,
-            [o_by_m[m] for m in m_values], n=args.dim,
-        )
-        cprime_by_m = {m: float(c) for m, c in zip(m_values, log_cprime)}
-    except PshlabError:
-        pass
+    # modulus of continuity at eps = 1/m and the resulting growth constants, on the
+    # unit ball around w; blank for an m where the field is not continuous there or
+    # 1/m is below the region grid's spacing
+    region = geometry.DomainBox("ball", w, np.array([1.0]))
+    o_by_m = {}
+    for m in m_values:
+        try:
+            o_by_m[m] = witness.modulus_of_continuity(phi, region, 1.0 / m, resolution=17)
+        except PshlabError:
+            pass
+    resolved = list(o_by_m)
+    log_cprime, _ = witness.coarse_constant_growth(
+        resolved, [log_c_m(m) for m in resolved], args.p, [o_by_m[m] for m in resolved],
+        n=args.dim)
+    cprime_by_m = {m: float(c) for m, c in zip(resolved, log_cprime)}
 
-    m_log_c = [(m, log_c_m(m)) for m in m_values]
-    blocks = [witness.coarse_rhs_bound(phi, args.p, w, e, delta_values, m_log_c, nodes)
-              for e in eps_values]
-    rows = []
-    verified = 0
-    for i, m in enumerate(m_values):
-        for block in blocks:
-            for rep in block[i]:
-                rows.append(
-                    [m, args.p, rep.eps, rep.delta, rep.rhs_integral, rep.bound,
-                     rep.envelope_constant, rep.inf_phi,
-                     o_by_m.get(m, ""), cprime_by_m.get(m, ""), rep.verified]
-                )
-                verified += rep.verified
+    reports = witness.coarse_rhs_bound(
+        phi, args.p, w, [(e, nodes) for e in eps_values], delta_values,
+        [(m, log_c_m(m)) for m in m_values])
+    rows = [
+        [rep.m, args.p, rep.eps, rep.delta, rep.rhs_integral, rep.bound, rep.envelope_constant,
+         rep.inf_phi, o_by_m.get(rep.m, ""), cprime_by_m.get(rep.m, ""), rep.verified]
+        for rep in reports
+    ]
+    verified = sum(rep.verified for rep in reports)
     header = ["m", "p", "eps", "delta", "rhs_integral", "bound", "C", "inf_phi",
               "o_eps_1_over_m", "log_cprime_m", "verified"]
     return Table(header, rows, verified == len(rows), f"{verified}/{len(rows)} tuples verified")
@@ -358,7 +352,7 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _extend(args, phi, cyl) -> list:
-    rule = geometry.QuadratureRule("tensor-grid", args.budget, args.seed)
+    rule = geometry.QuadratureRule("tensor-grid", args.budget)
     checks = []
     if args.p == 2.0:
         f_star, value = extension.best_extension_constant(phi, cyl, args.degree, rule)
@@ -390,7 +384,7 @@ def _extend(args, phi, cyl) -> list:
 
 
 def _coarse_extend(args, phi, cyl, log_c_m) -> Table:
-    rule = geometry.QuadratureRule("tensor-grid", args.budget, args.seed)
+    rule = geometry.QuadratureRule("tensor-grid", args.budget)
     rows = []
     for m in parse_m_values(args.m):
         b_m, b_tilde = extension.coarse_extension_bound(
@@ -408,7 +402,7 @@ def _dbar(args, phi, psi, rhs) -> list:
         "minimal_norm_sq": result.minimal_norm_sq,
         "comparison_integral": result.comparison_integral,
         "ratio": result.ratio,
-        "degree": result.degree,
+        "degree": args.degree,
     }
     gate = dbar1d.RESIDUAL_GATE
     return [acceptance.CheckRecord(
@@ -467,7 +461,7 @@ def _unit_ball_spec(args) -> str:
 # effective(args) replaces a value equal to the default; a bare name is a
 # required option.  An option takes the type of its default unless OPTIONS
 # gives its add_argument keywords, by (subcommand, name) or else by name.
-_RULE_SEED = {"type": int, "help": "no effect (the tensor-grid rule ignores its seed; the frame "
+_RULE_SEED = {"type": int, "help": "no effect (the tensor-grid rule takes no seed; the frame "
               "seed is seed= of --cylinder); kept because existing command lines pass it"}
 OPTIONS = {
     "func": {"required": True},

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bochner import FormField01, GridDiscretization, bump_profile, support_values
-from .extension import _solve_gram
+from .extension import solve_gram
 from .fields import levi_form, unshift, weight_exp
 from .geometry import unit_ball
 
@@ -30,7 +30,6 @@ class SolveResult:
     """Solves and estimate ratio; the norms kept times e^{-log_scale}, rescaled on access."""
 
     residual: float
-    degree: int
     scaled_norms: tuple  # minimal_norm_sq, comparison_integral
     log_scale: float
 
@@ -118,7 +117,7 @@ def weighted_bergman_projection(u_values: np.ndarray, w: np.ndarray, mono: np.nd
     """
     gram = (mono.conj().T * w) @ mono
     rhs = mono.conj().T @ (w * np.asarray(u_values, dtype=complex))
-    coeffs = _solve_gram(gram, rhs)
+    coeffs = solve_gram(gram, rhs)
     h_values = mono @ coeffs
     return h_values, coeffs
 
@@ -158,7 +157,7 @@ def hormander_ratio(
         comparison_nodes[idx] = np.abs(f_values[0]) ** 2 / psi_zz
         comparison = float(np.dot(comparison_nodes, wq))
         norms = (minimal_norm_sq, comparison)
-        results.append(SolveResult(residual, degree, norms, shift))
+        results.append(SolveResult(residual, norms, shift))
     return results
 
 

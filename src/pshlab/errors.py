@@ -6,7 +6,8 @@ class PshlabError(Exception):
 
 
 class InsufficientNodesError(PshlabError):
-    """Raised when a quadrature node budget is too small to build a rule."""
+    """Raised when a rule or grid has too few nodes: a quadrature budget too small to
+    build a rule, or a grid too coarse to resolve a distance."""
 
 
 class PoleInStencilError(PshlabError):

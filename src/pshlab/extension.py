@@ -193,7 +193,9 @@ def _monomial_values(d: np.ndarray, exponents) -> np.ndarray:
     return np.stack(cols, axis=1)  # (m, K)
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of gram x = rhs, or SingularGramError when the Gram system is
+    singular or its solution is not finite (a basis of too high a degree)."""
     try:
         sol = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
@@ -207,15 +209,22 @@ def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: 
                             rule: QuadratureRule):
     """Minimize (1/mu) int |f|^2 e^{-phi} over degree <= N polys with f(z0) = 1.
 
-    The Gram matrix of the monomials centered at z0 makes the constraint a
-    single coordinate; the minimizer and its value come from the constrained
-    normal equations.  Comparing the value against e^{-phi(z0)} tests the
-    optimal L^2-extension inequality within the polynomial class.
+    The polynomials are taken in the cylinder's own coordinates t = A^H (z - z0)
+    / (r, s, ..., s), in which it is P_{1,1}: their monomials are at most 1 in
+    modulus on it, whatever its frame and radii, and t = 0 at z0 makes the
+    constraint a single coordinate; the minimizer and its value come from the
+    constrained normal equations.  Comparing the value against e^{-phi(z0)} tests
+    the optimal L^2-extension inequality within the polynomial class.
     """
     sample, weight_vals = _cylinder_weight_values(phi, cyl, rule)
     mu = cyl.volume
     exponents = monomial_exponents(phi.n, degree)
-    mono = _monomial_values(sample.nodes - cyl.center, exponents)
+    radii = np.array([cyl.r] + [cyl.s] * (cyl.n - 1))
+
+    def monomials(z):
+        return _monomial_values((z - cyl.center) @ cyl.frame.conj() / radii, exponents)
+
+    mono = monomials(sample.nodes)
     weight, shift = weight_exp(-weight_vals)
     wphi = sample.weights * weight / mu
     # gram carries the factor e^{-shift}, which leaves the minimizer unchanged
@@ -223,9 +232,7 @@ def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: 
     # minimize v^H G v... with v_0 = 1: stationarity sum_a gram[b, a] v_a = 0, b != 0
     sub = gram[1:, 1:]
     rhs = -gram[1:, 0]
-    tail = _solve_gram(sub, rhs)
+    tail = solve_gram(sub, rhs)
     v = np.concatenate([[1.0 + 0.0j], tail])
     value = unshift(float(np.real(np.conj(v) @ gram @ v)), shift)
-    coeffs = {expo: v[i] for i, expo in enumerate(exponents)}
-    f_star = polynomial(coeffs, cyl.center)
-    return f_star, value
+    return lambda z: monomials(z) @ v, value

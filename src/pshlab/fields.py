@@ -54,7 +54,6 @@ class ScalarField:
 class HermitianField:
     """Coefficient field of a continuous real (1,1)-form: z -> Hermitian (n, n)."""
 
-    name: str
     n: int
     evaluate: Callable[[np.ndarray], np.ndarray]
 
@@ -73,17 +72,13 @@ class HermitianField:
 
 
 def zero_omega(n: int) -> HermitianField:
-    return HermitianField(
-        "zero", n, lambda z: np.zeros((z.shape[0], n, n), dtype=complex)
-    )
+    return HermitianField(n, lambda z: np.zeros((z.shape[0], n, n), dtype=complex))
 
 
 def constant_omega(c: float, n: int) -> HermitianField:
     """g(z) = c I, the coefficient field of c times the Euclidean form."""
     m = np.asarray(c * np.eye(n), dtype=complex)
-    return HermitianField(
-        f"const:{c:g}", n, lambda z: np.broadcast_to(m, (z.shape[0], n, n)).copy()
-    )
+    return HermitianField(n, lambda z: np.broadcast_to(m, (z.shape[0], n, n)).copy())
 
 
 def scaled_sq_omega(c: float, n: int) -> HermitianField:
@@ -93,7 +88,7 @@ def scaled_sq_omega(c: float, n: int) -> HermitianField:
         sq = row_sum(np.abs(z) ** 2)
         return sq[:, None, None] * np.eye(n)[None, :, :] * c
 
-    return HermitianField(f"sq:{c}", n, ev)
+    return HermitianField(n, ev)
 
 
 def weight_exp(expo) -> tuple:
@@ -129,6 +124,16 @@ def unshift(total, shift: float):
 # ---------------------------------------------------------------------------
 # builtin corpus
 # ---------------------------------------------------------------------------
+
+
+def log_levi(d: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """I/u - conj(d) d^T/u^2 at (m, n) points d, given u = |d|^2 + c for a constant
+    c >= 0: the Levi form of log u, the one closed form of the log weights (log_abs
+    takes half of it, log1p_sq takes d = z and c = 1, witness.build_psi_delta I plus n
+    times it)."""
+    eye = np.eye(d.shape[-1])[None, :, :]
+    outer = np.conj(d)[:, :, None] * d[:, None, :]
+    return eye / u[:, None, None] - outer / (u**2)[:, None, None]
 
 
 def sq_norm(n: int) -> ScalarField:
@@ -183,10 +188,7 @@ def log_abs(a, n: int) -> ScalarField:
 
     def hess(z):
         d = z - av
-        u = row_sum(np.abs(d) ** 2)
-        eye = np.eye(n)[None, :, :]
-        outer = np.conj(d)[:, :, None] * d[:, None, :]
-        return 0.5 * (eye / u[:, None, None] - outer / (u**2)[:, None, None])
+        return 0.5 * log_levi(d, row_sum(np.abs(d) ** 2))
 
     return ScalarField(f"log_abs:{av.tolist()}", n, ev, grad=grad, hess=hess)
 
@@ -209,16 +211,10 @@ def log1p_sq(n: int) -> ScalarField:
         u = 1.0 + row_sum(np.abs(z) ** 2)
         return np.conj(z) / u[:, None]
 
-    def hess(z):
-        u = 1.0 + row_sum(np.abs(z) ** 2)
-        eye = np.eye(n)[None, :, :]
-        outer = np.conj(z)[:, :, None] * z[:, None, :]
-        return eye / u[:, None, None] - outer / (u**2)[:, None, None]
-
     return ScalarField(
         "log1p_sq", n,
         lambda z: np.log1p(row_sum(np.abs(z) ** 2)),
-        grad=grad, hess=hess,
+        grad=grad, hess=lambda z: log_levi(z, 1.0 + row_sum(np.abs(z) ** 2)),
     )
 
 
@@ -456,13 +452,13 @@ def levi_form(
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def _levi_gap(phi: ScalarField, omega: HermitianField, pts) -> tuple:
+def levi_gap(phi: ScalarField, omega: HermitianField, pts) -> tuple:
     """The Levi gap levi_form(phi) - omega at (m, n) points and its (m,) smallest eigenvalues."""
     gap = levi_form(phi, pts) - omega(pts)
     return gap, np.linalg.eigvalsh(gap)[:, 0]
 
 
-def _region_nodes(phi: ScalarField, region: DomainBox, resolution: int) -> np.ndarray:
+def region_nodes(phi: ScalarField, region: DomainBox, resolution: int) -> np.ndarray:
     """The grid points of a region scan; raises when there are none or phi has a pole at one."""
     _require_c2(phi)
     pts = region.grid_points(resolution)
@@ -496,8 +492,8 @@ def check_lower_bound(
     "holds" means lambda_min >= -tol at every node; otherwise the worst node,
     its eigenvector, and c = -lambda_min are returned.
     """
-    pts = _region_nodes(phi, region, resolution)
-    gap, eigs = _levi_gap(phi, omega, pts)
+    pts = region_nodes(phi, region, resolution)
+    gap, eigs = levi_gap(phi, omega, pts)
     worst = int(np.argmin(eigs))
     lam_min = float(eigs[worst])
     if lam_min >= -tol:

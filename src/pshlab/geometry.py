@@ -202,16 +202,12 @@ class HolomorphicCylinder:
 
     @property
     def volume(self) -> float:
-        return cylinder_volume(self)
-
-
-def cylinder_volume(cyl: HolomorphicCylinder) -> float:
-    """mu(P) = pi r^2 * pi^{n-1} s^{2(n-1)} / (n-1)!  (frame-independent)."""
-    n = cyl.n
-    disc = math.pi * cyl.r**2
-    if n == 1:
-        return disc
-    return disc * math.pi ** (n - 1) * cyl.s ** (2 * (n - 1)) / math.factorial(n - 1)
+        """mu(P) = pi r^2 * pi^{n-1} s^{2(n-1)} / (n-1)!  (frame-independent)."""
+        n = self.n
+        disc = math.pi * self.r**2
+        if n == 1:
+            return disc
+        return disc * math.pi ** (n - 1) * self.s ** (2 * (n - 1)) / math.factorial(n - 1)
 
 
 @dataclass(frozen=True)
@@ -219,8 +215,8 @@ class QuadratureRule:
     """Quadrature recipe over a cylinder: kind, node budget, and seed.
 
     Kinds: "tensor-grid" (Gauss-Legendre radius x uniform angle on the r-disc,
-    tensored with a symmetrized low-discrepancy shell rule on the s-ball) and
-    "quasi-random" (Halton, shifted by a seeded uniform draw).
+    tensored with a symmetrized low-discrepancy shell rule on the s-ball), which
+    takes no seed, and "quasi-random" (Halton, shifted by a uniform draw of seed).
     """
 
     kind: str = "tensor-grid"
@@ -230,9 +226,6 @@ class QuadratureRule:
     def __post_init__(self):
         if self.kind not in ("tensor-grid", "quasi-random"):
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
-
-    def with_budget(self, budget: int) -> "QuadratureRule":
-        return QuadratureRule(self.kind, budget, self.seed)
 
 
 class CylinderSample(NamedTuple):

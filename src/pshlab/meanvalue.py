@@ -84,10 +84,6 @@ class PshScanResult:
 
     verdict = property(lambda self: "violated" if self.violations else "no-violation-found")
 
-    @property
-    def violated(self) -> bool:
-        return self.verdict == "violated"
-
 
 def classify_psh(
     phi: ScalarField,
@@ -142,8 +138,8 @@ def classify_psh(
             s = float(rng.uniform(*RADIUS_RANGE)) * scale
             jobs.append((center, frame_seed, r, s))
 
-    rule = QuadratureRule("tensor-grid", budget, seed)
-    recheck = rule.with_budget(4 * budget)
+    rule = QuadratureRule("tensor-grid", budget)
+    recheck = QuadratureRule("tensor-grid", 4 * budget)
     cross_rule = QuadratureRule("quasi-random", 4 * budget, seed + 1)
 
     violations = []

@@ -23,10 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContinuityRequiredError, MetricNotPositiveError
+from .errors import ContinuityRequiredError, InsufficientNodesError, MetricNotPositiveError
 from .fields import (
-    LEVI_TOL, REGION_RESOLUTION, HermitianField, ScalarField, _levi_gap, _region_nodes, unshift,
-    weight_exp,
+    LEVI_TOL, REGION_RESOLUTION, HermitianField, ScalarField, levi_gap, log_levi, region_nodes,
+    unshift, weight_exp,
 )
 from .bochner import (
     FormField01, GridDiscretization, band_energy, form_gradient, make_grid, support_values,
@@ -232,8 +232,8 @@ def scan_sharp_witness(
     region, when no ladder radius keeps the gap below -c/2, and when no s of
     the schedule certifies a violation.
     """
-    pts = _region_nodes(phi, region, REGION_RESOLUTION)
-    gap, eigs = _levi_gap(phi, omega, pts)
+    pts = region_nodes(phi, region, REGION_RESOLUTION)
+    gap, eigs = levi_gap(phi, omega, pts)
     holds = not np.any(eigs < -LEVI_TOL)
     center = _select_center(region, pts, gap, eigs)
     r = None if center is None else _select_radius(phi, omega, center)
@@ -308,7 +308,7 @@ def _select_radius(phi, omega, center) -> Optional[float]:
     z0, _, c, r_max = center
     for k in range(RADIUS_LADDER_STEPS):
         r = r_max / (2.0**k)
-        _, eigs = _levi_gap(phi, omega, DomainBox("ball", z0, np.array([r])).grid_points(7))
+        _, eigs = levi_gap(phi, omega, DomainBox("ball", z0, np.array([r])).grid_points(7))
         if np.max(eigs) < -c / 2.0:
             return r
     return None
@@ -342,8 +342,9 @@ def build_alpha_eps(w, eps: float) -> FormField01:
 def build_psi_delta(w, delta: float, n: int) -> ScalarField:
     """psi_delta = |z|^2 + n log(|z - w|^2 + delta^2).
 
-    For delta > 0 this is C^2 with a closed-form Hessian; delta = 0 gives the
-    usc limit with a logarithmic pole at w and psi_0 >= 2n log|z - w| + |z|^2.
+    For delta > 0 this is C^2 with the closed-form Levi form I + n (I/u -
+    conj(d) d^T/u^2), d = z - w, u = |d|^2 + delta^2 (fields.log_levi); delta = 0
+    gives the usc limit with a logarithmic pole at w and psi_0 >= 2n log|z - w| + |z|^2.
     """
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
@@ -363,22 +364,11 @@ def build_psi_delta(w, delta: float, n: int) -> ScalarField:
         u = row_sum(np.abs(d) ** 2) + dd
         return np.conj(z) + n * np.conj(d) / u[:, None]
 
-    return ScalarField(
-        f"psi_delta:{delta:g}", n, ev, grad=grad,
-        hess=lambda z: _psi_delta_hess(z, w, delta, n),
-    )
+    def hess(z):
+        d = z - w
+        return np.eye(n) + n * log_levi(d, row_sum(np.abs(d) ** 2) + dd)
 
-
-def _psi_delta_hess(z, w, delta: float, n: int) -> np.ndarray:
-    """Levi form of psi_delta: I + n (I/u - conj(d) d^T/u^2), d = z - w, u = |d|^2 + delta^2.
-
-    At delta = 0 this is the metric of the usc limit off its pole.
-    """
-    d = z - w
-    u = row_sum(np.abs(d) ** 2) + delta * delta
-    eye = np.eye(n)[None, :, :]
-    outer = np.conj(d)[:, :, None] * d[:, None, :]
-    return eye + n * (eye / u[:, None, None] - outer / (u**2)[:, None, None])
+    return ScalarField(f"psi_delta:{delta:g}", n, ev, grad=grad, hess=hess)
 
 
 def _psi_delta_norm_sq(f_values, z, w, delta: float, n: int) -> np.ndarray:
@@ -405,7 +395,6 @@ def _psi_delta_norm_sq(f_values, z, w, delta: float, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class CoarseChainReport:
     m: int
-    p: float
     eps: float
     delta: float
     rhs_integral: float
@@ -438,41 +427,44 @@ def ball_infimum(phi: ScalarField, w, eps: float) -> float:
 
 
 def coarse_rhs_bound(
-    phi: ScalarField, p: float, w, eps: float, deltas: Sequence[float],
-    m_log_c: Sequence[tuple], grid_nodes: int,
+    phi: ScalarField, p: float, w, blocks: Sequence[tuple], deltas: Sequence[float],
+    m_log_c: Sequence[tuple],
 ) -> list:
     """Numerically verify C_m int |alpha_eps|^p_{metric} e^{-(m phi + psi_delta)}
-    <= C C_m e^{-m inf phi} / eps^p with C = 2^{p+2n} mu(B_1), given log(C_m),
-    as reports[i][k] for the i-th (m, log C_m) of m_log_c and the k-th delta.
-    The grid, alpha, phi and inf phi are computed once, psi and its norm once per delta.
+    <= C C_m e^{-m inf phi} / eps^p with C = 2^{p+2n} mu(B_1), given log(C_m), for
+    each (m, log C_m) of m_log_c, (eps, grid nodes per axis) of blocks and delta:
+    one report per tuple, in (m, eps, delta) order.  Per eps, the grid, alpha, phi
+    and inf phi are computed once, psi and its norm once per delta.
     """
     w = as_point(w)
     n = w.size
-    alpha = build_alpha_eps(w, eps)
-    grid = _annulus_grid(w, eps, grid_nodes)
-    spacing = float(np.max(grid.spacing))
-    if spacing > eps / 16.0 + 1e-15:
-        raise ValueError(
-            f"grid does not resolve the annulus: spacing {spacing:.3e} > eps/16"
-        )
-    # alpha_eps vanishes on |z - w| < eps/2, where chi' = 0, so the pole of psi_0
-    # at w is never among the nodes where it is nonzero
-    idx, pts, av = support_values(alpha, grid)
-    quad = grid.weights[idx]
-    phi_use = phi(pts)
-    inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)
-
-    reports = [[] for _ in m_log_c]
-    for delta in deltas:
-        psi_use = build_psi_delta(w, delta, n)(pts)
-        norm_p = _psi_delta_norm_sq(av, pts, w, delta, n) ** (p / 2.0)
-        for row, (m, log_c_m) in zip(reports, m_log_c):
-            weight, shift = weight_exp(-(m * phi_use + psi_use))
-            rhs = unshift(float(np.dot(norm_p * weight, quad)), shift + log_c_m)
-            bound = unshift(envelope / eps**p, log_c_m - m * inf_phi)
-            row.append(CoarseChainReport(m, p, eps, delta, rhs, bound, envelope, inf_phi))
-    return reports
+    rows = [[] for _ in m_log_c]
+    for eps, grid_nodes in blocks:
+        alpha = build_alpha_eps(w, eps)
+        grid = _annulus_grid(w, eps, grid_nodes)
+        spacing = float(np.max(grid.spacing))
+        if spacing > eps / 16.0 + 1e-15:
+            raise ValueError(
+                f"grid does not resolve the annulus: spacing {spacing:.3e} > eps/16"
+            )
+        # alpha_eps vanishes on |z - w| < eps/2, where chi' = 0, so the pole of psi_0
+        # at w is never among the nodes where it is nonzero
+        idx, pts, av = support_values(alpha, grid)
+        quad = grid.weights[idx]
+        phi_use = phi(pts)
+        inf_phi = ball_infimum(phi, w, eps)
+        for delta in deltas:
+            psi_use = build_psi_delta(w, delta, n)(pts)
+            norm_p = _psi_delta_norm_sq(av, pts, w, delta, n) ** (p / 2.0)
+            for row, (m, log_c_m) in zip(rows, m_log_c):
+                weight, shift = weight_exp(-(m * phi_use + psi_use))
+                rhs = unshift(float(np.dot(norm_p * weight, quad)), shift + log_c_m)
+                bound = unshift(envelope / eps**p, log_c_m - m * inf_phi)
+                row.append(CoarseChainReport(m, eps, delta, rhs, bound, envelope, inf_phi))
+        # free this eps's grid and support arrays before the next eps's grid is built
+        del grid, idx, pts, av, quad, phi_use
+    return [rep for row in rows for rep in row]
 
 
 def _annulus_grid(w, eps: float, nodes: int) -> GridDiscretization:
@@ -485,12 +477,23 @@ def modulus_of_continuity(
 ) -> float:
     """Grid approximation of sup{|phi(z) - phi(w)| : z, w in region, |z-w| <= eps}.
 
+    The grid has resolution nodes per real axis of the region's bounding box.  An eps
+    below its largest spacing (1e-12 relative slack) raises InsufficientNodesError:
+    neighbouring nodes along that axis are more than eps apart, and on a ball, whose
+    axes share one spacing, the scan would read 0.
+
     With the nodes sorted by value, a block of them is paired only with the nodes
     whose values exceed the block's first by more than the best difference so far,
     the only pairs that can raise it; a block makes MODULUS_BLOCK_PAIRS pairs at most.
     """
     if phi.smoothness == "usc":
         raise ContinuityRequiredError("requires continuity")
+    bounds = region.real_bounds()
+    spacing = float(np.max(bounds[:, 1] - bounds[:, 0])) / (resolution - 1)
+    if eps < spacing * (1.0 - 1e-12):
+        raise InsufficientNodesError(
+            f"insufficient nodes: eps {eps!r} is below the grid spacing {spacing!r} of "
+            f"{resolution} nodes per axis")
     pts = region.grid_points(resolution)
     vals = phi(pts)
     if np.any(~np.isfinite(vals)):

@@ -297,7 +297,7 @@ def hormander_ratio_one(phi, psi, f, degree: int, grid) -> SolveResult:
     comparison_nodes[support] = np.abs(fv[support]) ** 2 / psi_zz
     comparison = float(np.dot(comparison_nodes, wq))
 
-    return SolveResult(residual, degree, (minimal_norm_sq, comparison), shift)
+    return SolveResult(residual, (minimal_norm_sq, comparison), shift)
 
 
 def coarse_rhs_bound_one(phi, m, p, w, eps, delta, log_c_m, grid_nodes=64) -> CoarseChainReport:
@@ -329,4 +329,4 @@ def coarse_rhs_bound_one(phi, m, p, w, eps, delta, log_c_m, grid_nodes=64) -> Co
     inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)
     bound = unshift(envelope / eps**p, log_c_m - m * inf_phi)
-    return CoarseChainReport(m, p, eps, delta, rhs, bound, envelope, inf_phi)
+    return CoarseChainReport(m, eps, delta, rhs, bound, envelope, inf_phi)

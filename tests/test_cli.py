@@ -401,8 +401,7 @@ class TestExponentOption:
             reps = bound(*args, **kwargs)
             calls.append(reps)
             if len(calls) == 1:
-                rep = reps[0][0]
-                reps[0][0] = dataclasses.replace(rep, rhs_integral=2.0 * rep.bound)
+                reps[0] = dataclasses.replace(reps[0], rhs_integral=2.0 * reps[0].bound)
             return reps
 
         monkeypatch.setattr(witness, "coarse_rhs_bound", first_fails)
@@ -414,6 +413,38 @@ class TestExponentOption:
         assert main(argv) == 0
         assert "[PASS] coarse-chain: 2/2 tuples verified" in capsys.readouterr().out
 
+
+    def test_one_coarse_chain_call_for_every_eps(self, monkeypatch, capsys):
+        from pshlab import witness
+
+        bound, calls = witness.coarse_rhs_bound, []
+
+        def counted(*args):
+            calls.append(args[3])
+            return bound(*args)
+
+        monkeypatch.setattr(witness, "coarse_rhs_bound", counted)
+        assert main(["coarse-chain", "--func", "re_linear", "--m", "1,2", "--eps", "0.5,0.25",
+                     "--delta", "0.25,0"]) == 0
+        assert calls == [[(0.5, 256), (0.25, 256)]]
+        assert "[PASS] coarse-chain: 8/8 tuples verified" in capsys.readouterr().out
+
+    def test_an_m_the_modulus_grid_cannot_resolve_leaves_its_two_columns_blank(self, tmp_path):
+        # the region grid has 17 nodes per axis of the unit ball's box, spacing 1/8: it
+        # resolves eps = 1/m up to m = 8 and not beyond, where the modulus would read 0
+        out = tmp_path / "chain.csv"
+        argv = ["coarse-chain", "--func", "re_linear", "--m", "8,16,32", "--eps", "0.5",
+                "--delta", "0.25", "--out", str(out)]
+        assert main(argv) == 0
+        lines = out.read_text().splitlines()
+        assert lines[1] == ("8,2.0,0.5,0.25,31.924901605039103,10977.588114912887,"
+                            "50.26548245743669,-0.49999975750747494,0.125,12.854522072572477,True")
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["m"] for row in rows] == ["8", "16", "32"]
+        for row in rows[1:]:
+            assert row["o_eps_1_over_m"] == row["log_cprime_m"] == ""
+            assert row["verified"] == "True"
 
     def test_readme_configuration_rows_equal_the_one_tuple_oracle(self, tmp_path):
         """Rows in (m, eps, delta) order, each equal to its tuple's own solve."""

@@ -8,7 +8,6 @@ from pshlab.bochner import zero_field
 from pshlab.errors import ConsistencyError, DegenerateWeightError, SingularGramError
 from pshlab.extension import (
     _monomial_values,
-    _solve_gram,
     best_extension_constant,
     coarse_extension_bound,
     constant_one,
@@ -17,6 +16,7 @@ from pshlab.extension import (
     monomial_exponents,
     optimal_extension_margin,
     polynomial,
+    solve_gram,
 )
 from pshlab.geometry import HolomorphicCylinder, QuadratureRule, random_unitary, sample_cylinder
 
@@ -310,7 +310,7 @@ class TestBestExtensionConstant:
     def test_singular_gram_raises(self, gram):
         # an exactly singular matrix and one whose solve is not finite: no ridge retry
         with pytest.raises(SingularGramError, match="Gram"):
-            _solve_gram(np.array(gram), np.array([1.0, 0.0]))
+            solve_gram(np.array(gram), np.array([1.0, 0.0]))
 
 
 class TestMonomials:

@@ -13,7 +13,8 @@ from pshlab.fields import (
     scaled_sq_omega,
     zero_omega,
 )
-from pshlab.geometry import unit_ball
+from pshlab.geometry import row_sum, unit_ball
+from pshlab.witness import build_psi_delta
 
 # corpus entries, a safe evaluation point for each, and whether the entry has
 # nonvanishing fourth derivatives (so FD error is genuinely O(h^2))
@@ -96,6 +97,50 @@ class TestLeviForm:
         )
         with pytest.raises(ValueError, match="declared Hessian of 'bad' is not Hermitian"):
             levi_form(bad, np.zeros((3, 2)))
+
+
+class TestLogLeviForm:
+    """log_abs, log1p_sq and psi_delta take their Hessians from the one closed form
+    fields.log_levi; each gives the bytes of the expression it wrote out before,
+    copied here, at |z| from 1e-3 to 1e3."""
+
+    @staticmethod
+    def points(n, a):
+        rng = np.random.default_rng(11 * n)
+        u = rng.standard_normal((5000, n)) + 1j * rng.standard_normal((5000, n))
+        radius = 10.0 ** rng.uniform(-3.0, 3.0, 5000)
+        return a + u / np.linalg.norm(u, axis=1)[:, None] * radius[:, None]
+
+    @staticmethod
+    def written_out(d, u):
+        n = d.shape[-1]
+        eye = np.eye(n)[None, :, :]
+        outer = np.conj(d)[:, :, None] * d[:, None, :]
+        return eye, eye / u[:, None, None] - outer / (u**2)[:, None, None]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_log_abs(self, n):
+        a = np.full(n, 0.3 - 0.1j)
+        z = self.points(n, a)
+        d = z - a
+        _, form = self.written_out(d, row_sum(np.abs(d) ** 2))
+        assert fields.log_abs(a, n).hess(z).tobytes() == (0.5 * form).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_log1p_sq(self, n):
+        z = self.points(n, 0.0)
+        _, form = self.written_out(z, 1.0 + row_sum(np.abs(z) ** 2))
+        assert fields.log1p_sq(n).hess(z).tobytes() == form.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("delta", [0.25, 1e-3])
+    def test_psi_delta(self, n, delta):
+        w = np.full(n, -0.2 + 0.4j)
+        z = self.points(n, w)
+        d = z - w
+        eye, form = self.written_out(d, row_sum(np.abs(d) ** 2) + delta * delta)
+        got = build_psi_delta(w, delta, n).hess(z)
+        assert got.tobytes() == (eye + n * form).tobytes()
 
 
 def min_levi_eigenpair(phi, omega, z):
@@ -182,7 +227,7 @@ class TestRegistry:
 
     def test_hermitian_field_validates(self):
         bad = HermitianField(
-            "bad", 2, lambda z: np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]]), (z.shape[0], 2, 2))
+            2, lambda z: np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]]), (z.shape[0], 2, 2))
         )
         with pytest.raises(ValueError, match="not Hermitian"):
             bad(np.zeros((1, 2)))
@@ -191,7 +236,7 @@ class TestRegistry:
         # the deviation is max |g - g^H| over every entry, checked one (j, k) pair at a time
         rng = np.random.default_rng(5)
         g = rng.normal(size=(7, 3, 3)) + 1j * rng.normal(size=(7, 3, 3))
-        bad = HermitianField("bad", 3, lambda z: g)
+        bad = HermitianField(3, lambda z: g)
         dev = np.max(np.abs(g - g.conj().swapaxes(-1, -2)))
         with pytest.raises(ValueError) as info:
             bad(np.zeros((7, 3)))
@@ -201,7 +246,7 @@ class TestRegistry:
         g = np.zeros((4, 2, 2), dtype=complex)
         g[2, 1, 1] = 3.0j  # |g_11 - conj(g_11)| = 6
         with pytest.raises(ValueError, match="deviation 6.000e"):
-            HermitianField("bad", 2, lambda z: g)(np.zeros((4, 2)))
+            HermitianField(2, lambda z: g)(np.zeros((4, 2)))
 
     @pytest.mark.parametrize("omega", [fields.zero_omega(2), fields.scaled_sq_omega(0.5, 2)])
     def test_hermitian_field_on_zero_points(self, omega):

@@ -11,7 +11,6 @@ from pshlab.geometry import (
     _halton_axis,
     as_point,
     ball_volume,
-    cylinder_volume,
     random_unitary,
     sample_cylinder,
     unit_ball,
@@ -50,13 +49,13 @@ def model_monomial_integral(a, b, r, s, n):
 
 class TestVolume:
     def test_disc_area(self):
-        assert cylinder_volume(disc(2.0)) == pytest.approx(4.0 * math.pi, rel=1e-15)
+        assert disc(2.0).volume == pytest.approx(4.0 * math.pi, rel=1e-15)
 
     def test_bidisc(self):
-        assert cylinder_volume(cyl2(1.0, 1.0)) == pytest.approx(math.pi**2, rel=1e-15)
+        assert cyl2(1.0, 1.0).volume == pytest.approx(math.pi**2, rel=1e-15)
 
     def test_frame_invariance(self):
-        assert cylinder_volume(cyl2(1.0, 1.0, seed=7)) == pytest.approx(
+        assert cyl2(1.0, 1.0, seed=7).volume == pytest.approx(
             math.pi**2, rel=1e-15
         )
 

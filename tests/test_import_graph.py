@@ -6,7 +6,8 @@ that its import statements reach, transitively; and no import statement sits in
 a function body, so the module-level imports are the whole import graph.  The
 two front ends, `cli` and `acceptance`, bind toolkit modules, not the names in
 them, so that each toolkit function has one binding for a tracer or a test to
-patch.
+patch.  No module imports another module's private (`_`-prefixed) name: a helper
+that two modules share has a public name.
 """
 
 import ast
@@ -118,3 +119,9 @@ def test_front_ends_bind_toolkit_modules_not_names(module):
     error_classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
     allowed = {(None, "__version__"), *(("errors", name) for name in error_classes)}
     assert names_bound(module) <= allowed
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = sorted(f"{module} <- {source}.{name}" for module in MODULES
+                   for source, name in names_bound(module) if source and name.startswith("_"))
+    assert found == []

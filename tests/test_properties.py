@@ -13,6 +13,9 @@ the grid box, the form and the weight together by whole grid spacings leaves
 the Bochner residual and its four terms unchanged up to rounding, and so
 do swapping z1 and z2 at n = 2 and the quarter turn z1 -> i z1 of a centered box.
 The quarter turn also leaves the n = 1 estimate ratio unchanged up to rounding.
+A unitary U maps the cylinder U^{-1}(z0 + A P) onto z0 + A P node for node, so
+the extension margin, the Jensen residuals, the coarse extension bounds and the
+best constant of phi o U and f o U there equal those of phi and f up to rounding.
 """
 
 import dataclasses
@@ -36,6 +39,7 @@ from pshlab.bochner import (
 from pshlab.dbar1d import hormander_ratio
 from pshlab.errors import WeightOverflowError
 from pshlab.extension import (
+    best_extension_constant,
     coarse_extension_bound,
     constant_one,
     exp_linear,
@@ -47,6 +51,7 @@ from pshlab.geometry import (
     HolomorphicCylinder,
     QuadratureRule,
     random_unitary,
+    seeded_frame,
     unit_ball,
 )
 from pshlab.meanvalue import submean_test
@@ -255,6 +260,60 @@ def test_submean_margin_unitary_invariant(name, z0, seed, u_seed, r, s, kind):
     got = submean_test(composed(phi, lambda z: z @ u.T), HolomorphicCylinder(z0, frame, r, s), rule)
     expected = submean_test(phi, HolomorphicCylinder(u @ z0, u @ frame, r, s), rule)
     assert_same_margin(got, expected)
+
+
+def turned_cylinder(cyl: HolomorphicCylinder, u: np.ndarray) -> HolomorphicCylinder:
+    """U^{-1}(cyl) for a unitary U: centre U^{-1} z0, frame U^{-1} A, the same radii."""
+    ui = u.conj().T
+    return HolomorphicCylinder(ui @ cyl.center, ui @ cyl.frame, cyl.r, cyl.s)
+
+
+def extension_outputs(phi, cyl, f, degree) -> tuple:
+    """The extension layer's outputs on a cylinder: linear-scale values (compared
+    relatively) and log-scale ones (compared absolutely)."""
+    rule = QuadratureRule("tensor-grid", 4096)
+    rep = optimal_extension_margin(phi, cyl, f, 2.0, rule)
+    jensen = jensen_chain_check(phi, cyl, f, 3.0, rule)
+    b_m, b_tilde = coarse_extension_bound(phi, cyl, f, 0.5, 4, 2.0, rule)
+    _, best = best_extension_constant(phi, cyl, degree, rule)
+    linear = {"lhs": rep.lhs, "rhs": rep.rhs, "best": best}
+    logs = {"margin/scale": rep.margin / max(rep.lhs, rep.rhs),
+            "jensen_residual": rep.jensen_residual, "log_mean_residual": rep.log_mean_residual,
+            "conclusion_margin": rep.conclusion_margin, "jensen_p3": jensen, "b_m": b_m,
+            "b_tilde": b_tilde}
+    return linear, logs
+
+
+centers_ext = st.tuples(*[st.floats(min_value=-1.5, max_value=1.5)] * 4).map(
+    lambda x: np.array([x[0] + 1j * x[1], x[2] + 1j * x[3]])
+)
+radii_ext = st.floats(min_value=0.1, max_value=1.0)
+
+
+@property_settings
+@given(name=st.sampled_from(sorted(FIELDS_C2)), z0=centers_ext, seed=frame_seeds,
+       u_seed=frame_seeds, r=radii_ext, s=radii_ext, degree=st.sampled_from([4, 8]))
+@example(name="neg_gauss", z0=np.zeros(2, dtype=complex), seed=1, u_seed=2, r=1.0, s=1.0,
+         degree=8)
+# a thin cylinder off the origin, where monomials of z - z0 not scaled to the cylinder
+# give degree-8 best constants 9.2e-6 apart (relative) in the two frames
+@example(name="cross", z0=np.array([0.37 + 1.0j, -1.25 + 0.86j]), seed=3, u_seed=4, r=0.889,
+         s=0.153, degree=8)
+def test_extension_layer_unitary_invariant(name, z0, seed, u_seed, r, s, degree):
+    phi, u = FIELDS_C2[name], seeded_frame(u_seed, 2)
+    cyl = HolomorphicCylinder(z0, seeded_frame(seed, 2), r, s)
+    f = exp_linear(np.array([0.5 + 0.5j, -0.25j]), z0)
+    linear, logs = extension_outputs(phi, cyl, f, degree)
+    linear_u, logs_u = extension_outputs(
+        composed(phi, lambda z: z @ u.T), turned_cylinder(cyl, u), lambda z: f(z @ u.T), degree)
+    # the best constant solves a weighted Gram system, whose conditioning grows with the
+    # spread of e^{-phi} over the cylinder: its largest gap in 400 random cases of this
+    # test was 5.6e-12, the others' 9e-15
+    for key, value in linear.items():
+        tol = 1e-10 if key == "best" else 1e-12
+        assert abs(linear_u[key] - value) <= tol * abs(value), key
+    for key, value in logs.items():
+        assert np.allclose(logs_u[key], value, rtol=0.0, atol=1e-12), key
 
 
 @property_settings

@@ -89,9 +89,9 @@ def test_criteria_5_and_8_reach_the_traced_solve_names(monkeypatch):
         count_where_the_tracer_wraps(monkeypatch, modname, attr, seen)
     acceptance.criterion_hormander_ratio(0)
     acceptance.criterion_coarse_chain(0)
-    # one solve per right-hand side, one projection per weight, one block per eps
+    # one solve per right-hand side, one projection per weight, one coarse chain call
     assert seen == {"hormander_ratio": 2, "cauchy_transform": 2,
-                    "weighted_bergman_projection": 6, "coarse_rhs_bound": 2}
+                    "weighted_bergman_projection": 6, "coarse_rhs_bound": 1}
 
 
 def test_grid_criteria_reach_the_traced_form_evaluator(monkeypatch):

@@ -8,11 +8,10 @@ from scipy import integrate as sint
 from pshlab import fields
 from pshlab.bochner import make_grid, support_values
 from pshlab.fields import REGION_RESOLUTION
-from pshlab.errors import ContinuityRequiredError, MetricNotPositiveError
+from pshlab.errors import ContinuityRequiredError, InsufficientNodesError, MetricNotPositiveError
 from pshlab.geometry import DomainBox, ball_volume, unit_ball
 from pshlab.witness import (
     S_MAX,
-    _psi_delta_hess,
     _psi_delta_norm_sq,
     alpha_from_f,
     build_alpha_eps,
@@ -362,7 +361,7 @@ class TestScanSharpWitness:
         fields.scaled_sq_omega(1.2, 1),
         # gap < 0 only within 1e-3 of the center: no radius of the ladder keeps it below -c/2
         fields.HermitianField(
-            "spike", 1, lambda z: 2.0 * np.exp(-np.abs(z[:, 0]) ** 2 / 1e-6)[:, None, None] + 0j
+            1, lambda z: 2.0 * np.exp(-np.abs(z[:, 0]) ** 2 / 1e-6)[:, None, None] + 0j
         ),
     ])
     def test_no_ball_no_certificate(self, omega, monkeypatch):
@@ -515,7 +514,7 @@ class TestBandEnergy:
         grid = make_grid(unit_ball(2, radius=0.6), 8)
         alpha = nonzero_nodes(np.zeros((2, grid.weights.size), dtype=complex))
         phi = fields.ScalarField("unused", 2, unused, hess=unused)
-        omega = fields.HermitianField("unused", 2, unused)
+        omega = fields.HermitianField(2, unused)
         assert estimate_functional_E(alpha, phi, phi, omega, grid) == 0.0
 
 
@@ -594,9 +593,9 @@ class TestPsiDelta:
 
 class TestCoarseChain:
     def test_flat_weight_bound(self):
-        [[rep]] = coarse_rhs_bound(
+        [rep] = coarse_rhs_bound(
             fields.zero_field_like(1) if hasattr(fields, "zero_field_like") else _zero(1),
-            p=2.0, w=np.zeros(1), eps=0.5, deltas=[0.25], m_log_c=[(1, 0.0)], grid_nodes=64,
+            p=2.0, w=np.zeros(1), blocks=[(0.5, 64)], deltas=[0.25], m_log_c=[(1, 0.0)],
         )
         assert rep.verified
         assert rep.bound == pytest.approx(2.0**4 * math.pi * 1.0 * 4.0, rel=1e-12)
@@ -613,18 +612,18 @@ class TestCoarseChain:
             return alpha_sq / metric * weight * rho * 2.0 * math.pi
 
         oracle, _ = sint.quad(integrand, eps / 2.0, eps, epsabs=1e-12)
-        [[rep]] = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), eps, [delta], [(1, 0.0)], 96)
+        [rep] = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), [(eps, 96)], [delta], [(1, 0.0)])
         assert rep.rhs_integral == pytest.approx(oracle, rel=2e-3)
 
     def test_eps_halving_scales_bound(self):
-        [[a]] = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), 0.5, [0.25], [(1, 0.0)], 64)
-        [[b]] = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), 0.25, [0.25], [(1, 0.0)], 128)
+        a, b = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), [(0.5, 64), (0.25, 128)], [0.25],
+                                [(1, 0.0)])
         assert b.bound == pytest.approx(4.0 * a.bound, rel=1e-12)
 
     def test_linear_weight_infimum(self):
         phi = fields.re_linear(np.array([1.0 + 0.0j]), 1)
         w = np.array([0.2 + 0.1j])
-        [[rep]] = coarse_rhs_bound(phi, 2.0, w, 0.5, [0.25], [(5, 0.0)], 64)
+        [rep] = coarse_rhs_bound(phi, 2.0, w, [(0.5, 64)], [0.25], [(5, 0.0)])
         # inf over the ball of Re z is phi(w) - eps
         assert rep.inf_phi == pytest.approx(phi.value_at(w) - 0.5, abs=2e-3)
         assert rep.verified
@@ -637,26 +636,37 @@ class TestCoarseChain:
         z = w + 0.6 * (rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n)))
         f = rng.standard_normal((n, 400)) + 1j * rng.standard_normal((n, 400))
         reference = np.einsum(
-            "jm,mjk,km->m", f, np.linalg.inv(_psi_delta_hess(z, w, delta, n)), np.conj(f)
+            "jm,mjk,km->m", f, np.linalg.inv(levi_psi_delta(z, w, delta, n)), np.conj(f)
         ).real
         closed = _psi_delta_norm_sq(f, z, w, delta, n)
         assert np.all(closed >= 0.0)
         assert np.allclose(closed, reference, rtol=1e-13, atol=0.0)
 
     def test_delta_zero_verified(self):
-        [[rep]] = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), 0.5, [0.0], [(2, 0.0)], 64)
+        [rep] = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), [(0.5, 64)], [0.0], [(2, 0.0)])
         assert rep.verified
 
     @pytest.mark.parametrize("eps, nodes", [(0.5, 64), (0.25, 128)])
     def test_criterion_5_block_equals_the_one_tuple_oracle(self, eps, nodes):
         phi, w = fields.re_linear(np.array([1.0 + 0.0j]), 1), np.array([0.2 + 0.1j])
         deltas, m_log_c = (0.25, 0.0625), [(m, 0.0) for m in (1, 2, 4, 8)]
-        block = coarse_rhs_bound(phi, 2.0, w, eps, deltas, m_log_c, nodes)
+        reports = coarse_rhs_bound(phi, 2.0, w, [(eps, nodes)], deltas, m_log_c)
+        want = [report_values(coarse_rhs_bound_one(phi, m, 2.0, w, eps, d, c, nodes))
+                for m, c in m_log_c for d in deltas]
+        assert [report_values(rep) for rep in reports] == want
+
+    def test_criterion_5_reports_equal_the_one_tuple_oracle_in_m_eps_delta_order(self):
+        phi, w = fields.re_linear(np.array([1.0 + 0.0j]), 1), np.array([0.2 + 0.1j])
+        blocks, deltas = ((0.5, 64), (0.25, 128)), (0.25, 0.0625)
+        m_log_c = [(m, 0.0) for m in (1, 2, 4, 8)]
+        reports = coarse_rhs_bound(phi, 2.0, w, blocks, deltas, m_log_c)
         want = [
-            [report_values(coarse_rhs_bound_one(phi, m, 2.0, w, eps, d, c, nodes)) for d in deltas]
-            for m, c in m_log_c
+            report_values(coarse_rhs_bound_one(phi, m, 2.0, w, eps, d, c, nodes))
+            for m, c in m_log_c for eps, nodes in blocks for d in deltas
         ]
-        assert [[report_values(rep) for rep in row] for row in block] == want
+        assert [report_values(rep) for rep in reports] == want
+        assert [(rep.m, rep.eps, rep.delta) for rep in reports] == [
+            (m, eps, d) for m, _ in m_log_c for eps, _ in blocks for d in deltas]
 
     def test_criterion_5_builds_one_grid_per_eps(self, monkeypatch):
         from pshlab import acceptance, witness
@@ -710,11 +720,27 @@ class TestModulusOfContinuity:
             pts = region.grid_points(resolution)
             vals = phi(pts)
             for m in (1, 2, 3, 4, 8):
+                if 1.0 / m < 2.0 / (resolution - 1):
+                    # below the grid spacing no pair is within 1/m: refused, not read as 0
+                    with pytest.raises(InsufficientNodesError, match="insufficient nodes"):
+                        modulus_of_continuity(phi, region, 1.0 / m, resolution)
+                    continue
                 want = max(
                     float(np.where(row_norm(z - pts) <= 1.0 / m, np.abs(v - vals), 0.0).max())
                     for z, v in zip(pts, vals)
                 )
                 assert modulus_of_continuity(phi, region, 1.0 / m, resolution) == want
+
+    @pytest.mark.parametrize("center", [0.0, 0.2 + 0.1j])
+    def test_eps_below_the_grid_spacing_is_refused(self, center):
+        # 17 nodes per axis of the unit ball's box: spacing 1/8, as in the coarse chain
+        phi, region = fields.re_linear(np.array([1.0 + 0.0j]), 1), unit_ball(1, center=[center])
+        assert modulus_of_continuity(phi, region, 0.125, resolution=17) == 0.125
+        # within the 1e-12 relative slack eps is taken as the spacing, and not refused
+        modulus_of_continuity(phi, region, 0.125 * (1.0 - 1e-13), resolution=17)
+        for eps in (0.125 * (1.0 - 1e-11), 1.0 / 16):
+            with pytest.raises(InsufficientNodesError, match="below the grid spacing 0.125"):
+                modulus_of_continuity(phi, region, eps, resolution=17)
 
     def test_usc_rejected(self):
         usc = fields.ScalarField("u", 1, lambda z: np.zeros(z.shape[0]), smoothness="usc")
@@ -751,7 +777,14 @@ def _zero(n):
     return zero_field(n)
 
 
+def levi_psi_delta(z, w, delta, n):
+    """The Levi form I + n log_levi(z - w, |z - w|^2 + delta^2) of psi_delta, also at
+    delta = 0, where it is the metric of the usc limit off its pole."""
+    d = z - w
+    return np.eye(n) + n * fields.log_levi(d, np.sum(np.abs(d) ** 2, axis=-1) + delta * delta)
+
+
 def report_values(rep):
     """A coarse chain report's numbers (its w is an array, so reports do not compare by ==)."""
-    return (rep.m, rep.p, rep.eps, rep.delta, rep.rhs_integral, rep.bound,
-            rep.envelope_constant, rep.inf_phi)
+    return (rep.m, rep.eps, rep.delta, rep.rhs_integral, rep.bound, rep.envelope_constant,
+            rep.inf_phi)
