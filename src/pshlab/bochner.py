@@ -20,11 +20,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import PoleInStencilError
-from .fields import ScalarField, levi_form, unshift, weight_exp, zero_omega
+from .fields import ScalarField, check_overflow, levi_form, unshift, weight_exp, zero_omega
 from .geometry import DomainBox, as_point, as_points, row_sum
 
 FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
 MIN_GRID_NODES = 2 * FD_STENCIL_WIDTH + 2  # the fewest nodes per axis that a grid takes
+BAND_BLOCK = 8192  # band nodes whose gradients, points and Levi forms are held at once
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class GridDiscretization:
     nodes_per_axis: int
     axes: tuple = field(init=False)
     spacing: np.ndarray = field(init=False)
-    weights: np.ndarray = field(init=False)  # (m,) trapezoid weights
+    factors: tuple = field(init=False)  # per real axis, the 1-D trapezoid weights
     shape: tuple = field(init=False)
 
     def __post_init__(self):
@@ -66,21 +67,38 @@ class GridDiscretization:
         object.__setattr__(self, "spacing", spacing)
         shape = (self.nodes_per_axis,) * bounds.shape[0]
         object.__setattr__(self, "shape", shape)
-        w = np.ones(())
+        factors = []
         for h in spacing:
             w1 = np.full(self.nodes_per_axis, h)
             w1[[0, -1]] *= 0.5
-            w = np.multiply.outer(w, w1)
-        object.__setattr__(self, "weights", w.ravel())
+            factors.append(w1)
+        object.__setattr__(self, "factors", tuple(factors))
 
     @property
     def n(self) -> int:
         return self.bounds.shape[0] // 2
 
+    @property
+    def size(self) -> int:
+        """The number of nodes."""
+        return self.nodes_per_axis ** len(self.shape)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(m,) trapezoid weights of every node, built on first use: the outer
+        products of the 1-D factors, taken in axis order."""
+        return reduce(np.multiply.outer, self.factors, np.ones(())).ravel()
+
+    def weights_at(self, idx) -> np.ndarray:
+        """(k,) trapezoid weights of the nodes with flat indices idx: the products of
+        their 1-D factors in axis order, so each is the bits of its entry of weights."""
+        sub = np.unravel_index(idx, self.shape)
+        return reduce(np.multiply, [w1[i] for w1, i in zip(self.factors, sub)])
+
     @cached_property
     def points(self) -> np.ndarray:
         """(m, n) complex coordinates of every node, built on first use."""
-        return self.points_at(np.arange(self.weights.size))
+        return self.points_at(np.arange(self.size))
 
     def points_at(self, idx) -> np.ndarray:
         """(k, n) complex coordinates of the nodes with flat indices idx."""
@@ -110,17 +128,27 @@ class GridDiscretization:
         sub = np.nonzero(np.sqrt(sq) <= grown.extents[0])
         return np.ravel_multi_index(tuple(r[s] for r, s in zip(ranges, sub)), self.shape)
 
-    def partial(self, values: np.ndarray, axis: int, nodes: np.ndarray) -> np.ndarray:
-        """4th-order central difference along a real axis at the flat nodes, gathered
-        from flat values; a node within FD_STENCIL_WIDTH of an edge along the axis,
-        where the stencil would leave the grid, raises ValueError."""
-        v, h, nn = np.asarray(values).ravel(), self.spacing[axis], self.nodes_per_axis
-        s = nn ** (len(self.shape) - 1 - axis)  # flat stride of the axis
-        along = nodes // s % nn
+    def check_margin(self, axis: int, nodes: np.ndarray) -> None:
+        """ValueError for a flat node within FD_STENCIL_WIDTH of an edge along a real
+        axis, where the stencil would leave the grid."""
+        nn = self.nodes_per_axis
+        along = nodes // nn ** (len(self.shape) - 1 - axis) % nn
         if np.any((along < FD_STENCIL_WIDTH) | (along >= nn - FD_STENCIL_WIDTH)):
             raise ValueError("grid does not contain the form's support with a stencil margin")
-        return (-v[nodes + 2 * s] + 8.0 * v[nodes + s] - 8.0 * v[nodes - s]
-                + v[nodes - 2 * s]) / (12.0 * h)
+
+    def partial(self, values, axis: int, nodes: np.ndarray) -> np.ndarray:
+        """4th-order central difference along a real axis at the flat nodes, gathered
+        from flat values, whose nodes check_margin checks, or from MappedValues, one
+        row per component, read only at nodes of a band whose margin its builder
+        checked once (form_band)."""
+        if isinstance(values, MappedValues):
+            at = values.at
+        else:
+            self.check_margin(axis, nodes)
+            at = np.asarray(values).ravel().__getitem__
+        s = self.nodes_per_axis ** (len(self.shape) - 1 - axis)  # flat stride of the axis
+        return (-at(nodes + 2 * s) + 8.0 * at(nodes + s) - 8.0 * at(nodes - s)
+                + at(nodes - 2 * s)) / (12.0 * self.spacing[axis])
 
     def wirtinger(self, values: np.ndarray, j: int, nodes: np.ndarray) -> tuple:
         """(d/dz_j, d/dzbar_j) = ((d/dx_j - i d/dy_j)/2, (d/dx_j + i d/dy_j)/2)
@@ -159,84 +187,125 @@ def support_values(form: FormField01, grid: GridDiscretization) -> tuple:
     return idx[nonzero], pts[nonzero], values[:, nonzero]
 
 
+class MappedValues:
+    """Values at the sorted flat nodes of a grid, for the stencils: read at any flat
+    node through an int32 position map, as that node's column of the values or, off
+    the nodes, as a zero column past them."""
+
+    def __init__(self, nodes: np.ndarray, values: np.ndarray, grid: GridDiscretization):
+        self.pos = np.full(grid.size, nodes.size, dtype=np.int32)
+        self.pos[nodes] = np.arange(nodes.size, dtype=np.int32)
+        zero = np.zeros(values.shape[:-1] + (1,), dtype=values.dtype)
+        self.columns = np.concatenate([values, zero], axis=-1)
+        self.size = self.columns.size  # the values held, which np.size reads
+
+    def at(self, flat: np.ndarray) -> np.ndarray:
+        """The values at the flat nodes, a column per node."""
+        return np.take(self.columns, self.pos[flat], axis=-1)
+
+
+def form_band(idx: np.ndarray, values: np.ndarray, grid: GridDiscretization) -> tuple:
+    """The stencil band of a form given by the sorted flat indices idx of the nodes
+    where it is nonzero and its (n, k) values there (as support_values returns them),
+    and its values mapped for the stencils.  ValueError unless every band node lies
+    FD_STENCIL_WIDTH inside every edge, so every node of idx 2 FD_STENCIL_WIDTH layers
+    inside: checked here once per axis, for every stencil the band's blocks take."""
+    band = grid.stencil_band(idx)
+    for axis in range(len(grid.shape)):
+        grid.check_margin(axis, band)
+    return band, MappedValues(idx, values, grid)
+
+
 @dataclass(frozen=True)
 class FormGradient:
-    """A form's values and its components' Wirtinger derivatives on its stencil band."""
+    """A form's values and its components' Wirtinger derivatives at nodes of its stencil band."""
 
-    values: np.ndarray  # (n, k) values at the band nodes
-    band: np.ndarray  # sorted flat indices: the support and its stencil neighbours
-    on_support: np.ndarray  # (k,) boolean: the band nodes where some component is nonzero
-    dz: np.ndarray  # (n, n, k): [j, l] = d alpha_j / dz_l at the band nodes
-    dzbar: np.ndarray  # (n, n, k): [j, l] = d alpha_j / dzbar_l at the band nodes
+    values: np.ndarray  # (n, k) values at the nodes
+    band: np.ndarray  # (k,) their sorted flat indices
+    on_support: np.ndarray  # (k,) boolean: the nodes where some component is nonzero
+    dz: np.ndarray  # (n, k): [j] = d alpha_j / dz_j at the nodes
+    dzbar: np.ndarray  # (n, n, k): [j, l] = d alpha_j / dzbar_l at the nodes
 
 
-def form_gradient(idx: np.ndarray, values: np.ndarray, grid: GridDiscretization) -> FormGradient:
-    """The FormGradient of a form given by the sorted flat indices idx of the nodes
-    where it is nonzero and its (n, k) values there (as support_values returns
-    them).  The values are scattered once onto the whole grid, the stencils'
-    source; the stencils raise ValueError unless every node of idx lies at least
-    2 FD_STENCIL_WIDTH layers inside every edge."""
-    source = np.zeros((len(values), grid.weights.size), dtype=complex)
-    source[:, idx] = values
-    band = grid.stencil_band(idx)
-    # (n, n, 2, k): d/dz_k and d/dzbar_k of each component
-    w = np.array([[grid.wirtinger(c, k, band) for k in range(grid.n)] for c in source])
-    return FormGradient(source[:, band], band, np.isin(band, idx), w[:, :, 0], w[:, :, 1])
+def form_gradient(form: MappedValues, nodes: np.ndarray, grid: GridDiscretization) -> FormGradient:
+    """The FormGradient of a form at nodes of its stencil band (see form_band), from
+    one partial of all its components along each real axis."""
+    values = form.at(nodes)
+    dz = np.empty_like(values)
+    dzbar = np.empty((grid.n,) + values.shape, dtype=complex)
+    for k in range(grid.n):
+        dx, dy = grid.partial(form, 2 * k, nodes), grid.partial(form, 2 * k + 1, nodes)
+        dz[k] = 0.5 * (dx[k] - 1j * dy[k])
+        dzbar[:, k] = 0.5 * (dx + 1j * dy)
+    on_support = form.pos[nodes] < form.columns.shape[-1] - 1
+    return FormGradient(values, nodes, on_support, dz, dzbar)
+
+
+def band_blocks(band: np.ndarray, form: MappedValues, grid: GridDiscretization):
+    """For each block of BAND_BLOCK consecutive band nodes, its slice of the band and
+    the form's gradient there: the stencil path of every grid energy."""
+    for start in range(0, band.size, BAND_BLOCK):
+        block = slice(start, start + BAND_BLOCK)
+        yield block, form_gradient(form, band[block], grid)
 
 
 def dbar_01(g: FormGradient, grid: GridDiscretization) -> np.ndarray:
-    """(0,2)-coefficients (d alpha_k / dzbar_j - d alpha_j / dzbar_k), j < k, on the
-    stencil band of alpha, from its gradient g: an (n(n-1)/2, k) array in
-    lexicographic (j, k) order, empty when n = 1 (there are no (0,2)-forms on C)."""
+    """(0,2)-coefficients (d alpha_k / dzbar_j - d alpha_j / dzbar_k), j < k, at the
+    nodes of alpha's gradient g: an (n(n-1)/2, k) array in lexicographic (j, k)
+    order, empty when n = 1 (there are no (0,2)-forms on C)."""
     d = g.dzbar
     rows = [d[k, j] - d[j, k] for j in range(grid.n) for k in range(j + 1, grid.n)]
     return np.array(rows, dtype=complex).reshape(len(rows), d.shape[-1])
 
 
-def dbar_star(g: FormGradient, phi: ScalarField, grid: GridDiscretization) -> np.ndarray:
-    """Formal adjoint -sum_j (d alpha_j / dz_j - alpha_j dphi/dz_j) on the stencil band
-    of alpha, from its gradient g; grad phi is evaluated where alpha is nonzero, and
-    a weight without grad on the band, for its stencil gradient.  A pole (a value or
-    gradient that is not finite) there raises PoleInStencilError."""
-    support = g.band[g.on_support]
+def weight_gradient(phi: ScalarField, idx: np.ndarray, band: np.ndarray,
+                    grid: GridDiscretization) -> np.ndarray:
+    """(k, n) dphi/dz_j at the flat nodes idx where a form is nonzero: grad phi there,
+    or for a weight without grad the stencil gradient of its values on the form's
+    stencil band, evaluated once.  A pole (a value or gradient that is not finite)
+    there raises PoleInStencilError."""
     if phi.grad is not None:
         with np.errstate(divide="ignore", invalid="ignore"):
-            gphi = np.asarray(phi.grad(grid.points_at(support)), dtype=complex)
+            gphi = np.asarray(phi.grad(grid.points_at(idx)), dtype=complex)
     else:
-        pv = np.zeros(grid.weights.size)
-        pv[g.band] = phi(grid.points_at(g.band))
-        if not np.all(np.isfinite(pv[g.band])):  # every value the stencils at the support read
+        pv = np.asarray(phi(grid.points_at(band)), dtype=float)
+        if not np.all(np.isfinite(pv)):  # every value the stencils at idx read
             raise PoleInStencilError("pole in the stencil band of the form")
-        gphi = np.stack([grid.wirtinger(pv, j, support)[0] for j in range(grid.n)], axis=1)
+        mapped = MappedValues(band, pv, grid)
+        gphi = np.stack([grid.wirtinger(mapped, j, idx)[0] for j in range(grid.n)], axis=1)
     if not np.all(np.isfinite(gphi)):
         raise PoleInStencilError("pole in the support of the form")
+    return gphi
+
+
+def dbar_star(g: FormGradient, gphi: np.ndarray) -> np.ndarray:
+    """Formal adjoint -sum_j (d alpha_j / dz_j - alpha_j dphi/dz_j) at the nodes of
+    alpha's gradient g, from the weight's (k, n) gradient gphi at those of them
+    where alpha is nonzero (weight_gradient)."""
     out = np.zeros(g.band.size, dtype=complex)
-    for j in range(grid.n):
-        term = g.dz[j, j].copy()
+    for j in range(g.dz.shape[0]):
+        term = g.dz[j].copy()
         term[g.on_support] -= g.values[j, g.on_support] * gphi[:, j]
         out -= term
     return out
 
 
 def band_energy(g: FormGradient, phi: ScalarField, grid, psi, omega):
-    """On the stencil band of alpha: Re sum_{j,k} (phi_{j kbar} - omega_jk) alpha_j
-    conj(alpha_k), the gradient energy, the trapezoid weights times
-    e^{-(phi + psi) - shift} and the shift (the band's largest exponent).  A band
-    node off the support lies within FD_STENCIL_WIDTH steps along an axis of a node
-    where alpha is nonzero, so its stencil gradient is nonzero unless the stencil's
-    terms cancel exactly: the band is where the integrands live.  Weight, Levi forms
-    and omega are evaluated on the band only, and not at all when it is empty."""
-    band = g.band
-    if band.size == 0:
-        empty = np.zeros(0)
-        return empty, empty, empty, 0.0
+    """At the nodes of alpha's gradient g: Re sum_{j,k} (phi_{j kbar} - omega_jk)
+    alpha_j conj(alpha_k), the gradient energy, the exponent -(phi + psi) and the
+    trapezoid weights.  A band node off the support lies within FD_STENCIL_WIDTH
+    steps along an axis of a node where alpha is nonzero, so its stencil gradient is
+    nonzero unless the stencil's terms cancel exactly: the band is where the
+    integrands live.  An exponent of +inf raises WeightOverflowError before the Levi
+    form is taken, as weight_exp would."""
     # the gradient energy sum_{j,k} |d alpha_j / dzbar_k|^2, summed in (j, k) order
     grad_sq = np.sum(np.abs(g.dzbar.reshape(grid.n**2, -1)) ** 2, axis=0)
-    pts = grid.points_at(band)
-    e, shift = weight_exp(-(phi(pts) + psi(pts)))
+    pts = grid.points_at(g.band)
+    expo = -(phi(pts) + psi(pts))
+    check_overflow(expo)
     levi = levi_form(phi, pts) - omega(pts)
     quad = np.real(np.einsum("mjk,jm,km->m", levi, g.values, np.conj(g.values)))
-    return quad, grad_sq, e * grid.weights[band], shift
+    return quad, grad_sq, expo, grid.weights_at(g.band)
 
 
 @dataclass(frozen=True)
@@ -276,15 +345,29 @@ def bochner_residual(
     alpha: FormField01, phi: ScalarField, grid: GridDiscretization
 ) -> BochnerReport:
     """Both sides of the energy identity, reduced over one band with one
-    weight, and their relative residual."""
+    weight, and their relative residual; the integrands are taken block by block
+    (band_blocks) and only they, per band node, are kept for the reduction."""
     idx, _, values = support_values(alpha, grid)
-    g = form_gradient(idx, values, grid)
+    band, form = form_band(idx, values, grid)
+    gphi = weight_gradient(phi, idx, band, grid)
+    psi, omega = zero_field(grid.n), zero_omega(grid.n)
     # |dbar alpha|^2 over increasing pairs (none when n = 1) and |dbar*_phi alpha|^2
-    dbar_sq = np.sum(np.abs(dbar_01(g, grid)) ** 2, axis=0)
-    adjoint_sq = np.abs(dbar_star(g, phi, grid)) ** 2
-    # quad: the curvature integrand sum_{j,k} phi_{j kbar} alpha_j conj(alpha_k)
-    quad, grad_sq, e, shift = band_energy(g, phi, grid, zero_field(grid.n), zero_omega(grid.n))
-    terms = tuple(float(np.dot(v, e)) for v in (quad, grad_sq, dbar_sq, adjoint_sq))
+    grad_sq, dbar_sq, adjoint_sq, expo, trapezoid = (np.empty(band.size) for _ in range(5))
+    # the curvature integrand sum_{j,k} phi_{j kbar} alpha_j conj(alpha_k) goes to the
+    # real part of a complex buffer: np.dot sums that strided view in another order
+    # than a contiguous one, and in the order it summed band_energy's np.real view
+    curvature = np.empty(band.size, dtype=complex)
+    first = 0  # the row of gphi at the block's first node of idx
+    for block, g in band_blocks(band, form, grid):
+        last = first + np.count_nonzero(g.on_support)
+        dbar_sq[block] = np.sum(np.abs(dbar_01(g, grid)) ** 2, axis=0)
+        adjoint_sq[block] = np.abs(dbar_star(g, gphi[first:last])) ** 2
+        curvature.real[block], grad_sq[block], expo[block], trapezoid[block] = band_energy(
+            g, phi, grid, psi, omega)
+        first = last
+    e, shift = weight_exp(expo)
+    e *= trapezoid
+    terms = tuple(float(np.dot(v, e)) for v in (curvature.real, grad_sq, dbar_sq, adjoint_sq))
     return BochnerReport(terms, shift)
 
 

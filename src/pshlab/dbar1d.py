@@ -113,10 +113,13 @@ def weighted_bergman_projection(u_values: np.ndarray, w: np.ndarray, mono: np.nd
     (see _weights) and the (m, K) basis monomials mono (powers of a + b z) at the nodes.
 
     Returns (h_values, coefficients); the residual u - h is orthogonal to
-    every basis monomial (Gram normal equations).
+    every basis monomial (Gram normal equations).  The basis is conjugated once,
+    and that copy scaled by w in place once the right-hand side has read it.
     """
-    gram = (mono.conj().T * w) @ mono
-    rhs = mono.conj().T @ (w * np.asarray(u_values, dtype=complex))
+    mc = mono.conj()
+    rhs = mc.T @ (w * np.asarray(u_values, dtype=complex))
+    mc *= w[:, None]
+    gram = mc.T @ mono
     coeffs = solve_gram(gram, rhs)
     h_values = mono @ coeffs
     return h_values, coeffs

@@ -99,11 +99,16 @@ def weight_exp(expo) -> tuple:
     (a weight at -inf on its pole set) raises WeightOverflowError.
     """
     expo = np.asarray(expo, dtype=float)
-    if np.any(expo == np.inf):
-        raise WeightOverflowError("weight overflow: e^{-weight} is +inf at a node")
+    check_overflow(expo)
     shift = float(np.max(expo, where=np.isfinite(expo), initial=-np.inf))
     shift = shift if np.isfinite(shift) else 0.0
     return np.exp(expo - shift), shift
+
+
+def check_overflow(expo: np.ndarray) -> None:
+    """WeightOverflowError where an exponent -weight is +inf (a weight at -inf on its pole set)."""
+    if np.any(expo == np.inf):
+        raise WeightOverflowError("weight overflow: e^{-weight} is +inf at a node")
 
 
 def unshift(total, shift: float):

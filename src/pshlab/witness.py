@@ -29,7 +29,8 @@ from .fields import (
     unshift, weight_exp,
 )
 from .bochner import (
-    FormField01, GridDiscretization, band_energy, form_gradient, make_grid, support_values,
+    FormField01, GridDiscretization, band_blocks, band_energy, form_band, make_grid,
+    support_values,
 )
 from .geometry import DomainBox, as_point, ball_volume, row_norm, row_sum
 
@@ -137,12 +138,18 @@ def estimate_functional_E(
     Nonnegative whenever levi(phi) - g is positive semidefinite on the support
     of alpha; a negative value falsifies the sharp estimate property for
     (phi, omega).  alpha is the pair of the sorted flat indices of the nodes where
-    alpha is nonzero and its (n, k) values there (see form_gradient); every field
-    is evaluated on the band of alpha only.
+    alpha is nonzero and its (n, k) values there (see form_band); every field is
+    evaluated on the band of alpha only, a block of BAND_BLOCK nodes at a time, and
+    only the integrand, the exponent and the trapezoid weight of each band node are
+    kept for the one reduction.
     """
-    g = form_gradient(*alpha, grid)
-    quad, grad_sq, weight, shift = band_energy(g, phi, grid, psi, omega)
-    return unshift(float(np.dot(quad + grad_sq, weight)), shift)
+    band, form = form_band(*alpha, grid)
+    integrand, expo, trapezoid = (np.empty(band.size) for _ in range(3))
+    for block, g in band_blocks(band, form, grid):
+        quad, grad_sq, expo[block], trapezoid[block] = band_energy(g, phi, grid, psi, omega)
+        integrand[block] = quad + grad_sq
+    weight, shift = weight_exp(expo)
+    return unshift(float(np.dot(integrand, weight * trapezoid)), shift)
 
 
 @dataclass(frozen=True)
@@ -451,7 +458,7 @@ def coarse_rhs_bound(
         # alpha_eps vanishes on |z - w| < eps/2, where chi' = 0, so the pole of psi_0
         # at w is never among the nodes where it is nonzero
         idx, pts, av = support_values(alpha, grid)
-        quad = grid.weights[idx]
+        quad = grid.weights_at(idx)
         phi_use = phi(pts)
         inf_phi = ball_infimum(phi, w, eps)
         for delta in deltas:
@@ -478,9 +485,11 @@ def modulus_of_continuity(
     """Grid approximation of sup{|phi(z) - phi(w)| : z, w in region, |z-w| <= eps}.
 
     The grid has resolution nodes per real axis of the region's bounding box.  An eps
-    below its largest spacing (1e-12 relative slack) raises InsufficientNodesError:
-    neighbouring nodes along that axis are more than eps apart, and on a ball, whose
-    axes share one spacing, the scan would read 0.
+    below its largest spacing by more than 1e-12 relative raises
+    InsufficientNodesError: neighbouring nodes along that axis are more than eps
+    apart, and on a ball, whose axes share one spacing, the scan would read 0.  An eps
+    within that slack below the spacing is taken as the spacing, so the pairs that an
+    accepted eps compares are those of an eps of at least the spacing.
 
     With the nodes sorted by value, a block of them is paired only with the nodes
     whose values exceed the block's first by more than the best difference so far,
@@ -494,6 +503,7 @@ def modulus_of_continuity(
         raise InsufficientNodesError(
             f"insufficient nodes: eps {eps!r} is below the grid spacing {spacing!r} of "
             f"{resolution} nodes per axis")
+    eps = max(eps, spacing)
     pts = region.grid_points(resolution)
     vals = phi(pts)
     if np.any(~np.isfinite(vals)):

@@ -1,7 +1,7 @@
 """Test-only helpers on grids and forms: the whole-grid slice stencil (the
 oracle of the gathered one) and its Wirtinger derivatives, an interior mask,
 band values on the whole grid, the dense support and gradient (the oracles of
-support_values and form_gradient), a full-grid weighted pairing, dbar of a scalar
+support_values and form_gradient, whose dz is the diagonal d alpha_j / dz_j), a full-grid weighted pairing, dbar of a scalar
 grid field, the per-component closures that forms were built from (the oracles
 of their evaluators), a support check, the point-by-point support test (the
 oracle of the separable one), the two sides of the metric energy identity
@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from pshlab.bochner import (
-    FD_STENCIL_WIDTH, FormField01, FormGradient, bump_profile, dbar_01, dbar_star, form_gradient,
+    FD_STENCIL_WIDTH, FormField01, FormGradient, bump_profile, dbar_01, dbar_star, form_band,
+    form_gradient, weight_gradient,
 )
 from pshlab.dbar1d import (
     SolveResult, _centered_powers, _weights, cauchy_transform, dbar_residual,
@@ -103,8 +104,10 @@ def nonzero_nodes(values):
 
 
 def gradient_of(obj, grid):
-    """form_gradient of a form or its (n, m) node values, at their nonzero_nodes."""
-    return form_gradient(*nonzero_nodes(values_of(obj, grid)), grid)
+    """form_gradient of a form or its (n, m) node values, given at their nonzero_nodes,
+    on its whole stencil band: one block."""
+    band, form = form_band(*nonzero_nodes(values_of(obj, grid)), grid)
+    return form_gradient(form, band, grid)
 
 
 def dense_form_gradient(values, grid):
@@ -118,8 +121,8 @@ def dense_form_gradient(values, grid):
         for k in range(1, FD_STENCIL_WIDTH + 1):
             mask |= np.roll(support, k, axis) | np.roll(support, -k, axis)
     band = np.flatnonzero(mask)
-    dz, dzbar = ([[d(grid, a, k)[band] for k in range(grid.n)] for a in av]
-                 for d in (slice_d_dz, slice_d_dzbar))
+    dz = [slice_d_dz(grid, a, j)[band] for j, a in enumerate(av)]
+    dzbar = [[slice_d_dzbar(grid, a, k)[band] for k in range(grid.n)] for a in av]
     return FormGradient(av[:, band], band, support.ravel()[band], np.array(dz), np.array(dzbar))
 
 
@@ -132,7 +135,12 @@ def grid_dbar_01(alpha, grid):
 def grid_dbar_star(alpha, phi, grid):
     """dbar_star of a form or its node values, on the whole grid."""
     g = gradient_of(alpha, grid)
-    return on_grid(grid, g.band, dbar_star(g, phi, grid))
+    return on_grid(grid, g.band, dbar_star(g, weight_gradient_on(phi, g, grid)))
+
+
+def weight_gradient_on(phi, g, grid):
+    """weight_gradient of phi at the nodes of a whole-band gradient g where its form is nonzero."""
+    return weight_gradient(phi, g.band[g.on_support], g.band, grid)
 
 
 def weighted_pairing(a, b, weight, grid):

@@ -11,7 +11,9 @@ The sharp-estimate witness scan certifies every Levi gap of a family that
 is negative on the whole region, however its depth is spread.  Translating
 the grid box, the form and the weight together by whole grid spacings leaves
 the Bochner residual and its four terms unchanged up to rounding, and so
-do swapping z1 and z2 at n = 2 and the quarter turn z1 -> i z1 of a centered box.
+do swapping z1 and z2 at n = 2 and the quarter turn z1 -> i z1 of a centered box;
+the same three maps of (phi, omega, form, psi_s) leave the sign functional E
+unchanged up to rounding.
 The quarter turn also leaves the n = 1 estimate ratio unchanged up to rounding.
 A unitary U maps the cylinder U^{-1}(z0 + A P) onto z0 + A P node for node, so
 the extension margin, the Jensen residuals, the coarse extension bounds and the
@@ -34,6 +36,7 @@ from pshlab.bochner import (
     bump_const_form,
     bump_zbar_form,
     make_grid,
+    support_values,
     zero_field,
 )
 from pshlab.dbar1d import hormander_ratio
@@ -481,3 +484,95 @@ def test_hormander_ratio_quarter_turn_invariant(psi_center):
                              turned_form(f), 10, grid)
     for got, want in zip(turned, base, strict=True):
         assert abs(got.ratio - want.ratio) <= SYMMETRY_RTOL * want.ratio
+
+
+# ---------------------------------------------------------------------------
+# the sign functional E under the exact grid symmetries
+# ---------------------------------------------------------------------------
+# E of (phi, omega, form, psi_s) and of their pull-backs: the largest gaps measured
+# were 2.0e-16 relative (swap), 4.5e-16 (quarter turn), 0 (3 spacings) and 4.7e-13
+# (10^3 spacings, where the moved nodes carry the rounding of coordinates near 110)
+
+
+def skewed_omega(n: int) -> fields.HermitianField:
+    """g(z) = 0.7 conj(z) z^T + diag(0.3, 0.5, ...): Hermitian, and moved by the swap,
+    the quarter turn and every translation."""
+    d = np.diag(0.3 + 0.2 * np.arange(n)).astype(complex)
+    return fields.HermitianField(n, lambda z: 0.7 * np.conj(z)[:, :, None] * z[:, None, :] + d)
+
+
+def translated_omega(omega: fields.HermitianField, a) -> fields.HermitianField:
+    return fields.HermitianField(omega.n, lambda z: omega.evaluate(z - a))
+
+
+def swapped_omega(omega: fields.HermitianField) -> fields.HermitianField:
+    return fields.HermitianField(omega.n, lambda z: omega.evaluate(z[:, ::-1])[:, ::-1, ::-1])
+
+
+def turned_omega(omega: fields.HermitianField) -> fields.HermitianField:
+    u = quarter_turn(omega.n)
+    return fields.HermitianField(
+        omega.n, lambda z: omega.evaluate(z * u) * (u[:, None] * np.conj(u)))
+
+
+E_WEIGHTS = {"neg_sq_norm": fields.neg_sq_norm, "log1p_sq": fields.log1p_sq,
+             "neg_gauss": fields.neg_gauss}
+E_SETUPS = pytest.mark.parametrize("n, nodes, radius", [(1, 256, 0.9), (2, 24, 0.8)],
+                                   ids=["n1", "n2"])
+
+
+def functional_E(form, phi, psi, omega, grid):
+    return estimate_functional_E(support_values(form, grid)[::2], phi, psi, omega, grid)
+
+
+def e_case(n, radius, form, weight):
+    """A form of criterion 2, a weight, the skewed omega and psi_s (s = 10) centred at 0."""
+    xi = np.array([1.0]) if n == 1 else np.array([0.8, 0.6j])
+    alpha = (bump_const_form(xi, radius=radius) if form == "bump_const"
+             else bump_zbar_form(n, radius=radius))
+    return alpha, E_WEIGHTS[weight](n), build_psi_s(np.zeros(n), radius, 10.0), skewed_omega(n)
+
+
+@pytest.mark.parametrize("steps", [3, 1000])
+@pytest.mark.parametrize("weight", sorted(E_WEIGHTS))
+@pytest.mark.parametrize("form", ["bump_const", "bump_zbar2"])
+@E_SETUPS
+def test_functional_E_translation_invariant(n, nodes, radius, form, weight, steps):
+    # the grid box, the form, the weights and omega moved together by whole spacings
+    grid = make_grid(unit_ball(n, radius=1.3), nodes)
+    h = grid.spacing[0]
+    a = np.full(n, steps * h * (1.0 + 1.0j))
+    moved_grid = make_grid(unit_ball(n, radius=1.3, center=a), nodes)
+    assert np.all(np.abs(moved_grid.spacing - grid.spacing) <= 1e-12 * h)
+    alpha, phi, psi, omega = e_case(n, radius, form, weight)
+    want = functional_E(alpha, phi, psi, omega, grid)
+    got = functional_E(translated_form(alpha, a), translated_field(phi, a),
+                       translated_field(psi, a), translated_omega(omega, a), moved_grid)
+    assert abs(got - want) <= SYMMETRY_RTOL * abs(want)
+
+
+@pytest.mark.parametrize("weight", sorted(E_WEIGHTS) + ["saddle"])
+@pytest.mark.parametrize("form", ["bump_const", "bump_zbar2"])
+def test_functional_E_swap_invariant(form, weight):
+    # criterion 2's n = 2 box: the swap maps the grid onto itself
+    grid = make_grid(unit_ball(2, radius=1.3), 24)
+    alpha, phi, psi, omega = e_case(2, 0.8, form, "neg_gauss")
+    phi = fields.saddle(2.0) if weight == "saddle" else E_WEIGHTS[weight](2)
+    want = functional_E(alpha, phi, psi, omega, grid)
+    got = functional_E(swapped_form(alpha), swapped_field(phi), swapped_field(psi),
+                       swapped_omega(omega), grid)
+    assert abs(got - want) <= SYMMETRY_RTOL * abs(want)
+
+
+@pytest.mark.parametrize("weight", sorted(E_WEIGHTS))
+@pytest.mark.parametrize("form", ["bump_const", "bump_zbar2"])
+@E_SETUPS
+def test_functional_E_quarter_turn_invariant(n, nodes, radius, form, weight):
+    # centered boxes: the turn maps each onto itself, and its nodes onto nodes up to
+    # the rounding of their coordinates
+    grid = make_grid(unit_ball(n, radius=1.3), nodes)
+    alpha, phi, psi, omega = e_case(n, radius, form, weight)
+    want = functional_E(alpha, phi, psi, omega, grid)
+    got = functional_E(turned_form(alpha), turned_field(phi), turned_field(psi),
+                       turned_omega(omega), grid)
+    assert abs(got - want) <= SYMMETRY_RTOL * abs(want)

@@ -29,7 +29,7 @@ def test_every_trace_target_resolves():
 def test_criterion_2_case_reaches_the_traced_grid_names(monkeypatch):
     """bochner_residual calls GridDiscretization.partial, bochner.dbar_01 and
     bochner.dbar_star through the attributes that the tracer replaces, and
-    passes partial the whole grid's values, which its element counter reads."""
+    passes partial the form's mapped values, whose size its element counter reads."""
     import numpy as np
 
     from pshlab import bochner, fields
@@ -50,9 +50,14 @@ def test_criterion_2_case_reaches_the_traced_grid_names(monkeypatch):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     alpha = bochner.bump_zbar_form(2, radius=0.8)
     bochner.bochner_residual(alpha, fields.sq_norm(2), grid)
-    # the 4 real partials of each of the 2 components, once; one call of each operator
-    assert seen["partial"] == [grid.weights.size] * 8
-    assert len(seen["dbar_01"]) == len(seen["dbar_star"]) == 1
+    idx = bochner.support_values(alpha, grid)[0]
+    blocks = -(-grid.stencil_band(idx).size // bochner.BAND_BLOCK)
+    assert blocks == 4
+    # per block of the band, one partial along each of the 4 real axes, of both
+    # components at once, from their 2 (k + 1) mapped values (a zero column past the
+    # k nonzero nodes), not the whole grid's; one call of each operator
+    assert seen["partial"] == [2 * (idx.size + 1)] * (4 * blocks)
+    assert len(seen["dbar_01"]) == len(seen["dbar_star"]) == blocks
 
 
 def count_where_the_tracer_wraps(monkeypatch, modname, attr, seen):

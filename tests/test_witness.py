@@ -742,6 +742,13 @@ class TestModulusOfContinuity:
             with pytest.raises(InsufficientNodesError, match="below the grid spacing 0.125"):
                 modulus_of_continuity(phi, region, eps, resolution=17)
 
+    @pytest.mark.parametrize("center", [0.0, 0.2 + 0.1j])
+    def test_eps_inside_the_slack_pairs_the_axis_neighbours(self, center):
+        # an accepted eps just below the spacing 1/8 is taken as the spacing: it
+        # pairs each node with its axis neighbours and reads what 1/8 reads, not 0
+        phi, region = fields.re_linear(np.array([1.0 + 0.0j]), 1), unit_ball(1, center=[center])
+        assert modulus_of_continuity(phi, region, 0.125 * (1.0 - 1e-13), resolution=17) == 0.125
+
     def test_usc_rejected(self):
         usc = fields.ScalarField("u", 1, lambda z: np.zeros(z.shape[0]), smoothness="usc")
         with pytest.raises(ContinuityRequiredError, match="requires continuity"):
