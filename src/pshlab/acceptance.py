@@ -174,7 +174,7 @@ def criterion_witness(seed: int) -> CheckRecord:
         values[f"{name}/c"] = cert.c
         values[f"{name}/r"] = cert.r
         values[f"{name}/E_doubled"] = cert.E_doubled
-        ok &= cert.E < 0.0 and cert.E_doubled < 0.0 and cert.s <= s_max
+        ok &= cert.E.sign < 0 and cert.E_doubled.sign < 0 and cert.s <= s_max
         if name == "saddle":
             direction = abs(cert.xi[1])
             values["saddle/xi2_abs"] = float(direction)
@@ -274,9 +274,9 @@ def criterion_best_constant(seed: int) -> CheckRecord:
     rule = geometry.QuadratureRule("tensor-grid", 4096)
     disc = geometry.HolomorphicCylinder(np.zeros(1, dtype=complex), np.eye(1), 1.0)
     flat = bochner.zero_field(1)
-    _, value_flat = extension.best_extension_constant(flat, disc, 8, rule)
+    value_flat = extension.best_extension_constant(flat, disc, 8, rule)[1].value
     values["flat/value"] = value_flat
-    _, value_neg = extension.best_extension_constant(fields.neg_sq_norm(1), disc, 8, rule)
+    value_neg = extension.best_extension_constant(fields.neg_sq_norm(1), disc, 8, rule)[1].value
     values["neg_sq_norm/value"] = value_neg
     values["neg_sq_norm/target"] = math.e - 1.0
     ok = abs(value_flat - 1.0) <= 1e-10 and abs(value_neg - (math.e - 1.0)) <= 1e-6
@@ -346,8 +346,10 @@ RUNTIME_LIMITS = {
 
 
 def json_default(obj):
-    """JSON form of the numpy and complex values in reports: complex arrays
-    as [re, im] pairs, numpy scalars as Python numbers."""
+    """JSON form of the numpy, complex and Scaled values in reports: complex arrays
+    as [re, im] pairs, numpy scalars as Python numbers, a Scaled as its value."""
+    if isinstance(obj, fields.Scaled):
+        return obj.value
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.bool_):

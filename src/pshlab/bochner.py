@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PoleInStencilError
-from .fields import ScalarField, check_overflow, levi_form, unshift, weight_exp, zero_omega
+from .fields import Scaled, ScalarField, check_overflow, levi_form, weighted_sums, zero_omega
 from .geometry import DomainBox, as_point, as_points, row_sum
 
 FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
@@ -310,26 +310,21 @@ def band_energy(g: FormGradient, phi: ScalarField, grid, psi, omega):
 
 @dataclass(frozen=True)
 class BochnerReport:
-    """The energy identity; terms kept times e^{-log_scale}, rescaled on access."""
+    """The energy identity: its four terms, each a Scaled on the one shift of the weight."""
 
-    scaled_terms: tuple  # curvature, gradient, dbar, adjoint
-    log_scale: float
+    terms: tuple  # curvature, gradient, dbar, adjoint
+
+    def _side(self, first: int) -> Scaled:
+        a, b = self.terms[first : first + 2]
+        return Scaled(a.total + b.total, a.shift)
+
+    lhs = property(lambda self: self._side(0))
+    rhs = property(lambda self: self._side(2))
 
     @property
     def residual(self) -> float:  # of the scaled sides
-        curvature, gradient, dbar, adjoint = self.scaled_terms
-        lhs, rhs = curvature + gradient, dbar + adjoint
+        lhs, rhs = self.lhs.total, self.rhs.total
         return abs(lhs - rhs) / max(lhs, rhs, 1e-300)
-
-    def _unscaled(self, *terms) -> float:
-        return unshift(sum(self.scaled_terms[i] for i in terms), self.log_scale)
-
-    lhs = property(lambda self: self._unscaled(0, 1))
-    rhs = property(lambda self: self._unscaled(2, 3))
-    curvature_term = property(lambda self: self._unscaled(0))
-    gradient_term = property(lambda self: self._unscaled(1))
-    dbar_term = property(lambda self: self._unscaled(2))
-    adjoint_term = property(lambda self: self._unscaled(3))
 
 
 RESIDUAL_GATE_N1 = 1e-3  # the largest residual of a verified identity at n = 1
@@ -365,10 +360,11 @@ def bochner_residual(
         curvature.real[block], grad_sq[block], expo[block], trapezoid[block] = band_energy(
             g, phi, grid, psi, omega)
         first = last
-    e, shift = weight_exp(expo)
-    e *= trapezoid
-    terms = tuple(float(np.dot(v, e)) for v in (curvature.real, grad_sq, dbar_sq, adjoint_sq))
-    return BochnerReport(terms, shift)
+    def totals(e):
+        e *= trapezoid
+        return [np.dot(v, e) for v in (curvature.real, grad_sq, dbar_sq, adjoint_sq)]
+
+    return BochnerReport(tuple(weighted_sums(expo, totals)))
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,7 @@ def write_csv(path: str, header: list, rows: list) -> None:
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
+        row = [v.value if isinstance(v, fields.Scaled) else v for v in row]
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     _atomic_write(path, buf.getvalue())
 
@@ -283,11 +284,11 @@ def _bochner(args, phi, alpha) -> list:
     tol = bochner.residual_gate(args.dim)
     values = {
         "lhs": rep.lhs, "rhs": rep.rhs, "residual": rep.residual,
-        "curvature_term": rep.curvature_term, "gradient_term": rep.gradient_term,
-        "dbar_term": rep.dbar_term, "adjoint_term": rep.adjoint_term,
+        "curvature_term": rep.terms[0], "gradient_term": rep.terms[1],
+        "dbar_term": rep.terms[2], "adjoint_term": rep.terms[3],
     }
     # lhs = 0 means every support node sits where the form vanishes: nothing was tested
-    passed = rep.lhs > 0.0 and rep.residual <= tol
+    passed = rep.lhs.sign > 0 and rep.residual <= tol
     return [acceptance.CheckRecord("bochner-identity", passed, values, {"residual": tol})]
 
 
@@ -299,7 +300,7 @@ def _witness(args, phi, omega, region) -> list:
         holds = scan.levi_lower_bound_holds
         passed, values = holds, {"certificate": None, "levi_lower_bound_holds": holds}
     else:
-        passed = scan.certificate.E < 0.0
+        passed = scan.certificate.E.sign < 0
         values = {"certificate": asdict(scan.certificate)}
     return [acceptance.CheckRecord("sharp-witness", passed, values, {"smax": args.smax})]
 
@@ -343,14 +344,6 @@ def _coarse_chain(args, phi, w, log_c_m) -> Table:
     return Table(header, rows, verified == len(rows), f"{verified}/{len(rows)} tuples verified")
 
 
-def _exp_or_inf(x: float) -> float:
-    """e^x, or inf where that exceeds the double range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _extend(args, phi, cyl) -> list:
     rule = geometry.QuadratureRule("tensor-grid", args.budget)
     checks = []
@@ -360,7 +353,7 @@ def _extend(args, phi, cyl) -> list:
         checks.append(
             acceptance.CheckRecord(
                 "best-extension-constant",
-                value <= rep.rhs * (1.0 + 1e-9),
+                value.log_abs <= rep.rhs.log_abs + math.log1p(1e-9),
                 {"value": value, "threshold": rep.rhs, "degree": args.degree,
                  "scope": "cylinder-local"},
                 {"inequality": "value <= e^{-phi(z0)}"},
@@ -372,7 +365,7 @@ def _extend(args, phi, cyl) -> list:
     checks.append(
         acceptance.CheckRecord(
             "optimal-extension-margin",
-            rep.margin >= -1e-9,
+            rep.lhs.log_abs <= rep.rhs.log_abs + math.log1p(1e-9),
             {"lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
              "jensen_residual": rep.jensen_residual,
              "log_mean_residual": rep.log_mean_residual,
@@ -390,7 +383,7 @@ def _coarse_extend(args, phi, cyl, log_c_m) -> Table:
         b_m, b_tilde = extension.coarse_extension_bound(
             phi, cyl, extension.constant_one(cyl.center), log_c_m(m), m, args.p, rule
         )
-        rows.append([m, args.p, _exp_or_inf(log_c_m(m)), b_m, b_tilde])
+        rows.append([m, args.p, fields.Scaled(1.0, log_c_m(m)), b_m, b_tilde])
     return Table(["m", "p", "C_m", "b_m", "b_tilde_m"], rows, True, f"{len(rows)} bounds computed")
 
 
@@ -399,8 +392,8 @@ def _dbar(args, phi, psi, rhs) -> list:
     [result] = dbar1d.hormander_ratio([(phi, psi)], rhs, args.degree, grid)
     values = {
         "residual": result.residual,
-        "minimal_norm_sq": result.minimal_norm_sq,
-        "comparison_integral": result.comparison_integral,
+        "minimal_norm_sq": result.norms[0],
+        "comparison_integral": result.norms[1],
         "ratio": result.ratio,
         "degree": args.degree,
     }

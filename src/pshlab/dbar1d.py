@@ -18,7 +18,7 @@ import numpy as np
 
 from .bochner import FormField01, GridDiscretization, bump_profile, support_values
 from .extension import solve_gram
-from .fields import levi_form, unshift, weight_exp
+from .fields import Scaled, levi_form, weight_exp
 from .geometry import unit_ball
 
 RESIDUAL_MARGIN_CELLS = 4  # dbar_residual skips this many node layers at each edge
@@ -27,15 +27,12 @@ RESIDUAL_GATE = 5e-3  # the largest dbar_residual of a solve that counts as solv
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solves and estimate ratio; the norms kept times e^{-log_scale}, rescaled on access."""
+    """Solves and estimate ratio; the two norms are Scaled on the one shift of the weight."""
 
     residual: float
-    scaled_norms: tuple  # minimal_norm_sq, comparison_integral
-    log_scale: float
+    norms: tuple  # minimal_norm_sq, comparison_integral
 
-    ratio = property(lambda self: self.scaled_norms[0] / self.scaled_norms[1])
-    minimal_norm_sq = property(lambda self: unshift(self.scaled_norms[0], self.log_scale))
-    comparison_integral = property(lambda self: unshift(self.scaled_norms[1], self.log_scale))
+    ratio = property(lambda self: self.norms[0].total / self.norms[1].total)
 
 
 def dbar_bump() -> FormField01:
@@ -159,8 +156,8 @@ def hormander_ratio(
         comparison_nodes = np.zeros(pts.shape[0])
         comparison_nodes[idx] = np.abs(f_values[0]) ** 2 / psi_zz
         comparison = float(np.dot(comparison_nodes, wq))
-        norms = (minimal_norm_sq, comparison)
-        results.append(SolveResult(residual, norms, shift))
+        norms = (Scaled(minimal_norm_sq, shift), Scaled(comparison, shift))
+        results.append(SolveResult(residual, norms))
     return results
 
 

@@ -15,7 +15,7 @@ class PoleInStencilError(PshlabError):
 
 
 class WeightOverflowError(PshlabError):
-    """Raised when e^{-weight} is +inf at a node or a weighted result overflows."""
+    """Raised when e^{-weight} is +inf at a node: the weight is -inf there, on its pole set."""
 
 
 class MetricNotPositiveError(PshlabError):

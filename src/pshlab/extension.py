@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateWeightError, SingularGramError
-from .fields import ScalarField, unshift, weight_exp
+from .fields import Scaled, ScalarField, weight_exp, weighted_sums
 from .geometry import HolomorphicCylinder, QuadratureRule, as_point, sample_cylinder
 from .meanvalue import clipped_mean
 
@@ -53,18 +53,15 @@ def polynomial(coeffs: dict, z0) -> Candidate:
 
 @dataclass(frozen=True)
 class ExtensionReport:
-    """Margin rhs - lhs and Jensen residuals; lhs kept times e^{-log_scale}, rhs as its log."""
+    """Margin rhs - lhs and Jensen residuals; lhs and rhs = e^{-phi(z0)} are Scaled."""
 
-    scaled_lhs: float
-    log_scale: float
-    log_rhs: float  # -phi(z0)
+    lhs: Scaled
+    rhs: Scaled
     jensen_residual: float
     log_mean_residual: float
     conclusion_margin: float
 
-    lhs = property(lambda self: unshift(self.scaled_lhs, self.log_scale))
-    rhs = property(lambda self: unshift(1.0, self.log_rhs))
-    margin = property(lambda self: self.rhs - self.lhs)
+    margin = property(lambda self: self.rhs.minus(self.lhs))
 
 
 def _center_value(phi, cyl) -> float:
@@ -99,11 +96,10 @@ def optimal_extension_margin(
     """margin = e^{-phi(z0)} - (1/mu) int |f|^p e^{-phi}; >= 0 means f witnesses."""
     center_val = _center_value(phi, cyl)
     sample, weight_vals, fvals = _candidate_values(phi, cyl, candidate, rule)
-    weight, shift = weight_exp(-weight_vals)
-    integrand = np.abs(fvals) ** p * weight
-    lhs = float(np.dot(integrand, sample.weights) / cyl.volume)
+    [lhs] = weighted_sums(-weight_vals, lambda weight: [
+        np.dot(np.abs(fvals) ** p * weight, sample.weights) / cyl.volume])
     res1, res2, concl = _jensen_residuals(sample, cyl.volume, weight_vals, fvals, p, center_val)
-    return ExtensionReport(lhs, shift, -center_val, res1, res2, concl)
+    return ExtensionReport(lhs, Scaled(1.0, -center_val), res1, res2, concl)
 
 
 def jensen_chain_check(
@@ -131,8 +127,9 @@ def _jensen_residuals(sample, mu, weight_vals, fvals, p, center_val):
         log_f = np.log(fabs)
     x_vals = p * log_f - weight_vals  # log(|f|^p e^{-phi})
     mean_x = clipped_mean(x_vals, sample.weights, mu)
-    ex, shift = weight_exp(x_vals)
-    residual_1 = shift - mean_x + math.log(float(np.dot(ex, sample.weights) / mu))
+    [mean_ex] = weighted_sums(x_vals, lambda ex: [np.dot(ex, sample.weights) / mu])
+    # the shift and the mean cancel first: a residual near 0 keeps its bits at any shift
+    residual_1 = mean_ex.shift - mean_x + math.log(mean_ex.total)
     residual_2 = clipped_mean(p * log_f, sample.weights, mu)
     mean_phi = clipped_mean(weight_vals, sample.weights, mu)
     conclusion_margin = mean_phi - center_val
@@ -158,9 +155,8 @@ def coarse_extension_bound(
     mu = cyl.volume
     with np.errstate(divide="ignore"):
         expo = p * np.log(np.abs(fvals)) - m * weight_vals
-    weight, shift = weight_exp(expo)
-    log_integral = shift + math.log(float(np.dot(weight, sample.weights) / mu))
-    b_m = log_c_m / m - math.log(mu) / m - log_integral / m
+    [integral] = weighted_sums(expo, lambda weight: [np.dot(weight, sample.weights) / mu])
+    b_m = log_c_m / m - math.log(mu) / m - integral.log_abs / m
     mean_phi = clipped_mean(weight_vals, sample.weights, mu)
     b_tilde = log_c_m / m - math.log(mu) / m + mean_phi
     if not b_m <= b_tilde + 1e-9:
@@ -212,8 +208,8 @@ def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: 
     The polynomials are taken in the cylinder's own coordinates t = A^H (z - z0)
     / (r, s, ..., s), in which it is P_{1,1}: their monomials are at most 1 in
     modulus on it, whatever its frame and radii, and t = 0 at z0 makes the
-    constraint a single coordinate; the minimizer and its value come from the
-    constrained normal equations.  Comparing the value against e^{-phi(z0)} tests
+    constraint a single coordinate; the minimizer and its value, a Scaled, come from
+    the constrained normal equations.  Comparing the value against e^{-phi(z0)} tests
     the optimal L^2-extension inequality within the polynomial class.
     """
     sample, weight_vals = _cylinder_weight_values(phi, cyl, rule)
@@ -234,5 +230,5 @@ def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: 
     rhs = -gram[1:, 0]
     tail = solve_gram(sub, rhs)
     v = np.concatenate([[1.0 + 0.0j], tail])
-    value = unshift(float(np.real(np.conj(v) @ gram @ v)), shift)
+    value = Scaled(np.real(np.conj(v) @ gram @ v), shift)
     return lambda z: monomials(z) @ v, value

@@ -9,6 +9,7 @@ pole set.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -95,8 +96,8 @@ def weight_exp(expo) -> tuple:
     """(exp(expo - shift), shift) with shift the largest finite exponent.
 
     Sums of these factors carry e^{-shift}: their ratios are exact at any
-    scale, and unshift puts a sum back on the linear scale.  A +inf exponent
-    (a weight at -inf on its pole set) raises WeightOverflowError.
+    scale, and a Scaled keeps a sum with its shift.  A +inf exponent (a weight
+    at -inf on its pole set) raises WeightOverflowError.
     """
     expo = np.asarray(expo, dtype=float)
     check_overflow(expo)
@@ -111,19 +112,42 @@ def check_overflow(expo: np.ndarray) -> None:
         raise WeightOverflowError("weight overflow: e^{-weight} is +inf at a node")
 
 
-def unshift(total, shift: float):
-    """total * e^shift, or WeightOverflowError when that is not a finite double.
+class Scaled:
+    """A weighted sum total * e^shift, kept as its total and shift: its sign and log
+    are exact at any shift, and value is the one conversion to a double."""
 
-    Two half factors keep a finite result finite where e^shift overflows.
-    """
-    if total == 0:
-        return total
-    with np.errstate(over="ignore", invalid="ignore"):
-        half = np.exp(np.float64(shift) / 2.0)
-        out = total * half * half
-    if not np.isfinite(out):
-        raise WeightOverflowError("weight overflow: a weighted value exceeds the double range")
-    return type(total)(out)
+    __slots__ = ("total", "shift")
+
+    def __init__(self, total, shift):
+        self.total, self.shift = float(total), float(shift)
+
+    sign = property(lambda self: (self.total > 0.0) - (self.total < 0.0))
+    log_abs = property(lambda self: self.shift + math.log(abs(self.total)) if self.total else -math.inf)
+
+    @property
+    def value(self) -> float:
+        """total * e^shift, by two half factors, which keep a finite result finite where
+        e^shift overflows; where it is not a finite double, the infinity of its sign."""
+        if not self.total:
+            return 0.0
+        with np.errstate(over="ignore"):
+            half = np.exp(np.float64(self.shift) / 2.0)
+            return float(self.total * half * half)
+
+    def minus(self, other: "Scaled") -> float:
+        """self.value - other.value, taken on the larger shift where either is not finite."""
+        if math.isfinite(self.value) and math.isfinite(other.value):
+            return self.value - other.value
+        shift = max(self.shift, other.shift)
+        return Scaled(self.total * math.exp(self.shift - shift)
+                      - other.total * math.exp(other.shift - shift), shift).value
+
+
+def weighted_sums(expo, reduce) -> list:
+    """The totals that reduce takes from the factors of weight_exp(expo), each a Scaled
+    on their one shift; each caller's reduce keeps its own order of products."""
+    weight, shift = weight_exp(expo)
+    return [Scaled(total, shift) for total in reduce(weight)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ContinuityRequiredError, InsufficientNodesError, MetricNotPositiveError
 from .fields import (
-    LEVI_TOL, REGION_RESOLUTION, HermitianField, ScalarField, levi_gap, log_levi, region_nodes,
-    unshift, weight_exp,
+    LEVI_TOL, REGION_RESOLUTION, HermitianField, Scaled, ScalarField, levi_gap, log_levi,
+    region_nodes, weighted_sums,
 )
 from .bochner import (
     FormField01, GridDiscretization, band_blocks, band_energy, form_band, make_grid,
@@ -132,7 +132,7 @@ def alpha_from_f(f_coeffs, metric) -> np.ndarray:
 def estimate_functional_E(
     alpha: tuple, phi: ScalarField, psi: ScalarField, omega: HermitianField,
     grid: GridDiscretization,
-) -> float:
+) -> Scaled:
     """The sign functional: curvature-gap energy plus gradient energy of alpha.
 
     Nonnegative whenever levi(phi) - g is positive semidefinite on the support
@@ -141,15 +141,14 @@ def estimate_functional_E(
     alpha is nonzero and its (n, k) values there (see form_band); every field is
     evaluated on the band of alpha only, a block of BAND_BLOCK nodes at a time, and
     only the integrand, the exponent and the trapezoid weight of each band node are
-    kept for the one reduction.
+    kept for the one reduction, whose total carries the exponent's shift.
     """
     band, form = form_band(*alpha, grid)
     integrand, expo, trapezoid = (np.empty(band.size) for _ in range(3))
     for block, g in band_blocks(band, form, grid):
         quad, grad_sq, expo[block], trapezoid[block] = band_energy(g, phi, grid, psi, omega)
         integrand[block] = quad + grad_sq
-    weight, shift = weight_exp(expo)
-    return unshift(float(np.dot(integrand, weight * trapezoid)), shift)
+    return weighted_sums(expo, lambda weight: [np.dot(integrand, weight * trapezoid)])[0]
 
 
 @dataclass(frozen=True)
@@ -167,8 +166,8 @@ class WitnessCertificate:
     r: float
     c: float
     s: float
-    E: float
-    E_doubled: float
+    E: Scaled
+    E_doubled: Scaled
     grid_nodes: int
 
 
@@ -267,9 +266,9 @@ def scan_sharp_witness(
     for s in s_schedule(smax):
         psi = build_psi_s(z0, r, s)
         value = energy(grid_nodes, psi, s)
-        if value < 0.0:
+        if value.sign < 0:
             value_doubled = energy(2 * grid_nodes, psi, s)
-            if value_doubled < 0.0:
+            if value_doubled.sign < 0:
                 cert = WitnessCertificate(z0, xi, r, c, s, value, value_doubled, grid_nodes)
                 return WitnessScan(holds, cert)
     return WitnessScan(holds, None)
@@ -404,14 +403,14 @@ class CoarseChainReport:
     m: int
     eps: float
     delta: float
-    rhs_integral: float
-    bound: float
+    rhs_integral: Scaled
+    bound: Scaled
     envelope_constant: float  # C = 2^{p+2n} mu(B_1)
     inf_phi: float
 
     @property
-    def verified(self) -> bool:
-        return self.rhs_integral <= (1.0 + 1e-9) * self.bound
+    def verified(self) -> bool:  # rhs_integral <= (1 + 1e-9) bound, on the logs
+        return self.rhs_integral.log_abs <= self.bound.log_abs + math.log1p(1e-9)
 
 
 def ball_infimum(phi: ScalarField, w, eps: float) -> float:
@@ -465,9 +464,10 @@ def coarse_rhs_bound(
             psi_use = build_psi_delta(w, delta, n)(pts)
             norm_p = _psi_delta_norm_sq(av, pts, w, delta, n) ** (p / 2.0)
             for row, (m, log_c_m) in zip(rows, m_log_c):
-                weight, shift = weight_exp(-(m * phi_use + psi_use))
-                rhs = unshift(float(np.dot(norm_p * weight, quad)), shift + log_c_m)
-                bound = unshift(envelope / eps**p, log_c_m - m * inf_phi)
+                [rhs] = weighted_sums(
+                    -(m * phi_use + psi_use), lambda weight: [np.dot(norm_p * weight, quad)])
+                rhs = Scaled(rhs.total, rhs.shift + log_c_m)
+                bound = Scaled(envelope / eps**p, log_c_m - m * inf_phi)
                 row.append(CoarseChainReport(m, eps, delta, rhs, bound, envelope, inf_phi))
         # free this eps's grid and support arrays before the next eps's grid is built
         del grid, idx, pts, av, quad, phi_use

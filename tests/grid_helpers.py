@@ -22,7 +22,7 @@ from pshlab.dbar1d import (
     weighted_bergman_projection,
 )
 from pshlab.extension import _monomial_values, monomial_exponents
-from pshlab.fields import levi_form, unshift, weight_exp
+from pshlab.fields import Scaled, levi_form, weight_exp
 from pshlab.geometry import DomainBox, as_point, as_points, ball_volume
 from pshlab.witness import (
     CoarseChainReport, _annulus_grid, _psi_delta_norm_sq, ball_infimum, build_alpha_eps,
@@ -155,7 +155,15 @@ def weighted_pairing(a, b, weight, grid):
         raise ValueError("cannot pair a form with a scalar")
     e, shift = weight_exp(-weight(grid.points))
     integrand = np.sum(av * np.conj(bv), axis=0) if av.ndim == 2 else av * np.conj(bv)
-    return unshift(complex(np.dot(integrand, e * grid.weights)), shift)
+    return unshifted(complex(np.dot(integrand, e * grid.weights)), shift)
+
+
+def unshifted(total, shift: float):
+    """total * e^shift by two half factors, written out here as the reference of
+    fields.Scaled.value: a product past the double range is infinite."""
+    with np.errstate(over="ignore"):
+        half = np.exp(np.float64(shift) / 2.0)
+        return type(total)(total * half * half)
 
 
 def stacked(components, pts):
@@ -305,7 +313,7 @@ def hormander_ratio_one(phi, psi, f, degree: int, grid) -> SolveResult:
     comparison_nodes[support] = np.abs(fv[support]) ** 2 / psi_zz
     comparison = float(np.dot(comparison_nodes, wq))
 
-    return SolveResult(residual, (minimal_norm_sq, comparison), shift)
+    return SolveResult(residual, (Scaled(minimal_norm_sq, shift), Scaled(comparison, shift)))
 
 
 def coarse_rhs_bound_one(phi, m, p, w, eps, delta, log_c_m, grid_nodes=64) -> CoarseChainReport:
@@ -332,9 +340,9 @@ def coarse_rhs_bound_one(phi, m, p, w, eps, delta, log_c_m, grid_nodes=64) -> Co
     norm_sq = _psi_delta_norm_sq(av[:, use], pts[use], w, delta, n)
     weight, shift = weight_exp(-(m * phi(pts[use]) + psi(pts[use])))
     integrand = norm_sq ** (p / 2.0) * weight
-    rhs = unshift(float(np.dot(integrand, grid.weights[idx[use]])), shift + log_c_m)
+    rhs = Scaled(np.dot(integrand, grid.weights[idx[use]]), shift + log_c_m)
 
     inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)
-    bound = unshift(envelope / eps**p, log_c_m - m * inf_phi)
+    bound = Scaled(envelope / eps**p, log_c_m - m * inf_phi)
     return CoarseChainReport(m, eps, delta, rhs, bound, envelope, inf_phi)

@@ -54,13 +54,13 @@ def energy_cases():
 
 
 def energy_bits(grid, form, phi):
-    """The Bochner terms and shift, and E, as the hex strings of their doubles."""
+    """The totals and shifts of the Bochner terms and of E, as the hex strings of their doubles."""
     n = grid.n
     rep = bochner_residual(form, phi, grid)
     alpha = support_values(form, grid)[::2]
     e = estimate_functional_E(alpha, phi, build_psi_s(np.zeros(n), 0.9, 10.0),
                               fields.scaled_sq_omega(0.5, n), grid)
-    return [float(x).hex() for x in (*rep.scaled_terms, rep.log_scale, e)]
+    return [x.hex() for t in (*rep.terms, e) for x in (t.total, t.shift)]
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +120,7 @@ def test_doubled_grid_energy_peak(doubled_grid_case):
     assert grid.size == 32**4
     fresh = GridDiscretization(grid.bounds, grid.nodes_per_axis)
     value, peak = traced_peak(lambda: estimate_functional_E(alpha, phi, psi, omega, fresh))
-    assert value == cert.E_doubled
+    assert (value.total, value.shift) == (cert.E_doubled.total, cert.E_doubled.shift)
     assert peak < 30e6
 
 
@@ -138,7 +138,7 @@ def test_doubled_grid_energy_holds_no_float_array_per_grid_node(doubled_grid_cas
     _, peak = traced_peak(lambda: estimate_functional_E((idx, values), phi, psi, omega, fresh))
     wide_value, wide_peak = traced_peak(
         lambda: estimate_functional_E((wide_idx, values), phi, psi, omega, wide))
-    assert wide_value == pytest.approx(cert.E_doubled, rel=1e-9)
+    assert wide_value.value == pytest.approx(cert.E_doubled.value, rel=1e-9)
     assert (wide_peak - peak) / (wide.size - grid.size) < 6.0
 
 
@@ -224,3 +224,22 @@ def test_weight_at_minus_inf_overflows_before_its_levi_form(block, monkeypatch):
     with pytest.raises(WeightOverflowError, match="^weight overflow: e\\^\\{-weight\\} is \\+inf at a node$"):
         estimate_functional_E(support_values(form, grid)[::2], phi,
                               build_psi_s(np.zeros(1), 0.9, 10.0), fields.zero_omega(1), grid)
+
+
+@BLOCKS
+def test_bochner_weight_at_minus_inf_overflows_before_its_levi_form(block, monkeypatch):
+    # the Bochner terms of a weight that is -inf at the last band node off the support,
+    # where weight_gradient does not evaluate it: the exponent overflows there before
+    # the block's Levi form reads the pole
+    monkeypatch.setattr(bochner, "BAND_BLOCK", block)
+    grid = make_grid(unit_ball(1, radius=1.3), 64)
+    form = bump_const_form(np.array([1.0]), radius=0.9)
+    pole = late_node(grid, form, lambda band, idx: ~np.isin(band, idx))
+    calls = []
+    phi = recording_levi(fields.log_abs(pole, 1), calls)
+    with pytest.raises(WeightOverflowError, match="^weight overflow: e\\^\\{-weight\\} is \\+inf at a node$"):
+        bochner_residual(form, phi, grid)
+    idx = support_values(form, grid)[0]
+    band = grid.stencil_band(idx)
+    # one Levi form per block before the pole's
+    assert len(calls) == np.flatnonzero(~np.isin(band, idx))[-1] // block

@@ -165,8 +165,8 @@ class TestWeightedPairing:
         sinkhole = fields.ScalarField("deep", 1, lambda z: np.full(z.shape[0], -800.0))
         g = grid1(nodes=48)
         a = bump_const_form(np.array([1.0]), radius=0.9)
-        with pytest.raises(WeightOverflowError, match="weight overflow"):
-            weighted_pairing(a, a, sinkhole, g)
+        # e^{800} times the pairing is past the double range: the one rule makes it inf
+        assert weighted_pairing(a, a, sinkhole, g) == complex(math.inf, 0.0)
 
 
 class TestDbar01:
@@ -277,10 +277,12 @@ class TestUndeclaredDerivatives:
         want = bochner_residual(alpha, declared, grid)
         got = bochner_residual(alpha, bare, grid)
         stencil_tol = 10.0 * np.max(grid.spacing) ** 4
-        assert got.curvature_term == pytest.approx(want.curvature_term, rel=10.0 * 1e-3**2)
-        assert got.adjoint_term == pytest.approx(want.adjoint_term, rel=stencil_tol)
-        assert got.gradient_term == want.gradient_term
-        assert got.dbar_term == want.dbar_term
+        (got_c, got_g, got_d, got_a), (want_c, want_g, want_d, want_a) = (
+            [t.value for t in rep.terms] for rep in (got, want))
+        assert got_c == pytest.approx(want_c, rel=10.0 * 1e-3**2)
+        assert got_a == pytest.approx(want_a, rel=stencil_tol)
+        assert got_g == want_g
+        assert got_d == want_d
         assert got.residual <= (1e-3 if n == 1 else 5e-3)
 
     @CRITERION_2_SETUPS
@@ -318,7 +320,7 @@ class TestBochnerIdentity:
             "0", lambda z: np.zeros((1, z.shape[0]), dtype=complex), unit_ball(1, radius=0.9)
         )
         rep = bochner_residual(zero, fields.sq_norm(1), g)
-        assert rep.lhs == rep.rhs == 0.0
+        assert rep.lhs.value == rep.rhs.value == 0.0
         assert rep.residual == 0.0
 
     @pytest.mark.parametrize("phi_name", ["zero", "sq_norm"])
@@ -363,9 +365,9 @@ class TestBochnerIdentity:
         hess = phi.hess(g.points)
         quad = np.einsum("mjk,jm,km->m", hess, av, np.conj(av)).real
         assert np.min(quad) >= -1e-12
-        rep = bochner_residual(alpha, phi, g)
-        assert rep.curvature_term >= 0.0
-        assert rep.gradient_term >= 0.0
+        curvature, gradient, _, _ = bochner_residual(alpha, phi, g).terms
+        assert curvature.total >= 0.0
+        assert gradient.total >= 0.0
 
 
     def test_one_form_evaluation_per_residual(self, monkeypatch):
@@ -453,8 +455,7 @@ class TestBand:
         g = make_grid(unit_ball(n, radius=1.3), nodes)
         rep = bochner_residual(alpha, phi, g)
         dense = dense_bochner_terms(alpha, phi, g)
-        band = (rep.curvature_term, rep.gradient_term, rep.dbar_term, rep.adjoint_term)
-        for got, want in zip(band, dense):
+        for got, want in zip((t.value for t in rep.terms), dense):
             assert abs(got - want) <= 1e-12 * abs(want)
         lhs, rhs = dense[0] + dense[1], dense[2] + dense[3]
         # residuals are cancellation-limited (zero weights: roundoff-level), so absolute
@@ -505,9 +506,10 @@ class TestBand:
             hess=lambda z: np.full((z.shape[0], 1, 1), -400.0, dtype=complex),
         )
         rep = bochner_residual(bump_const_form([1], radius=0.8), deep, grid1(nodes=128))
-        assert rep.curvature_term < 0.0 < rep.gradient_term
-        assert rep.adjoint_term > 0.0
-        assert rep.dbar_term == 0.0  # no (0,2)-forms on C
+        curvature, gradient, dbar, adjoint = (t.value for t in rep.terms)
+        assert curvature < 0.0 < gradient
+        assert adjoint > 0.0
+        assert dbar == 0.0  # no (0,2)-forms on C
         assert rep.residual <= 1e-3
 
     def test_pole_off_the_band_is_not_an_error(self):
@@ -516,7 +518,7 @@ class TestBand:
         pole = g.points[np.argmin(np.abs(g.points[:, 0] - (1.2 + 1.2j)))]
         phi = fields.log_abs(pole, 1)
         rep = bochner_residual(bump_const_form([1], radius=0.9), phi, g)
-        assert np.isfinite(rep.residual) and rep.lhs > 0.0
+        assert np.isfinite(rep.residual) and rep.lhs.sign > 0
         with pytest.raises(WeightOverflowError):  # as a weight on the whole box
             fields.weight_exp(-phi(g.points))
 
@@ -544,7 +546,7 @@ class TestBand:
             "0", lambda z: np.zeros((1, z.shape[0]), dtype=complex), unit_ball(1, radius=0.9)
         )
         rep = bochner_residual(zero, phi, grid1(nodes=48))
-        assert rep.residual == rep.lhs == rep.rhs == 0.0
+        assert rep.residual == rep.lhs.value == rep.rhs.value == 0.0
         assert not any(seen)
 
 
@@ -794,7 +796,7 @@ class TestZeroForm:
         idx, pts, values = support_values(zero_form(n), grid)
         assert idx.size == pts.shape[0] == values.shape[1] == 0 and values.shape[0] == n
         rep = bochner_residual(zero_form(n), fields.sq_norm(n), grid)
-        assert rep.scaled_terms == (0.0, 0.0, 0.0, 0.0) and rep.residual == 0.0
+        assert [t.total for t in rep.terms] == [0.0] * 4 and rep.residual == 0.0
 
     @pytest.mark.parametrize("omega", [fields.zero_omega(1), fields.scaled_sq_omega(-0.5, 1)])
     def test_witness_energy_is_zero(self, omega, monkeypatch):
@@ -812,4 +814,4 @@ class TestZeroForm:
         monkeypatch.setattr(witness, "estimate_functional_E", recorded)
         scan = scan_sharp_witness(fields.neg_sq_norm(1), omega, unit_ball(1), S_MAX)
         assert scan.certificate is None and not scan.levi_lower_bound_holds
-        assert energies == [0.0] * 4  # s = 10, 100, 1000, 10000
+        assert [e.total for e in energies] == [0.0] * 4  # s = 10, 100, 1000, 10000

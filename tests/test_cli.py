@@ -392,7 +392,7 @@ class TestExponentOption:
     def test_summary_counts_verified_tuples(self, monkeypatch, capsys):
         import dataclasses
 
-        from pshlab import witness
+        from pshlab import fields, witness
 
         bound = witness.coarse_rhs_bound
         calls = []
@@ -401,7 +401,8 @@ class TestExponentOption:
             reps = bound(*args, **kwargs)
             calls.append(reps)
             if len(calls) == 1:
-                reps[0] = dataclasses.replace(reps[0], rhs_integral=2.0 * reps[0].bound)
+                twice = fields.Scaled(2.0 * reps[0].bound.total, reps[0].bound.shift)
+                reps[0] = dataclasses.replace(reps[0], rhs_integral=twice)
             return reps
 
         monkeypatch.setattr(witness, "coarse_rhs_bound", first_fails)
@@ -466,7 +467,7 @@ class TestExponentOption:
             for eps in (0.5, 0.25):
                 for delta in (0.25, 0.0625):
                     rep = coarse_rhs_bound_one(phi, m, 2.0, w, eps, delta, 0.0, nodes)
-                    want.append([m, 2.0, eps, delta, rep.rhs_integral, rep.bound,
+                    want.append([m, 2.0, eps, delta, rep.rhs_integral.value, rep.bound.value,
                                  rep.envelope_constant, rep.inf_phi])
         assert rows == want
 
@@ -496,6 +497,71 @@ class TestAnnulusGrid:
             assert proc.stderr.startswith("error: the coarse chain has no grid in C^3")
 
 
+class TestWeightedSumsPastTheDoubleRange:
+    """Command lines whose weighted sums exceed the double range report their verdicts:
+    each verdict reads the sums' signs or logs, and each sum is written by the one rule,
+    its double where that is finite and the infinity of its sign where it is larger."""
+
+    LOG_MAX = math.log(np.finfo(float).max)
+
+    def run(self, capsys, argv, out):
+        code = main(argv + ["--out", str(out)])
+        printed = capsys.readouterr()
+        assert "weight overflow" not in printed.out + printed.err
+        return code, printed.out
+
+    def test_witness_without_a_certificate_fails(self, capsys, tmp_path):
+        # E > 0 at every s of the schedule, with log E up to about 1980 at s = 1e4
+        out = tmp_path / "w.json"
+        code, printed = self.run(capsys, ["witness", "--func", "sq_norm", "--dim", "2", "--omega",
+                                          "const:1.001"], out)
+        assert (code, printed) == (1, "[FAIL] sharp-witness\n")
+        [check] = read_json(out)["checks"]
+        assert check["values"] == {"certificate": None, "levi_lower_bound_holds": False}
+
+    def test_coarse_chain_at_m_3000_verifies(self, capsys, tmp_path):
+        from pshlab import fields, witness
+
+        out = tmp_path / "c.csv"
+        argv = ["coarse-chain", "--func", "neg_sq_norm", "--m", "1,3000", "--p", "2", "--cm", "1"]
+        code, printed = self.run(capsys, argv, out)
+        assert (code, printed) == (0, "[PASS] coarse-chain: 8/8 tuples verified\n")
+        with open(out, encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        reps = witness.coarse_rhs_bound(
+            fields.neg_sq_norm(1), 2.0, np.zeros(1), [(0.5, 256), (0.25, 256)], [0.25, 0.0625],
+            [(1, 0.0), (3000, 0.0)])
+        assert len(rows) == len(reps) == 8
+        for row, rep in zip(rows, reps):
+            for key in ("rhs_integral", "bound"):
+                scaled = getattr(rep, key)
+                assert row[key] == repr(scaled.value)
+                # past the double range exactly where the log exceeds its largest log
+                assert math.isinf(float(row[key])) == (scaled.log_abs > self.LOG_MAX)
+            assert row["verified"] == "True"
+        inf_rows = [(row["m"], row["eps"]) for row in rows if row["rhs_integral"] == "inf"]
+        assert inf_rows == [("3000", "0.5")] * 2
+        assert all(row["bound"] == "inf" for row in rows if row["eps"] == "0.5" and row["m"] == "3000")
+
+    @pytest.mark.parametrize("center, p, lhs_rhs", [
+        # log lhs = 954.6 > log rhs = 900: both past the double range
+        ("[[30,0]]", "3", (math.inf, math.inf)),
+        # lhs = 3.0e-13 is 1300 times rhs = 2.3e-16; their margin, -3.0e-13, is above -1e-9
+        ("[[6,0]]", "3", (3.0152466079174064e-13, 2.3195228302435696e-16)),
+        ("[[3,0]]", "3", (356580.9115008158, 8103.083927575383)),
+    ])
+    def test_extend_margin_is_decided_at_any_scale(self, capsys, tmp_path, center, p, lhs_rhs):
+        func = "sq_norm" if center == "[[6,0]]" else "neg_sq_norm"
+        out = tmp_path / "e.json"
+        code, printed = self.run(capsys, ["extend", "--func", func, "--center", center,
+                                          "--cylinder", "r=1.0,s=1.0,seed=0", "--p", p], out)
+        assert (code, printed) == (0, "[FAIL] optimal-extension-margin\n")
+        [check] = read_json(out)["checks"]
+        values = check["values"]
+        assert (values["lhs"], values["rhs"]) == lhs_rhs
+        assert values["margin"] < 0.0
+
+
 class TestLogScaleWeights:
     def test_coarse_extend_large_m(self, tmp_path):
         # e^{-m phi} overflows a double at m = 1000; b_m is taken in log space
@@ -513,32 +579,35 @@ class TestLogScaleWeights:
         assert math.isfinite(b_m)
         assert b_m <= b_tilde
 
-    def test_extend_overflow_is_typed(self):
-        # (1/mu) int |f|^3 e^{|z|^2} over the disc of radius 30 is about e^893
-        proc = run_cli(["extend", "--func", "neg_sq_norm", "--cylinder", "r=30,seed=0", "--p", "3"])
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: weight overflow")
+    def test_extend_overflow_reads_the_verdict(self, tmp_path):
+        # (1/mu) int |f|^3 e^{|z|^2} over the disc of radius 30 is about e^893 > e^0 = rhs
+        out = tmp_path / "e.json"
+        proc = run_cli(["extend", "--func", "neg_sq_norm", "--cylinder", "r=30,seed=0", "--p", "3",
+                        "--out", str(out)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "[FAIL] optimal-extension-margin\n", "")
+        values = read_json(out)["checks"][0]["values"]
+        assert (values["lhs"], values["rhs"], values["margin"]) == (math.inf, 1.0, -math.inf)
 
     @pytest.mark.parametrize("argv, bounds", [
         (["coarse-extend", "--func", "sq_norm", "--m", "1000000", "--cm-rule", "exp_sqrt"],
-         ("b_m", "b_tilde_m")),
+         {"b_m": True, "b_tilde_m": True}),
+        # C_m = e^1000 multiplies both sides of the chain, which are then inf by the one rule
         (["coarse-chain", "--func", "re_linear", "--m", "1000000", "--p", "2", "--cm", "exp_sqrt"],
-         ("rhs_integral", "bound")),
+         {"rhs_integral": False, "bound": False}),
     ])
     def test_exp_sqrt_constant_at_large_m(self, argv, bounds, tmp_path):
-        # C_m = e^{sqrt(m)} is not a double at m = 10^6; it reaches the bounds as log C_m
+        # C_m = e^{sqrt(m)} is not a double at m = 10^6; it reaches the bounds as log C_m,
+        # and each cell is finite or inf as bounds says
         out = tmp_path / "out.csv"
         proc = run_cli(argv + ["--out", str(out)])
-        assert "Traceback" not in proc.stderr
-        if proc.returncode == 1:
-            assert proc.stderr.startswith("error: ")
-            return
-        assert proc.returncode == 0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith(f"[PASS] {argv[0]}: ")
         with open(out, encoding="utf-8", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert rows
-        assert all(math.isfinite(float(row[key])) for row in rows for key in bounds)
+        assert all(math.isfinite(float(row[key])) == finite
+                   for row in rows for key, finite in bounds.items())
 
 
 class TestDeterminism:

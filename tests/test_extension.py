@@ -111,19 +111,19 @@ class TestNormalizationAtTheCenter:
         f_star, value = best_extension_constant(fields.sq_norm(z0.size), disc_at(z0), 3, RULE)
         assert f_star(z0[None, :])[0] == 1.0
         rep = optimal_extension_margin(fields.sq_norm(z0.size), disc_at(z0), f_star, 2.0, RULE)
-        assert rep.lhs == pytest.approx(value, rel=1e-12)
+        assert rep.lhs.value == pytest.approx(value.value, rel=1e-12)
 
     def test_rhs_is_the_weight_at_the_center(self):
         z0 = CENTERS[1]
         rep = optimal_extension_margin(fields.sq_norm(2), disc_at(z0), constant_one(z0), 2.0, RULE)
-        assert rep.rhs == math.exp(-fields.sq_norm(2).value_at(z0))
+        assert rep.rhs.value == math.exp(-fields.sq_norm(2).value_at(z0))
 
 
 class TestOptimalMargin:
     def test_constant_weight_equality(self):
         const = fields.ScalarField("c", 1, lambda z: np.full(z.shape[0], 0.7))
         rep = optimal_extension_margin(const, disc(), constant_one(np.zeros(1)), 2.0, RULE)
-        assert rep.lhs == pytest.approx(math.exp(-0.7), rel=1e-12)
+        assert rep.lhs.value == pytest.approx(math.exp(-0.7), rel=1e-12)
         assert rep.margin == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
@@ -132,8 +132,8 @@ class TestOptimalMargin:
         phi = two_re_z()
         f = exp_linear(np.array([2.0 / p]), np.zeros(1))
         rep = optimal_extension_margin(phi, disc(), f, p, RULE)
-        assert rep.lhs == pytest.approx(1.0, rel=1e-10)
-        assert rep.rhs == pytest.approx(1.0, rel=1e-12)
+        assert rep.lhs.value == pytest.approx(1.0, rel=1e-10)
+        assert rep.rhs.value == pytest.approx(1.0, rel=1e-12)
         assert abs(rep.margin) <= 1e-10
 
     def test_concave_weight_fails(self):
@@ -141,7 +141,7 @@ class TestOptimalMargin:
         rep = optimal_extension_margin(
             fields.neg_sq_norm(1), disc(), constant_one(np.zeros(1)), 2.0, RULE
         )
-        assert rep.lhs == pytest.approx(math.e - 1.0, rel=1e-9)
+        assert rep.lhs.value == pytest.approx(math.e - 1.0, rel=1e-9)
         assert rep.margin < 0.0
 
 
@@ -259,7 +259,7 @@ class TestBestExtensionConstant:
         zero = fields.ScalarField("zero", 1, lambda z: np.zeros(z.shape[0]))
         for degree in (2, 4, 8):
             f_star, value = best_extension_constant(zero, disc(), degree, RULE)
-            assert value == pytest.approx(1.0, abs=1e-10)
+            assert value.value == pytest.approx(1.0, abs=1e-10)
         # the optimal polynomial is the constant: f* = 1 at the rule's nodes
         nodes = sample_cylinder(disc(), RULE).nodes
         assert np.max(np.abs(f_star(nodes) - 1.0)) <= 1e-9
@@ -268,18 +268,18 @@ class TestBestExtensionConstant:
         f_star, value = best_extension_constant(
             fields.neg_sq_norm(1), disc(), 8, RULE
         )
-        assert value == pytest.approx(math.e - 1.0, rel=1e-6)
-        assert value > 1.0
+        assert value.value == pytest.approx(math.e - 1.0, rel=1e-6)
+        assert value.value > 1.0
 
     def test_pluriharmonic_truncated_witness(self):
         phi = two_re_z()
         _, value = best_extension_constant(phi, disc(), 8, RULE)
-        assert value == pytest.approx(1.0, abs=1e-4)
+        assert value.value == pytest.approx(1.0, abs=1e-4)
 
     def test_value_nonincreasing_in_degree(self):
         phi = two_re_z()
         values = [
-            best_extension_constant(phi, disc(), d, RULE)[1]
+            best_extension_constant(phi, disc(), d, RULE)[1].value
             for d in (2, 4, 8)
         ]
         assert values[0] >= values[1] >= values[2] - 1e-12
@@ -297,7 +297,7 @@ class TestBestExtensionConstant:
         v = np.concatenate([[1.0], sol])
         oracle = float(np.linalg.norm(scaled @ v) ** 2)
         _, value = best_extension_constant(phi, cyl, 4, RULE)
-        assert value == pytest.approx(oracle, rel=1e-9)
+        assert value.value == pytest.approx(oracle, rel=1e-9)
 
     def test_degenerate_weight(self):
         deep = fields.ScalarField(

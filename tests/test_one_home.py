@@ -4,9 +4,16 @@ gates and defaults instead of restating them.
 A gate that both front ends apply is patched at its one definition, and both
 the subcommand (through cli.main) and the criterion must follow it.  A CLI
 default must be the toolkit's constant itself.
+
+One home for a weighted sum: fields.Scaled carries each total with its shift and
+is the only code that turns a shift or log into a linear double, and
+fields.weight_exp is called only by the carrier's constructor and the two Gram
+builders, which take the weights themselves.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +98,43 @@ def test_witness_grid_default(n, tmp_path):
     code, _ = report(tmp_path, ["witness", "--func", "sq_norm", "--dim", str(n)])
     config = json.loads((tmp_path / "r.json").read_text())["config"]
     assert config["grid"] == witness.default_grid_nodes(n)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pshlab"
+# the modules that compute with or report weighted sums
+CARRIER_READERS = ("acceptance", "bochner", "cli", "dbar1d", "extension", "witness")
+
+
+def calls_in(module: str):
+    """(enclosing top-level function or class, call) of every call in a module of src/pshlab."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield getattr(top, "name", None), node
+
+
+def test_only_the_carrier_turns_a_log_into_a_double():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "fields":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
+                node, "name", None)
+            if name in ("unshift", "_exp_or_inf"):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    for module in CARRIER_READERS:
+        for _, call in calls_in(module):
+            func = ast.unparse(call.func)
+            arg = " ".join(ast.unparse(a) for a in call.args)
+            if func in ("math.exp", "np.exp", "numpy.exp") and ("shift" in arg or "log" in arg):
+                found.append(f"{module}.py:{call.lineno}: {ast.unparse(call)}")
+    assert found == []
+
+
+def test_weight_exp_is_called_by_the_carrier_and_the_gram_builders():
+    callers = {(module, top) for module in ("fields", *CARRIER_READERS)
+               for top, call in calls_in(module) if ast.unparse(call.func).endswith("weight_exp")}
+    assert callers == {("fields", "weighted_sums"), ("dbar1d", "_weights"),
+                       ("extension", "best_extension_constant")}

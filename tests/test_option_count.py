@@ -16,7 +16,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "pshlab"
 
 PARAMETERS_WITH_DEFAULT = 13
-DATACLASS_INIT_FIELDS = 77
+DATACLASS_INIT_FIELDS = 74
 
 HOW_TO_UPDATE = (
     "A change that alters this count updates the pin here and justifies the change in "

@@ -1,10 +1,12 @@
 """Exact invariances under a constant shift phi -> phi + c, |c| <= 2000, and
 of the sub-mean-value margin under translation and unitary change of frame.
 
-Scale-free outputs do not change, log-scale outputs shift by c, and outputs
-on the linear scale are multiplied by e^{-c} whenever that is a finite
-double; otherwise they raise WeightOverflowError and are never capped.
-Tolerances come from float64 rounding of phi + c: ulp(2000) is 2.3e-13.
+Scale-free outputs do not change, log-scale outputs shift by c, and a weighted
+sum, a fields.Scaled, is multiplied by e^{-c} at every c: its sign does not
+change and its log_abs shifts by c; its value is that product where it is a
+finite double and the infinity of its sign where it is larger, never capped
+and never an error.  Tolerances come from float64 rounding of phi + c:
+ulp(2000) is 2.3e-13.
 The cylinder z0 + A(P) carried by a translation or a unitary U is again a
 cylinder, so the margins agree up to the rounding of the mapped nodes.
 The sharp-estimate witness scan certifies every Levi gap of a family that
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pshlab import fields
@@ -40,7 +42,6 @@ from pshlab.bochner import (
     zero_field,
 )
 from pshlab.dbar1d import hormander_ratio
-from pshlab.errors import WeightOverflowError
 from pshlab.extension import (
     best_extension_constant,
     coarse_extension_bound,
@@ -61,6 +62,7 @@ from pshlab.meanvalue import submean_test
 from pshlab.witness import (
     S_MAX,
     _witness_grid,
+    coarse_rhs_bound,
     s_schedule,
     alpha_from_f,
     build_psi_s,
@@ -91,19 +93,16 @@ def shift_tol(c: float) -> float:
     return 1e-12 * (1.0 + abs(c))
 
 
-def check_scaled(compute, log_value: float, c: float) -> None:
-    """compute() is e^{log_value - c} when that is a finite double, else raises."""
-    expected = log_value - c
-    assume(abs(expected - LOG_MAX) > 1e-9)  # too close to the threshold to call
-    if expected > LOG_MAX:
-        with pytest.raises(WeightOverflowError):
-            compute()
-        return
-    value = compute()
-    if expected < -700.0:
-        assert abs(value) < 1e-290
-    else:
-        assert math.log(abs(value)) == pytest.approx(expected, abs=1e-9)
+def check_scaled(got: fields.Scaled, base: fields.Scaled, c: float) -> None:
+    """got is base times e^{-c}: the same sign and log_abs smaller by c, at every c; its
+    value is that number where it is a finite double, the infinity of its sign above."""
+    assert got.sign == base.sign
+    expected = base.log_abs - c
+    assert got.log_abs == pytest.approx(expected, abs=shift_tol(c))
+    if expected > LOG_MAX + 1e-9:
+        assert got.value == got.sign * math.inf
+    elif -700.0 < expected < LOG_MAX - 1e-9:
+        assert math.log(abs(got.value)) == pytest.approx(expected, abs=shift_tol(c))
 
 
 @lru_cache(maxsize=None)
@@ -155,9 +154,11 @@ def test_jensen_residuals_invariant(c):
 def test_hormander_ratio_invariant(c):
     grid, f, psi = dbar_setup()
     phi = fields.neg_sq_norm(1)
-    base = hormander_ratio([(phi, psi)], f, 4, grid)[0].ratio
-    got = hormander_ratio([(shifted(phi, c), psi)], f, 4, grid)[0].ratio
-    assert got == pytest.approx(base, rel=1e-9)
+    [base] = hormander_ratio([(phi, psi)], f, 4, grid)
+    [got] = hormander_ratio([(shifted(phi, c), psi)], f, 4, grid)
+    assert got.ratio == pytest.approx(base.ratio, rel=1e-9)
+    for g, b in zip(got.norms, base.norms, strict=True):
+        check_scaled(g, b, c)
 
 
 @property_settings
@@ -168,9 +169,11 @@ def test_bochner_residual_invariant(c):
     grid = make_grid(unit_ball(1, radius=1.3), 48)
     alpha = bump_zbar_form(1, radius=0.9)
     phi = fields.sq_norm(1)
-    base = bochner_residual(alpha, phi, grid).residual
-    got = bochner_residual(alpha, shifted(phi, c), grid).residual
-    assert got == pytest.approx(base, rel=1e-9)
+    base = bochner_residual(alpha, phi, grid)
+    got = bochner_residual(alpha, shifted(phi, c), grid)
+    assert got.residual == pytest.approx(base.residual, rel=1e-9)
+    for g, b in zip(got.terms, base.terms, strict=True):
+        check_scaled(g, b, c)
 
 
 @property_settings
@@ -187,6 +190,24 @@ def test_coarse_bounds_shift_by_c(c, m):
 
 
 @property_settings
+@given(c=shifts, m=st.sampled_from([1, 3]))
+@example(c=-2000.0, m=3)
+@example(c=2000.0, m=3)
+@example(c=-2000.0, m=1)
+@example(c=2000.0, m=1)
+def test_coarse_rhs_bound_scales(c, m):
+    # C_m int |alpha_eps|^p e^{-(m phi + psi_delta)} and C C_m e^{-m inf phi} / eps^p
+    # are both multiplied by e^{-m c}
+    phi = fields.sq_norm(1)
+    args = (2.0, np.array([0.2 + 0.1j]), [(0.5, 64)], [0.25], [(m, 0.5)])
+    [base] = coarse_rhs_bound(phi, *args)
+    [got] = coarse_rhs_bound(shifted(phi, c), *args)
+    check_scaled(got.rhs_integral, base.rhs_integral, m * c)
+    check_scaled(got.bound, base.bound, m * c)
+    assert got.verified == base.verified
+
+
+@property_settings
 @given(c=shifts)
 @example(c=-2000.0)
 @example(c=2000.0)
@@ -195,14 +216,8 @@ def test_functional_E_scales(c):
     alpha, psi, omega, grid = witness_setup()
     phi = fields.neg_sq_norm(1)
     e0 = estimate_functional_E(alpha, phi, psi, omega, grid)
-    assert e0 < 0.0
-
-    def compute():
-        value = estimate_functional_E(alpha, shifted(phi, c), psi, omega, grid)
-        assert value <= 0.0
-        return value
-
-    check_scaled(compute, math.log(-e0), c)
+    assert e0.sign < 0
+    check_scaled(estimate_functional_E(alpha, shifted(phi, c), psi, omega, grid), e0, c)
 
 
 @property_settings
@@ -211,11 +226,27 @@ def test_functional_E_scales(c):
 @example(c=2000.0)
 @example(c=-709.9)
 def test_extension_lhs_scales(c):
+    # the lhs (1/mu) int |f|^p e^{-phi} and the rhs e^{-phi(z0)} = e^{-c}: lhs > rhs at every
+    # c, so the margin is negative, -inf past the double range, or 0.0 where both underflow
     phi = fields.neg_sq_norm(1)
     cand = constant_one(Z0)
-    log_lhs = math.log(optimal_extension_margin(phi, DISC, cand, 2.0, RULE).lhs)
+    base = optimal_extension_margin(phi, DISC, cand, 2.0, RULE)
     rep = optimal_extension_margin(shifted(phi, c), DISC, cand, 2.0, RULE)
-    check_scaled(lambda: rep.lhs, log_lhs, c)
+    check_scaled(rep.lhs, base.lhs, c)
+    check_scaled(rep.rhs, base.rhs, c)
+    assert base.margin < 0.0 and rep.margin <= 0.0
+    assert rep.lhs.log_abs > rep.rhs.log_abs + math.log1p(1e-9)
+
+
+@property_settings
+@given(c=shifts)
+@example(c=-2000.0)
+@example(c=2000.0)
+def test_best_constant_scales(c):
+    phi = fields.neg_sq_norm(1)
+    _, base = best_extension_constant(phi, DISC, 4, RULE)
+    _, got = best_extension_constant(shifted(phi, c), DISC, 4, RULE)
+    check_scaled(got, base, c)
 
 
 FIELDS_C2 = {
@@ -279,8 +310,8 @@ def extension_outputs(phi, cyl, f, degree) -> tuple:
     jensen = jensen_chain_check(phi, cyl, f, 3.0, rule)
     b_m, b_tilde = coarse_extension_bound(phi, cyl, f, 0.5, 4, 2.0, rule)
     _, best = best_extension_constant(phi, cyl, degree, rule)
-    linear = {"lhs": rep.lhs, "rhs": rep.rhs, "best": best}
-    logs = {"margin/scale": rep.margin / max(rep.lhs, rep.rhs),
+    linear = {"lhs": rep.lhs.value, "rhs": rep.rhs.value, "best": best.value}
+    logs = {"margin/scale": rep.margin / max(rep.lhs.value, rep.rhs.value),
             "jensen_residual": rep.jensen_residual, "log_mean_residual": rep.log_mean_residual,
             "conclusion_margin": rep.conclusion_margin, "jensen_p3": jensen, "b_m": b_m,
             "b_tilde": b_tilde}
@@ -331,7 +362,7 @@ def test_neg_sq_norm_certified_against_scaled_form(c):
         fields.neg_sq_norm(1), fields.scaled_sq_omega(c, 1), unit_ball(1), S_MAX
     ).certificate
     assert cert is not None
-    assert cert.E < 0.0 and cert.E_doubled < 0.0
+    assert cert.E.sign < 0 and cert.E_doubled.sign < 0
 
 
 def translated_field(phi: fields.ScalarField, a) -> fields.ScalarField:
@@ -346,6 +377,11 @@ def translated_form(alpha: FormField01, a) -> FormField01:
     """z -> alpha(z - a), supported on the translated support."""
     support = DomainBox(alpha.support.kind, alpha.support.center + a, alpha.support.extents)
     return FormField01(alpha.name, lambda z: alpha.coefficients(z - a), support)
+
+
+def term_values(got, want):
+    """The (got, want) pairs of the values of two Bochner reports' four terms."""
+    return [(g.value, w.value) for g, w in zip(got.terms, want.terms, strict=True)]
 
 
 TRANSLATION_WEIGHTS = {
@@ -372,9 +408,7 @@ def test_bochner_residual_translation_invariant(n, nodes, radius, form, weight, 
     assert np.all(np.abs(moved_grid.spacing - grid.spacing) <= 1e-12 * h)
     base = bochner_residual(alpha, phi, grid)
     moved = bochner_residual(translated_form(alpha, a), translated_field(phi, a), moved_grid)
-    pairs = ((moved.curvature_term, base.curvature_term), (moved.gradient_term, base.gradient_term),
-             (moved.dbar_term, base.dbar_term), (moved.adjoint_term, base.adjoint_term))
-    for got, want in pairs:
+    for got, want in term_values(moved, base):
         assert abs(got - want) <= 1e-12 * abs(want)
     assert abs(moved.residual - base.residual) <= 1e-13
 
@@ -412,10 +446,7 @@ def test_bochner_residual_swap_invariant(form, weight):
     phi = TRANSLATION_WEIGHTS[weight](2)
     base = bochner_residual(alpha, phi, grid)
     swapped = bochner_residual(swapped_form(alpha), swapped_field(phi), grid)
-    pairs = ((swapped.curvature_term, base.curvature_term),
-             (swapped.gradient_term, base.gradient_term),
-             (swapped.dbar_term, base.dbar_term), (swapped.adjoint_term, base.adjoint_term))
-    for got, want in pairs:
+    for got, want in term_values(swapped, base):
         assert abs(got - want) <= SYMMETRY_RTOL * abs(want)
     assert abs(swapped.residual - base.residual) <= SYMMETRY_ATOL
 
@@ -460,10 +491,7 @@ def test_bochner_residual_quarter_turn_invariant(n, nodes, radius, form, weight)
     phi = TRANSLATION_WEIGHTS[weight](n)
     base = bochner_residual(alpha, phi, grid)
     turned = bochner_residual(turned_form(alpha), turned_field(phi), grid)
-    pairs = ((turned.curvature_term, base.curvature_term),
-             (turned.gradient_term, base.gradient_term),
-             (turned.dbar_term, base.dbar_term), (turned.adjoint_term, base.adjoint_term))
-    for got, want in pairs:
+    for got, want in term_values(turned, base):
         assert abs(got - want) <= SYMMETRY_RTOL * abs(want)
     assert abs(turned.residual - base.residual) <= SYMMETRY_ATOL
 
@@ -522,7 +550,7 @@ E_SETUPS = pytest.mark.parametrize("n, nodes, radius", [(1, 256, 0.9), (2, 24, 0
 
 
 def functional_E(form, phi, psi, omega, grid):
-    return estimate_functional_E(support_values(form, grid)[::2], phi, psi, omega, grid)
+    return estimate_functional_E(support_values(form, grid)[::2], phi, psi, omega, grid).value
 
 
 def e_case(n, radius, form, weight):

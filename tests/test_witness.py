@@ -219,7 +219,7 @@ class TestEstimateFunctional:
             alpha, fields.sq_norm(1), build_psi_s(np.zeros(1), 0.5, 1.0),
             fields.zero_omega(1), grid,
         )
-        assert val == 0.0
+        assert val.sign == 0 and val.value == 0.0
 
     def test_nonnegative_for_psh(self):
         z0 = np.zeros(1, dtype=complex)
@@ -229,7 +229,7 @@ class TestEstimateFunctional:
             psi = build_psi_s(z0, 0.5, s)
             alpha = nonzero_nodes(f.evaluate(grid.points) / s)
             val = estimate_functional_E(alpha, fields.sq_norm(1), psi, fields.zero_omega(1), grid)
-            assert val >= -1e-12
+            assert val.value >= -1e-12
 
     def test_negative_for_concave_weight(self):
         # recipe value at s=100, r=1/2 goes negative for the -|z|^2 weight
@@ -239,7 +239,7 @@ class TestEstimateFunctional:
         psi = build_psi_s(z0, 0.5, 100.0)
         alpha = nonzero_nodes(f.evaluate(grid.points) / 100.0)
         val = estimate_functional_E(alpha, fields.neg_sq_norm(1), psi, fields.zero_omega(1), grid)
-        assert val < 0.0
+        assert val.sign < 0
 
 
 class TestScanSharpWitness:
@@ -253,7 +253,7 @@ class TestScanSharpWitness:
             fields.neg_sq_norm(1), fields.zero_omega(1), unit_ball(1), S_MAX
         ).certificate
         assert cert is not None
-        assert cert.E < 0.0
+        assert cert.E.sign < 0
         assert cert.s <= 1e4
         assert cert.c == pytest.approx(1.0, abs=1e-3)
 
@@ -262,7 +262,7 @@ class TestScanSharpWitness:
             fields.saddle(2.0), fields.zero_omega(2), unit_ball(2), S_MAX
         ).certificate
         assert cert is not None
-        assert cert.E < 0.0
+        assert cert.E.sign < 0
         assert abs(cert.xi[1]) > 0.99
         assert cert.c == pytest.approx(2.0, abs=1e-3)
 
@@ -275,7 +275,7 @@ class TestScanSharpWitness:
             stripped, fields.zero_omega(1), unit_ball(1), smax=100,
         ).certificate
         assert cert is not None
-        assert cert.E < 0.0
+        assert cert.E.sign < 0
         assert cert.c == pytest.approx(1.0, abs=1e-5)
 
     @pytest.mark.parametrize("phi, omega", [
@@ -404,9 +404,10 @@ class TestScanSharpWitness:
         alpha = alpha_from_f(
             f.evaluate(fine.points).T, omega(fine.points) + cert.s * np.eye(phi.n)
         ).T
-        assert cert.E_doubled == estimate_functional_E(nonzero_nodes(alpha), phi, psi, omega, fine)
-        assert cert.E < 0.0 and cert.E_doubled < 0.0
-        assert dataclasses.asdict(cert)["E_doubled"] == cert.E_doubled
+        want = estimate_functional_E(nonzero_nodes(alpha), phi, psi, omega, fine)
+        assert scaled_bits(cert.E_doubled) == scaled_bits(want)
+        assert cert.E.sign < 0 and cert.E_doubled.sign < 0
+        assert scaled_bits(dataclasses.asdict(cert)["E_doubled"]) == scaled_bits(cert.E_doubled)
 
     @pytest.mark.parametrize("omega, metric_ndim", [
         (fields.zero_omega(1), 2),
@@ -492,7 +493,7 @@ class TestBandEnergy:
                 f.evaluate(grid.points).T, omega(grid.points) + cert.s * np.eye(n)
             ).T
             dense = dense_functional_E(alpha, phi, psi, omega, grid)
-            assert abs(value - dense) <= 1e-12 * abs(dense)
+            assert abs(value.value - dense) <= 1e-12 * abs(dense)
 
     def test_non_hermitian_hessian_raises(self):
         z0 = np.zeros(1, dtype=complex)
@@ -515,7 +516,7 @@ class TestBandEnergy:
         alpha = nonzero_nodes(np.zeros((2, grid.weights.size), dtype=complex))
         phi = fields.ScalarField("unused", 2, unused, hess=unused)
         omega = fields.HermitianField(2, unused)
-        assert estimate_functional_E(alpha, phi, phi, omega, grid) == 0.0
+        assert estimate_functional_E(alpha, phi, phi, omega, grid).total == 0.0
 
 
 class TestAlphaEps:
@@ -598,7 +599,7 @@ class TestCoarseChain:
             p=2.0, w=np.zeros(1), blocks=[(0.5, 64)], deltas=[0.25], m_log_c=[(1, 0.0)],
         )
         assert rep.verified
-        assert rep.bound == pytest.approx(2.0**4 * math.pi * 1.0 * 4.0, rel=1e-12)
+        assert rep.bound.value == pytest.approx(2.0**4 * math.pi * 1.0 * 4.0, rel=1e-12)
 
     def test_oracle_matches_grid_integral(self):
         # independent polar oracle for the rhs integral at n=1, delta=1/4
@@ -613,12 +614,12 @@ class TestCoarseChain:
 
         oracle, _ = sint.quad(integrand, eps / 2.0, eps, epsabs=1e-12)
         [rep] = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), [(eps, 96)], [delta], [(1, 0.0)])
-        assert rep.rhs_integral == pytest.approx(oracle, rel=2e-3)
+        assert rep.rhs_integral.value == pytest.approx(oracle, rel=2e-3)
 
     def test_eps_halving_scales_bound(self):
         a, b = coarse_rhs_bound(_zero(1), 2.0, np.zeros(1), [(0.5, 64), (0.25, 128)], [0.25],
                                 [(1, 0.0)])
-        assert b.bound == pytest.approx(4.0 * a.bound, rel=1e-12)
+        assert b.bound.value == pytest.approx(4.0 * a.bound.value, rel=1e-12)
 
     def test_linear_weight_infimum(self):
         phi = fields.re_linear(np.array([1.0 + 0.0j]), 1)
@@ -791,7 +792,12 @@ def levi_psi_delta(z, w, delta, n):
     return np.eye(n) + n * fields.log_levi(d, np.sum(np.abs(d) ** 2, axis=-1) + delta * delta)
 
 
+def scaled_bits(x):
+    """The (total, shift) pair of a Scaled, which compares bit for bit with ==."""
+    return x.total, x.shift
+
+
 def report_values(rep):
     """A coarse chain report's numbers (its w is an array, so reports do not compare by ==)."""
-    return (rep.m, rep.eps, rep.delta, rep.rhs_integral, rep.bound, rep.envelope_constant,
-            rep.inf_phi)
+    return (rep.m, rep.eps, rep.delta, scaled_bits(rep.rhs_integral), scaled_bits(rep.bound),
+            rep.envelope_constant, rep.inf_phi)
