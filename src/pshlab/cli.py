@@ -346,6 +346,7 @@ def _coarse_chain(args, phi, w, log_c_m) -> Table:
 
 def _extend(args, phi, cyl) -> list:
     rule = geometry.QuadratureRule("tensor-grid", args.budget)
+    rel = 1e-9  # each side may exceed e^{-phi(z0)} by this relative amount
     checks = []
     if args.p == 2.0:
         f_star, value = extension.best_extension_constant(phi, cyl, args.degree, rule)
@@ -353,10 +354,10 @@ def _extend(args, phi, cyl) -> list:
         checks.append(
             acceptance.CheckRecord(
                 "best-extension-constant",
-                value.log_abs <= rep.rhs.log_abs + math.log1p(1e-9),
+                value.log_abs <= rep.rhs.log_abs + math.log1p(rel),
                 {"value": value, "threshold": rep.rhs, "degree": args.degree,
                  "scope": "cylinder-local"},
-                {"inequality": "value <= e^{-phi(z0)}"},
+                {"inequality": "value <= e^{-phi(z0)}", "relative": rel},
             )
         )
     else:
@@ -365,12 +366,12 @@ def _extend(args, phi, cyl) -> list:
     checks.append(
         acceptance.CheckRecord(
             "optimal-extension-margin",
-            rep.lhs.log_abs <= rep.rhs.log_abs + math.log1p(1e-9),
+            rep.lhs.log_abs <= rep.rhs.log_abs + math.log1p(rel),
             {"lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
              "jensen_residual": rep.jensen_residual,
              "log_mean_residual": rep.log_mean_residual,
              "conclusion_margin": rep.conclusion_margin},
-            {"margin": 0.0},
+            {"inequality": "lhs <= rhs", "relative": rel},
         )
     )
     return checks

@@ -2,7 +2,8 @@
 
 The particular solution is the solid Cauchy transform
 u(z) = (1/pi) int f(zeta) / (z - zeta) dA(zeta); subtracting its weighted
-Bergman projection onto a polynomial subspace yields the minimal-norm
+Bergman projection onto a polynomial subspace (extension's one projection,
+which the best extension constant also takes) yields the minimal-norm
 solution, whose squared norm against int (|f|^2 / psi_zz) e^{-(phi+psi)}
 gives the estimate ratio (<= 1 for subharmonic phi, by the classical weighted
 estimate; > 1 witnesses failure).
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bochner import FormField01, GridDiscretization, bump_profile, support_values
-from .extension import solve_gram
+from .extension import weighted_bergman_projection
 from .fields import Scaled, levi_form, weight_exp
 from .geometry import unit_ball
 
@@ -98,30 +99,6 @@ def dbar_residual(u_values: np.ndarray, f_values: np.ndarray, grid: GridDiscreti
     return float(np.max(np.abs(du - np.asarray(f_values)[nodes])))
 
 
-def _weights(eta_values: np.ndarray, grid: GridDiscretization):
-    """Trapezoid weights times e^{-eta - shift} from the weight's node values, and shift."""
-    weight, shift = weight_exp(-np.asarray(eta_values, dtype=float))
-    return grid.weights * weight, shift
-
-
-def weighted_bergman_projection(u_values: np.ndarray, w: np.ndarray, mono: np.ndarray):
-    """Best degree <= N holomorphic polynomial approximation of u in
-    L^2(e^{-eta}) over the grid box, from the trapezoid weights w times e^{-eta}
-    (see _weights) and the (m, K) basis monomials mono (powers of a + b z) at the nodes.
-
-    Returns (h_values, coefficients); the residual u - h is orthogonal to
-    every basis monomial (Gram normal equations).  The basis is conjugated once,
-    and that copy scaled by w in place once the right-hand side has read it.
-    """
-    mc = mono.conj()
-    rhs = mc.T @ (w * np.asarray(u_values, dtype=complex))
-    mc *= w[:, None]
-    gram = mc.T @ mono
-    coeffs = solve_gram(gram, rhs)
-    h_values = mono @ coeffs
-    return h_values, coeffs
-
-
 def hormander_ratio(
     weights: list[tuple], f: FormField01, degree: int, grid: GridDiscretization
 ) -> list:
@@ -145,11 +122,10 @@ def hormander_ratio(
 
     results = []
     for phi, psi in weights:
-        wq, shift = _weights(phi(pts) + psi(pts), grid)
+        weight, shift = weight_exp(-(phi(pts) + psi(pts)))
+        wq = grid.weights * weight
         mono = _centered_powers(pts[:, 0], wq, degree)
-        u_min_vals, _ = weighted_bergman_projection(u_part, wq, mono)
-        u_min = u_part - u_min_vals
-        minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq * u_min)))
+        _, _, minimal_norm_sq = weighted_bergman_projection(u_part, wq, mono)
         psi_zz = np.real(levi_form(psi, f_pts)[:, 0, 0])
         if np.any(psi_zz < 1e-8):
             raise ValueError("psi is not strictly subharmonic on the support of f")

@@ -7,8 +7,9 @@ pole set, the optimal inequality asks for a holomorphic f with f(z0) = 1 and
 
 the Jensen/Fubini chain turns any such witness into the sub-mean-value
 inequality for phi, and the coarse variant does the same in the m-th power
-limit.  For p = 2 a best-constant witness over a polynomial subspace comes
-from a weighted Gram system.  z0 is always the cylinder's center, and a
+limit.  For p = 2 a best-constant witness over a polynomial subspace is 1 minus
+its weighted projection onto the non-constant monomials, the projection that the
+n = 1 dbar solve also takes.  z0 is always the cylinder's center, and a
 candidate f is one evaluator from (m, n) points to (m,) values.
 """
 
@@ -64,14 +65,6 @@ class ExtensionReport:
     margin = property(lambda self: self.rhs.minus(self.lhs))
 
 
-def _center_value(phi, cyl) -> float:
-    """phi(z0) at the cylinder's center z0, which must be off the pole set."""
-    center_val = phi.value_at(cyl.center)
-    if not np.isfinite(center_val):
-        raise ValueError("center lies on the pole set")
-    return center_val
-
-
 def _cylinder_weight_values(phi, cyl, rule):
     sample = sample_cylinder(cyl, rule)
     weight_vals = phi(sample.nodes)
@@ -93,36 +86,22 @@ def _candidate_values(phi, cyl, candidate, rule):
 def optimal_extension_margin(
     phi: ScalarField, cyl: HolomorphicCylinder, candidate: Candidate, p: float, rule: QuadratureRule
 ) -> ExtensionReport:
-    """margin = e^{-phi(z0)} - (1/mu) int |f|^p e^{-phi}; >= 0 means f witnesses."""
-    center_val = _center_value(phi, cyl)
+    """margin = e^{-phi(z0)} - (1/mu) int |f|^p e^{-phi}; >= 0 means f witnesses.
+
+    The Jensen chain from extension to sub-mean-value: residual_1 = mean(-x) +
+    log mean(e^x) >= 0 for x = log(|f|^p e^{-phi}); residual_2 = mean(p log|f|) >= 0
+    when log|f| is sub-mean-value; conclusion margin = mean(phi) - phi(z0), at least
+    -(residuals + extension margin)."""
+    center_val = phi.value_at(cyl.center)
+    if not np.isfinite(center_val):
+        raise ValueError("center lies on the pole set")
     sample, weight_vals, fvals = _candidate_values(phi, cyl, candidate, rule)
-    [lhs] = weighted_sums(-weight_vals, lambda weight: [
-        np.dot(np.abs(fvals) ** p * weight, sample.weights) / cyl.volume])
-    res1, res2, concl = _jensen_residuals(sample, cyl.volume, weight_vals, fvals, p, center_val)
-    return ExtensionReport(lhs, Scaled(1.0, -center_val), res1, res2, concl)
-
-
-def jensen_chain_check(
-    phi: ScalarField, cyl: HolomorphicCylinder, candidate: Candidate, p: float, rule: QuadratureRule
-):
-    """Residuals of the two inequality steps linking extension to sub-mean-value.
-
-    residual_1 = mean(-log(|f|^p e^{-phi})) + log mean(|f|^p e^{-phi}) >= 0
-    (concavity of log); residual_2 = mean(p log|f|) >= 0 when log|f| is
-    sub-mean-value (holomorphic f with f(z0) = 1); conclusion margin is
-    mean(phi) - phi(z0), bounded below by -(residuals + extension margin).
-    """
-    center_val = _center_value(phi, cyl)
-    sample, weight_vals, fvals = _candidate_values(phi, cyl, candidate, rule)
-    return _jensen_residuals(sample, cyl.volume, weight_vals, fvals, p, center_val)
-
-
-def _jensen_residuals(sample, mu, weight_vals, fvals, p, center_val):
-    """The residuals of jensen_chain_check from phi and f at the rule's nodes."""
+    mu = cyl.volume
     fabs = np.abs(fvals)
-    zero_mass = float(np.dot(fabs == 0.0, sample.weights))
-    if zero_mass > VANISHING_FRACTION * mu:
+    if np.dot(fabs == 0.0, sample.weights) > VANISHING_FRACTION * mu:
         raise DegenerateWeightError("candidate vanishes on a positive-measure node set")
+    [lhs] = weighted_sums(-weight_vals, lambda weight: [
+        np.dot(fabs ** p * weight, sample.weights) / mu])
     with np.errstate(divide="ignore"):
         log_f = np.log(fabs)
     x_vals = p * log_f - weight_vals  # log(|f|^p e^{-phi})
@@ -133,7 +112,17 @@ def _jensen_residuals(sample, mu, weight_vals, fvals, p, center_val):
     residual_2 = clipped_mean(p * log_f, sample.weights, mu)
     mean_phi = clipped_mean(weight_vals, sample.weights, mu)
     conclusion_margin = mean_phi - center_val
-    return residual_1, residual_2, conclusion_margin
+    return ExtensionReport(lhs, Scaled(1.0, -center_val), residual_1, residual_2,
+                           conclusion_margin)
+
+
+def jensen_chain_check(
+    phi: ScalarField, cyl: HolomorphicCylinder, candidate: Candidate, p: float, rule: QuadratureRule
+):
+    """(jensen_residual, log_mean_residual, conclusion_margin) of the candidate's
+    optimal_extension_margin report: the Jensen chain from extension to sub-mean-value."""
+    rep = optimal_extension_margin(phi, cyl, candidate, p, rule)
+    return rep.jensen_residual, rep.log_mean_residual, rep.conclusion_margin
 
 
 def coarse_extension_bound(
@@ -201,6 +190,22 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
+def weighted_bergman_projection(u_values: np.ndarray, w: np.ndarray, mono: np.ndarray):
+    """(u - h, coefficients of h, sum w |u - h|^2) for h the best L^2(w) approximation
+    of u by the (m, K) basis columns mono, from node weights w (quadrature weights
+    times e^{-eta - shift}, see weight_exp).  u - h is orthogonal to every column
+    (Gram normal equations).  The basis is conjugated once, and that copy scaled by
+    w in place once the right-hand side has read it."""
+    u = np.asarray(u_values, dtype=complex)
+    mc = mono.conj()
+    rhs = mc.T @ (w * u)
+    mc *= w[:, None]
+    gram = mc.T @ mono
+    coeffs = solve_gram(gram, rhs)
+    residual = u - mono @ coeffs
+    return residual, coeffs, float(np.real(np.dot(np.conj(residual), w * residual)))
+
+
 def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: int,
                             rule: QuadratureRule):
     """Minimize (1/mu) int |f|^2 e^{-phi} over degree <= N polys with f(z0) = 1.
@@ -208,12 +213,12 @@ def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: 
     The polynomials are taken in the cylinder's own coordinates t = A^H (z - z0)
     / (r, s, ..., s), in which it is P_{1,1}: their monomials are at most 1 in
     modulus on it, whatever its frame and radii, and t = 0 at z0 makes the
-    constraint a single coordinate; the minimizer and its value, a Scaled, come from
-    the constrained normal equations.  Comparing the value against e^{-phi(z0)} tests
+    constraint a single coordinate.  The minimizer is f* = 1 - P(1), for P the
+    weighted projection onto the non-constant monomials, and its value, a Scaled,
+    is the weighted sum of |f*|^2.  Comparing the value against e^{-phi(z0)} tests
     the optimal L^2-extension inequality within the polynomial class.
     """
     sample, weight_vals = _cylinder_weight_values(phi, cyl, rule)
-    mu = cyl.volume
     exponents = monomial_exponents(phi.n, degree)
     radii = np.array([cyl.r] + [cyl.s] * (cyl.n - 1))
 
@@ -222,13 +227,7 @@ def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: 
 
     mono = monomials(sample.nodes)
     weight, shift = weight_exp(-weight_vals)
-    wphi = sample.weights * weight / mu
-    # gram carries the factor e^{-shift}, which leaves the minimizer unchanged
-    gram = (mono.conj().T * wphi) @ mono  # gram[b, a] = int m_a conj(m_b) dW
-    # minimize v^H G v... with v_0 = 1: stationarity sum_a gram[b, a] v_a = 0, b != 0
-    sub = gram[1:, 1:]
-    rhs = -gram[1:, 0]
-    tail = solve_gram(sub, rhs)
-    v = np.concatenate([[1.0 + 0.0j], tail])
-    value = Scaled(np.real(np.conj(v) @ gram @ v), shift)
-    return lambda z: monomials(z) @ v, value
+    w = sample.weights * weight / cyl.volume
+    _, coeffs, value = weighted_bergman_projection(np.ones(mono.shape[0]), w, mono[:, 1:])
+    v = np.concatenate([[1.0 + 0.0j], -coeffs])
+    return lambda z: monomials(z) @ v, Scaled(value, shift)

@@ -51,6 +51,14 @@ class ScalarField:
         return float(self.evaluate(as_points(z, self.n))[0])
 
 
+def _hermitian_deviation(g: np.ndarray) -> float:
+    """max |g_jk - conj(g_kj)| over a (..., n, n) stack: the deviation is symmetric in
+    (j, k), so j <= k is checked, one pair of (...) slices at a time."""
+    n = g.shape[-1]
+    return max(np.max(np.abs(g[..., j, k] - g[..., k, j].conj()), initial=0.0)
+               for j in range(n) for k in range(j, n))
+
+
 @dataclass(frozen=True)
 class HermitianField:
     """Coefficient field of a continuous real (1,1)-form: z -> Hermitian (n, n)."""
@@ -61,12 +69,7 @@ class HermitianField:
     def __call__(self, pts) -> np.ndarray:
         z = as_points(pts, self.n)
         g = np.asarray(self.evaluate(z), dtype=complex)
-        # |g_jk - conj(g_kj)| is symmetric in (j, k): check j <= k, one (m,) pair at a time
-        n = g.shape[-1]
-        dev = max(
-            np.max(np.abs(g[..., j, k] - g[..., k, j].conj()), initial=0.0)
-            for j in range(n) for k in range(j, n)
-        )
+        dev = _hermitian_deviation(g)
         if dev > HERMITIAN_TOL:
             raise ValueError(f"coefficient matrix not Hermitian: deviation {dev:.3e}")
         return g
@@ -433,13 +436,12 @@ def levi_form(
     _require_c2(phi)
     if use_analytic and phi.hess is not None:
         m = np.asarray(phi.hess(z), dtype=complex)
-        mh = m.conj().swapaxes(-1, -2)
-        dev = np.max(np.abs(m - mh), initial=0.0)
+        dev = _hermitian_deviation(m)
         if dev > HERMITIAN_TOL:
             raise ValueError(
                 f"declared Hessian of {phi.name!r} is not Hermitian: deviation {dev:.3e}"
             )
-        return 0.5 * (m + mh)
+        return 0.5 * (m + m.conj().swapaxes(-1, -2))
     he = h * (1.0 + row_norm(z))
     eye = np.eye(n)
     # (m, 1, n) real and imaginary steps along each axis

@@ -5,7 +5,8 @@ support_values and form_gradient, whose dz is the diagonal d alpha_j / dz_j), a 
 grid field, the per-component closures that forms were built from (the oracles
 of their evaluators), a support check, the point-by-point support test (the
 oracle of the separable one), the two sides of the metric energy identity
-behind alpha_from_f, the orthogonality of a Bergman residual, and the
+behind alpha_from_f, the shifted trapezoid weights of a weight, the
+orthogonality of a Bergman residual, and the
 one-tuple solves (the oracles of the hormander_ratio and coarse_rhs_bound
 sweeps)."""
 
@@ -18,8 +19,7 @@ from pshlab.bochner import (
     form_gradient, weight_gradient,
 )
 from pshlab.dbar1d import (
-    SolveResult, _centered_powers, _weights, cauchy_transform, dbar_residual,
-    weighted_bergman_projection,
+    SolveResult, _centered_powers, cauchy_transform, dbar_residual, weighted_bergman_projection,
 )
 from pshlab.extension import _monomial_values, monomial_exponents
 from pshlab.fields import Scaled, levi_form, weight_exp
@@ -272,10 +272,16 @@ def form_norm_sq(metric, f_coeffs):
     return float(np.real(np.dot(f, np.linalg.solve(np.asarray(metric), np.conj(f)))))
 
 
+def shifted_weights(eta_values, grid):
+    """Trapezoid weights times e^{-eta - shift} from the weight's node values, and shift."""
+    weight, shift = weight_exp(-np.asarray(eta_values, dtype=float))
+    return grid.weights * weight, shift
+
+
 def projection_orthogonality(u_values, h_values, eta_values, degree: int, grid) -> float:
     """Max relative pairing of (u - h) against the basis monomials."""
     pts = grid.points
-    w, _ = _weights(eta_values, grid)
+    w, _ = shifted_weights(eta_values, grid)
     mono = _monomial_values(pts, monomial_exponents(1, degree))
     res = np.asarray(u_values) - np.asarray(h_values)
     pair = mono.conj().T @ (w * res)
@@ -286,7 +292,7 @@ def projection_orthogonality(u_values, h_values, eta_values, degree: int, grid) 
 
 def bergman_project(u_values, eta_values, degree: int, grid):
     """weighted_bergman_projection from the weight eta at every node and a degree."""
-    w, _ = _weights(eta_values, grid)
+    w, _ = shifted_weights(eta_values, grid)
     mono = _monomial_values(grid.points, monomial_exponents(1, degree))
     return weighted_bergman_projection(u_values, w, mono)
 
@@ -300,9 +306,9 @@ def hormander_ratio_one(phi, psi, f, degree: int, grid) -> SolveResult:
     u_part = cauchy_transform(fv, grid)
     residual = dbar_residual(u_part, fv, grid)
 
-    wq, shift = _weights(phi(pts) + psi(pts), grid)
+    wq, shift = shifted_weights(phi(pts) + psi(pts), grid)
     mono = _centered_powers(pts[:, 0], wq, degree)
-    u_min = u_part - weighted_bergman_projection(u_part, wq, mono)[0]
+    u_min = weighted_bergman_projection(u_part, wq, mono)[0]
     minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq * u_min)))
 
     support = np.flatnonzero(np.abs(fv) > 0.0)

@@ -167,6 +167,19 @@ class TestSubcommands:
         names = [c["name"] for c in rep["checks"]]
         assert "best-extension-constant" in names
 
+    @pytest.mark.parametrize("p", ["2", "3"])
+    def test_extend_tolerances_state_the_relative_gate(self, tmp_path, p):
+        # each check's test is "side <= (1 + 1e-9) e^{-phi(z0)}", and its record says so
+        out = tmp_path / "extend.json"
+        assert main(["extend", "--func", "sq_norm", "--p", p, "--degree", "2",
+                     "--out", str(out)]) == 0
+        tolerances = {c["name"]: c["tolerances"] for c in read_json(out)["checks"]}
+        want = {"optimal-extension-margin": {"inequality": "lhs <= rhs", "relative": 1e-9}}
+        if p == "2":
+            want["best-extension-constant"] = {"inequality": "value <= e^{-phi(z0)}",
+                                               "relative": 1e-9}
+        assert tolerances == want
+
     def test_coarse_extend_csv(self, tmp_path):
         out = tmp_path / "ce.csv"
         code = main(

@@ -16,7 +16,8 @@ from pshlab.geometry import unit_ball
 from pshlab.witness import build_psi_s, build_witness_form
 
 from grid_helpers import (
-    bergman_project, hormander_ratio_one, interior_mask, projection_orthogonality, slice_d_dzbar,
+    bergman_project, hormander_ratio_one, interior_mask, projection_orthogonality, shifted_weights,
+    slice_d_dzbar,
 )
 
 
@@ -126,39 +127,43 @@ class TestBergmanProjection:
         # the weight is 1 on the unit disc and 0 (eta = +inf) off it
         eta = np.where(unit_ball(1).contains(g.points), 0.0, np.inf)
         u = np.conj(g.points[:, 0])
-        h_vals, coeffs = bergman_project(u, eta, 6, g)
+        _, coeffs, _ = bergman_project(u, eta, 6, g)
         assert np.max(np.abs(coeffs)) <= 1e-2
 
     def test_polynomial_fixed(self):
         g = make_grid(unit_ball(1, radius=1.2), 96)
         eta = fields.sq_norm(1)(g.points)
         u = 0.3 + 0.5 * g.points[:, 0] - 0.2j * g.points[:, 0] ** 2
-        h_vals, _ = bergman_project(u, eta, 4, g)
-        assert np.max(np.abs(h_vals - u)) <= 1e-10
+        residual, _, _ = bergman_project(u, eta, 4, g)
+        assert np.max(np.abs(residual)) <= 1e-10
 
     def test_norm_monotonicity(self):
         g = grid256(half=1.5)
         eta = fields.sq_norm(1)(g.points)
         u = np.conj(g.points[:, 0]) * flat_top_indicator(g, radius=1.2)
         w = g.weights * np.exp(-eta)
-        h_vals, _ = bergman_project(u, eta, 8, g)
+        residual, _, norm_sq = bergman_project(u, eta, 8, g)
         before = float(np.real(np.dot(np.conj(u), w * u)))
-        after = float(np.real(np.dot(np.conj(u - h_vals), w * (u - h_vals))))
+        after = float(np.real(np.dot(np.conj(residual), w * residual)))
         assert after <= before + 1e-12
+        # the returned norm carries the factor e^{-shift} of the projection's weights
+        _, shift = shifted_weights(eta, g)
+        assert norm_sq * math.exp(shift) == pytest.approx(after, rel=1e-12)
 
     def test_orthogonality(self):
         g = grid256(half=1.5)
         eta = fields.sq_norm(1)(g.points)
         u = np.conj(g.points[:, 0]) * flat_top_indicator(g, radius=1.2)
-        h_vals, _ = bergman_project(u, eta, 8, g)
-        rel = projection_orthogonality(u, h_vals, eta, 8, g)
+        residual, _, _ = bergman_project(u, eta, 8, g)
+        rel = projection_orthogonality(u, u - residual, eta, 8, g)
         assert rel <= 1e-8
 
     def test_first_order_optimality(self):
         g = make_grid(unit_ball(1, radius=1.5), 128)
         eta = fields.sq_norm(1)(g.points)
         u = np.conj(g.points[:, 0]) * flat_top_indicator(g, radius=1.2)
-        h_vals, coeffs = bergman_project(u, eta, 4, g)
+        residual, coeffs, _ = bergman_project(u, eta, 4, g)
+        h_vals = u - residual
         w = g.weights * np.exp(-eta)
 
         def objective(h):

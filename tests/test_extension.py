@@ -18,7 +18,9 @@ from pshlab.extension import (
     polynomial,
     solve_gram,
 )
-from pshlab.geometry import HolomorphicCylinder, QuadratureRule, random_unitary, sample_cylinder
+from pshlab.geometry import (
+    HolomorphicCylinder, QuadratureRule, random_unitary, sample_cylinder, seeded_frame,
+)
 
 RULE = QuadratureRule("tensor-grid", 4096, seed=0)
 
@@ -305,6 +307,49 @@ class TestBestExtensionConstant:
         )
         with pytest.raises(DegenerateWeightError):
             best_extension_constant(deep, disc(), 2, RULE)
+
+    @pytest.mark.parametrize("z0", CENTERS, ids=["n1", "n2"])
+    def test_minimizer_is_orthogonal_to_the_nonconstant_monomials(self, z0):
+        # f* = 1 - P(1): its L^2(e^{-phi}) pairing with every monomial of positive degree,
+        # taken in the cylinder's coordinates on the rule's nodes, vanishes
+        n, cyl = z0.size, disc_at(z0)
+        phi = fields.neg_sq_norm(n)
+        f_star, _ = best_extension_constant(phi, cyl, 4, RULE)
+        sample = sample_cylinder(cyl, RULE)
+        w = sample.weights * np.exp(-phi(sample.nodes))
+        radii = np.array([cyl.r] + [cyl.s] * (n - 1))
+        t = (sample.nodes - z0) @ cyl.frame.conj() / radii
+        mono = _monomial_values(t, monomial_exponents(n, 4))[:, 1:]
+        f = f_star(sample.nodes)
+        pair = mono.conj().T @ (w * f)
+        norms = np.sqrt(np.real(np.dot(w, np.abs(f) ** 2)) * (np.abs(mono) ** 2).T @ w)
+        assert np.max(np.abs(pair) / norms) <= 1e-12
+
+    @pytest.mark.parametrize("z0", CENTERS, ids=["n1", "n2"])
+    def test_value_is_the_weighted_sum_of_the_minimizer(self, z0):
+        n, cyl = z0.size, disc_at(z0)
+        phi = fields.neg_sq_norm(n)
+        f_star, value = best_extension_constant(phi, cyl, 4, RULE)
+        sample = sample_cylinder(cyl, RULE)
+        w = sample.weights * np.exp(-phi(sample.nodes)) / cyl.volume
+        assert value.value == pytest.approx(np.dot(w, np.abs(f_star(sample.nodes)) ** 2),
+                                            rel=1e-13)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_value_equals_the_constrained_gram_form_at_n2(self, seed):
+        # the other formulation of the same minimum: the full Gram matrix G, the
+        # stationarity system on its non-constant block, and the value v^H G v
+        phi = fields.cross()
+        cyl = HolomorphicCylinder(CENTERS[1], seeded_frame(seed, 2), 0.7, 0.9)
+        sample = sample_cylinder(cyl, RULE)
+        w = sample.weights * np.exp(-phi(sample.nodes)) / cyl.volume
+        t = (sample.nodes - cyl.center) @ cyl.frame.conj() / np.array([cyl.r, cyl.s])
+        mono = _monomial_values(t, monomial_exponents(2, 6))
+        gram = (mono.conj().T * w) @ mono
+        v = np.concatenate([[1.0], np.linalg.solve(gram[1:, 1:], -gram[1:, 0])])
+        oracle = float(np.real(np.conj(v) @ gram @ v))
+        _, value = best_extension_constant(phi, cyl, 6, RULE)
+        assert value.value == pytest.approx(oracle, rel=1e-14)
 
     @pytest.mark.parametrize("gram", [[[1.0, 1.0], [1.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]])
     def test_singular_gram_raises(self, gram):

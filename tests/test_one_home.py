@@ -7,8 +7,9 @@ default must be the toolkit's constant itself.
 
 One home for a weighted sum: fields.Scaled carries each total with its shift and
 is the only code that turns a shift or log into a linear double, and
-fields.weight_exp is called only by the carrier's constructor and the two Gram
-builders, which take the weights themselves.
+fields.weight_exp is called only by the carrier's constructor and the two callers
+of the one weighted projection, which take the weights themselves.  That projection,
+extension.weighted_bergman_projection, is the only caller of the Gram solve.
 """
 
 import ast
@@ -133,8 +134,18 @@ def test_only_the_carrier_turns_a_log_into_a_double():
     assert found == []
 
 
+def callers_of(name: str, modules) -> set:
+    """(module, enclosing top-level function) of every call of a function named name."""
+    return {(module, top) for module in modules for top, call in calls_in(module)
+            if ast.unparse(call.func).split(".")[-1] == name}
+
+
 def test_weight_exp_is_called_by_the_carrier_and_the_gram_builders():
-    callers = {(module, top) for module in ("fields", *CARRIER_READERS)
-               for top, call in calls_in(module) if ast.unparse(call.func).endswith("weight_exp")}
-    assert callers == {("fields", "weighted_sums"), ("dbar1d", "_weights"),
-                       ("extension", "best_extension_constant")}
+    assert callers_of("weight_exp", ("fields", *CARRIER_READERS)) == {
+        ("fields", "weighted_sums"), ("dbar1d", "hormander_ratio"),
+        ("extension", "best_extension_constant")}
+
+
+def test_solve_gram_is_called_only_by_the_weighted_projection():
+    modules = sorted(path.stem for path in SRC.glob("*.py"))
+    assert callers_of("solve_gram", modules) == {("extension", "weighted_bergman_projection")}

@@ -161,10 +161,11 @@ def test_extension_paths_reach_the_traced_extension_names(monkeypatch, tmp_path)
         seen.clear()
         run()
         counts[name] = dict(seen)
-    # four Jensen chains, one margin and three coarse bounds; two Gram searches;
-    # the best constant and its margin at p = 2; one bound per m
+    # four Jensen chains, each reading a margin's report, one margin more and three
+    # coarse bounds; two Gram searches; the best constant and its margin at p = 2;
+    # one bound per m
     assert counts == {
-        "criterion_extension_chains": {"jensen_chain_check": 4, "optimal_extension_margin": 1,
+        "criterion_extension_chains": {"jensen_chain_check": 4, "optimal_extension_margin": 5,
                                        "coarse_extension_bound": 3},
         "criterion_best_constant": {"best_extension_constant": 2},
         "extend": {"best_extension_constant": 1, "optimal_extension_margin": 1},
