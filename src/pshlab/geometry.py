@@ -216,7 +216,8 @@ class QuadratureRule:
 
     Kinds: "tensor-grid" (Gauss-Legendre radius x uniform angle on the r-disc,
     tensored with a symmetrized low-discrepancy shell rule on the s-ball), which
-    takes no seed, and "quasi-random" (Halton, shifted by a uniform draw of seed).
+    takes no seed, and "quasi-random" (Halton, shifted by a uniform draw c of seed,
+    (h + c) mod 1 per axis: c remaps the cached radii and rotates the frame).
     """
 
     kind: str = "tensor-grid"
@@ -251,21 +252,28 @@ def seeded_frame(seed: int, n: int) -> np.ndarray:
     return random_unitary(seed, n) if n > 1 else np.eye(1, dtype=complex)
 
 
-def _halton_axis(cnt: int, base: int) -> np.ndarray:
-    """Van der Corput values of the indices 1..cnt in the given base, in O(cnt).
-
-    The values of 0..b^k - 1 grow one digit at a time, most significant digit
-    outermost: v <- (d / b^k + v) over the digits d; the last step keeps only
-    the digits that reach index cnt.  Each value sums the same digit terms in
-    the same order as the digit-by-digit loop, so the two agree bit for bit.
-    """
-    v = np.zeros(1)
+def _digit_recursion(cnt: int, base: int, v: np.ndarray, step) -> np.ndarray:
+    """Values of the indices 1..cnt from their base-b digits, in O(cnt): from
+    v of index 0, the values of 0..b^k - 1 grow one digit at a time, most
+    significant digit outermost, v <- step(d / b^k, v) over the digits d; the
+    last step keeps only the digits that reach index cnt."""
     denom = 1
     while v.size <= cnt:
         denom *= base
         digits = np.arange(min(base, -(-(cnt + 1) // v.size)))
-        v = (digits[:, None] / denom + v[None, :]).ravel()
+        v = step(digits[:, None] / denom, v[None, :]).ravel()
     return v[1 : cnt + 1]
+
+
+def _halton_axis(cnt: int, base: int) -> np.ndarray:
+    """Van der Corput values of 1..cnt, v <- d / b^k + v: the digit loop's terms in its order."""
+    return _digit_recursion(cnt, base, np.zeros(1), np.add)
+
+
+def _halton_phase(cnt: int, base: int) -> np.ndarray:
+    """e^{2 pi i h} of the same values, v <- e^{2 pi i d / b^k} v: one exp per digit."""
+    return _digit_recursion(cnt, base, np.ones(1, dtype=complex),
+                            lambda t, v: np.exp(2j * math.pi * t) * v)
 
 
 def _disc_tensor(n_rad: int, n_ang: int):
@@ -324,31 +332,43 @@ def _unit_tensor(n: int, budget: int) -> tuple:
     return factors
 
 
+# Seed-free Halton factors, one entry per (n, budget); criterion 3 alternates
+# n = 2 and n = 1 scans.  An n = 2 entry at a 262,144-node cross rule is 12 MB.
+@lru_cache(maxsize=2)
+def _halton_table(n: int, cnt: int) -> tuple:
+    """Read-only (cnt, n) radial values h (bases 2, 5) and phases e^{2 pi i h} (3, 7)."""
+    table = (np.stack([_halton_axis(cnt, b) for b in _PRIMES[0 : 2 * n : 2]], axis=1),
+             np.stack([_halton_phase(cnt, b) for b in _PRIMES[1 : 2 * n : 2]], axis=1))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 # A scan's cross rule is one quasi-random rule at one budget, 4x the first
 # pass's.  Entries are N-sized, so the cache keeps that rule and no more.
 @lru_cache(maxsize=1)
-def _unit_uniform_model(n: int, cnt: int, seed: int) -> np.ndarray:
-    """Nodes of the quasi-random (shifted Halton) rule on P_{1,1}.
+def _unit_uniform_model(n: int, cnt: int, seed: int) -> tuple:
+    """The quasi-random (shifted Halton) rule on P_{1,1}: nodes model * rot.
 
-    Uniform (u_re, u_im) pairs in [0,1)^2 map to sqrt(u_re) e^{2 pi i u_im},
-    an area-preserving map onto the unit disc, one disc per coordinate.
+    The seed's shift c makes pairs (u_re, u_im) = (h + c) mod 1, mapped onto the
+    unit disc by the area-preserving sqrt(u_re) e^{2 pi i u_im}; the angle is
+    e^{2 pi i h} e^{2 pi i c}, whose rot = e^{2 pi i c} the frame takes.
     """
-    u = np.empty((cnt, 2 * n))
-    for d in range(2 * n):
-        u[:, d] = _halton_axis(cnt, _PRIMES[d])
-    u += np.random.default_rng(seed).uniform(size=2 * n)
+    radial, phase = _halton_table(n, cnt)
+    shift = np.random.default_rng(seed).uniform(size=2 * n)
+    u = radial + shift[0::2]
     np.subtract(u, 1.0, out=u, where=u >= 1.0)  # (u + shift) mod 1, exactly
-    model = np.sqrt(u[:, 0::2]) * np.exp(2j * math.pi * u[:, 1::2])
+    model = np.sqrt(u) * phase
     model.flags.writeable = False
-    return model
+    return model, np.exp(2j * math.pi * shift[1::2])
 
 
 def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderSample:
     """Quadrature nodes and weights over the cylinder; weights sum to mu(P).
 
     The rule is the image of a cached unit rule on P_{1,1} under
-    w -> z0 + A diag(r, s) w.  Every kind supports n <= 2.  Both returned
-    arrays are new.
+    w -> z0 + A diag(r, s) w, with a quasi-random rule's rotations in A.
+    Every kind supports n <= 2.  Both returned arrays are new.
     """
     if rule.budget < 16:
         raise InsufficientNodesError(
@@ -367,7 +387,7 @@ def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderS
             nodes = (nodes[:, None, :] + (cyl.s * d2)[:, None] * a[:, 1]).reshape(-1, n)
             weights = np.outer(weights, cyl.s**2 * w2).ravel()
         return CylinderSample(nodes, weights)
-    model = _unit_uniform_model(n, rule.budget, rule.seed)
-    nodes = model @ (a * [cyl.r, cyl.s][:n]).T
+    model, rot = _unit_uniform_model(n, rule.budget, rule.seed)
+    nodes = model @ (a * (rot * [cyl.r, cyl.s][:n])).T
     nodes += cyl.center
     return CylinderSample(nodes, np.full(rule.budget, cyl.volume / rule.budget))

@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pshlab import fields, geometry, meanvalue
 from pshlab.errors import InsufficientNodesError
 from pshlab.geometry import (
     DomainBox,
     HolomorphicCylinder,
     QuadratureRule,
     _halton_axis,
+    _halton_phase,
+    _halton_table,
     as_point,
     ball_volume,
     random_unitary,
@@ -273,6 +280,102 @@ class TestUnitRule:
             got = _halton_axis(cnt, base)
             expected = vdc_digit_loop(np.arange(1, cnt + 1), base)
             np.testing.assert_array_max_ulp(got, expected, maxulp=1)
+
+    @pytest.mark.parametrize("base", [3, 7])
+    def test_halton_phase_matches_exp_of_axis(self, base):
+        for cnt in (1, base - 1, base, base**2, base**3 + 1, 1000, 262144):
+            expected = np.exp(2j * np.pi * _halton_axis(cnt, base))
+            assert np.max(np.abs(_halton_phase(cnt, base) - expected)) <= 4e-15
+
+
+def unit_uniform_oracle(n: int, cnt: int, seed: int) -> np.ndarray:
+    """The quasi-random unit rule with the shift applied node by node to all 2n
+    Halton axes, the angle included (oracle)."""
+    u = np.empty((cnt, 2 * n))
+    for d in range(2 * n):
+        u[:, d] = _halton_axis(cnt, (2, 3, 5, 7)[d])
+    u += np.random.default_rng(seed).uniform(size=2 * n)
+    np.subtract(u, 1.0, out=u, where=u >= 1.0)
+    return np.sqrt(u[:, 0::2]) * np.exp(2j * math.pi * u[:, 1::2])
+
+
+def use_oracle(monkeypatch):
+    """Make every quasi-random rule the oracle's nodes, with no frame rotation."""
+    monkeypatch.setattr(geometry, "_unit_uniform_model",
+                        lambda n, cnt, seed: (unit_uniform_oracle(n, cnt, seed), np.ones(n)))
+
+
+def scan_key(res):
+    """Every number of a scan result, cylinders included, as comparable bytes."""
+    return res.cylinders_checked, [
+        (v.cylinder.center.tobytes(), v.cylinder.frame.tobytes(), v.cylinder.r, v.cylinder.s,
+         v.mean, v.margin, v.quad_error)
+        for v in res.violations
+    ]
+
+
+class TestQuasiRandomShift:
+    """The seed's shift of the quasi-random rule is a radial remap of a seed-free
+    Halton table and one rotation per coordinate, folded into the frame."""
+
+    @pytest.mark.parametrize("seed", [0, 4, 2**63 - 1, 2**64])
+    @pytest.mark.parametrize("budget", [16, 4096, 262144])
+    def test_nodes_match_shift_of_every_axis(self, monkeypatch, budget, seed):
+        for cyl, _ in cylinders()[:2]:
+            rule = QuadratureRule("quasi-random", budget, seed)
+            got = sample_cylinder(cyl, rule)
+            with monkeypatch.context() as m:
+                use_oracle(m)
+                expected = sample_cylinder(cyl, rule)
+            scale = np.max(np.abs(cyl.center)) + cyl.r + cyl.s
+            assert np.max(np.abs(got.nodes - expected.nodes)) <= 1e-14 * scale
+            assert np.array_equal(got.weights, expected.weights)
+
+    @pytest.mark.parametrize("spec, region, tol, budget", [
+        ("saddle:2", geometry.unit_ball(2), 1e-3, 1024),
+        ("cross", geometry.unit_ball(2), 1e-3, 1024),
+        ("max_log", geometry.unit_ball(2, radius=0.8, center=[0.9, 0.6j]), 1e-6, 4096),
+    ])
+    def test_scans_match_shift_of_every_axis(self, monkeypatch, spec, region, tol, budget):
+        phi = fields.resolve(fields.FIELDS, "func", spec, 2)
+        def scan():
+            return meanvalue.classify_psh(phi, region, 8, 4, seed=2, tol=tol, budget=budget)
+        got = scan()
+        crossed = []
+        with monkeypatch.context() as m:
+            use_oracle(m)
+            oracle = geometry._unit_uniform_model
+            m.setattr(geometry, "_unit_uniform_model",
+                      lambda *key: crossed.append(key) or oracle(*key))
+            expected = scan()
+        assert crossed  # candidates took the cross rule
+        assert scan_key(got) == scan_key(expected)
+
+    def test_table_is_built_once_per_n_and_budget(self):
+        _halton_table.cache_clear()
+        cyl = cylinders()[1][0]
+        for seed in (0, 1, 2):
+            sample_cylinder(cyl, QuadratureRule("quasi-random", 1024, seed))
+        assert _halton_table.cache_info().misses == 1
+        disc_cyl = cylinders()[0][0]
+        for c in (cyl, disc_cyl, cyl):  # criterion 3 alternates n = 2 and n = 1 scans
+            sample_cylinder(c, QuadratureRule("quasi-random", 1024, 5))
+        assert _halton_table.cache_info().misses == 2
+
+    def test_cached_arrays_are_read_only(self):
+        model, _ = geometry._unit_uniform_model(2, 64, 3)
+        for a in (*_halton_table(2, 64), model):
+            assert not a.flags.writeable
+
+    def test_import_builds_no_table(self):
+        code = ("import pshlab.cli, pshlab.geometry as g\n"
+                "print(g._halton_table.cache_info().currsize)")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert proc.stdout.strip() == "0"
 
 class TestDomainBox:
     def test_ball_membership(self):
