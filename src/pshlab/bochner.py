@@ -128,45 +128,37 @@ class GridDiscretization:
         sub = np.nonzero(np.sqrt(sq) <= grown.extents[0])
         return np.ravel_multi_index(tuple(r[s] for r, s in zip(ranges, sub)), self.shape)
 
-    def check_margin(self, axis: int, nodes: np.ndarray) -> None:
-        """ValueError for a flat node within FD_STENCIL_WIDTH of an edge along a real
-        axis, where the stencil would leave the grid."""
-        nn = self.nodes_per_axis
-        along = nodes // nn ** (len(self.shape) - 1 - axis) % nn
-        if np.any((along < FD_STENCIL_WIDTH) | (along >= nn - FD_STENCIL_WIDTH)):
-            raise ValueError("grid does not contain the form's support with a stencil margin")
-
-    def partial(self, values, axis: int, nodes: np.ndarray) -> np.ndarray:
-        """4th-order central difference along a real axis at the flat nodes, gathered
-        from flat values, whose nodes check_margin checks, or from MappedValues, one
-        row per component, read only at nodes of a band whose margin its builder
-        checked once (form_band)."""
-        if isinstance(values, MappedValues):
-            at = values.at
-        else:
-            self.check_margin(axis, nodes)
-            at = np.asarray(values).ravel().__getitem__
+    def partial(self, values: MappedValues, axis: int, nodes: np.ndarray) -> np.ndarray:
+        """4th-order central difference along a real axis at the flat nodes, one row per
+        component of the mapped values, read up to FD_STENCIL_WIDTH nodes away: inside
+        the grid at every node of a band that stencil_band built, margin checked."""
+        at = values.at
         s = self.nodes_per_axis ** (len(self.shape) - 1 - axis)  # flat stride of the axis
         return (-at(nodes + 2 * s) + 8.0 * at(nodes + s) - 8.0 * at(nodes - s)
                 + at(nodes - 2 * s)) / (12.0 * self.spacing[axis])
 
-    def wirtinger(self, values: np.ndarray, j: int, nodes: np.ndarray) -> tuple:
-        """(d/dz_j, d/dzbar_j) = ((d/dx_j - i d/dy_j)/2, (d/dx_j + i d/dy_j)/2)
-        at the flat nodes, from one partial along each of the two real axes."""
+    def wirtinger(self, values: MappedValues, j: int, nodes: np.ndarray) -> tuple:
+        """(d/dz_j, d/dzbar_j) = ((d/dx_j - i d/dy_j)/2, (d/dx_j + i d/dy_j)/2) at the
+        flat nodes, a row per mapped component, from one partial along each real axis."""
         dx, dy = self.partial(values, 2 * j, nodes), self.partial(values, 2 * j + 1, nodes)
         return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
     def stencil_band(self, idx: np.ndarray) -> np.ndarray:
         """Sorted flat indices of the nodes idx and their neighbours up to
-        FD_STENCIL_WIDTH along each axis: where stencils of values zero off idx can be nonzero."""
+        FD_STENCIL_WIDTH along each axis: where stencils of values zero off idx can
+        be nonzero.  ValueError if a band node lies within FD_STENCIL_WIDTH of an
+        edge, so that a stencil at it would leave the grid: the one margin check."""
         s = np.zeros(self.shape, dtype=bool)
         s.flat[idx] = True
         band = s.copy()
+        w = FD_STENCIL_WIDTH
         for axis in range(s.ndim):
             src, dst = np.moveaxis(s, axis, 0), np.moveaxis(band, axis, 0)
-            for k in range(1, FD_STENCIL_WIDTH + 1):
+            for k in range(1, w + 1):
                 dst[k:] |= src[:-k]
                 dst[:-k] |= src[k:]
+            if dst[:w].any() or dst[-w:].any():  # shifts along other axes add no layer here
+                raise ValueError("grid does not contain the form's support with a stencil margin")
         return np.flatnonzero(band)
 
 
@@ -204,18 +196,6 @@ class MappedValues:
         return np.take(self.columns, self.pos[flat], axis=-1)
 
 
-def form_band(idx: np.ndarray, values: np.ndarray, grid: GridDiscretization) -> tuple:
-    """The stencil band of a form given by the sorted flat indices idx of the nodes
-    where it is nonzero and its (n, k) values there (as support_values returns them),
-    and its values mapped for the stencils.  ValueError unless every band node lies
-    FD_STENCIL_WIDTH inside every edge, so every node of idx 2 FD_STENCIL_WIDTH layers
-    inside: checked here once per axis, for every stencil the band's blocks take."""
-    band = grid.stencil_band(idx)
-    for axis in range(len(grid.shape)):
-        grid.check_margin(axis, band)
-    return band, MappedValues(idx, values, grid)
-
-
 @dataclass(frozen=True)
 class FormGradient:
     """A form's values and its components' Wirtinger derivatives at nodes of its stencil band."""
@@ -228,15 +208,14 @@ class FormGradient:
 
 
 def form_gradient(form: MappedValues, nodes: np.ndarray, grid: GridDiscretization) -> FormGradient:
-    """The FormGradient of a form at nodes of its stencil band (see form_band), from
-    one partial of all its components along each real axis."""
+    """The FormGradient of a form (its values mapped from its nonzero nodes) at nodes of
+    its stencil band, from one Wirtinger pair of all its components per coordinate."""
     values = form.at(nodes)
     dz = np.empty_like(values)
     dzbar = np.empty((grid.n,) + values.shape, dtype=complex)
     for k in range(grid.n):
-        dx, dy = grid.partial(form, 2 * k, nodes), grid.partial(form, 2 * k + 1, nodes)
-        dz[k] = 0.5 * (dx[k] - 1j * dy[k])
-        dzbar[:, k] = 0.5 * (dx + 1j * dy)
+        d_dz, d_dzbar = grid.wirtinger(form, k, nodes)
+        dz[k], dzbar[:, k] = d_dz[k], d_dzbar
     on_support = form.pos[nodes] < form.columns.shape[-1] - 1
     return FormGradient(values, nodes, on_support, dz, dzbar)
 
@@ -343,7 +322,7 @@ def bochner_residual(
     weight, and their relative residual; the integrands are taken block by block
     (band_blocks) and only they, per band node, are kept for the reduction."""
     idx, _, values = support_values(alpha, grid)
-    band, form = form_band(idx, values, grid)
+    band, form = grid.stencil_band(idx), MappedValues(idx, values, grid)
     gphi = weight_gradient(phi, idx, band, grid)
     psi, omega = zero_field(grid.n), zero_omega(grid.n)
     # |dbar alpha|^2 over increasing pairs (none when n = 1) and |dbar*_phi alpha|^2

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bochner import FormField01, GridDiscretization, bump_profile, support_values
+from .bochner import FormField01, GridDiscretization, MappedValues, bump_profile, support_values
 from .extension import weighted_bergman_projection
 from .fields import Scaled, levi_form, weight_exp
 from .geometry import unit_ball
@@ -89,13 +89,15 @@ def _kernel_spectrum(nn: int, h: float) -> np.ndarray:
 
 def dbar_residual(u_values: np.ndarray, f_values: np.ndarray, grid: GridDiscretization) -> float:
     """Interior sup-norm of du/dzbar - f (4th-order differences inside), over
-    the nodes at least RESIDUAL_MARGIN_CELLS from every edge."""
+    the nodes at least RESIDUAL_MARGIN_CELLS >= FD_STENCIL_WIDTH from every edge,
+    where the stencil reads u, mapped at every node, inside the grid."""
     keep = np.arange(RESIDUAL_MARGIN_CELLS, grid.nodes_per_axis - RESIDUAL_MARGIN_CELLS)
     if keep.size == 0:
         raise ValueError(
             f"grid has no node {RESIDUAL_MARGIN_CELLS} layers inside its edges for the residual")
     nodes = np.ravel_multi_index(np.ix_(keep, keep), grid.shape).ravel()
-    _, du = grid.wirtinger(np.asarray(u_values, dtype=complex), 0, nodes)
+    u = np.asarray(u_values, dtype=complex)
+    _, du = grid.wirtinger(MappedValues(np.arange(u.size), u, grid), 0, nodes)
     return float(np.max(np.abs(du - np.asarray(f_values)[nodes])))
 
 

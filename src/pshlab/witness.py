@@ -29,7 +29,7 @@ from .fields import (
     region_nodes, weighted_sums,
 )
 from .bochner import (
-    FormField01, GridDiscretization, band_blocks, band_energy, form_band, make_grid,
+    FormField01, GridDiscretization, MappedValues, band_blocks, band_energy, make_grid,
     support_values,
 )
 from .geometry import DomainBox, as_point, ball_volume, row_norm, row_sum
@@ -138,12 +138,13 @@ def estimate_functional_E(
     Nonnegative whenever levi(phi) - g is positive semidefinite on the support
     of alpha; a negative value falsifies the sharp estimate property for
     (phi, omega).  alpha is the pair of the sorted flat indices of the nodes where
-    alpha is nonzero and its (n, k) values there (see form_band); every field is
+    alpha is nonzero and its (n, k) values there (as support_values returns them),
+    whose stencil band (grid.stencil_band) must keep its margin; every field is
     evaluated on the band of alpha only, a block of BAND_BLOCK nodes at a time, and
     only the integrand, the exponent and the trapezoid weight of each band node are
     kept for the one reduction, whose total carries the exponent's shift.
     """
-    band, form = form_band(*alpha, grid)
+    band, form = grid.stencil_band(alpha[0]), MappedValues(*alpha, grid)
     integrand, expo, trapezoid = (np.empty(band.size) for _ in range(3))
     for block, g in band_blocks(band, form, grid):
         quad, grad_sq, expo[block], trapezoid[block] = band_energy(g, phi, grid, psi, omega)
@@ -302,7 +303,9 @@ def _select_center(region, pts, gap, eigs):
 
 
 def _witness_grid(z0, r: float, nodes: int) -> GridDiscretization:
-    # box with enough margin for the FD stencil around the support ball
+    # the pad leaves 5 / (1 + 10/(nodes - 1)) spacings around the support ball; the
+    # stencil band's margin takes 3, as the form vanishes on the ball's boundary and its
+    # nonzero nodes must lie 2 FD_STENCIL_WIDTH layers in: fewer than 16 nodes raise
     pad = max(0.15 * r, 10.0 * r / max(nodes - 1, 1))
     return make_grid(DomainBox("ball", z0, np.array([r + pad])), nodes)
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from pshlab.bochner import (
-    FD_STENCIL_WIDTH, FormField01, FormGradient, bump_profile, dbar_01, dbar_star, form_band,
+    FD_STENCIL_WIDTH, FormField01, FormGradient, MappedValues, bump_profile, dbar_01, dbar_star,
     form_gradient, weight_gradient,
 )
 from pshlab.dbar1d import (
@@ -106,8 +106,9 @@ def nonzero_nodes(values):
 def gradient_of(obj, grid):
     """form_gradient of a form or its (n, m) node values, given at their nonzero_nodes,
     on its whole stencil band: one block."""
-    band, form = form_band(*nonzero_nodes(values_of(obj, grid)), grid)
-    return form_gradient(form, band, grid)
+    idx, values = nonzero_nodes(values_of(obj, grid))
+    band = grid.stencil_band(idx)
+    return form_gradient(MappedValues(idx, values, grid), band, grid)
 
 
 def dense_form_gradient(values, grid):

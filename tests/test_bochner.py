@@ -6,15 +6,16 @@ from scipy import integrate as sint
 
 from pshlab import fields
 from pshlab.bochner import (
+    FD_STENCIL_WIDTH,
     FormField01,
     GridDiscretization,
+    MappedValues,
     bochner_residual,
     bump_const_form,
     bump_profile,
     bump_zbar_form,
     dbar_01,
     dbar_star,
-    form_band,
     form_gradient,
     make_grid,
     support_values,
@@ -76,6 +77,14 @@ def roll_partial(grid, values, axis):
     return d.ravel()
 
 
+def mapped(v, grid):
+    """Whole-grid node values as the stencil reads them: mapped at every node."""
+    return MappedValues(np.arange(v.size), v, grid)
+
+
+MARGIN_MESSAGE = "^grid does not contain the form's support with a stencil margin$"
+
+
 class TestPartialStencil:
     @pytest.mark.parametrize("n, nodes", [(1, 11), (2, 9)])
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -87,14 +96,14 @@ class TestPartialStencil:
             v = v + 1j * rng.standard_normal(g.points.shape[0])
         inside = interior_mask(g, 2)
         for axis in range(2 * n):
-            d = g.partial(v, axis, np.flatnonzero(inside))
+            d = g.partial(mapped(v, g), axis, np.flatnonzero(inside))
             assert d.dtype == v.dtype
             assert np.array_equal(d, roll_partial(g, v, axis)[inside])
-            # along the axis: the roll formula on the interior layers (the outer two
-            # raise, see test_raises_within_two_layers_of_an_edge)
+            # along the axis: the roll formula on the interior layers (a band that
+            # reaches the outer two is refused, see test_raises_within_two_layers_of_an_edge)
             along = np.indices(g.shape)[axis].ravel()
             edge = (along < 2) | (along >= nodes - 2)
-            d = g.partial(v, axis, np.flatnonzero(~edge))
+            d = g.partial(mapped(v, g), axis, np.flatnonzero(~edge))
             assert np.array_equal(d, roll_partial(g, v, axis)[~edge])
 
     @pytest.mark.parametrize("n, nodes", [(1, 11), (2, 9)])
@@ -117,24 +126,82 @@ class TestPartialStencil:
             np.concatenate([rng.choice(np.flatnonzero(inside), 40), *layers])
         )
         for axis in range(2 * n):
-            d = g.partial(v, axis, idx)
+            d = g.partial(mapped(v, g), axis, idx)
             assert d.dtype == v.dtype
             assert np.array_equal(d, slice_partial(g, v, axis)[idx])
 
     @pytest.mark.parametrize("n, nodes", [(1, 11), (2, 9)])
     def test_raises_within_two_layers_of_an_edge(self, n, nodes):
-        # a node on an edge layer (0, 1, nodes-2, nodes-1) of the axis, interior
-        # along every other axis, raises; the same node one layer further in does not
+        # the stencil band of a single node on layer 0-3 or nodes-4..nodes-1 of an axis,
+        # in the middle along every other axis, comes within FD_STENCIL_WIDTH = 2
+        # layers of the edge and is refused; on layers 4 and nodes-5 it is not
         g = make_grid(DomainBox("ball", np.zeros(n, dtype=complex), np.array([1.0])), nodes)
-        v = np.arange(g.weights.size, dtype=float)
         middle = nodes // 2
-        center = np.ravel_multi_index((middle,) * (2 * n), g.shape)
         for axis in range(2 * n):
-            stride = nodes ** (2 * n - 1 - axis)
-            for layer, inner in ((0, 2), (1, 2), (nodes - 2, nodes - 3), (nodes - 1, nodes - 3)):
-                with pytest.raises(ValueError, match="margin"):
-                    g.partial(v, axis, np.array([center, center + (layer - middle) * stride]))
-                g.partial(v, axis, np.array([center + (inner - middle) * stride]))
+            for layer in range(nodes):
+                sub = [middle] * (2 * n)
+                sub[axis] = layer
+                node = np.array([np.ravel_multi_index(tuple(sub), g.shape)])
+                if layer < 4 or layer >= nodes - 4:
+                    with pytest.raises(ValueError, match=MARGIN_MESSAGE):
+                        g.stencil_band(node)
+                elif layer in (4, nodes - 5):
+                    assert g.stencil_band(node).size == 1 + 4 * FD_STENCIL_WIDTH * n
+
+
+def old_check_margin(grid, axis, nodes):
+    """The margin check that the flat-value stencil made, by index arithmetic: the
+    oracle of stencil_band's slab test."""
+    nn = grid.nodes_per_axis
+    along = nodes // nn ** (len(grid.shape) - 1 - axis) % nn
+    if np.any((along < FD_STENCIL_WIDTH) | (along >= nn - FD_STENCIL_WIDTH)):
+        raise ValueError("grid does not contain the form's support with a stencil margin")
+
+
+def old_stencil_band(grid, idx):
+    """The stencil band as it was built before it checked its margin."""
+    s = np.zeros(grid.shape, dtype=bool)
+    s.flat[idx] = True
+    band = s.copy()
+    for axis in range(s.ndim):
+        src, dst = np.moveaxis(s, axis, 0), np.moveaxis(band, axis, 0)
+        for k in range(1, FD_STENCIL_WIDTH + 1):
+            dst[k:] |= src[:-k]
+            dst[:-k] |= src[k:]
+    return np.flatnonzero(band)
+
+
+class TestStencilBandMargin:
+    @pytest.mark.parametrize("n, nodes", [(1, 21), (2, 11)])
+    def test_slab_check_equals_the_index_check(self, n, nodes):
+        g = make_grid(unit_ball(n), nodes)
+        rng = np.random.default_rng(31 + n)
+        along = np.indices(g.shape).reshape(2 * n, -1)
+        inner = np.flatnonzero(np.all((along >= 4) & (along <= nodes - 5), axis=0))
+        node_sets = [rng.choice(g.size, rng.integers(1, 6), replace=False) for _ in range(60)]
+        # interior sets whose nearest node sits exactly 3 or exactly 4 layers from an edge
+        for layer in (3, 4, nodes - 4, nodes - 5):
+            for _ in range(8):
+                idx = rng.choice(inner, rng.integers(1, 6), replace=False)
+                sub = list(np.unravel_index(idx[0], g.shape))
+                sub[rng.integers(2 * n)] = layer
+                idx[0] = np.ravel_multi_index(tuple(sub), g.shape)
+                node_sets.append(idx)
+        outcomes = set()
+        for idx in node_sets:
+            idx = np.unique(idx)
+            want = old_stencil_band(g, idx)
+            try:
+                for axis in range(2 * n):
+                    old_check_margin(g, axis, want)
+            except ValueError:
+                with pytest.raises(ValueError, match=MARGIN_MESSAGE):
+                    g.stencil_band(idx)
+                outcomes.add("raises")
+            else:
+                assert np.array_equal(g.stencil_band(idx), want)
+                outcomes.add("passes")
+        assert outcomes == {"raises", "passes"}
 
 
 class TestWeightedPairing:
@@ -740,7 +807,7 @@ def assert_gradient_is_dense(idx, values, grid):
     """form_gradient of a form at its nonzero nodes equals the dense reference of
     its values scattered onto the whole grid, bit for bit."""
     dense = on_grid(grid, idx, values)
-    band, form = form_band(idx, values, grid)
+    band, form = grid.stencil_band(idx), MappedValues(idx, values, grid)
     got, want = form_gradient(form, band, grid), dense_form_gradient(dense, grid)
     for name in ("band", "on_support", "values", "dz", "dzbar"):
         assert_same_bits(getattr(got, name), getattr(want, name))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pshlab import fields
-from pshlab.bochner import FormField01, bump_profile, make_grid
+from pshlab.bochner import FD_STENCIL_WIDTH, FormField01, bump_profile, make_grid
 from pshlab.dbar1d import (
     RESIDUAL_MARGIN_CELLS,
     _kernel_spectrum,
@@ -93,14 +93,25 @@ class TestCauchyTransform:
         assert res <= 5e-3 * np.max(np.abs(fv))
 
     def test_residual_equals_slice_stencil_inside_the_margin(self):
-        g = make_grid(unit_ball(1, radius=1.0), 40)
+        # the residual's nodes keep the stencil inside the grid
+        assert RESIDUAL_MARGIN_CELLS >= FD_STENCIL_WIDTH
         rng = np.random.default_rng(8)
-        u = rng.standard_normal(g.weights.size) + 1j * rng.standard_normal(g.weights.size)
-        f = rng.standard_normal(g.weights.size) + 0j
-        inside = interior_mask(g, RESIDUAL_MARGIN_CELLS)
-        want = float(np.max(np.abs(slice_d_dzbar(g, u, 0) - f)[inside]))
-        assert dbar_residual(u, f, g) == want
+
+        def random_values(g):
+            u = rng.standard_normal(g.weights.size) + 1j * rng.standard_normal(g.weights.size)
+            return u, rng.standard_normal(g.weights.size) + 0j
+
+        # and on the smallest grid that has a node that far inside: that one node
+        for nodes in (40, 2 * RESIDUAL_MARGIN_CELLS + 1):
+            g = make_grid(unit_ball(1, radius=1.0), nodes)
+            u, f = random_values(g)
+            inside = interior_mask(g, RESIDUAL_MARGIN_CELLS)
+            assert np.count_nonzero(inside) == (nodes - 2 * RESIDUAL_MARGIN_CELLS) ** 2
+            want = float(np.max(np.abs(slice_d_dzbar(g, u, 0) - f)[inside]))
+            assert dbar_residual(u, f, g) == want
         # a spike one layer outside the margin is not seen; one on its first layer is
+        g = make_grid(unit_ball(1, radius=1.0), 40)
+        u, f = random_values(g)
         for layer, seen in ((RESIDUAL_MARGIN_CELLS - 1, False), (RESIDUAL_MARGIN_CELLS, True)):
             spiked = f.copy()
             spiked[layer * 40 + 20] = 1e6

@@ -10,15 +10,20 @@ is the only code that turns a shift or log into a linear double, and
 fields.weight_exp is called only by the carrier's constructor and the two callers
 of the one weighted projection, which take the weights themselves.  That projection,
 extension.weighted_bergman_projection, is the only caller of the Gram solve.
+
+One stencil path on the grid: GridDiscretization.partial reads only mapped values
+(bochner.MappedValues), and the stencil band is the one place a margin is checked.
 """
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from pshlab import acceptance, bochner, cli, dbar1d, fields, meanvalue, witness
+from pshlab.geometry import unit_ball
 from pshlab.meanvalue import PshScanResult
 
 
@@ -149,3 +154,35 @@ def test_weight_exp_is_called_by_the_carrier_and_the_gram_builders():
 def test_solve_gram_is_called_only_by_the_weighted_projection():
     modules = sorted(path.stem for path in SRC.glob("*.py"))
     assert callers_of("solve_gram", modules) == {("extension", "weighted_bergman_projection")}
+
+
+def test_the_stencil_has_one_input_and_one_margin_check():
+    bochner_tree = ast.parse((SRC / "bochner.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(bochner_tree)
+            if getattr(node, "id", None) == "isinstance"] == []
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
+                node, "name", None)
+            if name in ("check_margin", "form_band"):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
+def test_every_partial_reads_mapped_values(monkeypatch):
+    inputs = []
+    original = bochner.GridDiscretization.partial
+
+    def recorded(self, values, axis, nodes):
+        inputs.append(type(values))
+        return original(self, values, axis, nodes)
+
+    monkeypatch.setattr(bochner.GridDiscretization, "partial", recorded)
+    acceptance.criterion_bochner(0)
+    acceptance.criterion_hormander_ratio(0)
+    # a weight without grad: weight_gradient's stencil branch
+    no_grad = dataclasses.replace(fields.sq_norm(2), grad=None)
+    grid = bochner.make_grid(unit_ball(2, radius=1.3), 20)
+    bochner.bochner_residual(bochner.bump_zbar_form(2, radius=0.8), no_grad, grid)
+    assert inputs and set(inputs) == {bochner.MappedValues}
