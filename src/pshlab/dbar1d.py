@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bochner import FormField01, GridDiscretization, MappedValues, bump_profile, support_values
+from .errors import SingularGramError
 from .extension import weighted_bergman_projection
 from .fields import Scaled, levi_form, weight_exp
 from .geometry import unit_ball
@@ -56,35 +56,35 @@ def cauchy_transform(f_values: np.ndarray, grid: GridDiscretization) -> np.ndarr
 
     The singular node cell is excised: its closed-form cell integral of the
     kernel vanishes by symmetry, so the diagonal kernel entry is zero and the
-    quadrature stays second-order accurate.  The nn x nn window of the linear
-    convolution centred on f is computed as a circular convolution of length
-    2 nn per axis, the shortest whose wrap-around leaves that window untouched.
-    The kernel's spectrum depends on the grid's nodes per axis and spacing
-    only, and the last one is cached (_kernel_spectrum).
+    quadrature stays second-order accurate.  Only the bounding block of the
+    nonzero entries of f, m_x x m_y nodes, is convolved, with the kernel at the
+    offsets from a block node to an output node.  The nn x nn window of that
+    linear convolution is computed as a circular one of the smallest 5-smooth
+    length >= nn + m - 1 per axis, whose wrap-around leaves the window untouched.
     """
     h = _square_grid_1d(grid)
     nn = grid.nodes_per_axis
     f = np.asarray(f_values, dtype=complex).reshape(nn, nn)
     if np.max(np.abs(np.concatenate([f[0], f[-1], f[:, 0], f[:, -1]]))) > 1e-12:
         raise ValueError("support touches the grid boundary")
-    full = np.fft.ifft2(np.fft.fft2(f, (2 * nn, 2 * nn)) * _kernel_spectrum(nn, h))
-    u = full[nn - 1 : 2 * nn - 1, nn - 1 : 2 * nn - 1] * (h * h / math.pi)
+    rows, cols = (np.flatnonzero(np.any(f != 0.0, axis=axis)) for axis in (1, 0))
+    if rows.size == 0:
+        return np.zeros(nn * nn, dtype=complex)
+    r0, r1, c0, c1 = rows[0], rows[-1], cols[0], cols[-1]
+    block = f[r0 : r1 + 1, c0 : c1 + 1]
+    dz = np.arange(-r1, nn - r0)[:, None] * h + 1j * (np.arange(-c1, nn - c0) * h)
+    kernel = np.divide(1.0, dz, out=np.zeros_like(dz), where=dz != 0.0)
+    lengths = [_fast_length(nn + m - 1) for m in block.shape]
+    full = np.fft.ifft2(np.fft.fft2(block, lengths) * np.fft.fft2(kernel, lengths))
+    u = full[r1 - r0 : r1 - r0 + nn, c1 - c0 : c1 - c0 + nn] * (h * h / math.pi)
     return u.ravel()
 
 
-@lru_cache(maxsize=1)
-def _kernel_spectrum(nn: int, h: float) -> np.ndarray:
-    """The (2 nn, 2 nn) FFT of the kernel 1/(z - zeta) at the (2 nn - 1)^2 node
-    offsets of an nn x nn grid with spacing h, 0 at offset 0; read-only."""
-    offsets = np.arange(-(nn - 1), nn) * h
-    dx, dy = np.meshgrid(offsets, offsets, indexing="ij")
-    kernel = np.zeros((2 * nn - 1, 2 * nn - 1), dtype=complex)
-    dz = dx + 1j * dy
-    nonzero = dz != 0.0
-    kernel[nonzero] = 1.0 / dz[nonzero]
-    spectrum = np.fft.fft2(kernel, (2 * nn, 2 * nn))
-    spectrum.flags.writeable = False
-    return spectrum
+def _fast_length(n: int) -> int:
+    """The smallest integer >= n whose only prime factors are 2, 3 and 5: over the
+    odd parts 3^b 5^c, the least power-of-2 multiple that is >= n."""
+    odd = (3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length()))
+    return min(k << (-(-n // k) - 1).bit_length() for k in odd)
 
 
 def dbar_residual(u_values: np.ndarray, f_values: np.ndarray, grid: GridDiscretization) -> float:
@@ -106,8 +106,9 @@ def hormander_ratio(
 ) -> list:
     """Minimal-norm solves of du/dzbar = f_1 and the weighted estimate ratio,
     one SolveResult for each (phi, psi) pair of weights; the transform of f
-    and its residual are computed once for all pairs, and the polynomial basis
-    for each pair where its weight lives (_centered_powers).
+    and its residual are computed once for all pairs, and each pair projects
+    over the nodes where its weight is nonzero, in a basis centred there
+    (_centered_powers); SingularGramError if they are fewer than degree + 1.
 
     ratio = ||u_min||^2_{phi+psi} / int (|f|^2 / psi_zz) e^{-(phi+psi)}.
     The minimal norm is taken over u_particular minus polynomials of degree
@@ -126,8 +127,13 @@ def hormander_ratio(
     for phi, psi in weights:
         weight, shift = weight_exp(-(phi(pts) + psi(pts)))
         wq = grid.weights * weight
-        mono = _centered_powers(pts[:, 0], wq, degree)
-        _, _, minimal_norm_sq = weighted_bergman_projection(u_part, wq, mono)
+        live = np.flatnonzero(wq)
+        if live.size <= degree:
+            raise SingularGramError(
+                f"the weight is nonzero at {live.size} nodes, fewer than the {degree + 1} "
+                f"polynomials of degree <= {degree}; lower the degree or refine the grid")
+        mono = _centered_powers(pts[live, 0], wq[live], degree)
+        _, _, minimal_norm_sq = weighted_bergman_projection(u_part[live], wq[live], mono)
         psi_zz = np.real(levi_form(psi, f_pts)[:, 0, 0])
         if np.any(psi_zz < 1e-8):
             raise ValueError("psi is not strictly subharmonic on the support of f")

@@ -299,7 +299,8 @@ def bergman_project(u_values, eta_values, degree: int, grid):
 
 
 def hormander_ratio_one(phi, psi, f, degree: int, grid) -> SolveResult:
-    """One (phi, psi) pair's solve and ratio, every input computed for it alone."""
+    """One (phi, psi) pair's solve and ratio, every input computed for it alone; the
+    projection runs over the nodes where the pair's weight is nonzero."""
     if f.n != 1:
         raise ValueError("the constructive solve is one-dimensional")
     pts = grid.points
@@ -308,9 +309,10 @@ def hormander_ratio_one(phi, psi, f, degree: int, grid) -> SolveResult:
     residual = dbar_residual(u_part, fv, grid)
 
     wq, shift = shifted_weights(phi(pts) + psi(pts), grid)
-    mono = _centered_powers(pts[:, 0], wq, degree)
-    u_min = weighted_bergman_projection(u_part, wq, mono)[0]
-    minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq * u_min)))
+    live = np.flatnonzero(wq)
+    mono = _centered_powers(pts[live, 0], wq[live], degree)
+    u_min = weighted_bergman_projection(u_part[live], wq[live], mono)[0]
+    minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq[live] * u_min)))
 
     support = np.flatnonzero(np.abs(fv) > 0.0)
     psi_zz = np.real(levi_form(psi, pts[support])[:, 0, 0])

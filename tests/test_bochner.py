@@ -680,13 +680,12 @@ class TestSeparableSupport:
 
     def test_grid_criteria_payloads_equal_the_point_test_and_uncached_set_up(self, monkeypatch):
         # criteria 2, 4, 5 and 8 at seed 0, byte for byte
-        from pshlab import acceptance, dbar1d
+        from pshlab import acceptance
 
         criteria = (acceptance.criterion_bochner, acceptance.criterion_witness,
                     acceptance.criterion_coarse_chain, acceptance.criterion_hormander_ratio)
         separable = acceptance.payload_bytes([criterion(0) for criterion in criteria])
         monkeypatch.setattr(GridDiscretization, "support_nodes", contains_support_nodes)
-        monkeypatch.setattr(dbar1d, "_kernel_spectrum", dbar1d._kernel_spectrum.__wrapped__)
         assert acceptance.payload_bytes([criterion(0) for criterion in criteria]) == separable
 
 

@@ -742,6 +742,19 @@ class TestBoundedOptions:
         assert err == "error: grid has no node 4 layers inside its edges for the residual\n"
         assert not out.exists()
 
+    def test_dbar_weight_on_fewer_nodes_than_polynomials_fails(self, tmp_path):
+        # e^{-(phi + psi_s)} at s = 1000 is nonzero at 9 nodes of the 9 x 9 grid, for the
+        # 11 polynomials of degree <= 10; this used to warn of an overflow in the basis
+        # and a NaN Gram matrix before "Gram solve is not finite"
+        out = tmp_path / "d.json"
+        proc = run_python(["-W", "error::RuntimeWarning", "-m", "pshlab.cli", "dbar",
+                           "--weight", "neg_sq_norm", "--psi", "psi_s:[1000, 0.5]",
+                           "--rhs", "dbar_nu", "--grid", "9", "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: the weight is nonzero at 9 nodes, fewer than the 11 "
+                               "polynomials of degree <= 10; lower the degree or refine the grid\n")
+        assert not out.exists()
+
     def test_count_error_has_no_traceback(self):
         # --dim 0 used to end in an IndexError traceback here
         proc = run_cli(["bochner", "--func", "sq_norm", "--dim", "0"])

@@ -5,13 +5,16 @@ import pytest
 
 from pshlab import fields
 from pshlab.bochner import FD_STENCIL_WIDTH, FormField01, bump_profile, make_grid
+from pshlab.cli import resolve_spec
 from pshlab.dbar1d import (
     RESIDUAL_MARGIN_CELLS,
-    _kernel_spectrum,
+    _centered_powers,
+    _fast_length,
     cauchy_transform,
     dbar_residual,
     hormander_ratio,
 )
+from pshlab.extension import weighted_bergman_projection
 from pshlab.geometry import unit_ball
 from pshlab.witness import build_psi_s, build_witness_form
 
@@ -299,42 +302,123 @@ class TestSweep:
         assert calls == [(256, 256)] * 2
 
 
-def fresh_spectrum(nn, h):
-    """The kernel spectrum of cauchy_transform, computed for this call alone."""
+def whole_grid_transform(f_values, grid):
+    """The transform as the linear convolution of the whole nn x nn grid with the kernel
+    at all (2 nn - 1)^2 node offsets, computed circularly at length 2 nn per axis."""
+    nn, h = grid.nodes_per_axis, float(grid.spacing[0])
     offsets = np.arange(-(nn - 1), nn) * h
     dz = offsets[:, None] + 1j * offsets[None, :]
     kernel = np.zeros(dz.shape, dtype=complex)
     kernel[dz != 0.0] = 1.0 / dz[dz != 0.0]
-    return np.fft.fft2(kernel, (2 * nn, 2 * nn))
+    f = np.asarray(f_values, dtype=complex).reshape(nn, nn)
+    full = np.fft.ifft2(np.fft.fft2(f, (2 * nn, 2 * nn)) * np.fft.fft2(kernel, (2 * nn, 2 * nn)))
+    return (full[nn - 1 : 2 * nn - 1, nn - 1 : 2 * nn - 1] * (h * h / math.pi)).ravel()
 
 
-class TestSetUpCaches:
-    """The kernel spectrum is kept for the last grid."""
+def off_centre_strip(grid):
+    """dbar of a bump centred off the origin, cut to a horizontal strip: a support
+    block with more rows than columns, away from the centre on both axes."""
+    _, dzbar = bump_profile(np.array([0.3 - 0.4j]), 0.8, 1)
+    pts = grid.points[:, 0]
+    return np.where(np.abs(pts.imag + 0.4) < 0.3, dzbar(grid.points, 0), 0.0)
 
-    def test_cached_arrays_equal_fresh_ones_and_are_read_only(self):
+
+TRANSFORM_CASES = {
+    "dbar_bump-256": (lambda g: dbar_bump_form().evaluate(g.points)[0], 256),
+    "dbar_bump-255": (lambda g: dbar_bump_form().evaluate(g.points)[0], 255),
+    "witness-256": (lambda g: criterion_8_cases()[1][0].evaluate(g.points)[0], 256),
+    "witness-97": (lambda g: criterion_8_cases()[1][0].evaluate(g.points)[0], 97),
+    "dbar_nu-256": (lambda g: resolve_spec("rhs", "dbar_nu", 1).evaluate(g.points)[0], 256),
+    "off-centre-256": (off_centre_strip, 256),
+    "off-centre-131": (off_centre_strip, 131),
+}
+
+
+class TestSupportRestriction:
+    """The transform convolves the support block of f only, and the projection runs
+    over the nodes where the weight is nonzero; both equal their whole-grid forms."""
+
+    @pytest.mark.parametrize("case", sorted(TRANSFORM_CASES))
+    def test_transform_equals_the_whole_grid_one(self, case):
+        values, nodes = TRANSFORM_CASES[case]
+        g = make_grid(unit_ball(1, radius=2.0), nodes)
+        f = values(g)
+        block = np.abs(f.reshape(nodes, nodes)) > 0.0
+        rows, cols = np.flatnonzero(block.any(1)), np.flatnonzero(block.any(0))
+        assert 0 < rows[0] and rows[-1] < nodes - 1 and cols.size < nodes - 2
+        if case.startswith("off-centre"):
+            assert rows.size > cols.size
+            assert abs(rows[0] + rows[-1] - (nodes - 1)) > 5
+        want = whole_grid_transform(f, g)
+        got = cauchy_transform(f, g)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_fast_length_is_the_least_5_smooth_length(self):
+        def least(n):
+            k = n
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return n if k == 1 else least(n + 1)
+
+        assert [_fast_length(n) for n in range(1, 3000)] == [least(n) for n in range(1, 3000)]
+        assert (_fast_length(383), _fast_length(319)) == (384, 320)
+
+    @pytest.mark.parametrize("case", ["dbar_bump", "witness", "readme"])
+    def test_projection_equals_the_whole_grid_one(self, case):
         g = grid256()
-        h = float(g.spacing[0])
-        spectrum = _kernel_spectrum(256, h)
-        assert np.array_equal(spectrum, fresh_spectrum(256, h))
-        with pytest.raises(ValueError, match="read-only"):
-            spectrum[0, 0] = 0.0
-        assert _kernel_spectrum(256, h) is spectrum
+        if case == "readme":  # the README dbar command's right-hand side and weight
+            f = resolve_spec("rhs", "dbar_nu", 1)
+            weights = [(resolve_spec("weight", "neg_sq_norm", 1),
+                        resolve_spec("psi", "psi_s:[1000, 0.5]", 1))]
+        else:
+            f, weights = criterion_8_cases()[case == "witness"]
+        u = cauchy_transform(f.evaluate(g.points)[0], g)
+        for got, (phi, psi) in zip(hormander_ratio(weights, f, 10, g), weights, strict=True):
+            wq, shift = shifted_weights(phi(g.points) + psi(g.points), g)
+            mono = _centered_powers(g.points[:, 0], wq, 10)
+            want = weighted_bergman_projection(u, wq, mono)[2]
+            assert got.norms[0].shift == shift
+            assert abs(got.norms[0].total - want) <= 1e-14 * want
 
-    def test_each_grid_gets_its_own_entry(self):
-        # the same nodes per axis at another spacing, other nodes per axis, and back
-        grids = [make_grid(unit_ball(1, radius=half), nodes)
-                 for half, nodes in ((1.5, 32), (1.2, 32), (1.5, 33), (1.5, 32))]
-        f = dbar_bump_form(radius=0.9)
-        pair = (fields.neg_sq_norm(1), fields.sq_norm(1))
-        for g in grids:
-            nn, h = g.nodes_per_axis, float(g.spacing[0])
-            assert np.array_equal(_kernel_spectrum(nn, h), fresh_spectrum(nn, h))
-            fv = f.evaluate(g.points)[0]
-            full = np.fft.ifft2(np.fft.fft2(fv.reshape(nn, nn), (2 * nn, 2 * nn))
-                                * fresh_spectrum(nn, h))
-            want = (full[nn - 1 : 2 * nn - 1, nn - 1 : 2 * nn - 1] * (h * h / math.pi)).ravel()
-            assert np.array_equal(cauchy_transform(fv, g), want)
-            [got] = hormander_ratio([pair], f, 4, g)
-            oracle = hormander_ratio_one(*pair, f, 4, g)
-            assert (got.ratio, bits(got.norms)) == (oracle.ratio, bits(oracle.norms))
-        assert _kernel_spectrum.cache_info().currsize == 1
+    def test_criterion_8_and_the_readme_dbar_size_each_transform_by_its_support(
+            self, monkeypatch, tmp_path):
+        from pshlab import acceptance, cli, dbar1d
+
+        transform, fft2, ifft2 = dbar1d.cauchy_transform, np.fft.fft2, np.fft.ifft2
+        calls = []  # per transform: nodes per axis, support block extents, FFT shapes
+
+        def recorded(f_values, grid):
+            nn = grid.nodes_per_axis
+            block = np.asarray(f_values).reshape(nn, nn) != 0.0
+            extents = [np.ptp(np.flatnonzero(block.any(axis))) + 1 for axis in (1, 0)]
+            calls.append((nn, extents, []))
+            return transform(f_values, grid)
+
+        def shaped(fft):
+            def call(*args, **kwargs):
+                out = fft(*args, **kwargs)
+                calls[-1][2].append(out.shape)
+                return out
+            return call
+
+        monkeypatch.setattr(dbar1d, "cauchy_transform", recorded)
+        monkeypatch.setattr(np.fft, "fft2", shaped(fft2))
+        monkeypatch.setattr(np.fft, "ifft2", shaped(ifft2))
+        assert acceptance.criterion_hormander_ratio(0).passed
+        argv = ["dbar", "--weight", "neg_sq_norm", "--psi", "psi_s:[1000, 0.5]",
+                "--rhs", "dbar_nu", "--grid", "256", "--degree", "10",
+                "--out", str(tmp_path / "solve.json")]
+        cli.main(argv)  # its verdict (the residual gate) is not what this test checks
+        assert [(nn, extents) for nn, extents, _ in calls] == [
+            (256, [128, 128]), (256, [64, 64]), (256, [128, 128])]
+        for nn, extents, shapes in calls:
+            assert len(shapes) == 3
+            for shape in shapes:
+                for length, m in zip(shape, extents, strict=True):
+                    assert nn + m - 1 <= length < 2 * nn
+
+    def test_dbar1d_keeps_no_cache(self):
+        from pshlab import dbar1d
+
+        assert not [name for name, value in vars(dbar1d).items() if hasattr(value, "cache_info")]
