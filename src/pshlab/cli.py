@@ -280,7 +280,7 @@ def _bochner(args, phi, alpha) -> list:
     grid = bochner.make_grid(
         geometry.DomainBox("ball", alpha.support.center, np.array([radius + pad])), args.grid
     )
-    rep = bochner.bochner_residual(alpha, phi, grid)
+    [rep] = bochner.bochner_residual(alpha, [phi], grid)
     tol = bochner.residual_gate(args.dim)
     values = {
         "lhs": rep.lhs, "rhs": rep.rhs, "residual": rep.residual,

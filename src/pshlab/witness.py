@@ -29,8 +29,8 @@ from .fields import (
     region_nodes, weighted_sums,
 )
 from .bochner import (
-    FormField01, GridDiscretization, MappedValues, band_blocks, band_energy, make_grid,
-    support_values,
+    FormField01, GridDiscretization, MappedValues, band_blocks, band_curvature, band_energy,
+    make_grid, support_values,
 )
 from .geometry import DomainBox, as_point, ball_volume, row_norm, row_sum
 
@@ -147,7 +147,8 @@ def estimate_functional_E(
     band, form = grid.stencil_band(alpha[0]), MappedValues(*alpha, grid)
     integrand, expo, trapezoid = (np.empty(band.size) for _ in range(3))
     for block, g in band_blocks(band, form, grid):
-        quad, grad_sq, expo[block], trapezoid[block] = band_energy(g, phi, grid, psi, omega)
+        grad_sq, pts, trapezoid[block] = band_energy(g, grid)
+        quad, expo[block] = band_curvature(g, pts, phi, psi, omega)
         integrand[block] = quad + grad_sq
     return weighted_sums(expo, lambda weight: [np.dot(integrand, weight * trapezoid)])[0]
 

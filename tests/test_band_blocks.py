@@ -56,7 +56,7 @@ def energy_cases():
 def energy_bits(grid, form, phi):
     """The totals and shifts of the Bochner terms and of E, as the hex strings of their doubles."""
     n = grid.n
-    rep = bochner_residual(form, phi, grid)
+    [rep] = bochner_residual(form, [phi], grid)
     alpha = support_values(form, grid)[::2]
     e = estimate_functional_E(alpha, phi, build_psi_s(np.zeros(n), 0.9, 10.0),
                               fields.scaled_sq_omega(0.5, n), grid)
@@ -181,7 +181,7 @@ def test_margin_is_refused_before_any_field_is_evaluated(n, nodes, radius, block
     form = bump_const_form(np.eye(n)[0], radius=radius)
     phi, omega = untouchable(n)
     with pytest.raises(ValueError, match="^grid does not contain the form's support with a stencil margin$"):
-        bochner_residual(form, phi, grid)
+        bochner_residual(form, [phi], grid)
     with pytest.raises(ValueError, match="^grid does not contain the form's support with a stencil margin$"):
         estimate_functional_E(support_values(form, grid)[::2], phi, phi, omega, grid)
 
@@ -195,8 +195,11 @@ def test_pole_in_the_support_is_refused_before_any_levi_form(block, monkeypatch)
     pole = late_node(grid, form, lambda band, idx: np.isin(band, idx))
     calls = []
     phi = recording_levi(fields.log_abs(pole, 1), calls)
-    with pytest.raises(PoleInStencilError, match="^pole in the support of the form$"):
-        bochner_residual(form, phi, grid)
+    # alone, and second after a weight without a pole: every weight's gradient is
+    # taken before the first block, so neither weight's Levi form is taken
+    for weights in ([phi], [recording_levi(fields.sq_norm(1), calls), phi]):
+        with pytest.raises(PoleInStencilError, match="^pole in the support of the form$"):
+            bochner_residual(form, weights, grid)
     assert calls == []
 
 
@@ -208,8 +211,12 @@ def test_pole_in_the_stencil_band_is_refused_before_any_levi_form(block, monkeyp
     grid = make_grid(unit_ball(1, radius=1.3), 64)
     form = bump_const_form(np.array([1.0]), radius=0.9)
     pole = late_node(grid, form, lambda band, idx: ~np.isin(band, idx))
-    with pytest.raises(PoleInStencilError, match="^pole in the stencil band of the form$"):
-        bochner_residual(form, build_psi_delta(pole, 0.0, 1), grid)
+    calls = []
+    bad = build_psi_delta(pole, 0.0, 1)
+    for weights in ([bad], [recording_levi(fields.sq_norm(1), calls), bad]):
+        with pytest.raises(PoleInStencilError, match="^pole in the stencil band of the form$"):
+            bochner_residual(form, weights, grid)
+    assert calls == []  # not even the first weight's Levi form
 
 
 @BLOCKS
@@ -237,9 +244,13 @@ def test_bochner_weight_at_minus_inf_overflows_before_its_levi_form(block, monke
     pole = late_node(grid, form, lambda band, idx: ~np.isin(band, idx))
     calls = []
     phi = recording_levi(fields.log_abs(pole, 1), calls)
-    with pytest.raises(WeightOverflowError, match="^weight overflow: e\\^\\{-weight\\} is \\+inf at a node$"):
-        bochner_residual(form, phi, grid)
     idx = support_values(form, grid)[0]
     band = grid.stencil_band(idx)
-    # one Levi form per block before the pole's
-    assert len(calls) == np.flatnonzero(~np.isin(band, idx))[-1] // block
+    # alone, and second after a weight without a pole, whose integrands each block
+    # takes first: one Levi form of phi per block before the pole's
+    for weights in ([phi], [fields.sq_norm(1), phi]):
+        calls.clear()
+        with pytest.raises(WeightOverflowError,
+                           match="^weight overflow: e\\^\\{-weight\\} is \\+inf at a node$"):
+            bochner_residual(form, weights, grid)
+        assert len(calls) == np.flatnonzero(~np.isin(band, idx))[-1] // block

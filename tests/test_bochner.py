@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -341,8 +342,8 @@ class TestUndeclaredDerivatives:
             if form_name == "bump_const"
             else bump_zbar_form(n, radius=radius)
         )
-        want = bochner_residual(alpha, declared, grid)
-        got = bochner_residual(alpha, bare, grid)
+        [want] = bochner_residual(alpha, [declared], grid)
+        [got] = bochner_residual(alpha, [bare], grid)
         stencil_tol = 10.0 * np.max(grid.spacing) ** 4
         (got_c, got_g, got_d, got_a), (want_c, want_g, want_d, want_a) = (
             [t.value for t in rep.terms] for rep in (got, want))
@@ -363,7 +364,7 @@ class TestUndeclaredDerivatives:
             return declared.evaluate(z)
 
         alpha = bump_const_form(xi, radius=radius)
-        bochner_residual(alpha, fields.ScalarField("log1p_sq_bare", n, recorded), grid)
+        bochner_residual(alpha, [fields.ScalarField("log1p_sq_bare", n, recorded)], grid)
         # first on the stencil band, for dbar_star's gradient; never on the whole grid
         assert sizes[0] == gradient_of(alpha, grid).band.size
         assert grid.weights.size not in sizes
@@ -386,7 +387,7 @@ class TestBochnerIdentity:
         zero = FormField01(
             "0", lambda z: np.zeros((1, z.shape[0]), dtype=complex), unit_ball(1, radius=0.9)
         )
-        rep = bochner_residual(zero, fields.sq_norm(1), g)
+        [rep] = bochner_residual(zero, [fields.sq_norm(1)], g)
         assert rep.lhs.value == rep.rhs.value == 0.0
         assert rep.residual == 0.0
 
@@ -400,7 +401,7 @@ class TestBochnerIdentity:
             if form_name == "bump_const"
             else bump_zbar_form(1, radius=0.9)
         )
-        rep = bochner_residual(alpha, phi, g)
+        [rep] = bochner_residual(alpha, [phi], g)
         assert rep.residual <= 1e-3
 
     @pytest.mark.parametrize("phi_name", ["zero", "sq_norm"])
@@ -413,14 +414,14 @@ class TestBochnerIdentity:
             if form_name == "bump_const"
             else bump_zbar_form(2, radius=0.8)
         )
-        rep = bochner_residual(alpha, phi, g)
+        [rep] = bochner_residual(alpha, [phi], g)
         assert rep.residual <= 5e-3
 
     def test_residual_quarters_under_doubling(self):
         phi = fields.sq_norm(1)
         alpha = bump_zbar_form(1, radius=0.9)
-        coarse = bochner_residual(alpha, phi, grid1(nodes=64)).residual
-        fine = bochner_residual(alpha, phi, grid1(nodes=128)).residual
+        coarse = bochner_residual(alpha, [phi], grid1(nodes=64))[0].residual
+        fine = bochner_residual(alpha, [phi], grid1(nodes=128))[0].residual
         assert fine <= coarse / 3.5
 
     def test_nodewise_nonnegativity_for_psh_weight(self):
@@ -432,7 +433,7 @@ class TestBochnerIdentity:
         hess = phi.hess(g.points)
         quad = np.einsum("mjk,jm,km->m", hess, av, np.conj(av)).real
         assert np.min(quad) >= -1e-12
-        curvature, gradient, _, _ = bochner_residual(alpha, phi, g).terms
+        curvature, gradient, _, _ = bochner_residual(alpha, [phi], g)[0].terms
         assert curvature.total >= 0.0
         assert gradient.total >= 0.0
 
@@ -448,7 +449,7 @@ class TestBochnerIdentity:
         monkeypatch.setattr(FormField01, "evaluate", counted)
         g = grid2(nodes=20, half=1.9)
         alpha = bump_zbar_form(2)
-        bochner_residual(alpha, fields.sq_norm(2), g)
+        bochner_residual(alpha, [fields.sq_norm(2)], g)
         # one evaluation, at the support nodes of the form only
         assert calls == [g.support_nodes(alpha.support).size] == [3312]
 
@@ -520,7 +521,7 @@ class TestBand:
     @pytest.mark.parametrize("n, nodes, phi, alpha", criterion_2_cases())
     def test_dense_oracle_criterion_2(self, n, nodes, phi, alpha):
         g = make_grid(unit_ball(n, radius=1.3), nodes)
-        rep = bochner_residual(alpha, phi, g)
+        [rep] = bochner_residual(alpha, [phi], g)
         dense = dense_bochner_terms(alpha, phi, g)
         for got, want in zip((t.value for t in rep.terms), dense):
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -572,7 +573,7 @@ class TestBand:
             grad=lambda z: -400.0 * np.conj(z),
             hess=lambda z: np.full((z.shape[0], 1, 1), -400.0, dtype=complex),
         )
-        rep = bochner_residual(bump_const_form([1], radius=0.8), deep, grid1(nodes=128))
+        [rep] = bochner_residual(bump_const_form([1], radius=0.8), [deep], grid1(nodes=128))
         curvature, gradient, dbar, adjoint = (t.value for t in rep.terms)
         assert curvature < 0.0 < gradient
         assert adjoint > 0.0
@@ -584,7 +585,7 @@ class TestBand:
         g = grid1(nodes=64)
         pole = g.points[np.argmin(np.abs(g.points[:, 0] - (1.2 + 1.2j)))]
         phi = fields.log_abs(pole, 1)
-        rep = bochner_residual(bump_const_form([1], radius=0.9), phi, g)
+        [rep] = bochner_residual(bump_const_form([1], radius=0.9), [phi], g)
         assert np.isfinite(rep.residual) and rep.lhs.sign > 0
         with pytest.raises(WeightOverflowError):  # as a weight on the whole box
             fields.weight_exp(-phi(g.points))
@@ -612,7 +613,7 @@ class TestBand:
         zero = FormField01(
             "0", lambda z: np.zeros((1, z.shape[0]), dtype=complex), unit_ball(1, radius=0.9)
         )
-        rep = bochner_residual(zero, phi, grid1(nodes=48))
+        [rep] = bochner_residual(zero, [phi], grid1(nodes=48))
         assert rep.residual == rep.lhs.value == rep.rhs.value == 0.0
         assert not any(seen)
 
@@ -711,7 +712,7 @@ class TestFormRegistry:
         g = make_grid(unit_ball(1, radius=1.0), 64)  # no margin around the bump
         a = bump_const_form(np.array([1.0]), radius=1.0)
         with pytest.raises(ValueError, match="margin"):
-            bochner_residual(a, zero_field(1), g)
+            bochner_residual(a, [zero_field(1)], g)
 
 
 class TestStencilMargin:
@@ -731,7 +732,7 @@ class TestStencilMargin:
         assert min(along.min(), nodes - 1 - along.max()) == layers
         phi, psi = fields.sq_norm(n), build_psi_s(np.zeros(n), radius, 10.0)
         energies = (
-            lambda: bochner_residual(alpha, phi, g),
+            lambda: bochner_residual(alpha, [phi], g),
             lambda: estimate_functional_E((idx, av), phi, psi, fields.zero_omega(n), g),
         )
         for energy in energies:
@@ -830,10 +831,11 @@ class TestSparseSupportPath:
             criterion(0)
         for k, argv in enumerate(README_GRID_COMMANDS):
             cli.main(argv + ["--out", str(tmp_path / f"{k}.json")])
-        # criterion 2's 8 residuals, the grids and doubled grids of criterion 4's two
-        # certificates, 2 annulus grids, 2 right-hand sides, and the README examples'
-        # 1 + 2 + 1; the energies are those of the three witness scans
-        assert len(supports) == 8 + 4 + 2 + 2 + 4 and len(energies) == 7
+        # criterion 2's 4 (form, grid) pairs, each taken once for both weights, the grids
+        # and doubled grids of criterion 4's two certificates, 2 annulus grids, 2
+        # right-hand sides, and the README examples' 1 + 2 + 1; the energies are those
+        # of the three witness scans
+        assert len(supports) == 4 + 4 + 2 + 2 + 4 and len(energies) == 7
         for form, grid in supports:
             idx, pts, values = support_values(form, grid)
             want_idx, want = nonzero_nodes(form.evaluate(grid.points))
@@ -845,6 +847,66 @@ class TestSparseSupportPath:
             assert np.all(np.any(alpha != 0.0, axis=0))  # alpha^s is nonzero where f is
             assert_gradient_is_dense(idx, alpha, grid)
 
+
+def batch_weights(n):
+    """zero, sq_norm, sq_norm without grad (weight_gradient's stencil branch) and log1p_sq."""
+    sq = fields.sq_norm(n)
+    return [zero_field(n), sq, dataclasses.replace(sq, name="sq_norm_no_grad", grad=None),
+            fields.log1p_sq(n)]
+
+
+def report_bits(rep):
+    return [(t.total, t.shift) for t in rep.terms]
+
+
+class TestBatchedWeights:
+    """One band, one map and one blocked gradient pass serve every weight of a call:
+    each report is the one the weight's own call gives, bit for bit, in the order
+    of the weights."""
+
+    @CRITERION_2_SETUPS
+    @pytest.mark.parametrize("form_name", ["bump_const", "bump_zbar2"])
+    def test_each_report_equals_its_one_weight_call(self, n, nodes, radius, xi, form_name):
+        grid = make_grid(unit_ball(n, radius=1.3), nodes)
+        alpha = (bump_const_form(xi, radius=radius) if form_name == "bump_const"
+                 else bump_zbar_form(n, radius=radius))
+        weights = batch_weights(n)
+        singles = [report_bits(bochner_residual(alpha, [phi], grid)[0]) for phi in weights]
+        batched = [report_bits(rep) for rep in bochner_residual(alpha, weights, grid)]
+        assert batched == singles
+        backwards = [report_bits(rep) for rep in bochner_residual(alpha, weights[::-1], grid)]
+        assert backwards == singles[::-1]
+
+    def test_criterion_2_takes_each_form_and_grid_once(self, monkeypatch):
+        from pshlab import acceptance
+
+        supports, bands = [], []
+        record_where_bound(monkeypatch, "bochner", "support_values", supports)
+        stencil_band = GridDiscretization.stencil_band
+
+        def counted(self, idx):
+            bands.append(idx.size)
+            return stencil_band(self, idx)
+
+        monkeypatch.setattr(GridDiscretization, "stencil_band", counted)
+        acceptance.criterion_bochner(0)
+        # two forms on each of two grids, each taken once for both weights
+        assert len(supports) == len(bands) == 4
+
+
+class TestMappedValues:
+    def test_columns_are_c_ordered_and_gather_the_f_ordered_bits(self):
+        grid = grid2(nodes=24)
+        idx, _, values = support_values(bump_zbar_form(2, radius=0.8), grid)
+        # values[:, nonzero] keeps the F order of the (m, n) evaluation's transpose
+        assert values.flags.f_contiguous and not values.flags.c_contiguous
+        form = MappedValues(idx, values, grid)
+        assert form.columns.flags.c_contiguous
+        dense = np.zeros((grid.n, grid.size), dtype=complex, order="F")
+        dense[:, idx] = values
+        band = grid.stencil_band(idx)
+        for flat in (band, band[::-1], idx, band[~np.isin(band, idx)]):
+            assert_same_bits(form.at(flat), dense[:, flat])
 
 def zero_form(n, radius=0.9, center=None):
     """A form that is zero at every node of its ball support."""
@@ -861,7 +923,7 @@ class TestZeroForm:
         grid = make_grid(unit_ball(n, radius=1.3), nodes)
         idx, pts, values = support_values(zero_form(n), grid)
         assert idx.size == pts.shape[0] == values.shape[1] == 0 and values.shape[0] == n
-        rep = bochner_residual(zero_form(n), fields.sq_norm(n), grid)
+        [rep] = bochner_residual(zero_form(n), [fields.sq_norm(n)], grid)
         assert [t.total for t in rep.terms] == [0.0] * 4 and rep.residual == 0.0
 
     @pytest.mark.parametrize("omega", [fields.zero_omega(1), fields.scaled_sq_omega(-0.5, 1)])

@@ -184,5 +184,5 @@ def test_every_partial_reads_mapped_values(monkeypatch):
     # a weight without grad: weight_gradient's stencil branch
     no_grad = dataclasses.replace(fields.sq_norm(2), grad=None)
     grid = bochner.make_grid(unit_ball(2, radius=1.3), 20)
-    bochner.bochner_residual(bochner.bump_zbar_form(2, radius=0.8), no_grad, grid)
+    bochner.bochner_residual(bochner.bump_zbar_form(2, radius=0.8), [no_grad], grid)
     assert inputs and set(inputs) == {bochner.MappedValues}

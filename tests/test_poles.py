@@ -63,7 +63,7 @@ def test_pole_in_the_support_of_the_form_raises(make):
     grid = make_grid(unit_ball(1, radius=1.3), 64)
     pole = grid.points[np.argmin(np.abs(grid.points[:, 0] - (0.2 + 0.1j)))]
     with pytest.raises(PoleInStencilError, match="^pole in the (support|stencil band) of the form$"):
-        bochner_residual(bump_const_form([1], radius=0.9), make(pole), grid)
+        bochner_residual(bump_const_form([1], radius=0.9), [make(pole)], grid)
 
 
 @pytest.mark.parametrize("name", sorted(POLES))
@@ -88,4 +88,4 @@ def test_pole_in_the_stencil_band_of_a_weight_without_grad_raises():
     z = grid.points[:, 0]
     pole = grid.points[np.argmin(np.where(np.abs(z) > 0.9, np.abs(z - 0.92), np.inf))]
     with pytest.raises(PoleInStencilError, match="^pole in the stencil band of the form$"):
-        bochner_residual(bump_const_form([1], radius=0.9), build_psi_delta(pole, 0.0, 1), grid)
+        bochner_residual(bump_const_form([1], radius=0.9), [build_psi_delta(pole, 0.0, 1)], grid)

@@ -169,8 +169,8 @@ def test_bochner_residual_invariant(c):
     grid = make_grid(unit_ball(1, radius=1.3), 48)
     alpha = bump_zbar_form(1, radius=0.9)
     phi = fields.sq_norm(1)
-    base = bochner_residual(alpha, phi, grid)
-    got = bochner_residual(alpha, shifted(phi, c), grid)
+    [base] = bochner_residual(alpha, [phi], grid)
+    [got] = bochner_residual(alpha, [shifted(phi, c)], grid)
     assert got.residual == pytest.approx(base.residual, rel=1e-9)
     for g, b in zip(got.terms, base.terms, strict=True):
         check_scaled(g, b, c)
@@ -406,8 +406,8 @@ def test_bochner_residual_translation_invariant(n, nodes, radius, form, weight, 
     phi = TRANSLATION_WEIGHTS[weight](n)
     moved_grid = make_grid(unit_ball(n, radius=1.3, center=a), nodes)
     assert np.all(np.abs(moved_grid.spacing - grid.spacing) <= 1e-12 * h)
-    base = bochner_residual(alpha, phi, grid)
-    moved = bochner_residual(translated_form(alpha, a), translated_field(phi, a), moved_grid)
+    [base] = bochner_residual(alpha, [phi], grid)
+    [moved] = bochner_residual(translated_form(alpha, a), [translated_field(phi, a)], moved_grid)
     for got, want in term_values(moved, base):
         assert abs(got - want) <= 1e-12 * abs(want)
     assert abs(moved.residual - base.residual) <= 1e-13
@@ -444,8 +444,8 @@ def test_bochner_residual_swap_invariant(form, weight):
     alpha = (bump_const_form(np.array([0.8, 0.6j]), radius=0.8) if form == "bump_const"
              else bump_zbar_form(2, radius=0.8))
     phi = TRANSLATION_WEIGHTS[weight](2)
-    base = bochner_residual(alpha, phi, grid)
-    swapped = bochner_residual(swapped_form(alpha), swapped_field(phi), grid)
+    [base] = bochner_residual(alpha, [phi], grid)
+    [swapped] = bochner_residual(swapped_form(alpha), [swapped_field(phi)], grid)
     for got, want in term_values(swapped, base):
         assert abs(got - want) <= SYMMETRY_RTOL * abs(want)
     assert abs(swapped.residual - base.residual) <= SYMMETRY_ATOL
@@ -489,8 +489,8 @@ def test_bochner_residual_quarter_turn_invariant(n, nodes, radius, form, weight)
     alpha = (bump_const_form(xi, radius=radius) if form == "bump_const"
              else bump_zbar_form(n, radius=radius))
     phi = TRANSLATION_WEIGHTS[weight](n)
-    base = bochner_residual(alpha, phi, grid)
-    turned = bochner_residual(turned_form(alpha), turned_field(phi), grid)
+    [base] = bochner_residual(alpha, [phi], grid)
+    [turned] = bochner_residual(turned_form(alpha), [turned_field(phi)], grid)
     for got, want in term_values(turned, base):
         assert abs(got - want) <= SYMMETRY_RTOL * abs(want)
     assert abs(turned.residual - base.residual) <= SYMMETRY_ATOL

@@ -49,7 +49,7 @@ def test_criterion_2_case_reaches_the_traced_grid_names(monkeypatch):
                         (bochner, "dbar_star")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     alpha = bochner.bump_zbar_form(2, radius=0.8)
-    bochner.bochner_residual(alpha, fields.sq_norm(2), grid)
+    bochner.bochner_residual(alpha, [fields.sq_norm(2)], grid)
     idx = bochner.support_values(alpha, grid)[0]
     blocks = -(-grid.stencil_band(idx).size // bochner.BAND_BLOCK)
     assert blocks == 4
@@ -123,10 +123,11 @@ def test_grid_criteria_reach_the_traced_form_evaluator(monkeypatch):
         calls.clear()
         getattr(acceptance, crit)(0)
         seen[crit] = dict(calls)
-    # one per Bochner residual; the two certificates' grids and doubled grids; one
-    # per eps; one per right-hand side
+    # one per (form, grid) pair of criterion 2, 2 per form: one Bochner call serves
+    # both weights; the two certificates' grids and doubled grids; one per eps; one
+    # per right-hand side
     assert seen == {
-        "criterion_bochner": {"bump_const": 4, "bump_zbar2": 4},
+        "criterion_bochner": {"bump_const": 2, "bump_zbar2": 2},
         "criterion_witness": {"dbar_nu": 4},
         "criterion_coarse_chain": {"alpha_eps": 2},
         "criterion_hormander_ratio": {"dbar_bump": 1, "dbar_nu": 1},
