@@ -132,8 +132,8 @@ def hormander_ratio(
             raise SingularGramError(
                 f"the weight is nonzero at {live.size} nodes, fewer than the {degree + 1} "
                 f"polynomials of degree <= {degree}; lower the degree or refine the grid")
-        mono = _centered_powers(pts[live, 0], wq[live], degree)
-        _, _, minimal_norm_sq = weighted_bergman_projection(u_part[live], wq[live], mono)
+        rows = _centered_powers(pts[live, 0], wq[live], degree)
+        _, _, minimal_norm_sq = weighted_bergman_projection(u_part[live], wq[live], rows)
         psi_zz = np.real(levi_form(psi, f_pts)[:, 0, 0])
         if np.any(psi_zz < 1e-8):
             raise ValueError("psi is not strictly subharmonic on the support of f")
@@ -145,14 +145,29 @@ def hormander_ratio(
     return results
 
 
-def _centered_powers(z: np.ndarray, w: np.ndarray, degree: int) -> np.ndarray:
-    """The (m, degree + 1) powers of t = (z - c) / rho at the nodes z, for the w-weighted
-    mean c of z and root-mean-square distance rho from it: the polynomials of degree <=
-    degree, in a basis that stays far from collinear where e^{-eta} concentrates."""
+def _centered_powers(z: np.ndarray, w: np.ndarray, degree: int):
+    """The basis rows of weighted_bergman_projection for the polynomials of degree <=
+    degree at the nodes z: the powers of t = (z - c) / rho, for the w-weighted mean c
+    of z and root-mean-square distance rho from it, a basis that stays far from
+    collinear where e^{-eta} concentrates.  c, rho and t are computed once over all
+    nodes; rows(nodes) builds the (degree + 1, b) powers at a slice of them, and raises
+    SingularGramError when they overflow there (checked on the top power, which a
+    non-finite lower power carries into)."""
     total = np.sum(w)
     c = np.dot(w, z) / total
     t = (z - c) / math.sqrt(np.dot(w, np.abs(z - c) ** 2) / total)
-    powers = np.ones((degree + 1, z.size), dtype=complex)  # a row per power: contiguous
-    for k in range(1, degree + 1):
-        powers[k] = powers[k - 1] * t
-    return powers.T
+
+    def rows(nodes: slice) -> np.ndarray:
+        tb = t[nodes]
+        powers = np.empty((degree + 1, tb.size), dtype=complex)  # a row per power: contiguous
+        powers[0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # read by the check below
+            for k in range(1, degree + 1):
+                np.multiply(powers[k - 1], tb, out=powers[k])
+        if not np.all(np.isfinite(powers[-1])):
+            raise SingularGramError(
+                f"the powers of degree {degree} of the centred coordinate overflow at the "
+                f"far weighted nodes; lower the degree or refine the grid")
+        return powers
+
+    return rows

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import bochner
 from .errors import ConsistencyError, DegenerateWeightError, SingularGramError
 from .fields import Scaled, ScalarField, weight_exp, weighted_sums
 from .geometry import HolomorphicCylinder, QuadratureRule, as_point, sample_cylinder
@@ -190,19 +191,33 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def weighted_bergman_projection(u_values: np.ndarray, w: np.ndarray, mono: np.ndarray):
+def weighted_bergman_projection(u_values: np.ndarray, w: np.ndarray, rows: Callable):
     """(u - h, coefficients of h, sum w |u - h|^2) for h the best L^2(w) approximation
-    of u by the (m, K) basis columns mono, from node weights w (quadrature weights
-    times e^{-eta - shift}, see weight_exp).  u - h is orthogonal to every column
-    (Gram normal equations).  The basis is conjugated once, and that copy scaled by
-    w in place once the right-hand side has read it."""
+    of u by K basis functions, from node weights w (quadrature weights times
+    e^{-eta - shift}, see weight_exp); rows(nodes) gives the (K, b) values of the basis
+    at a slice of b of the m nodes.  u - h is orthogonal to every basis function (Gram
+    normal equations).  Two passes over blocks of bochner.BAND_BLOCK nodes, so that no
+    more than one block of basis values is held at once: the first accumulates the Gram
+    matrix and the right-hand side, the second, after the solve, the residual u - h.
+    SingularGramError when the Gram system overflows (a basis of too high a degree for
+    the spread of the weighted nodes), is singular, or has no finite solution."""
     u = np.asarray(u_values, dtype=complex)
-    mc = mono.conj()
-    rhs = mc.T @ (w * u)
-    mc *= w[:, None]
-    gram = mc.T @ mono
+    blocks = [slice(start, start + bochner.BAND_BLOCK)
+              for start in range(0, u.size, bochner.BAND_BLOCK)]
+    gram = rhs = 0.0
+    for block in blocks:
+        v = rows(block)
+        with np.errstate(over="ignore", invalid="ignore"):  # read by the check below
+            vc = v.conj()
+            rhs = rhs + vc @ (w[block] * u[block])
+            vc *= w[block]
+            gram = gram + vc @ v.T
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        raise SingularGramError("the Gram matrix overflows; lower the degree or refine the grid")
     coeffs = solve_gram(gram, rhs)
-    residual = u - mono @ coeffs
+    residual = np.empty_like(u)
+    for block in blocks:
+        residual[block] = u[block] - coeffs @ rows(block)
     return residual, coeffs, float(np.real(np.dot(np.conj(residual), w * residual)))
 
 
@@ -225,9 +240,9 @@ def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: 
     def monomials(z):
         return _monomial_values((z - cyl.center) @ cyl.frame.conj() / radii, exponents)
 
-    mono = monomials(sample.nodes)
     weight, shift = weight_exp(-weight_vals)
     w = sample.weights * weight / cyl.volume
-    _, coeffs, value = weighted_bergman_projection(np.ones(mono.shape[0]), w, mono[:, 1:])
+    _, coeffs, value = weighted_bergman_projection(
+        np.ones(w.size), w, lambda nodes: monomials(sample.nodes[nodes])[:, 1:].T)
     v = np.concatenate([[1.0 + 0.0j], -coeffs])
     return lambda z: monomials(z) @ v, Scaled(value, shift)

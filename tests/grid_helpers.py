@@ -6,7 +6,8 @@ grid field, the per-component closures that forms were built from (the oracles
 of their evaluators), a support check, the point-by-point support test (the
 oracle of the separable one), the two sides of the metric energy identity
 behind alpha_from_f, the shifted trapezoid weights of a weight, the
-orthogonality of a Bergman residual, and the
+orthogonality of a Bergman residual, the projection from the whole basis at once
+(the oracle of the blocked one), and the
 one-tuple solves (the oracles of the hormander_ratio and coarse_rhs_bound
 sweeps)."""
 
@@ -295,7 +296,19 @@ def bergman_project(u_values, eta_values, degree: int, grid):
     """weighted_bergman_projection from the weight eta at every node and a degree."""
     w, _ = shifted_weights(eta_values, grid)
     mono = _monomial_values(grid.points, monomial_exponents(1, degree))
-    return weighted_bergman_projection(u_values, w, mono)
+    return weighted_bergman_projection(u_values, w, lambda nodes: mono[nodes].T)
+
+
+def whole_basis_projection(u_values, w, mono):
+    """The weighted projection from the whole (m, K) basis at once: the Gram normal
+    equations formed by one product over every node (the oracle of the blocked one)."""
+    u = np.asarray(u_values, dtype=complex)
+    mc = mono.conj()
+    rhs = mc.T @ (w * u)
+    mc *= w[:, None]
+    coeffs = np.linalg.solve(mc.T @ mono, rhs)
+    residual = u - mono @ coeffs
+    return residual, coeffs, float(np.real(np.dot(np.conj(residual), w * residual)))
 
 
 def hormander_ratio_one(phi, psi, f, degree: int, grid) -> SolveResult:
@@ -310,8 +323,8 @@ def hormander_ratio_one(phi, psi, f, degree: int, grid) -> SolveResult:
 
     wq, shift = shifted_weights(phi(pts) + psi(pts), grid)
     live = np.flatnonzero(wq)
-    mono = _centered_powers(pts[live, 0], wq[live], degree)
-    u_min = weighted_bergman_projection(u_part[live], wq[live], mono)[0]
+    rows = _centered_powers(pts[live, 0], wq[live], degree)
+    u_min = weighted_bergman_projection(u_part[live], wq[live], rows)[0]
     minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq[live] * u_min)))
 
     support = np.flatnonzero(np.abs(fv) > 0.0)

@@ -376,8 +376,8 @@ class TestSupportRestriction:
         u = cauchy_transform(f.evaluate(g.points)[0], g)
         for got, (phi, psi) in zip(hormander_ratio(weights, f, 10, g), weights, strict=True):
             wq, shift = shifted_weights(phi(g.points) + psi(g.points), g)
-            mono = _centered_powers(g.points[:, 0], wq, 10)
-            want = weighted_bergman_projection(u, wq, mono)[2]
+            rows = _centered_powers(g.points[:, 0], wq, 10)
+            want = weighted_bergman_projection(u, wq, rows)[2]
             assert got.norms[0].shift == shift
             assert abs(got.norms[0].total - want) <= 1e-14 * want
 
