@@ -89,11 +89,11 @@ class GridDiscretization:
         products of the 1-D factors, taken in axis order."""
         return reduce(np.multiply.outer, self.factors, np.ones(())).ravel()
 
-    def weights_at(self, idx) -> np.ndarray:
-        """(k,) trapezoid weights of the nodes with flat indices idx: the products of
-        their 1-D factors in axis order, so each is the bits of its entry of weights."""
-        sub = np.unravel_index(idx, self.shape)
-        return reduce(np.multiply, [w1[i] for w1, i in zip(self.factors, sub)])
+    @property
+    def cell_volume(self) -> np.float64:
+        """The trapezoid weight of every node off the grid's edge, such as every band node
+        (stencil_band): the product of the spacings in axis order, as in weights."""
+        return reduce(np.multiply, self.spacing)
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -204,7 +204,6 @@ class FormGradient:
 
     values: np.ndarray  # (n, k) values at the nodes
     band: np.ndarray  # (k,) their sorted flat indices
-    on_support: np.ndarray  # (k,) boolean: the nodes where some component is nonzero
     dz: np.ndarray  # (n, k): [j] = d alpha_j / dz_j at the nodes
     dzbar: np.ndarray  # (n, n, k): [j, l] = d alpha_j / dzbar_l at the nodes
 
@@ -218,8 +217,7 @@ def form_gradient(form: MappedValues, nodes: np.ndarray, grid: GridDiscretizatio
     for k in range(grid.n):
         d_dz, d_dzbar = grid.wirtinger(form, k, nodes)
         dz[k], dzbar[:, k] = d_dz[k], d_dzbar
-    on_support = form.pos[nodes] < form.columns.shape[-1] - 1
-    return FormGradient(values, nodes, on_support, dz, dzbar)
+    return FormGradient(values, nodes, dz, dzbar)
 
 
 def band_blocks(band: np.ndarray, form: MappedValues, grid: GridDiscretization):
@@ -241,10 +239,10 @@ def dbar_01(g: FormGradient, grid: GridDiscretization) -> np.ndarray:
 
 def weight_gradient(phi: ScalarField, idx: np.ndarray, band: np.ndarray,
                     grid: GridDiscretization) -> np.ndarray:
-    """(k, n) dphi/dz_j at the flat nodes idx where a form is nonzero: grad phi there,
-    or for a weight without grad the stencil gradient of its values on the form's
-    stencil band, evaluated once.  A pole (a value or gradient that is not finite)
-    there raises PoleInStencilError."""
+    """(k, n) dphi/dz_j at the k nodes of a form's stencil band, zero off the flat
+    nodes idx where the form is nonzero: grad phi at idx, or for a weight without
+    grad the stencil gradient of its values on the band, evaluated once.  A pole (a
+    value or gradient that is not finite) there raises PoleInStencilError."""
     if phi.grad is not None:
         with np.errstate(divide="ignore", invalid="ignore"):
             gphi = np.asarray(phi.grad(grid.points_at(idx)), dtype=complex)
@@ -256,30 +254,30 @@ def weight_gradient(phi: ScalarField, idx: np.ndarray, band: np.ndarray,
         gphi = np.stack([grid.wirtinger(mapped, j, idx)[0] for j in range(grid.n)], axis=1)
     if not np.all(np.isfinite(gphi)):
         raise PoleInStencilError("pole in the support of the form")
-    return gphi
+    on_band = np.zeros((band.size, grid.n), dtype=complex)
+    on_band[np.searchsorted(band, idx)] = gphi
+    return on_band
 
 
 def dbar_star(g: FormGradient, gphi: np.ndarray) -> np.ndarray:
     """Formal adjoint -sum_j (d alpha_j / dz_j - alpha_j dphi/dz_j) at the nodes of
-    alpha's gradient g, from the weight's (k, n) gradient gphi at those of them
-    where alpha is nonzero (weight_gradient)."""
+    alpha's gradient g, from the weight's (k, n) gradient gphi at the same nodes
+    (weight_gradient)."""
     out = np.zeros(g.band.size, dtype=complex)
     for j in range(g.dz.shape[0]):
-        term = g.dz[j].copy()
-        term[g.on_support] -= g.values[j, g.on_support] * gphi[:, j]
-        out -= term
+        out -= g.dz[j] - g.values[j] * gphi[:, j]
     return out
 
 
 def band_energy(g: FormGradient, grid: GridDiscretization) -> tuple:
     """The part of the grid energies that no weight enters, at the nodes of alpha's
-    gradient g: the gradient energy, the points and the trapezoid weights.  A band
-    node off the support lies within FD_STENCIL_WIDTH steps along an axis of a node
-    where alpha is nonzero, so its stencil gradient is nonzero unless the stencil's
-    terms cancel exactly: the band is where the integrands live."""
+    gradient g: the gradient energy and the points.  A band node off the support lies
+    within FD_STENCIL_WIDTH steps along an axis of a node where alpha is nonzero, so
+    its stencil gradient is nonzero unless the stencil's terms cancel exactly: the
+    band is where the integrands live."""
     # the gradient energy sum_{j,k} |d alpha_j / dzbar_k|^2, summed in (j, k) order
     grad_sq = np.sum(np.abs(g.dzbar.reshape(grid.n**2, -1)) ** 2, axis=0)
-    return grad_sq, grid.points_at(g.band), grid.weights_at(g.band)
+    return grad_sq, grid.points_at(g.band)
 
 
 def band_curvature(g: FormGradient, pts: np.ndarray, phi: ScalarField, psi, omega) -> tuple:
@@ -321,38 +319,40 @@ def residual_gate(n: int) -> float:
     return RESIDUAL_GATE_N1 if n == 1 else RESIDUAL_GATE
 
 
+def default_grid_nodes(n: int) -> int:
+    """Nodes per axis of the Bochner grid in C^n when the caller names none."""
+    return 256 if n == 1 else 24
+
+
 def bochner_residual(alpha: FormField01, phis: list, grid: GridDiscretization) -> list:
     """Both sides of the energy identity and their relative residual, one
     BochnerReport for each weight of phis, in their order.  The form's band, its
     mapped values and one blocked gradient pass (band_blocks) serve every weight;
     each weight takes its integrands from each block, and only they, per band node,
-    are kept for its own reduction.  Every weight's gradient is taken before the
-    first block, so a pole of any weight is refused before any Levi form."""
+    are kept for its own reduction.  Every weight's gradient is put on the band before
+    the first block, so a pole of any weight is refused before any Levi form."""
     idx, _, values = support_values(alpha, grid)
     band, form = grid.stencil_band(idx), MappedValues(idx, values, grid)
     gphis = [weight_gradient(phi, idx, band, grid) for phi in phis]
     psi, omega = zero_field(grid.n), zero_omega(grid.n)
     # the gradient energy and |dbar alpha|^2 over increasing pairs (none when n = 1)
-    grad_sq, dbar_sq, trapezoid = (np.empty(band.size) for _ in range(3))
+    grad_sq, dbar_sq = (np.empty(band.size) for _ in range(2))
     # per weight, |dbar*_phi alpha|^2, the exponent and the curvature integrand
     # sum_{j,k} phi_{j kbar} alpha_j conj(alpha_k); the last goes to the real part of
     # a complex row: np.dot sums that strided view in another order than a
     # contiguous one, the order in which the terms were pinned
     adjoint_sq, expo = np.empty((2, len(phis), band.size))
     curvature = np.empty((len(phis), band.size), dtype=complex)
-    first = 0  # the row of each gphi at the block's first node of idx
     for block, g in band_blocks(band, form, grid):
-        last = first + np.count_nonzero(g.on_support)
         dbar_sq[block] = np.sum(np.abs(dbar_01(g, grid)) ** 2, axis=0)
-        grad_sq[block], pts, trapezoid[block] = band_energy(g, grid)
+        grad_sq[block], pts = band_energy(g, grid)
         for k, (phi, gphi) in enumerate(zip(phis, gphis)):
-            adjoint_sq[k, block] = np.abs(dbar_star(g, gphi[first:last])) ** 2
+            adjoint_sq[k, block] = np.abs(dbar_star(g, gphi[block])) ** 2
             curvature[k].real[block], expo[k, block] = band_curvature(g, pts, phi, psi, omega)
-        first = last
 
     def report(k):
         def totals(e):
-            e *= trapezoid
+            e *= grid.cell_volume
             return [np.dot(v, e) for v in (curvature[k].real, grad_sq, dbar_sq, adjoint_sq[k])]
 
         return BochnerReport(tuple(weighted_sums(expo[k], totals)))

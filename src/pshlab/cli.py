@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from . import acceptance, bochner, dbar1d, extension, fields, geometry, meanvalue, witness
-from .errors import PshlabError, SpecError
+from .errors import ContinuityRequiredError, InsufficientNodesError, PshlabError, SpecError
 
 SCHEMA_VERSION = 1
 
@@ -322,7 +322,7 @@ def _coarse_chain(args, phi, w, log_c_m) -> Table:
     for m in m_values:
         try:
             o_by_m[m] = witness.modulus_of_continuity(phi, region, 1.0 / m, resolution=17)
-        except PshlabError:
+        except (ContinuityRequiredError, InsufficientNodesError):
             pass
     resolved = list(o_by_m)
     log_cprime, _ = witness.coarse_constant_growth(
@@ -346,18 +346,17 @@ def _coarse_chain(args, phi, w, log_c_m) -> Table:
 
 def _extend(args, phi, cyl) -> list:
     rule = geometry.QuadratureRule("tensor-grid", args.budget)
-    rel = 1e-9  # each side may exceed e^{-phi(z0)} by this relative amount
-    checks = []
+    checks = []  # each side <= e^{-phi(z0)} up to the relative VERDICT_SLACK (Scaled.at_most)
     if args.p == 2.0:
         f_star, value = extension.best_extension_constant(phi, cyl, args.degree, rule)
         rep = extension.optimal_extension_margin(phi, cyl, f_star, args.p, rule)
         checks.append(
             acceptance.CheckRecord(
                 "best-extension-constant",
-                value.log_abs <= rep.rhs.log_abs + math.log1p(rel),
+                value.at_most(rep.rhs),
                 {"value": value, "threshold": rep.rhs, "degree": args.degree,
                  "scope": "cylinder-local"},
-                {"inequality": "value <= e^{-phi(z0)}", "relative": rel},
+                {"inequality": "value <= e^{-phi(z0)}", "relative": fields.VERDICT_SLACK},
             )
         )
     else:
@@ -366,12 +365,12 @@ def _extend(args, phi, cyl) -> list:
     checks.append(
         acceptance.CheckRecord(
             "optimal-extension-margin",
-            rep.lhs.log_abs <= rep.rhs.log_abs + math.log1p(rel),
+            rep.lhs.at_most(rep.rhs),
             {"lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
              "jensen_residual": rep.jensen_residual,
              "log_mean_residual": rep.log_mean_residual,
              "conclusion_margin": rep.conclusion_margin},
-            {"inequality": "lhs <= rhs", "relative": rel},
+            {"inequality": "lhs <= rhs", "relative": fields.VERDICT_SLACK},
         )
     )
     return checks
@@ -517,7 +516,7 @@ COMMANDS = {
                 _check_psh, _exit_zero),
         Command("bochner", "verify the weighted energy identity",
                 (*FIELD, ("form", "bump_const"),
-                 ("grid", None, lambda a: 256 if a.dim == 1 else 24)), _bochner),
+                 ("grid", None, lambda a: bochner.default_grid_nodes(a.dim))), _bochner),
         Command("witness", "search a sharp-estimate falsification witness",
                 (*FIELD, ("omega", "zero"), REGION, ("smax", witness.S_MAX),
                  ("grid", 0, lambda a: witness.default_grid_nodes(a.dim))), _witness),

@@ -22,6 +22,7 @@ DEFAULT_FD_STEP = 1e-3
 HERMITIAN_TOL = 1e-12
 LEVI_TOL = 1e-9  # a Levi gap eigenvalue below -LEVI_TOL is a violation
 REGION_RESOLUTION = 9  # nodes per real axis of the region grid a Levi gap is scanned on
+VERDICT_SLACK = 1e-9  # the relative amount by which a side may exceed its bound (Scaled.at_most)
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,9 @@ class Scaled:
         with np.errstate(over="ignore"):
             half = np.exp(np.float64(self.shift) / 2.0)
             return float(self.total * half * half)
+
+    def at_most(self, other: "Scaled") -> bool:  # self <= (1 + VERDICT_SLACK) other, on the logs
+        return self.log_abs <= other.log_abs + math.log1p(VERDICT_SLACK)
 
     def minus(self, other: "Scaled") -> float:
         """self.value - other.value, taken on the larger shift where either is not finite."""
@@ -420,28 +424,29 @@ def _require_c2(phi: ScalarField) -> None:
         )
 
 
-def levi_form(
-    phi: ScalarField, pts, h: float = DEFAULT_FD_STEP, use_analytic: bool = True
-) -> np.ndarray:
-    """(m, n, n) mixed Wirtinger Hessians (d^2 phi / dz_j dzbar_k) at (m, n) points.
+def levi_form(phi: ScalarField, pts) -> np.ndarray:
+    """(m, n, n) mixed Wirtinger Hessians (d^2 phi / dz_j dzbar_k) at (m, n) points: the
+    declared Hessian, which must be Hermitian, symmetrized to (M + M^H)/2 so that it is
+    exactly Hermitian, or for a field without one fd_levi_form at DEFAULT_FD_STEP."""
+    if phi.hess is None:
+        return fd_levi_form(phi, pts, DEFAULT_FD_STEP)
+    z = as_points(pts, phi.n)
+    _require_c2(phi)
+    m = np.asarray(phi.hess(z), dtype=complex)
+    dev = _hermitian_deviation(m)
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"declared Hessian of {phi.name!r} is not Hermitian: deviation {dev:.3e}")
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
-    The analytic path is one call of the declared Hessian, which must be
-    Hermitian.  The finite-difference path evaluates every stencil point of
-    every node in one call: each node takes the step h (1 + |z|), and each
-    mixed entry combines the four real cross-stencils in (x_j, y_j, x_k, y_k).
-    Either result is symmetrized to (M + M^H)/2, so it is exactly Hermitian.
-    """
+
+def fd_levi_form(phi: ScalarField, pts, h: float) -> np.ndarray:
+    """levi_form by finite differences at step h, whatever Hessian phi declares (criterion
+    1's oracle): every stencil point of every node in one call, each node at the step
+    h (1 + |z|), each mixed entry from the four real cross-stencils in (x_j, y_j, x_k,
+    y_k), and the result symmetrized to (M + M^H)/2."""
     z = as_points(pts, phi.n)
     n = phi.n
     _require_c2(phi)
-    if use_analytic and phi.hess is not None:
-        m = np.asarray(phi.hess(z), dtype=complex)
-        dev = _hermitian_deviation(m)
-        if dev > HERMITIAN_TOL:
-            raise ValueError(
-                f"declared Hessian of {phi.name!r} is not Hermitian: deviation {dev:.3e}"
-            )
-        return 0.5 * (m + m.conj().swapaxes(-1, -2))
     he = h * (1.0 + row_norm(z))
     eye = np.eye(n)
     # (m, 1, n) real and imaginary steps along each axis

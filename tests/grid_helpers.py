@@ -125,7 +125,7 @@ def dense_form_gradient(values, grid):
     band = np.flatnonzero(mask)
     dz = [slice_d_dz(grid, a, j)[band] for j, a in enumerate(av)]
     dzbar = [[slice_d_dzbar(grid, a, k)[band] for k in range(grid.n)] for a in av]
-    return FormGradient(av[:, band], band, support.ravel()[band], np.array(dz), np.array(dzbar))
+    return FormGradient(av[:, band], band, np.array(dz), np.array(dzbar))
 
 
 def grid_dbar_01(alpha, grid):
@@ -140,9 +140,15 @@ def grid_dbar_star(alpha, phi, grid):
     return on_grid(grid, g.band, dbar_star(g, weight_gradient_on(phi, g, grid)))
 
 
+def on_support(g):
+    """(k,) boolean: the nodes of a form's gradient g where some component is nonzero."""
+    return np.any(g.values != 0.0, axis=0)
+
+
 def weight_gradient_on(phi, g, grid):
-    """weight_gradient of phi at the nodes of a whole-band gradient g where its form is nonzero."""
-    return weight_gradient(phi, g.band[g.on_support], g.band, grid)
+    """weight_gradient of phi on the band of a whole-band gradient g, nonzero only where
+    its form is."""
+    return weight_gradient(phi, g.band[on_support(g)], g.band, grid)
 
 
 def weighted_pairing(a, b, weight, grid):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pshlab.bochner import (
     form_gradient,
     make_grid,
     support_values,
+    weight_gradient,
     zero_field,
 )
 from pshlab.cli import ConfigError, resolve_spec
@@ -45,6 +47,7 @@ from grid_helpers import (
     interior_mask,
     nonzero_nodes,
     on_grid,
+    on_support,
     scalar_dbar,
     slice_d_dz,
     slice_d_dzbar,
@@ -488,7 +491,7 @@ def band_nodes_without_integrand(values, grid):
     its gradient energy are both zero."""
     g = gradient_of(values, grid)
     grad_sq = np.sum(np.abs(g.dzbar.reshape(grid.n**2, -1)) ** 2, axis=0)
-    return g.band[~g.on_support & (grad_sq == 0.0)]
+    return g.band[~on_support(g) & (grad_sq == 0.0)]
 
 
 class TestBand:
@@ -809,8 +812,10 @@ def assert_gradient_is_dense(idx, values, grid):
     dense = on_grid(grid, idx, values)
     band, form = grid.stencil_band(idx), MappedValues(idx, values, grid)
     got, want = form_gradient(form, band, grid), dense_form_gradient(dense, grid)
-    for name in ("band", "on_support", "values", "dz", "dzbar"):
+    for name in ("band", "values", "dz", "dzbar"):
         assert_same_bits(getattr(got, name), getattr(want, name))
+    # the band nodes where the gathered values are nonzero are the form's nodes
+    assert_same_bits(on_support(got), np.isin(want.band, idx))
 
 
 class TestSparseSupportPath:
@@ -846,6 +851,76 @@ class TestSparseSupportPath:
         for (idx, alpha), _, _, _, grid in energies:
             assert np.all(np.any(alpha != 0.0, axis=0))  # alpha^s is nonzero where f is
             assert_gradient_is_dense(idx, alpha, grid)
+
+
+def weights_at(grid, idx):
+    """The trapezoid weights of the flat nodes idx as the products of their 1-D
+    factors in axis order: the per-node weights that grid.cell_volume replaced."""
+    sub = np.unravel_index(idx, grid.shape)
+    return reduce(np.multiply, [w1[i] for w1, i in zip(grid.factors, sub)])
+
+
+class TestCellVolume:
+    """Every node that the grid energies and the coarse chain weigh lies off the
+    grid's edge, so its trapezoid weight is the cell volume, bit for bit."""
+
+    def test_on_every_weighed_node(self, monkeypatch, tmp_path):
+        from pshlab import acceptance, cli, witness
+
+        bands, supports = [], []
+        stencil_band = GridDiscretization.stencil_band
+
+        def recorded_band(self, idx):
+            bands.append((self, stencil_band(self, idx)))
+            return bands[-1][1]
+
+        def recorded_support(form, grid):
+            out = support_values(form, grid)
+            supports.append((grid, out[0]))
+            return out
+
+        monkeypatch.setattr(GridDiscretization, "stencil_band", recorded_band)
+        acceptance.criterion_bochner(0)
+        acceptance.criterion_witness(0)
+        monkeypatch.setattr(witness, "support_values", recorded_support)
+        acceptance.criterion_coarse_chain(0)
+        assert cli.main(["coarse-chain", "--func", "re_linear", "--m", "1,2,4,8", "--p", "2",
+                         "--cm", "1", "--out", str(tmp_path / "chain.csv")]) == 0
+        # criterion 2's 4 bands and the 5 energies of criterion 4's scans; 2 annulus
+        # grids each for criterion 5 and the README coarse-chain
+        assert len(bands) == 4 + 5 and len(supports) == 2 + 2
+        for grid, nodes in bands + supports:
+            assert_same_bits(np.full(nodes.size, grid.cell_volume), weights_at(grid, nodes))
+
+
+def masked_dbar_star(g, phi, grid):
+    """dbar_star as it was written with a support mask: a weight without grad takes its
+    stencil gradient at the form's nonzero nodes only, and the product alpha_j dphi/dz_j
+    is subtracted there alone."""
+    mask = on_support(g)
+    mapped = MappedValues(g.band, phi(grid.points_at(g.band)), grid)
+    gphi = np.stack([grid.wirtinger(mapped, j, g.band[mask])[0] for j in range(grid.n)], axis=1)
+    out = np.zeros(g.band.size, dtype=complex)
+    for j in range(g.dz.shape[0]):
+        term = g.dz[j].copy()
+        term[mask] -= g.values[j, mask] * gphi[:, j]
+        out -= term
+    return out
+
+
+class TestAdjointOnTheBand:
+    @CRITERION_2_SETUPS
+    @pytest.mark.parametrize("form_name", ["bump_const", "bump_zbar2"])
+    def test_equals_the_masked_form(self, n, nodes, radius, xi, form_name):
+        grid = make_grid(unit_ball(n, radius=1.3), nodes)
+        alpha = (bump_const_form(xi, radius=radius) if form_name == "bump_const"
+                 else bump_zbar_form(n, radius=radius))
+        g = gradient_of(alpha, grid)
+        for phi in (dataclasses.replace(fields.sq_norm(n), grad=None),
+                    fields.ScalarField("log1p_sq_bare", n, fields.log1p_sq(n).evaluate)):
+            gphi = weight_gradient(phi, g.band[on_support(g)], g.band, grid)
+            assert np.all(gphi[~on_support(g)] == 0.0)
+            assert_same_bits(dbar_star(g, gphi), masked_dbar_star(g, phi, grid))
 
 
 def batch_weights(n):

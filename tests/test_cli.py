@@ -460,6 +460,23 @@ class TestExponentOption:
             assert row["o_eps_1_over_m"] == row["log_cprime_m"] == ""
             assert row["verified"] == "True"
 
+    def test_only_the_two_documented_refusals_blank_the_modulus(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        # a non-continuous field and an unresolved eps leave the columns blank; any
+        # other toolkit error from the modulus is a failure, exit 1, with no CSV
+        from pshlab import witness
+        from pshlab.errors import PoleInStencilError
+
+        def pole(*args, **kwargs):
+            raise PoleInStencilError("pole in stencil")
+
+        monkeypatch.setattr(witness, "modulus_of_continuity", pole)
+        out = tmp_path / "chain.csv"
+        assert main(["coarse-chain", "--func", "re_linear", "--m", "1", "--eps", "0.5",
+                     "--delta", "0.25", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: pole in stencil\n"
+        assert not out.exists()
+
     def test_readme_configuration_rows_equal_the_one_tuple_oracle(self, tmp_path):
         """Rows in (m, eps, delta) order, each equal to its tuple's own solve."""
         from pshlab import fields

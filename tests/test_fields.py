@@ -7,6 +7,7 @@ from pshlab.fields import (
     HermitianField,
     ScalarField,
     check_lower_bound,
+    fd_levi_form,
     get_field,
     get_omega,
     levi_form,
@@ -31,25 +32,29 @@ CORPUS = [
 ]
 
 
+def fd_at_default_step(phi, pts):
+    return fd_levi_form(phi, pts, fields.DEFAULT_FD_STEP)
+
+
 def hessian_rel_error(phi, z, h):
-    fd = levi_form(phi, z, h=h, use_analytic=False)
-    exact = levi_form(phi, z, use_analytic=True)
+    fd = fd_levi_form(phi, z, h)
+    exact = levi_form(phi, z)
     scale = max(np.max(np.abs(exact)), 1.0)
     return np.max(np.abs(fd - exact)) / scale
 
 
 class TestLeviForm:
     def test_sq_norm_identity(self):
-        m = levi_form(fields.sq_norm(2), np.array([0.1 + 0.2j, 0.3j]), use_analytic=False)[0]
+        m = fd_at_default_step(fields.sq_norm(2), np.array([0.1 + 0.2j, 0.3j]))[0]
         assert np.allclose(m, np.eye(2), atol=1e-8)
 
     def test_saddle_diag(self):
-        m = levi_form(fields.saddle(2.0), np.array([0.2j, 0.1]), use_analytic=False)[0]
+        m = fd_at_default_step(fields.saddle(2.0), np.array([0.2j, 0.1]))[0]
         assert np.allclose(m, np.diag([1.0, -2.0]), atol=1e-8)
 
     def test_log1p_sq_at_zero(self):
         # closed form d2/dz dzbar log(1+|z|^2) = 1/(1+|z|^2)^2 -> 1 at 0
-        m = levi_form(fields.log1p_sq(1), np.array([0.0j]), use_analytic=False)[0]
+        m = fd_at_default_step(fields.log1p_sq(1), np.array([0.0j]))[0]
         assert m[0, 0] == pytest.approx(1.0, abs=1e-5)
 
     @pytest.mark.parametrize("phi,z,_smooth", CORPUS, ids=lambda c: getattr(c, "name", ""))
@@ -64,7 +69,7 @@ class TestLeviForm:
             assert 3.5 <= ratio <= 4.5, phi.name
 
     def test_exactly_hermitian(self):
-        m = levi_form(fields.neg_gauss(2), np.array([0.4 + 0.1j, -0.2j]), use_analytic=False)[0]
+        m = fd_at_default_step(fields.neg_gauss(2), np.array([0.4 + 0.1j, -0.2j]))[0]
         assert np.array_equal(m, m.conj().T)
 
     @pytest.mark.parametrize("use_analytic", [True, False])
@@ -73,8 +78,9 @@ class TestLeviForm:
         # nearby points keep max_log off its tie set and log_abs off its pole
         rng = np.random.default_rng(17)
         pts = z + 0.05 * (rng.standard_normal((6, phi.n)) + 1j * rng.standard_normal((6, phi.n)))
-        batch = levi_form(phi, pts, use_analytic=use_analytic)
-        single = np.concatenate([levi_form(phi, p, use_analytic=use_analytic) for p in pts])
+        levi = levi_form if use_analytic else fd_at_default_step
+        batch = levi(phi, pts)
+        single = np.concatenate([levi(phi, p) for p in pts])
         assert batch.shape == (6, phi.n, phi.n)
         assert np.array_equal(batch, single)
 
@@ -82,7 +88,12 @@ class TestLeviForm:
         # the second node's stencil meets the pole
         pts = np.array([[0.5 + 0.0j], [0.0 + 0.0j]])
         with pytest.raises(PoleInStencilError, match="pole in stencil"):
-            levi_form(fields.log_abs(np.zeros(1), 1), pts, use_analytic=False)
+            fd_at_default_step(fields.log_abs(np.zeros(1), 1), pts)
+
+    @pytest.mark.parametrize("phi,z,_smooth", CORPUS, ids=lambda c: getattr(c, "name", ""))
+    def test_undeclared_hessian_takes_the_default_step(self, phi, z, _smooth):
+        bare = ScalarField(phi.name, phi.n, phi.evaluate)
+        assert np.array_equal(levi_form(bare, z), fd_at_default_step(phi, z))
 
     def test_usc_rejected(self):
         usc = ScalarField("usc", 1, lambda z: np.zeros(z.shape[0]), smoothness="usc")

@@ -13,6 +13,10 @@ extension.weighted_bergman_projection, is the only caller of the Gram solve.
 
 One stencil path on the grid: GridDiscretization.partial reads only mapped values
 (bochner.MappedValues), and the stencil band is the one place a margin is checked.
+
+One statement per gate: a criterion reads each gate from the tolerances that its
+record reports, and the relative verdict gate of the extension checks and the
+coarse chain is fields.Scaled.at_most, with its slack fields.VERDICT_SLACK.
 """
 
 import ast
@@ -56,7 +60,8 @@ def test_dbar_gate(monkeypatch, tmp_path):
     monkeypatch.setattr(dbar1d, "RESIDUAL_GATE", 1e-300)
     code, check = report(tmp_path, args)
     assert (code, check["passed"], check["tolerances"]) == (1, False, {"residual": 1e-300})
-    assert not acceptance.criterion_hormander_ratio(0).passed
+    record = acceptance.criterion_hormander_ratio(0)
+    assert not record.passed and record.tolerances["residual"] == 1e-300
 
 
 def test_s_max(monkeypatch):
@@ -104,6 +109,17 @@ def test_witness_grid_default(n, tmp_path):
     code, _ = report(tmp_path, ["witness", "--func", "sq_norm", "--dim", str(n)])
     config = json.loads((tmp_path / "r.json").read_text())["config"]
     assert config["grid"] == witness.default_grid_nodes(n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bochner_grid_default(n, monkeypatch, tmp_path):
+    report(tmp_path, ["bochner", "--func", "sq_norm", "--dim", str(n)])
+    config = json.loads((tmp_path / "r.json").read_text())["config"]
+    assert config["grid"] == bochner.default_grid_nodes(n)
+    calls, default = [], bochner.default_grid_nodes
+    monkeypatch.setattr(bochner, "default_grid_nodes", lambda n: calls.append(n) or default(n))
+    acceptance.criterion_bochner(0)
+    assert calls == [1, 2]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pshlab"
@@ -186,3 +202,76 @@ def test_every_partial_reads_mapped_values(monkeypatch):
     grid = bochner.make_grid(unit_ball(2, radius=1.3), 20)
     bochner.bochner_residual(bochner.bump_zbar_form(2, radius=0.8), [no_grad], grid)
     assert inputs and set(inputs) == {bochner.MappedValues}
+
+
+def float_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+
+def test_no_criterion_compares_with_a_float_literal():
+    tree = ast.parse((SRC / "acceptance.py").read_text(encoding="utf-8"))
+    criteria = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("criterion_")]
+    assert len(criteria) == 9
+    found = [f"{func.name}:{node.lineno}: {ast.unparse(node)}"
+             for func in criteria for node in ast.walk(func)
+             if isinstance(node, ast.Compare)
+             and any(float_literal(x) for x in (node.left, *node.comparators))]
+    assert found == []
+
+
+def test_the_gates_that_criteria_apply_are_reported():
+    assert acceptance.criterion_witness(0).tolerances == {
+        "s_max": witness.S_MAX, "E": 0.0, "saddle_xi2_abs": 0.99}
+    assert acceptance.criterion_best_constant(0).tolerances == {
+        "flat": 1e-10, "neg_sq_norm": 1e-6, "neg_sq_norm_exceeds": 1.0}
+    assert acceptance.criterion_hormander_ratio(0).tolerances == {
+        "subharmonic_ratio": 1.02, "witness_ratio": 1.0, "residual": dbar1d.RESIDUAL_GATE}
+
+
+def scopes(node, scope=()):
+    """(enclosing class and function names, node) of every node below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope + (child.name,) if isinstance(
+            child, (ast.ClassDef, ast.FunctionDef)) else scope
+        yield inner, child
+        yield from scopes(child, inner)
+
+
+def test_log1p_of_the_slack_has_one_home():
+    found = [(path.stem, ".".join(scope))
+             for path in sorted(SRC.glob("*.py"))
+             for scope, node in scopes(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and ast.unparse(node) == "math.log1p"]
+    assert found == [("fields", "Scaled.at_most")]
+
+
+def test_the_slack_moves_every_relative_verdict(monkeypatch, tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["extend", "--func", "neg_sq_norm", "--degree", "4", "--out", str(out)]
+
+    def extend_checks():
+        cli.main(argv)
+        return [(c["passed"], c["tolerances"]["relative"])
+                for c in json.loads(out.read_text())["checks"]]
+
+    # e - 1 = 1.718... on both sides, against e^{-phi(z0)} = 1
+    assert extend_checks() == [(False, 1e-9)] * 2
+    # rhs_integral e^{1e-12} above its bound, inside the slack
+    report = witness.CoarseChainReport(
+        1, 0.5, 0.25, fields.Scaled(1.0, 0.0), fields.Scaled(1.0, -1e-12), 1.0, 0.0)
+    assert report.verified
+    record = acceptance.criterion_coarse_chain(0)
+    assert record.passed and record.tolerances["chain"] == "rhs <= (1+1e-9) bound"
+
+    monkeypatch.setattr(fields, "VERDICT_SLACK", 1.0)
+    assert extend_checks() == [(True, 1.0)] * 2
+    monkeypatch.setattr(fields, "VERDICT_SLACK", 0.0)
+    assert not report.verified
+    assert acceptance.criterion_coarse_chain(0).tolerances["chain"] == "rhs <= (1+0e+0) bound"
+    # every rhs of criterion 5 lies below 0.045 of its bound
+    monkeypatch.setattr(fields, "VERDICT_SLACK", -0.99)
+    record = acceptance.criterion_coarse_chain(0)
+    assert not record.passed and record.tolerances["chain"] == "rhs <= (1+-9.9e-1) bound"

@@ -15,8 +15,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pshlab"
 
-PARAMETERS_WITH_DEFAULT = 13
-DATACLASS_INIT_FIELDS = 74
+PARAMETERS_WITH_DEFAULT = 11
+DATACLASS_INIT_FIELDS = 73
 
 HOW_TO_UPDATE = (
     "A change that alters this count updates the pin here and justifies the change in "

@@ -15,7 +15,7 @@ from pshlab import fields
 from pshlab.bochner import bochner_residual, bump_const_form, make_grid
 from pshlab.errors import PoleInStencilError
 from pshlab.extension import constant_one, jensen_chain_check
-from pshlab.fields import ScalarField, check_lower_bound, levi_form, zero_omega
+from pshlab.fields import DEFAULT_FD_STEP, ScalarField, check_lower_bound, fd_levi_form, zero_omega
 from pshlab.geometry import HolomorphicCylinder, QuadratureRule, unit_ball
 from pshlab.meanvalue import classify_psh, submean_test
 from pshlab.witness import build_psi_delta
@@ -46,7 +46,7 @@ def test_weight_is_minus_inf_exactly_at_its_pole(name):
 def test_stencil_on_the_pole_raises(name):
     phi, pole, _ = POLES[name]
     with pytest.raises(PoleInStencilError, match="^pole in stencil$"):
-        levi_form(phi, pole, use_analytic=False)
+        fd_levi_form(phi, pole, DEFAULT_FD_STEP)
 
 
 def test_region_grid_on_the_pole_raises():
