@@ -51,7 +51,6 @@ class GridDiscretization:
     nodes_per_axis: int
     axes: tuple = field(init=False)
     spacing: np.ndarray = field(init=False)
-    factors: tuple = field(init=False)  # per real axis, the 1-D trapezoid weights
     shape: tuple = field(init=False)
 
     def __post_init__(self):
@@ -67,12 +66,6 @@ class GridDiscretization:
         object.__setattr__(self, "spacing", spacing)
         shape = (self.nodes_per_axis,) * bounds.shape[0]
         object.__setattr__(self, "shape", shape)
-        factors = []
-        for h in spacing:
-            w1 = np.full(self.nodes_per_axis, h)
-            w1[[0, -1]] *= 0.5
-            factors.append(w1)
-        object.__setattr__(self, "factors", tuple(factors))
 
     @property
     def n(self) -> int:
@@ -86,8 +79,13 @@ class GridDiscretization:
     @cached_property
     def weights(self) -> np.ndarray:
         """(m,) trapezoid weights of every node, built on first use: the outer
-        products of the 1-D factors, taken in axis order."""
-        return reduce(np.multiply.outer, self.factors, np.ones(())).ravel()
+        products of the 1-D trapezoid weights of each real axis, taken in axis order."""
+        factors = []
+        for h in self.spacing:
+            w1 = np.full(self.nodes_per_axis, h)
+            w1[[0, -1]] *= 0.5
+            factors.append(w1)
+        return reduce(np.multiply.outer, factors, np.ones(())).ravel()
 
     @property
     def cell_volume(self) -> np.float64:
@@ -386,19 +384,20 @@ def bump_profile(center, radius: float, n: int):
     return value, dzbar
 
 
-def bump_const_form(xi, center=None, radius: float = 1.0) -> FormField01:
-    """alpha = xi * b(z) with the radial quartic bump b."""
+def bump_const_form(xi, radius: float = 1.0) -> FormField01:
+    """alpha = xi * b(z) with the radial quartic bump b centred at the origin."""
     xi = as_point(xi)
     n = xi.size
-    c = np.zeros(n, dtype=complex) if center is None else as_point(center)
+    c = np.zeros(n, dtype=complex)
     value, _ = bump_profile(c, radius, n)
     support = DomainBox("ball", c, np.array([radius]))
     return FormField01("bump_const", lambda z: xi[:, None] * value(z), support)
 
 
-def bump_zbar_form(n: int, center=None, radius: float = 1.0) -> FormField01:
-    """alpha = b dzbar_1 + zbar_n b dzbar_n (n >= 2); b (1 + zbar) dzbar for n = 1."""
-    c = np.zeros(n, dtype=complex) if center is None else as_point(center)
+def bump_zbar_form(n: int, radius: float = 1.0) -> FormField01:
+    """alpha = b dzbar_1 + zbar_n b dzbar_n (n >= 2); b (1 + zbar) dzbar for n = 1, with
+    the radial quartic bump b centred at the origin."""
+    c = np.zeros(n, dtype=complex)
     value, _ = bump_profile(c, radius, n)
 
     def coefficients(z):

@@ -124,6 +124,8 @@ def parse_cylinder(text: str, n: int, center: np.ndarray):
                 raise ValueError(f"unknown key {key!r}")
             parts[key] = raw.strip()
         seed = int(parts.get("seed", "0"))
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed {seed} is outside [0, 2^64)")
         return geometry.HolomorphicCylinder(
             center, geometry.seeded_frame(seed, n), float(parts["r"]), float(parts.get("s", "1.0")))
     except (KeyError, ValueError) as exc:
@@ -519,7 +521,7 @@ COMMANDS = {
                  ("grid", None, lambda a: bochner.default_grid_nodes(a.dim))), _bochner),
         Command("witness", "search a sharp-estimate falsification witness",
                 (*FIELD, ("omega", "zero"), REGION, ("smax", witness.S_MAX),
-                 ("grid", 0, lambda a: witness.default_grid_nodes(a.dim))), _witness),
+                 ("grid", None, lambda a: witness.default_grid_nodes(a.dim))), _witness),
         Command("coarse-chain", "verify the coarse-estimate bound chain",
                 (*FIELD, ("m", "1,2,4,8"), P, ("cm", "const:1"), ("eps", "0.5,0.25"),
                  ("delta", "0.25,0.0625"), ("w", "[[0,0]]")), _coarse_chain),

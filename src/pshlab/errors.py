@@ -23,7 +23,7 @@ class MetricNotPositiveError(PshlabError):
 
 
 class ContinuityRequiredError(PshlabError):
-    """Raised when an operation needs a continuous field but got a usc-only one."""
+    """Raised when an operation needs a continuous field: the field is not finite on the region."""
 
 
 class SingularGramError(PshlabError):

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContinuityRequiredError, PoleInStencilError, SpecError, WeightOverflowError
+from .errors import PoleInStencilError, SpecError, WeightOverflowError
 from .geometry import DomainBox, as_point, as_points, row_norm, row_sum
 
 DEFAULT_FD_STEP = 1e-3
@@ -29,9 +29,8 @@ VERDICT_SLACK = 1e-9  # the relative amount by which a side may exceed its bound
 class ScalarField:
     """A weight function on C^n.
 
-    smoothness is one of "usc", "C0", "C2"; differential operators require
-    "C2".  Analytic gradient/Hessian, when present, take precedence over
-    finite differences.
+    Analytic gradient/Hessian, when present, take precedence over finite
+    differences.
     """
 
     name: str
@@ -39,11 +38,6 @@ class ScalarField:
     evaluate: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    smoothness: str = "C2"
-
-    def __post_init__(self):
-        if self.smoothness not in ("usc", "C0", "C2"):
-            raise ValueError(f"unknown smoothness tag {self.smoothness!r}")
 
     def __call__(self, pts) -> np.ndarray:
         return self.evaluate(as_points(pts, self.n))
@@ -416,14 +410,6 @@ def parse_point(param, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _require_c2(phi: ScalarField) -> None:
-    if phi.smoothness != "C2":
-        raise ContinuityRequiredError(
-            f"field {phi.name!r} is tagged {phi.smoothness}; differential "
-            "operators require a C2 field"
-        )
-
-
 def levi_form(phi: ScalarField, pts) -> np.ndarray:
     """(m, n, n) mixed Wirtinger Hessians (d^2 phi / dz_j dzbar_k) at (m, n) points: the
     declared Hessian, which must be Hermitian, symmetrized to (M + M^H)/2 so that it is
@@ -431,7 +417,6 @@ def levi_form(phi: ScalarField, pts) -> np.ndarray:
     if phi.hess is None:
         return fd_levi_form(phi, pts, DEFAULT_FD_STEP)
     z = as_points(pts, phi.n)
-    _require_c2(phi)
     m = np.asarray(phi.hess(z), dtype=complex)
     dev = _hermitian_deviation(m)
     if dev > HERMITIAN_TOL:
@@ -446,7 +431,6 @@ def fd_levi_form(phi: ScalarField, pts, h: float) -> np.ndarray:
     y_k), and the result symmetrized to (M + M^H)/2."""
     z = as_points(pts, phi.n)
     n = phi.n
-    _require_c2(phi)
     he = h * (1.0 + row_norm(z))
     eye = np.eye(n)
     # (m, 1, n) real and imaginary steps along each axis
@@ -496,7 +480,6 @@ def levi_gap(phi: ScalarField, omega: HermitianField, pts) -> tuple:
 
 def region_nodes(phi: ScalarField, region: DomainBox, resolution: int) -> np.ndarray:
     """The grid points of a region scan; raises when there are none or phi has a pole at one."""
-    _require_c2(phi)
     pts = region.grid_points(resolution)
     if pts.shape[0] == 0:
         raise ValueError("region grid is empty; increase resolution")
@@ -508,11 +491,11 @@ def region_nodes(phi: ScalarField, region: DomainBox, resolution: int) -> np.nda
 
 @dataclass(frozen=True)
 class LowerBoundVerdict:
-    holds: bool
     z0: Optional[np.ndarray]
     xi: Optional[np.ndarray]
     lambda_min: float
 
+    holds = property(lambda self: self.z0 is None)  # no node below -tol, so no worst node
     c = property(lambda self: 0.0 if self.holds else -self.lambda_min)  # the violation depth
 
 
@@ -533,6 +516,6 @@ def check_lower_bound(
     worst = int(np.argmin(eigs))
     lam_min = float(eigs[worst])
     if lam_min >= -tol:
-        return LowerBoundVerdict(True, None, None, lam_min)
+        return LowerBoundVerdict(None, None, lam_min)
     _, v = np.linalg.eigh(gap[worst])
-    return LowerBoundVerdict(False, pts[worst], v[:, 0], lam_min)
+    return LowerBoundVerdict(pts[worst], v[:, 0], lam_min)

@@ -220,8 +220,8 @@ class QuadratureRule:
     (h + c) mod 1 per axis: c remaps the cached radii and rotates the frame).
     """
 
-    kind: str = "tensor-grid"
-    budget: int = 0
+    kind: str
+    budget: int
     seed: int = 0
 
     def __post_init__(self):

@@ -367,7 +367,7 @@ def build_psi_delta(w, delta: float, n: int) -> ScalarField:
             return row_sum(np.abs(z) ** 2) + n * np.log(u)
 
     if delta == 0.0:
-        return ScalarField("psi_delta:0", n, ev, smoothness="usc")
+        return ScalarField("psi_delta:0", n, ev)
 
     def grad(z):
         d = z - w
@@ -503,8 +503,6 @@ def modulus_of_continuity(
     whose values exceed the block's first by more than the best difference so far,
     the only pairs that can raise it; a block makes MODULUS_BLOCK_PAIRS pairs at most.
     """
-    if phi.smoothness == "usc":
-        raise ContinuityRequiredError("requires continuity")
     bounds = region.real_bounds()
     spacing = float(np.max(bounds[:, 1] - bounds[:, 0])) / (resolution - 1)
     if eps < spacing * (1.0 - 1e-12):

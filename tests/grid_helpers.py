@@ -2,10 +2,10 @@
 oracle of the gathered one) and its Wirtinger derivatives, an interior mask,
 band values on the whole grid, the dense support and gradient (the oracles of
 support_values and form_gradient, whose dz is the diagonal d alpha_j / dz_j), a full-grid weighted pairing, dbar of a scalar
-grid field, the per-component closures that forms were built from (the oracles
-of their evaluators), a support check, the point-by-point support test (the
-oracle of the separable one), the two sides of the metric energy identity
-behind alpha_from_f, the shifted trapezoid weights of a weight, the
+grid field, a form moved by a translation, the per-component closures that
+forms were built from (the oracles of their evaluators), a support check, the
+point-by-point support test (the oracle of the separable one), the two sides of
+the metric energy identity behind alpha_from_f, the shifted trapezoid weights of a weight, the
 orthogonality of a Bergman residual, the projection from the whole basis at once
 (the oracle of the blocked one), and the
 one-tuple solves (the oracles of the hormander_ratio and coarse_rhs_bound
@@ -181,16 +181,22 @@ def stacked(components, pts):
     return np.stack([np.asarray(c(z), dtype=complex) for c in components])
 
 
-def bump_const_components(xi, center, radius):
+def translated_form(alpha: FormField01, a) -> FormField01:
+    """z -> alpha(z - a), supported on the translated support."""
+    support = DomainBox(alpha.support.kind, alpha.support.center + a, alpha.support.extents)
+    return FormField01(alpha.name, lambda z: alpha.coefficients(z - a), support)
+
+
+def bump_const_components(xi, radius):
     """The per-component closures of bump_const_form (the oracle of its evaluator)."""
-    xi, c = as_point(xi), as_point(center)
-    value, _ = bump_profile(c, radius, xi.size)
+    xi = as_point(xi)
+    value, _ = bump_profile(np.zeros(xi.size), radius, xi.size)
     return tuple((lambda z, coef=xi[j]: coef * value(z)) for j in range(xi.size))
 
 
-def bump_zbar_components(n, center, radius):
+def bump_zbar_components(n, radius):
     """The per-component closures of bump_zbar_form."""
-    value, _ = bump_profile(as_point(center), radius, n)
+    value, _ = bump_profile(np.zeros(n), radius, n)
     if n == 1:
         return (lambda z: value(z) * (1.0 + np.conj(z[:, 0])),)
     return (

@@ -54,6 +54,7 @@ from grid_helpers import (
     slice_dbar_01,
     slice_partial,
     stacked,
+    translated_form,
     weight_gradient_on,
     weighted_pairing,
     witness_form_components,
@@ -218,8 +219,8 @@ class TestWeightedPairing:
 
     def test_disjoint_supports(self):
         g = make_grid(unit_ball(1, radius=2.2), 160)
-        a = bump_const_form(np.array([1.0]), center=np.array([-1.1 + 0.0j]), radius=0.5)
-        b = bump_const_form(np.array([1.0]), center=np.array([1.1 + 0.0j]), radius=0.5)
+        bump = bump_const_form(np.array([1.0]), radius=0.5)
+        a, b = (translated_form(bump, np.array([x + 0.0j])) for x in (-1.1, 1.1))
         assert abs(weighted_pairing(a, b, zero_field(1), g)) <= 1e-12
 
     def test_radial_oracle(self):
@@ -501,8 +502,8 @@ class TestBand:
         xi = np.eye(n)[0]
         center = np.full(n, 0.05 + 0.1j)
         forms = (
-            bump_const_form(xi, center=center, radius=0.7),
-            bump_zbar_form(n, center=center, radius=0.9),
+            translated_form(bump_const_form(xi, radius=0.7), center),
+            translated_form(bump_zbar_form(n, radius=0.9), center),
             build_witness_form(center, xi, 0.8),
             build_alpha_eps(center, 0.6),
         )
@@ -757,8 +758,8 @@ class TestFormEvaluator:
         xi = np.linspace(1.0, 2.0, n) * np.exp(1j * np.arange(n))
         xi /= np.linalg.norm(xi)
         pairs = [
-            (bump_const_form(xi, center, 0.9), bump_const_components(xi, center, 0.9)),
-            (bump_zbar_form(n, center, 0.9), bump_zbar_components(n, center, 0.9)),
+            (bump_const_form(xi, 0.9), bump_const_components(xi, 0.9)),
+            (bump_zbar_form(n, 0.9), bump_zbar_components(n, 0.9)),
             (build_witness_form(center, xi, 0.8), witness_form_components(center, xi, 0.8)),
             (build_alpha_eps(center, 0.7), alpha_eps_components(center, 0.7)),
         ]
@@ -855,9 +856,12 @@ class TestSparseSupportPath:
 
 def weights_at(grid, idx):
     """The trapezoid weights of the flat nodes idx as the products of their 1-D
-    factors in axis order: the per-node weights that grid.cell_volume replaced."""
+    weights in axis order, the spacing and half of it at either end of an axis:
+    the per-node weights that grid.cell_volume replaced."""
     sub = np.unravel_index(idx, grid.shape)
-    return reduce(np.multiply, [w1[i] for w1, i in zip(grid.factors, sub)])
+    edge = grid.nodes_per_axis - 1
+    return reduce(np.multiply, [np.where((i == 0) | (i == edge), h * 0.5, h)
+                                for h, i in zip(grid.spacing, sub)])
 
 
 class TestCellVolume:

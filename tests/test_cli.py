@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pshlab
+from pshlab import geometry
 from pshlab.cli import main, parse_cylinder, parse_point, parse_region, resolve_spec, ConfigError
 
 
@@ -49,6 +50,11 @@ class TestParsers:
     def test_cylinder_unknown_key(self):
         with pytest.raises(ConfigError, match="--cylinder"):
             parse_cylinder("r=1,q=2", 1, np.zeros(1, dtype=complex))
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 2**64 - 1)])
+    def test_cylinder_seed_ends(self, n, seed):
+        cyl = parse_cylinder(f"r=0.5,s=0.5,seed={seed}", n, np.zeros(n, dtype=complex))
+        assert np.array_equal(cyl.frame, geometry.seeded_frame(seed, n))
 
     def test_region(self):
         box = parse_region('{"kind": "ball", "center": [[0,0]], "radius": 2.0}', 1)
@@ -735,9 +741,18 @@ class TestBoundedOptions:
          "cylinder radii must be finite and positive"),
         (["extend", "--func", "neg_sq_norm", "--cylinder", "r=1,s=inf"], "--cylinder",
          "cylinder radii must be finite and positive"),
-        # a frame seed that random_unitary refuses used to exit 1
+        # a frame seed outside [0, 2^64): at n = 2, -1 used to exit 1 and 2^64 to pass;
+        # at n = 1, where the seed draws no frame, every seed used to pass
         (["extend", "--func", "sq_norm", "--dim", "2", "--center", "[[0,0],[0,0]]",
-          "--cylinder", "r=1,seed=-1"], "--cylinder", "expected non-negative integer"),
+          "--cylinder", "r=1,seed=-1"], "--cylinder",
+         "expected r=<f>,s=<f>,seed=<u64>): seed -1 is outside [0, 2^64)"),
+        (["extend", "--func", "sq_norm", "--dim", "2", "--center", "[[0,0],[0,0]]",
+          "--cylinder", "r=0.5,s=0.5,seed=18446744073709551616"], "--cylinder",
+         "seed 18446744073709551616 is outside [0, 2^64)"),
+        (["extend", "--func", "sq_norm", "--cylinder", "r=0.5,s=0.5,seed=-5"], "--cylinder",
+         "seed -5 is outside [0, 2^64)"),
+        (["coarse-extend", "--func", "sq_norm", "--cylinder", "r=0.5,seed=18446744073709551616"],
+         "--cylinder", "seed 18446744073709551616 is outside [0, 2^64)"),
     ])
     def test_bad_point_or_cylinder_is_config_error(self, argv, option, message, capsys):
         assert main(argv) == 2
@@ -745,10 +760,12 @@ class TestBoundedOptions:
         assert err.startswith(f"error: invalid {option}")
         assert message in err
 
-    def test_witness_grid_zero_is_the_default(self, tmp_path):
+    def test_witness_grid_zero_is_config_error(self, tmp_path, capsys):
+        # 0 used to select the default grid; only an unset --grid does now
         out = tmp_path / "w.json"
-        assert main(["witness", "--func", "sq_norm", "--grid", "0", "--out", str(out)]) == 0
-        assert read_json(out)["config"]["grid"] == 96
+        assert main(["witness", "--func", "sq_norm", "--grid", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: invalid --grid 0 (expected an integer >= 6)\n"
+        assert not out.exists()
 
     def test_dbar_grid_without_residual_nodes_fails(self, tmp_path, capsys):
         # at 8 nodes no node lies RESIDUAL_MARGIN_CELLS = 4 layers inside every edge;
@@ -837,7 +854,7 @@ PARSER_SURFACE = {
     "witness": {
         "--func": ("func", None, True), "--dim": ("dim", 1, False),
         "--omega": ("omega", "zero", False), "--region": ("region", None, False),
-        "--smax": ("smax", 10000.0, False), "--grid": ("grid", 0, False),
+        "--smax": ("smax", 10000.0, False), "--grid": ("grid", None, False),
         "--out": ("out", None, False),
     },
     "coarse-chain": {
@@ -898,7 +915,7 @@ class TestParserSurface:
           "region": json.dumps({"kind": "ball", "center": [[0.0, 0.0]], "radius": 1.0})}),
         (["bochner", "--func", "sq_norm"], {"grid": 256}),
         (["witness", "--func", "sq_norm"], {"grid": 96}),
-        (["witness", "--func", "sq_norm", "--grid", "0"], {"grid": 96}),
+        (["witness", "--func", "sq_norm", "--dim", "2"], {"grid": 16}),
         (["extend", "--func", "sq_norm", "--degree", "2"], {"budget": 4096}),
         (["dbar", "--weight", "sq_norm"], {"grid": 256}),
     ])

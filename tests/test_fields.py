@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pshlab import fields
-from pshlab.errors import ContinuityRequiredError, PoleInStencilError
+from pshlab.errors import PoleInStencilError
 from pshlab.fields import (
     HermitianField,
     ScalarField,
@@ -95,10 +95,12 @@ class TestLeviForm:
         bare = ScalarField(phi.name, phi.n, phi.evaluate)
         assert np.array_equal(levi_form(bare, z), fd_at_default_step(phi, z))
 
-    def test_usc_rejected(self):
-        usc = ScalarField("usc", 1, lambda z: np.zeros(z.shape[0]), smoothness="usc")
-        with pytest.raises(ContinuityRequiredError):
-            levi_form(usc, np.array([0.0j]))
+    def test_pole_of_psi_delta_0_rejected(self):
+        # psi_delta:0 declares no Hessian and is -inf at its pole w: the stencil
+        # of a node at w reads the pole
+        w = np.array([0.1 - 0.2j])
+        with pytest.raises(PoleInStencilError, match="pole in stencil"):
+            levi_form(build_psi_delta(w, 0.0, 1), w[None, :])
 
     def test_declared_hessian_must_be_hermitian(self):
         upper = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

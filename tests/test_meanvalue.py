@@ -126,10 +126,7 @@ class TestSubmeanTest:
         assert np.isfinite(rep.mean)
         assert rep.quad_error == float("inf")
         # -inf off the disc of radius 1/2: the mean is -inf
-        hole = fields.ScalarField(
-            "hole", 1, lambda z: np.where(np.abs(z[:, 0]) > 0.5, -np.inf, 0.0),
-            smoothness="usc",
-        )
+        hole = fields.ScalarField("hole", 1, lambda z: np.where(np.abs(z[:, 0]) > 0.5, -np.inf, 0.0))
         rep = submean_test(hole, disc(), RULE, coarse_mean=0.0)
         assert rep.mean == float("-inf")
         assert rep.quad_error == float("inf")

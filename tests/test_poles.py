@@ -77,7 +77,7 @@ def test_center_on_the_pole_raises(name):
 
 
 def test_scan_draws_no_center_where_the_weight_is_minus_inf():
-    everywhere = ScalarField("-inf", 1, lambda z: np.full(z.shape[0], -np.inf), smoothness="usc")
+    everywhere = ScalarField("-inf", 1, lambda z: np.full(z.shape[0], -np.inf))
     with pytest.raises(ValueError, match="^could not sample a center off the pole set$"):
         classify_psh(everywhere, unit_ball(1), 1, 1, 0, budget=64)
 

@@ -71,7 +71,7 @@ from pshlab.witness import (
     scan_sharp_witness,
 )
 
-from grid_helpers import nonzero_nodes
+from grid_helpers import nonzero_nodes, translated_form
 
 LOG_MAX = math.log(np.finfo(float).max)
 RULE = QuadratureRule("tensor-grid", 1024, seed=0)
@@ -371,12 +371,6 @@ def translated_field(phi: fields.ScalarField, a) -> fields.ScalarField:
         phi, name=f"{phi.name}@{a!r}", evaluate=lambda z: phi.evaluate(z - a),
         grad=lambda z: phi.grad(z - a), hess=lambda z: phi.hess(z - a),
     )
-
-
-def translated_form(alpha: FormField01, a) -> FormField01:
-    """z -> alpha(z - a), supported on the translated support."""
-    support = DomainBox(alpha.support.kind, alpha.support.center + a, alpha.support.extents)
-    return FormField01(alpha.name, lambda z: alpha.coefficients(z - a), support)
 
 
 def term_values(got, want):

@@ -589,7 +589,7 @@ class TestPsiDelta:
         w = np.array([0.0j])
         psi = build_psi_delta(w, 0.0, 1)
         assert psi.value_at(w) == -np.inf
-        assert psi.smoothness == "usc"
+        assert psi.grad is None and psi.hess is None  # derivatives take the checked stencils
 
 
 class TestCoarseChain:
@@ -692,7 +692,7 @@ class TestCoarseChain:
 
 class TestModulusOfContinuity:
     def test_constant(self):
-        const = fields.ScalarField("c", 1, lambda z: np.full(z.shape[0], 2.0), smoothness="C0")
+        const = fields.ScalarField("c", 1, lambda z: np.full(z.shape[0], 2.0))
         assert modulus_of_continuity(const, unit_ball(1), 0.3, resolution=33) == 0.0
 
     def test_linear(self):
@@ -750,10 +750,11 @@ class TestModulusOfContinuity:
         phi, region = fields.re_linear(np.array([1.0 + 0.0j]), 1), unit_ball(1, center=[center])
         assert modulus_of_continuity(phi, region, 0.125 * (1.0 - 1e-13), resolution=17) == 0.125
 
-    def test_usc_rejected(self):
-        usc = fields.ScalarField("u", 1, lambda z: np.zeros(z.shape[0]), smoothness="usc")
-        with pytest.raises(ContinuityRequiredError, match="requires continuity"):
-            modulus_of_continuity(usc, unit_ball(1), 0.1, resolution=33)
+    def test_pole_of_psi_delta_0_rejected(self):
+        # the pole w = 0 of psi_delta:0 is a node of the 33-node grid of the unit disc
+        psi = build_psi_delta(np.zeros(1, dtype=complex), 0.0, 1)
+        with pytest.raises(ContinuityRequiredError, match="-inf inside the region"):
+            modulus_of_continuity(psi, unit_ball(1), 0.1, resolution=33)
 
 
 class TestConstantGrowth:
