@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PoleInStencilError
 from .fields import Scaled, ScalarField, check_overflow, levi_form, weighted_sums, zero_omega
-from .geometry import DomainBox, as_point, as_points, row_sum
+from .geometry import DomainBox, as_point, as_points, row_sum, unit_ball
 
 FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
 MIN_GRID_NODES = 2 * FD_STENCIL_WIDTH + 2  # the fewest nodes per axis that a grid takes
@@ -336,26 +336,17 @@ def bochner_residual(alpha: FormField01, phis: list, grid: GridDiscretization) -
     # the gradient energy and |dbar alpha|^2 over increasing pairs (none when n = 1)
     grad_sq, dbar_sq = (np.empty(band.size) for _ in range(2))
     # per weight, |dbar*_phi alpha|^2, the exponent and the curvature integrand
-    # sum_{j,k} phi_{j kbar} alpha_j conj(alpha_k); the last goes to the real part of
-    # a complex row: np.dot sums that strided view in another order than a
-    # contiguous one, the order in which the terms were pinned
-    adjoint_sq, expo = np.empty((2, len(phis), band.size))
-    curvature = np.empty((len(phis), band.size), dtype=complex)
+    # Re sum_{j,k} phi_{j kbar} alpha_j conj(alpha_k)
+    adjoint_sq, expo, curvature = np.empty((3, len(phis), band.size))
     for block, g in band_blocks(band, form, grid):
         dbar_sq[block] = np.sum(np.abs(dbar_01(g, grid)) ** 2, axis=0)
         grad_sq[block], pts = band_energy(g, grid)
         for k, (phi, gphi) in enumerate(zip(phis, gphis)):
             adjoint_sq[k, block] = np.abs(dbar_star(g, gphi[block])) ** 2
-            curvature[k].real[block], expo[k, block] = band_curvature(g, pts, phi, psi, omega)
-
-    def report(k):
-        def totals(e):
-            e *= grid.cell_volume
-            return [np.dot(v, e) for v in (curvature[k].real, grad_sq, dbar_sq, adjoint_sq[k])]
-
-        return BochnerReport(tuple(weighted_sums(expo[k], totals)))
-
-    return [report(k) for k in range(len(phis))]
+            curvature[k, block], expo[k, block] = band_curvature(g, pts, phi, psi, omega)
+    return [BochnerReport(tuple(weighted_sums(expo[k], grid.cell_volume,
+                                              (curvature[k], grad_sq, dbar_sq, adjoint_sq[k]))))
+            for k in range(len(phis))]
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +354,22 @@ def bochner_residual(alpha: FormField01, phis: list, grid: GridDiscretization) -
 # ---------------------------------------------------------------------------
 
 
-def bump_profile(center, radius: float, n: int):
-    """Radial bump b(z) = (1 - |z-c|^2/R^2)_+^4: C^3 at the support edge.
+def bump_profile(radius: float):
+    """Radial bump b(z) = (1 - |z|^2/R^2)_+^4 about the origin: C^3 at the support edge.
 
-    Returns (value, dzbar) callables; dzbar_j b = -(4/R^2)(1-t)_+^3 (z_j-c_j).
+    Returns (value, dzbar) callables; dzbar_j b = -(4/R^2)(1-t)_+^3 z_j.
     """
-    c = as_point(center)
     rr = radius * radius
 
     def t_of(z):
-        return row_sum(np.abs(z - c) ** 2) / rr
+        return row_sum(np.abs(z) ** 2) / rr
 
     def value(z):
         return np.maximum(1.0 - t_of(z), 0.0) ** 4
 
     def dzbar(z, j):
         cut = np.maximum(1.0 - t_of(z), 0.0) ** 3
-        return -4.0 / rr * cut * (z[:, j] - c[j])
+        return -4.0 / rr * cut * z[:, j]
 
     return value, dzbar
 
@@ -387,18 +377,14 @@ def bump_profile(center, radius: float, n: int):
 def bump_const_form(xi, radius: float = 1.0) -> FormField01:
     """alpha = xi * b(z) with the radial quartic bump b centred at the origin."""
     xi = as_point(xi)
-    n = xi.size
-    c = np.zeros(n, dtype=complex)
-    value, _ = bump_profile(c, radius, n)
-    support = DomainBox("ball", c, np.array([radius]))
-    return FormField01("bump_const", lambda z: xi[:, None] * value(z), support)
+    value, _ = bump_profile(radius)
+    return FormField01("bump_const", lambda z: xi[:, None] * value(z), unit_ball(xi.size, radius))
 
 
 def bump_zbar_form(n: int, radius: float = 1.0) -> FormField01:
     """alpha = b dzbar_1 + zbar_n b dzbar_n (n >= 2); b (1 + zbar) dzbar for n = 1, with
     the radial quartic bump b centred at the origin."""
-    c = np.zeros(n, dtype=complex)
-    value, _ = bump_profile(c, radius, n)
+    value, _ = bump_profile(radius)
 
     def coefficients(z):
         b = value(z)
@@ -409,8 +395,7 @@ def bump_zbar_form(n: int, radius: float = 1.0) -> FormField01:
         out[n - 1] = b * np.conj(z[:, n - 1])
         return out
 
-    support = DomainBox("ball", c, np.array([radius]))
-    return FormField01("bump_zbar2", coefficients, support)
+    return FormField01("bump_zbar2", coefficients, unit_ball(n, radius))
 
 
 def zero_field(n: int) -> ScalarField:

@@ -20,7 +20,7 @@ from .bochner import FormField01, GridDiscretization, MappedValues, bump_profile
 from .errors import SingularGramError
 from .extension import weighted_bergman_projection
 from .fields import Scaled, levi_form, weight_exp
-from .geometry import unit_ball
+from .geometry import unit_ball, weighted_total
 
 RESIDUAL_MARGIN_CELLS = 4  # dbar_residual skips this many node layers at each edge
 RESIDUAL_GATE = 5e-3  # the largest dbar_residual of a solve that counts as solved
@@ -38,7 +38,7 @@ class SolveResult:
 
 def dbar_bump() -> FormField01:
     """dbar of the radial quartic bump on the unit disc: a smooth right-hand side."""
-    _, dzbar = bump_profile(np.zeros(1), 1.0, 1)
+    _, dzbar = bump_profile(1.0)
     return FormField01("dbar_bump", lambda z: dzbar(z, 0)[None, :], unit_ball(1))
 
 
@@ -137,9 +137,7 @@ def hormander_ratio(
         psi_zz = np.real(levi_form(psi, f_pts)[:, 0, 0])
         if np.any(psi_zz < 1e-8):
             raise ValueError("psi is not strictly subharmonic on the support of f")
-        comparison_nodes = np.zeros(pts.shape[0])
-        comparison_nodes[idx] = np.abs(f_values[0]) ** 2 / psi_zz
-        comparison = float(np.dot(comparison_nodes, wq))
+        comparison = float(weighted_total(np.abs(f_values[0]) ** 2 / psi_zz, wq[idx]))
         norms = (Scaled(minimal_norm_sq, shift), Scaled(comparison, shift))
         results.append(SolveResult(residual, norms))
     return results
@@ -154,8 +152,8 @@ def _centered_powers(z: np.ndarray, w: np.ndarray, degree: int):
     SingularGramError when they overflow there (checked on the top power, which a
     non-finite lower power carries into)."""
     total = np.sum(w)
-    c = np.dot(w, z) / total
-    t = (z - c) / math.sqrt(np.dot(w, np.abs(z - c) ** 2) / total)
+    c = weighted_total(z, w) / total
+    t = (z - c) / math.sqrt(weighted_total(np.abs(z - c) ** 2, w) / total)
 
     def rows(nodes: slice) -> np.ndarray:
         tb = t[nodes]

@@ -25,7 +25,7 @@ import numpy as np
 from . import bochner
 from .errors import ConsistencyError, DegenerateWeightError, SingularGramError
 from .fields import Scaled, ScalarField, weight_exp, weighted_sums
-from .geometry import HolomorphicCylinder, QuadratureRule, as_point, sample_cylinder
+from .geometry import HolomorphicCylinder, QuadratureRule, as_point, sample_cylinder, weighted_total
 from .meanvalue import clipped_mean
 
 VANISHING_FRACTION = 1e-3  # of quadrature mass; more means a degenerate candidate
@@ -69,7 +69,7 @@ class ExtensionReport:
 def _cylinder_weight_values(phi, cyl, rule):
     sample = sample_cylinder(cyl, rule)
     weight_vals = phi(sample.nodes)
-    if np.dot(~np.isfinite(weight_vals), sample.weights) > VANISHING_FRACTION * cyl.volume:
+    if weighted_total(~np.isfinite(weight_vals), sample.weights) > VANISHING_FRACTION * cyl.volume:
         raise DegenerateWeightError("degenerate weight: not finite on a positive-measure set")
     return sample, weight_vals
 
@@ -99,15 +99,15 @@ def optimal_extension_margin(
     sample, weight_vals, fvals = _candidate_values(phi, cyl, candidate, rule)
     mu = cyl.volume
     fabs = np.abs(fvals)
-    if np.dot(fabs == 0.0, sample.weights) > VANISHING_FRACTION * mu:
+    if weighted_total(fabs == 0.0, sample.weights) > VANISHING_FRACTION * mu:
         raise DegenerateWeightError("candidate vanishes on a positive-measure node set")
-    [lhs] = weighted_sums(-weight_vals, lambda weight: [
-        np.dot(fabs ** p * weight, sample.weights) / mu])
+    quad = sample.weights / mu
+    [lhs] = weighted_sums(-weight_vals, quad, [fabs ** p])
     with np.errstate(divide="ignore"):
         log_f = np.log(fabs)
     x_vals = p * log_f - weight_vals  # log(|f|^p e^{-phi})
     mean_x = clipped_mean(x_vals, sample.weights, mu)
-    [mean_ex] = weighted_sums(x_vals, lambda ex: [np.dot(ex, sample.weights) / mu])
+    [mean_ex] = weighted_sums(x_vals, quad, [1.0])
     # the shift and the mean cancel first: a residual near 0 keeps its bits at any shift
     residual_1 = mean_ex.shift - mean_x + math.log(mean_ex.total)
     residual_2 = clipped_mean(p * log_f, sample.weights, mu)
@@ -145,7 +145,7 @@ def coarse_extension_bound(
     mu = cyl.volume
     with np.errstate(divide="ignore"):
         expo = p * np.log(np.abs(fvals)) - m * weight_vals
-    [integral] = weighted_sums(expo, lambda weight: [np.dot(weight, sample.weights) / mu])
+    [integral] = weighted_sums(expo, sample.weights / mu, [1.0])
     b_m = log_c_m / m - math.log(mu) / m - integral.log_abs / m
     mean_phi = clipped_mean(weight_vals, sample.weights, mu)
     b_tilde = log_c_m / m - math.log(mu) / m + mean_phi
@@ -218,7 +218,7 @@ def weighted_bergman_projection(u_values: np.ndarray, w: np.ndarray, rows: Calla
     residual = np.empty_like(u)
     for block in blocks:
         residual[block] = u[block] - coeffs @ rows(block)
-    return residual, coeffs, float(np.real(np.dot(np.conj(residual), w * residual)))
+    return residual, coeffs, float(weighted_total((residual.conj() * residual).real, w))
 
 
 def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: int,

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import PoleInStencilError, SpecError, WeightOverflowError
-from .geometry import DomainBox, as_point, as_points, row_norm, row_sum
+from .geometry import DomainBox, as_point, as_points, row_norm, row_sum, weighted_total
 
 DEFAULT_FD_STEP = 1e-3
 HERMITIAN_TOL = 1e-12
@@ -124,10 +125,17 @@ class Scaled:
 
     @property
     def value(self) -> float:
-        """total * e^shift, by two half factors, which keep a finite result finite where
-        e^shift overflows; where it is not a finite double, the infinity of its sign."""
+        """total * e^shift: by one factor where e^shift is a normal double, else by two half
+        factors, which keep a double result where e^shift overflows or loses its bits
+        below the normal range; where it is not a finite double, the infinity of its sign."""
         if not self.total:
             return 0.0
+        try:
+            factor = math.exp(self.shift)
+        except OverflowError:
+            factor = math.inf
+        if sys.float_info.min <= factor < math.inf:
+            return self.total * factor
         with np.errstate(over="ignore"):
             half = np.exp(np.float64(self.shift) / 2.0)
             return float(self.total * half * half)
@@ -144,11 +152,13 @@ class Scaled:
                       - other.total * math.exp(other.shift - shift), shift).value
 
 
-def weighted_sums(expo, reduce) -> list:
-    """The totals that reduce takes from the factors of weight_exp(expo), each a Scaled
-    on their one shift; each caller's reduce keeps its own order of products."""
+def weighted_sums(expo, quad, integrands) -> list:
+    """The weighted_total of each integrand (node values, or one scalar) against the
+    factors of weight_exp(expo) times the node weight quad (one per node, or one
+    scalar): a Scaled on their one shift for each integrand, in order."""
     weight, shift = weight_exp(expo)
-    return [Scaled(total, shift) for total in reduce(weight)]
+    wq = weight * quad
+    return [Scaled(weighted_total(f, wq), shift) for f in integrands]
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +422,16 @@ def parse_point(param, n: int) -> np.ndarray:
 
 def levi_form(phi: ScalarField, pts) -> np.ndarray:
     """(m, n, n) mixed Wirtinger Hessians (d^2 phi / dz_j dzbar_k) at (m, n) points: the
-    declared Hessian, which must be Hermitian, symmetrized to (M + M^H)/2 so that it is
-    exactly Hermitian, or for a field without one fd_levi_form at DEFAULT_FD_STEP."""
+    declared Hessian, which must be finite (PoleInStencilError, as for a stencil, at a
+    pole) and Hermitian, symmetrized to (M + M^H)/2 so that it is exactly Hermitian, or
+    for a field without one fd_levi_form at DEFAULT_FD_STEP."""
     if phi.hess is None:
         return fd_levi_form(phi, pts, DEFAULT_FD_STEP)
     z = as_points(pts, phi.n)
-    m = np.asarray(phi.hess(z), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):  # read by the check below
+        m = np.asarray(phi.hess(z), dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise PoleInStencilError(f"pole in the declared Hessian of {phi.name!r}")
     dev = _hermitian_deviation(m)
     if dev > HERMITIAN_TOL:
         raise ValueError(f"declared Hessian of {phi.name!r} is not Hermitian: deviation {dev:.3e}")

@@ -59,6 +59,13 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def weighted_total(values: np.ndarray, weights):
+    """sum_i values[i] weights[i] over 1-D node arrays, real or complex (weights may
+    be one scalar weight of every node): the products summed pairwise by np.sum, on
+    one thread and without BLAS, so the bits do not depend on the BLAS thread count."""
+    return np.sum(values * weights)
+
+
 def row_norm(d: np.ndarray) -> np.ndarray:
     """np.linalg.norm(d, axis=-1) bit for bit: the root of (conj(d) d).real,
     summed by row_sum, as np.linalg.norm forms it."""

@@ -13,7 +13,9 @@ from typing import Optional
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import DomainBox, HolomorphicCylinder, QuadratureRule, sample_cylinder, seeded_frame
+from .geometry import (
+    DomainBox, HolomorphicCylinder, QuadratureRule, sample_cylinder, seeded_frame, weighted_total,
+)
 
 # a margin below -DEFAULT_MARGIN_TOL is a candidate violation: the tolerance of
 # check-psh by default and of criterion 3's psh scans
@@ -42,7 +44,7 @@ def clipped_mean(values: np.ndarray, weights: np.ndarray, measure: float) -> flo
     NaN and +inf count as not finite too.
     """
     if np.all(np.isfinite(values)):
-        return float(np.dot(values, weights) / measure)
+        return float(weighted_total(values, weights) / measure)
     return float("-inf")
 
 

@@ -150,7 +150,7 @@ def estimate_functional_E(
         grad_sq, pts = band_energy(g, grid)
         quad, expo[block] = band_curvature(g, pts, phi, psi, omega)
         integrand[block] = quad + grad_sq
-    return weighted_sums(expo, lambda weight: [np.dot(integrand, weight * grid.cell_volume)])[0]
+    return weighted_sums(expo, grid.cell_volume, [integrand])[0]
 
 
 @dataclass(frozen=True)
@@ -465,20 +465,18 @@ def coarse_rhs_bound(
         # at w is never among the nodes where it is nonzero; the 0.25 eps pad at a spacing
         # of at most eps/16 keeps them 4 layers off the edge, so they weigh cell_volume
         idx, pts, av = support_values(alpha, grid)
-        quad = np.full(idx.size, grid.cell_volume)
         phi_use = phi(pts)
         inf_phi = ball_infimum(phi, w, eps)
         for delta in deltas:
             psi_use = build_psi_delta(w, delta, n)(pts)
             norm_p = _psi_delta_norm_sq(av, pts, w, delta, n) ** (p / 2.0)
             for row, (m, log_c_m) in zip(rows, m_log_c):
-                [rhs] = weighted_sums(
-                    -(m * phi_use + psi_use), lambda weight: [np.dot(norm_p * weight, quad)])
+                [rhs] = weighted_sums(-(m * phi_use + psi_use), grid.cell_volume, [norm_p])
                 rhs = Scaled(rhs.total, rhs.shift + log_c_m)
                 bound = Scaled(envelope / eps**p, log_c_m - m * inf_phi)
                 row.append(CoarseChainReport(m, eps, delta, rhs, bound, envelope, inf_phi))
         # free this eps's grid and support arrays before the next eps's grid is built
-        del grid, idx, pts, av, quad, phi_use
+        del grid, idx, pts, av, phi_use
     return [rep for row in rows for rep in row]
 
 

@@ -12,6 +12,7 @@ one-tuple solves (the oracles of the hormander_ratio and coarse_rhs_bound
 sweeps)."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from pshlab.dbar1d import (
 )
 from pshlab.extension import _monomial_values, monomial_exponents
 from pshlab.fields import Scaled, levi_form, weight_exp
-from pshlab.geometry import DomainBox, as_point, as_points, ball_volume
+from pshlab.geometry import DomainBox, as_point, as_points, ball_volume, weighted_total
 from pshlab.witness import (
     CoarseChainReport, _annulus_grid, _psi_delta_norm_sq, ball_infimum, build_alpha_eps,
     build_psi_delta, cutoff, cutoff_deriv,
@@ -167,8 +168,15 @@ def weighted_pairing(a, b, weight, grid):
 
 
 def unshifted(total, shift: float):
-    """total * e^shift by two half factors, written out here as the reference of
-    fields.Scaled.value: a product past the double range is infinite."""
+    """total * e^shift, written out here as the reference of fields.Scaled.value: by
+    one factor where e^shift is a normal double, else by two half factors; a product
+    past the double range is infinite."""
+    try:
+        factor = math.exp(shift)
+    except OverflowError:
+        factor = math.inf
+    if sys.float_info.min <= factor < math.inf:
+        return type(total)(total * factor)
     with np.errstate(over="ignore"):
         half = np.exp(np.float64(shift) / 2.0)
         return type(total)(total * half * half)
@@ -190,13 +198,13 @@ def translated_form(alpha: FormField01, a) -> FormField01:
 def bump_const_components(xi, radius):
     """The per-component closures of bump_const_form (the oracle of its evaluator)."""
     xi = as_point(xi)
-    value, _ = bump_profile(np.zeros(xi.size), radius, xi.size)
+    value, _ = bump_profile(radius)
     return tuple((lambda z, coef=xi[j]: coef * value(z)) for j in range(xi.size))
 
 
 def bump_zbar_components(n, radius):
     """The per-component closures of bump_zbar_form."""
-    value, _ = bump_profile(np.zeros(n), radius, n)
+    value, _ = bump_profile(radius)
     if n == 1:
         return (lambda z: value(z) * (1.0 + np.conj(z[:, 0])),)
     return (
@@ -243,7 +251,7 @@ def alpha_eps_components(w, eps):
 
 def dbar_bump_components():
     """The one closure of dbar1d.dbar_bump."""
-    _, dzbar = bump_profile(np.zeros(1), 1.0, 1)
+    _, dzbar = bump_profile(1.0)
     return (lambda z: dzbar(z, 0),)
 
 
@@ -337,15 +345,13 @@ def hormander_ratio_one(phi, psi, f, degree: int, grid) -> SolveResult:
     live = np.flatnonzero(wq)
     rows = _centered_powers(pts[live, 0], wq[live], degree)
     u_min = weighted_bergman_projection(u_part[live], wq[live], rows)[0]
-    minimal_norm_sq = float(np.real(np.dot(np.conj(u_min), wq[live] * u_min)))
+    minimal_norm_sq = float(weighted_total((u_min.conj() * u_min).real, wq[live]))
 
     support = np.flatnonzero(np.abs(fv) > 0.0)
     psi_zz = np.real(levi_form(psi, pts[support])[:, 0, 0])
     if np.any(psi_zz < 1e-8):
         raise ValueError("psi is not strictly subharmonic on the support of f")
-    comparison_nodes = np.zeros(pts.shape[0])
-    comparison_nodes[support] = np.abs(fv[support]) ** 2 / psi_zz
-    comparison = float(np.dot(comparison_nodes, wq))
+    comparison = float(weighted_total(np.abs(fv[support]) ** 2 / psi_zz, wq[support]))
 
     return SolveResult(residual, (Scaled(minimal_norm_sq, shift), Scaled(comparison, shift)))
 
@@ -373,8 +379,8 @@ def coarse_rhs_bound_one(phi, m, p, w, eps, delta, log_c_m, grid_nodes=64) -> Co
 
     norm_sq = _psi_delta_norm_sq(av[:, use], pts[use], w, delta, n)
     weight, shift = weight_exp(-(m * phi(pts[use]) + psi(pts[use])))
-    integrand = norm_sq ** (p / 2.0) * weight
-    rhs = Scaled(np.dot(integrand, grid.weights[idx[use]]), shift + log_c_m)
+    rhs = Scaled(weighted_total(norm_sq ** (p / 2.0), weight * grid.weights[idx[use]]),
+                 shift + log_c_m)
 
     inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)

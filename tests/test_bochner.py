@@ -252,7 +252,7 @@ class TestDbar01:
         # alpha = dbar(nu) for a scalar nu has dbar(alpha) = 0; the box leaves room for
         # nu's support, the two layers its stencil adds and the 4-layer stencil margin
         g = grid2(nodes=24, half=1.8)
-        value, dzbar = bump_profile(np.zeros(2), 1.0, 2)
+        value, dzbar = bump_profile(1.0)
         nu_vals = value(g.points) * (g.points[:, 0].real + 0.3)
         alpha_vals = scalar_dbar(nu_vals, g)
         out = grid_dbar_01(alpha_vals, g)
@@ -262,7 +262,7 @@ class TestDbar01:
         # alpha = (zbar_2 b, 0): the antisymmetric coefficient has modulus
         # |b + zbar_2 db/dzbar_2| at interior nodes
         g = grid2(nodes=24)
-        value, dzbar = bump_profile(np.zeros(2), 0.8, 2)
+        value, dzbar = bump_profile(0.8)
 
         alpha = FormField01(
             "test",
@@ -308,7 +308,7 @@ class TestDbarStar:
         # (dbar u, alpha)_phi = (u, dbar*_phi alpha)_phi by parts on the grid
         g = grid1(nodes=160)
         phi = fields.sq_norm(1)
-        value, _ = bump_profile(np.zeros(1), 1.0, 1)
+        value, _ = bump_profile(1.0)
         u_vals = value(g.points) * np.conj(g.points[:, 0])
         du = scalar_dbar(u_vals, g)
         alpha = bump_zbar_form(1)

@@ -457,7 +457,7 @@ class TestExponentOption:
                 "--delta", "0.25", "--out", str(out)]
         assert main(argv) == 0
         lines = out.read_text().splitlines()
-        assert lines[1] == ("8,2.0,0.5,0.25,31.924901605039103,10977.588114912887,"
+        assert lines[1] == ("8,2.0,0.5,0.25,31.924901605039096,10977.588114912887,"
                             "50.26548245743669,-0.49999975750747494,0.125,12.854522072572477,True")
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
@@ -583,8 +583,8 @@ class TestWeightedSumsPastTheDoubleRange:
         # log lhs = 954.6 > log rhs = 900: both past the double range
         ("[[30,0]]", "3", (math.inf, math.inf)),
         # lhs = 3.0e-13 is 1300 times rhs = 2.3e-16; their margin, -3.0e-13, is above -1e-9
-        ("[[6,0]]", "3", (3.0152466079174064e-13, 2.3195228302435696e-16)),
-        ("[[3,0]]", "3", (356580.9115008158, 8103.083927575383)),
+        ("[[6,0]]", "3", (3.0152466079174075e-13, 2.3195228302435696e-16)),
+        ("[[3,0]]", "3", (356580.9115008159, 8103.083927575384)),
     ])
     def test_extend_margin_is_decided_at_any_scale(self, capsys, tmp_path, center, p, lhs_rhs):
         func = "sq_norm" if center == "[[6,0]]" else "neg_sq_norm"

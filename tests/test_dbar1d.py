@@ -37,7 +37,7 @@ def flat_top_indicator(grid, radius=1.0):
 
 def dbar_bump_form(radius=1.0):
     """f = dbar of the radial quartic bump, in closed form."""
-    value, dzbar = bump_profile(np.zeros(1), radius, 1)
+    value, dzbar = bump_profile(radius)
     return FormField01(
         "dbar_bump", lambda z: dzbar(z, 0)[None, :], unit_ball(1, radius=radius)
     )
@@ -61,7 +61,7 @@ class TestCauchyTransform:
 
     def test_linearity(self):
         g = make_grid(unit_ball(1, radius=2.0), 64)
-        value, dzbar = bump_profile(np.zeros(1), 1.0, 1)
+        value, dzbar = bump_profile(1.0)
         f1 = dzbar(g.points, 0)
         f2 = value(g.points) * np.conj(g.points[:, 0])
         a = 2.0 - 1.5j
@@ -74,7 +74,7 @@ class TestCauchyTransform:
         # even and an odd number of nodes per axis
         for nodes in (32, 33):
             g = make_grid(unit_ball(1, radius=1.5), nodes)
-            value, dzbar = bump_profile(np.zeros(1), 0.9, 1)
+            value, dzbar = bump_profile(0.9)
             f = dzbar(g.points, 0)
             u_fft = cauchy_transform(f, g)
             pts = g.points[:, 0]
@@ -318,9 +318,9 @@ def whole_grid_transform(f_values, grid):
 def off_centre_strip(grid):
     """dbar of a bump centred off the origin, cut to a horizontal strip: a support
     block with more rows than columns, away from the centre on both axes."""
-    _, dzbar = bump_profile(np.array([0.3 - 0.4j]), 0.8, 1)
+    _, dzbar = bump_profile(0.8)
     pts = grid.points[:, 0]
-    return np.where(np.abs(pts.imag + 0.4) < 0.3, dzbar(grid.points, 0), 0.0)
+    return np.where(np.abs(pts.imag + 0.4) < 0.3, dzbar(grid.points - (0.3 - 0.4j), 0), 0.0)
 
 
 TRANSFORM_CASES = {

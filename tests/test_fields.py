@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -265,3 +268,34 @@ class TestRegistry:
     def test_hermitian_field_on_zero_points(self, omega):
         g = omega(np.zeros((0, 2)))
         assert g.shape == (0, 2, 2)
+
+
+class TestScaledValue:
+    """Scaled.value is total * e^shift by one product wherever e^shift is a normal
+    double: Scaled(1.0, 1.0).value is math.exp(1.0) itself.  Outside that range, where
+    e^shift overflows or is subnormal or 0, two half factors keep the product's bits."""
+
+    TOTALS = (1.0, -1.0, 0.5, 3.7e-5, -2.2e7, 1e300, -1e-300, 5e-324)
+    SHIFTS = (0.0, 1.0, -1.0, 0.3, 9.0, 36.0, -36.0, 700.0, 709.78, -708.0, -744.0, -800.0)
+
+    def test_one_product_where_the_value_is_finite(self):
+        rng = np.random.default_rng(5)
+        shifts = self.SHIFTS + tuple(rng.uniform(-750.0, 709.78, size=200).tolist())
+        totals = self.TOTALS + tuple(
+            (rng.standard_normal(20) * 10.0 ** rng.uniform(-300, 300, 20)).tolist())
+        for t in totals:
+            for s in shifts:
+                want = t * math.exp(s)
+                if math.isfinite(want) and math.exp(s) >= sys.float_info.min:
+                    assert fields.Scaled(t, s).value == want, (t, s)
+        assert fields.Scaled(1.0, 1.0).value == math.exp(1.0) == 2.718281828459045
+
+    def test_past_the_normal_range_of_the_factor(self):
+        # e^shift overflows, or underflows to 0, and the product is a normal double: two
+        # half factors keep it
+        assert fields.Scaled(math.exp(-20.0), 720.0).value == pytest.approx(math.exp(700.0),
+                                                                            rel=1e-13)
+        assert fields.Scaled(1e300, -800.0).value == pytest.approx(
+            math.exp(math.log(1e300) - 800.0), rel=1e-13)
+        assert fields.Scaled(-1.0, 1e4).value == -math.inf
+        assert fields.Scaled(1.0, -1e4).value == 0.0

@@ -8,7 +8,9 @@ default must be the toolkit's constant itself.
 One home for a weighted sum: fields.Scaled carries each total with its shift and
 is the only code that turns a shift or log into a linear double, and
 fields.weight_exp is called only by the carrier's constructor and the two callers
-of the one weighted projection, which take the weights themselves.  That projection,
+of the one weighted projection, which take the weights themselves.  Every weighted
+total over nodes is geometry.weighted_total: no dot product sums one, and the
+carrier's constructor fields.weighted_sums takes its integrands, not a callback.  That projection,
 extension.weighted_bergman_projection, is the only caller of the Gram solve.
 
 One stencil path on the grid: GridDiscretization.partial reads only mapped values
@@ -165,6 +167,29 @@ def test_weight_exp_is_called_by_the_carrier_and_the_gram_builders():
     assert callers_of("weight_exp", ("fields", *CARRIER_READERS)) == {
         ("fields", "weighted_sums"), ("dbar1d", "hormander_ratio"),
         ("extension", "best_extension_constant")}
+
+
+def test_every_node_reduction_is_the_weighted_total():
+    """No np.dot, np.vdot or np.inner call, in any spelling, stays in src/pshlab, and
+    fields.weighted_sums calls none of its parameters and is passed no lambda: each
+    weighted total is geometry.weighted_total, which weighted_sums calls itself."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func).split(".")[-1]
+            args = node.args + [kw.value for kw in node.keywords]
+            if name in ("dot", "vdot", "inner") or (
+                    name == "weighted_sums" and any(isinstance(a, ast.Lambda) for a in args)):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+    [definition] = [top for top in ast.parse((SRC / "fields.py").read_text(encoding="utf-8")).body
+                    if getattr(top, "name", None) == "weighted_sums"]
+    params = {a.arg for a in definition.args.args + definition.args.kwonlyargs}
+    assert [ast.unparse(node) for node in ast.walk(definition) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in params] == []
+    assert callers_of("weighted_total", ("fields",)) == {("fields", "weighted_sums")}
 
 
 def test_solve_gram_is_called_only_by_the_weighted_projection():

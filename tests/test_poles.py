@@ -3,10 +3,12 @@
 The corpus weights with a pole (log_abs, max_log, psi_delta at delta = 0) are
 -inf there and finite off it, and every pole check is a finiteness test that
 raises where a pole check raised: PoleInStencilError in a finite-difference
-stencil, a region scan and the support of a form (or, for a weight without a
+stencil, a declared Hessian, a region scan and the support of a form (or, for a weight without a
 gradient, the stencil band that its stencil gradient reads), and ValueError for a
 cylinder center on the pole.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from pshlab import fields
 from pshlab.bochner import bochner_residual, bump_const_form, make_grid
 from pshlab.errors import PoleInStencilError
 from pshlab.extension import constant_one, jensen_chain_check
-from pshlab.fields import DEFAULT_FD_STEP, ScalarField, check_lower_bound, fd_levi_form, zero_omega
+from pshlab.fields import (
+    DEFAULT_FD_STEP, ScalarField, check_lower_bound, fd_levi_form, levi_form, zero_omega,
+)
 from pshlab.geometry import HolomorphicCylinder, QuadratureRule, unit_ball
 from pshlab.meanvalue import classify_psh, submean_test
 from pshlab.witness import build_psi_delta
@@ -47,6 +51,16 @@ def test_stencil_on_the_pole_raises(name):
     phi, pole, _ = POLES[name]
     with pytest.raises(PoleInStencilError, match="^pole in stencil$"):
         fd_levi_form(phi, pole, DEFAULT_FD_STEP)
+
+
+@pytest.mark.parametrize("name", ["log_abs-1", "log_abs-2"])
+def test_declared_hessian_on_the_pole_raises(name):
+    # the declared Hessian divides by |z - a|^2: no RuntimeWarning, and no NaN returned
+    phi, pole, _ = POLES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleInStencilError, match="^pole in the declared Hessian"):
+            levi_form(phi, np.vstack([pole + 0.5, pole]))
 
 
 def test_region_grid_on_the_pole_raises():
