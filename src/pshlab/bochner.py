@@ -282,7 +282,7 @@ def band_curvature(g: FormGradient, pts: np.ndarray, phi: ScalarField, psi, omeg
     """At the nodes of alpha's gradient g, with points pts (band_energy): Re sum_{j,k}
     (phi_{j kbar} - omega_jk) alpha_j conj(alpha_k) and the exponent -(phi + psi).
     An exponent of +inf raises WeightOverflowError before the Levi form is taken,
-    as weight_exp would."""
+    as node_weights would."""
     expo = -(phi(pts) + psi(pts))
     check_overflow(expo)
     levi = levi_form(phi, pts) - omega(pts)
@@ -306,6 +306,9 @@ class BochnerReport:
     def residual(self) -> float:  # of the scaled sides
         lhs, rhs = self.lhs.total, self.rhs.total
         return abs(lhs - rhs) / max(lhs, rhs, 1e-300)
+
+    def verified(self, gate: float) -> bool:  # lhs = 0: the form vanishes at every node
+        return self.lhs.sign > 0 and self.residual <= gate
 
 
 RESIDUAL_GATE_N1 = 1e-3  # the largest residual of a verified identity at n = 1

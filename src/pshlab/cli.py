@@ -289,9 +289,8 @@ def _bochner(args, phi, alpha) -> list:
         "curvature_term": rep.terms[0], "gradient_term": rep.terms[1],
         "dbar_term": rep.terms[2], "adjoint_term": rep.terms[3],
     }
-    # lhs = 0 means every support node sits where the form vanishes: nothing was tested
-    passed = rep.lhs.sign > 0 and rep.residual <= tol
-    return [acceptance.CheckRecord("bochner-identity", passed, values, {"residual": tol})]
+    return [acceptance.CheckRecord("bochner-identity", rep.verified(tol), values,
+                                   {"residual": tol})]
 
 
 def _witness(args, phi, omega, region) -> list:

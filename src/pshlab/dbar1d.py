@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bochner import FormField01, GridDiscretization, MappedValues, bump_profile, support_values
-from .errors import SingularGramError
+from .errors import DegenerateWeightError, SingularGramError
 from .extension import weighted_bergman_projection
-from .fields import Scaled, levi_form, weight_exp
+from .fields import Scaled, levi_form, node_weights
 from .geometry import unit_ball, weighted_total
 
 RESIDUAL_MARGIN_CELLS = 4  # dbar_residual skips this many node layers at each edge
@@ -108,7 +108,8 @@ def hormander_ratio(
     one SolveResult for each (phi, psi) pair of weights; the transform of f
     and its residual are computed once for all pairs, and each pair projects
     over the nodes where its weight is nonzero, in a basis centred there
-    (_centered_powers); SingularGramError if they are fewer than degree + 1.
+    (_centered_powers); SingularGramError if they are fewer than degree + 1, and
+    DegenerateWeightError if the weight underflows to 0 on the whole support of f.
 
     ratio = ||u_min||^2_{phi+psi} / int (|f|^2 / psi_zz) e^{-(phi+psi)}.
     The minimal norm is taken over u_particular minus polynomials of degree
@@ -125,8 +126,7 @@ def hormander_ratio(
 
     results = []
     for phi, psi in weights:
-        weight, shift = weight_exp(-(phi(pts) + psi(pts)))
-        wq = grid.weights * weight
+        wq, shift = node_weights(-(phi(pts) + psi(pts)), grid.weights)
         live = np.flatnonzero(wq)
         if live.size <= degree:
             raise SingularGramError(
@@ -138,6 +138,9 @@ def hormander_ratio(
         if np.any(psi_zz < 1e-8):
             raise ValueError("psi is not strictly subharmonic on the support of f")
         comparison = float(weighted_total(np.abs(f_values[0]) ** 2 / psi_zz, wq[idx]))
+        if comparison == 0.0:
+            raise DegenerateWeightError("relative to its largest value on the grid, the weight "
+                                        "underflows to 0 at every node of the support of f")
         norms = (Scaled(minimal_norm_sq, shift), Scaled(comparison, shift))
         results.append(SolveResult(residual, norms))
     return results

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bochner
 from .errors import ConsistencyError, DegenerateWeightError, SingularGramError
-from .fields import Scaled, ScalarField, weight_exp, weighted_sums
+from .fields import Scaled, ScalarField, node_weights, weighted_sums
 from .geometry import HolomorphicCylinder, QuadratureRule, as_point, sample_cylinder, weighted_total
 from .meanvalue import clipped_mean
 
@@ -194,7 +194,7 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def weighted_bergman_projection(u_values: np.ndarray, w: np.ndarray, rows: Callable):
     """(u - h, coefficients of h, sum w |u - h|^2) for h the best L^2(w) approximation
     of u by K basis functions, from node weights w (quadrature weights times
-    e^{-eta - shift}, see weight_exp); rows(nodes) gives the (K, b) values of the basis
+    e^{-eta - shift}, see node_weights); rows(nodes) gives the (K, b) values of the basis
     at a slice of b of the m nodes.  u - h is orthogonal to every basis function (Gram
     normal equations).  Two passes over blocks of bochner.BAND_BLOCK nodes, so that no
     more than one block of basis values is held at once: the first accumulates the Gram
@@ -240,8 +240,8 @@ def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: 
     def monomials(z):
         return _monomial_values((z - cyl.center) @ cyl.frame.conj() / radii, exponents)
 
-    weight, shift = weight_exp(-weight_vals)
-    w = sample.weights * weight / cyl.volume
+    w, shift = node_weights(-weight_vals, sample.weights)
+    w /= cyl.volume
     _, coeffs, value = weighted_bergman_projection(
         np.ones(w.size), w, lambda nodes: monomials(sample.nodes[nodes])[:, 1:].T)
     v = np.concatenate([[1.0 + 0.0j], -coeffs])

@@ -91,18 +91,17 @@ def scaled_sq_omega(c: float, n: int) -> HermitianField:
     return HermitianField(n, ev)
 
 
-def weight_exp(expo) -> tuple:
-    """(exp(expo - shift), shift) with shift the largest finite exponent.
-
-    Sums of these factors carry e^{-shift}: their ratios are exact at any
-    scale, and a Scaled keeps a sum with its shift.  A +inf exponent (a weight
-    at -inf on its pole set) raises WeightOverflowError.
+def node_weights(expo, quad) -> tuple:
+    """(exp(expo - shift) * quad, shift) with shift the largest finite exponent, for the
+    node weight quad (one per node, or one scalar).  Sums against these weights carry
+    e^{-shift}: their ratios are exact at any scale, and a Scaled keeps a sum with its
+    shift.  A +inf exponent (a weight at -inf on its pole set) raises WeightOverflowError.
     """
     expo = np.asarray(expo, dtype=float)
     check_overflow(expo)
     shift = float(np.max(expo, where=np.isfinite(expo), initial=-np.inf))
     shift = shift if np.isfinite(shift) else 0.0
-    return np.exp(expo - shift), shift
+    return np.exp(expo - shift) * quad, shift
 
 
 def check_overflow(expo: np.ndarray) -> None:
@@ -153,11 +152,9 @@ class Scaled:
 
 
 def weighted_sums(expo, quad, integrands) -> list:
-    """The weighted_total of each integrand (node values, or one scalar) against the
-    factors of weight_exp(expo) times the node weight quad (one per node, or one
-    scalar): a Scaled on their one shift for each integrand, in order."""
-    weight, shift = weight_exp(expo)
-    wq = weight * quad
+    """The weighted_total of each integrand (node values, or one scalar) against
+    node_weights(expo, quad): a Scaled on their one shift for each integrand, in order."""
+    wq, shift = node_weights(expo, quad)
     return [Scaled(weighted_total(f, wq), shift) for f in integrands]
 
 

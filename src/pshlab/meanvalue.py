@@ -124,21 +124,21 @@ def classify_psh(
     scale = float(np.min(region.extents))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    jobs = []
-    for _ in range(centers):
-        center = None
-        for _ in range(256):
-            cand = region.sample_uniform(rng, 1)[0]
-            if np.isfinite(phi.value_at(cand)):
-                center = cand
-                break
-        if center is None:
-            raise ValueError("could not sample a center off the pole set")
-        for _ in range(cylinders_per_center):
-            frame_seed = int(rng.integers(0, 2**63 - 1))
-            r = float(rng.uniform(*RADIUS_RANGE)) * scale
-            s = float(rng.uniform(*RADIUS_RANGE)) * scale
-            jobs.append((center, frame_seed, r, s))
+    def draws():  # each center and its cylinders, drawn only when the scan reaches them
+        for _ in range(centers):
+            center = None
+            for _ in range(256):
+                cand = region.sample_uniform(rng, 1)[0]
+                if np.isfinite(phi.value_at(cand)):
+                    center = cand
+                    break
+            if center is None:
+                raise ValueError("could not sample a center off the pole set")
+            for _ in range(cylinders_per_center):
+                frame_seed = int(rng.integers(0, 2**63 - 1))
+                r = float(rng.uniform(*RADIUS_RANGE)) * scale
+                s = float(rng.uniform(*RADIUS_RANGE)) * scale
+                yield center, frame_seed, r, s
 
     rule = QuadratureRule("tensor-grid", budget)
     recheck = QuadratureRule("tensor-grid", 4 * budget)
@@ -146,7 +146,7 @@ def classify_psh(
 
     violations = []
     checked = 0
-    for center, frame_seed, r, s in jobs:
+    for center, frame_seed, r, s in draws():
         checked += 1
         cyl = HolomorphicCylinder(center, seeded_frame(frame_seed, n), r, s)
         report = submean_test(phi, cyl, rule)

@@ -223,7 +223,7 @@ def scan_sharp_witness(
     omega: HermitianField,
     region: DomainBox,
     smax: float,
-    grid_nodes: Optional[int] = None,
+    grid_nodes: int,
 ) -> WitnessScan:
     """Search for a sign-functional certificate against the sharp estimate.
 
@@ -233,9 +233,8 @@ def scan_sharp_witness(
     z0 with the largest c r_max^2, where c is the gap depth there and r_max
     the radius of the largest ball about z0 in the region; then the largest
     dyadic radius r <= r_max with sampled gap < -c/2 on B(z0, r).  It builds
-    the localized form and sweeps s_schedule(smax) until E < 0 on the grid and
-    on the doubled grid, of default_grid_nodes(n) nodes per axis unless
-    grid_nodes is given.
+    the localized form and sweeps s_schedule(smax) until E < 0 on the grid of
+    grid_nodes nodes per axis and on the doubled grid.
     There is no certificate for weights whose Levi form dominates omega on the
     region, when no ladder radius keeps the gap below -c/2, and when no s of
     the schedule certifies a violation.
@@ -248,8 +247,6 @@ def scan_sharp_witness(
     if r is None:
         return WitnessScan(holds, None)
     z0, xi, c, _ = center
-    if grid_nodes is None:
-        grid_nodes = default_grid_nodes(phi.n)
     f = build_witness_form(z0, xi, r)
 
     @functools.cache
@@ -257,12 +254,13 @@ def scan_sharp_witness(
         # the grid, and f and omega at the nodes where f is nonzero: none depends on s
         grid = _witness_grid(z0, r, nodes)
         idx, pts, fv = support_values(f, grid)
-        return grid, idx, fv.T, omega(pts)
+        g = omega(pts)  # one (n, n) matrix where omega is the same at every node: one solve
+        return grid, idx, fv.T, (g[0] if len(g) and np.all(g == g[:1]) else g)
 
     def energy(nodes, psi, s):
         # alpha^s = f (sI + g)^{-1} where f is nonzero; equals f/s when omega vanishes
         grid, idx, fv, g = on_grid(nodes)
-        alpha = alpha_from_f(fv, _plus_s(g, s)).T
+        alpha = alpha_from_f(fv, g + s * np.eye(phi.n)).T
         return estimate_functional_E((idx, alpha), phi, psi, omega, grid)
 
     for s in s_schedule(smax):
@@ -274,14 +272,6 @@ def scan_sharp_witness(
                 cert = WitnessCertificate(z0, xi, r, c, s, value, value_doubled, grid_nodes)
                 return WitnessScan(holds, cert)
     return WitnessScan(holds, None)
-
-
-def _plus_s(g, s: float) -> np.ndarray:
-    """The metrics sI + g at the nodes: one (n, n) matrix when g is the same at
-    every node (a constant omega), so that alpha_from_f makes a single solve."""
-    if len(g) and np.all(g == g[:1]):
-        g = g[0]
-    return g + s * np.eye(g.shape[-1])
 
 
 def _select_center(region, pts, gap, eigs):

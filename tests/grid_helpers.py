@@ -24,7 +24,7 @@ from pshlab.dbar1d import (
     SolveResult, _centered_powers, cauchy_transform, dbar_residual, weighted_bergman_projection,
 )
 from pshlab.extension import _monomial_values, monomial_exponents
-from pshlab.fields import Scaled, levi_form, weight_exp
+from pshlab.fields import Scaled, levi_form, node_weights
 from pshlab.geometry import DomainBox, as_point, as_points, ball_volume, weighted_total
 from pshlab.witness import (
     CoarseChainReport, _annulus_grid, _psi_delta_norm_sq, ball_infimum, build_alpha_eps,
@@ -162,9 +162,9 @@ def weighted_pairing(a, b, weight, grid):
     bv = values_of(b, grid)
     if av.ndim != bv.ndim:
         raise ValueError("cannot pair a form with a scalar")
-    e, shift = weight_exp(-weight(grid.points))
+    wq, shift = node_weights(-weight(grid.points), grid.weights)
     integrand = np.sum(av * np.conj(bv), axis=0) if av.ndim == 2 else av * np.conj(bv)
-    return unshifted(complex(np.dot(integrand, e * grid.weights)), shift)
+    return unshifted(complex(np.dot(integrand, wq)), shift)
 
 
 def unshifted(total, shift: float):
@@ -296,8 +296,7 @@ def form_norm_sq(metric, f_coeffs):
 
 def shifted_weights(eta_values, grid):
     """Trapezoid weights times e^{-eta - shift} from the weight's node values, and shift."""
-    weight, shift = weight_exp(-np.asarray(eta_values, dtype=float))
-    return grid.weights * weight, shift
+    return node_weights(-np.asarray(eta_values, dtype=float), grid.weights)
 
 
 def projection_orthogonality(u_values, h_values, eta_values, degree: int, grid) -> float:
@@ -378,9 +377,8 @@ def coarse_rhs_bound_one(phi, m, p, w, eps, delta, log_c_m, grid_nodes=64) -> Co
     use = on_support & ~at_pole
 
     norm_sq = _psi_delta_norm_sq(av[:, use], pts[use], w, delta, n)
-    weight, shift = weight_exp(-(m * phi(pts[use]) + psi(pts[use])))
-    rhs = Scaled(weighted_total(norm_sq ** (p / 2.0), weight * grid.weights[idx[use]]),
-                 shift + log_c_m)
+    wq, shift = node_weights(-(m * phi(pts[use]) + psi(pts[use])), grid.weights[idx[use]])
+    rhs = Scaled(weighted_total(norm_sq ** (p / 2.0), wq), shift + log_c_m)
 
     inf_phi = ball_infimum(phi, w, eps)
     envelope = 2.0 ** (p + 2 * n) * ball_volume(n)

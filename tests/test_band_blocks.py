@@ -22,8 +22,8 @@ from pshlab.bochner import (
 from pshlab.errors import PoleInStencilError, WeightOverflowError
 from pshlab.geometry import unit_ball
 from pshlab.witness import (
-    S_MAX, _plus_s, _witness_grid, alpha_from_f, build_psi_delta, build_psi_s,
-    build_witness_form, estimate_functional_E, scan_sharp_witness,
+    S_MAX, _witness_grid, alpha_from_f, build_psi_delta, build_psi_s, build_witness_form,
+    default_grid_nodes, estimate_functional_E, scan_sharp_witness,
 )
 
 # a block far smaller than any band, the constant, and one block for the whole band
@@ -94,10 +94,10 @@ def doubled_grid_case():
     """Criterion 4's saddle certificate and its E arguments on the doubled grid
     (32^4 nodes), built as scan_sharp_witness builds them."""
     phi, omega = fields.saddle(2.0), fields.zero_omega(2)
-    cert = scan_sharp_witness(phi, omega, unit_ball(2), S_MAX).certificate
+    cert = scan_sharp_witness(phi, omega, unit_ball(2), S_MAX, default_grid_nodes(2)).certificate
     grid = _witness_grid(cert.z0, cert.r, 2 * cert.grid_nodes)
     idx, pts, fv = support_values(build_witness_form(cert.z0, cert.xi, cert.r), grid)
-    alpha = alpha_from_f(fv.T, _plus_s(omega(pts), cert.s)).T
+    alpha = alpha_from_f(fv.T, omega(pts)[0] + cert.s * np.eye(2)).T  # omega is constant
     return cert, (idx, alpha), phi, build_psi_s(cert.z0, cert.r, cert.s), omega, grid
 
 

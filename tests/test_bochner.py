@@ -30,7 +30,7 @@ from pshlab.geometry import DomainBox, unit_ball
 from pshlab.dbar1d import dbar_bump
 from pshlab.witness import (
     S_MAX, _witness_grid, build_alpha_eps, build_psi_s, build_witness_form,
-    estimate_functional_E, scan_sharp_witness,
+    default_grid_nodes, estimate_functional_E, scan_sharp_witness,
 )
 
 from grid_helpers import (
@@ -563,7 +563,8 @@ class TestBand:
     ], ids=["neg_sq_norm", "saddle"])
     def test_every_band_node_carries_an_integrand_criterion_4(self, phi, region):
         # the certificates' grid and doubled grid; alpha^s = f / s for omega = 0
-        cert = scan_sharp_witness(phi, fields.zero_omega(phi.n), region, S_MAX).certificate
+        nodes = default_grid_nodes(phi.n)
+        cert = scan_sharp_witness(phi, fields.zero_omega(phi.n), region, S_MAX, nodes).certificate
         f = build_witness_form(cert.z0, cert.xi, cert.r)
         for nodes in (cert.grid_nodes, 2 * cert.grid_nodes):
             g = _witness_grid(cert.z0, cert.r, nodes)
@@ -592,7 +593,7 @@ class TestBand:
         [rep] = bochner_residual(bump_const_form([1], radius=0.9), [phi], g)
         assert np.isfinite(rep.residual) and rep.lhs.sign > 0
         with pytest.raises(WeightOverflowError):  # as a weight on the whole box
-            fields.weight_exp(-phi(g.points))
+            fields.node_weights(-phi(g.points), g.cell_volume)
 
     def test_support_without_a_node_raises(self):
         # 16 nodes on [-1.3, 1.3]: the nodes nearest 0 are 0.12 from it
@@ -1019,6 +1020,7 @@ class TestZeroForm:
         monkeypatch.setattr(witness, "build_witness_form",
                             lambda z0, xi, r: zero_form(1, radius=r, center=z0))
         monkeypatch.setattr(witness, "estimate_functional_E", recorded)
-        scan = scan_sharp_witness(fields.neg_sq_norm(1), omega, unit_ball(1), S_MAX)
+        scan = scan_sharp_witness(fields.neg_sq_norm(1), omega, unit_ball(1), S_MAX,
+                                  default_grid_nodes(1))
         assert scan.certificate is None and not scan.levi_lower_bound_holds
         assert [e.total for e in energies] == [0.0] * 4  # s = 10, 100, 1000, 10000

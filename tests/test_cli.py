@@ -282,6 +282,19 @@ class TestFormSupportWithoutNodes:
         assert values["lhs"] == values["rhs"] == values["residual"] == 0.0
 
 
+def test_weight_underflowing_on_the_support_exits_1_with_a_message(tmp_path):
+    # e^{-1000 x} is largest at the box edge x = -2; relative to it, it underflows to 0
+    # on the whole unit disc, the support of f, so the comparison integral is 0.  This
+    # used to end in a ZeroDivisionError traceback from SolveResult.ratio
+    out = tmp_path / "d.json"
+    proc = run_cli(["dbar", "--weight", "re_linear:[[1000,0]]", "--psi", "sq_norm",
+                    "--rhs", "dbar_bump", "--grid", "64", "--degree", "4", "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: relative to its largest value on the grid, the weight "
+                           "underflows to 0 at every node of the support of f\n")
+    assert not out.exists()
+
+
 class TestListOptions:
     @pytest.mark.parametrize("argv", [
         ["coarse-chain", "--func", "re_linear", "--m", "0"],

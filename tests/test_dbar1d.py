@@ -6,6 +6,7 @@ import pytest
 from pshlab import fields
 from pshlab.bochner import FD_STENCIL_WIDTH, FormField01, bump_profile, make_grid
 from pshlab.cli import resolve_spec
+from pshlab.errors import DegenerateWeightError
 from pshlab.dbar1d import (
     RESIDUAL_MARGIN_CELLS,
     _centered_powers,
@@ -194,6 +195,14 @@ class TestBergmanProjection:
 
 
 class TestHormanderRatio:
+    def test_weight_underflowing_on_the_support_raises(self):
+        # the weight's largest value lies at the box edge, 1000 units of exponent above
+        # its largest value on the unit disc that carries f
+        phi = fields.get_field("re_linear:[[1000,0]]", 1)
+        with pytest.raises(DegenerateWeightError, match="underflows to 0 at every node"):
+            hormander_ratio([(phi, fields.sq_norm(1))], dbar_bump_form(), 4,
+                            make_grid(unit_ball(1, radius=2.0), 64))
+
     @pytest.mark.parametrize("phi_name", ["zero", "sq_norm"])
     def test_subharmonic_ratio_below_one(self, phi_name):
         g = grid256()

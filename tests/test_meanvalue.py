@@ -6,8 +6,11 @@ import pytest
 from scipy import integrate as sint
 
 from pshlab import fields
-from pshlab.geometry import HolomorphicCylinder, QuadratureRule, random_unitary, unit_ball
+from pshlab.geometry import (
+    DomainBox, HolomorphicCylinder, QuadratureRule, random_unitary, seeded_frame, unit_ball,
+)
 from pshlab.meanvalue import (
+    RADIUS_RANGE,
     classify_psh,
     clipped_mean,
     cylinder_mean,
@@ -221,6 +224,42 @@ class TestClassifyPsh:
         head = classify_psh(phi, unit_ball(2), p, **kw)
         assert [v.margin for v in head.violations] == [v.margin for v in res.violations]
         assert len(classify_psh(phi, unit_ball(2), p - 1, **kw).violations) == k - 1
+
+    def test_a_stopped_scan_draws_only_the_centers_it_reached(self, monkeypatch):
+        # every cylinder of -|z|^2 is a violation, so the scan stops at the first
+        # cylinder of the first center; drawing every center first drew all 40
+        draws = []
+        sample = DomainBox.sample_uniform
+
+        def counted(region, rng, count):
+            draws.append(count)
+            return sample(region, rng, count)
+
+        monkeypatch.setattr(DomainBox, "sample_uniform", counted)
+        res = classify_psh(fields.neg_sq_norm(1), unit_ball(1), 40, 1, seed=0, tol=1e-3,
+                           budget=4096, max_violations=1)
+        assert (len(res.violations), res.cylinders_checked) == (1, 1)
+        assert draws == [1]
+
+    def test_cylinders_follow_the_draw_order(self):
+        # each center, then its cylinders' frame seed, r and s, from one generator
+        # stream: every cylinder of -|z|^2 is a violation, so all of them are reported
+        centers, per_center, seed = 4, 3, 5
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        drawn = []
+        for _ in range(centers):
+            center = unit_ball(1).sample_uniform(rng, 1)[0]
+            for _ in range(per_center):
+                frame_seed = int(rng.integers(0, 2**63 - 1))
+                r, s = (float(rng.uniform(*RADIUS_RANGE)) for _ in range(2))
+                drawn.append((center, seeded_frame(frame_seed, 1), r, s))
+        res = classify_psh(fields.neg_sq_norm(1), unit_ball(1), centers, per_center,
+                           seed=seed, tol=1e-3, budget=1024)
+        assert len(res.violations) == len(drawn)
+        for rep, (center, frame, r, s) in zip(res.violations, drawn):
+            cyl = rep.cylinder
+            assert np.array_equal(cyl.center, center) and np.array_equal(cyl.frame, frame)
+            assert (cyl.r, cyl.s) == (r, s)
 
     def test_empty_budget_rejected(self):
         with pytest.raises(ValueError, match="empty scan"):

@@ -7,8 +7,9 @@ default must be the toolkit's constant itself.
 
 One home for a weighted sum: fields.Scaled carries each total with its shift and
 is the only code that turns a shift or log into a linear double, and
-fields.weight_exp is called only by the carrier's constructor and the two callers
-of the one weighted projection, which take the weights themselves.  Every weighted
+fields.node_weights, e^{-weight} times the node weight, is called only by the
+carrier's constructor and the two callers of the one weighted projection, which take
+the weights themselves.  Every weighted
 total over nodes is geometry.weighted_total: no dot product sums one, and the
 carrier's constructor fields.weighted_sums takes its integrands, not a callback.  That projection,
 extension.weighted_bergman_projection, is the only caller of the Gram solve.
@@ -18,7 +19,9 @@ One stencil path on the grid: GridDiscretization.partial reads only mapped value
 
 One statement per gate: a criterion reads each gate from the tolerances that its
 record reports, and the relative verdict gate of the extension checks and the
-coarse chain is fields.Scaled.at_most, with its slack fields.VERDICT_SLACK.
+coarse chain is fields.Scaled.at_most, with its slack fields.VERDICT_SLACK.  A
+Bochner identity is verified by BochnerReport.verified alone, which both pshlab
+bochner and criterion 2 read.
 """
 
 import ast
@@ -163,10 +166,38 @@ def callers_of(name: str, modules) -> set:
             if ast.unparse(call.func).split(".")[-1] == name}
 
 
-def test_weight_exp_is_called_by_the_carrier_and_the_gram_builders():
-    assert callers_of("weight_exp", ("fields", *CARRIER_READERS)) == {
+def test_node_weights_is_called_by_the_carrier_and_the_gram_builders():
+    assert callers_of("node_weights", ("fields", *CARRIER_READERS)) == {
         ("fields", "weighted_sums"), ("dbar1d", "hormander_ratio"),
         ("extension", "best_extension_constant")}
+
+
+def names_in_src(names) -> list:
+    """file:line: name of every name, attribute or definition in src/pshlab called one of names."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
+                node, "name", None)
+            if name in names:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_no_second_weighting_or_witness_metric_is_left():
+    # node_weights replaced weight_exp and its callers' own multiply; the witness
+    # decides its metric once per grid, where _plus_s decided it at every s
+    assert names_in_src(("weight_exp", "_plus_s")) == []
+
+
+def test_the_bochner_identity_is_decided_in_one_place():
+    found = [(path.stem, ".".join(scope))
+             for path in sorted(SRC.glob("*.py"))
+             for scope, node in scopes(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Compare) and "lhs.sign" in ast.unparse(node)]
+    assert found == [("bochner", "BochnerReport.verified")]
+    assert callers_of("verified", ("acceptance", "cli")) == {
+        ("acceptance", "criterion_bochner"), ("cli", "_bochner")}
 
 
 def test_every_node_reduction_is_the_weighted_total():
@@ -201,14 +232,7 @@ def test_the_stencil_has_one_input_and_one_margin_check():
     bochner_tree = ast.parse((SRC / "bochner.py").read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(bochner_tree)
             if getattr(node, "id", None) == "isinstance"] == []
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
-                node, "name", None)
-            if name in ("check_margin", "form_band"):
-                found.append(f"{path.name}:{node.lineno}: {name}")
-    assert found == []
+    assert names_in_src(("check_margin", "form_band")) == []
 
 
 def test_every_partial_reads_mapped_values(monkeypatch):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pshlab"
 
-PARAMETERS_WITH_DEFAULT = 9
+PARAMETERS_WITH_DEFAULT = 8
 DATACLASS_INIT_FIELDS = 71
 
 HOW_TO_UPDATE = (

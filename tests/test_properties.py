@@ -15,7 +15,8 @@ the grid box, the form and the weight together by whole grid spacings leaves
 the Bochner residual and its four terms unchanged up to rounding, and so
 do swapping z1 and z2 at n = 2 and the quarter turn z1 -> i z1 of a centered box;
 the same three maps of (phi, omega, form, psi_s) leave the sign functional E
-unchanged up to rounding.
+unchanged up to rounding, and those of (phi, omega, region) the witness certificate:
+its center maps with the region grid, and its s, c, r, E and E_doubled hold.
 The quarter turn also leaves the n = 1 estimate ratio unchanged up to rounding.
 A unitary U maps the cylinder U^{-1}(z0 + A P) onto z0 + A P node for node, so
 the extension margin, the Jensen residuals, the coarse extension bounds and the
@@ -32,6 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pshlab import fields
+from pshlab.fields import REGION_RESOLUTION
 from pshlab.bochner import (
     FormField01,
     bochner_residual,
@@ -63,6 +65,7 @@ from pshlab.witness import (
     S_MAX,
     _witness_grid,
     coarse_rhs_bound,
+    default_grid_nodes,
     s_schedule,
     alpha_from_f,
     build_psi_s,
@@ -359,7 +362,8 @@ def test_neg_sq_norm_certified_against_scaled_form(c):
     # the gap -1 - c|z|^2 is negative on the whole disc and deepest on its
     # boundary circle, where no witness ball fits
     cert = scan_sharp_witness(
-        fields.neg_sq_norm(1), fields.scaled_sq_omega(c, 1), unit_ball(1), S_MAX
+        fields.neg_sq_norm(1), fields.scaled_sq_omega(c, 1), unit_ball(1), S_MAX,
+        default_grid_nodes(1),
     ).certificate
     assert cert is not None
     assert cert.E.sign < 0 and cert.E_doubled.sign < 0
@@ -618,3 +622,64 @@ def test_functional_E_quarter_turn_invariant(n, nodes, radius, form, weight):
     got = functional_E(turned_form(alpha), turned_field(phi), turned_field(psi),
                        turned_omega(omega), grid)
     assert abs(got - want) <= SYMMETRY_RTOL * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# the witness certificate under the exact grid symmetries
+# ---------------------------------------------------------------------------
+# scan_sharp_witness of (phi, omega, region) and of their pull-backs: the region grid
+# maps onto itself (swap, quarter turn) or onto the moved region's grid (translation
+# by whole region-grid spacings), so the scan picks the image of its center, the same
+# radius and the same s.  The largest gaps measured were 0 (c, r), 0 (swap and quarter
+# turn), 7.3e-14 (3 spacings) and 8.9e-12 (E_doubled of neg_sq_norm at 10^3 spacings)
+
+
+WITNESS_CASES = {  # criterion 4's two certificates, and a constant omega above a psh weight
+    "neg_sq_norm": (fields.neg_sq_norm(1), fields.zero_omega(1)),
+    "saddle": (fields.saddle(2.0), fields.zero_omega(2)),
+    "sq_norm-const1.1": (fields.sq_norm(2), fields.constant_omega(1.1, 2)),
+}
+WITNESS_MAPS = [(name, m) for name, (phi, _) in WITNESS_CASES.items()
+                for m in ["shift3", "shift1000", "turn"] + (["swap"] if phi.n == 2 else [])]
+
+
+@lru_cache(maxsize=None)
+def witness_certificate(name):
+    phi, omega = WITNESS_CASES[name]
+    return scan_sharp_witness(phi, omega, unit_ball(phi.n), S_MAX,
+                              default_grid_nodes(phi.n)).certificate
+
+
+def translation_rtol(a, cert) -> float:
+    """The moved nodes carry the rounding of coordinates of size |a|, up to ulp(|a|),
+    and the stencils divide it by the spacing h of the doubled grid: relative errors of
+    ulp(|a|)/h in the form's derivatives, 4.7e-12 at 10^3 region-grid spacings
+    (|a| = 250) for n = 1, where h = 0.012.  Four times that, or SYMMETRY_RTOL."""
+    h = float(np.min(_witness_grid(cert.z0, cert.r, 2 * cert.grid_nodes).spacing))
+    return max(SYMMETRY_RTOL, 4.0 * float(np.spacing(np.max(np.abs(a)))) / h)
+
+
+@pytest.mark.parametrize("name, m", WITNESS_MAPS, ids=[f"{n}-{m}" for n, m in WITNESS_MAPS])
+def test_witness_certificate_invariant(name, m):
+    phi, omega = WITNESS_CASES[name]
+    n = phi.n
+    want = witness_certificate(name)
+    rtol, region = SYMMETRY_RTOL, unit_ball(n)
+    if m.startswith("shift"):
+        h = 2.0 / (REGION_RESOLUTION - 1)  # the region grid's spacing on the unit ball
+        a = np.full(n, int(m[5:]) * h * (1.0 + 1.0j))
+        phi, omega = translated_field(phi, a), translated_omega(omega, a)
+        region, z0, rtol = unit_ball(n, center=a), want.z0 + a, translation_rtol(a, want)
+    elif m == "swap":
+        phi, omega, z0 = swapped_field(phi), swapped_omega(omega), want.z0[::-1]
+    else:
+        phi, omega = turned_field(phi), turned_omega(omega)
+        z0 = want.z0 * np.conj(quarter_turn(n))
+    got = scan_sharp_witness(phi, omega, region, S_MAX, default_grid_nodes(n)).certificate
+    assert got is not None and got.s == want.s
+    assert np.max(np.abs(got.z0 - z0)) <= 4.0 * np.spacing(np.max(np.abs(z0)) + 1.0)
+    for key in ("c", "r"):
+        assert abs(getattr(got, key) - getattr(want, key)) <= SYMMETRY_RTOL * getattr(want, key)
+    for key in ("E", "E_doubled"):
+        g, w = getattr(got, key).value, getattr(want, key).value
+        assert abs(g - w) <= rtol * abs(w)

@@ -21,6 +21,7 @@ from pshlab.witness import (
     coarse_constant_growth,
     coarse_rhs_bound,
     cutoff,
+    default_grid_nodes,
     cutoff_deriv,
     estimate_functional_E,
     modulus_of_continuity,
@@ -244,13 +245,14 @@ class TestEstimateFunctional:
 
 class TestScanSharpWitness:
     def test_psh_weight_gives_none(self):
-        scan = scan_sharp_witness(fields.sq_norm(1), fields.zero_omega(1), unit_ball(1), S_MAX)
+        scan = scan_sharp_witness(fields.sq_norm(1), fields.zero_omega(1), unit_ball(1), S_MAX,
+                                  default_grid_nodes(1))
         cert = scan.certificate
         assert cert is None
 
     def test_neg_sq_norm_certificate(self):
         cert = scan_sharp_witness(
-            fields.neg_sq_norm(1), fields.zero_omega(1), unit_ball(1), S_MAX
+            fields.neg_sq_norm(1), fields.zero_omega(1), unit_ball(1), S_MAX, default_grid_nodes(1)
         ).certificate
         assert cert is not None
         assert cert.E.sign < 0
@@ -259,7 +261,7 @@ class TestScanSharpWitness:
 
     def test_saddle_certificate_direction(self):
         cert = scan_sharp_witness(
-            fields.saddle(2.0), fields.zero_omega(2), unit_ball(2), S_MAX
+            fields.saddle(2.0), fields.zero_omega(2), unit_ball(2), S_MAX, default_grid_nodes(2)
         ).certificate
         assert cert is not None
         assert cert.E.sign < 0
@@ -272,7 +274,7 @@ class TestScanSharpWitness:
             "neg_sq_fd", 1, lambda z: -np.sum(np.abs(z) ** 2, axis=-1)
         )
         cert = scan_sharp_witness(
-            stripped, fields.zero_omega(1), unit_ball(1), smax=100,
+            stripped, fields.zero_omega(1), unit_ball(1), smax=100, grid_nodes=default_grid_nodes(1),
         ).certificate
         assert cert is not None
         assert cert.E.sign < 0
@@ -295,7 +297,7 @@ class TestScanSharpWitness:
             return levi(field, pts, *args, **kwargs)
 
         monkeypatch.setattr(fields, "levi_form", counted)
-        scan_sharp_witness(phi, omega, region, smax=10)
+        scan_sharp_witness(phi, omega, region, smax=10, grid_nodes=default_grid_nodes(1))
         assert region_calls.count(True) == 1
 
     @pytest.mark.parametrize("phi, omega", [
@@ -308,7 +310,7 @@ class TestScanSharpWitness:
     ])
     def test_lower_bound_verdict_is_check_lower_bound(self, phi, omega):
         region = unit_ball(phi.n)
-        scan = scan_sharp_witness(phi, omega, region, smax=10)
+        scan = scan_sharp_witness(phi, omega, region, smax=10, grid_nodes=default_grid_nodes(phi.n))
         verdict = fields.check_lower_bound(phi, omega, region, REGION_RESOLUTION, fields.LEVI_TOL)
         assert scan.levi_lower_bound_holds == verdict.holds
 
@@ -326,7 +328,8 @@ class TestScanSharpWitness:
 
         monkeypatch.setattr(FormField01, "evaluate", counted)
         omega = fields.get_omega("const:1.1", 1)
-        cert = scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1), S_MAX).certificate
+        cert = scan_sharp_witness(
+            fields.sq_norm(1), omega, unit_ball(1), S_MAX, default_grid_nodes(1)).certificate
         assert cert.s == 100.0
         f = build_witness_form(cert.z0, cert.xi, cert.r)
         grids = [_witness_grid(cert.z0, cert.r, k * cert.grid_nodes) for k in (1, 2)]
@@ -347,7 +350,8 @@ class TestScanSharpWitness:
 
         monkeypatch.setattr(witness, "estimate_functional_E", recorded)
         omega = fields.get_omega("const:1.1", 1)
-        cert = scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1), S_MAX).certificate
+        cert = scan_sharp_witness(
+            fields.sq_norm(1), omega, unit_ball(1), S_MAX, default_grid_nodes(1)).certificate
         assert cert.s == 100.0 and len(seen) == 3
         assert seen[1][1] is seen[0][1] and seen[2][1] is not seen[0][1]
         f = build_witness_form(cert.z0, cert.xi, cert.r)
@@ -374,7 +378,8 @@ class TestScanSharpWitness:
         verdict = fields.check_lower_bound(
             fields.sq_norm(1), omega, unit_ball(1), REGION_RESOLUTION, fields.LEVI_TOL)
         assert not verdict.holds
-        assert scan_sharp_witness(fields.sq_norm(1), omega, unit_ball(1), S_MAX).certificate is None
+        assert scan_sharp_witness(
+            fields.sq_norm(1), omega, unit_ball(1), S_MAX, default_grid_nodes(1)).certificate is None
 
     @pytest.mark.parametrize("grid_nodes", [12, 14])
     def test_grid_without_stencil_margin_raises(self, grid_nodes):
@@ -389,7 +394,8 @@ class TestScanSharpWitness:
                 fields.saddle(2.0), fields.zero_omega(2), unit_ball(2), S_MAX, grid_nodes=grid_nodes
             )
 
-    @pytest.mark.parametrize("spec, n, grid_nodes", [("neg_sq_norm", 1, None), ("saddle:2", 2, 16)])
+    @pytest.mark.parametrize("spec, n, grid_nodes",
+                             [("neg_sq_norm", 1, default_grid_nodes(1)), ("saddle:2", 2, 16)])
     def test_certificate_carries_doubled_energy(self, spec, n, grid_nodes):
         from pshlab.witness import _witness_grid
 
@@ -463,7 +469,7 @@ class TestBandEnergy:
     def test_stencil_band_covers_dense_terms_criterion_4(self, spec, n):
         # every node where a whole-grid (slice stencil) integrand of E is nonzero
         phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
-        cert = scan_sharp_witness(phi, omega, unit_ball(n), S_MAX).certificate
+        cert = scan_sharp_witness(phi, omega, unit_ball(n), S_MAX, default_grid_nodes(n)).certificate
         f = build_witness_form(cert.z0, cert.xi, cert.r)
         for nodes in (cert.grid_nodes, 2 * cert.grid_nodes):
             grid = _witness_grid(cert.z0, cert.r, nodes)
@@ -484,7 +490,7 @@ class TestBandEnergy:
         from pshlab.witness import _witness_grid
 
         phi, omega = fields.get_field(spec, n), fields.zero_omega(n)
-        cert = scan_sharp_witness(phi, omega, unit_ball(n), S_MAX).certificate
+        cert = scan_sharp_witness(phi, omega, unit_ball(n), S_MAX, default_grid_nodes(n)).certificate
         f = build_witness_form(cert.z0, cert.xi, cert.r)
         psi = build_psi_s(cert.z0, cert.r, cert.s)
         for nodes, value in ((cert.grid_nodes, cert.E), (2 * cert.grid_nodes, cert.E_doubled)):
