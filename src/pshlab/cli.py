@@ -614,6 +614,9 @@ def main(argv=None) -> int:
     except (PshlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
+    except MemoryError as exc:  # an array too large to allocate, as for a huge --budget
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -363,9 +363,11 @@ def _unit_uniform_model(n: int, cnt: int, seed: int) -> tuple:
     """
     radial, phase = _halton_table(n, cnt)
     shift = np.random.default_rng(seed).uniform(size=2 * n)
-    u = radial + shift[0::2]
-    np.subtract(u, 1.0, out=u, where=u >= 1.0)  # (u + shift) mod 1, exactly
-    model = np.sqrt(u) * phase
+    u = np.empty_like(radial)
+    for k in range(n):  # by column, as in sample_cylinder
+        np.add(radial[:, k], shift[2 * k], out=u[:, k])
+    u -= u >= 1.0  # (u + shift) mod 1, exactly: u - 0.0 is u
+    model = np.sqrt(u, out=u) * phase
     model.flags.writeable = False
     return model, np.exp(2j * math.pi * shift[1::2])
 
@@ -375,7 +377,11 @@ def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderS
 
     The rule is the image of a cached unit rule on P_{1,1} under
     w -> z0 + A diag(r, s) w, with a quasi-random rule's rotations in A.
-    Every kind supports n <= 2.  Both returned arrays are new.
+    The n = 2 maps add one coordinate column at a time (the shell's image to
+    the disc's, the center to the frame image), as numpy runs an (m, 2) array
+    broadcast against a length-2 vector as one 2-element loop per row; the
+    nodes are the broadcast's bit for bit.  Every kind supports n <= 2.  Both
+    returned arrays are new, the nodes a C-contiguous (m, n) array.
     """
     if rule.budget < 16:
         raise InsufficientNodesError(
@@ -391,10 +397,14 @@ def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderS
         weights = cyl.r**2 * w1
         if shell:
             d2, w2 = shell
-            nodes = (nodes[:, None, :] + (cyl.s * d2)[:, None] * a[:, 1]).reshape(-1, n)
+            grid = np.empty((d1.size, d2.size, n), dtype=complex)
+            for k in range(n):
+                np.add.outer(nodes[:, k], (cyl.s * d2) * a[k, 1], out=grid[:, :, k])
+            nodes = grid.reshape(-1, n)
             weights = np.outer(weights, cyl.s**2 * w2).ravel()
         return CylinderSample(nodes, weights)
     model, rot = _unit_uniform_model(n, rule.budget, rule.seed)
     nodes = model @ (a * (rot * [cyl.r, cyl.s][:n])).T
-    nodes += cyl.center
+    for k in range(n):
+        nodes[:, k] += cyl.center[k]
     return CylinderSample(nodes, np.full(rule.budget, cyl.volume / rule.budget))

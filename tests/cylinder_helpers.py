@@ -1,6 +1,7 @@
 """Test-only helpers on cylinders: a frame with a given first axis, cylinder
 means along a complex line as the cylinders thin out, membership, a hit-count
-volume, and the sign of a sub-mean-value margin."""
+volume, the sign of a sub-mean-value margin, the broadcast maps of a unit rule
+that `geometry` replaced by column maps (oracles), and a bit-for-bit compare."""
 
 import math
 
@@ -10,6 +11,8 @@ from pshlab.fields import ScalarField
 from pshlab.geometry import (
     HolomorphicCylinder,
     QuadratureRule,
+    _halton_table,
+    _unit_tensor,
     as_point,
     as_points,
     check_unitary,
@@ -109,3 +112,40 @@ def montecarlo_volume(cyl: HolomorphicCylinder, samples: int, seed: int):
     est = p * vol_box
     sigma = vol_box * math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
     return est, sigma
+
+
+def assert_bits(got, want):
+    """The two arrays have one dtype, one shape and the same bytes."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def tensor_nodes_oracle(cyl: HolomorphicCylinder, budget: int) -> np.ndarray:
+    """The tensor rule's nodes by one broadcast of the (m1, n) disc image against
+    the frame's second column (oracle)."""
+    d1, _, *shell = _unit_tensor(cyl.n, budget)
+    a = cyl.frame
+    nodes = cyl.center + (cyl.r * d1)[:, None] * a[:, 0]
+    if shell:
+        nodes = (nodes[:, None, :] + (cyl.s * shell[0])[:, None] * a[:, 1]).reshape(-1, cyl.n)
+    return nodes
+
+
+def unit_uniform_remap_oracle(n: int, cnt: int, seed: int) -> tuple:
+    """The quasi-random unit rule and its rotations, the radii shifted by one
+    broadcast add and a masked subtract (oracle)."""
+    radial, phase = _halton_table(n, cnt)
+    shift = np.random.default_rng(seed).uniform(size=2 * n)
+    u = radial + shift[0::2]
+    np.subtract(u, 1.0, out=u, where=u >= 1.0)
+    return np.sqrt(u) * phase, np.exp(2j * math.pi * shift[1::2])
+
+
+def quasi_random_nodes_oracle(cyl: HolomorphicCylinder, budget: int, seed: int) -> np.ndarray:
+    """The quasi-random rule's nodes: the oracle unit rule through the frame,
+    then the center added by one broadcast (oracle)."""
+    model, rot = unit_uniform_remap_oracle(cyl.n, budget, seed)
+    nodes = model @ (cyl.frame * (rot * [cyl.r, cyl.s][: cyl.n])).T
+    nodes += cyl.center
+    return nodes

@@ -295,6 +295,27 @@ def test_weight_underflowing_on_the_support_exits_1_with_a_message(tmp_path):
     assert not out.exists()
 
 
+def test_out_of_memory_exits_1_with_a_message(tmp_path, monkeypatch, capsys):
+    # `--budget 100000000000` asks numpy for a 2.91 TiB node array, and the MemoryError
+    # ended in a traceback.  The scan is replaced by one that raises numpy's error, so
+    # the test allocates nothing on a host that would grant the request
+    from pshlab import meanvalue
+
+    message = ("Unable to allocate 2.91 TiB for an array with shape (262144, 381468, 2) "
+               "and data type complex128")
+
+    def refused(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(meanvalue, "classify_psh", refused)
+    out = tmp_path / "c.json"
+    argv = ["check-psh", "--func", "sq_norm", "--dim", "2", "--centers", "1",
+            "--cylinders", "1", "--budget", "100000000000", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert not out.exists()
+
+
 class TestListOptions:
     @pytest.mark.parametrize("argv", [
         ["coarse-chain", "--func", "re_linear", "--m", "0"],

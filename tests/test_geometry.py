@@ -23,7 +23,16 @@ from pshlab.geometry import (
     unit_ball,
 )
 
-from cylinder_helpers import bounding_radius, contains, montecarlo_volume, unitary_from_first_column
+from cylinder_helpers import (
+    assert_bits,
+    bounding_radius,
+    contains,
+    montecarlo_volume,
+    quasi_random_nodes_oracle,
+    tensor_nodes_oracle,
+    unit_uniform_remap_oracle,
+    unitary_from_first_column,
+)
 
 
 def disc(r=1.0, center=0.0):
@@ -376,6 +385,40 @@ class TestQuasiRandomShift:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120, check=True)
         assert proc.stdout.strip() == "0"
+
+
+# up to the 4x recheck of a 65,536-node n = 2 scan and its cross rule
+MAP_BUDGETS = [64, 4096, 16384, 65536, 262144]
+
+
+class TestColumnMaps:
+    """The n = 2 maps add one coordinate column at a time; each gives the nodes
+    of the broadcast it replaced bit for bit, as a C-contiguous (m, n) array."""
+
+    @pytest.mark.parametrize("budget", MAP_BUDGETS)
+    def test_tensor_nodes_match_the_broadcast(self, budget):
+        for cyl, _ in cylinders():
+            nodes = sample_cylinder(cyl, QuadratureRule("tensor-grid", budget)).nodes
+            assert nodes.flags.c_contiguous and nodes.shape[1:] == (cyl.n,)
+            assert_bits(nodes, tensor_nodes_oracle(cyl, budget))
+
+    @pytest.mark.parametrize("seed", [4, 2**64])
+    @pytest.mark.parametrize("budget", MAP_BUDGETS)
+    def test_quasi_random_nodes_match_the_broadcast(self, budget, seed):
+        for cyl, _ in cylinders():
+            nodes = sample_cylinder(cyl, QuadratureRule("quasi-random", budget, seed)).nodes
+            assert nodes.flags.c_contiguous and nodes.shape == (budget, cyl.n)
+            assert_bits(nodes, quasi_random_nodes_oracle(cyl, budget, seed))
+
+    @pytest.mark.parametrize("seed", [0, 4, 2**63 - 1, 2**64])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_radial_remap_matches_the_masked_subtract(self, n, seed):
+        for budget in MAP_BUDGETS:
+            model, rot = geometry._unit_uniform_model(n, budget, seed)
+            want_model, want_rot = unit_uniform_remap_oracle(n, budget, seed)
+            assert_bits(model, want_model)
+            assert_bits(rot, want_rot)
+
 
 class TestDomainBox:
     def test_ball_membership(self):

@@ -33,16 +33,10 @@ from pshlab.witness import (
     cutoff_deriv,
 )
 
-from cylinder_helpers import contains
+from cylinder_helpers import assert_bits, contains
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pshlab"
 DIMS = (1, 2, 3)
-
-
-def assert_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 def old_sq(z):
