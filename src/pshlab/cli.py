@@ -617,6 +617,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # an array too large to allocate, as for a huge --budget
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:  # a float past the double range, as for a huge coarse-chain --p
+        print(f"error: numerical range: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

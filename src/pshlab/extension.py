@@ -28,7 +28,7 @@ from .fields import Scaled, ScalarField, node_weights, weighted_sums
 from .geometry import HolomorphicCylinder, QuadratureRule, as_point, sample_cylinder, weighted_total
 from .meanvalue import clipped_mean
 
-VANISHING_FRACTION = 1e-3  # of quadrature mass; more means a degenerate candidate
+VANISHING_FRACTION = 1e-3  # of the mean weight; more means a degenerate candidate
 
 Candidate = Callable[[np.ndarray], np.ndarray]  # holomorphic f: (m, n) points -> (m,) values
 
@@ -69,7 +69,7 @@ class ExtensionReport:
 def _cylinder_weight_values(phi, cyl, rule):
     sample = sample_cylinder(cyl, rule)
     weight_vals = phi(sample.nodes)
-    if weighted_total(~np.isfinite(weight_vals), sample.weights) > VANISHING_FRACTION * cyl.volume:
+    if weighted_total(~np.isfinite(weight_vals), sample.weights) > VANISHING_FRACTION:
         raise DegenerateWeightError("degenerate weight: not finite on a positive-measure set")
     return sample, weight_vals
 
@@ -97,21 +97,19 @@ def optimal_extension_margin(
     if not np.isfinite(center_val):
         raise ValueError("center lies on the pole set")
     sample, weight_vals, fvals = _candidate_values(phi, cyl, candidate, rule)
-    mu = cyl.volume
     fabs = np.abs(fvals)
-    if weighted_total(fabs == 0.0, sample.weights) > VANISHING_FRACTION * mu:
+    if weighted_total(fabs == 0.0, sample.weights) > VANISHING_FRACTION:
         raise DegenerateWeightError("candidate vanishes on a positive-measure node set")
-    quad = sample.weights / mu
-    [lhs] = weighted_sums(-weight_vals, quad, [fabs ** p])
+    [lhs] = weighted_sums(-weight_vals, sample.weights, [fabs ** p])
     with np.errstate(divide="ignore"):
         log_f = np.log(fabs)
     x_vals = p * log_f - weight_vals  # log(|f|^p e^{-phi})
-    mean_x = clipped_mean(x_vals, sample.weights, mu)
-    [mean_ex] = weighted_sums(x_vals, quad, [1.0])
+    mean_x = clipped_mean(x_vals, sample.weights)
+    [mean_ex] = weighted_sums(x_vals, sample.weights, [1.0])
     # the shift and the mean cancel first: a residual near 0 keeps its bits at any shift
     residual_1 = mean_ex.shift - mean_x + math.log(mean_ex.total)
-    residual_2 = clipped_mean(p * log_f, sample.weights, mu)
-    mean_phi = clipped_mean(weight_vals, sample.weights, mu)
+    residual_2 = clipped_mean(p * log_f, sample.weights)
+    mean_phi = clipped_mean(weight_vals, sample.weights)
     conclusion_margin = mean_phi - center_val
     return ExtensionReport(lhs, Scaled(1.0, -center_val), residual_1, residual_2,
                            conclusion_margin)
@@ -142,13 +140,13 @@ def coarse_extension_bound(
     b~_m -> mean(phi) whenever log(C_m)/m -> 0.
     """
     sample, weight_vals, fvals = _candidate_values(phi, cyl, candidate, rule)
-    mu = cyl.volume
     with np.errstate(divide="ignore"):
         expo = p * np.log(np.abs(fvals)) - m * weight_vals
-    [integral] = weighted_sums(expo, sample.weights / mu, [1.0])
-    b_m = log_c_m / m - math.log(mu) / m - integral.log_abs / m
-    mean_phi = clipped_mean(weight_vals, sample.weights, mu)
-    b_tilde = log_c_m / m - math.log(mu) / m + mean_phi
+    [integral] = weighted_sums(expo, sample.weights, [1.0])
+    log_mu = cyl.log_volume
+    b_m = log_c_m / m - log_mu / m - integral.log_abs / m
+    mean_phi = clipped_mean(weight_vals, sample.weights)
+    b_tilde = log_c_m / m - log_mu / m + mean_phi
     if not b_m <= b_tilde + 1e-9:
         raise ConsistencyError(
             f"Jensen relaxation violated: b_m = {b_m!r} > b~_m = {b_tilde!r}"
@@ -241,7 +239,6 @@ def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: 
         return _monomial_values((z - cyl.center) @ cyl.frame.conj() / radii, exponents)
 
     w, shift = node_weights(-weight_vals, sample.weights)
-    w /= cyl.volume
     _, coeffs, value = weighted_bergman_projection(
         np.ones(w.size), w, lambda nodes: monomials(sample.nodes[nodes])[:, 1:].T)
     v = np.concatenate([[1.0 + 0.0j], -coeffs])

@@ -208,13 +208,12 @@ class HolomorphicCylinder:
         return self.center.size
 
     @property
-    def volume(self) -> float:
-        """mu(P) = pi r^2 * pi^{n-1} s^{2(n-1)} / (n-1)!  (frame-independent)."""
-        n = self.n
-        disc = math.pi * self.r**2
-        if n == 1:
-            return disc
-        return disc * math.pi ** (n - 1) * self.s ** (2 * (n - 1)) / math.factorial(n - 1)
+    def log_volume(self) -> float:
+        """log mu(P) = log pi + 2 log r + (n-1)(log pi + 2 log s) - log (n-1)!: frame-free,
+        and finite at any finite positive r and s, where mu(P) may leave the double range."""
+        log_pi = math.log(math.pi)
+        return (log_pi + 2.0 * math.log(self.r)
+                + (self.n - 1) * (log_pi + 2.0 * math.log(self.s)) - math.lgamma(self.n))
 
 
 @dataclass(frozen=True)
@@ -237,8 +236,8 @@ class QuadratureRule:
 
 
 class CylinderSample(NamedTuple):
-    nodes: np.ndarray  # (N, n) complex
-    weights: np.ndarray  # (N,) positive, summing to mu(P)
+    nodes: np.ndarray  # (N, n) complex, new on every call
+    weights: np.ndarray  # (N,) positive mean weights, summing to 1; a tensor rule's are shared
 
 
 def random_unitary(seed: int, n: int) -> np.ndarray:
@@ -284,13 +283,12 @@ def _halton_phase(cnt: int, base: int) -> np.ndarray:
 
 
 def _disc_tensor(n_rad: int, n_ang: int):
-    """Gauss-Legendre in rho^2 tensored with the uniform angle rule on |w| < 1."""
+    """Gauss-Legendre in rho^2 tensored with the uniform angle rule on |w| < 1; mean weights."""
     x, wx = np.polynomial.legendre.leggauss(n_rad)
     rho = np.sqrt(0.5 * (x + 1.0))  # rho^2 in (0, 1)
     theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
     nodes = (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    weights = np.repeat(0.5 * wx, n_ang) * (math.pi / n_ang)
-    return nodes, weights
+    return nodes, np.repeat(0.5 * wx, n_ang) / n_ang
 
 
 def _disc_spiral(shells: int):
@@ -299,7 +297,7 @@ def _disc_spiral(shells: int):
     The symmetrization integrates every angular harmonic e^{ik theta} with
     k not divisible by 4 to exactly zero, and midpoint shells in rho^2 make
     the |w|^2 moment exact, so (w, wbar)-polynomials of degree <= 2 are
-    integrated exactly.
+    integrated exactly.  Returns the nodes and their one mean weight 1/N.
     """
     k = np.arange(shells)
     rho = np.sqrt((k + 0.5) / shells)
@@ -307,17 +305,16 @@ def _disc_spiral(shells: int):
     offs = np.array([0.0, 0.5, 1.0, 1.5]) * math.pi
     ang = base[:, None] + offs[None, :]
     nodes = (rho[:, None] * np.exp(1j * ang)).ravel()
-    weights = np.full(nodes.size, math.pi / nodes.size)
-    return nodes, weights
+    return nodes, 1.0 / nodes.size
 
 
 @lru_cache(maxsize=64)
 def _unit_tensor(n: int, budget: int) -> tuple:
-    """1-D factors of the tensor rule on P_{1,1}: disc nodes and weights, then
-    (n = 2) shell nodes and weights.
+    """The tensor rule on P_{1,1}: disc nodes, the mean weights of all nodes (at n = 2
+    the outer product of the disc's and the shell's), then (n = 2) shell nodes.
 
-    Both factors are linear in their radius, so the rule on P_{r,s} is this
-    one under diag(r, s) with weights times r^2 s^2.
+    Both node factors are linear in their radius, so the rule on P_{r,s} is this
+    one under diag(r, s), and its mean weights are these, shared read-only.
     """
     if n == 1:
         n_rad = max(2, int(round(math.sqrt(budget) / 2.0)))
@@ -333,7 +330,8 @@ def _unit_tensor(n: int, budget: int) -> tuple:
         n_rad = max(2, int(round(math.sqrt(b_disc))))
         n_ang = max(4, b_disc // n_rad)
         shells = max(1, budget // (n_rad * n_ang * 4))
-        factors = _disc_tensor(n_rad, n_ang) + _disc_spiral(shells)
+        (d1, w1), (d2, w2) = _disc_tensor(n_rad, n_ang), _disc_spiral(shells)
+        factors = d1, np.repeat(w1 * w2, d2.size), d2  # w1 (x) w2: w2 is one number
     for a in factors:
         a.flags.writeable = False
     return factors
@@ -373,15 +371,17 @@ def _unit_uniform_model(n: int, cnt: int, seed: int) -> tuple:
 
 
 def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderSample:
-    """Quadrature nodes and weights over the cylinder; weights sum to mu(P).
+    """Quadrature nodes over the cylinder and their mean weights, which sum to 1, so
+    that sum(phi(nodes) * weights) is the rule's (1/mu(P)) int_{z0+P} phi.
 
     The rule is the image of a cached unit rule on P_{1,1} under
     w -> z0 + A diag(r, s) w, with a quasi-random rule's rotations in A.
     The n = 2 maps add one coordinate column at a time (the shell's image to
     the disc's, the center to the frame image), as numpy runs an (m, 2) array
     broadcast against a length-2 vector as one 2-element loop per row; the
-    nodes are the broadcast's bit for bit.  Every kind supports n <= 2.  Both
-    returned arrays are new, the nodes a C-contiguous (m, n) array.
+    nodes are the broadcast's bit for bit.  Every kind supports n <= 2.  The
+    nodes are a new C-contiguous (m, n) array; a tensor rule's weights are the
+    unit rule's read-only array, one per (n, budget).
     """
     if rule.budget < 16:
         raise InsufficientNodesError(
@@ -392,19 +392,17 @@ def sample_cylinder(cyl: HolomorphicCylinder, rule: QuadratureRule) -> CylinderS
         raise ValueError(f"{rule.kind} cylinder rule supports n <= 2")
     a = cyl.frame
     if rule.kind == "tensor-grid":
-        d1, w1, *shell = _unit_tensor(n, rule.budget)
+        d1, weights, *shell = _unit_tensor(n, rule.budget)
         nodes = cyl.center + (cyl.r * d1)[:, None] * a[:, 0]
-        weights = cyl.r**2 * w1
         if shell:
-            d2, w2 = shell
+            [d2] = shell
             grid = np.empty((d1.size, d2.size, n), dtype=complex)
             for k in range(n):
                 np.add.outer(nodes[:, k], (cyl.s * d2) * a[k, 1], out=grid[:, :, k])
             nodes = grid.reshape(-1, n)
-            weights = np.outer(weights, cyl.s**2 * w2).ravel()
         return CylinderSample(nodes, weights)
     model, rot = _unit_uniform_model(n, rule.budget, rule.seed)
     nodes = model @ (a * (rot * [cyl.r, cyl.s][:n])).T
     for k in range(n):
         nodes[:, k] += cyl.center[k]
-    return CylinderSample(nodes, np.full(rule.budget, cyl.volume / rule.budget))
+    return CylinderSample(nodes, np.full(rule.budget, 1.0 / rule.budget))

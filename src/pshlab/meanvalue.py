@@ -35,16 +35,16 @@ class MeanValueReport:
     quad_error: Optional[float]
 
 
-def clipped_mean(values: np.ndarray, weights: np.ndarray, measure: float) -> float:
-    """Mean of a usc integrand: the weighted mean when every value is finite, else -inf.
+def clipped_mean(values: np.ndarray, weights: np.ndarray) -> float:
+    """Mean of a usc integrand against mean weights (summing to 1): the weighted total
+    when every value is finite, else -inf.
 
     A node on the pole set (value -inf) has no finite clip: the means of
-    max(phi, -M) move by M times its weight over measure as M grows, and no
-    rule the program builds has a node weight below 5e-7 of its measure.
-    NaN and +inf count as not finite too.
+    max(phi, -M) move by M times its mean weight as M grows, which is at least
+    5.5e-8 at budgets up to 262,144.  NaN and +inf count as not finite too.
     """
     if np.all(np.isfinite(values)):
-        return float(weighted_total(values, weights) / measure)
+        return float(weighted_total(values, weights))
     return float("-inf")
 
 
@@ -53,7 +53,7 @@ def cylinder_mean(
 ) -> float:
     """Quadrature approximation of (1/mu(P)) int_{z0+P} phi; may return -inf."""
     sample = sample_cylinder(cyl, rule)
-    return clipped_mean(phi(sample.nodes), sample.weights, cyl.volume)
+    return clipped_mean(phi(sample.nodes), sample.weights)
 
 
 def submean_test(

@@ -1,7 +1,8 @@
 """Test-only helpers on cylinders: a frame with a given first axis, cylinder
 means along a complex line as the cylinders thin out, membership, a hit-count
 volume, the sign of a sub-mean-value margin, the broadcast maps of a unit rule
-that `geometry` replaced by column maps (oracles), and a bit-for-bit compare."""
+that `geometry` replaced by column maps (oracles), rule weights that sum to
+mu(P), divided out after the sum (oracles), and a bit-for-bit compare."""
 
 import math
 
@@ -77,7 +78,7 @@ def _direct_line_disc_mean(phi, z0, xi, r, rule: QuadratureRule):
     sample = sample_cylinder(disc, rule)
     pts = z0[None, :] + sample.nodes[:, :1] * xi[None, :]
     vals = phi(pts)
-    return clipped_mean(vals, sample.weights, disc.volume)
+    return clipped_mean(vals, sample.weights)
 
 
 def bounding_radius(cyl: HolomorphicCylinder) -> float:
@@ -149,3 +150,34 @@ def quasi_random_nodes_oracle(cyl: HolomorphicCylinder, budget: int, seed: int) 
     nodes = model @ (cyl.frame * (rot * [cyl.r, cyl.s][: cyl.n])).T
     nodes += cyl.center
     return nodes
+
+
+def cylinder_volume(cyl: HolomorphicCylinder) -> float:
+    """mu(P) = pi r^2 * pi^{n-1} s^{2(n-1)} / (n-1)!, formed as a double (oracle)."""
+    disc = math.pi * cyl.r**2
+    if cyl.n == 1:
+        return disc
+    return disc * math.pi ** (cyl.n - 1) * cyl.s ** (2 * (cyl.n - 1)) / math.factorial(cyl.n - 1)
+
+
+def measure_weights_oracle(cyl: HolomorphicCylinder, rule: QuadratureRule) -> np.ndarray:
+    """The rule's weights scaled to sum to mu(P) (oracle): r^2 w1 (x) s^2 w2 of the
+    unit factors that sum to pi, Gauss-Legendre times angle on the disc and pi / N
+    per shell node, for the tensor rule, and mu(P) / budget per node for the
+    quasi-random rule.  The disc's angle count is the number of nodes on its
+    innermost radius."""
+    if rule.kind == "quasi-random":
+        return np.full(rule.budget, cylinder_volume(cyl) / rule.budget)
+    d1, _, *shell = _unit_tensor(cyl.n, rule.budget)
+    n_ang = int(np.count_nonzero(np.isclose(np.abs(d1), abs(d1[0]))))
+    _, wx = np.polynomial.legendre.leggauss(d1.size // n_ang)
+    weights = cyl.r**2 * (np.repeat(0.5 * wx, n_ang) * (math.pi / n_ang))
+    if shell:
+        m2 = shell[0].size
+        weights = np.outer(weights, cyl.s**2 * np.full(m2, math.pi / m2)).ravel()
+    return weights
+
+
+def measure_mean_oracle(values: np.ndarray, cyl: HolomorphicCylinder, rule: QuadratureRule) -> float:
+    """sum(values * weights) / mu(P) over the weights that sum to mu(P) (oracle)."""
+    return float(np.sum(values * measure_weights_oracle(cyl, rule)) / cylinder_volume(cyl))

@@ -316,6 +316,49 @@ def test_out_of_memory_exits_1_with_a_message(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_arithmetic_error_exits_1_with_a_message(tmp_path, monkeypatch, capsys):
+    # a float past the double range raises an ArithmeticError from Python's float
+    # arithmetic, which used to end in a traceback
+    from pshlab import witness
+
+    def overflow(*args, **kwargs):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr(witness, "coarse_constant_growth", overflow)
+    out = tmp_path / "c.csv"
+    assert main(["coarse-chain", "--func", "re_linear", "--m", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: numerical range: (34, 'Numerical result out of range')\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p, message", [
+    ("600", "float division by zero"),  # eps**p underflows to 0 in the chain's bound
+    ("2000", "(34, 'Numerical result out of range')"),  # 2.0**p in coarse_constant_growth
+])
+def test_coarse_chain_past_the_double_range_exits_1_without_a_traceback(tmp_path, p, message):
+    out = tmp_path / "c.csv"
+    proc = run_cli(["coarse-chain", "--func", "sq_norm", "--p", p, "--out", str(out)])
+    assert (proc.returncode, proc.stderr) == (1, f"error: numerical range: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # mu(P) underflowed to 0 and the scan's mean was 0/0, a NaN margin that passed
+    ["check-psh", "--func", "sq_norm", "--dim", "1", "--region",
+     '{"kind":"ball","center":[[0,0]],"radius":1e-320}', "--centers", "1", "--cylinders", "1"],
+    # mu(P) underflowed to 0 and the Gram weights, divided by it, to inf
+    ["extend", "--func", "sq_norm", "--cylinder", "r=1e-300,s=1"],
+    # r**2 overflowed: an OverflowError traceback
+    ["extend", "--func", "re_linear", "--cylinder", "r=1e300,s=1"],
+    ["coarse-extend", "--func", "re_linear", "--cylinder", "r=1e300,s=1", "--m", "1"],
+])
+def test_cylinders_past_the_double_range_run_without_a_warning(tmp_path, argv):
+    out = tmp_path / "report"
+    proc = run_python(["-W", "error::RuntimeWarning", "-m", "pshlab.cli", *argv, "--out", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.exists()
+
+
 class TestListOptions:
     @pytest.mark.parametrize("argv", [
         ["coarse-chain", "--func", "re_linear", "--m", "0"],
@@ -617,7 +660,7 @@ class TestWeightedSumsPastTheDoubleRange:
         # log lhs = 954.6 > log rhs = 900: both past the double range
         ("[[30,0]]", "3", (math.inf, math.inf)),
         # lhs = 3.0e-13 is 1300 times rhs = 2.3e-16; their margin, -3.0e-13, is above -1e-9
-        ("[[6,0]]", "3", (3.0152466079174075e-13, 2.3195228302435696e-16)),
+        ("[[6,0]]", "3", (3.015246607917407e-13, 2.3195228302435696e-16)),
         ("[[3,0]]", "3", (356580.9115008159, 8103.083927575384)),
     ])
     def test_extend_margin_is_decided_at_any_scale(self, capsys, tmp_path, center, p, lhs_rhs):

@@ -198,7 +198,7 @@ class TestJensenChain:
         )
         sample = sample_cylinder(cyl, RULE)
         x = np.abs(sample.nodes[:, 0]) ** 2  # log(|f|^p e^{-phi}) for f = 1
-        ref = -np.dot(x, sample.weights) / cyl.volume + logsumexp(x, b=sample.weights / cyl.volume)
+        ref = -np.dot(x, sample.weights) + logsumexp(x, b=sample.weights)
         assert res1 == pytest.approx(ref, rel=1e-12)
 
 
@@ -291,7 +291,7 @@ class TestBestExtensionConstant:
         phi = two_re_z()
         cyl = disc()
         sample = sample_cylinder(cyl, RULE)
-        w = sample.weights * np.exp(-phi(sample.nodes)) / cyl.volume
+        w = sample.weights * np.exp(-phi(sample.nodes))
         exps = monomial_exponents(1, 4)
         mono = _monomial_values(sample.nodes, exps)
         scaled = mono * np.sqrt(w)[:, None]
@@ -331,7 +331,7 @@ class TestBestExtensionConstant:
         phi = fields.neg_sq_norm(n)
         f_star, value = best_extension_constant(phi, cyl, 4, RULE)
         sample = sample_cylinder(cyl, RULE)
-        w = sample.weights * np.exp(-phi(sample.nodes)) / cyl.volume
+        w = sample.weights * np.exp(-phi(sample.nodes))
         assert value.value == pytest.approx(np.dot(w, np.abs(f_star(sample.nodes)) ** 2),
                                             rel=1e-13)
 
@@ -342,7 +342,7 @@ class TestBestExtensionConstant:
         phi = fields.cross()
         cyl = HolomorphicCylinder(CENTERS[1], seeded_frame(seed, 2), 0.7, 0.9)
         sample = sample_cylinder(cyl, RULE)
-        w = sample.weights * np.exp(-phi(sample.nodes)) / cyl.volume
+        w = sample.weights * np.exp(-phi(sample.nodes))
         t = (sample.nodes - cyl.center) @ cyl.frame.conj() / np.array([cyl.r, cyl.s])
         mono = _monomial_values(t, monomial_exponents(2, 6))
         gram = (mono.conj().T * w) @ mono

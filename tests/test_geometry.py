@@ -19,7 +19,9 @@ from pshlab.geometry import (
     as_point,
     ball_volume,
     random_unitary,
+    row_sum,
     sample_cylinder,
+    seeded_frame,
     unit_ball,
 )
 
@@ -27,6 +29,8 @@ from cylinder_helpers import (
     assert_bits,
     bounding_radius,
     contains,
+    cylinder_volume,
+    measure_mean_oracle,
     montecarlo_volume,
     quasi_random_nodes_oracle,
     tensor_nodes_oracle,
@@ -64,16 +68,21 @@ def model_monomial_integral(a, b, r, s, n):
 
 
 class TestVolume:
+    # an absolute error of 1e-15 in log mu(P) is a relative error of 1e-15 in mu(P)
     def test_disc_area(self):
-        assert disc(2.0).volume == pytest.approx(4.0 * math.pi, rel=1e-15)
+        assert abs(disc(2.0).log_volume - math.log(4.0 * math.pi)) <= 1e-15
 
     def test_bidisc(self):
-        assert cyl2(1.0, 1.0).volume == pytest.approx(math.pi**2, rel=1e-15)
+        assert abs(cyl2(1.0, 1.0).log_volume - math.log(math.pi**2)) <= 1e-15
 
     def test_frame_invariance(self):
-        assert cyl2(1.0, 1.0, seed=7).volume == pytest.approx(
-            math.pi**2, rel=1e-15
-        )
+        assert abs(cyl2(1.0, 1.0, seed=7).log_volume - math.log(math.pi**2)) <= 1e-15
+
+    @pytest.mark.parametrize("r, s", [(1e300, 1e300), (1e-300, 1e-300), (1e300, 1e-320)])
+    def test_log_volume_is_finite_where_the_volume_leaves_the_double_range(self, r, s):
+        # mu(P) = pi^2 r^2 s^2 overflows or underflows a double at every pair
+        terms = [2.0 * math.log(math.pi), 2.0 * math.log(r), 2.0 * math.log(s)]
+        assert abs(cyl2(r, s).log_volume - sum(terms)) <= 1e-15 * sum(map(abs, terms))
 
     def test_ball_volume(self):
         assert ball_volume(1) == pytest.approx(math.pi)
@@ -82,7 +91,7 @@ class TestVolume:
     def test_montecarlo_cross_check(self):
         for cyl in (disc(0.8), cyl2(0.7, 0.4, seed=3)):
             est, sigma = montecarlo_volume(cyl, samples=10**6, seed=11)
-            assert abs(est - cyl.volume) <= 3.0 * sigma
+            assert abs(est - math.exp(cyl.log_volume)) <= 3.0 * sigma
 
 
 class TestRandomUnitary:
@@ -131,10 +140,10 @@ def test_cylinder_radii_must_be_finite_and_positive(r, s):
 
 class TestSampling:
     @pytest.mark.parametrize("kind", ["tensor-grid", "quasi-random"])
-    def test_weight_sums_to_volume(self, kind):
+    def test_weights_sum_to_one(self, kind):
         for cyl in (disc(1.3), cyl2(0.9, 0.5, seed=2)):
             sample = sample_cylinder(cyl, QuadratureRule(kind, 4096, seed=1))
-            assert np.sum(sample.weights) == pytest.approx(cyl.volume, rel=1e-8)
+            assert np.sum(sample.weights) == pytest.approx(1.0, rel=1e-8)
             assert np.all(sample.weights > 0)
 
     @pytest.mark.parametrize("kind", ["tensor-grid", "quasi-random"])
@@ -154,15 +163,13 @@ class TestSampling:
     def test_constant_integrand(self):
         cyl = cyl2(1.1, 0.6, seed=5)
         sample = sample_cylinder(cyl, QuadratureRule("tensor-grid", 4096, 0))
-        assert np.dot(np.ones(len(sample.weights)), sample.weights) == pytest.approx(
-            cyl.volume, rel=1e-8
-        )
+        assert np.dot(np.ones(len(sample.weights)), sample.weights) == pytest.approx(1.0, rel=1e-8)
 
     def test_disc_sq_integral(self):
-        # oracle: polar integration of |z|^2 over the unit disc = pi/2
+        # oracle: polar integration of |z|^2 over the unit disc = pi/2, a mean of 1/2
         sample = sample_cylinder(disc(), QuadratureRule("tensor-grid", 4096, 0))
         val = np.dot(np.abs(sample.nodes[:, 0]) ** 2, sample.weights)
-        assert val == pytest.approx(math.pi / 2.0, rel=1e-12)
+        assert val == pytest.approx(0.5, rel=1e-12)
 
     def test_odd_symmetry(self):
         cyl = cyl2(1.0, 1.0, seed=6)
@@ -194,8 +201,8 @@ class TestSampling:
             for j in range(n):
                 vals *= sample.nodes[:, j] ** a[j] * np.conj(sample.nodes[:, j]) ** b[j]
             num = np.dot(vals, sample.weights)
-            exact = model_monomial_integral(a, b, r, s, n)
-            scale = max(abs(exact), cyl.volume * bounding_radius(cyl) ** (sum(a) + sum(b)))
+            exact = model_monomial_integral(a, b, r, s, n) / cylinder_volume(cyl)
+            scale = max(abs(exact), bounding_radius(cyl) ** (sum(a) + sum(b)))
             assert abs(num - exact) <= 1e-6 * scale
 
     def test_radial_frame_invariance(self):
@@ -240,6 +247,7 @@ def vdc_digit_loop(indices: np.ndarray, base: int) -> np.ndarray:
 
 
 KINDS = ["tensor-grid", "quasi-random"]
+BUDGETS = [64, 256, 1024, 4096, 16384, 65536, 262144]
 
 
 def cylinders():
@@ -266,22 +274,53 @@ class TestUnitRule:
             assert np.max(np.abs(got - expected)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_weights_sum_to_measure(self, kind):
-        for cyl, budget in cylinders():
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_mean_weights_sum_to_one(self, kind, budget):
+        for cyl, _ in cylinders():
             sample = sample_cylinder(cyl, QuadratureRule(kind, budget, seed=4))
-            assert abs(np.sum(sample.weights) - cyl.volume) <= 1e-13 * cyl.volume
+            assert abs(np.sum(sample.weights) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_means_match_weights_that_sum_to_the_measure(self, kind, budget):
+        # the mean weights move a cylinder mean by a few ulp of its terms from the
+        # weights that summed to mu(P), with mu(P) divided out after the sum
+        for cyl, _ in cylinders():
+            rule = QuadratureRule(kind, budget, seed=4)
+            sample = sample_cylinder(cyl, rule)
+            phi = np.log1p(row_sum(np.abs(sample.nodes - 0.1) ** 2)) + sample.nodes[:, 0].real
+            got = meanvalue.clipped_mean(phi, sample.weights)
+            bound = 4.0 * np.finfo(float).eps * np.sum(np.abs(phi * sample.weights))
+            assert abs(got - measure_mean_oracle(phi, cyl, rule)) <= bound
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_returned_arrays_are_fresh(self, kind):
+        # a caller's write never reaches a later call: the nodes are a new C-contiguous
+        # (m, n) array, and the weights are new (quasi-random) or read-only (tensor)
         for cyl, budget in cylinders():
             rule = QuadratureRule(kind, budget, seed=4)
             first = sample_cylinder(cyl, rule)
+            assert first.nodes.shape == (first.weights.size, cyl.n)
+            assert first.nodes.flags.c_contiguous
             nodes, weights = first.nodes.copy(), first.weights.copy()
             first.nodes[:] = 0.0
-            first.weights[:] = -1.0
+            if first.weights.flags.writeable:
+                first.weights[:] = -1.0
+            else:
+                with pytest.raises(ValueError, match="read-only"):
+                    first.weights[:] = -1.0
             again = sample_cylinder(cyl, rule)
             assert np.array_equal(again.nodes, nodes)
             assert np.array_equal(again.weights, weights)
+
+    @pytest.mark.parametrize("n, budget", [(1, 4096), (2, 16384)])
+    def test_tensor_weights_are_one_read_only_array(self, n, budget):
+        rule = QuadratureRule("tensor-grid", budget)
+        small = HolomorphicCylinder(np.zeros(n, dtype=complex), seeded_frame(1, n), 1e-3, 2e-3)
+        large = HolomorphicCylinder(np.full(n, 5.0 + 1j), seeded_frame(2, n), 7.0, 0.5)
+        weights = sample_cylinder(small, rule).weights
+        assert sample_cylinder(large, rule).weights is weights
+        assert not weights.flags.writeable
 
     @pytest.mark.parametrize("base", [2, 3, 5, 7])
     def test_halton_matches_digit_loop(self, base):

@@ -93,7 +93,7 @@ class TestCylinderMean:
     def test_clipped_mean_diverges(self):
         vals = np.array([-np.inf, 0.0])
         w = np.array([0.5, 0.5])
-        assert clipped_mean(vals, w, 1.0) == -np.inf
+        assert clipped_mean(vals, w) == -np.inf
 
 
 class TestSubmeanTest:

@@ -22,10 +22,15 @@ record reports, and the relative verdict gate of the extension checks and the
 coarse chain is fields.Scaled.at_most, with its slack fields.VERDICT_SLACK.  A
 Bochner identity is verified by BochnerReport.verified alone, which both pshlab
 bochner and criterion 2 read.
+
+One normalisation of a cylinder's measure: a cylinder rule's weights are mean
+weights, which sum to 1, so no consumer divides by mu(P), and log mu(P) is read
+only by the coarse extension bound, whose formula carries it.
 """
 
 import ast
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -324,3 +329,14 @@ def test_the_slack_moves_every_relative_verdict(monkeypatch, tmp_path):
     monkeypatch.setattr(fields, "VERDICT_SLACK", -0.99)
     record = acceptance.criterion_coarse_chain(0)
     assert not record.passed and record.tolerances["chain"] == "rhs <= (1+-9.9e-1) bound"
+
+
+def test_the_cylinder_measure_is_read_once_as_its_log():
+    assert list(inspect.signature(meanvalue.clipped_mean).parameters) == ["values", "weights"]
+    assert names_in_src(("volume",)) == []
+    readers = {(path.stem, getattr(top, "name", None))
+               for path in sorted(SRC.glob("*.py"))
+               for top in ast.parse(path.read_text(encoding="utf-8")).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr == "log_volume"}
+    assert readers == {("extension", "coarse_extension_bound")}
