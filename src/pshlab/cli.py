@@ -43,7 +43,7 @@ def parse_point(text: str, field_name: str, n: int) -> np.ndarray:
     """Points of C^n are JSON arrays of n [re, im] pairs."""
     try:
         return fields.parse_point(json.loads(text), n)
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid --{field_name}: {exc}") from exc
 
 
@@ -144,7 +144,8 @@ def parse_list(text: str, field_name: str, kind, valid, expected: str) -> list:
 
 
 def parse_m_values(text: str) -> list:
-    return parse_list(text, "m", int, lambda m: m > 0, "positive integers")
+    return parse_list(text, "m", int, lambda m: 0 < m <= sys.float_info.max,
+                      "positive integers in the double range")
 
 
 def check_number(value: float, field_name: str, valid, expected: str) -> float:
@@ -170,7 +171,7 @@ def parse_region(text: str, n: int) -> geometry.DomainBox:
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
         return geometry.DomainBox(kind, center, extents)
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid --region: {exc}") from exc
 
 
@@ -307,7 +308,10 @@ def _witness(args, phi, omega, region) -> list:
 
 
 def _coarse_chain(args, phi, w, log_c_m) -> Table:
-    m_values = parse_m_values(args.m)
+    # each log C_m once, checked before any scan: the growth constant takes C_m >= 1
+    m_log_c = [(m, log_c_m(m)) for m in parse_m_values(args.m)]
+    if any(log_c < 0.0 for _, log_c in m_log_c):
+        raise ConfigError(f"invalid --cm {args.cm!r} (expected constants C_m >= 1)")
     # the ranges that build_alpha_eps and build_psi_delta accept
     eps_values = parse_list(args.eps, "eps", float, lambda e: 0.0 < e <= 1.0, "values in (0, 1]")
     delta_values = parse_list(
@@ -319,24 +323,20 @@ def _coarse_chain(args, phi, w, log_c_m) -> Table:
     # unit ball around w; blank for an m where the field is not continuous there or
     # 1/m is below the region grid's spacing
     region = geometry.DomainBox("ball", w, np.array([1.0]))
-    o_by_m = {}
-    for m in m_values:
+    o_by_m, cprime_by_m = {}, {}
+    for m, log_c in m_log_c:
         try:
             o_by_m[m] = witness.modulus_of_continuity(phi, region, 1.0 / m, resolution=17)
         except (ContinuityRequiredError, InsufficientNodesError):
-            pass
-    resolved = list(o_by_m)
-    log_cprime, _ = witness.coarse_constant_growth(
-        resolved, [log_c_m(m) for m in resolved], args.p, [o_by_m[m] for m in resolved],
-        n=args.dim)
-    cprime_by_m = {m: float(c) for m, c in zip(resolved, log_cprime)}
+            continue
+        cprime_by_m[m] = witness.log_cprime(m, log_c, args.p, o_by_m[m], args.dim)
 
     reports = witness.coarse_rhs_bound(
-        phi, args.p, w, [(e, nodes) for e in eps_values], delta_values,
-        [(m, log_c_m(m)) for m in m_values])
+        phi, args.p, w, [(e, nodes) for e in eps_values], delta_values, m_log_c)
+    c = fields.Scaled(1.0, witness.log_envelope_constant(args.p, args.dim))
     rows = [
-        [rep.m, args.p, rep.eps, rep.delta, rep.rhs_integral, rep.bound, rep.envelope_constant,
-         rep.inf_phi, o_by_m.get(rep.m, ""), cprime_by_m.get(rep.m, ""), rep.verified]
+        [rep.m, args.p, rep.eps, rep.delta, rep.rhs_integral, rep.bound, c, rep.inf_phi,
+         o_by_m.get(rep.m, ""), cprime_by_m.get(rep.m, ""), rep.verified]
         for rep in reports
     ]
     verified = sum(rep.verified for rep in reports)
@@ -617,7 +617,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # an array too large to allocate, as for a huge --budget
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:  # a float past the double range, as for a huge coarse-chain --p
+    except ArithmeticError as exc:  # the last guard: a float past the double range
         print(f"error: numerical range: {exc}", file=sys.stderr)
         return 1
 

@@ -369,7 +369,8 @@ def resolve(table, kind: str, spec: str, n):
     """The object a spec "id" or "id:<JSON>" names in a table, for dimension n (None:
     a spec without one).  Every failure is a SpecError: an unknown id, a parameter
     for an id that takes none, a parameter that is not JSON or that the id's parser
-    or builder refuses (TypeError or ValueError), and an object of another dimension."""
+    or builder refuses (TypeError, ValueError, or OverflowError for a JSON integer past
+    the double range), and an object of another dimension."""
     base, colon, raw = spec.partition(":")
     if base not in table:
         raise SpecError(f"unknown {kind} id {base!r}; known ids: {', '.join(table)}")
@@ -381,7 +382,7 @@ def resolve(table, kind: str, spec: str, n):
     else:
         try:
             out = build(parse(json.loads(raw) if colon else None, n), n)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"bad parameter {raw!r} ({exc})") from exc
     if n is not None and out.n != n:
         raise SpecError(f"{kind} id {base!r} lives in dim {out.n}, not dim {n}")

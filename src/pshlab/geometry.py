@@ -72,9 +72,9 @@ def row_norm(d: np.ndarray) -> np.ndarray:
     return np.sqrt(row_sum((d.conj() * d).real))
 
 
-def ball_volume(n: int) -> float:
-    """Lebesgue volume of the unit ball of C^n = R^{2n}: pi^n / n!."""
-    return math.pi ** n / math.factorial(n)
+def log_ball_volume(n: int) -> float:
+    """log mu(B_1) of the unit ball of C^n = R^{2n}, mu(B_1) = pi^n / n!."""
+    return n * math.log(math.pi) - math.lgamma(n + 1)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .bochner import (
     FormField01, GridDiscretization, MappedValues, band_blocks, band_curvature, band_energy,
     make_grid, support_values,
 )
-from .geometry import DomainBox, as_point, ball_volume, row_norm, row_sum
+from .geometry import DomainBox, as_point, log_ball_volume, row_norm, row_sum
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def annulus_grid_nodes(n: int) -> int:
     spacing check eps/16.  From n = 3 on, 41 per axis are too many nodes."""
     if n > 2:
         raise ValueError(f"the coarse chain has no grid in C^{n}: 41 nodes per axis, the "
-                         f"fewest that resolve the annulus, make {41.0 ** (2 * n):.2e} nodes")
+                         f"fewest that resolve the annulus, make 41^{2 * n} nodes")
     return 256 if n == 1 else 41
 
 
@@ -399,7 +399,6 @@ class CoarseChainReport:
     delta: float
     rhs_integral: Scaled
     bound: Scaled
-    envelope_constant: float  # C = 2^{p+2n} mu(B_1)
     inf_phi: float
 
     verified = property(lambda self: self.rhs_integral.at_most(self.bound))
@@ -424,9 +423,9 @@ def ball_infimum(phi: ScalarField, w, eps: float) -> float:
     return float(np.min(vals))
 
 
-def envelope_constant(p: float, n: int) -> float:
-    """C = 2^{p+2n} mu(B_1), the envelope constant of the coarse chain in C^n."""
-    return 2.0 ** (p + 2 * n) * ball_volume(n)
+def log_envelope_constant(p: float, n: int) -> float:
+    """log C, C = 2^{p+2n} mu(B_1), the envelope constant of the coarse chain in C^n."""
+    return (p + 2 * n) * math.log(2.0) + log_ball_volume(n)
 
 
 def coarse_rhs_bound(
@@ -437,11 +436,12 @@ def coarse_rhs_bound(
     <= C C_m e^{-m inf phi} / eps^p with C = 2^{p+2n} mu(B_1), given log(C_m), for
     each (m, log C_m) of m_log_c, (eps, grid nodes per axis) of blocks and delta:
     one report per tuple, in (m, eps, delta) order.  Per eps, the grid, alpha, phi
-    and inf phi are computed once, psi and its norm once per delta.
+    and inf phi are computed once, psi and its norm once per delta.  Both sides are
+    carried as logs: |alpha|^p rides in the exponent, and the bound is one log.
     """
     w = as_point(w)
     n = w.size
-    envelope = envelope_constant(p, n)
+    log_c = log_envelope_constant(p, n)
     rows = [[] for _ in m_log_c]
     for eps, grid_nodes in blocks:
         alpha = build_alpha_eps(w, eps)
@@ -459,12 +459,12 @@ def coarse_rhs_bound(
         inf_phi = ball_infimum(phi, w, eps)
         for delta in deltas:
             psi_use = build_psi_delta(w, delta, n)(pts)
-            norm_p = _psi_delta_norm_sq(av, pts, w, delta, n) ** (p / 2.0)
+            log_norm_p = (p / 2.0) * np.log(_psi_delta_norm_sq(av, pts, w, delta, n))
             for row, (m, log_c_m) in zip(rows, m_log_c):
-                [rhs] = weighted_sums(-(m * phi_use + psi_use), grid.cell_volume, [norm_p])
+                [rhs] = weighted_sums(log_norm_p - (m * phi_use + psi_use), grid.cell_volume, [1.0])
                 rhs = Scaled(rhs.total, rhs.shift + log_c_m)
-                bound = Scaled(envelope / eps**p, log_c_m - m * inf_phi)
-                row.append(CoarseChainReport(m, eps, delta, rhs, bound, envelope, inf_phi))
+                bound = Scaled(1.0, log_c - p * math.log(eps) + log_c_m - m * inf_phi)
+                row.append(CoarseChainReport(m, eps, delta, rhs, bound, inf_phi))
         # free this eps's grid and support arrays before the next eps's grid is built
         del grid, idx, pts, av, phi_use
     return [rep for row in rows for rep in row]
@@ -516,28 +516,18 @@ def modulus_of_continuity(
     return best
 
 
-def coarse_constant_growth(
-    m_values: Sequence[int],
-    log_c_m_values: Sequence[float],
-    p: float,
-    o_values: Sequence[float],
-    n: int,
-):
-    """log C'_m, C'_m = C'' C_m m^p e^{m O_{1/m}}, and the diagnostic log C'_m / m,
-    given log(C_m) and the moduli O_{1/m}, one per m.
+def log_cprime(m: int, log_c_m: float, p: float, o: float, n: int) -> float:
+    """log C'_m, C'_m = C'' C_m m^p e^{m O_{1/m}}, given log(C_m) >= 0 and the modulus
+    O_{1/m}; the diagnostic log C'_m / m tends to 0 exactly when log C_m / m -> 0 and
+    O_{1/m} -> 0.
 
     C'' is the explicit envelope 2^p (mu(B_1) + C' C) with
     C = 2^{p+2n} mu(B_1) and C' = sup e^{psi_0} over the unit ball (bounded by
-    e^{R^2} (2R)^{2n} for its circumradius R = 1); the diagnostic tends to 0 exactly
-    when log C_m / m -> 0 and the modulus O_{1/m} -> 0.
+    e^{R^2} (2R)^{2n} for its circumradius R = 1).
     """
-    m_arr = np.asarray(list(m_values), dtype=float)
-    log_c_arr = np.asarray(list(log_c_m_values), dtype=float)
-    if np.any(log_c_arr < 0.0):
+    if log_c_m < 0.0:
         raise ValueError("constants C_m must be >= 1")
-    c_prime = math.exp(1.0) * 2.0 ** (2 * n)
-    c_dprime = 2.0**p * (ball_volume(n) + c_prime * envelope_constant(p, n))
-    o_vals = np.asarray(list(o_values), dtype=float)
-    log_cprime_m = math.log(c_dprime) + log_c_arr + p * np.log(m_arr) + m_arr * o_vals
-    diagnostics = log_cprime_m / m_arr
-    return log_cprime_m, diagnostics
+    log_c_prime = 1.0 + 2 * n * math.log(2.0)
+    log_c_dprime = p * math.log(2.0) + float(np.logaddexp(
+        log_ball_volume(n), log_c_prime + log_envelope_constant(p, n)))
+    return log_c_dprime + log_c_m + p * math.log(m) + m * o

@@ -324,22 +324,33 @@ def test_arithmetic_error_exits_1_with_a_message(tmp_path, monkeypatch, capsys):
     def overflow(*args, **kwargs):
         raise OverflowError(34, "Numerical result out of range")
 
-    monkeypatch.setattr(witness, "coarse_constant_growth", overflow)
+    monkeypatch.setattr(witness, "log_cprime", overflow)
     out = tmp_path / "c.csv"
     assert main(["coarse-chain", "--func", "re_linear", "--m", "1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: numerical range: (34, 'Numerical result out of range')\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("p, message", [
-    ("600", "float division by zero"),  # eps**p underflows to 0 in the chain's bound
-    ("2000", "(34, 'Numerical result out of range')"),  # 2.0**p in coarse_constant_growth
-])
-def test_coarse_chain_past_the_double_range_exits_1_without_a_traceback(tmp_path, p, message):
+@pytest.mark.parametrize("argv", [
+    # numpy's overflow in power, then a verdict on inf against inf (log_cprime_m inf at 510)
+    *(["--func", "re_linear", "--p", p, "--eps", "0.25", "--delta", "0", "--m", "1"]
+      for p in ("420", "510", "600", "2000")),
+    # exit 1: eps**p underflowed to 0 in the bound's division, 2.0**p overflowed in C''
+    ["--func", "sq_norm", "--p", "600"],
+    ["--func", "sq_norm", "--p", "2000"],
+], ids=["re_linear-420", "re_linear-510", "re_linear-600", "re_linear-2000", "sq_norm-600",
+        "sq_norm-2000"])
+def test_coarse_chain_past_the_double_range_decides_on_finite_logs(tmp_path, argv):
+    # each side of the chain and C'_m are logs, so no warning is raised and every
+    # verdict and log C'_m is finite; rhs and bound are written as inf past the double range
     out = tmp_path / "c.csv"
-    proc = run_cli(["coarse-chain", "--func", "sq_norm", "--p", p, "--out", str(out)])
-    assert (proc.returncode, proc.stderr) == (1, f"error: numerical range: {message}\n")
-    assert not out.exists()
+    proc = run_python(["-W", "error::RuntimeWarning", "-m", "pshlab.cli", "coarse-chain", *argv,
+                       "--out", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert proc.stdout == f"[PASS] coarse-chain: {len(rows)}/{len(rows)} tuples verified\n"
+    assert all(math.isfinite(float(row["log_cprime_m"])) for row in rows)
 
 
 @pytest.mark.parametrize("argv", [
@@ -534,8 +545,8 @@ class TestExponentOption:
                 "--delta", "0.25", "--out", str(out)]
         assert main(argv) == 0
         lines = out.read_text().splitlines()
-        assert lines[1] == ("8,2.0,0.5,0.25,31.924901605039096,10977.588114912887,"
-                            "50.26548245743669,-0.49999975750747494,0.125,12.854522072572477,True")
+        assert lines[1] == ("8,2.0,0.5,0.25,31.924901605039093,10977.58811491289,"
+                            "50.2654824574367,-0.49999975750747494,0.125,12.854522072572477,True")
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert [row["m"] for row in rows] == ["8", "16", "32"]
@@ -561,11 +572,12 @@ class TestExponentOption:
         assert not out.exists()
 
     def test_readme_configuration_rows_equal_the_one_tuple_oracle(self, tmp_path):
-        """Rows in (m, eps, delta) order, each equal to its tuple's own solve."""
+        """Rows in (m, eps, delta) order, each equal to its tuple's own solve in doubles:
+        the tuple and inf phi exactly, the rhs, the bound and C within CHAIN_REL."""
         from pshlab import fields
         from pshlab.witness import annulus_grid_nodes
 
-        from grid_helpers import coarse_rhs_bound_one
+        from grid_helpers import CHAIN_REL, coarse_rhs_bound_one
 
         out = tmp_path / "chain.csv"
         argv = ["coarse-chain", "--func", "re_linear", "--m", "1,2,4,8", "--p", "2", "--cm", "1",
@@ -581,8 +593,10 @@ class TestExponentOption:
                 for delta in (0.25, 0.0625):
                     rep = coarse_rhs_bound_one(phi, m, 2.0, w, eps, delta, 0.0, nodes)
                     want.append([m, 2.0, eps, delta, rep.rhs_integral.value, rep.bound.value,
-                                 rep.envelope_constant, rep.inf_phi])
-        assert rows == want
+                                 2.0**4 * math.pi, rep.inf_phi])
+        assert [row[:4] + row[7:] for row in rows] == [row[:4] + row[7:] for row in want]
+        for row, ref in zip(rows, want):
+            assert all(abs(a - b) <= CHAIN_REL * abs(b) for a, b in zip(row[4:7], ref[4:7]))
 
 
 class TestAnnulusGrid:
@@ -608,6 +622,66 @@ class TestAnnulusGrid:
             assert "[PASS] coarse-chain" in proc.stdout
         else:
             assert proc.stderr.startswith("error: the coarse chain has no grid in C^3")
+
+
+    def test_no_grid_message_past_the_double_range(self, capsys):
+        # 41.0 ** 400 overflowed while the message was formatted
+        argv = ["coarse-chain", "--func", "re_linear", "--dim", "200", "--w",
+                json.dumps([[0, 0]] * 200)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: the coarse chain has no grid in C^200: 41 nodes per axis, the fewest that "
+            "resolve the annulus, make 41^400 nodes\n")
+
+
+BIG = "1" + "0" * 400  # an integer literal past the double range
+
+
+class TestValuesPastTheDoubleRange:
+    """An integer literal past the double range is refused as an out-of-range value,
+    exit 2 naming the option, where float() raised an OverflowError, exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["levi", "--dim", "2", "--func", f"saddle:{BIG}"],
+        ["levi", "--func", f"log_abs:[[{BIG},0]]"],
+        ["levi", "--func", "sq_norm", "--omega", f"const:{BIG}"],
+        ["coarse-chain", "--func", "re_linear", "--cm", f"poly:{BIG}"],
+        ["coarse-chain", "--func", "re_linear", "--w", f"[[{BIG},0]]"],
+        ["extend", "--func", "sq_norm", "--center", f"[[{BIG},0]]"],
+        ["levi", "--func", "sq_norm", "--region",
+         f'{{"kind": "ball", "center": [[0, 0]], "radius": {BIG}}}'],
+        ["coarse-chain", "--func", "re_linear", "--m", BIG],
+        ["coarse-extend", "--func", "sq_norm", "--m", BIG],
+    ], ids=["saddle", "log_abs", "omega", "cm", "w", "center", "region", "m", "extend-m"])
+    def test_is_config_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid {argv[-2]}")
+
+
+class TestChainConstantsBelow1:
+    """The coarse chain's growth constant takes C_m >= 1: coarse-chain refuses a --cm
+    below 1 at one of its --m values before any scan, and coarse-extend's b_m takes
+    any C_m > 0."""
+
+    @pytest.mark.parametrize("cm", ["0.5", "poly:-1", "const:0.25"])
+    def test_refused_before_any_scan(self, cm, monkeypatch, capsys):
+        from pshlab import witness
+
+        def scan(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(witness, "modulus_of_continuity", scan)
+        monkeypatch.setattr(witness, "coarse_rhs_bound", scan)
+        assert main(["coarse-chain", "--func", "re_linear", "--cm", cm]) == 2
+        assert capsys.readouterr().err == f"error: invalid --cm {cm!r} (expected constants C_m >= 1)\n"
+
+    def test_checked_at_the_m_values(self):
+        # poly:-1 gives C_1 = 1
+        assert main(["coarse-chain", "--func", "re_linear", "--cm", "poly:-1", "--m", "1",
+                     "--eps", "0.5", "--delta", "0.25"]) == 0
+
+    def test_coarse_extend_takes_a_rule_below_1(self):
+        assert main(["coarse-extend", "--func", "sq_norm", "--cm-rule", "0.5"]) == 0
 
 
 class TestWeightedSumsPastTheDoubleRange:

@@ -315,7 +315,7 @@ def test_the_slack_moves_every_relative_verdict(monkeypatch, tmp_path):
     assert extend_checks() == [(False, 1e-9)] * 2
     # rhs_integral e^{1e-12} above its bound, inside the slack
     report = witness.CoarseChainReport(
-        1, 0.5, 0.25, fields.Scaled(1.0, 0.0), fields.Scaled(1.0, -1e-12), 1.0, 0.0)
+        1, 0.5, 0.25, fields.Scaled(1.0, 0.0), fields.Scaled(1.0, -1e-12), 0.0)
     assert report.verified
     record = acceptance.criterion_coarse_chain(0)
     assert record.passed and record.tolerances["chain"] == "rhs <= (1+1e-9) bound"
@@ -340,3 +340,18 @@ def test_the_cylinder_measure_is_read_once_as_its_log():
                for node in ast.walk(top)
                if isinstance(node, ast.Attribute) and node.attr == "log_volume"}
     assert readers == {("extension", "coarse_extension_bound")}
+
+
+def test_each_chain_constant_is_one_log_formed_in_one_place():
+    # the chain's constants were doubles: C / eps^p, |alpha|^p and 2^p C'' left the
+    # double range from p of a few hundred on
+    assert names_in_src(("ball_volume", "envelope_constant", "coarse_constant_growth")) == []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8").replace(" ", "")
+        assert "eps**p" not in text and "**(p" not in text, path.name
+    # C = 2^{p+2n} mu(B_1) is formed by log_envelope_constant alone, and read by the
+    # chain, its growth constant and the CSV's C column
+    assert callers_of("log_ball_volume", [p.stem for p in SRC.glob("*.py")]) == {
+        ("witness", "log_envelope_constant"), ("witness", "log_cprime")}
+    assert callers_of("log_envelope_constant", ("acceptance", "cli", "witness")) == {
+        ("witness", "coarse_rhs_bound"), ("witness", "log_cprime"), ("cli", "_coarse_chain")}

@@ -9,27 +9,30 @@ from pshlab import fields
 from pshlab.bochner import make_grid, support_values
 from pshlab.fields import REGION_RESOLUTION
 from pshlab.errors import ContinuityRequiredError, InsufficientNodesError, MetricNotPositiveError
-from pshlab.geometry import DomainBox, ball_volume, unit_ball
+from pshlab.geometry import DomainBox, unit_ball
 from pshlab.witness import (
     S_MAX,
+    _annulus_grid,
     _psi_delta_norm_sq,
     alpha_from_f,
     build_alpha_eps,
     build_psi_delta,
     build_psi_s,
     build_witness_form,
-    coarse_constant_growth,
     coarse_rhs_bound,
     cutoff,
     default_grid_nodes,
     cutoff_deriv,
     estimate_functional_E,
+    log_cprime,
+    log_envelope_constant,
     modulus_of_continuity,
     _witness_grid,
     scan_sharp_witness,
 )
 
 from grid_helpers import (
+    CHAIN_REL,
     coarse_rhs_bound_one,
     form_norm_sq,
     gradient_of,
@@ -658,9 +661,9 @@ class TestCoarseChain:
         phi, w = fields.re_linear(np.array([1.0 + 0.0j]), 1), np.array([0.2 + 0.1j])
         deltas, m_log_c = (0.25, 0.0625), [(m, 0.0) for m in (1, 2, 4, 8)]
         reports = coarse_rhs_bound(phi, 2.0, w, [(eps, nodes)], deltas, m_log_c)
-        want = [report_values(coarse_rhs_bound_one(phi, m, 2.0, w, eps, d, c, nodes))
+        want = [coarse_rhs_bound_one(phi, m, 2.0, w, eps, d, c, nodes)
                 for m, c in m_log_c for d in deltas]
-        assert [report_values(rep) for rep in reports] == want
+        assert_reports_match(reports, want)
 
     def test_criterion_5_reports_equal_the_one_tuple_oracle_in_m_eps_delta_order(self):
         phi, w = fields.re_linear(np.array([1.0 + 0.0j]), 1), np.array([0.2 + 0.1j])
@@ -668,10 +671,10 @@ class TestCoarseChain:
         m_log_c = [(m, 0.0) for m in (1, 2, 4, 8)]
         reports = coarse_rhs_bound(phi, 2.0, w, blocks, deltas, m_log_c)
         want = [
-            report_values(coarse_rhs_bound_one(phi, m, 2.0, w, eps, d, c, nodes))
+            coarse_rhs_bound_one(phi, m, 2.0, w, eps, d, c, nodes)
             for m, c in m_log_c for eps, nodes in blocks for d in deltas
         ]
-        assert [report_values(rep) for rep in reports] == want
+        assert_reports_match(reports, want)
         assert [(rep.m, rep.eps, rep.delta) for rep in reports] == [
             (m, eps, d) for m, _ in m_log_c for eps, _ in blocks for d in deltas]
 
@@ -694,6 +697,40 @@ class TestCoarseChain:
         monkeypatch.setattr(witness, "ball_infimum", counted_infimum)
         assert acceptance.criterion_coarse_chain(0).passed
         assert calls == {"support_nodes": [0.5, 0.25], "ball_infimum": [0.5, 0.25]}
+
+
+class TestChainPastTheDoubleRange:
+    """At p = 420, 600 and 2000 C / eps^p, |alpha|^p and the rhs leave the double range,
+    and each verdict is decided on finite logs."""
+
+    @pytest.mark.parametrize("p", [420.0, 600.0, 2000.0])
+    def test_logs_equal_their_closed_form_and_logsumexp_oracle(self, p):
+        from scipy.special import logsumexp
+
+        phi, w = fields.get_field("re_linear", 1), np.zeros(1)
+        eps, delta, m, log_c_m = 0.25, 0.0, 1, 0.5
+        [rep] = coarse_rhs_bound(phi, p, w, [(eps, 256)], [delta], [(m, log_c_m)])
+        # the bound: log C - p log eps + log C_m - m inf phi, C = 2^{p+2} pi at n = 1
+        terms = [(p + 2.0) * math.log(2.0), math.log(math.pi), -p * math.log(eps), log_c_m,
+                 -m * rep.inf_phi]
+        assert rep.bound.total == 1.0
+        assert abs(rep.bound.log_abs - math.fsum(terms)) <= 1e-15 * math.fsum(map(abs, terms))
+        # the rhs: log sum_i e^{(p/2) log |alpha_i|^2 - (m phi_i + psi_i)} cell volume C_m
+        grid = _annulus_grid(w, eps, 256)
+        _, pts, av = support_values(build_alpha_eps(w, eps), grid)
+        x = ((p / 2.0) * np.log(_psi_delta_norm_sq(av, pts, w, delta, 1))
+             - (m * phi(pts) + build_psi_delta(w, delta, 1)(pts)))
+        want = float(logsumexp(x)) + math.log(grid.cell_volume) + log_c_m
+        assert abs(rep.rhs_integral.log_abs - want) <= 1e-15 * abs(want)
+        assert math.isinf(rep.rhs_integral.value) and math.isinf(rep.bound.value)
+        assert rep.verified == (rep.rhs_integral.log_abs <= rep.bound.log_abs)
+
+    def test_the_verdict_at_p_420_reads_two_finite_logs(self):
+        [rep] = coarse_rhs_bound(fields.get_field("re_linear", 1), 420.0, np.zeros(1),
+                                 [(0.25, 256)], [0.0], [(1, 0.0)])
+        assert rep.rhs_integral.log_abs == pytest.approx(781.3, abs=0.05)
+        assert rep.bound.log_abs == pytest.approx(876.1, abs=0.05)
+        assert rep.verified
 
 
 class TestModulusOfContinuity:
@@ -763,27 +800,47 @@ class TestModulusOfContinuity:
             modulus_of_continuity(psi, unit_ball(1), 0.1, resolution=33)
 
 
+def growth(m_values, log_c, o_values):
+    """The diagnostic log C'_m / m at p = 2 in C^1, one per m."""
+    return np.array([log_cprime(m, c, 2.0, o, 1) / m for m, c, o in zip(m_values, log_c, o_values)])
+
+
 class TestConstantGrowth:
     def test_lipschitz_admissible(self):
         m = [10, 100, 10**4, 10**6]
-        cprime, diag = coarse_constant_growth(
-            m, [0.0] * 4, 2.0, [2.0 * (1.0 / v) for v in m], n=1)
+        diag = growth(m, [0.0] * 4, [2.0 * (1.0 / v) for v in m])
         assert diag[-1] < 1e-4
         assert np.all(np.diff(diag) < 0)
 
     def test_exponential_flagged(self):
         m = [1, 10, 100, 500]
-        _, diag = coarse_constant_growth(m, [float(v) for v in m], 2.0, [0.0] * 4, n=1)
+        diag = growth(m, [float(v) for v in m], [0.0] * 4)
         assert diag[-1] == pytest.approx(1.0, abs=0.1)
 
     def test_polynomial_admissible(self):
         m = [10, 100, 10**4, 10**6]
-        _, diag = coarse_constant_growth(m, [2.0 * math.log(v) for v in m], 2.0, [0.0] * 4, n=1)
+        diag = growth(m, [2.0 * math.log(v) for v in m], [0.0] * 4)
         assert diag[-1] < 1e-3
 
     def test_rejects_small_constants(self):
         with pytest.raises(ValueError, match=">= 1"):
-            coarse_constant_growth([1], [math.log(0.5)], 2.0, [0.0], n=1)
+            log_cprime(1, math.log(0.5), 2.0, 0.0, 1)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 7.5])
+    def test_equals_the_double_formula_where_that_is_finite(self, n, p):
+        mu = math.pi**n / math.factorial(n)
+        c_dprime = 2.0**p * (mu + math.e * 2.0 ** (2 * n) * 2.0 ** (p + 2 * n) * mu)
+        want = math.log(c_dprime) + 0.5 + p * math.log(8) + 8 * 0.25
+        assert abs(log_cprime(8, 0.5, p, 0.25, n) - want) <= 1e-15 * abs(want)
+        assert abs(log_envelope_constant(p, n) - math.log(2.0 ** (p + 2 * n) * mu)) <= (
+            1e-15 * abs(math.log(2.0 ** (p + 2 * n) * mu)))
+
+    def test_finite_where_2_to_the_p_overflows(self):
+        # C'' = 2^p (mu + C' C) with C' C = e 2^{p+4} pi at n = 1: log C'' is (2p + 4) log 2
+        # + 1 + log pi, as mu is 2^{-2004} / e of C' C and leaves no bit of the log
+        want = 4004 * math.log(2.0) + 1.0 + math.log(math.pi)
+        assert abs(log_cprime(1, 0.0, 2000.0, 0.0, 1) - want) <= 1e-15 * want
 
 
 def _zero(n):
@@ -804,7 +861,11 @@ def scaled_bits(x):
     return x.total, x.shift
 
 
-def report_values(rep):
-    """A coarse chain report's numbers (its w is an array, so reports do not compare by ==)."""
-    return (rep.m, rep.eps, rep.delta, scaled_bits(rep.rhs_integral), scaled_bits(rep.bound),
-            rep.envelope_constant, rep.inf_phi)
+def assert_reports_match(reports, oracle):
+    """Each report has its oracle report's tuple and inf phi, and its rhs and bound
+    within CHAIN_REL of the oracle's, relative."""
+    assert [(r.m, r.eps, r.delta, r.inf_phi) for r in reports] == [
+        (r.m, r.eps, r.delta, r.inf_phi) for r in oracle]
+    for rep, want in zip(reports, oracle):
+        for got, ref in ((rep.rhs_integral, want.rhs_integral), (rep.bound, want.bound)):
+            assert abs(got.value - ref.value) <= CHAIN_REL * abs(ref.value)
