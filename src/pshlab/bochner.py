@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PoleInStencilError
 from .fields import Scaled, ScalarField, check_overflow, levi_form, weighted_sums, zero_omega
-from .geometry import DomainBox, as_point, as_points, row_sum, unit_ball
+from .geometry import DomainBox, abs_sq, as_point, as_points, row_sq_norm, unit_ball
 
 FD_STENCIL_WIDTH = 2  # nodes used on each side by the 4th-order stencil
 MIN_GRID_NODES = 2 * FD_STENCIL_WIDTH + 2  # the fewest nodes per axis that a grid takes
@@ -120,9 +120,7 @@ class GridDiscretization:
         ]
         coords = [ax[r] for ax, r in zip(self.axes, ranges)]  # (x1, y1, x2, y2, ...) in range
         d = [x[:, None] + 1j * y - c for x, y, c in zip(coords[0::2], coords[1::2], grown.center)]
-        # |z - c|^2 as np.linalg.norm forms it, (d conj(d)).real summed over j in
-        # order: dx * dx + dy * dy can differ from it in the last bit
-        sq = reduce(np.add.outer, [(dj.conj() * dj).real for dj in d])
+        sq = reduce(np.add.outer, [abs_sq(dj) for dj in d])  # row_sq_norm's sum, in j order
         sub = np.nonzero(np.sqrt(sq) <= grown.extents[0])
         return np.ravel_multi_index(tuple(r[s] for r, s in zip(ranges, sub)), self.shape)
 
@@ -274,7 +272,7 @@ def band_energy(g: FormGradient, grid: GridDiscretization) -> tuple:
     its stencil gradient is nonzero unless the stencil's terms cancel exactly: the
     band is where the integrands live."""
     # the gradient energy sum_{j,k} |d alpha_j / dzbar_k|^2, summed in (j, k) order
-    grad_sq = np.sum(np.abs(g.dzbar.reshape(grid.n**2, -1)) ** 2, axis=0)
+    grad_sq = row_sq_norm(g.dzbar.reshape(grid.n**2, -1).T)
     return grad_sq, grid.points_at(g.band)
 
 
@@ -342,10 +340,10 @@ def bochner_residual(alpha: FormField01, phis: list, grid: GridDiscretization) -
     # Re sum_{j,k} phi_{j kbar} alpha_j conj(alpha_k)
     adjoint_sq, expo, curvature = np.empty((3, len(phis), band.size))
     for block, g in band_blocks(band, form, grid):
-        dbar_sq[block] = np.sum(np.abs(dbar_01(g, grid)) ** 2, axis=0)
+        dbar_sq[block] = np.sum(abs_sq(dbar_01(g, grid)), axis=0)
         grad_sq[block], pts = band_energy(g, grid)
         for k, (phi, gphi) in enumerate(zip(phis, gphis)):
-            adjoint_sq[k, block] = np.abs(dbar_star(g, gphi[block])) ** 2
+            adjoint_sq[k, block] = abs_sq(dbar_star(g, gphi[block]))
             curvature[k, block], expo[k, block] = band_curvature(g, pts, phi, psi, omega)
     return [BochnerReport(tuple(weighted_sums(expo[k], grid.cell_volume,
                                               (curvature[k], grad_sq, dbar_sq, adjoint_sq[k]))))
@@ -365,7 +363,7 @@ def bump_profile(radius: float):
     rr = radius * radius
 
     def t_of(z):
-        return row_sum(np.abs(z) ** 2) / rr
+        return row_sq_norm(z) / rr
 
     def value(z):
         return np.maximum(1.0 - t_of(z), 0.0) ** 4

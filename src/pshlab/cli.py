@@ -314,9 +314,9 @@ def _coarse_chain(args, phi, w, log_c_m) -> Table:
         raise ConfigError(f"invalid --cm {args.cm!r} (expected constants C_m >= 1)")
     # the ranges that build_alpha_eps and build_psi_delta accept
     eps_values = parse_list(args.eps, "eps", float, lambda e: 0.0 < e <= 1.0, "values in (0, 1]")
-    delta_values = parse_list(
-        args.delta, "delta", float, lambda d: 0.0 <= d < math.inf, "finite values >= 0"
-    )
+    delta_values = parse_list(args.delta, "delta", float,
+                              lambda d: d >= 0.0 and math.isfinite(d * d),
+                              "values >= 0 whose square is a finite double")
     nodes = witness.annulus_grid_nodes(args.dim)  # before the modulus scans the region
 
     # modulus of continuity at eps = 1/m and the resulting growth constants, on the
@@ -461,6 +461,8 @@ OPTIONS = {
     "func": {"required": True},
     "weight": {"required": True},
     "region": {"help": "region JSON; default: unit ball of C^dim"},
+    "center": {"help": "point JSON; default: origin of C^dim"},
+    "w": {"help": "point JSON; default: origin of C^dim"},
     "budget": {"type": int},
     "grid": {"type": int},
     ("extend", "seed"): _RULE_SEED,
@@ -490,7 +492,8 @@ BOUNDS = {
 FIELD = ("func", ("dim", 1))
 REGION = ("region", None, _unit_ball_spec)
 P = ("p", 2.0)
-CYLINDER = (("center", "[[0,0]]"), ("cylinder", "r=1.0,s=1.0,seed=0"))
+ORIGIN = (None, lambda a: json.dumps([[0, 0]] * a.dim, separators=(",", ":")))  # [[0,0]] at n=1
+CYLINDER = (("center", *ORIGIN), ("cylinder", "r=1.0,s=1.0,seed=0"))
 RULE = (("budget", 4096), ("seed", 0))
 
 
@@ -523,7 +526,7 @@ COMMANDS = {
                  ("grid", None, lambda a: witness.default_grid_nodes(a.dim))), _witness),
         Command("coarse-chain", "verify the coarse-estimate bound chain",
                 (*FIELD, ("m", "1,2,4,8"), P, ("cm", "const:1"), ("eps", "0.5,0.25"),
-                 ("delta", "0.25,0.0625"), ("w", "[[0,0]]")), _coarse_chain),
+                 ("delta", "0.25,0.0625"), ("w", *ORIGIN)), _coarse_chain),
         Command("extend", "optimal extension margin / best constant",
                 (*FIELD, *CYLINDER, P, ("degree", 8), *RULE), _extend, _exit_zero),
         Command("coarse-extend", "coarse extension bound sweep",

@@ -20,7 +20,7 @@ from .bochner import FormField01, GridDiscretization, MappedValues, bump_profile
 from .errors import DegenerateWeightError, SingularGramError
 from .extension import weighted_bergman_projection
 from .fields import Scaled, levi_form, node_weights
-from .geometry import unit_ball, weighted_total
+from .geometry import abs_sq, unit_ball, weighted_total
 
 RESIDUAL_MARGIN_CELLS = 4  # dbar_residual skips this many node layers at each edge
 RESIDUAL_GATE = 5e-3  # the largest dbar_residual of a solve that counts as solved
@@ -137,7 +137,7 @@ def hormander_ratio(
         psi_zz = np.real(levi_form(psi, f_pts)[:, 0, 0])
         if np.any(psi_zz < 1e-8):
             raise ValueError("psi is not strictly subharmonic on the support of f")
-        comparison = float(weighted_total(np.abs(f_values[0]) ** 2 / psi_zz, wq[idx]))
+        comparison = float(weighted_total(abs_sq(f_values[0]) / psi_zz, wq[idx]))
         if comparison == 0.0:
             raise DegenerateWeightError("relative to its largest value on the grid, the weight "
                                         "underflows to 0 at every node of the support of f")
@@ -156,7 +156,7 @@ def _centered_powers(z: np.ndarray, w: np.ndarray, degree: int):
     non-finite lower power carries into)."""
     total = np.sum(w)
     c = weighted_total(z, w) / total
-    t = (z - c) / math.sqrt(weighted_total(np.abs(z - c) ** 2, w) / total)
+    t = (z - c) / math.sqrt(weighted_total(abs_sq(z - c), w) / total)
 
     def rows(nodes: slice) -> np.ndarray:
         tb = t[nodes]

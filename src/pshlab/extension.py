@@ -25,7 +25,9 @@ import numpy as np
 from . import bochner
 from .errors import ConsistencyError, DegenerateWeightError, SingularGramError
 from .fields import Scaled, ScalarField, node_weights, weighted_sums
-from .geometry import HolomorphicCylinder, QuadratureRule, as_point, sample_cylinder, weighted_total
+from .geometry import (
+    HolomorphicCylinder, QuadratureRule, abs_sq, as_point, sample_cylinder, weighted_total,
+)
 from .meanvalue import clipped_mean
 
 VANISHING_FRACTION = 1e-3  # of the mean weight; more means a degenerate candidate
@@ -41,16 +43,8 @@ def exp_linear(a, z0) -> Candidate:
 
 
 def constant_one(z0) -> Candidate:
-    z0 = as_point(z0)
-    return polynomial({(0,) * z0.size: 1.0}, z0)
-
-
-def polynomial(coeffs: dict, z0) -> Candidate:
-    """Polynomial in (z - z0) from {multi-index: coefficient}."""
-    z0 = as_point(z0)
-    exponents = tuple(sorted(coeffs.keys()))
-    arr = np.array([coeffs[e] for e in exponents], dtype=complex)
-    return lambda z: _monomial_values(z - z0, exponents) @ arr
+    """f = 1, which is 1 at every z0."""
+    return lambda z: np.ones(z.shape[0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -216,7 +210,7 @@ def weighted_bergman_projection(u_values: np.ndarray, w: np.ndarray, rows: Calla
     residual = np.empty_like(u)
     for block in blocks:
         residual[block] = u[block] - coeffs @ rows(block)
-    return residual, coeffs, float(weighted_total((residual.conj() * residual).real, w))
+    return residual, coeffs, float(weighted_total(abs_sq(residual), w))
 
 
 def best_extension_constant(phi: ScalarField, cyl: HolomorphicCylinder, degree: int,

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PoleInStencilError, SpecError, WeightOverflowError
-from .geometry import DomainBox, as_point, as_points, row_norm, row_sum, weighted_total
+from .geometry import DomainBox, abs_sq, as_point, as_points, row_norm, row_sq_norm, weighted_total
 
 DEFAULT_FD_STEP = 1e-3
 HERMITIAN_TOL = 1e-12
@@ -85,7 +85,7 @@ def scaled_sq_omega(c: float, n: int) -> HermitianField:
     """g(z) = c |z|^2 I, the coefficient field of c|z|^2 times the Euclidean form."""
 
     def ev(z):
-        sq = row_sum(np.abs(z) ** 2)
+        sq = row_sq_norm(z)
         return sq[:, None, None] * np.eye(n)[None, :, :] * c
 
     return HermitianField(n, ev)
@@ -176,7 +176,7 @@ def log_levi(d: np.ndarray, u: np.ndarray) -> np.ndarray:
 def sq_norm(n: int) -> ScalarField:
     return ScalarField(
         "sq_norm", n,
-        lambda z: row_sum(np.abs(z) ** 2),
+        row_sq_norm,
         grad=lambda z: np.conj(z),
         hess=lambda z: np.broadcast_to(np.eye(n), (z.shape[0], n, n)).astype(complex),
     )
@@ -185,7 +185,7 @@ def sq_norm(n: int) -> ScalarField:
 def neg_sq_norm(n: int) -> ScalarField:
     return ScalarField(
         "neg_sq_norm", n,
-        lambda z: -row_sum(np.abs(z) ** 2),
+        lambda z: -row_sq_norm(z),
         grad=lambda z: -np.conj(z),
         hess=lambda z: -np.broadcast_to(np.eye(n), (z.shape[0], n, n)).astype(complex),
     )
@@ -202,7 +202,7 @@ def saddle(lam: float) -> ScalarField:
 
     return ScalarField(
         f"saddle:{lam:g}", 2,
-        lambda z: np.abs(z[:, 0]) ** 2 - lam * np.abs(z[:, 1]) ** 2,
+        lambda z: abs_sq(z[:, 0]) - lam * abs_sq(z[:, 1]),
         grad=grad,
         hess=lambda z: np.broadcast_to(h, (z.shape[0], 2, 2)).copy(),
     )
@@ -220,12 +220,12 @@ def log_abs(a, n: int) -> ScalarField:
 
     def grad(z):
         d = z - av
-        u = row_sum(np.abs(d) ** 2)
+        u = row_sq_norm(d)
         return 0.5 * np.conj(d) / u[:, None]
 
     def hess(z):
         d = z - av
-        return 0.5 * log_levi(d, row_sum(np.abs(d) ** 2))
+        return 0.5 * log_levi(d, row_sq_norm(d))
 
     return ScalarField(f"log_abs:{av.tolist()}", n, ev, grad=grad, hess=hess)
 
@@ -245,13 +245,13 @@ def log1p_sq(n: int) -> ScalarField:
     """log(1 + |z|^2), strictly psh with bounded Levi form."""
 
     def grad(z):
-        u = 1.0 + row_sum(np.abs(z) ** 2)
+        u = 1.0 + row_sq_norm(z)
         return np.conj(z) / u[:, None]
 
     return ScalarField(
         "log1p_sq", n,
-        lambda z: np.log1p(row_sum(np.abs(z) ** 2)),
-        grad=grad, hess=lambda z: log_levi(z, 1.0 + row_sum(np.abs(z) ** 2)),
+        lambda z: np.log1p(row_sq_norm(z)),
+        grad=grad, hess=lambda z: log_levi(z, 1.0 + row_sq_norm(z)),
     )
 
 
@@ -302,14 +302,14 @@ def neg_gauss(n: int) -> ScalarField:
     """-exp(-|z|^2); Levi form e^{-|z|^2}(I - conj(z) z^T), indefinite for |z| > 1."""
 
     def ev(z):
-        return -np.exp(-row_sum(np.abs(z) ** 2))
+        return -np.exp(-row_sq_norm(z))
 
     def grad(z):
-        e = np.exp(-row_sum(np.abs(z) ** 2))
+        e = np.exp(-row_sq_norm(z))
         return e[:, None] * np.conj(z)
 
     def hess(z):
-        e = np.exp(-row_sum(np.abs(z) ** 2))
+        e = np.exp(-row_sq_norm(z))
         eye = np.eye(n)[None, :, :]
         outer = np.conj(z)[:, :, None] * z[:, None, :]
         return e[:, None, None] * (eye - outer)

@@ -32,7 +32,7 @@ from .bochner import (
     FormField01, GridDiscretization, MappedValues, band_blocks, band_curvature, band_energy,
     make_grid, support_values,
 )
-from .geometry import DomainBox, as_point, log_ball_volume, row_norm, row_sum
+from .geometry import DomainBox, abs_sq, as_point, log_ball_volume, row_norm, row_sq_norm, row_sum
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def build_witness_form(z0, xi, r: float) -> FormField01:
 
     def coefficients(z):
         d = z - z0
-        t = row_sum(np.abs(d) ** 2) / rr
+        t = row_sq_norm(d) / rr
         pair = d @ np.conj(xi)  # = sum_j xi_j conj(z_j - z0_j), conjugated
         return xi[:, None] * cutoff(t) + np.conj(pair) * cutoff_deriv(t) * d.T / rr
 
@@ -101,7 +101,7 @@ def build_psi_s(z0, r: float, s: float) -> ScalarField:
 
     return ScalarField(
         f"psi_s:{s:g}", n,
-        lambda z: s * (row_sum(np.abs(z - z0) ** 2) - r * r / 4.0),
+        lambda z: s * (row_sq_norm(z - z0) - r * r / 4.0),
         grad=lambda z: s * np.conj(z - z0),
         hess=lambda z: s * np.broadcast_to(np.eye(n), (z.shape[0], n, n)).astype(complex),
     )
@@ -332,7 +332,7 @@ def build_alpha_eps(w, eps: float) -> FormField01:
 
     def coefficients(z):
         d = z - w
-        t = row_sum(np.abs(d) ** 2) / ee
+        t = row_sq_norm(d) / ee
         return cutoff_deriv(t) * d.T / ee
 
     support = DomainBox("ball", w, np.array([eps]))
@@ -346,27 +346,27 @@ def build_psi_delta(w, delta: float, n: int) -> ScalarField:
     conj(d) d^T/u^2), d = z - w, u = |d|^2 + delta^2 (fields.log_levi); delta = 0
     gives the usc limit with a logarithmic pole at w and psi_0 >= 2n log|z - w| + |z|^2.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not (delta >= 0.0 and math.isfinite(delta * delta)):
+        raise ValueError("delta must be nonnegative, with a square below the double range")
     w = as_point(w)
     dd = delta * delta
 
     def ev(z):
-        u = row_sum(np.abs(z - w) ** 2) + dd
+        u = row_sq_norm(z - w) + dd
         with np.errstate(divide="ignore"):
-            return row_sum(np.abs(z) ** 2) + n * np.log(u)
+            return row_sq_norm(z) + n * np.log(u)
 
     if delta == 0.0:
         return ScalarField("psi_delta:0", n, ev)
 
     def grad(z):
         d = z - w
-        u = row_sum(np.abs(d) ** 2) + dd
+        u = row_sq_norm(d) + dd
         return np.conj(z) + n * np.conj(d) / u[:, None]
 
     def hess(z):
         d = z - w
-        return np.eye(n) + n * log_levi(d, row_sum(np.abs(d) ** 2) + dd)
+        return np.eye(n) + n * log_levi(d, row_sq_norm(d) + dd)
 
     return ScalarField(f"psi_delta:{delta:g}", n, ev, grad=grad, hess=hess)
 
@@ -379,16 +379,16 @@ def _psi_delta_norm_sq(f_values, z, w, delta: float, n: int) -> np.ndarray:
 
         |f|^2_H = |f|^2 / a + b |sum_j f_j conj(d_j)|^2 / (a (a - b |d|^2)),
 
-    where a - b |d|^2 = 1 + n delta^2 / u^2 >= 1: both terms are nonnegative.
+    where a - b |d|^2 = 1 + q delta^2/u >= 1 (q = n/u, b = q/u, no u^2): both terms >= 0.
     """
     d = z - w
-    u = row_sum(np.abs(d) ** 2) + delta * delta
-    a = 1.0 + n / u
-    b = n / u**2
-    along_d = np.abs(np.sum(f_values * np.conj(d).T, axis=0)) ** 2
+    u = row_sq_norm(d) + delta * delta
+    q = n / u
+    a = 1.0 + q
+    along_d = abs_sq(row_sum(f_values.T * np.conj(d)))
     return (
-        np.sum(np.abs(f_values) ** 2, axis=0) / a
-        + b * along_d / (a * (1.0 + n * delta * delta / u**2))
+        row_sq_norm(f_values.T) / a
+        + (q / u) * along_d / (a * (1.0 + q * (delta * delta / u)))
     )
 
 

@@ -225,7 +225,7 @@ def witness_form_components(z0, xi, r):
     def component(j):
         def comp(z):
             d = z - z0
-            t = np.sum(np.abs(d) ** 2, axis=-1) / rr
+            t = np.sum(d.real * d.real + d.imag * d.imag, axis=-1) / rr
             return xi[j] * cutoff(t) + np.conj(pair(z)) * cutoff_deriv(t) * d[:, j] / rr
 
         return comp
@@ -241,7 +241,7 @@ def alpha_eps_components(w, eps):
     def component(j):
         def comp(z):
             d = z - w
-            t = np.sum(np.abs(d) ** 2, axis=-1) / ee
+            t = np.sum(d.real * d.real + d.imag * d.imag, axis=-1) / ee
             return cutoff_deriv(t) * d[:, j] / ee
 
         return comp

@@ -353,6 +353,37 @@ def test_coarse_chain_past_the_double_range_decides_on_finite_logs(tmp_path, arg
     assert all(math.isfinite(float(row["log_cprime_m"])) for row in rows)
 
 
+@pytest.mark.parametrize("delta", ["1e78", "1e100", "1e153"])
+def test_coarse_chain_at_a_large_delta_verifies(capsys, tmp_path, delta):
+    # the psi_delta norm squared u = |z - w|^2 + delta^2 (overflow from delta = 1.2e77,
+    # exit 1 under -W error); it forms no u^2, so every delta whose square is finite runs
+    argv = ["coarse-chain", "--func", "re_linear", "--m", "1", "--eps", "0.5", "--delta", delta]
+    assert main(argv + ["--out", str(tmp_path / "c.csv")]) == 0
+    assert capsys.readouterr() == ("[PASS] coarse-chain: 1/1 tuples verified\n", "")
+
+
+class TestPointDefaults:
+    """--center and --w default to the origin of C^dim, as --region to its unit ball;
+    at dim 2 each exited 2 on its own default, a point of C^1."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["extend", "--func", "sq_norm", "--degree", "2"], "center"),
+        (["coarse-extend", "--func", "sq_norm", "--m", "1"], "center"),
+        (["coarse-chain", "--func", "sq_norm", "--m", "1", "--eps", "0.5", "--delta", "0.25"], "w"),
+    ])
+    def test_dim_2_runs_at_the_origin(self, capsys, tmp_path, argv, option):
+        out = tmp_path / "r"
+        assert main(argv + ["--dim", "2", "--out", str(out)]) == 0
+        assert "[PASS]" in capsys.readouterr().out
+        if argv[0] == "extend":
+            assert read_json(out)["config"][option] == "[[0,0],[0,0]]"
+
+    def test_the_dim_1_default_is_the_old_string(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["extend", "--func", "sq_norm", "--degree", "2", "--out", str(out)]) == 0
+        assert read_json(out)["config"]["center"] == "[[0,0]]"
+
+
 @pytest.mark.parametrize("argv", [
     # mu(P) underflowed to 0 and the scan's mean was 0/0, a NaN margin that passed
     ["check-psh", "--func", "sq_norm", "--dim", "1", "--region",
@@ -387,6 +418,9 @@ class TestListOptions:
         ["coarse-chain", "--func", "re_linear", "--delta", "inf"],
         ["coarse-chain", "--func", "re_linear", "--delta", "nan"],
         ["coarse-chain", "--func", "re_linear", "--delta", "z"],
+        # delta^2 past the double range (from about 1.34e154): rhs_integral was nan
+        ["coarse-chain", "--func", "re_linear", "--delta", "1e155"],
+        ["coarse-chain", "--func", "re_linear", "--delta", "1e200"],
         ["coarse-extend", "--func", "sq_norm", "--m", "0"],
         ["coarse-extend", "--func", "sq_norm", "--m", "-1"],
         ["coarse-extend", "--func", "sq_norm", "--m", "x"],
@@ -545,7 +579,7 @@ class TestExponentOption:
                 "--delta", "0.25", "--out", str(out)]
         assert main(argv) == 0
         lines = out.read_text().splitlines()
-        assert lines[1] == ("8,2.0,0.5,0.25,31.924901605039093,10977.58811491289,"
+        assert lines[1] == ("8,2.0,0.5,0.25,31.924901605039096,10977.58811491289,"
                             "50.2654824574367,-0.49999975750747494,0.125,12.854522072572477,True")
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
@@ -734,8 +768,8 @@ class TestWeightedSumsPastTheDoubleRange:
         # log lhs = 954.6 > log rhs = 900: both past the double range
         ("[[30,0]]", "3", (math.inf, math.inf)),
         # lhs = 3.0e-13 is 1300 times rhs = 2.3e-16; their margin, -3.0e-13, is above -1e-9
-        ("[[6,0]]", "3", (3.015246607917407e-13, 2.3195228302435696e-16)),
-        ("[[3,0]]", "3", (356580.9115008159, 8103.083927575384)),
+        ("[[6,0]]", "3", (3.015246607917406e-13, 2.3195228302435696e-16)),
+        ("[[3,0]]", "3", (356580.9115008158, 8103.083927575384)),
     ])
     def test_extend_margin_is_decided_at_any_scale(self, capsys, tmp_path, center, p, lhs_rhs):
         func = "sq_norm" if center == "[[6,0]]" else "neg_sq_norm"
@@ -1012,12 +1046,12 @@ PARSER_SURFACE = {
         "--func": ("func", None, True), "--dim": ("dim", 1, False),
         "--m": ("m", "1,2,4,8", False), "--p": ("p", 2.0, False),
         "--cm": ("cm", "const:1", False), "--eps": ("eps", "0.5,0.25", False),
-        "--delta": ("delta", "0.25,0.0625", False), "--w": ("w", "[[0,0]]", False),
+        "--delta": ("delta", "0.25,0.0625", False), "--w": ("w", None, False),
         "--out": ("out", None, False),
     },
     "extend": {
         "--func": ("func", None, True), "--dim": ("dim", 1, False),
-        "--center": ("center", "[[0,0]]", False),
+        "--center": ("center", None, False),
         "--cylinder": ("cylinder", "r=1.0,s=1.0,seed=0", False), "--p": ("p", 2.0, False),
         "--degree": ("degree", 8, False), "--budget": ("budget", 4096, False),
         "--seed": ("seed", 0, False), "--out": ("out", None, False),
@@ -1025,7 +1059,7 @@ PARSER_SURFACE = {
     "coarse-extend": {
         "--func": ("func", None, True), "--dim": ("dim", 1, False),
         "--m": ("m", "1,2,4,8,16", False), "--cm-rule": ("cm_rule", "const:1", False),
-        "--center": ("center", "[[0,0]]", False),
+        "--center": ("center", None, False),
         "--cylinder": ("cylinder", "r=1.0,s=1.0,seed=0", False), "--p": ("p", 2.0, False),
         "--budget": ("budget", 4096, False), "--seed": ("seed", 0, False),
         "--out": ("out", None, False),
@@ -1067,7 +1101,7 @@ class TestParserSurface:
         (["bochner", "--func", "sq_norm"], {"grid": 256}),
         (["witness", "--func", "sq_norm"], {"grid": 96}),
         (["witness", "--func", "sq_norm", "--dim", "2"], {"grid": 16}),
-        (["extend", "--func", "sq_norm", "--degree", "2"], {"budget": 4096}),
+        (["extend", "--func", "sq_norm", "--degree", "2"], {"budget": 4096, "center": "[[0,0]]"}),
         (["dbar", "--weight", "sq_norm"], {"grid": 256}),
     ])
     def test_config_echoes_effective_defaults(self, argv, echoed, tmp_path):

@@ -15,7 +15,6 @@ from pshlab.extension import (
     jensen_chain_check,
     monomial_exponents,
     optimal_extension_margin,
-    polynomial,
     solve_gram,
 )
 from pshlab.geometry import (
@@ -60,22 +59,21 @@ class TestCandidates:
         nodes = sample_cylinder(disc_at(z0), RULE).nodes
         a = np.array([0.7 - 0.3j, 1.1 + 0.2j])[:n]
         assert np.array_equal(exp_linear(a, z0)(nodes), np.exp(nodes @ a + -complex(z0 @ a)))
-        coeffs = {e: 0.3 * sum(e) - 0.2j * e[0] + (1.0 if sum(e) == 0 else 0.0)
-                  for e in monomial_exponents(n, 3)}
-        exps = tuple(sorted(coeffs))
-        arr = np.array([coeffs[e] for e in exps], dtype=complex)
-        closed = _monomial_values(nodes - z0, exps) @ arr
-        assert np.array_equal(polynomial(coeffs, z0)(nodes), closed)
         ones = _monomial_values(nodes - z0, ((0,) * n,)) @ np.array([1.0 + 0.0j])
         assert np.array_equal(constant_one(z0)(nodes), ones)
         assert np.all(ones == 1.0)
 
 
+def one_minus_z_over(a):
+    """The candidate (a - z)/a at n = 1, exactly 0 at z = a."""
+    return lambda z: (a - z[:, 0]) / a
+
+
 # candidates with f(0) != 1, for the unit disc at 0
 OFF_CENTER = {
-    "poly": polynomial({(0,): 2.0}, np.zeros(1)),
+    "poly": lambda z: np.full(z.shape[0], 2.0 + 0.0j),
     "exp": exp_linear(np.array([1.0 + 0.0j]), np.array([0.5 + 0.0j])),
-    "poly_elsewhere": polynomial({(0,): 1.0, (1,): 1.0}, np.array([0.25 + 0.0j])),
+    "poly_elsewhere": lambda z: 1.0 + (z[:, 0] - 0.25),
 }
 
 
@@ -167,7 +165,7 @@ class TestJensenChain:
         # f = z - a with a outside the closed disc: log|f| harmonic, so
         # residual_2 = mean(p log|z-a|) - p log|a| = 0 by mean-value equality
         a = 1.7 + 0.4j
-        f = polynomial({(0,): 1.0, (1,): -1.0 / a}, np.zeros(1))  # (a - z)/a
+        f = one_minus_z_over(a)
         res1, res2, _ = jensen_chain_check(
             fields.sq_norm(1), disc(), f, 2.0, RULE
         )
@@ -184,7 +182,7 @@ class TestJensenChain:
         with pytest.raises(ValueError):
             jensen_chain_check(
                 fields.sq_norm(1), disc(),
-                polynomial({(1,): 1.0}, np.zeros(1)), 2.0, RULE,
+                lambda z: z[:, 0], 2.0, RULE,
             )
 
     def test_large_radius_matches_logsumexp(self):
@@ -249,7 +247,7 @@ class TestCoarseExtension:
         # of the 4096-node rule is a zero of f.
         coarse = QuadratureRule("tensor-grid", 16)
         a = sample_cylinder(disc(), coarse).nodes[0, 0]
-        f = polynomial({(0,): 1.0, (1,): -1.0 / a}, np.zeros(1))
+        f = one_minus_z_over(a)
         with pytest.raises(ConsistencyError, match="^Jensen relaxation violated: b_m = "):
             coarse_extension_bound(zero_field(1), disc(), f, 0.0, 1, 0.1, coarse)
         b_m, b_tilde = coarse_extension_bound(zero_field(1), disc(), f, 0.0, 1, 0.1, RULE)

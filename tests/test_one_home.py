@@ -23,6 +23,10 @@ coarse chain is fields.Scaled.at_most, with its slack fields.VERDICT_SLACK.  A
 Bochner identity is verified by BochnerReport.verified alone, which both pshlab
 bochner and criterion 2 read.
 
+One squared modulus: every |x|^2 in src/pshlab is geometry.abs_sq, re * re + im * im,
+and every |d|^2 of a point row_sq_norm, whose root is row_norm; no modulus is squared
+back from np.abs and no complex product is taken only for its real part.
+
 One normalisation of a cylinder's measure: a cylinder rule's weights are mean
 weights, which sum to 1, so no consumer divides by mu(P), and log mu(P) is read
 only by the coarse extension bound, whose formula carries it.
@@ -355,3 +359,36 @@ def test_each_chain_constant_is_one_log_formed_in_one_place():
         ("witness", "log_envelope_constant"), ("witness", "log_cprime")}
     assert callers_of("log_envelope_constant", ("acceptance", "cli", "witness")) == {
         ("witness", "coarse_rhs_bound"), ("witness", "log_cprime"), ("cli", "_coarse_chain")}
+
+
+def squared_moduli(tree) -> list:
+    """(scope, text) of each np.abs(x) ** 2, conj(x) * x (either order and spelling)
+    and product of real or imaginary parts in a module."""
+    found = []
+    for scope, node in scopes(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if (isinstance(node.left, ast.Call) and isinstance(node.right, ast.Constant)
+                    and node.right.value == 2
+                    and ast.unparse(node.left.func) in ("abs", "np.abs", "np.absolute")):
+                found.append((".".join(scope), ast.unparse(node)))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            left, right = ast.unparse(node.left), ast.unparse(node.right)
+            if {left, right} & {f"{right}.conj()", f"np.conj({right})", f"{left}.conj()",
+                                f"np.conj({left})"}:
+                found.append((".".join(scope), ast.unparse(node)))
+            parts = [n.attr for n in (node.left, node.right) if isinstance(n, ast.Attribute)]
+            if parts in (["real", "real"], ["imag", "imag"]):
+                found.append((".".join(scope), ast.unparse(node)))
+    return found
+
+
+def test_every_squared_modulus_is_the_one_kernel():
+    # np.abs(x) ** 2 took hypot's root and squared it back, at 29 sites, and
+    # (x.conj() * x).real threw a complex product's imaginary half away, at 3
+    found = [(path.stem, *site) for path in sorted(SRC.glob("*.py"))
+             for site in squared_moduli(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("geometry", "abs_sq", "x.real * x.real"),
+                     ("geometry", "abs_sq", "x.imag * x.imag")]
+    [row_norm] = [top for top in ast.parse((SRC / "geometry.py").read_text(encoding="utf-8")).body
+                  if getattr(top, "name", None) == "row_norm"]
+    assert ast.unparse(row_norm.body[-1]) == "return np.sqrt(row_sq_norm(d))"

@@ -6,6 +6,10 @@ raises where a pole check raised: PoleInStencilError in a finite-difference
 stencil, a declared Hessian, a region scan and the support of a form (or, for a weight without a
 gradient, the stencil band that its stencil gradient reads), and ValueError for a
 cylinder center on the pole.
+
+No pole path feeds a non-finite complex value to geometry.abs_sq, where
+re * re + im * im would differ from np.abs(x) ** 2: hypot(inf, nan) is inf, but
+inf * inf + nan * nan is nan.  Every test here runs with abs_sq checking its input.
 """
 
 import warnings
@@ -13,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pshlab import fields
+from pshlab import bochner, dbar1d, extension, fields, geometry, witness
 from pshlab.bochner import bochner_residual, bump_const_form, make_grid
 from pshlab.errors import PoleInStencilError
 from pshlab.extension import constant_one, jensen_chain_check
@@ -23,6 +27,18 @@ from pshlab.fields import (
 from pshlab.geometry import HolomorphicCylinder, QuadratureRule, unit_ball
 from pshlab.meanvalue import classify_psh, submean_test
 from pshlab.witness import build_psi_delta
+
+@pytest.fixture(autouse=True)
+def abs_sq_of_finite_values_only(monkeypatch):
+    kernel = geometry.abs_sq
+
+    def checked(x):
+        assert np.all(np.isfinite(x)), "a non-finite value reached abs_sq"
+        return kernel(x)
+
+    for module in (geometry, fields, bochner, witness, dbar1d, extension):
+        monkeypatch.setattr(module, "abs_sq", checked)
+
 
 A1 = np.array([0.25 - 0.5j])
 A2 = np.array([0.1j, -0.3 + 0.2j])

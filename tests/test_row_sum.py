@@ -1,14 +1,18 @@
-"""One way to reduce over the coordinate axis: geometry.row_sum.
+"""One way to reduce over the coordinate axis: geometry.row_sum and row_sq_norm.
 
 row_sum adds the columns of the last axis one at a time from 0.0, which is
-how numpy's add.reduce sums fewer than 8 contiguous values; row_norm feeds it
-(conj(d) d).real, as np.linalg.norm forms a 2-norm.  So every field, form and
-membership test that moved from np.sum / np.linalg.norm over the last axis to
-these kernels must give its old values bit for bit: each is compared here
-with a test-local copy of its old expression at n = 1, 2 and 3.
+how numpy's add.reduce sums fewer than 8 contiguous values.  row_sq_norm adds
+the columns' squared moduli re * re + im * im (geometry.abs_sq) the same way,
+and row_norm is its root.  So every field, form and membership test that moved
+from np.sum / np.linalg.norm over the last axis to these kernels must give its
+old expression's values bit for bit, with each squared modulus written as
+re * re + im * im: each is compared here with a test-local copy of that
+expression at n = 1, 2 and 3.
 """
 
 import ast
+import math
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +23,10 @@ from pshlab.bochner import bump_const_form, bump_zbar_form
 from pshlab.geometry import (
     DomainBox,
     HolomorphicCylinder,
+    abs_sq,
     random_unitary,
     row_norm,
+    row_sq_norm,
     row_sum,
 )
 from pshlab.witness import (
@@ -39,12 +45,17 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "pshlab"
 DIMS = (1, 2, 3)
 
 
+def sq(x):
+    """|x|^2 elementwise, as re * re + im * im."""
+    return x.real * x.real + x.imag * x.imag
+
+
 def old_sq(z):
-    return np.sum(np.abs(z) ** 2, axis=-1)
+    return np.sum(sq(z), axis=-1)
 
 
 def old_norm(d):
-    return np.linalg.norm(d, axis=-1)
+    return np.sqrt(old_sq(d))
 
 
 def edge_columns(rng, rows: int, cols: int) -> np.ndarray:
@@ -89,11 +100,58 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", DIMS)
     def test_row_norm_is_numpys_norm(self, n):
+        """row_norm is the root of the re * re + im * im sum bit for bit, and so
+        np.linalg.norm up to rounding (its (conj(d) d).real may use an FMA)."""
         z = points(n, n)
         with np.errstate(over="ignore"):
             assert_bits(row_norm(z), old_norm(z))
+            np.testing.assert_allclose(row_norm(z), np.linalg.norm(z, axis=-1), rtol=4e-16)
         pairs = z[:60, None, :] - z[None, :70, :]  # (k, m, n), as in modulus_of_continuity
         assert_bits(row_norm(pairs), old_norm(pairs))
+
+
+def kernel_points(n: int) -> np.ndarray:
+    """(m, n) complex points whose parts are signed zeros, subnormals, magnitudes near
+    1e-160 (squares subnormal) and 1e154 (squares near the top of the double range,
+    sums past it), ordinary magnitudes and a few infinities."""
+    rng = np.random.default_rng(60 + n)
+    scale = 10.0 ** rng.choice([-315.0, -160.0, -1.0, 0.0, 1.0, 154.0], (4000, 2 * n))
+    parts = rng.standard_normal((4000, 2 * n)) * scale
+    for value, share in ((-0.0, 0.1), (0.0, 0.1), (np.inf, 0.002), (-np.inf, 0.002)):
+        parts[rng.random(parts.shape) < share] = value
+    return parts.view(complex)
+
+
+class TestSquaredModulus:
+    """abs_sq, row_sq_norm and row_norm against Python floats: a * a + b * b per
+    coordinate, the coordinates added in order, and math.sqrt of the sum."""
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_kernels_equal_python_floats(self, n):
+        z = kernel_points(n)
+        sq_parts = [[c.real * c.real + c.imag * c.imag for c in row] for row in z.tolist()]
+        sums = [reduce(lambda a, b: a + b, row) for row in sq_parts]
+        with np.errstate(over="ignore", under="ignore"):
+            got = abs_sq(z)
+            assert_bits(got, np.array(sq_parts))
+            assert_bits(row_sq_norm(z), np.array(sums))
+            assert_bits(row_norm(z), np.array([math.sqrt(v) for v in sums]))
+        # the cases reached: subnormal squares, and sums past the double range
+        assert np.any((got > 0.0) & (got < np.finfo(float).tiny)) and np.isinf(sums).any()
+
+    def test_real_input_and_signed_zeros(self):
+        x = np.array([-0.0, 0.0, -3.0, 5e-324])
+        assert_bits(abs_sq(x), np.array([0.0, 0.0, 9.0, 0.0]))
+        assert_bits(abs_sq(np.array([complex(-0.0, -0.0)])), np.array([0.0]))
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_row_sq_norm_is_the_row_sum_of_abs_sq(self, n):
+        z = points(n, 70 + n)
+        pairs = z[:60, None, :] - z[None, :70, :]
+        with np.errstate(over="ignore"):
+            for d in (z, pairs):
+                assert_bits(row_sq_norm(d), row_sum(abs_sq(d)))
+                assert_bits(row_norm(d), np.sqrt(row_sum(abs_sq(d))))
 
 
 def old_log_abs(av, n):
@@ -187,10 +245,12 @@ def test_omega_and_metric_norm_match_their_old_expressions(n):
         assert_bits(fields.scaled_sq_omega(0.75, n).evaluate(z), g)
         d = z - w
         u = old_sq(d) + 0.25 * 0.25
-        a, b = 1.0 + n / u, n / u**2
-        along_d = np.abs(np.sum(f_values * np.conj(d).T, axis=0)) ** 2
-        want = np.sum(np.abs(f_values) ** 2, axis=0) / a + b * along_d / (
-            a * (1.0 + n * 0.25 * 0.25 / u**2))
+        q = n / u
+        a, b = 1.0 + q, q / u
+        pair = f_values.T * np.conj(d)
+        along_d = sq(sum(pair[:, j] for j in range(n)))  # added in j order
+        want = np.sum(sq(f_values), axis=0) / a + b * along_d / (
+            a * (1.0 + q * (0.25 * 0.25 / u)))
         assert_bits(_psi_delta_norm_sq(f_values, z, w, 0.25, n), want)
 
 
@@ -239,7 +299,7 @@ def test_membership_matches_its_old_expression(n):
         w = (z - center) @ cyl.frame.conj()
         ok = np.abs(w[:, 0]) <= 1.1 * (1.0 + 1e-12)
         if n > 1:
-            ok &= np.linalg.norm(w[:, 1:], axis=1) <= 0.9 * (1.0 + 1e-12)
+            ok &= old_norm(w[:, 1:]) <= 0.9 * (1.0 + 1e-12)
         assert_bits(contains(cyl, z), ok)
 
 

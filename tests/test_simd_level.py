@@ -5,11 +5,14 @@ CPU's SIMD level, and the AVX2 and AVX512 kernels give last bits that differ
 from the baseline loops.  Criteria 1, 2 and 8 at seed 0, run in a fresh
 interpreter at the host's level and with the AVX2 and AVX512 targets disabled,
 give the same flags, counts and strings, and each value within 1e-8 relative
-plus 1e-10.  On an AVX512 host 14 of the 43 values differ: the largest
-relative move of a value above 1e-10 is 4.5e-9, criterion 1's halving ratio of
+plus 1e-10.  On an AVX512 host 8 of the 43 values differ: the largest
+relative move of a value above 1e-10 is 4.2e-9, criterion 1's halving ratio of
 neg_gauss, and values at their own rounding floor, such as criterion 1's
-finite-difference error of saddle:2 (1.15e-12 against 2.75e-12), fall under
-the absolute part.
+finite-difference error of cross (2.57e-13 against 4.17e-13), fall under
+the absolute part.  Every squared modulus is geometry.abs_sq, re * re + im * im,
+so the finite-difference errors of neg_sq_norm and saddle:2 agree bit for bit
+(with np.abs(z) ** 2 they read 2.118e-11 against 2.089e-11 and 1.15e-12
+against 2.75e-12, and 14 values differed).
 """
 
 import json
@@ -66,12 +69,18 @@ def leaves(obj, path=""):
         yield path, obj
 
 
-def test_payloads_agree_at_the_host_and_the_baseline_simd_level():
+@pytest.fixture(scope="module")
+def levels():
+    """The payload leaves at the host's level and at the baseline level, run once."""
     host_targets, host = run_at_level(None)
     base_targets, base = run_at_level(DISABLED)
     if base_targets == host_targets:
         pytest.skip(f"no SIMD target of {DISABLED!r} is enabled on this host")
-    host, base = dict(leaves(host)), dict(leaves(base))
+    return dict(leaves(host)), dict(leaves(base))
+
+
+def test_payloads_agree_at_the_host_and_the_baseline_simd_level(levels):
+    host, base = levels
     assert host.keys() == base.keys()
     for path, a in host.items():
         b = base[path]
@@ -79,3 +88,13 @@ def test_payloads_agree_at_the_host_and_the_baseline_simd_level():
             assert abs(a - b) <= REL * max(abs(a), abs(b)) + ABS, path
         else:
             assert (type(a), a) == (type(b), b), path
+
+
+@pytest.mark.parametrize("field", ["neg_sq_norm", "saddle:2"])
+def test_squared_moduli_agree_bit_for_bit_across_simd_levels(levels, field):
+    """Criterion 1's finite-difference error of a quadratic weight takes no kernel but
+    IEEE multiply and add: its |z|^2 is re * re + im * im (geometry.abs_sq), where
+    np.abs(z) ** 2 took the SIMD-dependent complex abs."""
+    host, base = levels
+    path = f"/0/values/max_entry_rel_errors/{field}"
+    assert host[path] == base[path]

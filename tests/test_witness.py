@@ -594,6 +594,24 @@ class TestPsiDelta:
         rhs = 2 * 2 * np.log(np.linalg.norm(pts - w, axis=-1))
         assert np.all(lhs >= rhs)
 
+    @pytest.mark.parametrize("delta", [-0.25, 1e155, 1e200, math.inf, math.nan])
+    def test_refuses_a_delta_without_a_finite_square(self, delta):
+        with pytest.raises(ValueError, match="^delta must be nonnegative, with a square below"):
+            build_psi_delta(np.zeros(1), delta, 1)
+
+    @pytest.mark.parametrize("delta", [0.25, 1e78, 1e153])
+    def test_metric_norm_lies_between_its_bounds(self, delta):
+        # H = a I - b conj(d) d^T has its eigenvalues in [1, a]: |f|^2/a <= |f|^2_H <= |f|^2
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+        f = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+        w = np.array([0.1, -0.2j])
+        got = _psi_delta_norm_sq(f, z, w, delta, 2)
+        f_sq = np.sum(np.abs(f) ** 2, axis=0)
+        a = 1.0 + 2.0 / (np.sum(np.abs(z - w) ** 2, axis=1) + delta * delta)
+        assert np.all(np.isfinite(got))
+        assert np.all(got >= f_sq / a * (1.0 - 1e-14)) and np.all(got <= f_sq * (1.0 + 1e-14))
+
     def test_delta_zero_pole(self):
         w = np.array([0.0j])
         psi = build_psi_delta(w, 0.0, 1)
